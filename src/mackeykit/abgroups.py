@@ -16,11 +16,9 @@ from . import intmat
 from .intmat import (
     hermite_normal_form,
     intmat as mat,
-    kernel,
     lattice_sum,
     preimage_lattice,
     smith_normal_form,
-    solve,
     zeros,
 )
 
@@ -241,11 +239,6 @@ def image_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
 def cokernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
     """Cokernel of the induced map, as (grp, proj)."""
     return quotient_by_columns(tgt, mat(M, src.generator_count))
-
-
-def express_in_lattice(B, v):
-    """Coefficients c with B @ c = v, or None."""
-    return solve(B, v)
 
 
 def tensor_group(A: FinPresAbGroup, B: FinPresAbGroup):

@@ -288,7 +288,6 @@ def triangle_composite(X: GSet) -> BurnsideElement:
     Builds lambda . (ev (x) id) . assoc . (id (x) coev) . rho^{-1}; for the
     self-dual objects of this category it must equal the identity span.
     """
-    from .gsets import identity_map
     group = X.group
     pt = point_gset(group)
     PXX = product(X, X)
@@ -459,15 +458,6 @@ def multimap_basis(feet, z: GSet):
     return hom_basis(multi_product(feet).gset, z)
 
 
-def multimap_element(feet, z: GSet, code) -> BurnsideElement:
-    return basis_element(multi_product(feet).gset, z, code)
-
-
-def multimap_compose(h: BurnsideElement, m: BurnsideElement) -> BurnsideElement:
-    """Pair a one-target span h: y -> z with a multimap m: feet -> y."""
-    return compose(h, m)
-
-
 def promonoidal_coend_check(feet, z: GSet):
     """Decategorified promonoidal coend condition.
 
@@ -476,8 +466,6 @@ def promonoidal_coend_check(feet, z: GSet):
     that composition induces an isomorphism onto multimap(feet, z).
     Returns (ok, detail dict).
     """
-    import numpy as np
-
     from . import intmat
 
     group = z.group

@@ -16,13 +16,11 @@ import sys
 
 from . import jsonio
 from .burnside import (
-    basis_element,
     burnside_ring_from_spans,
     burnside_ring_table,
     compose,
     hom_basis,
     identity_element,
-    multimap_basis,
     promonoidal_coend_check,
     table_of_marks,
     triangle_composite,
@@ -38,7 +36,7 @@ from .homalg import (
     ChainComplex,
 )
 from .ktheory import bpq_verify
-from .mackey import MackeyFunctor, MackeyMorphism
+from .mackey import MackeyMorphism
 
 SCHEMA_VERSION = 1
 

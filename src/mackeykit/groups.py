@@ -8,8 +8,7 @@ opaquely through `mul`, `inv` and the subgroup-class data computed here.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 

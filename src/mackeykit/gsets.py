@@ -166,11 +166,6 @@ def standard_orbit(group: FiniteGroup, class_index: int) -> GSet:
     return GSet(group, action, name=f"{group.name}/{cls.label}")
 
 
-def orbit_gset(group: FiniteGroup, H) -> GSet:
-    """Standard orbit of the class of the subgroup H."""
-    return standard_orbit(group, group.class_index_of(H))
-
-
 def point_gset(group: FiniteGroup) -> GSet:
     """The terminal G-set (one point)."""
     return standard_orbit(group, len(group.subgroup_classes()) - 1)
@@ -233,11 +228,6 @@ def disjoint_union_of_orbits(group: FiniteGroup, classes: tuple) -> GSet:
             offset += b.size
         action.append(row)
     return GSet(group, action)
-
-
-def is_canonical(X: GSet) -> bool:
-    Xc, _ = canonicalize(X)
-    return X == Xc
 
 
 # -- limits and colimits -------------------------------------------------------

@@ -16,26 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abgroups, intmat
-from .abgroups import FinPresAbGroup
-from .burnside import basis_element, hom_basis, restriction_element, transfer_element
+from .burnside import basis_element, hom_basis, transfer_element
 from .convolution import (
     BoxData,
     GreenFunctor,
     GreenModule,
     box,
-    box_assoc_iso,
-    box_comm_iso,
     box_map,
     box_pairing,
     box_unit_eval,
-    box_unit_iso,
-    module_from_action,
-    point_representable,
-    struct_gmap,
 )
 from .gsets import (
     GSet,
-    coproduct,
     disjoint_union_of_orbits,
     empty_gset,
     point_gset,
@@ -149,52 +141,20 @@ def _free_action(R: GreenFunctor, AX, data: BoxData,
     restricts r along the inner structure map, twists everything onto the
     canonical over-code, multiplies the two ring legs, and reinjects.
     """
-    from .convolution import _canonical_over, _diag_code, struct_gmap
-    from .burnside import restriction_element
+    from .convolution import _diag_code, _regroup_matrices
     group = R.group
     Rk = R.underlying
     RR = R.data               # box(R, R), already presented
     mult = R.mult
-    mats = []
-    for c in range(len(group.subgroup_classes())):
-        X_level = standard_orbit(group, c)
-        inner_gens = [data.generators(cw)
-                      for cw in range(len(group.subgroup_classes()))]
-        cols = [None] * source.functor.levels[c].generator_count
-        for (code, i, beta), idx in source.layout[c].items():
-            cw, _x = code
-            (code_in, j, k) = inner_gens[cw][beta]
-            cwp, xp = code_in
-            phi = struct_gmap(standard_orbit(group, cw), code_in)
-            sc = struct_gmap(X_level, code)
-            z = sc(xp)
-            zstar, u = _canonical_over(group, cwp, z, X_level)
-            WM = Rk.weyl[cwp][u] @ Rk.eval_span(restriction_element(phi))
-            WN = Rk.weyl[cwp][u]
-            WA = AX.weyl[cwp][u]
-            outer_code = (cwp, zstar)
-            diag = _diag_code(group, cwp)
-            col = intmat.zero_vec(data.functor.levels[c].generator_count)
-            for a in range(WM.shape[0]):
-                va = WM[a, i]
-                if va == 0:
-                    continue
-                for b in range(WN.shape[0]):
-                    vb = WN[b, j]
-                    if vb == 0:
-                        continue
-                    prod = mult.mats[cwp][:, RR.layout[cwp][(diag, a, b)]]
-                    for d in range(WA.shape[0]):
-                        vd = WA[d, k]
-                        if vd == 0:
-                            continue
-                        for t in range(len(prod)):
-                            if prod[t]:
-                                col[data.layout[c][(outer_code, t, d)]] += \
-                                    va * vb * vd * prod[t]
-            cols[idx] = col
-        mats.append(intmat.from_cols(cols,
-                                     data.functor.levels[c].generator_count))
+    diag = [_diag_code(group, c) for c in range(len(group.subgroup_classes()))]
+
+    def place(c, outer_code, cwp, a, b, d):
+        prod = mult.mats[cwp][:, RR.layout[cwp][(diag[cwp], a, b)]]
+        return [(data.layout[c][(outer_code, t, d)], prod[t])
+                for t in range(len(prod)) if prod[t]]
+
+    mats = _regroup_matrices(source, data, (Rk, Rk, AX), False,
+                             data.functor.levels, place)
     return MackeyMorphism(source.functor, data.functor, mats, check=False)
 
 

@@ -112,16 +112,6 @@ def block_diag(mats):
     return out
 
 
-def _swap_rows(a, i, j):
-    if i != j:
-        a[[i, j], :] = a[[j, i], :]
-
-
-def _swap_cols(a, i, j):
-    if i != j:
-        a[:, [i, j]] = a[:, [j, i]]
-
-
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
@@ -402,11 +392,6 @@ def hnf_solve(H, v):
 def in_lattice(v, L) -> bool:
     """Is v in the column span of L?"""
     return hnf_solve(hermite_normal_form(L), v) is not None
-
-
-def lattice_contains(L, M) -> bool:
-    """Does colspan(L) contain colspan(M)?"""
-    return all(in_lattice(M[:, j], L) for j in range(M.shape[1]))
 
 
 def preimage_lattice(A, L):

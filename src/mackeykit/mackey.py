@@ -438,7 +438,6 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
 
     M = mackey_from_span_action(group, levels, action,
                                 name=name or f"A[{X.name or X.size}]")
-    M._cache["rep_base"] = X
     M._cache["rep_bases"] = bases
     return M
 
@@ -714,23 +713,6 @@ class HomGroup:
     basis: list            # MackeyMorphism per generator
     source: MackeyFunctor
     target: MackeyFunctor
-    _entry_layout: tuple
-    _lattice: object
-
-    def morphism_from_coords(self, coords):
-        vec = self._lattice @ np.asarray(coords, dtype=object)
-        return _morphism_from_vec(self.source, self.target,
-                                  self._entry_layout, vec)
-
-    def coords_of(self, f: MackeyMorphism):
-        vec = _vec_of_morphism(self._entry_layout, f)
-        lat = self._lattice
-        rel = _hom_zero_lattice(self.source, self.target, self._entry_layout)
-        stacked = intmat.hstack([lat, rel]) if rel.shape[1] else lat
-        sol = intmat.solve(stacked, vec)
-        if sol is None:
-            raise ValueError("morphism is not in the computed hom lattice")
-        return sol[:lat.shape[1]]
 
 
 def _hom_layout(M: MackeyFunctor, N: MackeyFunctor):
@@ -753,16 +735,6 @@ def _morphism_from_vec(M, N, layout, vec):
                 m[i, j] = vec[off + i * cols + j]
         mats.append(m)
     return MackeyMorphism(M, N, mats, check=False)
-
-
-def _vec_of_morphism(layout, f: MackeyMorphism):
-    total = layout[-1][0] + layout[-1][1] * layout[-1][2] if layout else 0
-    vec = intmat.zero_vec(total)
-    for c, (off, rows, cols) in enumerate(layout):
-        for i in range(rows):
-            for j in range(cols):
-                vec[off + i * cols + j] = f.mats[c][i, j]
-    return vec
 
 
 def _hom_zero_lattice(M, N, layout):
@@ -872,7 +844,7 @@ class NatSolver:
         basis = [_morphism_from_vec(self.M, self.N, self.layout,
                                     sol_lattice[:, j])
                  for j in range(sol_lattice.shape[1])]
-        return HomGroup(grp, basis, self.M, self.N, self.layout, sol_lattice)
+        return HomGroup(grp, basis, self.M, self.N)
 
 
 def hom_mackey(M: MackeyFunctor, N: MackeyFunctor) -> HomGroup:
@@ -901,7 +873,6 @@ def orbit_embeddings(X: GSet):
 
 def yoneda_element(M: MackeyFunctor, X: GSet, vec):
     """Morphism A_X -> M classified by the element vec of M(X)."""
-    from .burnside import restriction_element
     group = X.group
     rep = representable(X)
     _, offsets = M.value_at(X)
@@ -1014,7 +985,6 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         weyl.append(w)
     M = MackeyFunctor(group, levels, res, tr, weyl,
                       name=name or "FP")
-    M._cache["fp_module"] = (V, act, fixed_basis)
     return M
 
 

@@ -1,8 +1,17 @@
 """Shared brute-force oracles used by the Mackey and acceptance tests."""
 
+from mackeykit import intmat
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup
+from mackeykit.convolution import (
+    GreenValidationError,
+    box_assoc_iso,
+    box_comm_iso,
+    box_map,
+    box_unit_iso,
+)
 from mackeykit.gsets import standard_orbit
+from mackeykit.mackey import compose_morphisms, covering_pairs, identity_morphism
 
 
 def gmodule_hom_group(group, M, V, act):
@@ -96,3 +105,76 @@ def brute_force_borel_level(group, V, act, H):
         im.zeros(n * npts, 0)
     rels = im.preimage_lattice(fam, relfull)
     return FinPresAbGroup(fam.shape[1], rels.T)
+
+
+# -- box-level Green validation ------------------------------------------------------
+
+
+def box_validate_green(G):
+    """Exact associativity/commutativity/unit squares plus Frobenius.
+
+    Raises GreenValidationError naming the first failing axiom and cell.
+    """
+    R = G.underlying
+    group = G.group
+
+    # commutativity: mult . comm = mult
+    comm = box_comm_iso(R, R)
+    if not compose_morphisms(G.mult, comm).equals(G.mult):
+        raise GreenValidationError("multiplication is not commutative")
+
+    # unit square: mult . (unit box id) = unit isomorphism
+    eps, data_AR = box_unit_iso(R, unit_rep=G.unit_rep)
+    u_boxed = box_map(G.unit, identity_morphism(R))
+    if not compose_morphisms(G.mult, u_boxed).equals(eps):
+        raise GreenValidationError("unit law fails")
+
+    # associativity through the associator witness
+    f, _g = box_assoc_iso(R, R, R)
+    path1 = compose_morphisms(G.mult, box_map(G.mult, identity_morphism(R)))
+    path2 = compose_morphisms(
+        G.mult, compose_morphisms(box_map(identity_morphism(R), G.mult), f))
+    if not path1.equals(path2):
+        raise GreenValidationError("multiplication is not associative")
+
+    # levelwise: restriction is a ring map; Frobenius reciprocity
+    _box_validate_levelwise(G)
+
+
+def _box_validate_levelwise(G):
+    R = G.underlying
+    group = G.group
+    for (A, B) in covering_pairs(group):
+        ca, cb = group.class_index_of(A), group.class_index_of(B)
+        res = R.res[(A, B)]
+        tr = R.tr[(A, B)]
+        la, lb = R.levels[ca], R.levels[cb]
+        nb, na = lb.generator_count, la.generator_count
+        for i in range(nb):
+            xi = intmat.zero_vec(nb)
+            xi[i] = 1
+            for j in range(nb):
+                yj = intmat.zero_vec(nb)
+                yj[j] = 1
+                lhs = res @ G.level_product(cb, xi, yj)
+                rhs = G.level_product(ca, res @ xi, res @ yj)
+                if not la.elements_equal(lhs, rhs):
+                    raise GreenValidationError(
+                        f"restriction is not a ring map at {A}<{B}, "
+                        f"cell ({i},{j})")
+        if not la.elements_equal(res @ G.level_unit(cb), G.level_unit(ca)):
+            raise GreenValidationError(
+                f"restriction does not preserve the unit at {A}<{B}")
+        # Frobenius: tr(x . res(y)) = tr(x) . y
+        for i in range(na):
+            xi = intmat.zero_vec(na)
+            xi[i] = 1
+            for j in range(nb):
+                yj = intmat.zero_vec(nb)
+                yj[j] = 1
+                lhs = tr @ G.level_product(ca, xi, res @ yj)
+                rhs = G.level_product(cb, tr @ xi, yj)
+                if not lb.elements_equal(lhs, rhs):
+                    raise GreenValidationError(
+                        f"Frobenius reciprocity fails at {A}<{B}, "
+                        f"cell ({i},{j})")

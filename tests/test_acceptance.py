@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance (exact).
 
 Each test prints one pass/fail line; run with `pytest -s` to see them.
-The group battery is {trivial, C2, C3, C4, C2xC2, S3, C6} throughout.
+The group battery is {trivial, C2, C3, C4, C2xC2, S3, C6} throughout;
+criterion 10 also covers the order-8 groups D4 and Q8.
 """
 
 import json
@@ -62,6 +63,7 @@ from mackeykit.homalg import (
 from mackeykit.ktheory import bpq_verify
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+ORDER_8 = ("D4", "Q8")
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "golden_constants.json")
@@ -370,15 +372,15 @@ def test_criterion_09_borel_adjunction():
 
 
 def test_criterion_10_bpq():
-    for name in BATTERY:
+    for name in BATTERY + ORDER_8:
         group = builtin_group(name)
-        result = bpq_verify(group)
+        result = bpq_verify(group, check_green=True)
         assert result.ok, name
         if name == "trivial":
             # classical specialization: K0(pointed finite sets) = Z
             assert result.iso.source.levels[0].invariant_factors == (0,)
     report(10, "K0 of finite G-sets = Burnside Green functor for the whole "
-               "battery; trivial group gives K0 = Z")
+               "battery plus D4 and Q8; trivial group gives K0 = Z")
 
 
 # -- criterion 11: promonoidal coend condition -----------------------------------------------------

@@ -14,6 +14,7 @@ from mackeykit.groups import builtin_group
 from mackeykit.gsets import point_gset, product, standard_orbit
 from mackeykit.burnside import basis_element, compose, hom_basis, tensor
 from mackeykit.mackey import (
+    MackeyFunctor,
     MackeyMorphism,
     burnside_mackey,
     cokernel,
@@ -38,12 +39,17 @@ from mackeykit.convolution import (
     burnside_green,
     free_evaluation_iso,
     green_from_levelwise,
+    green_from_mult,
     internal_hom_rep,
     over_codes,
     point_representable,
     rep_monoidal_iso,
+    ring_as_module,
     validate_green,
+    validate_module,
 )
+from mackeykit.homalg import canonical_module, free_module
+from support import box_validate_green
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -310,6 +316,149 @@ def test_green_violation_rejected():
     tables = [[[im.intvec([2])]], [[im.intvec([1])]]]
     with pytest.raises(GreenValidationError):
         green_from_levelwise(FP, tables, im.intvec([1]))
+
+
+def _verdict(validator, G):
+    try:
+        validator(G)
+    except GreenValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name,cases", [("C2", 18), ("C3", 18), ("C4", 72)])
+def test_validate_green_agrees_with_box_oracle(name, cases):
+    # the valid tables and every single-cell +-1 corruption of them
+    G = burnside_green(builtin_group(name))
+    assert _verdict(validate_green, G) and _verdict(box_validate_green, G)
+    n = len(G.group.subgroup_classes())
+    tables = [G.ring_table(c) for c in range(n)]
+    unit_vec = G.level_unit(n - 1)
+    seen = 0
+    for c, table in enumerate(tables):
+        for i, j in itertools.product(range(len(table)), repeat=2):
+            for t in range(len(table[i][j])):
+                for delta in (1, -1):
+                    bad = [[[v.copy() for v in row] for row in tb]
+                           for tb in tables]
+                    bad[c][i][j][t] += delta
+                    H = green_from_levelwise(G.underlying, bad, unit_vec,
+                                             check=False)
+                    assert _verdict(validate_green, H) == \
+                        _verdict(box_validate_green, H), (c, i, j, t, delta)
+                    seen += 1
+    assert seen == cases
+
+
+def _trivial_group_functor(level):
+    triv = builtin_group("trivial")
+    return MackeyFunctor(triv, [level], {}, {},
+                         [{0: im.identity(level.generator_count)}])
+
+
+def _tables(rows):
+    return [[im.intvec(v) for v in row] for row in rows]
+
+
+def _rejects(match, build):
+    with pytest.raises(GreenValidationError, match=match):
+        build()
+
+
+def test_green_rejects_non_associative_product():
+    # commutative and unital, but (e1 e1) e2 = e1 while e1 (e1 e2) = 0
+    R = _trivial_group_functor(FinPresAbGroup.free(3))
+    table = _tables([[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                     [[0, 0, 1], [0, 0, 0], [0, 1, 0]]])
+    _rejects(r"not associative at level e, cell \(1, 1, 2\)",
+             lambda: green_from_levelwise(R, [table], im.intvec([1, 0, 0])))
+
+
+def test_green_rejects_non_commutative_product():
+    # associative with left unit e0, but e1 e0 = 0
+    R = _trivial_group_functor(FinPresAbGroup.free(2))
+    table = _tables([[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+    _rejects(r"not commutative at level e, cell \(1, 0\)",
+             lambda: green_from_levelwise(R, [table], im.intvec([1, 0])))
+
+
+def test_green_rejects_wrong_unit():
+    R = _trivial_group_functor(FinPresAbGroup.free(1))
+    _rejects(r"unit law fails for the multiplication at level e, cell \(0\)",
+             lambda: green_from_levelwise(R, [_tables([[[1]]])],
+                                          im.intvec([2])))
+    # a unit morphism that disagrees with the top-level unit below the top
+    G = burnside_green(builtin_group("C2"))
+    unit = MackeyMorphism(G.unit.source, G.unit.target,
+                          [m.copy() for m in G.unit.mats], check=False)
+    unit.mats[0][0, 0] += 1
+    _rejects(r"Yoneda extension of the top-level unit at level e, cell \(0\)",
+             lambda: green_from_mult(G.underlying, G.mult, unit, data=G.data,
+                                     unit_rep=G.unit_rep))
+
+
+def test_green_rejects_product_not_defined_on_relations():
+    # Z + Z/2 with e1 e1 = e0: 2 e1 = 0 but 2 (e1 e1) = 2 e0 != 0
+    R = _trivial_group_functor(FinPresAbGroup(2, im.intmat([[0, 2]], 2)))
+    table = _tables([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    _rejects(r"not well defined on relations at level e, "
+             r"cell \(relation 0, 1\)",
+             lambda: green_from_levelwise(R, [table], im.intvec([1, 0])))
+
+
+def test_green_rejects_non_frobenius_ring():
+    # on A(C2) with t = [C2/e], t.t = 4 keeps restriction a ring map
+    # (res t = 2) but tr(res t) = 2t differs from tr(1).t = 4
+    G = burnside_green(builtin_group("C2"))
+    top = _tables([[[0, 4], [1, 0]], [[1, 0], [0, 1]]])
+    _rejects(r"Frobenius reciprocity tr\(r.res m\) = tr\(r\).m fails .* "
+             r"cell \(0, 0\)",
+             lambda: green_from_levelwise(G.underlying, [G.ring_table(0), top],
+                                          G.level_unit(1)))
+
+
+def test_green_rejects_conjugation_that_is_not_a_ring_map():
+    # FP(Z[C2]) with Z[v]/v^2 at the free level, v = e0 and unit e0 + e1:
+    # the swap sends e0 e0 = 0 to 0 but e1 e1 = e1 - e0
+    C2 = builtin_group("C2")
+    V, act = regular_module(C2)
+    R = fixed_point_mackey(C2, V, act)
+    free_level = _tables([[[0, 0], [1, 0]], [[1, 0], [-1, 1]]])
+    _rejects(r"conjugation by 1 does not respect the multiplication at "
+             r"level e, cell \(0, 0\)",
+             lambda: green_from_levelwise(R, [free_level, _tables([[[1]]])],
+                                          im.intvec([1])))
+
+
+def test_green_from_mult_rejects_off_diagonal_column():
+    G = burnside_green(builtin_group("C2"))
+    mult = MackeyMorphism(G.mult.source, G.mult.target,
+                          [m.copy() for m in G.mult.mats], check=False)
+    mult.mats[1][0, G.data.layout[1][((0, 0), 0, 0)]] += 1
+    _rejects(r"not the transfer of the level product at level C2, "
+             r"cell \(\(0, 0\), 0, 0\)",
+             lambda: green_from_mult(G.underlying, mult, G.unit, data=G.data,
+                                     unit_rep=G.unit_rep))
+
+
+@pytest.mark.parametrize("name", ["C2", "S3"])
+def test_validate_module(name):
+    group = builtin_group(name)
+    G = burnside_green(group)
+    validate_module(ring_as_module(G))
+    validate_module(free_module(G, standard_orbit(group, 0)).module)
+    Z = FinPresAbGroup.free(1)
+    mod = canonical_module(G, fixed_point_mackey(group, Z,
+                                                 trivial_module(group, Z)))
+    validate_module(mod)
+    top = len(group.subgroup_classes()) - 1
+    mod.action = MackeyMorphism(mod.action.source, mod.action.target,
+                                [m.copy() for m in mod.action.mats],
+                                check=False)
+    mod.action.mats[top][0, 0] += 1
+    with pytest.raises(GreenValidationError, match="module action"):
+        validate_module(mod)
 
 
 def test_mackey_level_rejects_transfer_of_wrong_index():

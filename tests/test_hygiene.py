@@ -1,0 +1,61 @@
+"""Source hygiene: no module in the package imports a name it never uses.
+
+No linter ships with the toolchain, so this stdlib-`ast` scan is the guard.
+An import inside a function must be used inside that function; a
+module-level import must be used somewhere in the module.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mackeykit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    return [a.asname or a.name for a in node.names]
+
+
+def _used_names(scope):
+    return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source):
+    """(line, name) of every import whose name its scope never reads."""
+    tree = ast.parse(source)
+    out = []
+
+    def visit(scope):
+        used = _used_names(scope)
+        for child in ast.iter_child_nodes(scope):
+            stack = [child]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(node)
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    out.extend((node.lineno, name)
+                               for name in _imported_names(node)
+                               if name not in used)
+                stack.extend(ast.iter_child_nodes(node))
+
+    visit(tree)
+    return sorted(out)
+
+
+def test_scanner_finds_unused_module_and_local_imports():
+    src = ("import os\nfrom x import a, b\n\n"
+           "def f():\n    import numpy as np\n    return a\n")
+    assert unused_imports(src) == [(1, "os"), (2, "b"), (5, "np")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

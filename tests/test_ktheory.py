@@ -16,6 +16,7 @@ from mackeykit.ktheory import (
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+ORDER_8 = ("D4", "Q8")
 
 
 def test_k0_slice_ranks():
@@ -78,10 +79,10 @@ def test_k0_trivial_group_is_integers():
     assert [list(r) for r in result.iso.mats[0]] == [[1]]
 
 
-@pytest.mark.parametrize("name", BATTERY)
+@pytest.mark.parametrize("name", BATTERY + ORDER_8)
 def test_bpq_battery(name):
     group = builtin_group(name)
-    result = bpq_verify(group)
+    result = bpq_verify(group, check_green=True)
     assert result.ok
     # equal level invariants and matching structure matrices through the iso
     A = burnside_mackey(group)
