@@ -2,8 +2,8 @@
 
 Every subcommand emits either aligned text or a single JSON object with
 "schema_version": 1.  Exit codes: 0 success, 1 verification failure,
-2 usage errors.  Randomized subcommands take --seed and are then
-byte-reproducible.
+2 usage errors.  Every check is exhaustive and deterministic, so the
+output depends only on the inputs; --seed is still accepted and ignored.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import jsonio
@@ -184,10 +183,8 @@ def cmd_compose(args):
 
 
 def cmd_mackey_check(args):
-    rng = random.Random(args.seed)
     try:
-        M = jsonio.mackey_from_json(jsonio.load_json_file(args.file),
-                                    rng=rng, validation_pairs=args.pairs)
+        M = jsonio.mackey_from_json(jsonio.load_json_file(args.file))
     except ValueError as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"mackey-check: {_fail()}", f"  {err}"])
@@ -205,9 +202,8 @@ def cmd_mackey_check(args):
 
 
 def cmd_box(args):
-    rng = random.Random(args.seed)
-    M = jsonio.mackey_from_json(jsonio.load_json_file(args.left), rng=rng)
-    N = jsonio.mackey_from_json(jsonio.load_json_file(args.right), rng=rng)
+    M = jsonio.mackey_from_json(jsonio.load_json_file(args.left))
+    N = jsonio.mackey_from_json(jsonio.load_json_file(args.right))
     data = box(M, N)
     labels = [c.label for c in M.group.subgroup_classes()]
     payload = {"levels": {labels[c]:
@@ -222,10 +218,9 @@ def cmd_box(args):
 
 
 def cmd_green_check(args):
-    rng = random.Random(args.seed)
     doc = jsonio.load_json_file(args.file)
     try:
-        G = jsonio.green_from_json(doc, rng=rng, check=True)
+        G = jsonio.green_from_json(doc, check=True)
     except (GreenValidationError, ValueError) as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"green-check: {_fail()}", f"  {err}"])
@@ -253,12 +248,11 @@ def _tor_ring(args, doc):
 
 
 def cmd_tor(args):
-    rng = random.Random(args.seed)
     ring_doc = jsonio.load_json_file(args.ring)
     R = _tor_ring(args, ring_doc)
     group = R.group
-    M = jsonio.mackey_from_json(jsonio.load_json_file(args.left), rng=rng)
-    N = jsonio.mackey_from_json(jsonio.load_json_file(args.right), rng=rng)
+    M = jsonio.mackey_from_json(jsonio.load_json_file(args.left))
+    N = jsonio.mackey_from_json(jsonio.load_json_file(args.right))
     result = tor(R, canonical_module(R, M), canonical_module(R, N), args.pmax)
     labels = [c.label for c in group.subgroup_classes()]
     payload = {"group": group.name,
@@ -275,12 +269,11 @@ def cmd_tor(args):
 
 
 def cmd_ss(args):
-    rng = random.Random(args.seed)
     doc = jsonio.load_json_file(args.file)
     group = load_group(doc["group"])
     terms = {}
     for deg, mdoc in doc["terms"].items():
-        terms[int(deg)] = jsonio.mackey_from_json(mdoc, rng=rng)
+        terms[int(deg)] = jsonio.mackey_from_json(mdoc)
     diffs = {}
     labels = {c.label: c.index for c in group.subgroup_classes()}
     for deg, mats in doc.get("diffs", {}).items():
@@ -374,7 +367,9 @@ def build_parser():
 
     def common(p, group=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; no check is "
+                            "randomized, so it affects nothing")
         p.add_argument("--out", help="write output to a file")
         if group:
             p.add_argument("--group", required=True,
@@ -408,8 +403,6 @@ def build_parser():
     p = sub.add_parser("mackey-check", help="validate a Mackey functor file")
     common(p)
     p.add_argument("file")
-    p.add_argument("--pairs", type=int, default=60,
-                   help="random span pairs for the functoriality test")
     p.set_defaults(func=cmd_mackey_check)
 
     p = sub.add_parser("box", help="box product of two Mackey functor files")

@@ -25,24 +25,23 @@ from .burnside import (
     compose,
     hom_basis,
     materialize_code,
-    res_element,
     restriction_element,
     span_element,
     tensor,
-    tr_element,
     transfer_element,
-    weyl_element,
 )
 from .gsets import GMap, GSet, compose_maps, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
+    canonical_covers,
     compose_morphisms,
-    covering_pairs,
     identity_morphism,
+    mackey_from_span_action,
     orbit_embeddings,
     representable,
     yoneda_element,
+    zero_structure,
 )
 
 
@@ -276,18 +275,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
             layouts.append(lay)
             levels.append(FinPresAbGroup.free(gens))
         data = BoxData(M, N, tuple(codes), tuple(layouts))
-        res = {p: intmat.zeros(levels[group.class_index_of(p[0])].generator_count,
-                               levels[group.class_index_of(p[1])].generator_count)
-               for p in covering_pairs(group)}
-        tr = {p: intmat.zeros(levels[group.class_index_of(p[1])].generator_count,
-                              levels[group.class_index_of(p[0])].generator_count)
-              for p in covering_pairs(group)}
-        weyl = [{n: intmat.zeros(levels[cls.index].generator_count,
-                                 levels[cls.index].generator_count)
-                 for n in cls.normalizer} for cls in classes]
-        F = MackeyFunctor(group, levels, res, tr, weyl,
-                          name="(layout-only box)", check=False)
-        data.functor = F
+        data.functor = zero_structure(group, levels, "(layout-only box)")
         M._cache[key] = data
         return data
     codes, layouts, levels = [], [], []
@@ -298,13 +286,14 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
         levels.append(grp)
     data = BoxData(M, N, tuple(codes), tuple(layouts))
 
-    def entry_matrix(e: BurnsideElement, c_src, c_tgt):
-        src = standard_orbit(group, c_src)
+    def entry_matrix(e: BurnsideElement):
+        c_src = group.class_index_of(e.source.stabilizer(0))
+        c_tgt = group.class_index_of(e.target.stabilizer(0))
         cols = [None] * levels[c_src].generator_count
         for code in codes[c_src]:
             terms = _pairing_terms(data, levels, standard_orbit(group, code[0]),
                                    standard_orbit(group, code[0]),
-                                   compose(e, _struct_span(src, code)))
+                                   compose(e, _struct_span(e.source, code)))
             cw = code[0]
             nM = M.levels[cw].generator_count
             nN = N.levels[cw].generator_count
@@ -323,21 +312,9 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
                     cols[layouts[c_src][(code, i, j)]] = col
         return intmat.from_cols(cols, levels[c_tgt].generator_count)
 
-    res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        res[(A, B)] = entry_matrix(res_element(group, A, B), cb, ca)
-        tr[(A, B)] = entry_matrix(tr_element(group, A, B), ca, cb)
-    weyl = []
-    for cls in classes:
-        weyl.append({n: entry_matrix(weyl_element(group, cls.index, n),
-                                     cls.index, cls.index)
-                     for n in cls.normalizer})
-    name_l = M.name or "M"
-    name_r = N.name or "N"
-    F = MackeyFunctor(group, levels, res, tr, weyl,
-                      name=f"({name_l} box {name_r})", check=False)
-    data.functor = F
+    data.functor = mackey_from_span_action(
+        group, levels, entry_matrix,
+        name=f"({M.name or 'M'} box {N.name or 'N'})", check=False)
     M._cache[key] = data
     return data
 
@@ -718,19 +695,9 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
         grp, _ = M.value_at(product(X, standard_orbit(group, cls.index)).gset)
         levels.append(grp)
 
-    def entry(e: BurnsideElement):
-        return M.eval_span(tensor(idX, e))
-
-    res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
-        res[(A, B)] = entry(res_element(group, A, B))
-        tr[(A, B)] = entry(tr_element(group, A, B))
-    weyl = []
-    for cls in classes:
-        weyl.append({n: entry(weyl_element(group, cls.index, n))
-                     for n in cls.normalizer})
-    return MackeyFunctor(group, levels, res, tr, weyl,
-                         name=f"F(A_X, {M.name})", check=False)
+    return mackey_from_span_action(
+        group, levels, lambda e: M.eval_span(tensor(idX, e)),
+        name=f"F(A_X, {M.name})", check=False)
 
 
 # -- Green functors -------------------------------------------------------------------
@@ -842,8 +809,9 @@ def validate_green(G: GreenFunctor):
     (b) at every level the product is well defined on relations,
         commutative, associative and unital, and every normalizer element
         acts by a unital ring map;
-    (c) at every covering pair restriction is a unital ring map and
-        tr(x . res y) = tr(x) . y.
+    (c) at every canonical covering pair restriction is a unital ring map
+        and tr(x . res y) = tr(x) . y.  The other covering pairs are
+        conjugates of these, and conjugation is a ring map by (b).
 
     Raises GreenValidationError naming the first failing axiom and cell.
     """
@@ -876,7 +844,7 @@ def validate_green(G: GreenFunctor):
                 raise GreenValidationError(
                     f"conjugation by {n} does not preserve the unit at level "
                     f"{cls.label}")
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         if not R.levels[ca].elements_equal(R.res[(A, B)] @ units[cb],
                                            units[ca]):
@@ -904,8 +872,10 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
     on each generator (code, i, j) of `data` is the transfer along code of
     acts[code class][i][j]; that the level action is well defined on the
     relations of both factors, associative and unital; that conjugation
-    and restriction commute with it; and Frobenius reciprocity on both
-    sides.  Raises GreenValidationError naming the axiom and the cell.
+    commutes with it at every level and restriction at every canonical
+    covering pair; and Frobenius reciprocity on both sides at every
+    canonical covering pair.  Raises GreenValidationError naming the axiom
+    and the cell.
     """
     group = R.group
     classes = group.subgroup_classes()
@@ -963,7 +933,7 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                           times(c, WR[:, i], WM[:, j]),
                           f"conjugation by {n} does not respect the {name}",
                           where, (i, j))
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         where = f"{A}<{B}"
         resR, resM = R.res[(A, B)], M.res[(A, B)]
@@ -993,39 +963,36 @@ def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
     """Build the mult/unit morphisms from levelwise ring tables.
 
     `ring_tables[c][i][j]` is the vector of e_i * e_j in R(G/H_c); `unit_vec`
-    is the multiplicative unit of R at the one-point level.  Round-trips
-    with green_from_mult through the same validation.
+    is the multiplicative unit of R at the one-point level.  Raises
+    ValueError, naming the class label and the cell, unless there is one
+    n x n table of length-n vectors per class (n the level's generator
+    count).  Round-trips with green_from_mult through the same validation.
     """
     group = R.group
     classes = group.subgroup_classes()
+    if len(ring_tables) != len(classes):
+        raise ValueError(f"need one ring table per subgroup class, "
+                         f"got {len(ring_tables)} for {len(classes)}")
+    for cls, table in zip(classes, ring_tables):
+        n = R.levels[cls.index].generator_count
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"ring table at level {cls.label} must be "
+                             f"{n}x{n}")
+        for i, row in enumerate(table):
+            for j, vec in enumerate(row):
+                if len(vec) != n:
+                    raise ValueError(
+                        f"ring table at level {cls.label}, cell ({i}, {j}): "
+                        f"vector of length {len(vec)}, expected {n}")
     data = box(R, R)
-
-    def level_mult(cidx, x_vec, y_vec):
-        n = R.levels[cidx].generator_count
-        out = intmat.zero_vec(n)
-        for i in range(n):
-            if x_vec[i] == 0:
-                continue
-            for j in range(n):
-                if y_vec[j]:
-                    out += x_vec[i] * y_vec[j] * \
-                        np.asarray(ring_tables[cidx][i][j], dtype=object)
-        return out
-
     mats = []
     for cls in classes:
         c = cls.index
         X = standard_orbit(group, c)
         cols = [None] * data.functor.levels[c].generator_count
         for (code, i, j), idx in data.layout[c].items():
-            cw = code[0]
-            xi = intmat.zero_vec(R.levels[cw].generator_count)
-            xi[i] = 1
-            yj = intmat.zero_vec(R.levels[cw].generator_count)
-            yj[j] = 1
-            prod_vec = level_mult(cw, xi, yj)
             push = R.eval_span(transfer_element(struct_gmap(X, code)))
-            cols[idx] = push @ prod_vec
+            cols[idx] = push @ intmat.intvec(ring_tables[code[0]][i][j])
         mats.append(intmat.from_cols(cols, R.levels[c].generator_count))
     mult = MackeyMorphism(data.functor, R, mats, check=False)
     unit, unit_rep = yoneda_element(R, point_gset(group), unit_vec)
@@ -1060,16 +1027,6 @@ class GreenModule:
     @property
     def group(self):
         return self.underlying.group
-
-
-def module_from_action(ring: GreenFunctor, M: MackeyFunctor,
-                       action: MackeyMorphism, data: BoxData = None,
-                       check=True) -> GreenModule:
-    data = data or box(ring.underlying, M)
-    mod = GreenModule(ring, M, action, data)
-    if check:
-        validate_module(mod)
-    return mod
 
 
 def validate_module(mod: GreenModule):

@@ -4,9 +4,11 @@ Groups load from built-in names, multiplication tables, or permutation
 generators.  Mackey functors are keyed by subgroup-class labels in the
 canonical class order (ascending subgroup order, then lexicographic
 representative); restriction and transfer matrices are read against the
-canonical covering pair of each class pair, and conjugation data against
-normalizer elements of the class representative.  Every loader validates
-and every dump reloads to an equal object.
+canonical covering pair of each class pair (`class_pair_covers`), and
+conjugation data against normalizer elements of the class representative.
+A group where one class pair holds several conjugacy classes of covering
+pairs has no such file: loading and dumping raise ValueError.  Every
+loader validates and every dump reloads to an equal object.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .abgroups import FinPresAbGroup
 from .convolution import GreenFunctor, green_from_levelwise
 from .groups import FiniteGroup, load_group
 from .gsets import GSet, disjoint_union_of_orbits, empty_gset
-from .mackey import MackeyFunctor, covering_pairs, mackey_from_levels
+from .mackey import MackeyFunctor, class_pair_covers, mackey_from_levels
 
 
 def group_to_json(group: FiniteGroup):
@@ -68,23 +70,6 @@ def parse_gset_expr(group: FiniteGroup, expr: str) -> GSet:
     return disjoint_union_of_orbits(group, tuple(sorted(classes)))
 
 
-def _canonical_cover_key(group, ca, cb):
-    """The canonical stored subgroup pair for a class covering pair."""
-    K0 = group.subgroup_classes()[cb].representative
-    return min(C for (C, D) in covering_pairs(group)
-               if D == K0 and group.class_index_of(C) == ca), K0
-
-
-def class_cover_pairs(group):
-    """Covering pairs of subgroup classes, via the canonical subgroup pairs."""
-    seen = []
-    for (A, B) in covering_pairs(group):
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        if (ca, cb) not in seen:
-            seen.append((ca, cb))
-    return seen
-
-
 def mackey_to_json(M: MackeyFunctor):
     group = M.group
     classes = group.subgroup_classes()
@@ -97,11 +82,10 @@ def mackey_to_json(M: MackeyFunctor):
             "invariant_factors": list(lvl.invariant_factors),
         }
     res, tr = {}, {}
-    for (ca, cb) in class_cover_pairs(group):
-        Hp, K0 = _canonical_cover_key(group, ca, cb)
+    for (ca, cb), pair in class_pair_covers(group).items():
         key = f"{classes[ca].label}<{classes[cb].label}"
-        res[key] = [list(r) for r in M.res[(Hp, K0)]]
-        tr[key] = [list(r) for r in M.tr[(Hp, K0)]]
+        res[key] = [list(r) for r in M.res[pair]]
+        tr[key] = [list(r) for r in M.tr[pair]]
     conj = {}
     for cls in classes:
         conj[cls.label] = {str(n): [list(r) for r in M.weyl[cls.index][n]]
@@ -117,7 +101,7 @@ def mackey_to_json(M: MackeyFunctor):
     }
 
 
-def mackey_from_json(doc, rng=None, validation_pairs=60) -> MackeyFunctor:
+def mackey_from_json(doc) -> MackeyFunctor:
     group = load_group(doc["group"])
     classes = group.subgroup_classes()
     if "class_order" in doc:
@@ -144,8 +128,7 @@ def mackey_from_json(doc, rng=None, validation_pairs=60) -> MackeyFunctor:
         given = doc.get("conj", {}).get(cls.label, {})
         conj[cls.index] = {int(g): m for g, m in given.items()}
     return mackey_from_levels(group, levels, read_pairs(doc["res"]),
-                              read_pairs(doc["tr"]), conj, rng=rng,
-                              validation_pairs=validation_pairs,
+                              read_pairs(doc["tr"]), conj,
                               name=doc.get("name"))
 
 
@@ -162,8 +145,8 @@ def green_to_json(G: GreenFunctor):
             "unit": [int(u) for u in unit]}
 
 
-def green_from_json(doc, rng=None, check=True) -> GreenFunctor:
-    M = mackey_from_json(doc["mackey"], rng=rng)
+def green_from_json(doc, check=True) -> GreenFunctor:
+    M = mackey_from_json(doc["mackey"])
     group = M.group
     classes = group.subgroup_classes()
     tables = []

@@ -20,7 +20,7 @@ from .burnside import hom_basis, materialize_code, span_codes
 from .convolution import GreenFunctor, burnside_green, green_from_levelwise
 from .groups import FiniteGroup
 from .gsets import GMap, GSet, compose_maps, point_gset, pullback, standard_orbit
-from .mackey import MackeyFunctor, MackeyMorphism, covering_pairs
+from .mackey import MackeyFunctor, MackeyMorphism, canonical_covers
 
 
 @dataclass
@@ -108,7 +108,7 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
     slices = [k0_of_slice(standard_orbit(group, c.index)) for c in classes]
     levels = [s.group for s in slices]
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         pi = _projection_map(group, A, B)
         res[(A, B)] = k0_restrict(slices[cb], slices[ca], pi)

@@ -1,14 +1,17 @@
 """Ordinary Mackey functors for a finite group, with exact arithmetic.
 
 A Mackey functor stores one finitely presented abelian group per
-subgroup-conjugacy class, restriction/transfer matrices on covering pairs
-of the actual subgroup lattice, and the normalizer action on each class
+subgroup-conjugacy class, one restriction and one transfer matrix per
+G-conjugacy class of covering pairs (read against the canonical pair of
+`canonical_covers`), and the normalizer action on each class
 representative.  Values at arbitrary subgroups are reached through fixed
 transport elements (the minimal conjugator onto the class
-representative), and arbitrary spans are evaluated by factoring each
-transitive span as transfer . conjugation . restriction.  Functoriality
-of that evaluation is exactly the Mackey double-coset formula, and is
-enforced by randomized validation rather than trusted.
+representative); the covering step at any other pair is derived from the
+stored one by conjugation, and arbitrary spans are evaluated by factoring
+each transitive span as transfer . conjugation . restriction.
+Functoriality of that evaluation is equivalent to the relations of the
+Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3), which
+`validate_functoriality` checks exhaustively rather than trusting.
 """
 
 from __future__ import annotations
@@ -50,6 +53,45 @@ def covering_pairs(group: FiniteGroup):
     return out
 
 
+def canonical_covers(group: FiniteGroup):
+    """One covering pair (Hp, K0) per G-conjugacy class of covering pairs.
+
+    K0 is a class representative and Hp the minimal member of the
+    N(K0)-orbit of a maximal subgroup of K0.  A Mackey functor stores its
+    restriction and transfer at these pairs only.
+    """
+    if "canonical_covers" in group._cache:
+        return group._cache["canonical_covers"]
+    reps = {cls.representative: cls for cls in group.subgroup_classes()}
+    seen, out = set(), []
+    for (A, B) in covering_pairs(group):
+        if B in reps and (A, B) not in seen:
+            orbit = {group.conjugate_subgroup(n, A) for n in reps[B].normalizer}
+            seen |= {(C, B) for C in orbit}
+            out.append((min(orbit), B))
+    out = tuple(out)
+    group._cache["canonical_covers"] = out
+    return out
+
+
+def class_pair_covers(group: FiniteGroup):
+    """{(ca, cb): (Hp, K0)}: the canonical cover of each class covering pair.
+
+    Raises ValueError when one class pair holds several conjugacy classes
+    of covering pairs, which data keyed by class pairs cannot address.
+    """
+    out = {}
+    for (Hp, K0) in canonical_covers(group):
+        key = (group.class_index_of(Hp), group.class_index_of(K0))
+        if key in out:
+            raise ValueError(
+                f"class pair {key} holds several conjugacy classes of "
+                f"covering pairs below {K0} ({out[key][0]} and {Hp}); "
+                f"class-pair data cannot address them")
+        out[key] = (Hp, K0)
+    return out
+
+
 def _maximal_under(group, A, B):
     """Minimal-labelled maximal subgroup of B containing A (A < B)."""
     As, Bs = set(A), set(B)
@@ -64,7 +106,11 @@ def _maximal_under(group, A, B):
 
 
 class MackeyFunctor:
-    """Levels on subgroup classes plus generating structure matrices."""
+    """Levels on subgroup classes plus generating structure matrices.
+
+    `res`/`tr` hold one matrix per G-conjugacy class of covering pairs,
+    keyed by the canonical pairs of `canonical_covers`.
+    """
 
     def __init__(self, group: FiniteGroup, levels, res, tr, weyl,
                  name=None, check=True):
@@ -73,12 +119,13 @@ class MackeyFunctor:
         classes = group.subgroup_classes()
         if len(self.levels) != len(classes):
             raise ValueError("need one level per subgroup class")
-        self.res = {k: intmat.intmat(v, self.levels[group.class_index_of(k[1])]
-                                     .generator_count)
-                    for k, v in res.items()}
-        self.tr = {k: intmat.intmat(v, self.levels[group.class_index_of(k[0])]
-                                    .generator_count)
-                   for k, v in tr.items()}
+        covers = canonical_covers(group)
+        for kind, data in (("res", res), ("tr", tr)):
+            if set(data) != set(covers):
+                raise ValueError(f"{kind} must hold exactly one matrix per "
+                                 f"canonical covering pair")
+        self.res = {k: intmat.intmat(res[k], self._gens(k[1])) for k in covers}
+        self.tr = {k: intmat.intmat(tr[k], self._gens(k[0])) for k in covers}
         self.weyl = tuple(dict((n, intmat.intmat(m, self.levels[c].generator_count))
                                for n, m in w.items())
                           for c, w in enumerate(weyl))
@@ -89,24 +136,20 @@ class MackeyFunctor:
 
     # -- bookkeeping -----------------------------------------------------------
 
+    def _gens(self, H):
+        return self.levels[self.group.class_index_of(H)].generator_count
+
     def _check_shapes(self):
         group = self.group
         classes = group.subgroup_classes()
-        for (A, B) in covering_pairs(group):
-            ca, cb = group.class_index_of(A), group.class_index_of(B)
-            if (A, B) not in self.res or (A, B) not in self.tr:
-                raise ValueError(f"missing structure data for {A} < {B}")
-            r, t = self.res[(A, B)], self.tr[(A, B)]
-            if r.shape != (self.levels[ca].generator_count,
-                           self.levels[cb].generator_count):
-                raise ValueError(f"restriction shape mismatch at {A} < {B}")
-            if t.shape != (self.levels[cb].generator_count,
-                           self.levels[ca].generator_count):
-                raise ValueError(f"transfer shape mismatch at {A} < {B}")
-            if not abgroups.map_is_welldefined(r, self.levels[cb], self.levels[ca]):
-                raise ValueError(f"restriction not well-defined at {A} < {B}")
-            if not abgroups.map_is_welldefined(t, self.levels[ca], self.levels[cb]):
-                raise ValueError(f"transfer not well-defined at {A} < {B}")
+        for (A, B) in canonical_covers(group):
+            la, lb = (self.levels[group.class_index_of(H)] for H in (A, B))
+            for what, m, src, tgt in (("restriction", self.res[(A, B)], lb, la),
+                                      ("transfer", self.tr[(A, B)], la, lb)):
+                if m.shape != (tgt.generator_count, src.generator_count):
+                    raise ValueError(f"{what} shape mismatch at {A} < {B}")
+                if not abgroups.map_is_welldefined(m, src, tgt):
+                    raise ValueError(f"{what} not well-defined at {A} < {B}")
         for cls in classes:
             w = self.weyl[cls.index]
             lvl = self.levels[cls.index]
@@ -121,9 +164,6 @@ class MackeyFunctor:
                                            lvl, lvl):
                     raise ValueError(f"inner conjugation must act trivially "
                                      f"at class {cls.label}")
-
-    def level(self, cidx) -> FinPresAbGroup:
-        return self.levels[cidx]
 
     def __repr__(self):
         name = self.name or "MackeyFunctor"
@@ -142,6 +182,32 @@ class MackeyFunctor:
                       group.inv(group.transport(L)))
         return self.weyl[cidx][n]
 
+    def cover_mats(self, A, B):
+        """(res, tr) of the covering step A < B, in class coords.
+
+        t = transport(B) carries the step to A2 < K0, K0 the class
+        representative, and the minimal u in N(K0) carries A2 onto the
+        canonical Hp, whose stored matrices give
+        res = c_{t^-1} c_{u^-1} res(Hp, K0) c_u, and dually tr.
+        """
+        key = ("cover", A, B)
+        if key not in self._cache:
+            group = self.group
+            cls = group.subgroup_classes()[group.class_index_of(B)]
+            t, K0 = group.transport(B), cls.representative
+            A2 = group.conjugate_subgroup(t, A)
+            Hp, u = min((group.conjugate_subgroup(n, A2), n)
+                        for n in cls.normalizer)
+            r, tr = self.res[(Hp, K0)], self.tr[(Hp, K0)]
+            if (A, B) != (Hp, K0):
+                w = self.weyl[cls.index]
+                r = self.conj_mat(group.inv(t), A2) @ (
+                    self.conj_mat(group.inv(u), Hp) @ r @ w[u])
+                tr = (w[group.inv(u)] @ tr @ self.conj_mat(u, A2)) \
+                    @ self.conj_mat(t, A)
+            self._cache[key] = (r, tr)
+        return self._cache[key]
+
     def res_mat(self, A, B):
         """Matrix of restriction from M@B to M@A (A <= B), in class coords."""
         A, B = tuple(sorted(A)), tuple(sorted(B))
@@ -149,11 +215,10 @@ class MackeyFunctor:
         if key in self._cache:
             return self._cache[key]
         if A == B:
-            out = intmat.identity(self.levels[self.group.class_index_of(A)]
-                                  .generator_count)
+            out = intmat.identity(self._gens(A))
         else:
             M = _maximal_under(self.group, A, B)
-            out = self.res_mat(A, M) @ self.res[(M, B)]
+            out = self.res_mat(A, M) @ self.cover_mats(M, B)[0]
         self._cache[key] = out
         return out
 
@@ -164,11 +229,10 @@ class MackeyFunctor:
         if key in self._cache:
             return self._cache[key]
         if A == B:
-            out = intmat.identity(self.levels[self.group.class_index_of(A)]
-                                  .generator_count)
+            out = intmat.identity(self._gens(A))
         else:
             M = _maximal_under(self.group, A, B)
-            out = self.tr[(M, B)] @ self.tr_mat(A, M)
+            out = self.cover_mats(M, B)[1] @ self.tr_mat(A, M)
         self._cache[key] = out
         return out
 
@@ -234,33 +298,91 @@ class MackeyFunctor:
 
     # -- validation ----------------------------------------------------------------
 
-    def validate_functoriality(self, rng, pairs=60, raise_on_fail=True):
-        """Randomized check that eval(compose) = eval . eval on span pairs.
+    def validate_functoriality(self):
+        """Exhaustive check of the Mackey-algebra relations on the stored data.
 
-        This is exactly the double-coset (Mackey) formula for the stored
-        data.  Returns None on success, else the offending span pair.
+        The span evaluation is a functor exactly when these relations of
+        Thevenaz-Webb (Trans. AMS 347, 1995, section 3) hold, each checked
+        on every one of its cells modulo the target level's relations:
+
+        - conjugation is a homomorphism on each N(H), and H acts trivially;
+        - transitivity: res_mat/tr_mat do not depend on the chain, at every
+          covering step C < B and every A < C;
+        - conjugation commutes with res and tr at every covering pair;
+        - the double-coset formula res^L_H tr^L_K =
+          sum_{x in H\\L/K} tr^H_{H cap xK} c_x res^K_{H^x cap K} for every
+          L and every H, K <= L.
+
+        Returns {relation: cells checked}.  Raises ValueError naming the
+        relation and the subgroups of the first failing cell.
         """
         group = self.group
-        norb = len(group.subgroup_classes())
-        orbs = [standard_orbit(group, i) for i in range(norb)]
-        for _ in range(pairs):
-            X, Y, Z = (orbs[rng.randrange(norb)] for _ in range(3))
-            bx, by = hom_basis(X, Y), hom_basis(Y, Z)
-            if not bx or not by:
-                continue
-            s1 = basis_element(X, Y, bx[rng.randrange(len(bx))])
-            s2 = basis_element(Y, Z, by[rng.randrange(len(by))])
-            lhs = self.eval_span(compose(s2, s1))
-            rhs = self.eval_span(s2) @ self.eval_span(s1)
-            gx, _ = self.value_at(X)
-            gz, _ = self.value_at(Z)
-            if not abgroups.maps_equal(lhs, rhs, gx, gz):
-                if raise_on_fail:
-                    raise ValueError(
-                        f"functoriality fails on spans {s1.coeffs} ; {s2.coeffs} "
-                        f"between {X}, {Y}, {Z}")
-                return (s1, s2)
-        return None
+        subs = group.subgroups()
+        counts = {}
+
+        def check(lhs, rhs, src, tgt, relation, where):
+            counts[relation] = counts.get(relation, 0) + 1
+            if not abgroups.maps_equal(lhs, rhs, self.levels[src],
+                                       self.levels[tgt]):
+                raise ValueError(f"functoriality fails: {relation} at {where}")
+
+        for cls in group.subgroup_classes():
+            c, w = cls.index, self.weyl[cls.index]
+            ident = intmat.identity(self.levels[c].generator_count)
+            for h in cls.representative:
+                check(w[h], ident, c, c, "inner conjugation is trivial",
+                      f"{h} in {cls.representative}")
+            for a in cls.normalizer:
+                for b in cls.normalizer:
+                    check(w[a] @ w[b], w[group.mul(a, b)], c, c,
+                          "conjugation is a homomorphism",
+                          f"{a}*{b} on {cls.representative}")
+        cidx = group.class_index_of
+        for (C, B) in covering_pairs(group):
+            r, t = self.cover_mats(C, B)
+            for A in subs:
+                if not set(A) < set(C) or _maximal_under(group, A, B) == C:
+                    continue
+                where = f"{A} < {C} < {B}"
+                check(self.res_mat(A, C) @ r, self.res_mat(A, B), cidx(B),
+                      cidx(A), "transitivity of restriction", where)
+                check(t @ self.tr_mat(A, C), self.tr_mat(A, B), cidx(A),
+                      cidx(B), "transitivity of transfer", where)
+            for g in group.elements():
+                gC, gB = (group.conjugate_subgroup(g, H) for H in (C, B))
+                rg, tg = self.cover_mats(gC, gB)
+                where = f"{g} on {C} < {B}"
+                check(self.conj_mat(g, C) @ r, rg @ self.conj_mat(g, B),
+                      cidx(B), cidx(C), "conjugation commutes with restriction",
+                      where)
+                check(self.conj_mat(g, B) @ t, tg @ self.conj_mat(g, C),
+                      cidx(C), cidx(B), "conjugation commutes with transfer",
+                      where)
+        for L in subs:
+            inside = [H for H in subs if set(H) <= set(L)]
+            for H in inside:
+                for K in inside:
+                    rhs = intmat.zeros(self._gens(H), self._gens(K))
+                    for x in _double_coset_reps(group, H, L, K):
+                        D = tuple(sorted(set(group.conjugate_subgroup(
+                            group.inv(x), H)) & set(K)))
+                        rhs = rhs + self.tr_mat(group.conjugate_subgroup(x, D),
+                                                H) \
+                            @ self.conj_mat(x, D) @ self.res_mat(D, K)
+                    check(self.res_mat(H, L) @ self.tr_mat(K, L), rhs, cidx(K),
+                          cidx(H), "double-coset formula",
+                          f"res^{L}_{H} tr^{L}_{K}")
+        return counts
+
+
+def _double_coset_reps(group, H, L, K):
+    """Minimal representatives of the double cosets H x K inside L."""
+    covered, reps = set(), []
+    for x in L:
+        if x not in covered:
+            reps.append(x)
+            covered.update(group.mul(group.mul(h, x), k) for h in H for k in K)
+    return reps
 
 
 # -- morphisms ---------------------------------------------------------------------
@@ -286,7 +408,7 @@ class MackeyMorphism:
             if not abgroups.map_is_welldefined(mat, self.source.levels[c],
                                                self.target.levels[c]):
                 raise ValueError(f"morphism not well-defined at class {c}")
-        for (A, B) in covering_pairs(group):
+        for (A, B) in canonical_covers(group):
             ca, cb = group.class_index_of(A), group.class_index_of(B)
             if not abgroups.maps_equal(
                     self.mats[ca] @ self.source.res[(A, B)],
@@ -339,13 +461,6 @@ class MackeyMorphism:
         return all(abgroups.maps_equal(a, b, self.source.levels[c],
                                        self.target.levels[c])
                    for c, (a, b) in enumerate(zip(self.mats, other.mats)))
-
-    def is_isomorphism(self):
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
 
     def inverse(self):
         """Two-sided inverse morphism; raises if any level is not invertible."""
@@ -402,21 +517,22 @@ def _invert_mod(mat, src: FinPresAbGroup, tgt: FinPresAbGroup):
 # -- constructions: representables, span actions ------------------------------------
 
 
-def mackey_from_span_action(group: FiniteGroup, levels, action, name=None):
+def mackey_from_span_action(group: FiniteGroup, levels, action, name=None,
+                            check=True):
     """Build atlas data by evaluating a functor on structure spans.
 
     `action(e)` must return the matrix of the functor on a Burnside element
     e between standard orbits, in the corresponding level coordinates.
     """
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         res[(A, B)] = action(res_element(group, A, B))
         tr[(A, B)] = action(tr_element(group, A, B))
     weyl = []
     for cls in group.subgroup_classes():
         weyl.append({n: action(weyl_element(group, cls.index, n))
                      for n in cls.normalizer})
-    return MackeyFunctor(group, levels, res, tr, weyl, name=name)
+    return MackeyFunctor(group, levels, res, tr, weyl, name=name, check=check)
 
 
 def representable(X: GSet, name=None) -> MackeyFunctor:
@@ -452,17 +568,23 @@ def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
     return representable(point_gset(group), name="Burnside")
 
 
+def zero_structure(group: FiniteGroup, levels, name=None) -> MackeyFunctor:
+    """The given levels with zero res, tr and conjugation matrices."""
+    n = [lvl.generator_count for lvl in levels]
+    ci = group.class_index_of
+    covers = canonical_covers(group)
+    res = {(A, B): intmat.zeros(n[ci(A)], n[ci(B)]) for (A, B) in covers}
+    tr = {(A, B): intmat.zeros(n[ci(B)], n[ci(A)]) for (A, B) in covers}
+    weyl = [dict.fromkeys(cls.normalizer, intmat.zeros(n[cls.index], n[cls.index]))
+            for cls in group.subgroup_classes()]
+    return MackeyFunctor(group, levels, res, tr, weyl, name=name, check=False)
+
+
 def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
-    if "zero_mackey" in group._cache:
-        return group._cache["zero_mackey"]
-    classes = group.subgroup_classes()
-    levels = [FinPresAbGroup.zero() for _ in classes]
-    res = {p: intmat.zeros(0, 0) for p in covering_pairs(group)}
-    tr = {p: intmat.zeros(0, 0) for p in covering_pairs(group)}
-    weyl = [{n: intmat.zeros(0, 0) for n in cls.normalizer} for cls in classes]
-    Z = MackeyFunctor(group, levels, res, tr, weyl, name="0")
-    group._cache["zero_mackey"] = Z
-    return Z
+    if "zero_mackey" not in group._cache:
+        group._cache["zero_mackey"] = zero_structure(
+            group, [FinPresAbGroup.zero()] * len(group.subgroup_classes()), "0")
+    return group._cache["zero_mackey"]
 
 
 # -- levelwise abelian-category structure ---------------------------------------------
@@ -524,7 +646,7 @@ def _subfunctor(M: MackeyFunctor, levels, incls, name=None):
         return intmat.from_cols(cols, k)
 
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         res[(A, B)] = restrict(M.res[(A, B)], cb, ca)
         tr[(A, B)] = restrict(M.tr[(A, B)], ca, cb)
@@ -559,7 +681,7 @@ def minimize_presentation(M: MackeyFunctor):
         return P @ intmat.sparse_mm(W, S)
 
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         res[(A, B)] = squeeze(projs[ca], M.res[(A, B)], sects[cb])
         tr[(A, B)] = squeeze(projs[cb], M.tr[(A, B)], sects[ca])
@@ -608,10 +730,9 @@ def direct_sum_many(functors, name=None):
         grp, offs = abgroups.direct_sum_groups([F.levels[c] for F in functors])
         levels.append(grp)
         offsets_per_class.append(offs)
-    res = {k: intmat.block_diag([F.res[k] for F in functors])
-           for k in functors[0].res}
-    tr = {k: intmat.block_diag([F.tr[k] for F in functors])
-          for k in functors[0].tr}
+    covers = canonical_covers(group)
+    res = {k: intmat.block_diag([F.res[k] for F in functors]) for k in covers}
+    tr = {k: intmat.block_diag([F.tr[k] for F in functors]) for k in covers}
     weyl = [{n: intmat.block_diag([F.weyl[c][n] for F in functors])
              for n in functors[0].weyl[c]}
             for c in range(len(functors[0].levels))]
@@ -637,33 +758,7 @@ def direct_sum_many(functors, name=None):
 
 def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     """Biproduct with its two inclusion and two projection morphisms."""
-    group = M.group
-    levels = []
-    for c in range(len(M.levels)):
-        grp, _ = abgroups.direct_sum_groups([M.levels[c], N.levels[c]])
-        levels.append(grp)
-    res = {k: intmat.block_diag([M.res[k], N.res[k]]) for k in M.res}
-    tr = {k: intmat.block_diag([M.tr[k], N.tr[k]]) for k in M.tr}
-    weyl = [{n: intmat.block_diag([M.weyl[c][n], N.weyl[c][n]])
-             for n in M.weyl[c]} for c in range(len(M.levels))]
-    D = MackeyFunctor(group, levels, res, tr, weyl,
-                      name=f"{M.name}+{N.name}", check=False)
-    i1 = MackeyMorphism(M, D, [intmat.vstack([
-        intmat.identity(M.levels[c].generator_count),
-        intmat.zeros(N.levels[c].generator_count, M.levels[c].generator_count)])
-        for c in range(len(levels))], check=False)
-    i2 = MackeyMorphism(N, D, [intmat.vstack([
-        intmat.zeros(M.levels[c].generator_count, N.levels[c].generator_count),
-        intmat.identity(N.levels[c].generator_count)])
-        for c in range(len(levels))], check=False)
-    p1 = MackeyMorphism(D, M, [intmat.hstack([
-        intmat.identity(M.levels[c].generator_count),
-        intmat.zeros(M.levels[c].generator_count, N.levels[c].generator_count)])
-        for c in range(len(levels))], check=False)
-    p2 = MackeyMorphism(D, N, [intmat.hstack([
-        intmat.zeros(N.levels[c].generator_count, M.levels[c].generator_count),
-        intmat.identity(N.levels[c].generator_count)])
-        for c in range(len(levels))], check=False)
+    D, (i1, i2), (p1, p2) = direct_sum_many([M, N], name=f"{M.name}+{N.name}")
     return D, i1, i2, p1, p2
 
 
@@ -809,7 +904,7 @@ class NatSolver:
 
     def _add_structure(self):
         group = self.M.group
-        for (A, B) in covering_pairs(group):
+        for (A, B) in canonical_covers(group):
             ca, cb = group.class_index_of(A), group.class_index_of(B)
             self.add_commuting(cb, ca, self.M.res[(A, B)], self.N.res[(A, B)])
             self.add_commuting(ca, cb, self.M.tr[(A, B)], self.N.tr[(A, B)])
@@ -959,7 +1054,7 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         return sol[:basis.shape[1]]
 
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
+    for (A, B) in canonical_covers(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         tA, tB = group.transport(A), group.transport(B)
         # res: V^B -> V^A transported into representative coordinates
@@ -1023,18 +1118,18 @@ def regular_module(group: FiniteGroup):
 
 
 def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
-                       rng=None, validation_pairs=60, name=None):
+                       name=None):
     """Build and validate a Mackey functor from generating data.
 
     `res_data`/`tr_data` are keyed by class covering pairs (ca, cb); the
-    matrices are read against the canonical subgroup pair (the minimal
-    maximal subgroup of the class-cb representative lying in class ca).
-    `conj_data[c]` maps elements of the normalizer of the class-c
-    representative to matrices; missing elements are filled by closure.
-    Validation runs the randomized functoriality test and rejects data
-    violating the double-coset formula.
+    matrices are read against the canonical pair of `canonical_covers`
+    (the minimal maximal subgroup of the class-cb representative lying in
+    class ca).  `conj_data[c]` maps elements of the normalizer of the
+    class-c representative to matrices; missing elements are filled by
+    closure.  Raises ValueError when class pairs cannot address the
+    stored data (see class_pair_covers), on bad shapes, and, through
+    validate_functoriality, on data violating a Mackey-algebra relation.
     """
-    import random as _random
     classes = group.subgroup_classes()
     levels = tuple(levels)
 
@@ -1064,45 +1159,11 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
                              f"missing {missing}")
         weyl.append({n: known[n] for n in cls.normalizer})
 
-    tmp = MackeyFunctor(group, levels,
-                        {p: intmat.zeros(levels[group.class_index_of(p[0])].generator_count,
-                                         levels[group.class_index_of(p[1])].generator_count)
-                         for p in covering_pairs(group)},
-                        {p: intmat.zeros(levels[group.class_index_of(p[1])].generator_count,
-                                         levels[group.class_index_of(p[0])].generator_count)
-                         for p in covering_pairs(group)},
-                        weyl, check=False)
-
-    def conj_mat(g, L):
-        return tmp.conj_mat(g, L)
-
     res, tr = {}, {}
-    for (A, B) in covering_pairs(group):
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
+    for (ca, cb), pair in class_pair_covers(group).items():
         if (ca, cb) not in res_data or (ca, cb) not in tr_data:
             raise ValueError(f"missing res/tr data for class pair ({ca},{cb})")
-        K0 = classes[cb].representative
-        # canonical stored subgroup: minimal maximal subgroup of K0 in class ca
-        stored_sub = min(C for (C, D) in covering_pairs(group)
-                         if D == K0 and group.class_index_of(C) == ca)
-        r_in = intmat.intmat(res_data[(ca, cb)], levels[cb].generator_count)
-        t_in = intmat.intmat(tr_data[(ca, cb)], levels[ca].generator_count)
-        cB = group.transport(B)
-        A2 = group.conjugate_subgroup(cB, A)
-        u = next((x for x in classes[cb].normalizer
-                  if group.conjugate_subgroup(x, A2) == stored_sub), None)
-        if u is None:
-            raise ValueError(
-                f"covering pair {A} < {B}: subgroup {A2} is not normalizer-"
-                f"conjugate to the canonical {stored_sub}; supply explicit data")
-        wB_u = weyl[cb][u]
-        # res^{K0}_{A2} = conj_{u^{-1}} . stored . conj_u ; then transport by cB
-        r = conj_mat(group.inv(u), stored_sub) @ r_in @ wB_u
-        t = weyl[cb][group.inv(u)] @ t_in @ conj_mat(u, A2)
-        cA2_back = conj_mat(group.inv(cB), A2)
-        res[(A, B)] = cA2_back @ r
-        tr[(A, B)] = t @ conj_mat(cB, A)
+        res[pair], tr[pair] = res_data[(ca, cb)], tr_data[(ca, cb)]
     M = MackeyFunctor(group, levels, res, tr, weyl, name=name)
-    rng = rng or _random.Random(0)
-    M.validate_functoriality(rng, pairs=validation_pairs)
+    M.validate_functoriality()
     return M

@@ -2,7 +2,16 @@
 
 from mackeykit import intmat
 from mackeykit import intmat as im
-from mackeykit.abgroups import FinPresAbGroup
+from mackeykit.abgroups import FinPresAbGroup, maps_equal
+from mackeykit.burnside import (
+    basis_element,
+    compose,
+    hom_basis,
+    identity_element,
+    res_element,
+    tr_element,
+    weyl_element,
+)
 from mackeykit.convolution import (
     GreenValidationError,
     box_assoc_iso,
@@ -12,6 +21,55 @@ from mackeykit.convolution import (
 )
 from mackeykit.gsets import standard_orbit
 from mackeykit.mackey import compose_morphisms, covering_pairs, identity_morphism
+
+
+def span_functoriality_oracle(M):
+    """Exhaustive span-level check that M's data is a functor on spans.
+
+    Checks that evaluation sends every conjugation and every covering
+    restriction and transfer span to M's own structure matrix, preserves
+    identities, and preserves every composite of two basis spans between
+    standard orbits.  Returns the number of basis-span pairs; raises
+    ValueError naming the first failure.
+    """
+    group = M.group
+    classes = group.subgroup_classes()
+
+    def check(lhs, rhs, src, tgt, what):
+        if not maps_equal(lhs, rhs, src, tgt):
+            raise ValueError(f"functoriality fails: {what}")
+
+    for cls in classes:
+        c = cls.index
+        for n in cls.normalizer:
+            check(M.eval_span(weyl_element(group, c, n)), M.weyl[c][n],
+                  M.levels[c], M.levels[c], f"conjugation by {n} at {c}")
+    for (A, B) in covering_pairs(group):
+        la = M.levels[group.class_index_of(A)]
+        lb = M.levels[group.class_index_of(B)]
+        check(M.eval_span(res_element(group, A, B)), M.res_mat(A, B), lb, la,
+              f"restriction at {A} < {B}")
+        check(M.eval_span(tr_element(group, A, B)), M.tr_mat(A, B), la, lb,
+              f"transfer at {A} < {B}")
+    orbs = [standard_orbit(group, c.index) for c in classes]
+    pairs = 0
+    for X in orbs:
+        gx, _ = M.value_at(X)
+        check(M.eval_span(identity_element(X)),
+              im.identity(gx.generator_count), gx, gx, f"identity of {X}")
+        for Y in orbs:
+            for code_s in hom_basis(X, Y):
+                s = basis_element(X, Y, code_s)
+                eval_s = M.eval_span(s)
+                for Z in orbs:
+                    gz, _ = M.value_at(Z)
+                    for code_t in hom_basis(Y, Z):
+                        t = basis_element(Y, Z, code_t)
+                        pairs += 1
+                        check(M.eval_span(compose(t, s)),
+                              M.eval_span(t) @ eval_s, gx, gz,
+                              f"spans {code_s} ; {code_t}")
+    return pairs
 
 
 def gmodule_hom_group(group, M, V, act):
@@ -146,8 +204,8 @@ def _box_validate_levelwise(G):
     group = G.group
     for (A, B) in covering_pairs(group):
         ca, cb = group.class_index_of(A), group.class_index_of(B)
-        res = R.res[(A, B)]
-        tr = R.tr[(A, B)]
+        res = R.res_mat(A, B)
+        tr = R.tr_mat(A, B)
         la, lb = R.levels[ca], R.levels[cb]
         nb, na = lb.generator_count, la.generator_count
         for i in range(nb):

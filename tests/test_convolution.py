@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -54,7 +53,7 @@ from support import box_validate_green
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
 
-def sample_functors(group, rng=None):
+def sample_functors(group):
     """A small battery: representables, fixed points, and a quotient."""
     out = [burnside_mackey(group)]
     out.append(representable(standard_orbit(group, 0)))
@@ -468,8 +467,7 @@ def test_mackey_level_rejects_transfer_of_wrong_index():
     levels = [FinPresAbGroup.free(1), FinPresAbGroup.free(1)]
     with pytest.raises(ValueError, match="functoriality"):
         mackey_from_levels(C2, levels, {(0, 1): [[1]]}, {(0, 1): [[3]]},
-                           {0: {1: [[1]]}}, rng=random.Random(0),
-                           validation_pairs=150)
+                           {0: {1: [[1]]}})
 
 
 # -- equivalence with the literal double-indexed coend presentation ----------------------------

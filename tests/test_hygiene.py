@@ -1,8 +1,9 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no unused imports, and no randomness in the package.
 
 No linter ships with the toolchain, so this stdlib-`ast` scan is the guard.
 An import inside a function must be used inside that function; a
-module-level import must be used somewhere in the module.
+module-level import must be used somewhere in the module.  No module may
+import `random` anywhere, so every validator stays deterministic.
 """
 
 import ast
@@ -24,6 +25,17 @@ def _imported_names(node):
 
 def _used_names(scope):
     return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+
+
+def imported_modules(source):
+    """(line, top-level module) of every absolute import, at any depth."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return sorted(out)
 
 
 def unused_imports(source):
@@ -59,3 +71,17 @@ def test_scanner_finds_unused_module_and_local_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_finds_module_level_and_local_random_imports():
+    src = ("import random\nfrom random import Random\n\n"
+           "def f():\n    import random as r\n    from . import random_x\n")
+    assert [m for m in imported_modules(src) if m[1] == "random"] == \
+        [(1, "random"), (2, "random"), (5, "random")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_random_imports(path):
+    mods = imported_modules(path.read_text(encoding="utf-8"))
+    assert [m for m in mods if m[1] == "random"] == []

@@ -5,7 +5,8 @@ import pytest
 
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic, maps_equal
-from mackeykit.groups import builtin_group
+from mackeykit.groups import builtin_group, group_from_permutations
+from mackeykit.jsonio import mackey_from_json, mackey_to_json
 from mackeykit.gsets import GMap, point_gset, product, standard_orbit
 from mackeykit.burnside import (
     basis_element,
@@ -22,6 +23,7 @@ from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
     burnside_mackey,
+    canonical_covers,
     cokernel,
     compose_morphisms,
     covering_pairs,
@@ -41,7 +43,11 @@ from mackeykit.mackey import (
     zero_morphism,
 )
 
-from support import brute_force_borel_level, gmodule_hom_group
+from support import (
+    brute_force_borel_level,
+    gmodule_hom_group,
+    span_functoriality_oracle,
+)
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -61,8 +67,9 @@ def s3():
 
 def test_zero_functor_valid(c2):
     Z = zero_mackey(c2)
-    rng = random.Random(0)
-    assert Z.validate_functoriality(rng, pairs=20) is None
+    report = Z.validate_functoriality()
+    assert report and all(n > 0 for n in report.values())
+    assert span_functoriality_oracle(Z) > 0
 
 
 def test_burnside_mackey_from_explicit_levels(c2):
@@ -72,11 +79,9 @@ def test_burnside_mackey_from_explicit_levels(c2):
     res = {(0, 1): [[2, 1]]}
     tr = {(0, 1): [[1], [0]]}
     conj = {0: {1: [[1]]}, 1: {}}
-    M = mackey_from_levels(c2, levels, res, tr, conj,
-                           rng=random.Random(1), validation_pairs=80)
+    M = mackey_from_levels(c2, levels, res, tr, conj)
     A = burnside_mackey(c2)
     # must agree with the representable A_pt on every basis span
-    rng = random.Random(2)
     orbs = [standard_orbit(c2, 0), point_gset(c2)]
     for X in orbs:
         for Y in orbs:
@@ -93,8 +98,7 @@ def test_functoriality_violation_rejected(c2):
     tr = {(0, 1): [[3]]}
     conj = {0: {1: [[1]]}}
     with pytest.raises(ValueError, match="functoriality"):
-        mackey_from_levels(c2, levels, res, tr, conj,
-                           rng=random.Random(3), validation_pairs=120)
+        mackey_from_levels(c2, levels, res, tr, conj)
 
 
 def test_missing_conjugation_data_rejected(s3):
@@ -104,8 +108,7 @@ def test_missing_conjugation_data_rejected(s3):
             for (a, b) in covering_pairs(s3)}}
     tr = dict(res)
     with pytest.raises(ValueError, match="normalizer"):
-        mackey_from_levels(s3, levels, res, tr, {},
-                           rng=random.Random(0), validation_pairs=10)
+        mackey_from_levels(s3, levels, res, tr, {})
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -135,12 +138,13 @@ def test_eval_res_tr_composite(c2):
 
 
 def test_functoriality_battery():
-    rng = random.Random(4)
-    for name in BATTERY:
+    for name in BATTERY + ("D4", "Q8"):
         group = builtin_group(name)
         A = burnside_mackey(group)
-        pairs = 200 if name in ("C2", "S3") else 40
-        assert A.validate_functoriality(rng, pairs=pairs) is None
+        report = A.validate_functoriality()
+        assert report["double-coset formula"] == sum(
+            sum(1 for H in group.subgroups() if set(H) <= set(L)) ** 2
+            for L in group.subgroups())
 
 
 def test_double_coset_formula_all_class_pairs():
@@ -297,8 +301,8 @@ def test_direct_sum_functor(c2):
     assert compose_morphisms(p1, i1).equals(identity_morphism(A))
     assert compose_morphisms(p2, i2).equals(identity_morphism(FP))
     assert compose_morphisms(p2, i1).is_zero()
-    rng = random.Random(7)
-    assert D.validate_functoriality(rng, pairs=30) is None
+    assert D.validate_functoriality()
+    assert span_functoriality_oracle(D) > 0
 
 
 # -- fixed points (Borel) ----------------------------------------------------------------
@@ -355,3 +359,126 @@ def test_borel_adjunction_small():
             hg = hom_mackey(M, FP)
             oracle = gmodule_hom_group(group, M, V, act)
             assert groups_isomorphic(hg.group, oracle), (name, M.name)
+
+
+# -- stored data and the Mackey-algebra relations ----------------------------------------
+
+
+def _corruptions(M):
+    """Every single-entry +-1 corruption of M's res, tr and conj data."""
+    for kind in ("res", "tr"):
+        for k, mat in getattr(M, kind).items():
+            for i, j in np.ndindex(*mat.shape):
+                for d in (1, -1):
+                    data = {"res": dict(M.res), "tr": dict(M.tr)}
+                    data[kind][k] = mat.copy()
+                    data[kind][k][i, j] += d
+                    yield (kind, k, i, j, d), MackeyFunctor(
+                        M.group, M.levels, data["res"], data["tr"], M.weyl,
+                        check=False)
+    for c, w in enumerate(M.weyl):
+        for n, mat in w.items():
+            for i, j in np.ndindex(*mat.shape):
+                for d in (1, -1):
+                    weyl = [dict(x) for x in M.weyl]
+                    weyl[c][n] = mat.copy()
+                    weyl[c][n][i, j] += d
+                    yield ("conj", c, n, i, j, d), MackeyFunctor(
+                        M.group, M.levels, M.res, M.tr, weyl, check=False)
+
+
+def _accepts(check, M):
+    try:
+        check(M)
+    except ValueError as err:
+        assert "functoriality" in str(err)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "S3"])
+def test_validate_functoriality_agrees_with_span_oracle(name):
+    # the relation check and the exhaustive span-composition oracle give
+    # the same verdict on the valid functors and on every single-entry
+    # +-1 corruption of their stored res, tr and conj data
+    group = builtin_group(name)
+    Z = FinPresAbGroup.free(1)
+    functors = [zero_mackey(group), burnside_mackey(group),
+                fixed_point_mackey(group, Z, trivial_module(group, Z)),
+                fixed_point_mackey(group, *regular_module(group))]
+    cases = rejected = 0
+    for M in functors:
+        assert _accepts(MackeyFunctor.validate_functoriality, M)
+        assert _accepts(span_functoriality_oracle, M)
+        for key, N in _corruptions(M):
+            verdict = _accepts(MackeyFunctor.validate_functoriality, N)
+            assert verdict == _accepts(span_functoriality_oracle, N), key
+            cases += 1
+            rejected += not verdict
+    assert 0 < rejected <= cases
+
+
+def test_validation_error_names_relation_and_subgroups(s3):
+    A = burnside_mackey(s3)
+    (Hp, K0) = canonical_covers(s3)[-1]
+    tr = dict(A.tr)
+    tr[(Hp, K0)] = tr[(Hp, K0)].copy()
+    tr[(Hp, K0)][0, 0] += 1
+    bad = MackeyFunctor(s3, A.levels, A.res, tr, A.weyl)
+    with pytest.raises(ValueError, match=r"functoriality fails: .* at .*\(0"):
+        bad.validate_functoriality()
+
+
+def test_structure_data_stored_once_per_conjugacy_class():
+    for name, stored, total in (("S3", 4, 8), ("D4", 11, 15)):
+        group = builtin_group(name)
+        assert len(covering_pairs(group)) == total
+        assert len(canonical_covers(group)) == stored
+        A = burnside_mackey(group)
+        assert set(A.res) == set(A.tr) == set(canonical_covers(group))
+        # every other covering step is derived, and agrees with the
+        # evaluation of its structure span
+        for (H, K) in covering_pairs(group):
+            ch, ck = group.class_index_of(H), group.class_index_of(K)
+            assert maps_equal(A.res_mat(H, K),
+                              A.eval_span(res_element(group, H, K)),
+                              A.levels[ck], A.levels[ch])
+            assert maps_equal(A.tr_mat(H, K),
+                              A.eval_span(tr_element(group, H, K)),
+                              A.levels[ch], A.levels[ck])
+    with pytest.raises(ValueError, match="exactly one matrix"):
+        MackeyFunctor(group, A.levels, {}, A.tr, A.weyl)
+
+
+def _c2_wreath_c3():
+    # (12) and (34) are conjugate under (135)(246) but not under the
+    # normalizer of <(12), (34)>, so one class pair holds two conjugacy
+    # classes of covering pairs
+    return group_from_permutations(
+        6, [(1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1)], name="C2wrC3")
+
+
+def test_split_class_pair_works_internally_and_is_refused_by_json():
+    group = _c2_wreath_c3()
+    assert len(canonical_covers(group)) > len(
+        {(group.class_index_of(A), group.class_index_of(B))
+         for (A, B) in canonical_covers(group)})
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    assert FP.validate_functoriality()["double-coset formula"] > 0
+    classes = group.subgroup_classes()
+    with pytest.raises(ValueError, match="several conjugacy classes"):
+        mackey_to_json(FP)
+    doc = {"group": {"kind": "perm", "degree": 6,
+                     "generators": [[1, 0, 2, 3, 4, 5], [2, 3, 4, 5, 0, 1]]},
+           "levels": {c.label: {"generators": 1} for c in classes},
+           "res": {}, "tr": {},
+           "conj": {c.label: {str(n): [list(r) for r in FP.weyl[c.index][n]]
+                              for n in c.normalizer} for c in classes}}
+    for (A, B) in canonical_covers(group):
+        key = f"{classes[group.class_index_of(A)].label}<" \
+              f"{classes[group.class_index_of(B)].label}"
+        doc["res"][key] = [list(r) for r in FP.res[(A, B)]]
+        doc["tr"][key] = [list(r) for r in FP.tr[(A, B)]]
+    with pytest.raises(ValueError, match="several conjugacy classes"):
+        mackey_from_json(doc)
