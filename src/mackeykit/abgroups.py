@@ -9,6 +9,7 @@ decidable and deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -85,34 +86,17 @@ class FinPresAbGroup:
         """Divisibility chain of torsion factors, then one 0 per free rank.
 
         The internal diagonal need not be chained (direct sums assemble
-        blockwise), so the chain is recombined from prime powers.
+        blockwise), so the chain is rebuilt with C_a + C_b = C_gcd + C_lcm:
+        after pass i, entry i divides every later entry.  No factoring.
         """
-        primes = {}
-        for d in self._diag:
-            if d > 1:
-                dd, p = d, 2
-                while p * p <= dd:
-                    if dd % p == 0:
-                        e = 0
-                        while dd % p == 0:
-                            dd //= p
-                            e += 1
-                        primes.setdefault(p, []).append(e)
-                    p += 1
-                if dd > 1:
-                    primes.setdefault(dd, []).append(1)
-        width = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for k in range(width):
-            f = 1
-            for p, es in primes.items():
-                es_sorted = sorted(es, reverse=True)
-                if k < len(es_sorted):
-                    f *= p ** es_sorted[k]
-            chain.append(f)
-        chain.reverse()
+        chain = [d for d in self._diag if d > 1]
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                a, b = chain[i], chain[j]
+                g = math.gcd(a, b)
+                chain[i], chain[j] = g, a // g * b
         frees = sum(1 for d in self._diag if d == 0)
-        return tuple(chain) + (0,) * frees
+        return tuple(d for d in chain if d > 1) + (0,) * frees
 
     @property
     def free_rank(self):

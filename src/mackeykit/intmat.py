@@ -23,19 +23,27 @@ def intmat(rows, ncols=None):
     rows = list(rows)
     if not rows:
         return np.zeros((0, 0 if ncols is None else ncols), dtype=object)
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        if len(r) != out.shape[1]:
-            raise ValueError("ragged rows")
-        for j, x in enumerate(r):
-            out[i, j] = int(x)
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    return _from_lists([list(map(int, r)) for r in rows], len(rows), width)
+
+
+def _from_lists(rows, m, n):
+    """m x n object matrix holding the Python ints of the row lists.
+
+    One slice assignment; with dtype=object numpy stores the ints as they
+    are, so entries beyond 64 bits survive.
+    """
+    out = np.empty((m, n), dtype=object)
+    if m:
+        out[:] = rows
     return out
 
 
 def intvec(entries):
     out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = int(x)
+    out[:] = list(map(int, entries))
     return out
 
 
@@ -49,8 +57,7 @@ def zero_vec(n):
 
 def identity(n):
     out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
+    np.fill_diagonal(out, 1)
     return out
 
 
@@ -80,24 +87,39 @@ def from_cols(cols, nrows):
     """Matrix whose columns are the given 1-D vectors."""
     out = zeros(nrows, len(cols))
     for j, c in enumerate(cols):
+        if len(c) != nrows:
+            raise ValueError(f"column {j} has length {len(c)}, expected {nrows}")
         out[:, j] = c
     return out
+
+
+def _column_entries(A):
+    """For each column j of A, the pairs (i, A[i, j]) with A[i, j] != 0.
+
+    Rows ascend within each column.  One comparison and one gather over
+    the whole matrix; the Python loop runs over the nonzeros only.
+    """
+    js, is_ = np.nonzero(A.T != 0)
+    cols = [[] for _ in range(A.shape[1])]
+    for j, i, v in zip(js.tolist(), is_.tolist(), A[is_, js].tolist()):
+        cols[j].append((i, v))
+    return cols
 
 
 def sparse_mm(A, B):
     """A @ B exploiting sparsity of A's columns."""
     m, n = A.shape
     n2, k = B.shape
-    acols = [[(i, A[i, j]) for i in range(m) if A[i, j] != 0]
-             for j in range(n)]
-    out = zeros(m, k)
+    acols = _column_entries(A)
+    Bl = B.tolist()
+    out = [[0] * k for _ in range(m)]
     for c in range(k):
         for j in range(n):
-            v = B[j, c]
+            v = Bl[j][c]
             if v:
                 for (i, a) in acols[j]:
-                    out[i, c] += a * v
-    return out
+                    out[i][c] += a * v
+    return _from_lists(out, m, k)
 
 
 def block_diag(mats):
@@ -119,10 +141,25 @@ def smith_normal_form(A):
     unimodular, D is diagonal with nonnegative entries d_1 | d_2 | ...
     The elimination runs on plain Python lists; object-dtype numpy access
     is far too slow for the inner loops.
+
+    An input already in Smith form (nonzeros only at (t, t), nonnegative,
+    each dividing the next, so zeros come last) returns
+    (I_m, A, I_n, I_m, I_n) without elimination.  That is exactly what the
+    elimination would return: at every step the pivot search picks (t, t),
+    since d_t is the first nonzero of least size in what remains, and the
+    row, column and divisibility passes find nothing to clear, so nothing
+    is swapped, added or negated.
     """
     A = intmat(A)
     m, n = A.shape
-    D = [[int(A[i, j]) for j in range(n)] for i in range(m)]
+    D = [list(map(int, r)) for r in A.tolist()]
+    diag = [D[t][t] for t in range(min(m, n))]
+    if (np.count_nonzero(A) == sum(1 for d in diag if d)
+            and all(d >= 0 for d in diag)
+            and all(b % a == 0 if a else b == 0
+                    for a, b in zip(diag, diag[1:]))):
+        return (identity(m), _from_lists(D, m, n), identity(n),
+                identity(m), identity(n))
     S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Sinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -248,15 +285,8 @@ def smith_normal_form(A):
             row_negate(t)
         t += 1
 
-    def to_mat(rows, ncols):
-        out = np.empty((len(rows), ncols), dtype=object)
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                out[i, j] = x
-        return out
-
-    return (to_mat(S, m), to_mat(D, n), to_mat(T, n),
-            to_mat(Sinv, m), to_mat(Tinv, n))
+    return (_from_lists(S, m, m), _from_lists(D, m, n), _from_lists(T, n, n),
+            _from_lists(Sinv, m, m), _from_lists(Tinv, n, n))
 
 
 def snf_diagonal(A):
@@ -315,8 +345,7 @@ def hermite_normal_form(A):
     # incremental sparse echelon insertion: pivots[r] holds a column (as a
     # sparse dict) whose minimal nonzero row is r.  Sparse unit columns go
     # in first; they make clean pivots and keep fill-in down.
-    cols = [{i: A[i, j] for i in range(m) if A[i, j] != 0}
-            for j in range(n)]
+    cols = [dict(c) for c in _column_entries(A)]
     cols.sort(key=lambda v: (len(v), max((abs(x) for x in v.values()),
                                          default=0)))
     pivots = {}

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from sympy import ZZ, isprime
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from mackeykit import intmat as im
 from mackeykit.abgroups import (
@@ -22,9 +25,38 @@ def test_invariant_factors_examples():
     assert FinPresAbGroup.free(3).invariant_factors == (0, 0, 0)
     assert FinPresAbGroup.from_invariants([2, 3]).invariant_factors == (6,)
     assert FinPresAbGroup.from_invariants([2, 4]).invariant_factors == (2, 4)
+    assert FinPresAbGroup.from_invariants([6, 10, 15]).invariant_factors == (30, 30)
     assert FinPresAbGroup(2, [[2, 4]]).invariant_factors == (2, 0)
     assert FinPresAbGroup.zero().invariant_factors == ()
     assert FinPresAbGroup(1, [[1]]).is_trivial()
+
+
+@pytest.mark.parametrize("factors", [
+    [2 ** 61 - 1],
+    [(2 ** 31 - 1) * (2 ** 31 - 19)],
+    [6, 10, 15],
+])
+def test_invariant_factors_match_sympy_without_factoring(factors):
+    assert isprime(2 ** 61 - 1) and isprime(2 ** 31 - 1) and isprime(2 ** 31 - 19)
+    n = len(factors)
+    diag = DomainMatrix([[ZZ(factors[i] if i == j else 0) for j in range(n)]
+                         for i in range(n)], (n, n), ZZ)
+    expected = tuple(int(d) for d in invariant_factors(diag) if d != 1)
+    assert FinPresAbGroup.from_invariants(factors).invariant_factors == expected
+    # a blockwise direct sum keeps the unchained diagonal, so the chain is
+    # recombined from it
+    summed, _ = direct_sum_groups(FinPresAbGroup.from_invariants([f])
+                                  for f in factors)
+    assert summed._diag == factors
+    assert summed.invariant_factors == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 717])
+def test_relator_free_group_has_identity_transforms(n):
+    G = FinPresAbGroup(n)
+    assert im.mats_equal(G._U, im.identity(n))
+    assert im.mats_equal(G._Uinv, im.identity(n))
+    assert G._diag == [0] * n
 
 
 def test_normal_forms_unique():

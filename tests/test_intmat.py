@@ -1,9 +1,17 @@
+import itertools
+import operator
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import (
+    hermite_normal_form as sympy_hnf,
+    smith_normal_form as sympy_snf,
+)
 
 from mackeykit import intmat as im
 
@@ -18,6 +26,130 @@ small_matrices = st.integers(0, 5).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-30, 30), min_size=n, max_size=n),
             min_size=m, max_size=m).map(lambda rows: im.intmat(rows, n))))
+
+big_matrices = st.integers(0, 4).flatmap(
+    lambda m: st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+            min_size=m, max_size=m).map(lambda rows: im.intmat(rows, n))))
+
+
+def diagonal_matrix(entries, m, n):
+    A = im.zeros(m, n)
+    for t, d in enumerate(entries):
+        A[t, t] = d
+    return A
+
+
+@st.composite
+def smith_form_matrices(draw):
+    """m x n matrices already in Smith form, entries beyond 2**63 included."""
+    steps = draw(st.lists(st.one_of(st.integers(1, 6), st.just(2 ** 64 + 1)),
+                          max_size=5))
+    chain = list(itertools.accumulate(steps, operator.mul))
+    chain += [0] * draw(st.integers(0, 3))
+    return diagonal_matrix(chain, len(chain) + draw(st.integers(0, 3)),
+                           len(chain) + draw(st.integers(0, 3)))
+
+
+@st.composite
+def diagonal_matrices(draw):
+    """Diagonal matrices whose diagonal need not be chained, signed or sorted."""
+    entries = draw(st.lists(st.integers(-12, 12), max_size=5))
+    return diagonal_matrix(entries, len(entries) + draw(st.integers(0, 2)),
+                           len(entries) + draw(st.integers(0, 2)))
+
+
+oracle_matrices = st.one_of(small_matrices, big_matrices, smith_form_matrices(),
+                            diagonal_matrices())
+
+not_smith_diagonals = [
+    diagonal_matrix([2, 3], 2, 2),
+    diagonal_matrix([3, 2], 2, 2),
+    diagonal_matrix([0, 1], 2, 2),
+]
+
+
+def to_sympy(A):
+    m, n = A.shape
+    return DomainMatrix([[ZZ(int(A[i, j])) for j in range(n)]
+                         for i in range(m)], (m, n), ZZ)
+
+
+def with_examples(test):
+    for A in not_smith_diagonals + [im.zeros(3, 0), im.zeros(0, 3),
+                                    diagonal_matrix([2 ** 64, 2 ** 65], 2, 3)]:
+        test = example(A)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices)
+@with_examples
+def test_snf_diagonal_matches_sympy(A):
+    D = sympy_snf(to_sympy(A)).to_Matrix()
+    expected = [int(D[t, t]) for t in range(min(A.shape))]
+    assert im.snf_diagonal(A) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices)
+@with_examples
+def test_hermite_spans_the_sympy_lattice(A):
+    # sympy's column Hermite form is canonical for the lattice, so the two
+    # bases span the same lattice iff sympy reduces them to the same matrix
+    H = im.hermite_normal_form(A)
+    assert H.shape[0] == A.shape[0]
+    assert sympy_hnf(to_sympy(H)) == sympy_hnf(to_sympy(A))
+
+
+@settings(max_examples=120, deadline=None)
+@given(smith_form_matrices())
+@example(im.zeros(717, 0))
+@example(im.zeros(0, 4))
+@example(diagonal_matrix([1, 1, 0], 3, 3))
+def test_smith_form_input_returns_identity_transforms(A):
+    m, n = A.shape
+    S, D, T, Sinv, Tinv = im.smith_normal_form(A)
+    assert im.mats_equal(D, A) and D is not A
+    for X, k in ((S, m), (Sinv, m), (T, n), (Tinv, n)):
+        assert im.mats_equal(X, im.identity(k))
+
+
+@pytest.mark.parametrize("A,chain", zip(not_smith_diagonals,
+                                         [[1, 6], [1, 6], [1, 0]]))
+def test_diagonal_input_not_in_smith_form_is_eliminated(A, chain):
+    S, D, T, Sinv, Tinv = im.smith_normal_form(A)
+    assert im.mats_equal(D, diagonal_matrix(chain, 2, 2))
+    assert im.mats_equal(S @ D @ T, A)
+    assert im.mats_equal(S @ Sinv, im.identity(2))
+    assert im.mats_equal(T @ Tinv, im.identity(2))
+
+
+def test_from_cols_rejects_column_of_wrong_length():
+    with pytest.raises(ValueError, match="column 1 has length 1, expected 3"):
+        im.from_cols([im.intvec([1, 2, 3]), im.intvec([1])], 3)
+    assert im.mats_equal(im.from_cols([im.intvec([1, 2])], 2),
+                         im.intmat([[1], [2]]))
+
+
+def test_intmat_coerces_and_rejects_ragged_rows():
+    A = im.intmat([[np.int64(3), True], [2 ** 70, -1]])
+    assert [type(x) for x in A.ravel()] == [int] * 4
+    assert A[1, 0] == 2 ** 70 and A[0, 1] == 1
+    assert im.intmat([], 3).shape == (0, 3)
+    assert im.intmat([[], []]).shape == (2, 0)
+    with pytest.raises(ValueError, match="ragged rows"):
+        im.intmat([[1, 2], [3]])
+    v = im.intvec([np.int64(4), 2 ** 70])
+    assert [type(x) for x in v] == [int, int] and v[1] == 2 ** 70
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_matrices, st.integers(0, 4), st.randoms(use_true_random=False))
+def test_sparse_mm_matches_dense_product(A, k, rng):
+    B = rand_matrix(rng, A.shape[1], k)
+    assert im.mats_equal(im.sparse_mm(A, B), A @ B)
 
 
 @settings(max_examples=120, deadline=None)
