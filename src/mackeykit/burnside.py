@@ -20,6 +20,7 @@ from .gsets import (
     GSet,
     compose_maps,
     coproduct,
+    coset_index_of,
     point_gset,
     product,
     pullback,
@@ -342,11 +343,6 @@ def raw_coset_gset(group: FiniteGroup, H) -> GSet:
     return GSet(group, action)
 
 
-def _std_point(group: FiniteGroup, cidx: int, g: int) -> int:
-    from .gsets import coset_index_of
-    return coset_index_of(group, cidx, g)
-
-
 def res_element(group: FiniteGroup, A, B) -> BurnsideElement:
     """Restriction span ORB([B]) -> ORB([A]) along the inclusion A <= B."""
     A, B = tuple(sorted(A)), tuple(sorted(B))
@@ -357,10 +353,10 @@ def res_element(group: FiniteGroup, A, B) -> BurnsideElement:
     mid = raw_coset_gset(group, A)
     reps = _coset_reps(group, A)
     ta, tb = group.transport(A), group.transport(B)
-    left = GMap(mid, OB, tuple(_std_point(group, cb, group.mul(g, group.inv(tb)))
-                               for g in reps))
-    right = GMap(mid, OA, tuple(_std_point(group, ca, group.mul(g, group.inv(ta)))
-                                for g in reps))
+    left = GMap(mid, OB, tuple(
+        coset_index_of(group, cb, group.mul(g, group.inv(tb))) for g in reps))
+    right = GMap(mid, OA, tuple(
+        coset_index_of(group, ca, group.mul(g, group.inv(ta))) for g in reps))
     return span_element(OB, OA, mid, left, right)
 
 
@@ -376,8 +372,8 @@ def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
         raise ValueError("element does not normalize the representative")
     O = standard_orbit(group, cidx)
     reps = _coset_reps(group, cls.representative)
-    phi = GMap(O, O, tuple(_std_point(group, cidx, group.mul(g, group.inv(n)))
-                           for g in reps))
+    phi = GMap(O, O, tuple(
+        coset_index_of(group, cidx, group.mul(g, group.inv(n))) for g in reps))
     return transfer_element(phi)
 
 

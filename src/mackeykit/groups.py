@@ -8,6 +8,8 @@ opaquely through `mul`, `inv` and the subgroup-class data computed here.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,11 +29,36 @@ class SubgroupClass:
     label: str
 
 
+def _labels(values, name):
+    """The entries of `values` as a tuple of ints.
+
+    Python and numpy integers pass.  A float, string or bool raises a
+    ValueError naming the entry as `name[i]`, where `int()` would truncate
+    or parse it.
+    """
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    i = next(i for i, x in enumerate(values)
+             if isinstance(x, bool) or not isinstance(x, numbers.Integral))
+    raise ValueError(f"{name}[{i}] is not an integer: {values[i]!r}")
+
+
 class FiniteGroup:
-    """A finite group with a validated multiplication table."""
+    """A finite group with a validated multiplication table.
+
+    `generators` is a generating set chosen greedily: label a joins when it
+    is not in the closure of the labels chosen before it, so the result is
+    deterministic and the trivial group has none.  G-set actions and
+    equivariant maps are checked on it (see `GSet` and `GMap`).
+    """
 
     def __init__(self, table, name=None):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(_labels(row, f"table[{a}]")
+                      for a, row in enumerate(table))
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
@@ -64,6 +91,12 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self.name = name or f"group{n}"
         self._cache = {}
+        gens, span = [], {0}
+        for a in range(n):
+            if a not in span:
+                gens.append(a)
+                span = set(self.closure(gens))
+        self.generators = tuple(gens)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -315,8 +348,8 @@ def group_from_permutations(degree, generators, name=None):
     """
     degree = int(degree)
     gens = []
-    for g in generators:
-        g = tuple(int(x) for x in g)
+    for k, g in enumerate(generators):
+        g = _labels(g, f"generators[{k}]")
         if sorted(g) != list(range(degree)):
             raise ValueError(f"{g} is not a permutation of {degree} points")
         gens.append(g)

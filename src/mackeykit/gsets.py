@@ -13,31 +13,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _labels
 
 
 class GSet:
-    """A finite set with a validated G-action."""
+    """A finite set with a validated G-action.
+
+    `action[g][x]` is g·x.  The table is proven to be an action by checking
+    that the identity acts trivially and that ρ(g·s) = ρ(g)∘ρ(s) for every
+    g in G and every s in `group.generators`.  That is enough: the set of h
+    with ρ(g·h) = ρ(g)∘ρ(h) for all g contains the identity and every
+    generator, and is closed under right multiplication by a generator, so
+    by induction on words it contains every product of generators, which in
+    a finite group is every element.
+    """
 
     def __init__(self, group: FiniteGroup, action, name=None):
-        action = tuple(tuple(int(x) for x in row) for row in action)
+        action = tuple(_labels(row, f"action[{g}]")
+                       for g, row in enumerate(action))
         if len(action) != group.order:
             raise ValueError("action table needs one row per group element")
-        size = len(action[0]) if action else 0
+        size = len(action[0])
         for row in action:
             if len(row) != size:
                 raise ValueError("ragged action table")
-            for x in row:
-                if not 0 <= x < size:
-                    raise ValueError("action value out of range")
-        if action and action[0] != tuple(range(size)):
+            if row and not (0 <= min(row) and max(row) < size):
+                raise ValueError("action value out of range")
+        if action[0] != tuple(range(size)):
             raise ValueError("identity must act as the identity")
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.mul(g, h)
-                for x in range(size):
-                    if action[g][action[h][x]] != action[gh][x]:
-                        raise ValueError(f"not a group action at ({g},{h},{x})")
+        for s in group.generators:
+            act_s = action[s]
+            for g in range(group.order):
+                act_g = action[g]
+                act_gs = action[group.table[g][s]]
+                if act_gs != tuple(map(act_g.__getitem__, act_s)):
+                    x = next(x for x in range(size)
+                             if act_g[act_s[x]] != act_gs[x])
+                    raise ValueError(f"not a group action at ({g},{s},{x})")
         self.group = group
         self.size = size
         self.action = action
@@ -68,7 +80,7 @@ class GSet:
         for x in range(self.size):
             if seen[x]:
                 continue
-            orb = sorted({self.act(g, x) for g in self.group.elements()})
+            orb = sorted({row[x] for row in self.action})
             for y in orb:
                 seen[y] = True
             out.append(tuple(orb))
@@ -77,7 +89,7 @@ class GSet:
         return out
 
     def stabilizer(self, x):
-        return tuple(g for g in self.group.elements() if self.act(g, x) == x)
+        return tuple(g for g, row in enumerate(self.action) if row[x] == x)
 
     def orbit_type(self):
         """Multiset of subgroup-class indices, one per orbit, sorted."""
@@ -90,26 +102,35 @@ class GSet:
 
     def fixed_points(self, H):
         """Points fixed by every element of the subgroup H."""
+        rows = [self.action[h] for h in H]
         return tuple(x for x in range(self.size)
-                     if all(self.act(h, x) == x for h in H))
+                     if all(row[x] == x for row in rows))
 
 
 class GMap:
-    """An equivariant map of G-sets."""
+    """An equivariant map of G-sets.
+
+    Equivariance, f(s·x) = s·f(x), is checked for every generator s in
+    `group.generators`.  That is enough because both actions are already
+    proven: if f commutes with g and with s, it commutes with g·s, and in a
+    finite group every element is a product of generators.
+    """
 
     def __init__(self, source: GSet, target: GSet, mapping):
-        mapping = tuple(int(x) for x in mapping)
+        mapping = _labels(mapping, "mapping")
         if source.group != target.group:
             raise ValueError("source and target live over different groups")
         if len(mapping) != source.size:
             raise ValueError("mapping has the wrong length")
-        for x in mapping:
-            if not 0 <= x < target.size:
-                raise ValueError("mapping value out of range")
-        for g in source.group.elements():
-            for x in range(source.size):
-                if mapping[source.act(g, x)] != target.act(g, mapping[x]):
-                    raise ValueError(f"map is not equivariant at ({g},{x})")
+        if mapping and not (0 <= min(mapping) and max(mapping) < target.size):
+            raise ValueError("mapping value out of range")
+        for s in source.group.generators:
+            src_s, tgt_s = source.action[s], target.action[s]
+            if tuple(map(mapping.__getitem__, src_s)) != \
+                    tuple(map(tgt_s.__getitem__, mapping)):
+                x = next(x for x in range(source.size)
+                         if mapping[src_s[x]] != tgt_s[mapping[x]])
+                raise ValueError(f"map is not equivariant at ({s},{x})")
         self.source = source
         self.target = target
         self.mapping = mapping
@@ -176,11 +197,12 @@ def empty_gset(group: FiniteGroup) -> GSet:
 
 
 def coset_index_of(group: FiniteGroup, class_index: int, g: int) -> int:
-    """Index of the coset g*H inside the standard orbit of the class."""
-    H = group.subgroup_classes()[class_index].representative
-    coset = tuple(sorted(group.mul(g, h) for h in H))
-    cosets = group.left_cosets(H)
-    return cosets.index(coset)
+    """Index of the coset g*H inside the standard orbit of the class.
+
+    Point 0 of the standard orbit is H itself (cosets are sorted by their
+    minimal element), so g*H is where g sends it.
+    """
+    return standard_orbit(group, class_index).action[g][0]
 
 
 def canonicalize(X: GSet):
@@ -204,13 +226,12 @@ def canonicalize(X: GSet):
     mapping = [0] * X.size
     offset = 0
     for cidx, base, orbit, stab in keyed:
-        t = group.transport(stab)
+        t_inv = group.inverse[group.transport(stab)]
+        std = standard_orbit(group, cidx)
         # g*base  |->  coset (g * t^{-1}) H0, shifted by the block offset
-        for g in group.elements():
-            x = X.act(g, base)
-            c = coset_index_of(group, cidx, group.mul(g, group.inv(t)))
-            mapping[x] = offset + c
-        offset += standard_orbit(group, cidx).size
+        for row, g_row in zip(X.action, group.table):
+            mapping[row[base]] = offset + std.action[g_row[t_inv]][0]
+        offset += std.size
     return target, GMap(X, target, mapping)
 
 
@@ -224,7 +245,7 @@ def disjoint_union_of_orbits(group: FiniteGroup, classes: tuple) -> GSet:
         row = []
         offset = 0
         for b in blocks:
-            row.extend(offset + b.act(g, x) for x in range(b.size))
+            row.extend(offset + y for y in b.action[g])
             offset += b.size
         action.append(row)
     return GSet(group, action)
@@ -251,9 +272,8 @@ def product(X: GSet, Y: GSet) -> ProductData:
         raise ValueError("factors live over different groups")
     group = X.group
     n = X.size * Y.size
-    raw = GSet(group, [[X.act(g, x) * Y.size + Y.act(g, y)
-                        for x in range(X.size) for y in range(Y.size)]
-                       for g in group.elements()])
+    raw = GSet(group, [[gx * Y.size + gy for gx in row_x for gy in row_y]
+                       for row_x, row_y in zip(X.action, Y.action)])
     canon, iso = canonicalize(raw)
     pair = tuple(tuple(iso(x * Y.size + y) for y in range(Y.size))
                  for x in range(X.size))
@@ -276,9 +296,8 @@ def coproduct(X: GSet, Y: GSet) -> CoproductData:
     if X.group != Y.group:
         raise ValueError("summands live over different groups")
     group = X.group
-    raw = GSet(group, [[X.act(g, x) for x in range(X.size)]
-                       + [X.size + Y.act(g, y) for y in range(Y.size)]
-                       for g in group.elements()])
+    raw = GSet(group, [list(row_x) + [X.size + gy for gy in row_y]
+                       for row_x, row_y in zip(X.action, Y.action)])
     canon, iso = canonicalize(raw)
     left = GMap(X, canon, tuple(iso(x) for x in range(X.size)))
     right = GMap(Y, canon, tuple(iso(X.size + y) for y in range(Y.size)))
@@ -297,11 +316,14 @@ def pullback(f: GMap, g: GMap) -> PullbackData:
     if f.target != g.target:
         raise ValueError("pullback needs a common target")
     group = f.source.group
-    pairs = [(x, y) for x in range(f.source.size) for y in range(g.source.size)
-             if f(x) == g(y)]
+    fiber = [[] for _ in range(f.target.size)]
+    for y, t in enumerate(g.mapping):
+        fiber[t].append(y)
+    pairs = [(x, y) for x, t in enumerate(f.mapping) for y in fiber[t]]
     index = {p: i for i, p in enumerate(pairs)}
-    raw = GSet(group, [[index[(f.source.act(h, x), g.source.act(h, y))]
-                        for (x, y) in pairs] for h in group.elements()])
+    raw = GSet(group, [[index[(row_x[x], row_y[y])] for (x, y) in pairs]
+                       for row_x, row_y in zip(f.source.action,
+                                               g.source.action)])
     canon, iso = canonicalize(raw)
     inv = iso.inverse()
     left = GMap(canon, f.source, tuple(pairs[inv(p)][0]

@@ -14,6 +14,7 @@ loader validates and every dump reloads to an equal object.
 from __future__ import annotations
 
 import json
+import numbers
 
 from . import intmat
 from .abgroups import FinPresAbGroup
@@ -36,7 +37,7 @@ def gset_from_json(doc, group=None) -> GSet:
         classes = []
         for label, mult in doc["orbits"]:
             cls = group.class_by_label(label)
-            classes.extend([cls.index] * int(mult))
+            classes.extend([cls.index] * _multiplicity(label, mult))
         if not classes:
             return empty_gset(group)
         return disjoint_union_of_orbits(group, tuple(sorted(classes)))
@@ -51,6 +52,15 @@ def gset_to_json(X: GSet):
             "action": [list(r) for r in X.action]}
 
 
+def _multiplicity(label, mult):
+    """An orbit multiplicity, a nonnegative integer (0 allowed)."""
+    if isinstance(mult, bool) or not isinstance(mult, numbers.Integral) \
+            or mult < 0:
+        raise ValueError(f"multiplicity of orbit {label!r} is not a "
+                         f"nonnegative integer: {mult!r}")
+    return int(mult)
+
+
 def parse_gset_expr(group: FiniteGroup, expr: str) -> GSet:
     """Orbit-sum shorthand like 'e+e+C2' or 'C2*2+e'."""
     classes = []
@@ -60,7 +70,9 @@ def parse_gset_expr(group: FiniteGroup, expr: str) -> GSet:
             continue
         if "*" in part:
             label, mult = part.split("*")
-            mult = int(mult)
+            mult = mult.strip()
+            mult = _multiplicity(label.strip(),
+                                 int(mult) if mult.isdecimal() else mult)
         else:
             label, mult = part, 1
         cls = group.class_by_label(label.strip())

@@ -19,7 +19,15 @@ from .abgroups import FinPresAbGroup
 from .burnside import hom_basis, materialize_code, span_codes
 from .convolution import GreenFunctor, burnside_green, green_from_levelwise
 from .groups import FiniteGroup
-from .gsets import GMap, GSet, compose_maps, point_gset, pullback, standard_orbit
+from .gsets import (
+    GMap,
+    GSet,
+    compose_maps,
+    coset_index_of,
+    point_gset,
+    pullback,
+    standard_orbit,
+)
 from .mackey import MackeyFunctor, MackeyMorphism, canonical_covers
 
 
@@ -79,7 +87,6 @@ def k0_transfer(src: SliceK0, tgt: SliceK0, f: GMap):
 
 def _projection_map(group: FiniteGroup, A, B) -> GMap:
     """The transported projection ORB([A]) -> ORB([B]) for A <= B."""
-    from .gsets import coset_index_of
     A, B = tuple(sorted(A)), tuple(sorted(B))
     ca, cb = group.class_index_of(A), group.class_index_of(B)
     OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
@@ -92,7 +99,6 @@ def _projection_map(group: FiniteGroup, A, B) -> GMap:
 
 
 def _weyl_map(group: FiniteGroup, cidx, n) -> GMap:
-    from .gsets import coset_index_of
     O = standard_orbit(group, cidx)
     reps = [c[0] for c in group.left_cosets(
         group.subgroup_classes()[cidx].representative)]

@@ -23,6 +23,34 @@ from mackeykit.gsets import standard_orbit
 from mackeykit.mackey import compose_morphisms, covering_pairs, identity_morphism
 
 
+def full_action_oracle(group, action):
+    """Reference action check over all |G|^2 * |X| triples.
+
+    True when `action` (rows of ints, one per group element) is a G-action:
+    every row maps into range(|X|), the identity acts trivially, and
+    action[g][action[h][x]] == action[g*h][x] for every g, h and x.
+    """
+    if len(action) != group.order:
+        return False
+    size = len(action[0])
+    if any(len(row) != size or any(not 0 <= x < size for x in row)
+           for row in action):
+        return False
+    if list(action[0]) != list(range(size)):
+        return False
+    return all(action[g][action[h][x]] == action[group.mul(g, h)][x]
+               for g in group.elements() for h in group.elements()
+               for x in range(size))
+
+
+def full_equivariance_oracle(X, Y, mapping):
+    """Reference equivariance check over all |G| * |X| pairs (g, x)."""
+    if len(mapping) != X.size or any(not 0 <= y < Y.size for y in mapping):
+        return False
+    return all(mapping[X.act(g, x)] == Y.act(g, mapping[x])
+               for g in X.group.elements() for x in range(X.size))
+
+
 def span_functoriality_oracle(M):
     """Exhaustive span-level check that M's data is a functor on spans.
 

@@ -210,3 +210,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
                                 "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["marks"] == [[2, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("source, match", [
+    ('{"group": "C2", "action": [[0, 1.7], [1, 0]]}',
+     "action[0][1] is not an integer: 1.7"),
+    ('{"group": "C2", "action": [[0, 1], [1, false]]}',
+     "action[1][1] is not an integer: False"),
+    ("e*-2", "multiplicity of orbit 'e' is not a nonnegative integer: '-2'"),
+    ('{"group": "C2", "orbits": [["e", 1.5]]}',
+     "multiplicity of orbit 'e' is not a nonnegative integer: 1.5"),
+], ids=["float-entry", "bool-entry", "negative-multiplicity",
+        "float-multiplicity"])
+def test_hom_basis_rejects_bad_gset_input(capsys, source, match):
+    code, out, err = run(capsys, ["hom-basis", "--group", "C2",
+                                  "--source", source, "--target", "e"])
+    assert code == 1
+    assert match in err and out == ""
+
+
+def test_non_integer_group_table_is_a_cli_error(capsys):
+    table = '{"kind": "table", "table": [[0, 1], [1, 0.5]]}'
+    code, _out, err = run(capsys, ["marks", "--group", table])
+    assert code == 1
+    assert "table[1][1] is not an integer: 0.5" in err

@@ -1,5 +1,7 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from mackeykit.groups import (
@@ -145,3 +147,40 @@ def test_transport_conjugates_to_representative():
             t = group.transport(H)
             rep = group.subgroup_classes()[group.class_index_of(H)].representative
             assert group.conjugate_subgroup(t, H) == rep
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_generators_generate_irredundantly(name):
+    group = builtin_group(name)
+    gens = group.generators
+    assert isinstance(gens, tuple)
+    assert group.closure(gens) == tuple(range(group.order))
+    for k, s in enumerate(gens):
+        assert s not in group.closure(gens[:k])
+    assert list(gens) == sorted(gens)
+
+
+def test_generators_are_greedy_over_labels():
+    # Z/6 with label i standing for value[i]: label 1 is 3 (order 2), so the
+    # greedy pass keeps label 2 (value 2) as well, though Z/6 is cyclic
+    value = [0, 3, 2, 4, 1, 5]
+    label = {v: i for i, v in enumerate(value)}
+    G = FiniteGroup([[label[(a + b) % 6] for b in value] for a in value])
+    assert G.generators == (1, 2)
+    assert FiniteGroup([[(a + b) % 6 for b in range(6)]
+                        for a in range(6)]).generators == (1,)
+
+
+def test_non_integer_table_entries_rejected():
+    with pytest.raises(ValueError, match=re.escape(
+            "table[1][1] is not an integer: 0.5")):
+        FiniteGroup([[0, 1], [1, 0.5]])
+    for bad in (1.0, "0", False):
+        with pytest.raises(ValueError, match=re.escape("table[1][1]")):
+            FiniteGroup([[0, 1], [1, bad]])
+    with pytest.raises(ValueError, match=re.escape(
+            "generators[0][1] is not an integer")):
+        load_group({"kind": "perm", "degree": 3,
+                    "generators": [[1, 0.0, 2]]})
+    G = FiniteGroup(np.array([[0, 1], [1, 0]]))
+    assert G.table == ((0, 1), (1, 0)) and G.generators == (1,)

@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 
-from mackeykit.groups import builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
 from mackeykit.gsets import (
     GMap,
     GSet,
@@ -19,6 +21,7 @@ from mackeykit.gsets import (
     pullback,
     standard_orbit,
 )
+from support import full_action_oracle, full_equivariance_oracle
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -275,3 +278,132 @@ def test_canonicalize_idempotent_and_invariant():
             relab = random_relabel(X, rng)
             canon2, _ = canonicalize(relab)
             assert canon == canon2
+
+
+def small_action_tables(group):
+    """Standard orbits, and products of two of them with at most 12 points."""
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    prods = [product(X, Y).gset for X, Y in itertools.combinations(orbs, 2)
+             if 1 < X.size * Y.size <= 12]
+    return orbs + prods
+
+
+def _accepts_action(group, action):
+    try:
+        GSet(group, action)
+    except ValueError as err:
+        found = re.match(r"not a group action at \((\d+),(\d+),(\d+)\)",
+                         str(err))
+        if found:
+            g, s, x = map(int, found.groups())
+            assert s in group.generators
+            assert action[g][action[s][x]] != \
+                action[group.mul(g, s)][x]
+        return False
+    return True
+
+
+def _action_variants(X):
+    """X's table, every single-cell change, every swap of two cells within a
+    row, every relabelling of X by a transposition of two points, and every
+    coset twist by such a transposition (see below)."""
+    rows = [list(r) for r in X.action]
+    yield rows
+    for g, x in itertools.product(range(len(rows)), range(X.size)):
+        for v in range(X.size):
+            if v != rows[g][x]:
+                table = [list(r) for r in rows]
+                table[g][x] = v
+                yield table
+        for y in range(x + 1, X.size):
+            table = [list(r) for r in rows]
+            table[g][x], table[g][y] = rows[g][y], rows[g][x]
+            yield table
+    group = X.group
+    for x, y in itertools.combinations(range(X.size), 2):
+        swap = list(range(X.size))
+        swap[x], swap[y] = y, x
+        yield [[swap[r[swap[p]]] for p in range(X.size)] for r in rows]
+        # the rows of one left coset of <s> other than <s>, for a generator
+        # s, composed with the swap: the table still satisfies
+        # action[g*s] == action[g] o action[s] for that s and every g
+        for s in group.generators:
+            for coset in group.left_cosets(group.closure([s]))[1:]:
+                table = [list(r) for r in rows]
+                for g in coset:
+                    table[g] = [swap[v] for v in rows[g]]
+                yield table
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_action_check_agrees_with_full_oracle(name):
+    group = builtin_group(name)
+    cases = accepted = 0
+    for X in small_action_tables(group):
+        for table in _action_variants(X):
+            expected = full_action_oracle(group, table)
+            assert _accepts_action(group, table) == expected, table
+            cases += 1
+            accepted += expected
+    assert 0 < accepted < cases or group.order == 1
+
+
+def _maps_between_small_orbits(group):
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    for X, Y in itertools.product(orbs, repeat=2):
+        if Y.size ** X.size <= 1024:
+            for mapping in itertools.product(range(Y.size), repeat=X.size):
+                yield X, Y, mapping
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_equivariance_check_agrees_with_full_oracle(name):
+    group = builtin_group(name)
+    cases = accepted = 0
+    for X, Y, mapping in _maps_between_small_orbits(group):
+        expected = full_equivariance_oracle(X, Y, mapping)
+        try:
+            GMap(X, Y, mapping)
+            got = True
+        except ValueError as err:
+            assert "not equivariant" in str(err)
+            got = False
+        assert got == expected, (X, Y, mapping)
+        cases += 1
+        accepted += expected
+    assert 0 < accepted <= cases
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_coset_index_of_matches_left_cosets(name):
+    group = builtin_group(name)
+    for cls in group.subgroup_classes():
+        H = cls.representative
+        cosets = group.left_cosets(H)
+        for g in group.elements():
+            coset = tuple(sorted(group.mul(g, h) for h in H))
+            assert coset_index_of(group, cls.index, g) == cosets.index(coset)
+
+
+def test_non_integer_action_entries_rejected():
+    C2 = builtin_group("C2")
+    for bad in (1.7, 1.0, "1", True, np.float64(1.0), np.True_):
+        with pytest.raises(ValueError,
+                           match=re.escape("action[1][0] is not an integer")):
+            GSet(C2, [[0, 1], [bad, 0]])
+    X = GSet(C2, [[np.int64(0), np.int32(1)], [np.uint8(1), 0]])
+    assert X.action == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in X.action for x in row)
+
+
+def test_non_integer_map_entries_rejected():
+    C2 = builtin_group("C2")
+    O = standard_orbit(C2, 0)
+    with pytest.raises(ValueError,
+                       match=re.escape("mapping[0] is not an integer: 0.9")):
+        GMap(O, O, [0.9, 1.2])
+    for bad in (False, "0", 0.0):
+        with pytest.raises(ValueError, match="mapping\\[1\\]"):
+            GMap(O, point_gset(C2), [0, bad])
+    f = GMap(O, O, np.array([1, 0]))
+    assert f.mapping == (1, 0)

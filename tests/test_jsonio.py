@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mackeykit import intmat as im
@@ -138,3 +139,41 @@ def test_green_ring_vector_of_wrong_length_rejected(length):
     with pytest.raises(ValueError, match=r"level C2, cell \(1, 1\): vector "
                                          rf"of length {length}, expected 2"):
         green_from_json(doc)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"group": "C2", "action": [[0, 1.7], [1, 0]]},
+     r"action\[0\]\[1\] is not an integer: 1\.7"),
+    ({"group": "C2", "action": [[0, 1], [True, 0]]},
+     r"action\[1\]\[0\] is not an integer: True"),
+    ({"group": "C2", "action": [[0, "1"], [1, 0]]},
+     r"action\[0\]\[1\] is not an integer: '1'"),
+    ({"group": {"kind": "table", "table": [[0, 1], [1, 0.5]]},
+      "action": [[0], [0]]},
+     r"table\[1\]\[1\] is not an integer: 0\.5"),
+], ids=["float", "bool", "string", "float-in-group-table"])
+def test_gset_with_non_integer_entries_rejected(doc, match):
+    with pytest.raises(ValueError, match=match):
+        gset_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("mult", [-1, 1.5, 2.0, True, "2"],
+                         ids=["negative", "float", "integral-float", "bool",
+                              "string"])
+def test_gset_orbit_multiplicity_must_be_a_nonnegative_integer(mult):
+    with pytest.raises(ValueError, match="multiplicity of orbit 'e'"):
+        gset_from_json({"group": "C2", "orbits": [["e", mult]]})
+
+
+@pytest.mark.parametrize("expr", ["e*-2", "e*1.5", "e*x", "e*", "C2+e*-1"])
+def test_gset_expr_multiplicity_must_be_a_nonnegative_integer(expr):
+    with pytest.raises(ValueError, match="multiplicity of orbit 'e'"):
+        parse_gset_expr(builtin_group("C2"), expr)
+
+
+def test_gset_orbit_multiplicity_zero_and_numpy_integers_allowed():
+    C2 = builtin_group("C2")
+    assert gset_from_json({"group": "C2", "orbits": [["e", 0]]}).size == 0
+    assert parse_gset_expr(C2, "e*0").size == 0
+    assert parse_gset_expr(C2, "e * 2 + C2*0") == \
+        gset_from_json({"group": "C2", "orbits": [["e", np.int64(2)]]})
