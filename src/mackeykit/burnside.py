@@ -5,14 +5,26 @@ X <- U -> Y with transitive middle.  A transitive span is coded by the
 G-orbit of the pair (stabilizer L of a middle point, its image point in
 X x Y) under simultaneous conjugation; codes are minimized
 lexicographically, with the subgroup part landing on its conjugacy-class
-representative.  That single canonical form drives composition (by
-pullback), the tensor structure (by products), duality and the table of
-marks.
+representative.  That single canonical form drives composition, the
+tensor structure (by products), duality and the table of marks.
+
+Basis spans compose by the double-coset (Mackey) formula, read off
+action rows with no G-set built.  The pullback of G/L -> Y <- G/M has
+one G-orbit per L-orbit of the cosets bM with b.y' = y: every orbit
+meets the fibre over the base coset L, and two points (L, bM), (L, b'M)
+of that fibre are G-related exactly when an element of L relates them.
+The orbit of (L, bM) has stabilizer L n bMb^-1 and lies over (x, b.z),
+so its transitive code is the one `transitive_code` gives for that
+subgroup and pair.  Since codes are canonical, the result is the code
+multiset of the pullback itself, exactly.  The tensor of two basis
+spans is the same walk over G/L x G/M without the fibre condition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .groups import FiniteGroup
 from .gsets import (
@@ -23,7 +35,6 @@ from .gsets import (
     coset_index_of,
     point_gset,
     product,
-    pullback,
     standard_orbit,
 )
 
@@ -36,13 +47,27 @@ def transitive_code(X: GSet, Y: GSet, L, x, y):
     cidx = group.class_index_of(L)
     cls = group.subgroup_classes()[cidx]
     t = group.transport(L)
-    best = None
-    for n in cls.normalizer:
-        g = group.mul(n, t)
-        cand = (X.act(g, x), Y.act(g, y))
-        if best is None or cand < best:
-            best = cand
+    xa, ya = X.action, Y.action
+    best = min((xa[g][x], ya[g][y])
+               for g in (group.table[n][t] for n in cls.normalizer))
     return (cidx, best[0], best[1])
+
+
+def code_subgroup(X: GSet, Y: GSet, code):
+    """Representative L of the code's class, after checking the code.
+
+    Raises ValueError naming the code unless x and y are points of X and Y
+    fixed by L, which is what makes gL -> (g.x, g.y) a well-defined span.
+    """
+    cidx, x, y = code
+    classes = X.group.subgroup_classes()
+    if not (0 <= cidx < len(classes) and 0 <= x < X.size and 0 <= y < Y.size):
+        raise ValueError(f"span code {code} is out of range")
+    L = classes[cidx].representative
+    xa, ya = X.action, Y.action
+    if any(xa[h][x] != x or ya[h][y] != y for h in L):
+        raise ValueError(f"span code {code}: its points are not fixed by {L}")
+    return L
 
 
 def span_codes(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
@@ -149,62 +174,93 @@ def restriction_element(f: GMap) -> BurnsideElement:
 # -- materialization -----------------------------------------------------------
 
 
-def _coset_reps(group: FiniteGroup, H):
-    """Minimal representative of each left coset of H, in point order."""
-    return [c[0] for c in group.left_cosets(H)]
+def _coset_reps(O: GSet):
+    """Minimal element of each coset, in point order, for a coset space O.
+
+    O is G/H on cosets sorted by minimal element, so point 0 is H and
+    g.0 is the coset gH: the first g reaching a point is its minimum.
+    """
+    reps = [None] * O.size
+    for g, row in enumerate(O.action):
+        if reps[row[0]] is None:
+            reps[row[0]] = g
+    return reps
 
 
 def materialize_code(X: GSet, Y: GSet, code):
     """Explicit transitive span (middle, left leg, right leg) for a code."""
     cidx, x, y = code
-    group = X.group
-    U = standard_orbit(group, cidx)
-    reps = _coset_reps(group, group.subgroup_classes()[cidx].representative)
-    left = GMap(U, X, tuple(X.act(g, x) for g in reps))
-    right = GMap(U, Y, tuple(Y.act(g, y) for g in reps))
+    U = standard_orbit(X.group, cidx)
+    reps = _coset_reps(U)
+    left = GMap(U, X, tuple(X.action[g][x] for g in reps))
+    right = GMap(U, Y, tuple(Y.action[g][y] for g in reps))
     return U, left, right
 
 
 def hom_basis(X: GSet, Y: GSet):
-    """All transitive span codes X -> Y, sorted by (class, x, y)."""
+    """All transitive span codes X -> Y, sorted by (class, x, y).
+
+    The pairs of X^L x Y^L are walked in lexicographic order and each one
+    marks its N(L)-orbit, so the first pair reached in an orbit is its
+    minimum, which is the code.
+    """
     if X.group != Y.group:
         raise ValueError("different groups")
-    group = X.group
-    out = set()
-    for cls in group.subgroup_classes():
+    out = []
+    for cls in X.group.subgroup_classes():
         L = cls.representative
-        xs = X.fixed_points(L)
-        ys = Y.fixed_points(L)
+        xs, ys = X.fixed_points(L), Y.fixed_points(L)
+        rows = [(X.action[n], Y.action[n]) for n in cls.normalizer]
+        seen = set()
         for x in xs:
             for y in ys:
-                best = min((X.act(n, x), Y.act(n, y)) for n in cls.normalizer)
-                out.add((cls.index, best[0], best[1]))
-    return sorted(out)
+                if (x, y) not in seen:
+                    out.append((cls.index, x, y))
+                    seen.update((rx[x], ry[y]) for rx, ry in rows)
+    return out
 
 
 # -- composition, tensor, duality ----------------------------------------------
 
-_compose_cache = {}
-_tensor_cache = {}
+
+def _double_coset_codes(L, O, code_of, keep=None):
+    """One code per L-orbit on the cosets bM of O = G/M, in orbit order.
+
+    Each orbit whose first coset bM passes keep(b) gives
+    code_of(L n bMb^-1, b), b the minimal element of that coset.
+    """
+    reps = _coset_reps(O)
+    rows = [O.action[h] for h in L]
+    seen = [False] * O.size
+    codes = []
+    for p, b in enumerate(reps):
+        if seen[p] or (keep is not None and not keep(b)):
+            continue
+        for row in rows:
+            seen[row[p]] = True
+        codes.append(code_of(tuple(h for h, row in zip(L, rows)
+                                   if row[p] == p), b))
+    return codes
 
 
 def _compose_codes(X, Y, Z, c1, c2):
-    key = (X, Y, Z, c1, c2)
-    hit = _compose_cache.get(key)
-    if hit is not None:
-        return hit
-    U, ux, uy = materialize_code(X, Y, c1)
-    V, vy, vz = materialize_code(Y, Z, c2)
-    W = pullback(uy, vy)
-    left = compose_maps(ux, W.left)
-    right = compose_maps(vz, W.right)
-    out = span_codes(X, Z, W.gset, left, right)
-    _compose_cache[key] = out
-    return out
+    """Code multiset of the composite of basis spans c2 . c1."""
+    L = code_subgroup(X, Y, c1)
+    code_subgroup(Y, Z, c2)
+    _, x, y = c1
+    m, yp, z = c2
+    ya, za = Y.action, Z.action
+    codes = _double_coset_codes(
+        L, standard_orbit(X.group, m),
+        lambda K, b: transitive_code(X, Z, K, x, za[b][z]),
+        keep=lambda b: ya[b][yp] == y)
+    # counted in the order of the canonical pullback's orbits: by the
+    # class of their stabilizer, ties by first coset
+    return Counter(sorted(codes, key=itemgetter(0)))
 
 
 def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
-    """Composite s2 . s1 of spans X -> Y -> Z, by pullback of middles."""
+    """Composite s2 . s1 of spans X -> Y -> Z, by the double-coset formula."""
     if s1.target != s2.source:
         raise ValueError("feet do not match for composition")
     X, Y, Z = s1.source, s1.target, s2.target
@@ -217,24 +273,18 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
 
 
 def _tensor_codes(X, Xp, Y, Yp, c1, c2):
-    key = (X, Xp, Y, Yp, c1, c2)
-    hit = _tensor_cache.get(key)
-    if hit is not None:
-        return hit
-    group = X.group
+    """Code multiset of the external product of basis spans c1 and c2."""
+    L = code_subgroup(X, Y, c1)
+    code_subgroup(Xp, Yp, c2)
+    _, x, y = c1
+    m, xp, yp = c2
     ps, pt = product(X, Xp), product(Y, Yp)
-    U, ux, uy = materialize_code(X, Y, c1)
-    V, vx, vy = materialize_code(Xp, Yp, c2)
-    n = U.size * V.size
-    raw = GSet(group, [[U.act(g, w // V.size) * V.size + V.act(g, w % V.size)
-                        for w in range(n)] for g in group.elements()])
-    left = GMap(raw, ps.gset, tuple(ps.of_pair(ux(w // V.size), vx(w % V.size))
-                                    for w in range(n)))
-    right = GMap(raw, pt.gset, tuple(pt.of_pair(uy(w // V.size), vy(w % V.size))
-                                     for w in range(n)))
-    out = span_codes(ps.gset, pt.gset, raw, left, right)
-    _tensor_cache[key] = out
-    return out
+    xa, ya = Xp.action, Yp.action
+    return Counter(_double_coset_codes(
+        L, standard_orbit(X.group, m),
+        lambda K, b: transitive_code(ps.gset, pt.gset, K,
+                                     ps.of_pair(x, xa[b][xp]),
+                                     pt.of_pair(y, ya[b][yp]))))
 
 
 def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
@@ -254,10 +304,9 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
 
 def dual(s: BurnsideElement) -> BurnsideElement:
     """Flip every span; a contravariant involution A(X,Y) -> A(Y,X)."""
-    group = s.group
     out = {}
     for (cidx, x, y), a in s.coeffs.items():
-        L = group.subgroup_classes()[cidx].representative
+        L = code_subgroup(s.source, s.target, (cidx, x, y))
         code = transitive_code(s.target, s.source, L, y, x)
         out[code] = out.get(code, 0) + a
     return BurnsideElement(s.target, s.source, out)
@@ -351,7 +400,7 @@ def res_element(group: FiniteGroup, A, B) -> BurnsideElement:
     ca, cb = group.class_index_of(A), group.class_index_of(B)
     OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
     mid = raw_coset_gset(group, A)
-    reps = _coset_reps(group, A)
+    reps = _coset_reps(mid)
     ta, tb = group.transport(A), group.transport(B)
     left = GMap(mid, OB, tuple(
         coset_index_of(group, cb, group.mul(g, group.inv(tb))) for g in reps))
@@ -371,7 +420,7 @@ def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
     if n not in cls.normalizer:
         raise ValueError("element does not normalize the representative")
     O = standard_orbit(group, cidx)
-    reps = _coset_reps(group, cls.representative)
+    reps = _coset_reps(O)
     phi = GMap(O, O, tuple(
         coset_index_of(group, cidx, group.mul(g, group.inv(n))) for g in reps))
     return transfer_element(phi)

@@ -91,6 +91,7 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self.name = name or f"group{n}"
         self._cache = {}
+        self._hash = hash(table)
         gens, span = [], {0}
         for a in range(n):
             if a not in span:
@@ -117,7 +118,7 @@ class FiniteGroup:
         return self.table == other.table
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -344,8 +345,12 @@ def group_from_permutations(degree, generators, name=None):
     """Group generated by one-line permutations of range(degree).
 
     Elements are labelled by the lexicographic order of their one-line
-    forms, which puts the identity at label 0.
+    forms, which puts the identity at label 0.  `degree` must be a
+    non-negative integer; a float, string or bool raises ValueError.
     """
+    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+            or degree < 0):
+        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
     degree = int(degree)
     gens = []
     for k, g in enumerate(generators):

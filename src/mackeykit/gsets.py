@@ -55,6 +55,7 @@ class GSet:
         self.action = action
         self.name = name
         self._cache = {}
+        self._hash = hash((group, action))
 
     def act(self, g, x):
         return self.action[g][x]
@@ -65,7 +66,7 @@ class GSet:
         return self.group == other.group and self.action == other.action
 
     def __hash__(self):
-        return hash((self.group, self.action))
+        return self._hash
 
     def __repr__(self):
         label = self.name or f"gset{self.size}"
@@ -102,9 +103,11 @@ class GSet:
 
     def fixed_points(self, H):
         """Points fixed by every element of the subgroup H."""
-        rows = [self.action[h] for h in H]
-        return tuple(x for x in range(self.size)
-                     if all(row[x] == x for row in rows))
+        fixed = range(self.size)
+        for h in H:
+            row = self.action[h]
+            fixed = [x for x in fixed if row[x] == x]
+        return tuple(fixed)
 
 
 class GMap:

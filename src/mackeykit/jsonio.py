@@ -18,8 +18,9 @@ import numbers
 
 from . import intmat
 from .abgroups import FinPresAbGroup
+from .burnside import BurnsideElement, code_subgroup, transitive_code
 from .convolution import GreenFunctor, green_from_levelwise
-from .groups import FiniteGroup, load_group
+from .groups import FiniteGroup, _labels, load_group
 from .gsets import GSet, disjoint_union_of_orbits, empty_gset
 from .mackey import MackeyFunctor, class_pair_covers, mackey_from_levels
 
@@ -179,9 +180,17 @@ def code_to_json(group, code):
     return [group.subgroup_classes()[cidx].label, x, y]
 
 
-def code_from_json(group, doc):
+def code_from_json(group, source, target, doc):
+    """The canonical code of a span [label, x, y] from source to target.
+
+    x and y must be integer points of source and target fixed by the
+    class representative; a fixed but non-minimal pair is canonicalized.
+    """
     label, x, y = doc
-    return (group.class_by_label(label).index, int(x), int(y))
+    x, y = _labels((x, y), f"span code {list(doc)} point")
+    code = (group.class_by_label(label).index, x, y)
+    L = code_subgroup(source, target, code)
+    return transitive_code(source, target, L, x, y)
 
 
 def element_to_json(e):
@@ -191,8 +200,9 @@ def element_to_json(e):
 
 
 def element_from_json(group, source, target, doc):
-    from .burnside import BurnsideElement
     coeffs = {}
     for code_doc, v in doc["coefficients"]:
-        coeffs[code_from_json(group, code_doc)] = int(v)
+        code = code_from_json(group, source, target, code_doc)
+        (v,) = _labels([v], f"coefficient of {list(code_doc)}")
+        coeffs[code] = coeffs.get(code, 0) + v
     return BurnsideElement(source, target, coeffs)

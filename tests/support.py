@@ -8,7 +8,9 @@ from mackeykit.burnside import (
     compose,
     hom_basis,
     identity_element,
+    materialize_code,
     res_element,
+    span_codes,
     tr_element,
     weyl_element,
 )
@@ -19,7 +21,14 @@ from mackeykit.convolution import (
     box_map,
     box_unit_iso,
 )
-from mackeykit.gsets import standard_orbit
+from mackeykit.gsets import (
+    GMap,
+    GSet,
+    compose_maps,
+    product,
+    pullback,
+    standard_orbit,
+)
 from mackeykit.mackey import compose_morphisms, covering_pairs, identity_morphism
 
 
@@ -49,6 +58,34 @@ def full_equivariance_oracle(X, Y, mapping):
         return False
     return all(mapping[X.act(g, x)] == Y.act(g, mapping[x])
                for g in X.group.elements() for x in range(X.size))
+
+
+def pullback_compose_oracle(X, Y, Z, c1, c2):
+    """Reference composite of basis spans c2 . c1: materialize both spans,
+    take the pullback of the middles and read the codes of its orbits."""
+    U, ux, uy = materialize_code(X, Y, c1)
+    V, vy, vz = materialize_code(Y, Z, c2)
+    W = pullback(uy, vy)
+    left = compose_maps(ux, W.left)
+    right = compose_maps(vz, W.right)
+    return span_codes(X, Z, W.gset, left, right)
+
+
+def pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2):
+    """Reference external product of basis spans c1, c2: the product of the
+    materialized middles, mapped into X x X' and Y x Y'."""
+    group = X.group
+    ps, pt = product(X, Xp), product(Y, Yp)
+    U, ux, uy = materialize_code(X, Y, c1)
+    V, vx, vy = materialize_code(Xp, Yp, c2)
+    n = U.size * V.size
+    raw = GSet(group, [[U.act(g, w // V.size) * V.size + V.act(g, w % V.size)
+                        for w in range(n)] for g in group.elements()])
+    left = GMap(raw, ps.gset, tuple(ps.of_pair(ux(w // V.size), vx(w % V.size))
+                                    for w in range(n)))
+    right = GMap(raw, pt.gset, tuple(pt.of_pair(uy(w // V.size), vy(w % V.size))
+                                     for w in range(n)))
+    return span_codes(ps.gset, pt.gset, raw, left, right)
 
 
 def span_functoriality_oracle(M):

@@ -122,10 +122,31 @@ def fp_battery(group):
 def test_criterion_01_burnside_laws():
     rng = random.Random(101)
     total = 0
+    exhaustive = 0
     for name in BATTERY:
         group = builtin_group(name)
         orbs = orbits_of(group)
         k = len(orbs)
+        # every triple of composable basis spans between standard orbits;
+        # by bilinearity this proves both laws on these orbits
+        basis = {(X, Y): [basis_element(X, Y, c) for c in hom_basis(X, Y)]
+                 for X in orbs for Y in orbs}
+        for A in orbs:
+            ident = identity_element(A)
+            for B in orbs:
+                for s1 in basis[A, B]:
+                    assert compose(s1, ident) == s1
+                    assert compose(identity_element(B), s1) == s1
+        for (B, C), hom_bc in basis.items():
+            for s2 in hom_bc:
+                for A in orbs:
+                    for s1 in basis[A, B]:
+                        s21 = compose(s2, s1)
+                        for D in orbs:
+                            for s3 in basis[C, D]:
+                                assert compose(s3, s21) == \
+                                    compose(compose(s3, s2), s1)
+                                exhaustive += 1
         for _ in range(200):
             A, B, C, D = (orbs[rng.randrange(k)] for _ in range(4))
             s1 = random_element(rng, A, B)
@@ -151,8 +172,10 @@ def test_criterion_01_burnside_laws():
             e = random_element(rng, cp.gset, Y, support=3)
             e1, e2 = direct_sum_decompose(e, X, Xp)
             assert direct_sum_reassemble(e1, e2, X, Xp) == e
-    report(1, f"{total} random associativity triples per-group battery, "
-              "interchange and direct-sum splitting exact")
+    assert exhaustive == 15954
+    report(1, f"{exhaustive} basis triples and {total} random associativity "
+              "triples over the battery, interchange and direct-sum "
+              "splitting exact")
 
 
 # -- criterion 2: duality triangle -----------------------------------------------------

@@ -1,9 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from mackeykit.groups import builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
 from mackeykit.gsets import (
     GMap,
     GSet,
@@ -41,6 +42,7 @@ from mackeykit.burnside import (
     triangle_composite,
     weyl_element,
 )
+from support import pullback_compose_oracle, pullback_tensor_oracle
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -103,11 +105,15 @@ def test_canonical_form_invariant_under_middle_relabeling():
 
 
 def test_hom_basis_against_orbit_enumeration():
-    # oracle: orbits of triples (subgroup, x, y) under simultaneous action
-    for name in ("C2", "C4", "S3"):
+    # oracle: orbits of triples (subgroup, x, y) under simultaneous action,
+    # on standard orbits and on products of two of them, for every built-in
+    # group
+    for name in BUILTIN_GROUP_NAMES:
         group = builtin_group(name)
         orbs = orbits_of(group)
-        for X in orbs:
+        prods = [product(X, Y).gset
+                 for i, X in enumerate(orbs) for Y in orbs[i:]]
+        for X in orbs + prods:
             for Y in orbs:
                 triples = set()
                 for L in group.subgroups():
@@ -124,6 +130,7 @@ def test_hom_basis_against_orbit_enumeration():
                         seen.add((group.conjugate_subgroup(g, L),
                                   X.act(g, x), Y.act(g, y)))
                 basis = hom_basis(X, Y)
+                assert basis == sorted(basis)
                 assert len(basis) == orbit_count
                 # each code is the canonical minimum of its orbit
                 for (cidx, x, y) in basis:
@@ -159,6 +166,72 @@ def test_identity_laws_random():
             s = random_element(rng, X, Y)
             assert compose(identity_element(Y), s) == s
             assert compose(s, identity_element(X)) == s
+
+
+def basis_spans(group):
+    """(X, Y, code) for every basis span between standard orbits."""
+    orbs = orbits_of(group)
+    return [(X, Y, c) for X in orbs for Y in orbs for c in hom_basis(X, Y)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_compose_matches_pullback_oracle(name):
+    # every composable pair of basis spans, 9,575 over the built-in groups;
+    # the code multiset and its order must equal the pullback's
+    pairs = 0
+    spans = basis_spans(builtin_group(name))
+    for X, Y, c1 in spans:
+        for Yp, Z, c2 in spans:
+            if Yp == Y:
+                got = compose(basis_element(Y, Z, c2), basis_element(X, Y, c1))
+                want = pullback_compose_oracle(X, Y, Z, c1, c2)
+                assert list(got.coeffs.items()) == list(want.items()), \
+                    (X, Y, Z, c1, c2)
+                pairs += 1
+    assert pairs == {"trivial": 1, "C2": 18, "C3": 25, "C4": 149,
+                     "C6": 450, "C2xC2": 565, "S3": 387, "D4": 5536,
+                     "Q8": 2444}[name]
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4",))
+def test_tensor_matches_product_oracle(name):
+    # every pair of basis spans over the battery, and over D4 every pair
+    # whose second span has the point as a foot: 16,605 pairs in all
+    group = builtin_group(name)
+    pt = point_gset(group)
+    spans = basis_spans(group)
+    seconds = spans if name in BATTERY else [
+        s for s in spans if pt in s[:2]]
+    for X, Y, c1 in spans:
+        for Xp, Yp, c2 in seconds:
+            got = tensor(basis_element(X, Y, c1), basis_element(Xp, Yp, c2))
+            want = pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2)
+            assert list(got.coeffs.items()) == list(want.items()), \
+                (X, Y, Xp, Yp, c1, c2)
+
+
+def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
+    C2 = builtin_group("C2")
+    O, pt = standard_orbit(C2, 0), point_gset(C2)
+    ident = identity_element(O)
+    for bad, X, Y in [((1, 0, 0), O, pt), ((1, 0, 1), O, O),
+                      ((0, 2, 0), O, pt), ((5, 0, 0), pt, pt)]:
+        e = BurnsideElement(X, Y, {bad: 1})
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            compose(e, identity_element(X))
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            compose(identity_element(Y), e)
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            tensor(e, ident)
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            tensor(ident, e)
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            dual(e)
+    # a fixed but non-minimal code is a valid span and composes to its
+    # canonical form
+    (code,) = hom_basis(O, pt)
+    moved = BurnsideElement(O, pt, {(0, 1, 0): 1})
+    assert compose(identity_element(pt), moved) == basis_element(O, pt, code)
 
 
 def test_res_tr_composite_c2():

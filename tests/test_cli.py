@@ -179,6 +179,31 @@ def test_compose_cli(tmp_path, capsys):
     assert len(doc["composite"]["coefficients"]) == 2
 
 
+@pytest.mark.parametrize("code_doc, match", [
+    (["C2", 1.9, 0], "point[0] is not an integer: 1.9"),
+    (["e", 2, 0], "span code (0, 2, 0) is out of range"),
+    (["C2", 1, 0], "span code (1, 1, 0): its points are not fixed"),
+], ids=["float-point", "out-of-range", "not-fixed"])
+def test_compose_cli_rejects_bad_codes(tmp_path, capsys, code_doc, match):
+    C2 = builtin_group("C2")
+    from mackeykit.gsets import point_gset, standard_orbit
+    O = standard_orbit(C2, 0)
+    pt = point_gset(C2)
+    bad = {"group": "C2", "source": jsonio.gset_to_json(O),
+           "target": jsonio.gset_to_json(pt),
+           "coefficients": [[code_doc, 1]]}
+    ident = {"group": "C2", "source": jsonio.gset_to_json(pt),
+             "target": jsonio.gset_to_json(pt),
+             "coefficients": [[["C2", 0, 0], 1]]}
+    f1 = tmp_path / "bad.json"
+    f1.write_text(json.dumps(bad))
+    f2 = tmp_path / "ident.json"
+    f2.write_text(json.dumps(ident))
+    code, out, err = run(capsys, ["compose", str(f1), str(f2)])
+    assert code == 1 and out == ""
+    assert match in err
+
+
 def test_determinism_with_seed(tmp_path, capsys):
     C2 = builtin_group("C2")
     path = tmp_path / "m.json"
@@ -227,6 +252,15 @@ def test_hom_basis_rejects_bad_gset_input(capsys, source, match):
                                   "--source", source, "--target", "e"])
     assert code == 1
     assert match in err and out == ""
+
+
+@pytest.mark.parametrize("degree, shown", [("3.9", "3.9"), ('"3"', "'3'"),
+                                           ("true", "True"), ("-1", "-1")])
+def test_bad_permutation_degree_is_a_cli_error(capsys, degree, shown):
+    spec = f'{{"kind": "perm", "degree": {degree}, "generators": [[1, 0, 2]]}}'
+    code, out, err = run(capsys, ["marks", "--group", spec])
+    assert code == 1 and out == ""
+    assert f"degree must be a non-negative integer: {shown}" in err
 
 
 def test_non_integer_group_table_is_a_cli_error(capsys):

@@ -184,3 +184,13 @@ def test_non_integer_table_entries_rejected():
                     "generators": [[1, 0.0, 2]]})
     G = FiniteGroup(np.array([[0, 1], [1, 0]]))
     assert G.table == ((0, 1), (1, 0)) and G.generators == (1,)
+
+
+@pytest.mark.parametrize("degree", [3.9, "3", True, -1])
+def test_permutation_degree_must_be_a_nonnegative_integer(degree):
+    with pytest.raises(ValueError, match=re.escape(
+            f"degree must be a non-negative integer: {degree!r}")):
+        load_group({"kind": "perm", "degree": degree,
+                    "generators": [[1, 0, 2]]})
+    assert load_group({"kind": "perm", "degree": np.int64(3),
+                       "generators": [[1, 0, 2]]}).order == 2

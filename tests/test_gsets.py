@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
 from mackeykit.gsets import (
     GMap,
     GSet,
@@ -407,3 +407,17 @@ def test_non_integer_map_entries_rejected():
             GMap(O, point_gset(C2), [0, bad])
     f = GMap(O, O, np.array([1, 0]))
     assert f.mapping == (1, 0)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_equal_objects_hash_equal(name):
+    # hashes are computed once at construction; rebuilt copies, also from
+    # numpy entries, must still agree with the originals
+    group = builtin_group(name)
+    twin = FiniteGroup(np.array(group.table))
+    assert twin is not group and twin == group and hash(twin) == hash(group)
+    for cls in group.subgroup_classes():
+        O = standard_orbit(group, cls.index)
+        copy = GSet(twin, [list(map(np.int64, row)) for row in O.action])
+        assert copy == O and hash(copy) == hash(O)
+        assert {copy: 1}[O] == 1

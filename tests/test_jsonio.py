@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ def test_element_roundtrip():
     doc = element_to_json(e)
     e2 = element_from_json(C2, O, pt, doc)
     assert e2 == e
+
+
+def test_code_from_json_checks_points_and_canonicalizes():
+    C2 = builtin_group("C2")
+    O = standard_orbit(C2, 0)
+    pt = point_gset(C2)
+    for doc, match in [(["C2", 1.9, 0], "point[0] is not an integer: 1.9"),
+                       (["e", 0, "0"], "point[1] is not an integer: '0'"),
+                       (["e", True, 0], "point[0] is not an integer: True"),
+                       (["e", 2, 0], "span code (0, 2, 0) is out of range"),
+                       (["e", -1, 0], "span code (0, -1, 0) is out of range"),
+                       (["C2", 1, 0], "span code (1, 1, 0): its points are "
+                                      "not fixed by (0, 1)")]:
+        with pytest.raises(ValueError, match=re.escape(match)):
+            code_from_json(C2, O, pt, doc)
+    # a fixed but non-minimal pair is the same span as its minimum
+    assert code_from_json(C2, O, pt, ["e", 1, 0]) == (0, 0, 0)
+    assert code_from_json(C2, O, O, ["e", 1, 0]) == (0, 0, 1)
+    e = element_from_json(C2, O, pt, {"coefficients": [[["e", 0, 0], 2],
+                                                       [["e", 1, 0], 3]]})
+    assert e.coeffs == {(0, 0, 0): 5}
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient of ['e', 0, 0][0] is not an integer: 1.9")):
+        element_from_json(C2, O, pt, {"coefficients": [[["e", 0, 0], 1.9]]})
 
 
 def test_bad_class_labels_rejected():
