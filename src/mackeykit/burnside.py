@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .groups import FiniteGroup
 from .gsets import (
@@ -65,8 +65,10 @@ def code_subgroup(X: GSet, Y: GSet, code):
         raise ValueError(f"span code {code} is out of range")
     L = classes[cidx].representative
     xa, ya = X.action, Y.action
-    if any(xa[h][x] != x or ya[h][y] != y for h in L):
-        raise ValueError(f"span code {code}: its points are not fixed by {L}")
+    for h in L:
+        if xa[h][x] != x or ya[h][y] != y:
+            raise ValueError(f"span code {code}: its points are not fixed "
+                             f"by {L}")
     return L
 
 
@@ -85,16 +87,45 @@ def span_codes(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
 
 
 class BurnsideElement:
-    """An integer combination of transitive span classes X -> Y."""
+    """An integer combination of transitive span classes X -> Y.
+
+    Every code is checked by `code_subgroup`, and every coefficient must
+    pass `operator.index`, which numpy ints do and floats do not.  A bad
+    code or a fractional coefficient is rejected here, not at evaluation.
+    """
 
     __slots__ = ("source", "target", "coeffs")
 
     def __init__(self, source: GSet, target: GSet, coeffs=None):
+        self._fill(source, target, coeffs)
+        for code in self.coeffs:
+            code_subgroup(source, target, code)
+
+    @classmethod
+    def _of_checked(cls, source, target, coeffs):
+        """Skip the code check for codes `code_subgroup` already passed.
+
+        Used where every code comes from checked codes: compose, tensor,
+        dual, the arithmetic operators and canonicalized spans.
+        """
+        obj = object.__new__(cls)
+        obj._fill(source, target, coeffs)
+        return obj
+
+    def _fill(self, source, target, coeffs):
         if source.group != target.group:
             raise ValueError("feet live over different groups")
         self.source = source
         self.target = target
-        self.coeffs = {c: int(v) for c, v in (coeffs or {}).items() if v != 0}
+        self.coeffs = {}
+        for c, v in (coeffs or {}).items():
+            try:
+                v = index(v)
+            except TypeError:
+                raise TypeError(f"coefficient {v!r} of span code {c} is "
+                                f"not an integer") from None
+            if v:
+                self.coeffs[c] = v
 
     @property
     def group(self):
@@ -105,14 +136,14 @@ class BurnsideElement:
         out = dict(self.coeffs)
         for c, v in other.coeffs.items():
             out[c] = out.get(c, 0) + v
-        return BurnsideElement(self.source, self.target, out)
+        return BurnsideElement._of_checked(self.source, self.target, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, k):
-        return BurnsideElement(self.source, self.target,
-                               {c: k * v for c, v in self.coeffs.items()})
+        return BurnsideElement._of_checked(
+            self.source, self.target, {c: k * v for c, v in self.coeffs.items()})
 
     def __neg__(self):
         return (-1) * self
@@ -148,7 +179,7 @@ def basis_element(X: GSet, Y: GSet, code) -> BurnsideElement:
 
 def span_element(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
     """Canonicalize an explicit span into a BurnsideElement."""
-    return BurnsideElement(X, Y, span_codes(X, Y, U, left, right))
+    return BurnsideElement._of_checked(X, Y, span_codes(X, Y, U, left, right))
 
 
 def identity_element(X: GSet) -> BurnsideElement:
@@ -269,7 +300,7 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
         for c2, a2 in s2.coeffs.items():
             for code, mult in _compose_codes(X, Y, Z, c1, c2).items():
                 out[code] = out.get(code, 0) + a1 * a2 * mult
-    return BurnsideElement(X, Z, out)
+    return BurnsideElement._of_checked(X, Z, out)
 
 
 def _tensor_codes(X, Xp, Y, Yp, c1, c2):
@@ -299,7 +330,7 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
         for c2, a2 in t.coeffs.items():
             for code, mult in _tensor_codes(X, Xp, Y, Yp, c1, c2).items():
                 out[code] = out.get(code, 0) + a1 * a2 * mult
-    return BurnsideElement(src, tgt, out)
+    return BurnsideElement._of_checked(src, tgt, out)
 
 
 def dual(s: BurnsideElement) -> BurnsideElement:
@@ -309,7 +340,7 @@ def dual(s: BurnsideElement) -> BurnsideElement:
         L = code_subgroup(s.source, s.target, (cidx, x, y))
         code = transitive_code(s.target, s.source, L, y, x)
         out[code] = out.get(code, 0) + a
-    return BurnsideElement(s.target, s.source, out)
+    return BurnsideElement._of_checked(s.target, s.source, out)
 
 
 def evaluation_span(X: GSet) -> BurnsideElement:

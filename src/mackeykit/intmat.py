@@ -1,8 +1,19 @@
 """Exact integer linear algebra on numpy object-dtype arrays.
 
-All matrices here are 2-D numpy arrays with dtype=object holding Python
-ints, so arithmetic never overflows.  Lattices are column spans: the
-lattice "spanned by A" means the set {A @ x : x integer vector}.
+All matrices taken and returned here are 2-D numpy arrays with
+dtype=object holding Python ints, so arithmetic never overflows.
+Lattices are column spans: the lattice "spanned by A" means the set
+{A @ x : x integer vector}.
+
+The hot kernels work on sparse rows, {column: value} dicts, and touch
+numpy only to read their input and write their output.
+`smith_normal_form` eliminates on sparse rows of D, Sinv and T, with S
+and Tinv kept transposed so that every operation they receive is a row
+operation; it performs the dense elimination's operations in the same
+order, which is why its output is identical entry for entry.  `Solver`
+keeps Sinv by rows and Tinv by columns and never forms a dense product.
+`hermite_normal_form` returns an input already in Hermite form after one
+pass over its nonzeros.
 """
 
 from __future__ import annotations
@@ -134,13 +145,57 @@ def block_diag(mats):
     return out
 
 
+def _from_rows(rows, n, transposed=False):
+    """Object matrix with the given sparse rows and n columns.
+
+    With `transposed`, the sparse rows are the columns of an n-row matrix.
+    The nonzeros are scattered into zeros in one indexed assignment.
+    """
+    out = zeros(n, len(rows)) if transposed else zeros(len(rows), n)
+    ii = [i for i, row in enumerate(rows) for _ in row]
+    jj = [j for row in rows for j in row]
+    vals = np.empty(len(ii), dtype=object)
+    vals[:] = [v for row in rows for v in row.values()]
+    if transposed:
+        ii, jj = jj, ii
+    out[ii, jj] = vals
+    return out
+
+
+def _add_row(dst, src, k):
+    """dst += k * src on sparse rows; k != 0 and dst is not src."""
+    for c, v in src.items():
+        w = dst.get(c, 0) + k * v
+        if w:
+            dst[c] = w
+        else:
+            del dst[c]
+
+
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
     Returns (S, D, T, Sinv, Tinv) with A = S @ D @ T, where S and T are
     unimodular, D is diagonal with nonnegative entries d_1 | d_2 | ...
-    The elimination runs on plain Python lists; object-dtype numpy access
-    is far too slow for the inner loops.
+
+    The elimination runs on sparse rows, one {column: value} dict per row
+    of D, Sinv and T.  S and Tinv are kept transposed, one dict per
+    column, so the column operations that S and Tinv receive are row
+    operations too: a swap exchanges two list slots and an add costs the
+    nonzeros of the row added.  Only the column operations on D visit
+    rows, and only rows t and below, since every row above the current
+    pivot t is already zero outside its diagonal.  The five dense arrays
+    are built once, at the end.
+
+    The operations are the dense elimination's, in its order, so the
+    output is the same matrices entry for entry.  For pivot t: the pivot
+    is the first entry, in row-major order over the remaining block, of
+    least absolute value (a unit ends the search); it is swapped to (t, t);
+    a row pass reduces column t below the pivot, swapping in any row that
+    leaves a remainder; a column pass does the same along row t; while the
+    pivot is not a unit, the first remaining row holding an entry it does
+    not divide is added to row t and the passes repeat; a negative pivot's
+    row is negated.
 
     An input already in Smith form (nonzeros only at (t, t), nonnegative,
     each dividing the next, so zeros come last) returns
@@ -152,131 +207,116 @@ def smith_normal_form(A):
     """
     A = intmat(A)
     m, n = A.shape
-    D = [list(map(int, r)) for r in A.tolist()]
-    diag = [D[t][t] for t in range(min(m, n))]
-    if (np.count_nonzero(A) == sum(1 for d in diag if d)
+    D = [{} for _ in range(m)]
+    iz, jz = np.nonzero(A != 0)
+    for i, j, v in zip(iz.tolist(), jz.tolist(), A[iz, jz].tolist()):
+        D[i][j] = int(v)
+    diag = [D[t].get(t, 0) for t in range(min(m, n))]
+    # every nonzero on the diagonal, nonnegative and chained
+    if (all(len(row) == (t in row) for t, row in enumerate(D))
             and all(d >= 0 for d in diag)
             and all(b % a == 0 if a else b == 0
                     for a, b in zip(diag, diag[1:]))):
-        return (identity(m), _from_lists(D, m, n), identity(n),
+        return (identity(m), _from_rows(D, n), identity(n),
                 identity(m), identity(n))
-    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Sinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Sinv = [{i: 1} for i in range(m)]
+    St = [{i: 1} for i in range(m)]         # St[i] is column i of S
+    T = [{i: 1} for i in range(n)]
+    Tinvt = [{i: 1} for i in range(n)]      # Tinvt[i] is column i of Tinv
+    t = 0
 
     # Elementary operations on D, mirrored so A = S @ D @ T stays true.
+    # Column operations on D touch only rows t and below.
     def row_add(i, j, k):  # row_i += k * row_j
-        Di, Dj = D[i], D[j]
-        for c in range(n):
-            if Dj[c]:
-                Di[c] += k * Dj[c]
-        for r in range(m):
-            Sr = S[r]
-            if Sr[i]:
-                Sr[j] -= k * Sr[i]
-        Si, Sj = Sinv[i], Sinv[j]
-        for c in range(m):
-            if Sj[c]:
-                Si[c] += k * Sj[c]
+        _add_row(D[i], D[j], k)
+        _add_row(St[j], St[i], -k)
+        _add_row(Sinv[i], Sinv[j], k)
 
-    def col_add(j, i, k):  # col_j += k * col_i
-        for r in range(m):
+    def col_add(j, i, k, rows):  # col_j += k * col_i; rows: col_i's nonzeros
+        for r in rows:
             Dr = D[r]
-            if Dr[i]:
-                Dr[j] += k * Dr[i]
-        Ti, Tj = T[i], T[j]
-        for c in range(n):
-            if Tj[c]:
-                Ti[c] -= k * Tj[c]
-        for r in range(n):
-            Tr = Tinv[r]
-            if Tr[i]:
-                Tr[j] += k * Tr[i]
-
-    def row_swap(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
-        for r in range(m):
-            Sr = S[r]
-            Sr[i], Sr[j] = Sr[j], Sr[i]
+            w = Dr.get(j, 0) + k * Dr[i]
+            if w:
+                Dr[j] = w
+            else:
+                del Dr[j]
+        _add_row(T[i], T[j], -k)
+        _add_row(Tinvt[j], Tinvt[i], k)
 
     def col_swap(i, j):
-        if i == j:
-            return
-        for r in range(m):
+        """Swap columns i != j; returns the rows where column i is nonzero."""
+        rows = []
+        for r in range(t, m):
             Dr = D[r]
-            Dr[i], Dr[j] = Dr[j], Dr[i]
+            if i in Dr or j in Dr:
+                a, b = Dr.pop(i, 0), Dr.pop(j, 0)
+                if b:
+                    Dr[i] = b
+                    rows.append(r)
+                if a:
+                    Dr[j] = a
         T[i], T[j] = T[j], T[i]
-        for r in range(n):
-            Tr = Tinv[r]
-            Tr[i], Tr[j] = Tr[j], Tr[i]
+        Tinvt[i], Tinvt[j] = Tinvt[j], Tinvt[i]
+        return rows
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
+        St[i], St[j] = St[j], St[i]
 
     def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        Sinv[i] = [-x for x in Sinv[i]]
-        for r in range(m):
-            S[r][i] = -S[r][i]
+        for rows in (D, Sinv, St):
+            rows[i] = {c: -v for c, v in rows[i].items()}
 
-    t = 0
     limit = min(m, n)
     while t < limit:
         # Pick a nonzero pivot of small magnitude; a unit ends the search.
+        # Rows from t on are zero left of column t, and a row's least entry
+        # comes first in column order when its (size, column) is least.
         piv = None
         best = None
         for i in range(t, m):
-            Di = D[i]
-            for j in range(t, n):
-                v = Di[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best:
-                        best = a
-                        piv = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
+            if D[i]:
+                a, j = min((v if v > 0 else -v, j) for j, v in D[i].items())
+                if best is None or a < best:
+                    best = a
+                    piv = (i, j)
+                    if a == 1:
+                        break
         if piv is None:
             break
         row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        # Within a pass, the operations on line t and line i leave the
+        # later lines alone, so the lines to visit are known up front.
         while True:
             dirty = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        row_add(i, t, -q)
-                    if D[i][t]:
-                        row_swap(t, i)
-                        dirty = True
+            for i in [i for i in range(t + 1, m) if t in D[i]]:
+                q = D[i][t] // D[t][t]
+                if q:
+                    row_add(i, t, -q)
+                if t in D[i]:
+                    row_swap(t, i)
+                    dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        col_add(j, t, -q)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        dirty = True
+            Dt = D[t]
+            rows = [t]              # column t is now zero below the pivot
+            for j in sorted(c for c in Dt if c > t):
+                q = Dt[j] // Dt[t]
+                if q:
+                    col_add(j, t, -q, rows)
+                if j in Dt:
+                    rows = col_swap(t, j)
+                    dirty = True
             if dirty:
                 continue
             # Force divisibility of the remaining block by the pivot.
-            if D[t][t] != 1 and D[t][t] != -1:
-                stain = None
-                dtt = D[t][t]
-                for i in range(t + 1, m):
-                    Di = D[i]
-                    for j in range(t + 1, n):
-                        if Di[j] % dtt:
-                            stain = i
-                            break
-                    if stain is not None:
-                        break
+            dtt = Dt[t]
+            if dtt != 1 and dtt != -1:
+                stain = next((i for i in range(t + 1, m)
+                              if any(v % dtt for v in D[i].values())), None)
                 if stain is not None:
                     row_add(t, stain, 1)
                     continue
@@ -285,8 +325,9 @@ def smith_normal_form(A):
             row_negate(t)
         t += 1
 
-    return (_from_lists(S, m, m), _from_lists(D, m, n), _from_lists(T, n, n),
-            _from_lists(Sinv, m, m), _from_lists(Tinv, n, n))
+    return (_from_rows(St, m, transposed=True), _from_rows(D, n),
+            _from_rows(T, n), _from_rows(Sinv, m),
+            _from_rows(Tinvt, n, transposed=True))
 
 
 def snf_diagonal(A):
@@ -305,26 +346,43 @@ def kernel(A):
 
 
 class Solver:
-    """Factor a matrix once, then solve A @ x = b for many right sides."""
+    """Factor a matrix once, then solve A @ x = b for many right sides.
+
+    With A = S @ D @ T, x = Tinv @ y where D @ y = Sinv @ b.  The factors
+    are kept sparse, Sinv by rows and Tinv by columns, so a solve costs the
+    nonzeros of Sinv plus those of the Tinv columns that y uses.
+    """
 
     def __init__(self, A):
-        self.A = intmat(A)
-        self.m, self.n = self.A.shape
-        _, self.D, _, self.Sinv, self.Tinv = smith_normal_form(self.A)
+        A = intmat(A)
+        self.m, self.n = A.shape
+        _, D, _, Sinv, Tinv = smith_normal_form(A)
+        self._diag = [D[i, i] for i in range(min(self.m, self.n))]
+        self._sinv_rows = _column_entries(Sinv.T)
+        self._tinv_cols = _column_entries(Tinv)
 
     def solve(self, b):
-        c = self.Sinv @ np.asarray(b, dtype=object)
-        y = zero_vec(self.n)
-        for i in range(self.m):
-            d = self.D[i, i] if i < min(self.m, self.n) else 0
+        b = np.asarray(b, dtype=object)
+        if b.shape != (self.m,):
+            raise ValueError(f"right-hand side has shape {b.shape}, "
+                             f"expected ({self.m},)")
+        b = b.tolist()
+        x = [0] * self.n
+        for i, row in enumerate(self._sinv_rows):
+            c = sum(v * b[j] for j, v in row)
+            d = self._diag[i] if i < len(self._diag) else 0
             if d == 0:
-                if c[i] != 0:
+                if c != 0:
                     return None
-            else:
-                if c[i] % d != 0:
-                    return None
-                y[i] = c[i] // d
-        return self.Tinv @ y
+            elif c % d != 0:
+                return None
+            elif c:
+                y = c // d
+                for r, v in self._tinv_cols[i]:
+                    x[r] += v * y
+        out = np.empty(self.n, dtype=object)
+        out[:] = x
+        return out
 
 
 def solve(A, b):
@@ -339,13 +397,20 @@ def hermite_normal_form(A):
     strictly descending the rows with positive pivot entries, and entries
     left of each pivot reduced into [0, pivot).  Two matrices span the
     same lattice iff their Hermite forms are equal.
+
+    An input that already has those properties is returned as a copy
+    after one pass over its nonzeros: the Hermite form of a lattice is
+    unique, so elimination would give the same matrix.
     """
-    A = intmat(A)
+    A = intmat(A)          # a fresh array, returned as is when canonical
     m, n = A.shape
+    entries = _column_entries(A)
+    if _in_hermite_form(entries):
+        return A
     # incremental sparse echelon insertion: pivots[r] holds a column (as a
     # sparse dict) whose minimal nonzero row is r.  Sparse unit columns go
     # in first; they make clean pivots and keep fill-in down.
-    cols = [dict(c) for c in _column_entries(A)]
+    cols = [dict(c) for c in entries]
     cols.sort(key=lambda v: (len(v), max((abs(x) for x in v.values()),
                                          default=0)))
     pivots = {}
@@ -383,6 +448,28 @@ def hermite_normal_form(A):
             if q:
                 W[:, k] -= q * W[:, j]
     return W
+
+
+def _in_hermite_form(cols):
+    """Whether columns, as `_column_entries` gives them, are a Hermite form.
+
+    That is: no zero column, the first nonzero rows (pivot rows) strictly
+    ascending, positive pivots, and every entry at a later column's pivot
+    row in [0, that pivot).  Entries at an earlier column's pivot row are
+    zero, since a column has no nonzeros above its own pivot.
+    """
+    pivot_of_row = {}
+    last = -1
+    for col in cols:
+        if not col:
+            return False
+        r, p = col[0]
+        if r <= last or p < 0:
+            return False
+        pivot_of_row[r] = p
+        last = r
+    return all(0 < v < pivot_of_row[i]
+               for col in cols for i, v in col[1:] if i in pivot_of_row)
 
 
 def lattices_equal(A, B) -> bool:

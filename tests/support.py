@@ -1,4 +1,6 @@
-"""Shared brute-force oracles used by the Mackey and acceptance tests."""
+"""Shared brute-force and dense oracles used by the tests."""
+
+import numpy as np
 
 from mackeykit import intmat
 from mackeykit import intmat as im
@@ -301,3 +303,182 @@ def _box_validate_levelwise(G):
                     raise GreenValidationError(
                         f"Frobenius reciprocity fails at {A}<{B}, "
                         f"cell ({i},{j})")
+
+
+def dense_smith_oracle(A):
+    """Dense Smith normal form with transforms, the oracle for
+    `intmat.smith_normal_form`, whose sparse elimination performs the same
+    operations in the same order and so must return the same matrices.
+
+    Returns (S, D, T, Sinv, Tinv) with A = S @ D @ T, where S and T are
+    unimodular, D is diagonal with nonnegative entries d_1 | d_2 | ...
+    The elimination runs on plain Python lists; object-dtype numpy access
+    is far too slow for the inner loops.
+
+    An input already in Smith form (nonzeros only at (t, t), nonnegative,
+    each dividing the next, so zeros come last) returns
+    (I_m, A, I_n, I_m, I_n) without elimination.  That is exactly what the
+    elimination would return: at every step the pivot search picks (t, t),
+    since d_t is the first nonzero of least size in what remains, and the
+    row, column and divisibility passes find nothing to clear, so nothing
+    is swapped, added or negated.
+    """
+    A = im.intmat(A)
+    m, n = A.shape
+    D = [list(map(int, r)) for r in A.tolist()]
+    diag = [D[t][t] for t in range(min(m, n))]
+    if (np.count_nonzero(A) == sum(1 for d in diag if d)
+            and all(d >= 0 for d in diag)
+            and all(b % a == 0 if a else b == 0
+                    for a, b in zip(diag, diag[1:]))):
+        return (im.identity(m), im._from_lists(D, m, n), im.identity(n),
+                im.identity(m), im.identity(n))
+    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Sinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Tinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    # Elementary operations on D, mirrored so A = S @ D @ T stays true.
+    def row_add(i, j, k):  # row_i += k * row_j
+        Di, Dj = D[i], D[j]
+        for c in range(n):
+            if Dj[c]:
+                Di[c] += k * Dj[c]
+        for r in range(m):
+            Sr = S[r]
+            if Sr[i]:
+                Sr[j] -= k * Sr[i]
+        Si, Sj = Sinv[i], Sinv[j]
+        for c in range(m):
+            if Sj[c]:
+                Si[c] += k * Sj[c]
+
+    def col_add(j, i, k):  # col_j += k * col_i
+        for r in range(m):
+            Dr = D[r]
+            if Dr[i]:
+                Dr[j] += k * Dr[i]
+        Ti, Tj = T[i], T[j]
+        for c in range(n):
+            if Tj[c]:
+                Ti[c] -= k * Tj[c]
+        for r in range(n):
+            Tr = Tinv[r]
+            if Tr[i]:
+                Tr[j] += k * Tr[i]
+
+    def row_swap(i, j):
+        if i == j:
+            return
+        D[i], D[j] = D[j], D[i]
+        Sinv[i], Sinv[j] = Sinv[j], Sinv[i]
+        for r in range(m):
+            Sr = S[r]
+            Sr[i], Sr[j] = Sr[j], Sr[i]
+
+    def col_swap(i, j):
+        if i == j:
+            return
+        for r in range(m):
+            Dr = D[r]
+            Dr[i], Dr[j] = Dr[j], Dr[i]
+        T[i], T[j] = T[j], T[i]
+        for r in range(n):
+            Tr = Tinv[r]
+            Tr[i], Tr[j] = Tr[j], Tr[i]
+
+    def row_negate(i):
+        D[i] = [-x for x in D[i]]
+        Sinv[i] = [-x for x in Sinv[i]]
+        for r in range(m):
+            S[r][i] = -S[r][i]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        # Pick a nonzero pivot of small magnitude; a unit ends the search.
+        piv = None
+        best = None
+        for i in range(t, m):
+            Di = D[i]
+            for j in range(t, n):
+                v = Di[j]
+                if v:
+                    a = -v if v < 0 else v
+                    if best is None or a < best:
+                        best = a
+                        piv = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    q = D[i][t] // D[t][t]
+                    if q:
+                        row_add(i, t, -q)
+                    if D[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    q = D[t][j] // D[t][t]
+                    if q:
+                        col_add(j, t, -q)
+                    if D[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Force divisibility of the remaining block by the pivot.
+            if D[t][t] != 1 and D[t][t] != -1:
+                stain = None
+                dtt = D[t][t]
+                for i in range(t + 1, m):
+                    Di = D[i]
+                    for j in range(t + 1, n):
+                        if Di[j] % dtt:
+                            stain = i
+                            break
+                    if stain is not None:
+                        break
+                if stain is not None:
+                    row_add(t, stain, 1)
+                    continue
+            break
+        if D[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    return (im._from_lists(S, m, m), im._from_lists(D, m, n),
+            im._from_lists(T, n, n), im._from_lists(Sinv, m, m),
+            im._from_lists(Tinv, n, n))
+
+
+def dense_solve_oracle(A, b):
+    """One integer solution of A @ x = b from the dense Smith factors, or None.
+
+    x = Tinv @ y with D @ y = Sinv @ b, every product dense.
+    """
+    _, D, _, Sinv, Tinv = dense_smith_oracle(A)
+    m, n = D.shape
+    c = Sinv @ np.asarray(b, dtype=object)
+    y = im.zero_vec(n)
+    for i in range(m):
+        d = D[i, i] if i < min(m, n) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    return Tinv @ y

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
@@ -216,7 +217,12 @@ def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
     ident = identity_element(O)
     for bad, X, Y in [((1, 0, 0), O, pt), ((1, 0, 1), O, O),
                       ((0, 2, 0), O, pt), ((5, 0, 0), pt, pt)]:
-        e = BurnsideElement(X, Y, {bad: 1})
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            BurnsideElement(X, Y, {bad: 1})
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+            basis_element(X, Y, bad)
+        # an element built past the constructor's check is still refused
+        e = BurnsideElement._of_checked(X, Y, {bad: 1})
         with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
             compose(e, identity_element(X))
         with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
@@ -232,6 +238,18 @@ def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
     (code,) = hom_basis(O, pt)
     moved = BurnsideElement(O, pt, {(0, 1, 0): 1})
     assert compose(identity_element(pt), moved) == basis_element(O, pt, code)
+
+
+def test_coefficients_must_be_integers():
+    C2 = builtin_group("C2")
+    O, pt = standard_orbit(C2, 0), point_gset(C2)
+    (code,) = hom_basis(O, pt)
+    with pytest.raises(TypeError, match=re.escape(f"span code {code}")):
+        BurnsideElement(O, pt, {code: 1.9})
+    e = BurnsideElement(O, pt, {code: np.int64(3)})
+    assert e.coeffs == {code: 3} and type(e.coeffs[code]) is int
+    with pytest.raises(TypeError, match="not an integer"):
+        2.5 * e
 
 
 def test_res_tr_composite_c2():

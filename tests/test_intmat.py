@@ -1,5 +1,7 @@
 import itertools
+import json
 import operator
+import os
 import random
 
 import numpy as np
@@ -14,6 +16,10 @@ from sympy.polys.matrices.normalforms import (
 )
 
 from mackeykit import intmat as im
+from support import dense_smith_oracle, dense_solve_oracle
+
+TOR_SMITH_INPUTS = os.path.join(os.path.dirname(__file__), "data",
+                                "tor_smith_inputs.json")
 
 
 def rand_matrix(rng, m, n, lo=-9, hi=9):
@@ -101,6 +107,97 @@ def test_hermite_spans_the_sympy_lattice(A):
     H = im.hermite_normal_form(A)
     assert H.shape[0] == A.shape[0]
     assert sympy_hnf(to_sympy(H)) == sympy_hnf(to_sympy(A))
+
+
+def assert_same_smith(A):
+    got, want = im.smith_normal_form(A), dense_smith_oracle(A)
+    for X, Y in zip(got, want):
+        assert im.mats_equal(X, Y), (A, X, Y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices)
+@with_examples
+def test_sparse_smith_matches_dense_oracle(A):
+    assert_same_smith(A)
+
+
+def load_tor_smith_inputs():
+    with open(TOR_SMITH_INPUTS, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    out = []
+    for entry in doc["matrices"]:
+        A = im.zeros(*entry["shape"])
+        for i, j, v in entry["entries"]:
+            A[i, j] = v
+        out.append(pytest.param(A, id=entry["op"]))
+    return out
+
+
+@pytest.mark.parametrize("A", load_tor_smith_inputs())
+def test_sparse_smith_matches_dense_oracle_on_tor_inputs(A):
+    # captured from the tor workload: eliminated (not already in Smith
+    # form), with an invariant factor above 1
+    D = im.smith_normal_form(A)[1]
+    assert not im.mats_equal(D, A)
+    assert any(D[t, t] > 1 for t in range(min(A.shape)))
+    assert_same_smith(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.randoms(use_true_random=False))
+@example(im.intmat([[2, 0], [0, 0]]), random.Random(0))
+def test_solver_matches_dense_reference(A, rng):
+    m, n = A.shape
+    solver = im.Solver(A)
+    x = im.intvec([rng.randint(-4, 4) for _ in range(n)])
+    b = A @ x if n else im.zero_vec(m)
+    got = solver.solve(b)
+    assert got is not None and im.mats_equal(got, dense_solve_oracle(A, b))
+    # b + e_i is off the lattice for many A; both must then say None
+    for i in range(m):
+        e = im.zero_vec(m)
+        e[i] = 1
+        got, want = solver.solve(b + e), dense_solve_oracle(A, b + e)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert im.mats_equal(got, want)
+
+
+def test_solver_returns_none_off_the_lattice():
+    A = im.intmat([[2, 0], [0, 0], [1, 3]])
+    solver = im.Solver(A)
+    for b in ([1, 0, 0], [0, 1, 0], [2, 0, 2]):
+        assert solver.solve(im.intvec(b)) is None
+        assert dense_solve_oracle(A, im.intvec(b)) is None
+    assert list(solver.solve(im.intvec([2, 0, 4]))) == [1, 1]
+    with pytest.raises(ValueError, match="expected \\(3,\\)"):
+        solver.solve(im.intvec([1, 2]))
+
+
+HERMITE = im.intmat([[2, 0], [0, 3], [5, 1]])
+
+
+@pytest.mark.parametrize("H0", [HERMITE, im.intmat([[2, 0], [2, 3], [5, 1]]),
+                                im.zeros(2, 0)])
+def test_hermite_input_comes_back_as_a_copy(H0):
+    H = im.hermite_normal_form(H0)
+    assert im.mats_equal(H, H0)
+    assert H is not H0 and not np.shares_memory(H, H0)
+    assert sympy_hnf(to_sympy(H)) == sympy_hnf(to_sympy(H0))
+
+
+@pytest.mark.parametrize("B", [
+    im.hstack([HERMITE, im.zeros(3, 1)]),               # a zero column
+    HERMITE[:, ::-1].copy(),                            # pivots not ascending
+    HERMITE * im.intmat([[1, -1]]),                     # a negative pivot
+    HERMITE + im.hstack([HERMITE[:, 1:], im.zeros(3, 1)]),  # 3 not in [0, 3)
+], ids=["zero-column", "pivot-order", "negative-pivot", "unreduced"])
+def test_hermite_input_breaking_one_condition_is_eliminated(B):
+    assert not im._in_hermite_form(im._column_entries(B))
+    H = im.hermite_normal_form(B)
+    assert im.mats_equal(H, HERMITE)
+    assert sympy_hnf(to_sympy(H)) == sympy_hnf(to_sympy(B))
 
 
 @settings(max_examples=120, deadline=None)
