@@ -3,7 +3,8 @@
 A group is Z^n modulo the lattice spanned by its relator rows.  Elements
 are integer vectors of length n (generator coordinates); the Smith form
 of the relation lattice gives unique normal forms, so equality is
-decidable and deterministic.
+decidable and deterministic.  A relator-free group Z^n carries its
+identity transforms implicitly and costs O(n), not two n x n arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from . import intmat
+from .groups import _labels
 from .intmat import (
     hermite_normal_form,
     intmat as mat,
@@ -24,24 +26,54 @@ from .intmat import (
 )
 
 
+def _int_matrix(rows, ncols, name, *where):
+    """`rows` as an object matrix of Python ints, with `ncols` if empty.
+
+    A 2-D object array is the library's own representation and is returned
+    as given, not copied.  Other input is converted entry by entry: a
+    float, string or bool raises ValueError naming it as `name[i][j]`,
+    where `int()` would truncate or parse it.  `name` is formatted with
+    `where` only then, which keeps the shared path free of string work.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == object \
+            and rows.ndim == 2:
+        return rows
+    name = name.format(*where)
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ValueError(f"{name} is not a 2-D array")
+        rows = rows.tolist()
+    return mat([_labels(r, f"{name}[{i}]") for i, r in enumerate(rows)],
+               ncols)
+
+
 class FinPresAbGroup:
     """Z^generator_count modulo the row span of `relations`."""
 
     def __init__(self, generator_count, relations=None):
-        self.generator_count = int(generator_count)
-        if relations is None:
-            relations = zeros(0, self.generator_count)
-        raw = mat(relations, self.generator_count)
-        if raw.shape[1] != self.generator_count:
+        """Raises ValueError on a generator count that is not a nonnegative
+        integer and on a relator entry that is not an integer."""
+        (n,) = _labels((generator_count,), "generator count")
+        if n < 0:
+            raise ValueError(f"generator count is negative: {n}")
+        self.generator_count = n
+        raw = zeros(0, n) if relations is None else \
+            _int_matrix(relations, n, "relations")
+        if raw.shape[1] != n:
             raise ValueError("relation width does not match generator count")
         # reduce the relator lattice once; everything downstream sees the
         # canonical basis, which keeps later matrix work small
-        self._rel_cols = hermite_normal_form(raw.T)
+        self._rel_cols = hermite_normal_form(raw.T) if raw.shape[0] \
+            else zeros(n, 0)
         self.relations = self._rel_cols.T.copy()
+        # (U, Uinv) with y = U @ v putting the relation lattice diagonal;
+        # None stands for the identity of a relator-free group
+        m = self._rel_cols.shape[1]
+        if m == 0:
+            self._transforms, self._diag = None, [0] * n
+            return
         S, D, _, Sinv, _ = smith_normal_form(self._rel_cols)
-        n, m = self._rel_cols.shape
-        self._U = Sinv          # y = U @ v puts the relation lattice diagonal
-        self._Uinv = S
+        self._transforms = (Sinv, S)
         self._diag = [int(D[i, i]) if i < min(n, m) else 0 for i in range(n)]
 
     @classmethod
@@ -50,15 +82,33 @@ class FinPresAbGroup:
 
         Used by direct sums: block-diagonal transforms of the summands put
         the combined relation lattice in diagonal coordinates directly.
+        U = Uinv = None stands for the identity of a relator-free group.
         """
         obj = object.__new__(cls)
         obj.generator_count = rel_cols.shape[0]
         obj._rel_cols = rel_cols
         obj.relations = rel_cols.T.copy()
-        obj._U = U
-        obj._Uinv = Uinv
+        obj._transforms = None if U is None else (U, Uinv)
         obj._diag = list(diag)
         return obj
+
+    @property
+    def _U(self):
+        """Transform to diagonal coordinates, built when relator-free."""
+        if self._transforms is None:
+            return intmat.identity(self.generator_count)
+        return self._transforms[0]
+
+    @property
+    def _Uinv(self):
+        """Transform back to generator coordinates, built when relator-free."""
+        if self._transforms is None:
+            return intmat.identity(self.generator_count)
+        return self._transforms[1]
+
+    def _from_diagonal(self, y):
+        """Generator coordinates Uinv @ y of diagonal coordinates y."""
+        return y if self._transforms is None else self._transforms[1] @ y
 
     @classmethod
     def free(cls, rank):
@@ -118,7 +168,12 @@ class FinPresAbGroup:
 
     def normal_form(self, v):
         """Unique canonical tuple for the class of v."""
-        y = self._U @ np.asarray(v, dtype=object)
+        if self._transforms is None:
+            if len(v) != self.generator_count:
+                raise ValueError(f"element of length {len(v)} in a group "
+                                 f"on {self.generator_count} generators")
+            return tuple(map(int, v))
+        y = self._transforms[0] @ np.asarray(v, dtype=object)
         out = []
         for yi, d in zip(y, self._diag):
             if d == 1:
@@ -131,7 +186,7 @@ class FinPresAbGroup:
 
     def reduce(self, v):
         """Canonical representative vector of the class of v."""
-        return self._Uinv @ intmat.intvec(self.normal_form(v))
+        return self._from_diagonal(intmat.intvec(self.normal_form(v)))
 
     def is_zero_element(self, v):
         return all(c == 0 for c in self.normal_form(v))
@@ -145,7 +200,7 @@ class FinPresAbGroup:
             raise ValueError("group is infinite")
         ranges = [range(d) for d in self._diag]
         for combo in itertools.product(*ranges):
-            yield self._Uinv @ intmat.intvec(combo)
+            yield self._from_diagonal(intmat.intvec(combo))
 
     def __eq__(self, other):
         if not isinstance(other, FinPresAbGroup):
@@ -248,7 +303,11 @@ def tensor_group(A: FinPresAbGroup, B: FinPresAbGroup):
 
 
 def direct_sum_groups(groups):
-    """Direct sum with block generator layout; returns (grp, offsets)."""
+    """Direct sum with block generator layout; returns (grp, offsets).
+
+    A sum of relator-free groups is relator-free; otherwise the transforms
+    are block-diagonal, with ones for the implicit identities.
+    """
     groups = list(groups)
     offsets = []
     total = 0
@@ -258,9 +317,17 @@ def direct_sum_groups(groups):
     if not groups:
         return FinPresAbGroup(0), offsets
     rel_cols = intmat.block_diag([g.relation_lattice for g in groups])
-    U = intmat.block_diag([g._U for g in groups])
-    Uinv = intmat.block_diag([g._Uinv for g in groups])
     diag = [d for g in groups for d in g._diag]
+    if all(g._transforms is None for g in groups):
+        return FinPresAbGroup._assembled(rel_cols, None, None, diag), offsets
+    U, Uinv = zeros(total, total), zeros(total, total)
+    for g, o in zip(groups, offsets):
+        k = g.generator_count
+        if g._transforms is None:
+            ones = np.arange(o, o + k)
+            U[ones, ones] = Uinv[ones, ones] = 1
+        else:
+            U[o:o + k, o:o + k], Uinv[o:o + k, o:o + k] = g._transforms
     return FinPresAbGroup._assembled(rel_cols, U, Uinv, diag), offsets
 
 

@@ -41,7 +41,6 @@ from .mackey import (
     orbit_embeddings,
     representable,
     yoneda_element,
-    zero_structure,
 )
 
 
@@ -243,10 +242,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     """The box product M box N, with pairing data attached.
 
     With presentation=False only the generator layout is computed: the
-    level groups are left free on the generators and the structure maps
-    are zero placeholders.  That skeleton is enough for module plumbing
-    (injections, action matrices, pairings), and avoids presenting the
-    large auxiliary boxes that never get used as honest functors.
+    level groups are left free on the generators, and the functor, from
+    `MackeyFunctor.levels_only`, has no structure maps.  That skeleton is
+    enough for module plumbing (injections, action matrices, pairings),
+    and avoids presenting the large auxiliary boxes that never get used
+    as honest functors.
     """
     if M.group != N.group:
         raise ValueError("different groups")
@@ -275,7 +275,8 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
             layouts.append(lay)
             levels.append(FinPresAbGroup.free(gens))
         data = BoxData(M, N, tuple(codes), tuple(layouts))
-        data.functor = zero_structure(group, levels, "(layout-only box)")
+        data.functor = MackeyFunctor.levels_only(group, levels,
+                                                 "(layout-only box)")
         M._cache[key] = data
         return data
     codes, layouts, levels = [], [], []
@@ -330,8 +331,8 @@ def _box_of_direct_sum(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     group = M.group
     summands, offsets_per_class = N._cache["direct_sum_of"]
     parts = [box(M, B) for B in summands]
-    functor, _incls, _projs = direct_sum_many(
-        [p.functor for p in parts], name=f"({M.name} box sum)")
+    functor = direct_sum_many([p.functor for p in parts],
+                              name=f"({M.name} box sum)")
     classes = group.subgroup_classes()
     codes = parts[0].codes if parts else ()
     layouts = []

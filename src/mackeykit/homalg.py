@@ -102,8 +102,8 @@ def free_module(R: GreenFunctor, X: GSet, name=None) -> FreeModule:
         mod = GreenModule(R, Z, act, data)
         return FreeModule(R, (), X, mod, (), ())
     pieces = tuple(_free_piece(R, c) for c in block_classes)
-    D, _incls, _projs = direct_sum_many([p[1].functor for p in pieces],
-                                        name=name or f"R^[{X.size}]")
+    D = direct_sum_many([p[1].functor for p in pieces],
+                        name=name or f"R^[{X.size}]")
     source = box(R.underlying, D, presentation=False)
     offsets = D._cache["direct_sum_of"][1]
     classes = R.group.subgroup_classes()
@@ -450,8 +450,7 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
         grp, _ = abgroups.quotient_by_columns(data.functor.levels[c], rels)
         levels.append(grp)
     F = data.functor
-    Qbig = MackeyFunctor(group, levels, F.res, F.tr,
-                         [dict(w) for w in F.weyl],
+    Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.weyl,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
     from .mackey import minimize_presentation
     Q, section, projection = minimize_presentation(Qbig)

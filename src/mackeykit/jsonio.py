@@ -124,9 +124,11 @@ def mackey_from_json(doc) -> MackeyFunctor:
     levels = []
     for cls in classes:
         entry = doc["levels"][cls.label]
-        levels.append(FinPresAbGroup(entry["generators"],
-                                     intmat.intmat(entry.get("relations", []),
-                                                   entry["generators"])))
+        try:
+            levels.append(FinPresAbGroup(entry["generators"],
+                                         entry.get("relations", [])))
+        except ValueError as err:
+            raise ValueError(f"level {cls.label}: {err}") from None
     label_to_idx = {cls.label: cls.index for cls in classes}
 
     def read_pairs(table):

@@ -12,6 +12,11 @@ each transitive span as transfer . conjugation . restriction.
 Functoriality of that evaluation is equivalent to the relations of the
 Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3), which
 `validate_functoriality` checks exhaustively rather than trusting.
+
+Ownership: functors and morphisms keep the 2-D object arrays they are
+given, so stored matrices may be shared with the caller and between
+functors (a cokernel shares its target's structure matrices).  Stored
+matrices are never written; other input is converted and checked.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import abgroups, intmat
-from .abgroups import FinPresAbGroup
+from .abgroups import FinPresAbGroup, _int_matrix
 from .burnside import (
     BurnsideElement,
     basis_element,
@@ -124,15 +129,35 @@ class MackeyFunctor:
             if set(data) != set(covers):
                 raise ValueError(f"{kind} must hold exactly one matrix per "
                                  f"canonical covering pair")
-        self.res = {k: intmat.intmat(res[k], self._gens(k[1])) for k in covers}
-        self.tr = {k: intmat.intmat(tr[k], self._gens(k[0])) for k in covers}
-        self.weyl = tuple(dict((n, intmat.intmat(m, self.levels[c].generator_count))
-                               for n, m in w.items())
-                          for c, w in enumerate(weyl))
+        self.res = {k: _int_matrix(res[k], self._gens(k[1]), "res at {}", k)
+                    for k in covers}
+        self.tr = {k: _int_matrix(tr[k], self._gens(k[0]), "tr at {}", k)
+                   for k in covers}
+        self.weyl = tuple(
+            {n: _int_matrix(m, self.levels[c].generator_count,
+                            "conjugation by {} at class {}", n, c)
+             for n, m in w.items()}
+            for c, w in enumerate(weyl))
         self.name = name
         self._cache = {}
         if check:
             self._check_shapes()
+
+    @classmethod
+    def levels_only(cls, group: FiniteGroup, levels, name=None):
+        """Levels without structure maps: `res`, `tr` and `weyl` are None.
+
+        Such a functor fixes the generators of each level, so it can be
+        the source or target of a morphism, but it cannot be evaluated or
+        validated.  Layout-only box products are built this way.
+        """
+        obj = object.__new__(cls)
+        obj.group = group
+        obj.levels = tuple(levels)
+        obj.res = obj.tr = obj.weyl = None
+        obj.name = name
+        obj._cache = {}
+        return obj
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -397,7 +422,8 @@ class MackeyMorphism:
             raise ValueError("source and target over different groups")
         self.source = source
         self.target = target
-        self.mats = tuple(intmat.intmat(m, source.levels[c].generator_count)
+        self.mats = tuple(_int_matrix(m, source.levels[c].generator_count,
+                                      "morphism at class {}", c)
                           for c, m in enumerate(mats))
         if check:
             self._check()
@@ -568,22 +594,17 @@ def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
     return representable(point_gset(group), name="Burnside")
 
 
-def zero_structure(group: FiniteGroup, levels, name=None) -> MackeyFunctor:
-    """The given levels with zero res, tr and conjugation matrices."""
-    n = [lvl.generator_count for lvl in levels]
-    ci = group.class_index_of
-    covers = canonical_covers(group)
-    res = {(A, B): intmat.zeros(n[ci(A)], n[ci(B)]) for (A, B) in covers}
-    tr = {(A, B): intmat.zeros(n[ci(B)], n[ci(A)]) for (A, B) in covers}
-    weyl = [dict.fromkeys(cls.normalizer, intmat.zeros(n[cls.index], n[cls.index]))
-            for cls in group.subgroup_classes()]
-    return MackeyFunctor(group, levels, res, tr, weyl, name=name, check=False)
-
-
 def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
+    """The zero functor: every level 0, every structure matrix 0 x 0."""
     if "zero_mackey" not in group._cache:
-        group._cache["zero_mackey"] = zero_structure(
-            group, [FinPresAbGroup.zero()] * len(group.subgroup_classes()), "0")
+        classes = group.subgroup_classes()
+        covers = canonical_covers(group)
+        empty = intmat.zeros(0, 0)
+        group._cache["zero_mackey"] = MackeyFunctor(
+            group, [FinPresAbGroup.zero()] * len(classes),
+            dict.fromkeys(covers, empty), dict.fromkeys(covers, empty),
+            [dict.fromkeys(cls.normalizer, empty) for cls in classes],
+            name="0", check=False)
     return group._cache["zero_mackey"]
 
 
@@ -668,17 +689,26 @@ def minimize_presentation(M: MackeyFunctor):
     """
     projs, sects, levels = [], [], []
     for lvl in M.levels:
+        if lvl._transforms is None:
+            # relator-free: already minimal, projection and section are
+            # the identity, marked None
+            levels.append(lvl)
+            projs.append(None)
+            sects.append(None)
+            continue
+        U, Uinv = lvl._transforms
         keep = [i for i, d in enumerate(lvl._diag) if d != 1]
         levels.append(FinPresAbGroup.from_invariants(
             [lvl._diag[i] for i in keep]))
-        projs.append(lvl._U[keep, :] if keep else
+        projs.append(U[keep, :] if keep else
                      intmat.zeros(0, lvl.generator_count))
-        sects.append(lvl._Uinv[:, keep] if keep else
+        sects.append(Uinv[:, keep] if keep else
                      intmat.zeros(lvl.generator_count, 0))
     group = M.group
 
     def squeeze(P, W, S):
-        return P @ intmat.sparse_mm(W, S)
+        W = W if S is None else intmat.sparse_mm(W, S)
+        return W if P is None else P @ W
 
     res, tr = {}, {}
     for (A, B) in canonical_covers(group):
@@ -692,8 +722,12 @@ def minimize_presentation(M: MackeyFunctor):
                      for n in cls.normalizer})
     Mmin = MackeyFunctor(group, levels, res, tr, weyl,
                          name=M.name, check=False)
-    section = MackeyMorphism(Mmin, M, sects, check=False)
-    projection = MackeyMorphism(M, Mmin, projs, check=False)
+    eye = {c: intmat.identity(M.levels[c].generator_count)
+           for c, P in enumerate(projs) if P is None}
+    section = MackeyMorphism(Mmin, M, [eye.get(c, S) for c, S in enumerate(sects)],
+                             check=False)
+    projection = MackeyMorphism(M, Mmin, [eye.get(c, P) for c, P in enumerate(projs)],
+                                check=False)
     return Mmin, section, projection
 
 
@@ -706,8 +740,7 @@ def cokernel(f: MackeyMorphism):
                                           f.target.levels[c])
         levels.append(grp)
     M = f.target
-    quo = MackeyFunctor(group, levels, M.res, M.tr,
-                        [dict(w) for w in M.weyl],
+    quo = MackeyFunctor(group, levels, M.res, M.tr, M.weyl,
                         name=f"coker({M.name})", check=False)
     proj = MackeyMorphism(M, quo,
                           [intmat.identity(l.generator_count) for l in M.levels],
@@ -716,10 +749,7 @@ def cokernel(f: MackeyMorphism):
 
 
 def direct_sum_many(functors, name=None):
-    """n-ary biproduct, tagged so box products can split over it.
-
-    Returns (D, inclusions, projections).
-    """
+    """n-ary direct sum, tagged so box products can split over it."""
     functors = list(functors)
     if not functors:
         raise ValueError("need at least one summand")
@@ -739,27 +769,26 @@ def direct_sum_many(functors, name=None):
     D = MackeyFunctor(group, levels, res, tr, weyl,
                       name=name or "(+)", check=False)
     D._cache["direct_sum_of"] = (tuple(functors), tuple(offsets_per_class))
-    incls, projs = [], []
-    for b, F in enumerate(functors):
-        inc_mats, proj_mats = [], []
-        for c in range(len(levels)):
-            n_f = F.levels[c].generator_count
-            n_d = levels[c].generator_count
-            off = offsets_per_class[c][b]
-            inc = intmat.zeros(n_d, n_f)
-            for j in range(n_f):
-                inc[off + j, j] = 1
-            inc_mats.append(inc)
-            proj_mats.append(inc.T.copy())
-        incls.append(MackeyMorphism(F, D, inc_mats, check=False))
-        projs.append(MackeyMorphism(D, F, proj_mats, check=False))
-    return D, incls, projs
+    return D
 
 
 def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     """Biproduct with its two inclusion and two projection morphisms."""
-    D, (i1, i2), (p1, p2) = direct_sum_many([M, N], name=f"{M.name}+{N.name}")
-    return D, i1, i2, p1, p2
+    D = direct_sum_many([M, N], name=f"{M.name}+{N.name}")
+    offsets_per_class = D._cache["direct_sum_of"][1]
+    incls, projs = [], []
+    for b, F in enumerate((M, N)):
+        inc_mats = []
+        for c, lvl in enumerate(D.levels):
+            n_f = F.levels[c].generator_count
+            off = offsets_per_class[c][b]
+            inc = intmat.zeros(lvl.generator_count, n_f)
+            inc[off:off + n_f, :] = intmat.identity(n_f)
+            inc_mats.append(inc)
+        incls.append(MackeyMorphism(F, D, inc_mats, check=False))
+        projs.append(MackeyMorphism(D, F, [m.T.copy() for m in inc_mats],
+                                    check=False))
+    return D, incls[0], incls[1], projs[0], projs[1]
 
 
 def lift_through_inclusion(incl: MackeyMorphism, f: MackeyMorphism):
@@ -1142,7 +1171,8 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
         for g, m in n_gens.items():
             if g not in cls.normalizer:
                 raise ValueError(f"{g} does not normalize class {cls.label}")
-            known[g] = intmat.intmat(m, levels[c].generator_count)
+            known[g] = _int_matrix(m, levels[c].generator_count,
+                                   "conj {} {}", cls.label, g)
         changed = True
         while changed:
             changed = False
@@ -1163,7 +1193,11 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
     for (ca, cb), pair in class_pair_covers(group).items():
         if (ca, cb) not in res_data or (ca, cb) not in tr_data:
             raise ValueError(f"missing res/tr data for class pair ({ca},{cb})")
-        res[pair], tr[pair] = res_data[(ca, cb)], tr_data[(ca, cb)]
+        where = (classes[ca].label, classes[cb].label)
+        res[pair] = _int_matrix(res_data[(ca, cb)], levels[cb].generator_count,
+                                "res {}<{}", *where)
+        tr[pair] = _int_matrix(tr_data[(ca, cb)], levels[ca].generator_count,
+                               "tr {}<{}", *where)
     M = MackeyFunctor(group, levels, res, tr, weyl, name=name)
     M.validate_functoriality()
     return M

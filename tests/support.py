@@ -482,3 +482,24 @@ def dense_solve_oracle(A, b):
                 return None
             y[i] = c[i] // d
     return Tinv @ y
+
+
+def dense_free(n):
+    """Z^n holding its identity transforms as dense arrays.
+
+    The oracle for the implicit identity of relator-free groups: the same
+    canonical data, read through the general (presented) code paths.
+    """
+    return FinPresAbGroup._assembled(im.zeros(n, 0), im.identity(n),
+                                     im.identity(n), [0] * n)
+
+
+def assert_same_group(G, H):
+    """Equal generators, relations, transforms and diagonal, entry for entry."""
+    assert G.generator_count == H.generator_count
+    for a, b in ((G.relation_lattice, H.relation_lattice),
+                 (G.relations, H.relations), (G._U, H._U),
+                 (G._Uinv, H._Uinv)):
+        assert a.dtype == b.dtype == object
+        assert im.mats_equal(a, b)
+    assert G._diag == H._diag

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import ZZ, isprime
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
@@ -19,6 +22,7 @@ from mackeykit.abgroups import (
     subgroup_from_lattice,
     tensor_group,
 )
+from support import assert_same_group, dense_free
 
 
 def test_invariant_factors_examples():
@@ -141,3 +145,106 @@ def test_maps_equal_modulo_relations():
     G = FinPresAbGroup.from_invariants([5])
     assert maps_equal(im.intmat([[2]]), im.intmat([[7]]), G, G)
     assert not maps_equal(im.intmat([[2]]), im.intmat([[3]]), G, G)
+
+
+# -- relator-free groups: the implicit identity against a dense oracle -------------
+
+
+FREE_SIZES = [0, 1, 5, 717]
+
+
+@st.composite
+def free_vectors(draw):
+    """(n, v): a size from FREE_SIZES and a sparse vector of Z^n."""
+    n = draw(st.sampled_from(FREE_SIZES))
+    v = [0] * n
+    if n:
+        picks = draw(st.dictionaries(st.integers(0, n - 1),
+                                     st.integers(-2 ** 70, 2 ** 70),
+                                     max_size=6))
+        for i, x in picks.items():
+            v[i] = x
+    return n, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_vectors())
+def test_implicit_identity_normal_form_and_reduce_match_dense(nv):
+    n, v = nv
+    G, D = FinPresAbGroup(n), dense_free(n)
+    assert G._transforms is None and D._transforms is not None
+    assert_same_group(G, D)
+    for w in (v, im.intvec(v)):
+        assert G.normal_form(w) == D.normal_form(w)
+        assert all(type(x) is int for x in G.normal_form(w))
+        r, s = G.reduce(w), D.reduce(w)
+        assert r.dtype == s.dtype == object and r.shape == s.shape == (n,)
+        assert list(r) == list(s)
+        assert G.is_zero_element(w) == D.is_zero_element(w)
+
+
+@pytest.mark.parametrize("n", FREE_SIZES)
+def test_implicit_identity_elements_and_length_check_match_dense(n):
+    G, D = FinPresAbGroup(n), dense_free(n)
+    if n == 0:
+        (g,), (d,) = list(G.elements()), list(D.elements())
+        assert g.dtype == d.dtype == object and g.shape == d.shape == (0,)
+    else:
+        for grp in (G, D):
+            with pytest.raises(ValueError):
+                list(grp.elements())
+    for grp in (G, D):
+        with pytest.raises(ValueError):
+            grp.normal_form([0] * (n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(FREE_SIZES), min_size=1, max_size=4),
+       st.integers(0, 3), st.lists(st.integers(-50, 50), max_size=8))
+def test_direct_sums_with_implicit_identities_match_dense(sizes, where, entries):
+    # all summands relator-free: the sum is relator-free too
+    free, _ = direct_sum_groups(FinPresAbGroup(n) for n in sizes)
+    dense, _ = direct_sum_groups(dense_free(n) for n in sizes)
+    assert free._transforms is None
+    assert_same_group(free, dense)
+    # mixed: a presented summand makes the transforms block-diagonal, with
+    # ones for the implicit identities
+    torsion = FinPresAbGroup(3, [[2, 4, 0], [0, 6, 0]])
+    at = min(where, len(sizes))
+    mixed, moffs = direct_sum_groups(
+        [FinPresAbGroup(n) for n in sizes[:at]] + [torsion]
+        + [FinPresAbGroup(n) for n in sizes[at:]])
+    oracle, ooffs = direct_sum_groups(
+        [dense_free(n) for n in sizes[:at]] + [torsion]
+        + [dense_free(n) for n in sizes[at:]])
+    assert moffs == ooffs
+    assert mixed._transforms is not None
+    assert_same_group(mixed, oracle)
+    v = [entries[i % len(entries)] if entries else 0
+         for i in range(mixed.generator_count)]
+    assert mixed.normal_form(v) == oracle.normal_form(v)
+    assert list(mixed.reduce(v)) == list(oracle.reduce(v))
+
+
+# -- integer input --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [2.7, 1.0, True, False, "2", None, -1])
+def test_generator_count_must_be_a_nonnegative_integer(count):
+    with pytest.raises(ValueError, match="generator count"):
+        FinPresAbGroup(count)
+
+
+@pytest.mark.parametrize("relations", [[[0.5, 1]], [[1, False]], [[1, 2], [3, "4"]],
+                                       np.array([[1.5, 2.0]])])
+def test_relator_entries_must_be_integers(relations):
+    with pytest.raises(ValueError, match=r"relations\[\d\]\[\d\] is not an integer"):
+        FinPresAbGroup(2, relations)
+
+
+def test_numpy_integers_are_accepted():
+    G = FinPresAbGroup(np.int64(2), np.array([[4, 6]], dtype=np.int64))
+    H = FinPresAbGroup(2, [[4, 6]])
+    assert type(G.generator_count) is int
+    assert_same_group(G, H)
+    assert G.invariant_factors == (2, 0)

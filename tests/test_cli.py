@@ -91,6 +91,24 @@ def test_mackey_check_rejects_bad_data(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["levels"]["e"].update(relations=[[0.5]]),
+    lambda doc: doc["levels"]["C2"].update(generators=1.5),
+    lambda doc: doc["res"]["e<C2"][0].__setitem__(0, 1.7),
+], ids=["relator", "generators", "res"])
+def test_mackey_check_rejects_non_integer_entries(tmp_path, capsys, edit):
+    doc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["mackey-check", str(path),
+                                "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert "is not an integer" in payload["error"]
+
+
 def test_green_check_detects_violation(tmp_path, capsys):
     C2 = builtin_group("C2")
     doc = jsonio.green_to_json(burnside_green(C2))

@@ -202,3 +202,39 @@ def test_gset_orbit_multiplicity_zero_and_numpy_integers_allowed():
     assert parse_gset_expr(C2, "e*0").size == 0
     assert parse_gset_expr(C2, "e * 2 + C2*0") == \
         gset_from_json({"group": "C2", "orbits": [["e", np.int64(2)]]})
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("levels", "e", "relations"), [[0.5]],
+     r"level e: relations\[0\]\[0\] is not an integer: 0\.5"),
+    (("levels", "e", "relations"), [[False]],
+     r"level e: relations\[0\]\[0\] is not an integer: False"),
+    (("levels", "C2", "relations"), [[2, "4"]],
+     r"level C2: relations\[0\]\[1\] is not an integer: '4'"),
+    (("levels", "e", "generators"), 1.5,
+     r"level e: generator count\[0\] is not an integer: 1\.5"),
+    (("levels", "e", "generators"), True,
+     r"level e: generator count\[0\] is not an integer: True"),
+    (("levels", "e", "generators"), -1,
+     r"level e: generator count is negative: -1"),
+    (("res", "e<C2", 0, 0), 1.7, r"res e<C2\[0\]\[0\] is not an integer: 1\.7"),
+    (("tr", "e<C2", 0, 0), 2.2, r"tr e<C2\[0\]\[0\] is not an integer: 2\.2"),
+    (("tr", "e<C2", 1, 0), True, r"tr e<C2\[1\]\[0\] is not an integer: True"),
+    (("conj", "e", "1", 0, 0), 1.0, r"conj e 1\[0\]\[0\] is not an integer: 1\.0"),
+], ids=["relator-float", "relator-bool", "relator-string", "gens-float",
+        "gens-bool", "gens-negative", "res-float", "tr-float", "tr-bool",
+        "conj-integral-float"])
+def test_mackey_file_with_non_integer_entries_rejected(path, value, match):
+    # each of these used to load: int() truncated the entry, or the count
+    # raised a TypeError naming no field
+    doc = mackey_to_json(burnside_mackey(builtin_group("C2")))
+    _set(doc, path, value)
+    with pytest.raises(ValueError, match=match):
+        mackey_from_json(json.loads(json.dumps(doc)))

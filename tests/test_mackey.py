@@ -35,6 +35,7 @@ from mackeykit.mackey import (
     image,
     kernel,
     mackey_from_levels,
+    minimize_presentation,
     regular_module,
     representable,
     trivial_module,
@@ -44,7 +45,9 @@ from mackeykit.mackey import (
 )
 
 from support import (
+    assert_same_group,
     brute_force_borel_level,
+    dense_free,
     gmodule_hom_group,
     span_functoriality_oracle,
 )
@@ -482,3 +485,42 @@ def test_split_class_pair_works_internally_and_is_refused_by_json():
         doc["tr"][key] = [list(r) for r in FP.tr[(A, B)]]
     with pytest.raises(ValueError, match="several conjugacy classes"):
         mackey_from_json(doc)
+
+
+def _sign_over_c2():
+    """C2 functor with a relator-free and a presented level: M(e) = Z with
+    the sign action, M(C2) = Z/2, res = 0 and tr = reduction mod 2."""
+    C2 = builtin_group("C2")
+    return mackey_from_levels(C2, [FinPresAbGroup(1), FinPresAbGroup(1, [[2]])],
+                              {(0, 1): [[0]]}, {(0, 1): [[1]]},
+                              {0: {1: [[-1]]}})
+
+
+@pytest.mark.parametrize("make", [
+    _sign_over_c2,
+    lambda: burnside_mackey(builtin_group("S3")),
+    lambda: fixed_point_mackey(builtin_group("C4"),
+                               *regular_module(builtin_group("C4"))),
+    lambda: direct_sum(burnside_mackey(builtin_group("C2")),
+                       _sign_over_c2())[0],
+], ids=["mixed-levels", "burnside-S3", "FP-Z[C4]", "sum-with-presented"])
+def test_minimize_presentation_of_relator_free_levels_matches_dense(make):
+    M = make()
+    free = [lvl._transforms is None for lvl in M.levels]
+    assert any(free)
+    # the same functor with every relator-free level holding a dense identity
+    D = MackeyFunctor(M.group, [dense_free(lvl.generator_count) if f else lvl
+                                for lvl, f in zip(M.levels, free)],
+                      M.res, M.tr, M.weyl)
+    Mmin, sect, proj = minimize_presentation(M)
+    Dmin, dsect, dproj = minimize_presentation(D)
+    for a, b in zip(Mmin.levels, Dmin.levels):
+        assert_same_group(a, b)
+    pairs = [(Mmin.res[k], Dmin.res[k]) for k in Mmin.res]
+    pairs += [(Mmin.tr[k], Dmin.tr[k]) for k in Mmin.tr]
+    pairs += [(w[n], v[n]) for w, v in zip(Mmin.weyl, Dmin.weyl) for n in w]
+    pairs += list(zip(sect.mats, dsect.mats)) + list(zip(proj.mats, dproj.mats))
+    for a, b in pairs:
+        assert a.dtype == b.dtype == object
+        assert im.mats_equal(a, b)
+    Mmin.validate_functoriality()
