@@ -65,7 +65,6 @@ class FinPresAbGroup:
         # canonical basis, which keeps later matrix work small
         self._rel_cols = hermite_normal_form(raw.T) if raw.shape[0] \
             else zeros(n, 0)
-        self.relations = self._rel_cols.T.copy()
         # (U, Uinv) with y = U @ v putting the relation lattice diagonal;
         # None stands for the identity of a relator-free group
         m = self._rel_cols.shape[1]
@@ -87,7 +86,6 @@ class FinPresAbGroup:
         obj = object.__new__(cls)
         obj.generator_count = rel_cols.shape[0]
         obj._rel_cols = rel_cols
-        obj.relations = rel_cols.T.copy()
         obj._transforms = None if U is None else (U, Uinv)
         obj._diag = list(diag)
         return obj
@@ -130,6 +128,12 @@ class FinPresAbGroup:
     def relation_lattice(self):
         """Relators as columns of an n x m matrix."""
         return self._rel_cols
+
+    @property
+    def relations(self):
+        """Relators as rows: the transpose of the relation lattice, not a
+        copy."""
+        return self._rel_cols.T
 
     @property
     def invariant_factors(self):
@@ -254,13 +258,10 @@ def subgroup_from_lattice(B, amb: FinPresAbGroup):
 
 
 def quotient_by_columns(amb: FinPresAbGroup, cols):
-    """Quotient of amb by the classes of the given columns.
-
-    Returns (grp, proj) with proj the identity on generators.
-    """
+    """Quotient of amb by the classes of the given columns, on the same
+    generators."""
     rels = lattice_sum(amb.relation_lattice, mat(cols, amb.generator_count))
-    grp = FinPresAbGroup(amb.generator_count, rels.T)
-    return grp, intmat.identity(amb.generator_count)
+    return FinPresAbGroup(amb.generator_count, rels.T)
 
 
 def kernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
@@ -276,7 +277,7 @@ def image_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
 
 
 def cokernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
-    """Cokernel of the induced map, as (grp, proj)."""
+    """Cokernel of the induced map, on the generators of tgt."""
     return quotient_by_columns(tgt, mat(M, src.generator_count))
 
 

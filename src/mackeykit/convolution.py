@@ -30,6 +30,7 @@ from .burnside import (
     tensor,
     transfer_element,
 )
+from .groups import _labels
 from .gsets import GMap, GSet, compose_maps, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
@@ -254,10 +255,6 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     key = ("box", id(N), presentation)
     if key in M._cache:
         return M._cache[key]
-    if presentation and "direct_sum_of" in N._cache:
-        data = _box_of_direct_sum(M, N)
-        M._cache[key] = data
-        return data
     classes = group.subgroup_classes()
     if not presentation:
         codes, layouts, levels = [], [], []
@@ -317,36 +314,6 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
         group, levels, entry_matrix,
         name=f"({M.name or 'M'} box {N.name or 'N'})", check=False)
     M._cache[key] = data
-    return data
-
-
-def _box_of_direct_sum(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
-    """Assemble box(M, (+)_b N_b) = (+)_b box(M, N_b), block-major.
-
-    The coend relations never mix summands of the right slot, so the box
-    of a tagged direct sum is the direct sum of the per-summand boxes,
-    with the layout translating through the summand offsets.
-    """
-    from .mackey import direct_sum_many
-    group = M.group
-    summands, offsets_per_class = N._cache["direct_sum_of"]
-    parts = [box(M, B) for B in summands]
-    functor = direct_sum_many([p.functor for p in parts],
-                              name=f"({M.name} box sum)")
-    classes = group.subgroup_classes()
-    codes = parts[0].codes if parts else ()
-    layouts = []
-    for c in range(len(classes)):
-        off = 0
-        lay = {}
-        for b, p in enumerate(parts):
-            for (code, i, j), idx in p.layout[c].items():
-                cw = code[0]
-                lay[(code, i, offsets_per_class[cw][b] + j)] = off + idx
-            off += p.functor.levels[c].generator_count
-        layouts.append(lay)
-    data = BoxData(M, N, codes, tuple(layouts))
-    data.functor = functor
     return data
 
 
@@ -966,14 +933,17 @@ def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
     `ring_tables[c][i][j]` is the vector of e_i * e_j in R(G/H_c); `unit_vec`
     is the multiplicative unit of R at the one-point level.  Raises
     ValueError, naming the class label and the cell, unless there is one
-    n x n table of length-n vectors per class (n the level's generator
-    count).  Round-trips with green_from_mult through the same validation.
+    n x n table of length-n integer vectors per class (n the level's
+    generator count); a float, string or bool entry, of a table or of the
+    unit, is named rather than truncated.  Round-trips with green_from_mult
+    through the same validation.
     """
     group = R.group
     classes = group.subgroup_classes()
     if len(ring_tables) != len(classes):
         raise ValueError(f"need one ring table per subgroup class, "
                          f"got {len(ring_tables)} for {len(classes)}")
+    tables = []
     for cls, table in zip(classes, ring_tables):
         n = R.levels[cls.index].generator_count
         if len(table) != n or any(len(row) != n for row in table):
@@ -985,20 +955,37 @@ def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
                     raise ValueError(
                         f"ring table at level {cls.label}, cell ({i}, {j}): "
                         f"vector of length {len(vec)}, expected {n}")
+        tables.append([[intmat.intvec(_labels(
+            vec, f"ring table at level {cls.label}, cell ({i}, {j})"))
+            for j, vec in enumerate(row)] for i, row in enumerate(table)])
+    unit_vec = intmat.intvec(_labels(unit_vec, "unit"))
     data = box(R, R)
-    mats = []
-    for cls in classes:
-        c = cls.index
-        X = standard_orbit(group, c)
-        cols = [None] * data.functor.levels[c].generator_count
-        for (code, i, j), idx in data.layout[c].items():
-            push = R.eval_span(transfer_element(struct_gmap(X, code)))
-            cols[idx] = push @ intmat.intvec(ring_tables[code[0]][i][j])
-        mats.append(intmat.from_cols(cols, R.levels[c].generator_count))
-    mult = MackeyMorphism(data.functor, R, mats, check=False)
+    mult = action_from_tables(data, R, tables)
     unit, unit_rep = yoneda_element(R, point_gset(group), unit_vec)
     return green_from_mult(R, mult, unit, data=data, unit_rep=unit_rep,
                            check=check)
+
+
+def action_from_tables(data: BoxData, target: MackeyFunctor,
+                       tables) -> MackeyMorphism:
+    """The map out of `data` that is the transfer of the level products.
+
+    `tables[c][i][j]` is the level product e_i . e_j in target(G/H_c) of
+    generator i of data.left and generator j of data.right.  A generator
+    (code, i, j) of the box goes to the transfer along code of
+    tables[class of code][i][j], the rule that `_check_action` enforces.
+    """
+    group = target.group
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        X = standard_orbit(group, c)
+        push = {code: target.eval_span(transfer_element(struct_gmap(X, code)))
+                for code in data.codes[c]}
+        cols = [None] * data.functor.levels[c].generator_count
+        for (code, i, j), idx in data.layout[c].items():
+            cols[idx] = push[code] @ tables[code[0]][i][j]
+        mats.append(intmat.from_cols(cols, target.levels[c].generator_count))
+    return MackeyMorphism(data.functor, target, mats, check=False)
 
 
 def burnside_green(group, check=True) -> GreenFunctor:

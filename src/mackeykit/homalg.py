@@ -1,12 +1,14 @@
 """Modules over Green functors, Tor, and filtered-complex spectral sequences.
 
-Free modules are R box A_X; covers pick one free generator per level
-generator, resolutions iterate kernels, and Tor is the homology of the
-relative box product against a free resolution.  Spectral sequence pages
-follow the image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with
-differentials induced by the connecting morphism of the obvious short
-exact sequence of quotient complexes; everything is levelwise exact
-integer arithmetic.
+The free module on a G-set X is R(X x -), the Dress construction of R at
+X, which is R box A_X: its levels are values of R, the action is the
+level product after restriction, and a module map out of it is the Yoneda
+formula at X.  Covers pick one free generator per level generator,
+resolutions iterate kernels, and Tor is the homology of the relative box
+product against a free resolution.  Spectral sequence pages follow the
+image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
+induced by the connecting morphism of the obvious short exact sequence of
+quotient complexes; everything is levelwise exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,21 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abgroups, intmat
-from .burnside import basis_element, hom_basis, transfer_element
+from .burnside import restriction_element, transfer_element
 from .convolution import (
     BoxData,
     GreenFunctor,
     GreenModule,
+    _diag_code,
+    action_from_tables,
     box,
     box_map,
-    box_pairing,
     box_unit_eval,
+    internal_hom_rep,
 )
 from .gsets import (
+    GMap,
     GSet,
     disjoint_union_of_orbits,
     empty_gset,
-    point_gset,
+    product,
     standard_orbit,
 )
 from .mackey import (
@@ -44,7 +49,7 @@ from .mackey import (
     image,
     kernel,
     lift_through_inclusion,
-    representable,
+    orbit_embeddings,
     zero_mackey,
     zero_morphism,
 )
@@ -55,188 +60,113 @@ from .mackey import (
 
 @dataclass
 class FreeModule:
-    """The left R-module R box A_X on a basis G-set X.
+    """The free left R-module R^X = R(X x -) on a basis G-set X.
 
-    Stored as a direct sum of the per-orbit free modules R box A_{G/H},
-    which are built once per subgroup class and reused, so covers with
-    many summands stay cheap.
+    Its level at G/H is R(X x G/H), and r in R(G/H) acts on f by
+    res(r) . f, restricting along the projection X x G/H -> G/H and
+    multiplying blockwise over the orbits of X x G/H.  This is the Dress
+    construction: R(X x -) is R box A_X (`free_evaluation_iso`).
     """
     ring: GreenFunctor
-    basis_gsets: tuple
-    base: GSet                   # disjoint union of the basis G-sets
+    base: GSet
     module: GreenModule
-    summand_classes: tuple       # class index per block
-    pieces: tuple                # per block: (AX, data, act) shared per class
 
     @property
     def underlying(self):
         return self.module.underlying
 
 
-def _free_piece(R: GreenFunctor, cidx):
-    """R box A_{G/H} with its action, cached per subgroup class."""
-    key = ("free_piece", cidx)
-    cache = R.underlying._cache
-    if key not in cache:
-        O = standard_orbit(R.group, cidx)
-        AX = representable(O, name=f"A[{O.name}]")
-        data = box(R.underlying, AX)
-        source = box(R.underlying, data.functor, presentation=False)
-        act = _free_action(R, AX, data, source)
-        cache[key] = (AX, data, act)
-    return cache[key]
+def _level_act(action: MackeyMorphism, data: BoxData, cw, r_idx, m_idx):
+    """e_r . e_m at level cw: the diagonal over-code column of an action."""
+    idx = data.layout[cw][(_diag_code(action.target.group, cw), r_idx, m_idx)]
+    return action.mats[cw][:, idx]
 
 
-def free_module(R: GreenFunctor, X: GSet, name=None) -> FreeModule:
-    """R^X = R box A_X with the multiplication-induced action."""
-    from .mackey import direct_sum_many
-    group = X.group
-    block_classes = tuple(group.class_index_of(X.stabilizer(o[0]))
-                          for o in X.orbits())
-    if not block_classes:
-        Z = zero_mackey(group)
-        data = box(R.underlying, Z, presentation=False)
-        act = MackeyMorphism(data.functor, Z,
-                             [intmat.zeros(0, 0) for _ in Z.levels],
-                             check=False)
-        mod = GreenModule(R, Z, act, data)
-        return FreeModule(R, (), X, mod, (), ())
-    pieces = tuple(_free_piece(R, c) for c in block_classes)
-    D = direct_sum_many([p[1].functor for p in pieces],
-                        name=name or f"R^[{X.size}]")
-    source = box(R.underlying, D, presentation=False)
-    offsets = D._cache["direct_sum_of"][1]
-    classes = R.group.subgroup_classes()
-    mats = []
-    for c in range(len(classes)):
-        n_tgt = D.levels[c].generator_count
-        cols = [None] * source.functor.levels[c].generator_count
-        for (code, r_i, j), idx in source.layout[c].items():
-            cw = code[0]
-            # locate the block of the direct-sum coordinate j at level cw
-            b = max(bb for bb in range(len(pieces))
-                    if offsets[cw][bb] <= j)
-            j_b = j - offsets[cw][b]
-            AX, data_b, act_b = pieces[b]
-            src_b = box(R.underlying, data_b.functor, presentation=False)
-            col_small = act_b.mats[c][:, src_b.layout[c][(code, r_i, j_b)]]
-            col = intmat.zero_vec(n_tgt)
-            off_c = offsets[c][b]
-            for t in range(len(col_small)):
-                if col_small[t]:
-                    col[off_c + t] = col_small[t]
-            cols[idx] = col
-        mats.append(intmat.from_cols(cols, n_tgt))
-    act = MackeyMorphism(source.functor, D, mats, check=False)
-    mod = GreenModule(R, D, act, source)
-    orbit_list = tuple(standard_orbit(group, c) for c in block_classes)
-    return FreeModule(R, orbit_list, X, mod, block_classes, pieces)
+def _act_columns(action: MackeyMorphism, data: BoxData, Y: GSet, m):
+    """e_j . m in M(Y) for every generator e_j of R(Y), orbit by orbit.
 
-
-def _free_action(R: GreenFunctor, AX, data: BoxData,
-                 source: BoxData) -> MackeyMorphism:
-    """Action R box (R box A_X) -> R box A_X on generators.
-
-    A generator is (outer code c, r, (inner code c', r', a)); its image
-    restricts r along the inner structure map, twists everything onto the
-    canonical over-code, multiplies the two ring legs, and reinjects.
+    `action` is R box M -> M on `data`; on each orbit of Y the product is
+    the level action of the orbit's class.
     """
-    from .convolution import _diag_code, _regroup_matrices
-    group = R.group
+    R, M = data.left, action.target
+    grp, offsets = M.value_at(Y)
+    cols = []
+    for b, (_, _, L) in enumerate(M.blocks_of(Y)):
+        lo, n = offsets[b], M.levels[L].generator_count
+        for s in range(R.levels[L].generator_count):
+            col = intmat.zero_vec(grp.generator_count)
+            for t in range(n):
+                if m[lo + t]:
+                    col[lo:lo + n] += m[lo + t] * _level_act(action, data,
+                                                             L, s, t)
+            cols.append(col)
+    return cols
+
+
+def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
+    """R^X = R(X x -), the internal hom F(A_X, R), with its R-action.
+
+    r in R(G/H) sends generator f of R(X x G/H) to f . res(r), which is
+    res(r) . f since R is commutative.
+    """
     Rk = R.underlying
-    RR = R.data               # box(R, R), already presented
-    mult = R.mult
-    diag = [_diag_code(group, c) for c in range(len(group.subgroup_classes()))]
-
-    def place(c, outer_code, cwp, a, b, d):
-        prod = mult.mats[cwp][:, RR.layout[cwp][(diag[cwp], a, b)]]
-        return [(data.layout[c][(outer_code, t, d)], prod[t])
-                for t in range(len(prod)) if prod[t]]
-
-    mats = _regroup_matrices(source, data, (Rk, Rk, AX), False,
-                             data.functor.levels, place)
-    return MackeyMorphism(source.functor, data.functor, mats, check=False)
+    group = X.group
+    F = internal_hom_rep(X, Rk)
+    F.name = f"R^[{X.size}]"
+    tables = []
+    for cw in range(len(group.subgroup_classes())):
+        P = product(X, standard_orbit(group, cw))
+        res = Rk.eval_span(restriction_element(P.right))
+        tables.append([_act_columns(R.mult, R.data, P.gset, res[:, i])
+                       for i in range(res.shape[1])])
+    data = box(Rk, F, presentation=False)
+    return FreeModule(R, X, GreenModule(R, F, action_from_tables(data, F, tables),
+                                        data))
 
 
 def free_unit_vector(F: FreeModule):
-    """The canonical element of (R^X)(X) classifying the identity."""
-    from .gsets import product
-    from .burnside import identity_element
-    R = F.ring
+    """The element tr_diag(1_X) of R^X(X) = R(X x X) classifying the identity.
+
+    Orbit b of X, the image of its standard orbit O under emb, holds
+    tr(1_O) along O -> X x O, o -> (emb(o), o).
+    """
+    Rk = F.ring.underlying
     X = F.base
-    group = X.group
-    pt = point_gset(group)
-    D = F.underlying
-    grp, val_offsets = D.value_at(X)
-    sum_offsets = D._cache["direct_sum_of"][1]
+    grp, offsets = F.underlying.value_at(X)
     out = intmat.zero_vec(grp.generator_count)
-    nclasses = len(group.subgroup_classes())
-    unit_vec = R.unit.mats[nclasses - 1] @ _unit_elt(group, R)
-    for b, cidx in enumerate(F.summand_classes):
-        O = standard_orbit(group, cidx)
-        AXb, data_b, _act = F.pieces[b]
-        lam = product(pt, O).right
-        e = transfer_element(lam)
-        id_vec = intmat.zero_vec(AXb.levels[cidx].generator_count)
-        ident = identity_element(O)
-        basis = hom_basis(O, O)
-        for code, v in ident.coeffs.items():
-            id_vec[basis.index(code)] += v
-        piece_vec = box_pairing(data_b, pt, O, e, unit_vec, id_vec)
-        # place into the value block for orbit b, summand-b slice
-        off = val_offsets[b] + sum_offsets[cidx][b]
-        for t in range(len(piece_vec)):
-            out[off + t] = piece_vec[t]
+    for b, (emb, (_, _, c)) in enumerate(zip(orbit_embeddings(X),
+                                             F.underlying.blocks_of(X))):
+        O = emb.source
+        P = product(X, O)
+        diag = GMap(O, P.gset, tuple(P.of_pair(emb(o), o) for o in range(O.size)))
+        vec = Rk.eval_span(transfer_element(diag)) @ F.ring.level_unit(c)
+        out[offsets[b]:offsets[b] + len(vec)] = vec
     return out
 
 
-def _unit_elt(group, R: GreenFunctor):
-    from .convolution import _unit_vector
-    return _unit_vector(group, R.unit_rep)
+def _classifying_mats(M: GreenModule, X: GSet, m_vec):
+    """Levels of the R-linear map R(X x -) -> M classified by m in M(X).
+
+    The Yoneda formula: f in R(X x Y) goes to tr_{pr_Y}(f . res_{pr_X} m).
+    """
+    Mk = M.underlying
+    group = X.group
+    m_vec = np.asarray(m_vec, dtype=object)
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        P = product(X, standard_orbit(group, c))
+        m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
+        push = Mk.eval_span(transfer_element(P.right))
+        cols = [push @ col
+                for col in _act_columns(M.action, M.data, P.gset, m_res)]
+        mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
+    return mats
 
 
 def classifying_morphism(F: FreeModule, M: GreenModule, m_vec) -> MackeyMorphism:
-    """The R-module map R^X -> M classified by m_vec in M(X).
-
-    Sends r (x) a over a transitive over-object to act(r (x) M(a)(m)),
-    block by block over the basis orbits of X.
-    """
-    from .burnside import transitive_code
-    from .mackey import orbit_embeddings
-    R = F.ring
-    X = F.base
-    group = X.group
-    Mk = M.underlying
-    data_RM = M.data
-    D = F.underlying
-    offsets = D._cache["direct_sum_of"][1] if F.summand_classes else None
-    embeds = orbit_embeddings(X)
-    m_vec = np.asarray(m_vec, dtype=object)
-    classes = group.subgroup_classes()
-    mats = []
-    for c in range(len(classes)):
-        O_level = standard_orbit(group, c)
-        cols = [None] * D.levels[c].generator_count
-        for b, cidx in enumerate(F.summand_classes):
-            AXb, data_b, _act = F.pieces[b]
-            Ob = standard_orbit(group, cidx)
-            emb = embeds[b]
-            for (code, i, j), idx in data_b.layout[c].items():
-                cw = code[0]
-                Ocw = standard_orbit(group, cw)
-                (ca, xa, ya) = hom_basis(Ob, Ocw)[j]
-                rep = group.subgroup_classes()[ca].representative
-                shifted = transitive_code(X, Ocw, rep, emb(xa), ya)
-                a_span = basis_element(X, Ocw, shifted)
-                m_img = Mk.eval_span(a_span) @ m_vec
-                vec = intmat.zero_vec(
-                    data_RM.functor.levels[c].generator_count)
-                for t in range(len(m_img)):
-                    if m_img[t]:
-                        vec[data_RM.layout[c][(code, i, t)]] += m_img[t]
-                cols[offsets[c][b] + idx] = M.action.mats[c] @ vec
-        mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
-    return MackeyMorphism(D, Mk, mats, check=False)
+    """The R-module map R^X -> M classified by m_vec in M(X)."""
+    return MackeyMorphism(F.underlying, M.underlying,
+                          _classifying_mats(M, F.base, m_vec), check=False)
 
 
 def hom_modules(P: GreenModule, M: GreenModule):
@@ -272,14 +202,6 @@ def hom_modules(P: GreenModule, M: GreenModule):
 # -- covers and resolutions ------------------------------------------------------------
 
 
-def _single_orbit_free(R: GreenFunctor, cidx) -> FreeModule:
-    key = ("free_on_orbit", cidx)
-    cache = R.underlying._cache
-    if key not in cache:
-        cache[key] = free_module(R, standard_orbit(R.group, cidx))
-    return cache[key]
-
-
 def module_cover(M: GreenModule, prune=True, reverse=False):
     """A deterministic free cover F -> M.
 
@@ -306,10 +228,9 @@ def module_cover(M: GreenModule, prune=True, reverse=False):
                 continue
             slots.append((c, k))
             if prune:
-                Fc = _single_orbit_free(M.ring, c)
-                phi = classifying_morphism(Fc, M, ek)
+                phi = _classifying_mats(M, standard_orbit(group, c), ek)
                 for cp in range(len(classes)):
-                    images[cp] = intmat.lattice_sum(images[cp], phi.mats[cp])
+                    images[cp] = intmat.lattice_sum(images[cp], phi[cp])
     if slots:
         X = disjoint_union_of_orbits(group, tuple(c for (c, _k) in slots))
     else:
@@ -412,17 +333,10 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     for m, r, n all at one over-code, (r.m) (x) n = m (x) (r.n).  One
     relation column per (over-code, m, r, n) generator triple.
     """
-    from .convolution import _diag_code
     R = M.ring
     Mk, Nk, Rk = M.underlying, N.underlying, R.underlying
     group = R.group
     data = box(Mk, Nk)
-    dRM, dRN = M.data, N.data
-
-    def level_act(act_mats, dat, cw, r_idx, other_idx):
-        idx = dat.layout[cw][(_diag_code(group, cw), r_idx, other_idx)]
-        return act_mats[cw][:, idx]
-
     levels = []
     for c in range(len(group.subgroup_classes())):
         cols = []
@@ -433,9 +347,9 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
             nR = Rk.levels[cw].generator_count
             for r_idx in range(nR):
                 for i in range(nM):
-                    rm = level_act(M.action.mats, dRM, cw, r_idx, i)
+                    rm = _level_act(M.action, M.data, cw, r_idx, i)
                     for k in range(nN):
-                        rn = level_act(N.action.mats, dRN, cw, r_idx, k)
+                        rn = _level_act(N.action, N.data, cw, r_idx, k)
                         col = intmat.zero_vec(
                             data.functor.levels[c].generator_count)
                         for a in range(nM):
@@ -447,8 +361,8 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
                         if not intmat.is_zero(col):
                             cols.append(col)
         rels = intmat.from_cols(cols, data.functor.levels[c].generator_count)
-        grp, _ = abgroups.quotient_by_columns(data.functor.levels[c], rels)
-        levels.append(grp)
+        levels.append(abgroups.quotient_by_columns(data.functor.levels[c],
+                                                   rels))
     F = data.functor
     Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.weyl,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import numbers
 
-from . import intmat
 from .abgroups import FinPresAbGroup
 from .burnside import BurnsideElement, code_subgroup, transitive_code
 from .convolution import GreenFunctor, green_from_levelwise
@@ -161,15 +160,10 @@ def green_to_json(G: GreenFunctor):
 
 
 def green_from_json(doc, check=True) -> GreenFunctor:
+    """Green functor from a file; green_from_levelwise checks every entry."""
     M = mackey_from_json(doc["mackey"])
-    group = M.group
-    classes = group.subgroup_classes()
-    tables = []
-    for cls in classes:
-        raw = doc["rings"][cls.label]
-        tables.append([[intmat.intvec(v) for v in row] for row in raw])
-    unit_vec = intmat.intvec(doc["unit"])
-    return green_from_levelwise(M, tables, unit_vec, check=check)
+    tables = [doc["rings"][cls.label] for cls in M.group.subgroup_classes()]
+    return green_from_levelwise(M, tables, doc["unit"], check=check)
 
 
 def load_json_file(path):

@@ -734,11 +734,9 @@ def minimize_presentation(M: MackeyFunctor):
 def cokernel(f: MackeyMorphism):
     """Cokernel functor with its projection morphism."""
     group = f.source.group
-    levels = []
-    for c, mat in enumerate(f.mats):
-        grp, _ = abgroups.cokernel_of_map(mat, f.source.levels[c],
-                                          f.target.levels[c])
-        levels.append(grp)
+    levels = [abgroups.cokernel_of_map(mat, f.source.levels[c],
+                                       f.target.levels[c])
+              for c, mat in enumerate(f.mats)]
     M = f.target
     quo = MackeyFunctor(group, levels, M.res, M.tr, M.weyl,
                         name=f"coker({M.name})", check=False)
@@ -748,40 +746,27 @@ def cokernel(f: MackeyMorphism):
     return quo, proj
 
 
-def direct_sum_many(functors, name=None):
-    """n-ary direct sum, tagged so box products can split over it."""
-    functors = list(functors)
-    if not functors:
-        raise ValueError("need at least one summand")
-    group = functors[0].group
-    levels = []
-    offsets_per_class = []
-    for c in range(len(functors[0].levels)):
-        grp, offs = abgroups.direct_sum_groups([F.levels[c] for F in functors])
-        levels.append(grp)
-        offsets_per_class.append(offs)
-    covers = canonical_covers(group)
-    res = {k: intmat.block_diag([F.res[k] for F in functors]) for k in covers}
-    tr = {k: intmat.block_diag([F.tr[k] for F in functors]) for k in covers}
-    weyl = [{n: intmat.block_diag([F.weyl[c][n] for F in functors])
-             for n in functors[0].weyl[c]}
-            for c in range(len(functors[0].levels))]
-    D = MackeyFunctor(group, levels, res, tr, weyl,
-                      name=name or "(+)", check=False)
-    D._cache["direct_sum_of"] = (tuple(functors), tuple(offsets_per_class))
-    return D
-
-
 def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     """Biproduct with its two inclusion and two projection morphisms."""
-    D = direct_sum_many([M, N], name=f"{M.name}+{N.name}")
-    offsets_per_class = D._cache["direct_sum_of"][1]
+    group = M.group
+    summands = (M, N)
+    levels, offsets = zip(*(
+        abgroups.direct_sum_groups([F.levels[c] for F in summands])
+        for c in range(len(M.levels))))
+    covers = canonical_covers(group)
+    res = {k: intmat.block_diag([F.res[k] for F in summands]) for k in covers}
+    tr = {k: intmat.block_diag([F.tr[k] for F in summands]) for k in covers}
+    weyl = [{n: intmat.block_diag([F.weyl[c][n] for F in summands])
+             for n in M.weyl[c]}
+            for c in range(len(M.levels))]
+    D = MackeyFunctor(group, levels, res, tr, weyl,
+                      name=f"{M.name}+{N.name}", check=False)
     incls, projs = [], []
-    for b, F in enumerate((M, N)):
+    for b, F in enumerate(summands):
         inc_mats = []
         for c, lvl in enumerate(D.levels):
             n_f = F.levels[c].generator_count
-            off = offsets_per_class[c][b]
+            off = offsets[c][b]
             inc = intmat.zeros(lvl.generator_count, n_f)
             inc[off:off + n_f, :] = intmat.identity(n_f)
             inc_mats.append(inc)

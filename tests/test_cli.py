@@ -125,6 +125,22 @@ def test_green_check_detects_violation(tmp_path, capsys):
         or "Frobenius" in payload["error"]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["rings"]["C2"][1].__setitem__(1, [0.5, 1.5]),
+    lambda doc: doc.update(unit=[0.9, 1]),
+], ids=["ring", "unit"])
+def test_green_check_rejects_non_integer_entries(tmp_path, capsys, edit):
+    doc = jsonio.green_to_json(burnside_green(builtin_group("C2")))
+    edit(doc)
+    path = tmp_path / "bad_green.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["green-check", str(path), "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert "is not an integer" in payload["error"]
+
+
 def test_green_check_accepts_valid(tmp_path, capsys):
     C2 = builtin_group("C2")
     doc = jsonio.green_to_json(burnside_green(C2))

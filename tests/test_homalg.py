@@ -4,8 +4,13 @@ import pytest
 
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic
-from mackeykit.groups import builtin_group
-from mackeykit.gsets import point_gset, product, standard_orbit
+from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
+from mackeykit.gsets import (
+    disjoint_union_of_orbits,
+    point_gset,
+    product,
+    standard_orbit,
+)
 from mackeykit.mackey import (
     MackeyMorphism,
     burnside_mackey,
@@ -19,7 +24,7 @@ from mackeykit.mackey import (
     zero_mackey,
     zero_morphism,
 )
-from mackeykit.convolution import box, burnside_green
+from mackeykit.convolution import box, burnside_green, validate_module
 from mackeykit.homalg import (
     ChainComplex,
     FilteredComplex,
@@ -104,6 +109,51 @@ def test_free_module_adjunction(c2_setup):
                 from mackeykit.abgroups import maps_equal
                 assert maps_equal(psi.mats[c], phi.mats[c],
                                   F.underlying.levels[c], FP.levels[c])
+
+
+def _free_bases(group):
+    """Every standard orbit, and one G-set with three orbits."""
+    n = len(group.subgroup_classes())
+    return [standard_orbit(group, c) for c in range(n)] + \
+        [disjoint_union_of_orbits(group, (0, n // 2, n - 1))]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_free_module_is_r_of_x_times_and_classifies_m_of_x(name):
+    # R^X(G/H) = R(X x G/H); hom_{R-mod}(R^X, M) = M(X) through the unit
+    # vector one way and the Yoneda formula the other, for M = FP(Z) and,
+    # below order 8 (where its hom system takes seconds), FP(Z)/2
+    group = builtin_group(name)
+    R = burnside_green(group, check=False)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    mods = [canonical_module(R, FP)]
+    if group.order < 8:
+        mods.append(canonical_module(R, cokernel(two)[0]))
+    for X in _free_bases(group):
+        F = free_module(R, X)
+        validate_module(F.module)
+        for c, lvl in enumerate(F.underlying.levels):
+            val, _ = R.underlying.value_at(
+                product(X, standard_orbit(group, c)).gset)
+            assert lvl.generator_count == val.generator_count
+            assert lvl == val
+        eta = free_unit_vector(F)
+        for M in mods:
+            Mk = M.underlying
+            val, _ = Mk.value_at(X)
+            hg = hom_modules(F.module, M)
+            assert groups_isomorphic(hg.group, val)
+            for phi in hg.basis:
+                psi = classifying_morphism(F, M, phi.at_gset(X) @ eta)
+                assert psi.equals(phi)
+            for k in range(val.generator_count):
+                m = im.zero_vec(val.generator_count)
+                m[k] = 1
+                psi = classifying_morphism(F, M, m)
+                MackeyMorphism(psi.source, psi.target, psi.mats)  # natural
+                assert val.elements_equal(psi.at_gset(X) @ eta, m)
 
 
 def test_free_module_adjunction_over_second_ring(c2_setup):

@@ -29,7 +29,7 @@ from mackeykit.mackey import (
     representable,
     trivial_module,
 )
-from mackeykit.convolution import burnside_green
+from mackeykit.convolution import burnside_green, green_from_levelwise
 
 
 def test_group_roundtrip():
@@ -164,6 +164,35 @@ def test_green_ring_vector_of_wrong_length_rejected(length):
     with pytest.raises(ValueError, match=r"level C2, cell \(1, 1\): vector "
                                          rf"of length {length}, expected 2"):
         green_from_json(doc)
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("rings", "C2", 1, 1), [0.5, 1.5],
+     r"level C2, cell \(1, 1\)\[0\] is not an integer: 0\.5"),
+    (("rings", "C2", 0, 1), [1, True],
+     r"level C2, cell \(0, 1\)\[1\] is not an integer: True"),
+    (("rings", "e", 0, 0), ["1"],
+     r"level e, cell \(0, 0\)\[0\] is not an integer: '1'"),
+    (("unit",), [0.9, 1], r"unit\[0\] is not an integer: 0\.9"),
+    (("unit",), [0, 1.0], r"unit\[1\] is not an integer: 1\.0"),
+], ids=["ring-float", "ring-bool", "ring-string", "unit-float",
+        "unit-integral-float"])
+def test_green_file_with_non_integer_entries_rejected(path, value, match):
+    # the two float cases used to load as the valid ring: int() truncated
+    # [0.5, 1.5] to [0, 1] and [0.9, 1] to the unit [0, 1]
+    doc = green_to_json(burnside_green(builtin_group("C2")))
+    _set(doc, path, value)
+    with pytest.raises(ValueError, match=match):
+        green_from_json(json.loads(json.dumps(doc)))
+
+
+def test_green_from_levelwise_names_a_non_integer_cell():
+    G = burnside_green(builtin_group("C2"))
+    tables = [G.ring_table(0), [list(row) for row in G.ring_table(1)]]
+    tables[1][1][0] = [1.5, 0]
+    with pytest.raises(ValueError, match=r"level C2, cell \(1, 0\)\[0\] "
+                                         r"is not an integer: 1\.5"):
+        green_from_levelwise(G.underlying, tables, G.level_unit(1))
 
 
 @pytest.mark.parametrize("doc, match", [

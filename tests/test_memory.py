@@ -65,12 +65,13 @@ print([list(level.invariant_factors) for level in result.tor[0].levels])
 """
 
 # Traced memory of TOR0 in a fresh interpreter (caches cold), measured on
-# x86-64 CPython 3.  Peak 43.5 MiB, set by the dense outputs of one Smith
-# form; held at the end, with the result and the caches, 23.5 MiB.  With
-# zero structure matrices in layout-only boxes and dense identities in
-# relator-free groups they were 62.5 and 40.6 MiB.
-TOR0_PEAK_MIB = 43.5
-TOR0_HELD_MIB = 23.5
+# x86-64 CPython 3.  Peak 3.1 MiB; held at the end, with the result and the
+# caches, 2.2 MiB.  With free modules presented as sums of R box A_{G/H}
+# they were 43.5 and 23.5 MiB (the peak set by the dense outputs of one
+# Smith form), and 62.5 and 40.6 MiB before that, with zero structure
+# matrices in layout-only boxes and dense identities in relator-free groups.
+TOR0_PEAK_MIB = 3.1
+TOR0_HELD_MIB = 2.2
 
 
 def test_fresh_c4_tor0_stays_under_its_traced_memory_bounds():
