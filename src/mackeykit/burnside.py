@@ -78,10 +78,16 @@ def span_codes(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
         raise ValueError("legs must start at the middle")
     if left.target != X or right.target != Y:
         raise ValueError("legs do not match the stated feet")
+    return _orbit_codes(X, Y, U, left.mapping, right.mapping)
+
+
+def _orbit_codes(X: GSet, Y: GSet, U: GSet, left, right):
+    """Codes of X <- U -> Y, one per orbit of U; legs as point sequences."""
     out = {}
-    for orbit in U.orbits():
+    ix = U.orbit_index
+    for orbit, stab in zip(ix.orbits, ix.stabilizers):
         u0 = orbit[0]
-        code = transitive_code(X, Y, U.stabilizer(u0), left(u0), right(u0))
+        code = transitive_code(X, Y, stab, left[u0], right[u0])
         out[code] = out.get(code, 0) + 1
     return out
 
@@ -183,23 +189,22 @@ def span_element(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
 
 
 def identity_element(X: GSet) -> BurnsideElement:
-    from .gsets import identity_map
-    i = identity_map(X)
-    return span_element(X, X, X, i, i)
+    ids = range(X.size)
+    return BurnsideElement._of_checked(X, X, _orbit_codes(X, X, X, ids, ids))
 
 
 def transfer_element(f: GMap) -> BurnsideElement:
     """The span X <- X -> Y with right leg f (pushforward along f)."""
-    from .gsets import identity_map
-    return span_element(f.source, f.target, f.source,
-                        identity_map(f.source), f)
+    X, Y = f.source, f.target
+    return BurnsideElement._of_checked(
+        X, Y, _orbit_codes(X, Y, X, range(X.size), f.mapping))
 
 
 def restriction_element(f: GMap) -> BurnsideElement:
     """The span Y <- X -> X with left leg f (pullback along f)."""
-    from .gsets import identity_map
-    return span_element(f.target, f.source, f.source,
-                        f, identity_map(f.source))
+    X, Y = f.source, f.target
+    return BurnsideElement._of_checked(
+        Y, X, _orbit_codes(Y, X, X, f.mapping, range(X.size)))
 
 
 # -- materialization -----------------------------------------------------------
@@ -480,9 +485,8 @@ def burnside_ring_table(group: FiniteGroup):
         for j in range(k):
             pd = product(standard_orbit(group, i), standard_orbit(group, j))
             counts = [0] * k
-            for orbit in pd.gset.orbits():
-                stab = pd.gset.stabilizer(orbit[0])
-                counts[group.class_index_of(stab)] += 1
+            for c in pd.gset.orbit_index.classes:
+                counts[c] += 1
             row.append(counts)
         table.append(row)
     return table

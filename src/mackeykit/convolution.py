@@ -183,11 +183,9 @@ def _over_maps(X: GSet, code_src, code_tgt):
 
 def _level_offsets(levels, X: GSet):
     """Block offsets of the box value at X, matching value_at ordering."""
-    group = X.group
     offs = []
     total = 0
-    for o in X.orbits():
-        c = group.class_index_of(X.stabilizer(o[0]))
+    for c in X.orbit_index.classes:
         offs.append(total)
         total += levels[c].generator_count
     return offs, total
@@ -209,10 +207,7 @@ def _pairing_terms(data: BoxData, levels, U: GSet, V: GSet, e: BurnsideElement):
     offs, _total = _level_offsets(levels, X)
     embeds = orbit_embeddings(X)
     inv_embeds = [{emb(w): w for w in range(emb.source.size)} for emb in embeds]
-    orbit_index = {}
-    for b, o in enumerate(X.orbits()):
-        for y in o:
-            orbit_index[y] = b
+    ix = X.orbit_index
     out = []
     for code, a in e.coeffs.items():
         cw, _p, y = code
@@ -221,8 +216,8 @@ def _pairing_terms(data: BoxData, levels, U: GSet, V: GSet, e: BurnsideElement):
         legV = compose_maps(PD.right, legP)
         RU = M.eval_span(restriction_element(legU))
         RV = N.eval_span(restriction_element(legV))
-        b = orbit_index[y]
-        cb = group.class_index_of(X.stabilizer(X.orbits()[b][0]))
+        b = ix.orbit_of[y]
+        cb = ix.classes[b]
         z = inv_embeds[b][y]
         Ob = standard_orbit(group, cb)
         zstar, u = _canonical_over(group, cw, z, Ob)
@@ -285,8 +280,8 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     data = BoxData(M, N, tuple(codes), tuple(layouts))
 
     def entry_matrix(e: BurnsideElement):
-        c_src = group.class_index_of(e.source.stabilizer(0))
-        c_tgt = group.class_index_of(e.target.stabilizer(0))
+        c_src = e.source.orbit_index.classes[0]
+        c_tgt = e.target.orbit_index.classes[0]
         cols = [None] * levels[c_src].generator_count
         for code in codes[c_src]:
             terms = _pairing_terms(data, levels, standard_orbit(group, code[0]),

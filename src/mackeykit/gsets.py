@@ -10,10 +10,28 @@ canonicalization deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .groups import FiniteGroup, _labels
+
+
+@dataclass(frozen=True)
+class OrbitIndex:
+    """Orbits of a G-set with the data span evaluation reads per orbit.
+
+    Orbit b is `orbits[b]`, sorted, with base point `orbits[b][0]` (its
+    minimum); orbits are ordered by base point.  `stabilizers[b]` is the
+    stabilizer of the base and `classes[b]` its subgroup-class index.  A
+    point x lies in orbit `orbit_of[x]`, and `reach[x]` is the least g with
+    g.base = x.
+    """
+    orbits: tuple
+    stabilizers: tuple
+    classes: tuple
+    orbit_of: tuple
+    reach: tuple
 
 
 class GSet:
@@ -54,7 +72,6 @@ class GSet:
         self.size = size
         self.action = action
         self.name = name
-        self._cache = {}
         self._hash = hash((group, action))
 
     def act(self, g, x):
@@ -72,34 +89,39 @@ class GSet:
         label = self.name or f"gset{self.size}"
         return f"GSet({label}, |X|={self.size})"
 
+    @cached_property
+    def orbit_index(self):
+        """The orbit data of X, derived once: an `OrbitIndex`."""
+        group, action = self.group, self.action
+        orbit_of = [None] * self.size
+        reach = [None] * self.size
+        orbits, stabs, classes = [], [], []
+        for base in range(self.size):
+            if orbit_of[base] is not None:
+                continue
+            b, points = len(orbits), []
+            for g, row in enumerate(action):
+                x = row[base]
+                if reach[x] is None:
+                    orbit_of[x], reach[x] = b, g
+                    points.append(x)
+            stab = self.stabilizer(base)
+            orbits.append(tuple(sorted(points)))
+            stabs.append(stab)
+            classes.append(group.class_index_of(stab))
+        return OrbitIndex(tuple(orbits), tuple(stabs), tuple(classes),
+                          tuple(orbit_of), tuple(reach))
+
     def orbits(self):
         """Orbits as sorted tuples, ordered by their minimal point."""
-        if "orbits" in self._cache:
-            return self._cache["orbits"]
-        seen = [False] * self.size
-        out = []
-        for x in range(self.size):
-            if seen[x]:
-                continue
-            orb = sorted({row[x] for row in self.action})
-            for y in orb:
-                seen[y] = True
-            out.append(tuple(orb))
-        out = tuple(out)
-        self._cache["orbits"] = out
-        return out
+        return self.orbit_index.orbits
 
     def stabilizer(self, x):
         return tuple(g for g, row in enumerate(self.action) if row[x] == x)
 
     def orbit_type(self):
         """Multiset of subgroup-class indices, one per orbit, sorted."""
-        if "orbit_type" in self._cache:
-            return self._cache["orbit_type"]
-        out = tuple(sorted(self.group.class_index_of(self.stabilizer(o[0]))
-                           for o in self.orbits()))
-        self._cache["orbit_type"] = out
-        return out
+        return tuple(sorted(self.orbit_index.classes))
 
     def fixed_points(self, H):
         """Points fixed by every element of the subgroup H."""
@@ -216,25 +238,18 @@ def canonicalize(X: GSet):
     minimal points.
     """
     group = X.group
-    orbs = X.orbits()
-    keyed = []
-    for o in orbs:
-        base = o[0]
-        stab = X.stabilizer(base)
-        cidx = group.class_index_of(stab)
-        keyed.append((cidx, base, o, stab))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    classes = tuple(t[0] for t in keyed)
-    target = disjoint_union_of_orbits(group, classes)
+    ix = X.orbit_index
+    keyed = sorted(zip(ix.classes, ix.orbits, ix.stabilizers))
+    target = disjoint_union_of_orbits(group, tuple(c for c, _, _ in keyed))
     mapping = [0] * X.size
     offset = 0
-    for cidx, base, orbit, stab in keyed:
+    for cidx, orbit, stab in keyed:
         t_inv = group.inverse[group.transport(stab)]
-        std = standard_orbit(group, cidx)
+        std = standard_orbit(group, cidx).action
         # g*base  |->  coset (g * t^{-1}) H0, shifted by the block offset
-        for row, g_row in zip(X.action, group.table):
-            mapping[row[base]] = offset + std.action[g_row[t_inv]][0]
-        offset += std.size
+        for x in orbit:
+            mapping[x] = offset + std[group.table[ix.reach[x]][t_inv]][0]
+        offset += len(orbit)
     return target, GMap(X, target, mapping)
 
 
@@ -343,12 +358,7 @@ def orbit_decompose(X: GSet):
     the matching disjoint union of standard orbits.
     """
     canon, iso = canonicalize(X)
-    counts = []
-    for cidx in sorted({X.group.class_index_of(X.stabilizer(o[0]))
-                        for o in X.orbits()}):
-        mult = sum(1 for o in X.orbits()
-                   if X.group.class_index_of(X.stabilizer(o[0])) == cidx)
-        counts.append((cidx, mult))
+    counts = sorted(Counter(X.orbit_index.classes).items())
     return counts, iso
 
 

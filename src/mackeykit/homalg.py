@@ -91,7 +91,7 @@ def _act_columns(action: MackeyMorphism, data: BoxData, Y: GSet, m):
     R, M = data.left, action.target
     grp, offsets = M.value_at(Y)
     cols = []
-    for b, (_, _, L) in enumerate(M.blocks_of(Y)):
+    for b, L in enumerate(Y.orbit_index.classes):
         lo, n = offsets[b], M.levels[L].generator_count
         for s in range(R.levels[L].generator_count):
             col = intmat.zero_vec(grp.generator_count)
@@ -134,8 +134,8 @@ def free_unit_vector(F: FreeModule):
     X = F.base
     grp, offsets = F.underlying.value_at(X)
     out = intmat.zero_vec(grp.generator_count)
-    for b, (emb, (_, _, c)) in enumerate(zip(orbit_embeddings(X),
-                                             F.underlying.blocks_of(X))):
+    for b, (emb, c) in enumerate(zip(orbit_embeddings(X),
+                                     X.orbit_index.classes)):
         O = emb.source
         P = product(X, O)
         diag = GMap(O, P.gset, tuple(P.of_pair(emb(o), o) for o in range(O.size)))

@@ -263,21 +263,13 @@ class MackeyFunctor:
 
     # -- values at arbitrary G-sets ----------------------------------------------
 
-    def blocks_of(self, X: GSet):
-        """Per-orbit block data of M(X): (base, stabilizer, class index)."""
-        return [(o[0], X.stabilizer(o[0]),
-                 self.group.class_index_of(X.stabilizer(o[0])))
-                for o in X.orbits()]
-
     def value_at(self, X: GSet):
         """M(X) as a direct sum of class levels; returns (group, offsets)."""
-        key = ("value", X)
-        if key in self._cache:
-            return self._cache[key]
-        grp, offsets = abgroups.direct_sum_groups(
-            [self.levels[c] for (_, _, c) in self.blocks_of(X)])
-        self._cache[key] = (grp, offsets)
-        return grp, offsets
+        key = ("value", X.orbit_index.classes)
+        if key not in self._cache:
+            self._cache[key] = abgroups.direct_sum_groups(
+                [self.levels[c] for c in key[1]])
+        return self._cache[key]
 
     def eval_span(self, e: BurnsideElement):
         """Matrix of M applied to a Burnside element, M(source) -> M(target)."""
@@ -288,38 +280,41 @@ class MackeyFunctor:
         gy, offy = self.value_at(Y)
         out = intmat.zeros(gy.generator_count, gx.generator_count)
         for code, a in e.coeffs.items():
-            block, (bx, by) = self._eval_code(X, Y, code)
+            block, (bx, by) = self._eval_code(X.orbit_index, Y.orbit_index,
+                                              code)
             rows, cols = block.shape
             out[offy[by]:offy[by] + rows, offx[bx]:offx[bx] + cols] += a * block
         return out
 
-    def _eval_code(self, X, Y, code):
-        key = ("code", X, Y, code)
-        if key in self._cache:
-            return self._cache[key]
-        group = self.group
+    def _eval_code(self, ix, iy, code):
+        """Block of a transitive span code and its (source, target) orbits.
+
+        The block depends on group data only: the code's class and, for
+        each foot, the stabilizer of the orbit's base point and the least
+        element carrying the base to the code's point.  It is cached under
+        that key, so the cache is bounded by the group and holds no G-set.
+        """
         cidx, x, y = code
-        L = group.subgroup_classes()[cidx].representative
-        bxs, bys = self.blocks_of(X), self.blocks_of(Y)
-        bx = next(i for i, o in enumerate(X.orbits()) if x in o)
-        by = next(i for i, o in enumerate(Y.orbits()) if y in o)
-        basex, stabx, cx = bxs[bx]
-        basey, staby, cy = bys[by]
-        a = next(g for g in group.elements() if X.act(g, basex) == x)
-        b = next(g for g in group.elements() if Y.act(g, basey) == y)
-        # transport to the standard-orbit picture:  h carries the middle
-        # base point into the class representative's coset space
-        h = group.mul(a, group.inv(group.transport(stabx)))
-        k = group.mul(b, group.inv(group.transport(staby)))
-        Sx0 = group.subgroup_classes()[cx].representative
-        Sy0 = group.subgroup_classes()[cy].representative
-        A2 = group.conjugate_subgroup(group.inv(h), L)
-        B2 = group.conjugate_subgroup(group.inv(k), L)
-        left = self.conj_mat(h, A2) @ self.res_mat(A2, Sx0)
-        right = self.tr_mat(B2, Sy0) @ self.conj_mat(group.inv(k), L)
-        block = right @ left
-        self._cache[key] = (block, (bx, by))
-        return block, (bx, by)
+        bx, a = ix.orbit_of[x], ix.reach[x]
+        by, b = iy.orbit_of[y], iy.reach[y]
+        stabx, staby = ix.stabilizers[bx], iy.stabilizers[by]
+        key = ("block", cidx, stabx, a, staby, b)
+        if key not in self._cache:
+            group = self.group
+            classes = group.subgroup_classes()
+            L = classes[cidx].representative
+            # transport to the standard-orbit picture:  h carries the middle
+            # base point into the class representative's coset space
+            h = group.mul(a, group.inv(group.transport(stabx)))
+            k = group.mul(b, group.inv(group.transport(staby)))
+            Sx0 = classes[ix.classes[bx]].representative
+            Sy0 = classes[iy.classes[by]].representative
+            A2 = group.conjugate_subgroup(group.inv(h), L)
+            B2 = group.conjugate_subgroup(group.inv(k), L)
+            left = self.conj_mat(h, A2) @ self.res_mat(A2, Sx0)
+            right = self.tr_mat(B2, Sy0) @ self.conj_mat(group.inv(k), L)
+            self._cache[key] = right @ left
+        return self._cache[key], (bx, by)
 
     # -- validation ----------------------------------------------------------------
 
@@ -458,8 +453,8 @@ class MackeyMorphism:
 
     def at_gset(self, X: GSet):
         """Induced matrix M(X) -> N(X) in block coordinates."""
-        blocks = self.source.blocks_of(X)
-        return intmat.block_diag([self.mats[c] for (_, _, c) in blocks])
+        return intmat.block_diag([self.mats[c]
+                                  for c in X.orbit_index.classes])
 
     def __add__(self, other):
         self._check_parallel(other)
@@ -569,8 +564,8 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
     levels = [FinPresAbGroup.free(len(b)) for b in bases]
 
     def action(e: BurnsideElement):
-        src_c = group.class_index_of(e.source.stabilizer(0))
-        tgt_c = group.class_index_of(e.target.stabilizer(0))
+        src_c = e.source.orbit_index.classes[0]
+        tgt_c = e.target.orbit_index.classes[0]
         out = intmat.zeros(len(bases[tgt_c]), len(bases[src_c]))
         for j, code in enumerate(bases[src_c]):
             comp = compose(e, basis_element(X, e.source, code))
@@ -968,10 +963,9 @@ def orbit_embeddings(X: GSet):
     """Standard-orbit isomorphisms onto the orbits of X, one per block."""
     group = X.group
     out = []
-    for o in X.orbits():
-        base = o[0]
-        stab = X.stabilizer(base)
-        cidx = group.class_index_of(stab)
+    ix = X.orbit_index
+    for orbit, stab, cidx in zip(ix.orbits, ix.stabilizers, ix.classes):
+        base = orbit[0]
         t = group.transport(stab)
         O = standard_orbit(group, cidx)
         reps = [c[0] for c in group.left_cosets(
@@ -1004,9 +998,8 @@ def identity_element_vector(X: GSet):
     rep = representable(X)
     grp, offsets = rep.value_at(X)
     vec = intmat.zero_vec(grp.generator_count)
-    embeds = orbit_embeddings(X)
-    for b, emb in enumerate(embeds):
-        cidx = rep.blocks_of(X)[b][2]
+    for b, (emb, cidx) in enumerate(zip(orbit_embeddings(X),
+                                        X.orbit_index.classes)):
         basis = representable_basis(rep, cidx)
         comp = restriction_element(emb)
         for code, v in comp.coeffs.items():

@@ -90,6 +90,58 @@ def pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2):
     return span_codes(ps.gset, pt.gset, raw, left, right)
 
 
+def orbits_oracle(X):
+    """Orbits of X as sorted tuples, ordered by minimal point, by a scan of
+    every row of the action table."""
+    seen = [False] * X.size
+    out = []
+    for x in range(X.size):
+        if not seen[x]:
+            orb = sorted({row[x] for row in X.action})
+            for y in orb:
+                seen[y] = True
+            out.append(tuple(orb))
+    return out
+
+
+def eval_span_oracle(M, e):
+    """M(e) with every orbit, stabilizer and transporter re-derived per code
+    and nothing cached: the evaluator before G-sets carried an orbit index."""
+    group = M.group
+    classes = group.subgroup_classes()
+    X, Y = e.source, e.target
+
+    def blocks(Z):
+        out, offset = [], 0
+        for o in orbits_oracle(Z):
+            stab = Z.stabilizer(o[0])
+            cidx = group.class_index_of(stab)
+            out.append((o, stab, cidx, offset))
+            offset += M.levels[cidx].generator_count
+        return out, offset
+
+    bxs, nx = blocks(X)
+    bys, ny = blocks(Y)
+    out = intmat.zeros(ny, nx)
+    for (cidx, x, y), coeff in e.coeffs.items():
+        L = classes[cidx].representative
+        orbx, stabx, cx, offx = next(b for b in bxs if x in b[0])
+        orby, staby, cy, offy = next(b for b in bys if y in b[0])
+        a = next(g for g in group.elements() if X.act(g, orbx[0]) == x)
+        b = next(g for g in group.elements() if Y.act(g, orby[0]) == y)
+        h = group.mul(a, group.inv(group.transport(stabx)))
+        k = group.mul(b, group.inv(group.transport(staby)))
+        A2 = group.conjugate_subgroup(group.inv(h), L)
+        B2 = group.conjugate_subgroup(group.inv(k), L)
+        left = M.conj_mat(h, A2) @ M.res_mat(A2, classes[cx].representative)
+        right = (M.tr_mat(B2, classes[cy].representative)
+                 @ M.conj_mat(group.inv(k), L))
+        block = right @ left
+        rows, cols = block.shape
+        out[offy:offy + rows, offx:offx + cols] += coeff * block
+    return out
+
+
 def span_functoriality_oracle(M):
     """Exhaustive span-level check that M's data is a functor on spans.
 

@@ -21,7 +21,7 @@ from mackeykit.gsets import (
     pullback,
     standard_orbit,
 )
-from support import full_action_oracle, full_equivariance_oracle
+from support import full_action_oracle, full_equivariance_oracle, orbits_oracle
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -421,3 +421,40 @@ def test_equal_objects_hash_equal(name):
         copy = GSet(twin, [list(map(np.int64, row)) for row in O.action])
         assert copy == O and hash(copy) == hash(O)
         assert {copy: 1}[O] == 1
+
+
+def _orbit_index_gsets(group):
+    """Standard orbits, products of two of them, a pullback, the empty
+    G-set and one G-set built straight from a permuted action table."""
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    out = list(orbs) + [product(X, Y).gset for X in orbs for Y in orbs]
+    mid = orbs[len(orbs) // 2]
+    out.append(pullback(product(mid, orbs[0]).left,
+                        product(mid, orbs[1 % len(orbs)]).left).gset)
+    out.append(empty_gset(group))
+    raw = product(orbs[0], mid).gset
+    perm = [(7 * p + 3) % raw.size for p in range(raw.size)]
+    inv = [perm.index(p) for p in range(raw.size)]
+    out.append(GSet(group, [[perm[row[inv[p]]] for p in range(raw.size)]
+                            for row in raw.action]))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_orbit_index_matches_brute_force(name):
+    group = builtin_group(name)
+    for X in _orbit_index_gsets(group):
+        ix = X.orbit_index
+        orbits = orbits_oracle(X)
+        assert list(ix.orbits) == orbits and list(X.orbits()) == orbits
+        for b, orbit in enumerate(orbits):
+            base = orbit[0]
+            stab = X.stabilizer(base)
+            assert ix.stabilizers[b] == stab
+            assert ix.classes[b] == group.class_index_of(stab)
+            for x in orbit:
+                assert ix.orbit_of[x] == b
+                assert ix.reach[x] == next(g for g in range(group.order)
+                                           if X.act(g, base) == x)
+        assert X.orbit_type() == tuple(sorted(ix.classes))
+        assert X.orbit_index is ix   # derived once

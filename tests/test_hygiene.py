@@ -1,9 +1,11 @@
-"""Source hygiene: no unused imports, and no randomness in the package.
+"""Source hygiene: no unused imports, no randomness, one source of orbit data.
 
 No linter ships with the toolchain, so this stdlib-`ast` scan is the guard.
 An import inside a function must be used inside that function; a
 module-level import must be used somewhere in the module.  No module may
-import `random` anywhere, so every validator stays deterministic.
+import `random` anywhere, so every validator stays deterministic.  Only
+`gsets` may call `.stabilizer(`: every other module reads orbits,
+stabilizers and their classes from `GSet.orbit_index`.
 """
 
 import ast
@@ -85,3 +87,23 @@ def test_scanner_finds_module_level_and_local_random_imports():
 def test_no_random_imports(path):
     mods = imported_modules(path.read_text(encoding="utf-8"))
     assert [m for m in mods if m[1] == "random"] == []
+
+
+def stabilizer_calls(source):
+    """Lines of every call of a `.stabilizer(...)` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "stabilizer")
+
+
+def test_scanner_finds_stabilizer_calls():
+    src = ("def f(X, o):\n    s = X.stabilizer(o[0])\n"
+           "    return g(X).stabilizer(0), stabilizer(1), X.stabilizer\n")
+    assert stabilizer_calls(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gsets.py"],
+                         ids=lambda p: p.name)
+def test_orbit_data_is_read_from_the_orbit_index(path):
+    assert stabilizer_calls(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic, maps_equal
 from mackeykit.groups import builtin_group, group_from_permutations
 from mackeykit.jsonio import mackey_from_json, mackey_to_json
-from mackeykit.gsets import GMap, point_gset, product, standard_orbit
+from mackeykit.gsets import (
+    GMap,
+    GSet,
+    disjoint_union_of_orbits,
+    identity_map,
+    point_gset,
+    product,
+    standard_orbit,
+)
 from mackeykit.burnside import (
     basis_element,
     compose,
@@ -15,10 +25,13 @@ from mackeykit.burnside import (
     identity_element,
     res_element,
     restriction_element,
+    span_element,
+    tensor,
     tr_element,
     transfer_element,
     weyl_element,
 )
+from mackeykit.convolution import box
 from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -48,6 +61,7 @@ from support import (
     assert_same_group,
     brute_force_borel_level,
     dense_free,
+    eval_span_oracle,
     gmodule_hom_group,
     span_functoriality_oracle,
 )
@@ -524,3 +538,94 @@ def test_minimize_presentation_of_relator_free_levels_matches_dense(make):
         assert a.dtype == b.dtype == object
         assert im.mats_equal(a, b)
     Mmin.validate_functoriality()
+
+
+# -- span evaluation against the uncached orbit-scan oracle ----------------------------
+
+
+def _oracle_spans(group):
+    """Every basis span between standard orbits; restriction and transfer
+    along both projections of X x G/H, X an orbit or a sum of two; and
+    id_X (x) res/tr, the spans internal_hom_rep evaluates."""
+    classes = group.subgroup_classes()
+    orbs = [standard_orbit(group, c.index) for c in classes]
+    for X in orbs:
+        for Y in orbs:
+            for code in hom_basis(X, Y):
+                yield basis_element(X, Y, code)
+    feet = orbs + [disjoint_union_of_orbits(group, (len(classes) - 1, 0))]
+    for X in feet:
+        for O in orbs:
+            P = product(X, O)
+            for f in (P.left, P.right):
+                yield restriction_element(f)
+                yield transfer_element(f)
+        idX = identity_element(X)
+        for (A, B) in canonical_covers(group):
+            yield tensor(idX, res_element(group, A, B))
+            yield tensor(idX, tr_element(group, A, B))
+
+
+def _assert_eval_matches_oracle(M, spans):
+    for e in spans:
+        got, want = M.eval_span(e), eval_span_oracle(M, e)
+        assert got.dtype == want.dtype and np.array_equal(got, want), e
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "S3", "D4", "Q8"])
+def test_eval_span_is_bit_identical_to_the_orbit_scan_oracle(name):
+    group = builtin_group(name)
+    Z = FinPresAbGroup.free(1)
+    spans = list(_oracle_spans(group))
+    for M in (fixed_point_mackey(group, Z, trivial_module(group, Z)),
+              fixed_point_mackey(group, *regular_module(group)),
+              burnside_mackey(group)):
+        _assert_eval_matches_oracle(M, spans)
+
+
+def test_eval_span_on_a_presented_box_is_bit_identical_to_the_oracle():
+    group = builtin_group("S3")
+    FP = fixed_point_mackey(group, *regular_module(group))
+    M = box(burnside_mackey(group), FP).functor
+    _assert_eval_matches_oracle(M, _oracle_spans(group))
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "S3", "D4", "Q8"])
+def test_identity_leg_elements_match_explicit_spans(name):
+    group = builtin_group(name)
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    for X in orbs:
+        i = identity_map(X)
+        assert identity_element(X) == span_element(X, X, X, i, i)
+        for O in orbs:
+            P = product(X, O)
+            for f in (P.left, P.right):
+                U = f.source
+                i = identity_map(U)
+                assert transfer_element(f) == span_element(U, f.target, U, i, f)
+                assert restriction_element(f) == \
+                    span_element(f.target, U, U, f, i)
+
+
+def _holds_gset(key):
+    if isinstance(key, GSet):
+        return True
+    return isinstance(key, tuple) and any(map(_holds_gset, key))
+
+
+def test_span_evaluation_does_not_pin_gsets():
+    # X is built from its action table, not by an lru_cached constructor,
+    # so only span evaluation could keep it alive
+    group = builtin_group("S3")
+    M = fixed_point_mackey(group, *regular_module(group))
+    O = standard_orbit(group, 1)
+    X = GSet(group, [row + tuple(O.size + y for y in row) for row in O.action])
+    fold = GMap(X, O, tuple(range(O.size)) * 2)
+    for e in (identity_element(X), transfer_element(fold),
+              restriction_element(fold)):
+        M.eval_span(e)
+    ref = weakref.ref(X)
+    del X, fold, e
+    gc.collect()
+    assert ref() is None
+    assert not any(_holds_gset(key) for key in M._cache)
