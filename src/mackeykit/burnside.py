@@ -419,30 +419,21 @@ def direct_sum_reassemble(e1: BurnsideElement, e2: BurnsideElement,
 # -- structure spans between standard orbits ----------------------------------
 
 
-def raw_coset_gset(group: FiniteGroup, H) -> GSet:
-    """Left cosets of an arbitrary subgroup H, ordered by minimal element."""
-    cosets = group.left_cosets(H)
-    index = {c: i for i, c in enumerate(cosets)}
-    action = [[index[tuple(sorted(group.mul(g, x) for x in c))] for c in cosets]
-              for g in group.elements()]
-    return GSet(group, action)
-
-
 def res_element(group: FiniteGroup, A, B) -> BurnsideElement:
-    """Restriction span ORB([B]) -> ORB([A]) along the inclusion A <= B."""
+    """Restriction span ORB([B]) -> ORB([A]) along the inclusion A <= B.
+
+    Its middle is G/A, whose base goes to the cosets t^-1 B0 and t'^-1 A0
+    of the class representatives, t and t' the transports of B and A.
+    """
     A, B = tuple(sorted(A)), tuple(sorted(B))
     if not set(A) <= set(B):
         raise ValueError("A must be contained in B")
     ca, cb = group.class_index_of(A), group.class_index_of(B)
     OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
-    mid = raw_coset_gset(group, A)
-    reps = _coset_reps(mid)
-    ta, tb = group.transport(A), group.transport(B)
-    left = GMap(mid, OB, tuple(
-        coset_index_of(group, cb, group.mul(g, group.inv(tb))) for g in reps))
-    right = GMap(mid, OA, tuple(
-        coset_index_of(group, ca, group.mul(g, group.inv(ta))) for g in reps))
-    return span_element(OB, OA, mid, left, right)
+    code = transitive_code(
+        OB, OA, A, coset_index_of(group, cb, group.inv(group.transport(B))),
+        coset_index_of(group, ca, group.inv(group.transport(A))))
+    return BurnsideElement._of_checked(OB, OA, {code: 1})
 
 
 def tr_element(group: FiniteGroup, A, B) -> BurnsideElement:
@@ -451,15 +442,17 @@ def tr_element(group: FiniteGroup, A, B) -> BurnsideElement:
 
 
 def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
-    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H."""
+    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H.
+
+    It is the transfer along gH -> g n^-1 H, whose code pairs the base with
+    the coset n^-1 H.
+    """
     cls = group.subgroup_classes()[cidx]
     if n not in cls.normalizer:
         raise ValueError("element does not normalize the representative")
     O = standard_orbit(group, cidx)
-    reps = _coset_reps(O)
-    phi = GMap(O, O, tuple(
-        coset_index_of(group, cidx, group.mul(g, group.inv(n))) for g in reps))
-    return transfer_element(phi)
+    return BurnsideElement._of_checked(
+        O, O, {(cidx, 0, coset_index_of(group, cidx, group.inv(n))): 1})
 
 
 # -- table of marks and the Burnside ring --------------------------------------

@@ -454,7 +454,12 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # box and tor have no verdict payload of their own; under JSON
+        # their rejected inputs still answer with one object
+        if args.func in (cmd_box, cmd_tor) and args.format == "json":
+            _emit(args, {"error": str(err)}, [])
+        else:
+            print(f"error: {err}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,9 @@ product, additivized over orbits.  At each orbit X it is presented by
 generators m (x) n indexed by transitive G-sets over X (one block of
 M(G/L) (x) N(G/L) per class of transitive over-object), modulo the coend
 relations generated by equivariant maps between transitive over-objects:
-a transfer in one slot trades for a restriction in the other.  The
+a transfer in one slot trades for a restriction in the other.  Structure
+maps and relations are the Mackey formula on over-codes (`over_image`),
+read off action rows and the factors' span blocks.  The
 universal bilinear pairing, the unit/associativity/commutativity
 witnesses, and the internal hom against representables are all exact,
 and every isomorphism returns a two-sided matrix witness.
@@ -13,6 +15,8 @@ and every isomorphism returns a two-sided matrix witness.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,7 @@ from . import intmat
 from .abgroups import FinPresAbGroup
 from .burnside import (
     BurnsideElement,
+    _double_coset_codes,
     basis_element,
     compose,
     hom_basis,
@@ -28,7 +33,7 @@ from .burnside import (
     restriction_element,
     span_element,
     tensor,
-    transfer_element,
+    transitive_code,
 )
 from .groups import _labels
 from .gsets import GMap, GSet, compose_maps, point_gset, product, standard_orbit
@@ -41,6 +46,7 @@ from .mackey import (
     mackey_from_span_action,
     orbit_embeddings,
     representable,
+    representable_basis,
     yoneda_element,
 )
 
@@ -51,22 +57,74 @@ def over_codes(X: GSet):
     return tuple((c, x) for (c, _z, x) in hom_basis(pt, X))
 
 
-def struct_gmap(X: GSet, code) -> GMap:
-    """The structure map ORB(class) -> X of an over-code."""
-    cidx, x = code
-    group = X.group
-    O = standard_orbit(group, cidx)
-    reps = [c[0] for c in group.left_cosets(
-        group.subgroup_classes()[cidx].representative)]
-    return GMap(O, X, tuple(X.act(g, x) for g in reps))
-
-
 def _canonical_over(group, cidx, z, Ob: GSet):
     """Canonical representative z* = min n.z over the normalizer, with witness."""
     cls = group.subgroup_classes()[cidx]
     zstar = min(Ob.act(n, z) for n in cls.normalizer)
     u = min(n for n in cls.normalizer if Ob.act(n, z) == zstar)
     return zstar, u
+
+
+def over_image(S: GSet, T: GSet, ecode, code):
+    """The Mackey formula on an over-code: where a span sends it.
+
+    `ecode` = (m, yp, z) is a transitive span code S -> T between standard
+    orbits and `code` = (cw, x) an over-code of S, with structure map
+    gL -> g.x.  Their composite is a sum of spans G/L <- G/L' -> T, one
+    (target over-code, o, u, multiplicity) per class: the base of G/L'
+    goes to o and to y, (o, y) least under N(L'), and u is the least
+    element of N(L') carrying y to its canonical representative.  So
+    m (x) n goes to c_u res_o(m) (x) c_u res_o(n) (Thevenaz-Webb 1995;
+    Bouc, LNM 1671, ch. 1).  A middle of the class of S makes the span a
+    transfer along g.yp -> g.z, which moves x and keeps o at the base;
+    otherwise the L-orbits on the middle's cosets are walked as `compose`
+    walks them.
+    """
+    group = S.group
+    cw, x = code
+    m, yp, z = ecode
+    Sa, Ta = S.action, T.action
+    if m == S.orbit_index.classes[0]:
+        reach = S.orbit_index.reach
+        g = group.table[reach[x]][group.inverse[reach[yp]]]
+        terms = {(cw, 0, Ta[g][z]): 1}
+    else:
+        O = standard_orbit(group, cw)
+        terms = Counter(_double_coset_codes(
+            group.subgroup_classes()[cw].representative,
+            standard_orbit(group, m),
+            lambda K, b: transitive_code(O, T, K, 0, Ta[b][z]),
+            keep=lambda b: Sa[b][yp] == x))
+    out = []
+    for (cwp, o, y), mult in terms.items():
+        zstar, u = _canonical_over(group, cwp, y, T)
+        out.append(((cwp, zstar), o, u, mult))
+    return out
+
+
+def _kron(A, B):
+    """Kronecker product of two 2-D object matrices."""
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
+
+
+def _block(F: MackeyFunctor, S: GSet, T: GSet, code):
+    """F on one transitive span code between standard orbits, as cached."""
+    return F._eval_code(S.orbit_index, T.orbit_index, code)[0]
+
+
+def _restriction(F: MackeyFunctor, cw, cwp, o):
+    """F(G/L) -> F(G/L'): restriction along the map gL' -> g.o."""
+    group = F.group
+    O, W = standard_orbit(group, cw), standard_orbit(group, cwp)
+    rep = group.subgroup_classes()[cwp].representative
+    return _block(F, O, W, transitive_code(O, W, rep, o, 0))
+
+
+def _over_transfer(F: MackeyFunctor, X: GSet, code):
+    """F(G/L) -> F(X): transfer along the structure map of an over-code."""
+    O = standard_orbit(F.group, code[0])
+    return _block(F, O, X, (code[0], 0, code[1]))
 
 
 @dataclass
@@ -87,98 +145,67 @@ class BoxData:
         return out
 
 
-def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet):
-    """Generators, layout and relations of (M box N)(X) for an orbit X."""
-    group = X.group
-    codes = over_codes(X)
-    layout = {}
-    gens = 0
+def _block_starts(M: MackeyFunctor, N: MackeyFunctor, codes):
+    """First index of each over-code's generators (code, i, j), i major,
+    and the generator count."""
+    starts, gens = {}, 0
     for c in codes:
-        cw = c[0]
-        for i in range(M.levels[cw].generator_count):
-            for j in range(N.levels[cw].generator_count):
-                layout[(c, i, j)] = gens
-                gens += 1
+        starts[c] = gens
+        gens += M.levels[c[0]].generator_count * N.levels[c[0]].generator_count
+    return starts, gens
 
+
+def _layout(M: MackeyFunctor, N: MackeyFunctor, starts):
+    return {(c, i, j): s + i * N.levels[c[0]].generator_count + j
+            for c, s in starts.items()
+            for i in range(M.levels[c[0]].generator_count)
+            for j in range(N.levels[c[0]].generator_count)}
+
+
+def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
+                            starts, gens):
+    """The level group (M box N)(X) of an orbit X.
+
+    The relations are those of M and N in each block, and the coend
+    relations tr(m') (x) n = m' (x) res(n) and m (x) tr(n') = res(m) (x) n'
+    along every over-map (L', x') -> (L, x): a point q of G/L fixed by L'
+    that the structure map of x sends to x'.  Transfer and restriction
+    along gL' -> g.q are read from the factors' span blocks.
+    """
+    group = X.group
+    classes = group.subgroup_classes()
+    nM = [lvl.generator_count for lvl in M.levels]
+    nN = [lvl.generator_count for lvl in N.levels]
+    eye = intmat.identity
     rows = set()
 
-    def add_row(entries):
-        row = [0] * gens
-        for idx, v in entries.items():
-            row[idx] += v
-        if any(row):
-            rows.add(tuple(row))
+    def add(*pieces):
+        """Relation columns: (start row, matrix) pieces summed into one block."""
+        block = intmat.zeros(gens, pieces[0][1].shape[1])
+        for start, mat in pieces:
+            block[start:start + mat.shape[0]] += mat
+        rows.update(r for r in map(tuple, block.T.tolist()) if any(r))
 
-    for c in codes:
-        cw = c[0]
-        relM = M.levels[cw].relation_lattice
-        relN = N.levels[cw].relation_lattice
-        for r in range(relM.shape[1]):
-            for j in range(N.levels[cw].generator_count):
-                add_row({layout[(c, i, j)]: relM[i, r]
-                         for i in range(M.levels[cw].generator_count)
-                         if relM[i, r] != 0})
-        for r in range(relN.shape[1]):
-            for i in range(M.levels[cw].generator_count):
-                add_row({layout[(c, i, j)]: relN[j, r]
-                         for j in range(N.levels[cw].generator_count)
-                         if relN[j, r] != 0})
-
-    for cp in codes:
-        for c in codes:
-            for phi in _over_maps(X, cp, c):
-                trM = M.eval_span(transfer_element(phi))
-                rsM = M.eval_span(restriction_element(phi))
-                trN = N.eval_span(transfer_element(phi))
-                rsN = N.eval_span(restriction_element(phi))
-                nMp, nNp = trM.shape[1], trN.shape[1]
-                nM, nN = trM.shape[0], trN.shape[0]
-                for ip in range(nMp):
-                    for j in range(nN):
-                        entries = {}
-                        for a in range(nM):
-                            if trM[a, ip]:
-                                k = layout[(c, a, j)]
-                                entries[k] = entries.get(k, 0) + trM[a, ip]
-                        for b in range(nNp):
-                            if rsN[b, j]:
-                                k = layout[(cp, ip, b)]
-                                entries[k] = entries.get(k, 0) - rsN[b, j]
-                        add_row(entries)
-                for i in range(nM):
-                    for jp in range(nNp):
-                        entries = {}
-                        for b in range(nN):
-                            if trN[b, jp]:
-                                k = layout[(c, i, b)]
-                                entries[k] = entries.get(k, 0) + trN[b, jp]
-                        for a in range(nMp):
-                            if rsM[a, i]:
-                                k = layout[(cp, a, jp)]
-                                entries[k] = entries.get(k, 0) - rsM[a, i]
-                        add_row(entries)
-
-    grp = FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
-    return codes, layout, grp
-
-
-def _over_maps(X: GSet, code_src, code_tgt):
-    """Equivariant maps between transitive over-objects of X."""
-    group = X.group
-    cwp, _ = code_src
-    cw, _ = code_tgt
-    Op = standard_orbit(group, cwp)
-    O = standard_orbit(group, cw)
-    Lp = group.subgroup_classes()[cwp].representative
-    sp = struct_gmap(X, code_src)
-    sc = struct_gmap(X, code_tgt)
-    reps = [c[0] for c in group.left_cosets(Lp)]
-    out = []
-    for q in O.fixed_points(Lp):
-        if sc(q) != sp(0):
-            continue
-        out.append(GMap(Op, O, tuple(O.act(g, q) for g in reps)))
-    return out
+    for (cw, _x), s in starts.items():
+        add((s, _kron(M.levels[cw].relation_lattice, eye(nN[cw]))))
+        add((s, _kron(eye(nM[cw]), N.levels[cw].relation_lattice)))
+    for (cwp, xp), sp in starts.items():
+        Op = standard_orbit(group, cwp)
+        Lp = classes[cwp].representative
+        for (cw, x), s in starts.items():
+            O = standard_orbit(group, cw)
+            reach = O.orbit_index.reach
+            for q in O.fixed_points(Lp):
+                if X.action[reach[q]][x] != xp:
+                    continue
+                trM, trN = (_block(F, Op, O, (cwp, 0, q)) for F in (M, N))
+                rcode = transitive_code(O, Op, Lp, q, 0)
+                rsM, rsN = (_block(F, O, Op, rcode) for F in (M, N))
+                add((s, _kron(trM, eye(nN[cw]))),
+                    (sp, -_kron(eye(nM[cwp]), rsN)))
+                add((s, _kron(eye(nM[cw]), trN)),
+                    (sp, -_kron(rsM, eye(nN[cwp]))))
+    return FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
 
 
 def _level_offsets(levels, X: GSet):
@@ -237,6 +264,9 @@ def _pairing_terms(data: BoxData, levels, U: GSet, V: GSet, e: BurnsideElement):
 def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     """The box product M box N, with pairing data attached.
 
+    Each structure matrix is a sum of Kronecker products of the factors'
+    twisted restrictions, one per term of `over_image`.
+
     With presentation=False only the generator layout is computed: the
     level groups are left free on the generators, and the functor, from
     `MackeyFunctor.levels_only`, has no structure maps.  That skeleton is
@@ -250,60 +280,44 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     key = ("box", id(N), presentation)
     if key in M._cache:
         return M._cache[key]
-    classes = group.subgroup_classes()
+    orbits = [standard_orbit(group, cls.index)
+              for cls in group.subgroup_classes()]
+    codes = tuple(over_codes(X) for X in orbits)
+    blocks = [_block_starts(M, N, cs) for cs in codes]
+    data = BoxData(M, N, codes,
+                   tuple(_layout(M, N, starts) for starts, _ in blocks))
     if not presentation:
-        codes, layouts, levels = [], [], []
-        for cls in classes:
-            cs = over_codes(standard_orbit(group, cls.index))
-            lay = {}
-            gens = 0
-            for c in cs:
-                cw = c[0]
-                for i in range(M.levels[cw].generator_count):
-                    for j in range(N.levels[cw].generator_count):
-                        lay[(c, i, j)] = gens
-                        gens += 1
-            codes.append(tuple(cs))
-            layouts.append(lay)
-            levels.append(FinPresAbGroup.free(gens))
-        data = BoxData(M, N, tuple(codes), tuple(layouts))
+        levels = [FinPresAbGroup.free(gens) for _, gens in blocks]
         data.functor = MackeyFunctor.levels_only(group, levels,
                                                  "(layout-only box)")
         M._cache[key] = data
         return data
-    codes, layouts, levels = [], [], []
-    for cls in classes:
-        c, l, grp = _box_level_presentation(M, N, standard_orbit(group, cls.index))
-        codes.append(c)
-        layouts.append(l)
-        levels.append(grp)
-    data = BoxData(M, N, tuple(codes), tuple(layouts))
+    levels = [_box_level_presentation(M, N, X, starts, gens)
+              for X, (starts, gens) in zip(orbits, blocks)]
+    twists = {}
+
+    def twisted(cw, cwp, o, u):
+        """c_u res_o on M and on N; many structure maps share one."""
+        if (cw, cwp, o, u) not in twists:
+            twists[(cw, cwp, o, u)] = tuple(
+                F.weyl[cwp][u] @ _restriction(F, cw, cwp, o) for F in (M, N))
+        return twists[(cw, cwp, o, u)]
 
     def entry_matrix(e: BurnsideElement):
-        c_src = e.source.orbit_index.classes[0]
-        c_tgt = e.target.orbit_index.classes[0]
-        cols = [None] * levels[c_src].generator_count
-        for code in codes[c_src]:
-            terms = _pairing_terms(data, levels, standard_orbit(group, code[0]),
-                                   standard_orbit(group, code[0]),
-                                   compose(e, _struct_span(e.source, code)))
-            cw = code[0]
-            nM = M.levels[cw].generator_count
-            nN = N.levels[cw].generator_count
-            for i in range(nM):
-                for j in range(nN):
-                    col = intmat.zero_vec(levels[c_tgt].generator_count)
-                    for (TM, TN, slot) in terms:
-                        for aa in range(TM.shape[0]):
-                            va = TM[aa, i]
-                            if va == 0:
-                                continue
-                            for bb in range(TN.shape[0]):
-                                vb = TN[bb, j]
-                                if vb:
-                                    col[slot(aa, bb)] += va * vb
-                    cols[layouts[c_src][(code, i, j)]] = col
-        return intmat.from_cols(cols, levels[c_tgt].generator_count)
+        S, T = e.source, e.target
+        c_src, c_tgt = S.orbit_index.classes[0], T.orbit_index.classes[0]
+        starts, tgt_starts = blocks[c_src][0], blocks[c_tgt][0]
+        out = intmat.zeros(blocks[c_tgt][1], blocks[c_src][1])
+        for ecode, a in e.coeffs.items():
+            for code, lo in starts.items():
+                cw = code[0]
+                for tcode, o, u, mult in over_image(S, T, ecode, code):
+                    TM, TN = twisted(cw, tcode[0], o, u)
+                    hi = tgt_starts[tcode]
+                    out[hi:hi + TM.shape[0] * TN.shape[0],
+                        lo:lo + TM.shape[1] * TN.shape[1]] += \
+                        (a * mult) * _kron(TM, TN)
+        return out
 
     data.functor = mackey_from_span_action(
         group, levels, entry_matrix,
@@ -314,12 +328,14 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
 
 def _struct_span(X: GSet, code) -> BurnsideElement:
     """Span product(O_L, O_L) => X with legs (diagonal, structure map)."""
-    cidx, _x = code
+    cidx, x = code
     group = X.group
     O = standard_orbit(group, cidx)
     P = product(O, O)
     diag = GMap(O, P.gset, tuple(P.of_pair(w, w) for w in range(O.size)))
-    return span_element(P.gset, X, O, diag, struct_gmap(X, code))
+    reach = O.orbit_index.reach
+    struct = GMap(O, X, tuple(X.act(reach[w], x) for w in range(O.size)))
+    return span_element(P.gset, X, O, diag, struct)
 
 
 def box_pairing(data: BoxData, U: GSet, V: GSet, e: BurnsideElement,
@@ -349,25 +365,23 @@ def _pair(terms, total, u_vec, v_vec):
 
 def box_map(f: MackeyMorphism, g: MackeyMorphism,
             presentation=True) -> MackeyMorphism:
-    """The induced morphism f box g on box products (same over-codes)."""
+    """The induced morphism f box g on box products (same over-codes).
+
+    The block of each over-code is the Kronecker product of f and g at
+    its class.
+    """
     src = box(f.source, g.source, presentation=presentation)
     tgt = box(f.target, g.target, presentation=presentation)
     mats = []
-    for c in range(len(src.functor.levels)):
-        cols = [None] * src.functor.levels[c].generator_count
-        for (code, i, j), idx in src.layout[c].items():
-            cw = code[0]
-            col = intmat.zero_vec(tgt.functor.levels[c].generator_count)
-            for a in range(f.mats[cw].shape[0]):
-                va = f.mats[cw][a, i]
-                if va == 0:
-                    continue
-                for b in range(g.mats[cw].shape[0]):
-                    vb = g.mats[cw][b, j]
-                    if vb:
-                        col[tgt.layout[c][(code, a, b)]] += va * vb
-            cols[idx] = col
-        mats.append(intmat.from_cols(cols, tgt.functor.levels[c].generator_count))
+    for c, codes in enumerate(src.codes):
+        lo, _ = _block_starts(f.source, g.source, codes)
+        hi, rows = _block_starts(f.target, g.target, codes)
+        out = intmat.zeros(rows, src.functor.levels[c].generator_count)
+        for code in codes:
+            K = _kron(f.mats[code[0]], g.mats[code[0]])
+            out[hi[code]:hi[code] + K.shape[0],
+                lo[code]:lo[code] + K.shape[1]] = K
+        mats.append(out)
     return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
 
 
@@ -385,28 +399,33 @@ def point_representable(group) -> MackeyFunctor:
 def box_unit_eval(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
     """The evaluation morphism A_pt box M -> M on generators.
 
+    Generator (code, i, j) pairs basis span i of A_pt(G/L), pt <- G/K ->
+    G/L with base image y, with generator j of M(G/L).  Acting by it is
+    transfer and restriction along G/K -> G/L, and pushing along the
+    structure map s of code makes the single span G/L <- G/K -> X with
+    base images (y, s(y)); its block's column j is the image.
+
     Works on layout-only data as well; no invertibility claims.
     """
     group = M.group
     pt = point_gset(group)
-    F = data.functor
     classes = group.subgroup_classes()
     mats = []
     for cls in classes:
         X = standard_orbit(group, cls.index)
-        cols = [None] * F.levels[cls.index].generator_count
+        cols = [None] * data.functor.levels[cls.index].generator_count
+        blocks = {}
         for (code, i, j), idx in data.layout[cls.index].items():
-            cw = code[0]
-            O = standard_orbit(group, cw)
-            a_code = hom_basis(pt, O)[i]
-            a_span = basis_element(pt, O, a_code)
-            lam = product(pt, O).right        # pt x O -> O, bijective
-            E = compose(_struct_span(X, code),
-                        compose(tensor(a_span, _identity_elt(O)),
-                                transfer_element(lam.inverse())))
-            cols[idx] = M.eval_span(E)[:, j].copy()
+            if (code, i) not in blocks:
+                cw, x = code
+                O = standard_orbit(group, cw)
+                ck, _pt, y = hom_basis(pt, O)[i]
+                span = transitive_code(O, X, classes[ck].representative, y,
+                                       X.act(O.orbit_index.reach[y], x))
+                blocks[(code, i)] = _block(M, O, X, span)
+            cols[idx] = blocks[(code, i)][:, j]
         mats.append(intmat.from_cols(cols, M.levels[cls.index].generator_count))
-    return MackeyMorphism(F, M, mats, check=False)
+    return MackeyMorphism(data.functor, M, mats, check=False)
 
 
 def box_unit_iso(M: MackeyFunctor, unit_rep=None):
@@ -417,37 +436,24 @@ def box_unit_iso(M: MackeyFunctor, unit_rep=None):
     implementation fault rather than a mathematical one.
     """
     group = M.group
-    pt = point_gset(group)
     A = unit_rep if unit_rep is not None else point_representable(group)
     data = box(A, M)
-    F = data.functor
-    classes = group.subgroup_classes()
     eps = box_unit_eval(M, data)
 
-    # inverse: m |-> [unit (x) m] over the unitor span
+    # inverse: m |-> [res(1) (x) m] over the diagonal over-code
+    top = len(group.subgroup_classes()) - 1
+    unit = _unit_vector(group, A)
     inv_mats = []
-    unit_index = _unit_code_index(group)
-    for cls in classes:
-        X = standard_orbit(group, cls.index)
-        lamX = product(pt, X).right
-        e = transfer_element(lamX)
-        cols = []
-        for k in range(M.levels[cls.index].generator_count):
-            u_vec = intmat.zero_vec(A.levels[len(classes) - 1].generator_count)
-            u_vec[unit_index] = 1
-            m_vec = intmat.zero_vec(M.levels[cls.index].generator_count)
-            m_vec[k] = 1
-            cols.append(box_pairing(data, pt, X, e, u_vec, m_vec))
-        inv_mats.append(intmat.from_cols(cols, F.levels[cls.index].generator_count))
-    eta = MackeyMorphism(M, F, inv_mats, check=False)
+    for c, lvl in enumerate(data.functor.levels):
+        terms, one = _diag_terms(data, c), _restriction(A, top, c, 0) @ unit
+        E = intmat.identity(M.levels[c].generator_count)
+        inv_mats.append(intmat.from_cols(
+            [_pair(terms, lvl.generator_count, one, E[:, k])
+             for k in range(E.shape[1])], lvl.generator_count))
+    eta = MackeyMorphism(M, data.functor, inv_mats, check=False)
 
     _verify_two_sided(eps, eta)
     return eps, data
-
-
-def _identity_elt(X: GSet):
-    from .burnside import identity_element
-    return identity_element(X)
 
 
 def _unit_code_index(group):
@@ -493,12 +499,12 @@ def box_assoc_iso(M: MackeyFunctor, N: MackeyFunctor, P: MackeyFunctor):
     diag = [_diag_code(group, c) for c in range(len(group.subgroup_classes()))]
 
     def to_right(c, outer_code, cwp, a, b, d):
-        beta = NP.layout[cwp][(diag[cwp], b, d)]
-        return ((right.layout[c][(outer_code, a, beta)], 1),)
+        return right.layout[c][(outer_code, a,
+                                NP.layout[cwp][(diag[cwp], b, d)])]
 
     def to_left(c, outer_code, cwp, a, b, d):
-        alpha = MN.layout[cwp][(diag[cwp], a, b)]
-        return ((left.layout[c][(outer_code, alpha, d)], 1),)
+        return left.layout[c][(outer_code, MN.layout[cwp][(diag[cwp], a, b)],
+                               d)]
 
     fwd = _regroup_matrices(left, MN, (M, N, P), True, right.functor.levels,
                             to_right)
@@ -528,8 +534,8 @@ def _regroup_matrices(outer: BoxData, inner: BoxData, factors, inner_left,
     over-code's class.  Each factor is twisted onto the canonical over-code
     of the composite over-object, the factor outside `inner` restricted
     along the inner structure map first, and every nonzero product term
-    (a, b, d) is sent to `place(c, outer_code, cwp, a, b, d)`, which
-    returns the (row, coefficient) pairs of its image in target_levels[c].
+    (a, b, d) is added at row `place(c, outer_code, cwp, a, b, d)` of
+    target_levels[c].
     """
     group = factors[0].group
     nclasses = len(group.subgroup_classes())
@@ -546,27 +552,16 @@ def _regroup_matrices(outer: BoxData, inner: BoxData, factors, inner_left,
             else:
                 i, (code_in, j, k) = x, inner_gens[cw][y]
             cwp, xp = code_in
-            phi = struct_gmap(standard_orbit(group, cw), code_in)
-            zstar, u = _canonical_over(group, cwp, struct_gmap(X, code)(xp), X)
+            (outer_code, _o, u, _n), = over_image(
+                standard_orbit(group, cw), X, (cw, 0, code[1]), code_in)
             W = [F.weyl[cwp][u] for F in factors]
-            W[plain] = W[plain] @ factors[plain].eval_span(
-                restriction_element(phi))
-            outer_code = (cwp, zstar)
+            W[plain] = W[plain] @ _restriction(factors[plain], cw, cwp, xp)
             col = intmat.zero_vec(target_levels[c].generator_count)
-            for a in range(W[0].shape[0]):
-                va = W[0][a, i]
-                if va == 0:
-                    continue
-                for b in range(W[1].shape[0]):
-                    vb = W[1][b, j]
-                    if vb == 0:
-                        continue
-                    for d in range(W[2].shape[0]):
-                        vd = W[2][d, k]
-                        if vd == 0:
-                            continue
-                        for row, v in place(c, outer_code, cwp, a, b, d):
-                            col[row] += va * vb * vd * v
+            for a, b, d in itertools.product(*(
+                    np.flatnonzero(Wf[:, v]).tolist()
+                    for Wf, v in zip(W, (i, j, k)))):
+                col[place(c, outer_code, cwp, a, b, d)] += \
+                    W[0][a, i] * W[1][b, j] * W[2][d, k]
             cols[idx] = col
         mats.append(intmat.from_cols(cols, target_levels[c].generator_count))
     return mats
@@ -581,27 +576,23 @@ def rep_monoidal_iso(X: GSet, Y: GSet):
     group = X.group
     AX, AY = representable(X), representable(Y)
     data = box(AX, AY)
-    P = product(X, Y).gset
-    AP = representable(P)
-    classes = group.subgroup_classes()
+    AP = representable(product(X, Y).gset)
     mats = []
-    for cls in classes:
-        c = cls.index
+    for c, codes in enumerate(data.codes):
         O_level = standard_orbit(group, c)
-        target_basis = hom_basis(P, O_level)
+        row = {code: k for k, code in enumerate(representable_basis(AP, c))}
+        spans = {code: _struct_span(O_level, code) for code in codes}
         cols = [None] * data.functor.levels[c].generator_count
         for (code, i, j), idx in data.layout[c].items():
             cw = code[0]
             O = standard_orbit(group, cw)
-            a_code = hom_basis(X, O)[i]
-            b_code = hom_basis(Y, O)[j]
-            t = tensor(basis_element(X, O, a_code), basis_element(Y, O, b_code))
-            e = compose(_struct_span(O_level, code), t)
-            col = intmat.zero_vec(len(target_basis))
-            for cc, v in e.coeffs.items():
-                col[target_basis.index(cc)] += v
+            t = tensor(basis_element(X, O, representable_basis(AX, cw)[i]),
+                       basis_element(Y, O, representable_basis(AY, cw)[j]))
+            col = intmat.zero_vec(len(row))
+            for cc, v in compose(spans[code], t).coeffs.items():
+                col[row[cc]] += v
             cols[idx] = col
-        mats.append(intmat.from_cols(cols, len(target_basis)))
+        mats.append(intmat.from_cols(cols, len(row)))
     fwd = MackeyMorphism(data.functor, AP, mats, check=False)
     bwd = fwd.inverse()
     _verify_two_sided(fwd, bwd)
@@ -667,12 +658,19 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
 
 
 def _diag_terms(data: BoxData, cidx):
-    """Pairing terms along the diagonal of G/H_cidx: the level product."""
-    O = standard_orbit(data.left.group, cidx)
-    PD = product(O, O)
-    diag = GMap(O, PD.gset, tuple(PD.of_pair(w, w) for w in range(O.size)))
-    return _pairing_terms(data, data.functor.levels, O, O,
-                          restriction_element(diag))
+    """Pairing terms along the diagonal of G/H_cidx: the level product.
+
+    m (x) n over the identity over-object goes to the canonical diagonal
+    over-code, both factors twisted by the same u (`over_image` of the
+    identity span).
+    """
+    M, N = data.left, data.right
+    O = standard_orbit(M.group, cidx)
+    (key, o, u, _n), = over_image(O, O, (cidx, 0, 0), (cidx, 0))
+    lay = data.layout[cidx]
+    return [(M.weyl[cidx][u] @ _restriction(M, cidx, cidx, o),
+             N.weyl[cidx][u] @ _restriction(N, cidx, cidx, o),
+             lambda aa, bb: lay[(key, aa, bb)])]
 
 
 def _level_table(data: BoxData, action: MackeyMorphism, cidx):
@@ -713,13 +711,9 @@ class GreenFunctor:
     def level_unit(self, cidx):
         """The multiplicative unit of R(G/H)."""
         group = self.group
-        pt = point_gset(group)
-        O = standard_orbit(group, cidx)
-        to_pt = GMap(O, pt, (0,) * O.size)
-        res_map = self.underlying.eval_span(restriction_element(to_pt))
-        unit_pt = self.unit.mats[len(group.subgroup_classes()) - 1] \
-            @ _unit_vector(group, self.unit_rep)
-        return res_map @ unit_pt
+        top = len(group.subgroup_classes()) - 1
+        unit_pt = self.unit.mats[top] @ _unit_vector(group, self.unit_rep)
+        return _restriction(self.underlying, top, cidx, 0) @ unit_pt
 
     def ring_table(self, cidx):
         """Structure constants of the level ring on its generators."""
@@ -857,7 +851,7 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
         where = f"level {cls.label}"
         X = standard_orbit(group, c)
         for code in data.codes[c]:
-            push = M.eval_span(transfer_element(struct_gmap(X, code)))
+            push = _over_transfer(M, X, code)
             cw = code[0]
             for i in range(R.levels[cw].generator_count):
                 for j in range(M.levels[cw].generator_count):
@@ -974,7 +968,7 @@ def action_from_tables(data: BoxData, target: MackeyFunctor,
     mats = []
     for c in range(len(group.subgroup_classes())):
         X = standard_orbit(group, c)
-        push = {code: target.eval_span(transfer_element(struct_gmap(X, code)))
+        push = {code: _over_transfer(target, X, code)
                 for code in data.codes[c]}
         cols = [None] * data.functor.levels[c].generator_count
         for (code, i, j), idx in data.layout[c].items():

@@ -12,16 +12,22 @@ from mackeykit.burnside import (
     identity_element,
     materialize_code,
     res_element,
+    restriction_element,
     span_codes,
+    span_element,
     tr_element,
+    transfer_element,
     weyl_element,
 )
 from mackeykit.convolution import (
+    BoxData,
     GreenValidationError,
+    _pairing_terms,
     box_assoc_iso,
     box_comm_iso,
     box_map,
     box_unit_iso,
+    over_codes,
 )
 from mackeykit.gsets import (
     GMap,
@@ -31,7 +37,12 @@ from mackeykit.gsets import (
     pullback,
     standard_orbit,
 )
-from mackeykit.mackey import compose_morphisms, covering_pairs, identity_morphism
+from mackeykit.mackey import (
+    compose_morphisms,
+    covering_pairs,
+    identity_morphism,
+    mackey_from_span_action,
+)
 
 
 def full_action_oracle(group, action):
@@ -88,6 +99,53 @@ def pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2):
     right = GMap(raw, pt.gset, tuple(pt.of_pair(uy(w // V.size), vy(w % V.size))
                                      for w in range(n)))
     return span_codes(ps.gset, pt.gset, raw, left, right)
+
+
+def structure_span_oracles(group):
+    """Every restriction span along A <= B and every conjugation span,
+    built as explicit spans with G-set middles: (built, oracle) pairs of
+    (name, element) for comparison with the code-level builders."""
+    def coset_gset(H):
+        cosets = group.left_cosets(H)
+        index = {c: i for i, c in enumerate(cosets)}
+        return GSet(group, [[index[tuple(sorted(group.mul(g, x) for x in c))]
+                             for c in cosets] for g in group.elements()])
+
+    def reps(O):
+        out = [None] * O.size
+        for g, row in enumerate(O.action):
+            if out[row[0]] is None:
+                out[row[0]] = g
+        return out
+
+    def coset(cidx, g):
+        return standard_orbit(group, cidx).action[g][0]
+
+    out = []
+    subs = group.subgroups()
+    for A in subs:
+        for B in subs:
+            if not set(A) <= set(B):
+                continue
+            ca, cb = group.class_index_of(A), group.class_index_of(B)
+            OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
+            mid = coset_gset(A)
+            ta, tb = group.transport(A), group.transport(B)
+            left = GMap(mid, OB, tuple(coset(cb, group.mul(g, group.inv(tb)))
+                                       for g in reps(mid)))
+            right = GMap(mid, OA, tuple(coset(ca, group.mul(g, group.inv(ta)))
+                                        for g in reps(mid)))
+            out.append((("res", A, B), res_element(group, A, B),
+                        span_element(OB, OA, mid, left, right)))
+    for cls in group.subgroup_classes():
+        O = standard_orbit(group, cls.index)
+        for n in cls.normalizer:
+            phi = GMap(O, O, tuple(coset(cls.index, group.mul(g, group.inv(n)))
+                                   for g in reps(O)))
+            out.append((("conj", cls.index, n),
+                        weyl_element(group, cls.index, n),
+                        transfer_element(phi)))
+    return out
 
 
 def orbits_oracle(X):
@@ -555,3 +613,141 @@ def assert_same_group(G, H):
         assert a.dtype == b.dtype == object
         assert im.mats_equal(a, b)
     assert G._diag == H._diag
+
+
+# -- the box product through spans and G-sets ----------------------------------------
+
+
+def _oracle_struct_gmap(X, code):
+    """The structure map ORB(class) -> X of an over-code, as a GMap."""
+    cidx, x = code
+    group = X.group
+    O = standard_orbit(group, cidx)
+    reps = [c[0] for c in group.left_cosets(
+        group.subgroup_classes()[cidx].representative)]
+    return GMap(O, X, tuple(X.act(g, x) for g in reps))
+
+
+def _oracle_over_maps(X, code_src, code_tgt):
+    """Equivariant maps between transitive over-objects of X, as GMaps."""
+    group = X.group
+    Op = standard_orbit(group, code_src[0])
+    O = standard_orbit(group, code_tgt[0])
+    Lp = group.subgroup_classes()[code_src[0]].representative
+    sp = _oracle_struct_gmap(X, code_src)
+    sc = _oracle_struct_gmap(X, code_tgt)
+    reps = [c[0] for c in group.left_cosets(Lp)]
+    return [GMap(Op, O, tuple(O.act(g, q) for g in reps))
+            for q in O.fixed_points(Lp) if sc(q) == sp(0)]
+
+
+def _oracle_level_presentation(M, N, X):
+    """(M box N)(X): coend relations from transfer and restriction spans
+    evaluated on every over-map, one dense row at a time."""
+    codes = over_codes(X)
+    layout, gens = {}, 0
+    for c in codes:
+        for i in range(M.levels[c[0]].generator_count):
+            for j in range(N.levels[c[0]].generator_count):
+                layout[(c, i, j)] = gens
+                gens += 1
+    rows = set()
+
+    def add_row(entries):
+        row = [0] * gens
+        for idx, v in entries.items():
+            row[idx] += v
+        if any(row):
+            rows.add(tuple(row))
+
+    for c in codes:
+        relM = M.levels[c[0]].relation_lattice
+        relN = N.levels[c[0]].relation_lattice
+        nM, nN = relM.shape[0], relN.shape[0]
+        for r in range(relM.shape[1]):
+            for j in range(nN):
+                add_row({layout[(c, i, j)]: relM[i, r]
+                         for i in range(nM) if relM[i, r] != 0})
+        for r in range(relN.shape[1]):
+            for i in range(nM):
+                add_row({layout[(c, i, j)]: relN[j, r]
+                         for j in range(nN) if relN[j, r] != 0})
+    for cp in codes:
+        for c in codes:
+            for phi in _oracle_over_maps(X, cp, c):
+                trM = M.eval_span(transfer_element(phi))
+                rsM = M.eval_span(restriction_element(phi))
+                trN = N.eval_span(transfer_element(phi))
+                rsN = N.eval_span(restriction_element(phi))
+                nMp, nNp = trM.shape[1], trN.shape[1]
+                nM, nN = trM.shape[0], trN.shape[0]
+                for ip in range(nMp):
+                    for j in range(nN):
+                        entries = {}
+                        for a in range(nM):
+                            if trM[a, ip]:
+                                k = layout[(c, a, j)]
+                                entries[k] = entries.get(k, 0) + trM[a, ip]
+                        for b in range(nNp):
+                            if rsN[b, j]:
+                                k = layout[(cp, ip, b)]
+                                entries[k] = entries.get(k, 0) - rsN[b, j]
+                        add_row(entries)
+                for i in range(nM):
+                    for jp in range(nNp):
+                        entries = {}
+                        for b in range(nN):
+                            if trN[b, jp]:
+                                k = layout[(c, i, b)]
+                                entries[k] = entries.get(k, 0) + trN[b, jp]
+                        for a in range(nMp):
+                            if rsM[a, i]:
+                                k = layout[(cp, a, jp)]
+                                entries[k] = entries.get(k, 0) - rsM[a, i]
+                        add_row(entries)
+    return codes, layout, FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
+
+
+def _oracle_struct_span(X, code):
+    """Span product(O_L, O_L) => X with legs (diagonal, structure map)."""
+    O = standard_orbit(X.group, code[0])
+    P = product(O, O)
+    diag = GMap(O, P.gset, tuple(P.of_pair(w, w) for w in range(O.size)))
+    return span_element(P.gset, X, O, diag, _oracle_struct_gmap(X, code))
+
+
+def box_oracle(M, N):
+    """M box N by composing every structure span with the over-code spans
+    and pairing through materialized G-sets: the box before the Mackey
+    formula on over-codes.  Returns the functor."""
+    group = M.group
+    codes, layouts, levels = [], [], []
+    for cls in group.subgroup_classes():
+        c, lay, grp = _oracle_level_presentation(
+            M, N, standard_orbit(group, cls.index))
+        codes.append(c)
+        layouts.append(lay)
+        levels.append(grp)
+    data = BoxData(M, N, tuple(codes), tuple(layouts))
+
+    def entry_matrix(e):
+        c_src = e.source.orbit_index.classes[0]
+        c_tgt = e.target.orbit_index.classes[0]
+        cols = [None] * levels[c_src].generator_count
+        for code in codes[c_src]:
+            O = standard_orbit(group, code[0])
+            terms = _pairing_terms(data, levels, O, O,
+                                   compose(e, _oracle_struct_span(e.source,
+                                                                  code)))
+            for i in range(M.levels[code[0]].generator_count):
+                for j in range(N.levels[code[0]].generator_count):
+                    col = intmat.zero_vec(levels[c_tgt].generator_count)
+                    for (TM, TN, slot) in terms:
+                        for aa in range(TM.shape[0]):
+                            for bb in range(TN.shape[0]):
+                                col[slot(aa, bb)] += TM[aa, i] * TN[bb, j]
+                    cols[layouts[c_src][(code, i, j)]] = col
+        return intmat.from_cols(cols, levels[c_tgt].generator_count)
+
+    return mackey_from_span_action(group, levels, entry_matrix,
+                                   name="box oracle", check=False)

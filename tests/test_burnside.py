@@ -43,7 +43,11 @@ from mackeykit.burnside import (
     triangle_composite,
     weyl_element,
 )
-from support import pullback_compose_oracle, pullback_tensor_oracle
+from support import (
+    pullback_compose_oracle,
+    pullback_tensor_oracle,
+    structure_span_oracles,
+)
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -559,6 +563,12 @@ def test_multimap_composition_associative_over_regrouping():
         rhs = compose(compose(m_out, tensor(identity_element(O), m2)),
                       tensor(m1, identity_element(inner2.gset)))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_structure_span_codes_match_explicit_spans(name):
+    for what, built, oracle in structure_span_oracles(builtin_group(name)):
+        assert built == oracle, what
 
 
 def test_weyl_element_is_isomorphism_span():

@@ -109,6 +109,59 @@ def test_mackey_check_rejects_non_integer_entries(tmp_path, capsys, edit):
     assert "is not an integer" in payload["error"]
 
 
+def _bad_input_files(tmp_path):
+    """A C4 and an S3 Burnside file, and the C4 file with one transfer
+    entry bumped by 1."""
+    paths = {}
+    for name in ("C4", "S3"):
+        doc = jsonio.mackey_to_json(burnside_mackey(builtin_group(name)))
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    doc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C4")))
+    key = sorted(doc["tr"])[0]
+    doc["tr"][key][0][0] += 1
+    paths["bad"] = tmp_path / "bad.json"
+    paths["bad"].write_text(json.dumps(doc))
+    paths["ring"] = tmp_path / "ring.json"
+    paths["ring"].write_text(json.dumps({"burnside": "C4"}))
+    return paths
+
+
+def _box_or_tor(command, paths, left, right):
+    if command == "box":
+        return ["box", str(paths[left]), str(paths[right])]
+    return ["tor", str(paths["ring"]), str(paths[left]), str(paths[right]),
+            "--pmax", "0"]
+
+
+@pytest.mark.parametrize("command", ["box", "tor"])
+@pytest.mark.parametrize("left,right,match", [
+    ("C4", "S3", "different groups"),
+    ("bad", "C4", "functoriality fails"),
+], ids=["different-groups", "bumped-transfer"])
+def test_box_and_tor_report_errors_as_json(tmp_path, capsys, command, left,
+                                          right, match):
+    paths = _bad_input_files(tmp_path)
+    code, out, err = run(capsys, _box_or_tor(command, paths, left, right)
+                         + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert set(payload) == {"error", "schema_version"}
+    assert payload["schema_version"] == 1
+    assert match in payload["error"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["box", "tor"])
+def test_box_and_tor_report_errors_on_stderr_in_text_mode(tmp_path, capsys,
+                                                         command):
+    paths = _bad_input_files(tmp_path)
+    code, out, err = run(capsys, _box_or_tor(command, paths, "C4", "S3"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: different groups\n"
+
+
 def test_green_check_detects_violation(tmp_path, capsys):
     C2 = builtin_group("C2")
     doc = jsonio.green_to_json(burnside_green(C2))

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from mackeykit import intmat as im
@@ -47,8 +48,8 @@ from mackeykit.convolution import (
     validate_green,
     validate_module,
 )
-from mackeykit.homalg import canonical_module, free_module
-from support import box_validate_green
+from mackeykit.homalg import canonical_module, free_module, rel_box
+from support import box_oracle, box_validate_green
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -571,3 +572,49 @@ def test_box_matches_literal_day_presentation(name):
             assert groups_isomorphic(oracle, data.functor.levels[cj]), \
                 (name, cj, oracle.invariant_factors,
                  data.functor.levels[cj].invariant_factors)
+
+
+# -- the Mackey formula on over-codes against the span route -------------------------
+
+
+def assert_box_matches_oracle(data, M, N):
+    """Every relation lattice and every res/tr/weyl matrix of a presented
+    box, entry for entry, against the box built by composing spans."""
+    got, want = data.functor, box_oracle(M, N)
+    for c, (a, b) in enumerate(zip(got.levels, want.levels)):
+        assert a.generator_count == b.generator_count, c
+        assert np.array_equal(a.relation_lattice, b.relation_lattice), c
+    assert got.res.keys() == want.res.keys()
+    for k in want.res:
+        assert np.array_equal(got.res[k], want.res[k]), ("res", k)
+        assert np.array_equal(got.tr[k], want.tr[k]), ("tr", k)
+    for c, w in enumerate(want.weyl):
+        assert got.weyl[c].keys() == w.keys()
+        for n, mat in w.items():
+            assert np.array_equal(got.weyl[c][n], mat), ("weyl", c, n)
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_box_of_burnside_and_regular_fixed_points_matches_span_oracle(name):
+    group = builtin_group(name)
+    A = point_representable(group)
+    FP = fixed_point_mackey(group, *regular_module(group))
+    assert_box_matches_oracle(box(A, FP), A, FP)
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])
+def test_burnside_green_box_matches_span_oracle(name):
+    G = burnside_green(builtin_group(name), check=False)
+    assert_box_matches_oracle(G.data, G.underlying, G.underlying)
+
+
+@pytest.mark.parametrize("name", ["C4", "S3"])
+def test_rel_box_presentation_matches_span_oracle(name):
+    group = builtin_group(name)
+    R = burnside_green(group, check=False)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    Q = cokernel(two)[0]
+    rb = rel_box(canonical_module(R, FP), canonical_module(R, Q))
+    assert_box_matches_oracle(rb.plain, FP, Q)

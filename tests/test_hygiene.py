@@ -5,7 +5,9 @@ An import inside a function must be used inside that function; a
 module-level import must be used somewhere in the module.  No module may
 import `random` anywhere, so every validator stays deterministic.  Only
 `gsets` may call `.stabilizer(`: every other module reads orbits,
-stabilizers and their classes from `GSet.orbit_index`.
+stabilizers and their classes from `GSet.orbit_index`.  The presented box
+product has one implementation, the Mackey formula on over-codes: its
+functions build no G-maps, G-set products or spans.
 """
 
 import ast
@@ -107,3 +109,43 @@ def test_scanner_finds_stabilizer_calls():
                          ids=lambda p: p.name)
 def test_orbit_data_is_read_from_the_orbit_index(path):
     assert stabilizer_calls(path.read_text(encoding="utf-8")) == []
+
+
+BOX_FUNCTIONS = ("box", "_box_level_presentation", "over_image")
+SPAN_BUILDERS = {"GMap", "compose", "materialize_code", "product",
+                 "transfer_element", "restriction_element"}
+
+
+def calls_inside(source, functions, names):
+    """(function, line, name) of every call of one of `names`, by bare name
+    or as an attribute, inside the named top-level functions (nested
+    scopes included), plus the set of those functions the source defines."""
+    found, out = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found.add(node.name)
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name in names:
+                    out.append((node.name, call.lineno, name))
+    return sorted(out), found
+
+
+def test_scanner_finds_span_builders_in_nested_scopes():
+    src = ("def box(M):\n    def entry(e):\n        return gsets.product(e)\n"
+           "    return GMap(M), compose\n\n"
+           "def other():\n    return compose(1)\n")
+    calls, found = calls_inside(src, ("box", "over_image"), SPAN_BUILDERS)
+    assert calls == [("box", 3, "product"), ("box", 4, "GMap")]
+    assert found == {"box"}
+
+
+def test_box_structure_comes_from_over_codes_only():
+    source = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(source, BOX_FUNCTIONS, SPAN_BUILDERS)
+    assert found == set(BOX_FUNCTIONS)
+    assert calls == []
