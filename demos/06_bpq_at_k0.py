@@ -10,7 +10,6 @@ structure map, unit, and multiplication table exactly.
 
 from mackeykit import builtin_group, bpq_verify, k0_mackey, k0_of_slice
 from mackeykit.gsets import point_gset, standard_orbit
-from mackeykit.mackey import covering_pairs
 
 triv = builtin_group("trivial")
 s = k0_of_slice(point_gset(triv))
@@ -20,7 +19,7 @@ print(f"K0(finite sets) has rank {s.rank()}: the classical theorem's "
 C2 = builtin_group("C2")
 M = k0_mackey(C2)
 print("\nK0 Mackey functor of C2:", [lvl.describe() for lvl in M.levels])
-(A, B), = covering_pairs(C2)
+(A, B), = C2.covering_pairs
 print("  restriction matrix:", [list(r) for r in M.res[(A, B)]],
       " transfer matrix:", [list(r) for r in M.tr[(A, B)]])
 

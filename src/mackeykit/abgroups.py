@@ -232,18 +232,36 @@ class FinPresAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
+def _columns_vanish(D, tgt: FinPresAbGroup) -> bool:
+    """Is every column of D zero in tgt?
+
+    One product U @ D puts all columns in diagonal coordinates, where row i
+    must vanish modulo the i-th diagonal entry.  A relator-free tgt checks
+    D itself.  The entries are Python ints, which plain iteration tests
+    faster than numpy's object-array reductions at every size.
+    """
+    if D.shape[0] != tgt.generator_count:
+        raise ValueError(f"elements of length {D.shape[0]} in a group "
+                         f"on {tgt.generator_count} generators")
+    if tgt._transforms is None:
+        return not any(D.flat)
+    Y = (tgt._transforms[0] @ D).tolist()
+    return not any(any(x % d for x in row) if d else any(row)
+                   for row, d in zip(Y, tgt._diag) if d != 1)
+
+
 def map_is_welldefined(M, src: FinPresAbGroup, tgt: FinPresAbGroup) -> bool:
     """Does the generator matrix M send src relations into tgt relations?"""
-    M = mat(M, src.generator_count)
+    M = _int_matrix(M, src.generator_count, "map")
     if M.shape != (tgt.generator_count, src.generator_count):
         return False
-    img = M @ src.relation_lattice
-    return all(tgt.is_zero_element(img[:, j]) for j in range(img.shape[1]))
+    return _columns_vanish(M @ src.relation_lattice, tgt)
 
 
 def maps_equal(M1, M2, src: FinPresAbGroup, tgt: FinPresAbGroup) -> bool:
-    D = mat(M1, src.generator_count) - mat(M2, src.generator_count)
-    return all(tgt.is_zero_element(D[:, j]) for j in range(D.shape[1]))
+    n = src.generator_count
+    return _columns_vanish(_int_matrix(M1, n, "map") - _int_matrix(M2, n, "map"),
+                           tgt)
 
 
 def subgroup_from_lattice(B, amb: FinPresAbGroup):

@@ -40,7 +40,6 @@ from .gsets import GMap, GSet, compose_maps, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
-    canonical_covers,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
@@ -801,7 +800,7 @@ def validate_green(G: GreenFunctor):
                 raise GreenValidationError(
                     f"conjugation by {n} does not preserve the unit at level "
                     f"{cls.label}")
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         if not R.levels[ca].elements_equal(R.res[(A, B)] @ units[cb],
                                            units[ca]):
@@ -890,7 +889,7 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                           times(c, WR[:, i], WM[:, j]),
                           f"conjugation by {n} does not respect the {name}",
                           where, (i, j))
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         where = f"{A}<{B}"
         resR, resM = R.res[(A, B)], M.res[(A, B)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,9 @@ class SubgroupClass:
     """One conjugacy class of subgroups.
 
     `representative` is the lexicographically minimal member (as sorted
-    label tuples), which downstream canonical forms rely on.
+    label tuples), which downstream canonical forms rely on.  `generators`
+    and `normalizer_generators` generate the representative and its
+    normalizer, chosen by `FiniteGroup.greedy_generators`.
     """
     representative: tuple
     conjugates: tuple
@@ -27,6 +29,26 @@ class SubgroupClass:
     weyl_order: int
     index: int
     label: str
+    generators: tuple
+    normalizer_generators: tuple
+
+
+@dataclass(frozen=True)
+class RelationPlan:
+    """Where the Mackey-algebra relations are checked, as group data only.
+
+    - `conjugation`: ((Hp, K0), ((n, conj_index(n, Hp)), ...)) for each
+      canonical covering pair, n over the greedy generators of
+      N(K0) cap N(Hp);
+    - `transitivity`: the triples (A, C, B) with B a class representative,
+      C < B a covering pair and A < C off the chain `maximal_under` picks;
+    - `double_coset`: (L, H, K, terms) for each class representative L and
+      all H, K <= L, with one term (xDx^-1, D, conj_index(x, D)) per double
+      coset HxK in L, x its least label and D = x^-1Hx cap K.
+    """
+    conjugation: tuple
+    transitivity: tuple
+    double_coset: tuple
 
 
 def _labels(values, name):
@@ -50,10 +72,9 @@ def _labels(values, name):
 class FiniteGroup:
     """A finite group with a validated multiplication table.
 
-    `generators` is a generating set chosen greedily: label a joins when it
-    is not in the closure of the labels chosen before it, so the result is
-    deterministic and the trivial group has none.  G-set actions and
-    equivariant maps are checked on it (see `GSet` and `GMap`).
+    `generators` is the generating set `greedy_generators` chooses from all
+    labels, so the trivial group has none.  G-set actions and equivariant
+    maps are checked on it (see `GSet` and `GMap`).
     """
 
     def __init__(self, table, name=None):
@@ -92,12 +113,7 @@ class FiniteGroup:
         self.name = name or f"group{n}"
         self._cache = {}
         self._hash = hash(table)
-        gens, span = [], {0}
-        for a in range(n):
-            if a not in span:
-                gens.append(a)
-                span = set(self.closure(gens))
-        self.generators = tuple(gens)
+        self.generators = self.greedy_generators(range(n))
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -124,6 +140,20 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
     # -- subgroup machinery -------------------------------------------------
+
+    def greedy_generators(self, elements):
+        """Generators of the subgroup `elements`, chosen greedily.
+
+        A label joins when it is not in the closure of the labels chosen
+        before it, so the result is deterministic and the trivial subgroup
+        has none.
+        """
+        gens, span = [], {0}
+        for a in elements:
+            if a not in span:
+                gens.append(a)
+                span = set(self.closure(gens))
+        return tuple(gens)
 
     def closure(self, seed):
         """Smallest subgroup containing the seed labels, as a sorted tuple."""
@@ -177,7 +207,8 @@ class FiniteGroup:
         return out
 
     def conjugate_subgroup(self, g, H):
-        return tuple(sorted(self.conj(g, h) for h in H))
+        row, gi = self.table[g], self.inverse[g]
+        return tuple(sorted([self.table[row[h]][gi] for h in H]))
 
     def normalizer(self, H):
         H = tuple(sorted(H))
@@ -205,7 +236,9 @@ class FiniteGroup:
             SubgroupClass(representative=rep, conjugates=conjs,
                           normalizer=norm,
                           weyl_order=len(norm) // len(rep),
-                          index=i, label=labels[i])
+                          index=i, label=labels[i],
+                          generators=self.greedy_generators(rep),
+                          normalizer_generators=self.greedy_generators(norm))
             for i, (rep, conjs, norm) in enumerate(classes))
         self._cache["classes"] = out
         return out
@@ -247,23 +280,145 @@ class FiniteGroup:
                 return g
         raise AssertionError("conjugacy class bookkeeping is broken")
 
+    def conj_index(self, g, L):
+        """(c, n): conjugation by g out of L in class coordinates.
+
+        c is the class of L and n = transport(gLg^-1) g transport(L)^-1 the
+        element of the normalizer of its representative that the Mackey
+        functors' stored conjugation `weyl[c][n]` reads.
+        """
+        L = tuple(sorted(L))
+        n = self.mul(self.mul(self.transport(self.conjugate_subgroup(g, L)), g),
+                     self.inverse[self.transport(L)])
+        return self.class_index_of(L), n
+
+    @cached_property
+    def covering_pairs(self):
+        """Covering pairs (A, B) of the full subgroup lattice, A maximal in B."""
+        subs = self.subgroups()
+        out = []
+        for B in subs:
+            Bs = set(B)
+            inside = [A for A in subs if set(A) < Bs]
+            for A in inside:
+                As = set(A)
+                if not any(As < set(C) and set(C) < Bs for C in inside):
+                    out.append((A, B))
+        return tuple(out)
+
+    @cached_property
+    def canonical_covers(self):
+        """One covering pair (Hp, K0) per G-conjugacy class of covering pairs.
+
+        K0 is a class representative and Hp the minimal member of the
+        N(K0)-orbit of a maximal subgroup of K0.  A Mackey functor stores
+        its restriction and transfer at these pairs only.
+        """
+        reps = {cls.representative: cls for cls in self.subgroup_classes()}
+        seen, out = set(), []
+        for (A, B) in self.covering_pairs:
+            if B in reps and (A, B) not in seen:
+                orbit = {self.conjugate_subgroup(n, A)
+                         for n in reps[B].normalizer}
+                seen |= {(C, B) for C in orbit}
+                out.append((min(orbit), B))
+        return tuple(out)
+
+    def maximal_under(self, A, B):
+        """Minimal-labelled maximal subgroup of B containing A (A < B)."""
+        As = set(A)
+        best = None
+        for C, D in self.covering_pairs:
+            if D == B and As <= set(C):
+                if best is None or C < best:
+                    best = C
+        if best is None:
+            raise ValueError("no covering step found")
+        return best
+
+    @cached_property
+    def relation_plan(self):
+        """The group data of the Mackey-algebra relations on a generating set.
+
+        `MackeyFunctor.validate_functoriality` checks these relations, and
+        its docstring proves that they imply the full set.  Built once per
+        group, so validating many functors repeats no group arithmetic.
+        """
+        reps = [cls.representative for cls in self.subgroup_classes()]
+        conjugation = []
+        for (Hp, K0) in self.canonical_covers:
+            stab = [n for n in self.subgroup_classes()[
+                        self.class_index_of(K0)].normalizer
+                    if self.conjugate_subgroup(n, Hp) == Hp]
+            conjugation.append(((Hp, K0), tuple(
+                (n, self.conj_index(n, Hp))
+                for n in self.greedy_generators(stab))))
+        transitivity = tuple(
+            (A, C, B) for (C, B) in self.covering_pairs if B in reps
+            for A in self.subgroups()
+            if set(A) < set(C) and self.maximal_under(A, B) != C)
+        gens = {H: self.greedy_generators(H) for H in self.subgroups()}
+        double_coset = []
+        for L in reps:
+            inside = [H for H in self.subgroups() if set(H) <= set(L)]
+            cosets = {K: self._left_cosets_in(L, K) for K in inside}
+            for H in inside:
+                for K in inside:
+                    terms = []
+                    for x in self._double_coset_reps(gens[H], cosets[K]):
+                        D = tuple(sorted(set(self.conjugate_subgroup(
+                            self.inverse[x], H)) & set(K)))
+                        terms.append((self.conjugate_subgroup(x, D), D,
+                                      self.conj_index(x, D)))
+                    double_coset.append((L, H, K, tuple(terms)))
+        return RelationPlan(tuple(conjugation), transitivity,
+                            tuple(double_coset))
+
+    def _left_cosets_in(self, L, K):
+        """(coset_of, firsts) for the left cosets yK inside L.
+
+        coset_of maps each y in L to the index of yK, and firsts lists the
+        least label of each coset in increasing order.
+        """
+        coset_of, firsts = {}, []
+        for y in sorted(L):
+            if y not in coset_of:
+                coset_of.update((self.table[y][k], len(firsts)) for k in K)
+                firsts.append(y)
+        return coset_of, firsts
+
+    def _double_coset_reps(self, hgens, cosets):
+        """Least labels of the double cosets HxK inside L, in order.
+
+        `cosets` is `_left_cosets_in(L, K)`.  The double cosets are the
+        orbits of H, given by `hgens`, on those cosets, so each costs its
+        number of cosets times the number of generators, not |H| |K|.
+        """
+        coset_of, firsts = cosets
+        rows, seen, reps = self.table, [False] * len(firsts), []
+        for c, x in enumerate(firsts):
+            if seen[c]:
+                continue
+            reps.append(x)
+            seen[c] = True
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for h in hgens:
+                    d = coset_of[rows[h][y]]
+                    if not seen[d]:
+                        seen[d] = True
+                        stack.append(firsts[d])
+        return reps
+
     def double_cosets(self, H, K):
         """Representatives of H\\G/K, each the minimal label in its coset."""
         if not self.is_subgroup(H):
             raise ValueError("H is not a subgroup")
         if not self.is_subgroup(K):
             raise ValueError("K is not a subgroup")
-        covered = [False] * self.order
-        reps = []
-        for g in range(self.order):
-            if covered[g]:
-                continue
-            reps.append(g)
-            for h in H:
-                hg = self.mul(h, g)
-                for k in K:
-                    covered[self.mul(hg, k)] = True
-        return reps
+        return self._double_coset_reps(self.greedy_generators(sorted(H)),
+                                       self._left_cosets_in(self.elements(), K))
 
     def double_coset_of(self, g, H, K):
         return tuple(sorted({self.mul(self.mul(h, g), k) for h in H for k in K}))

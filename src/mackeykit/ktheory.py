@@ -28,7 +28,7 @@ from .gsets import (
     pullback,
     standard_orbit,
 )
-from .mackey import MackeyFunctor, MackeyMorphism, canonical_covers
+from .mackey import MackeyFunctor, MackeyMorphism
 
 
 @dataclass
@@ -114,7 +114,7 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
     slices = [k0_of_slice(standard_orbit(group, c.index)) for c in classes]
     levels = [s.group for s in slices]
     res, tr = {}, {}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         pi = _projection_map(group, A, B)
         res[(A, B)] = k0_restrict(slices[cb], slices[ca], pi)

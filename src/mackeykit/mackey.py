@@ -3,15 +3,19 @@
 A Mackey functor stores one finitely presented abelian group per
 subgroup-conjugacy class, one restriction and one transfer matrix per
 G-conjugacy class of covering pairs (read against the canonical pair of
-`canonical_covers`), and the normalizer action on each class
+`FiniteGroup.canonical_covers`), and the normalizer action on each class
 representative.  Values at arbitrary subgroups are reached through fixed
 transport elements (the minimal conjugator onto the class
 representative); the covering step at any other pair is derived from the
 stored one by conjugation, and arbitrary spans are evaluated by factoring
 each transitive span as transfer . conjugation . restriction.
 Functoriality of that evaluation is equivalent to the relations of the
-Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3), which
-`validate_functoriality` checks exhaustively rather than trusting.
+Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3).
+`validate_functoriality` checks a generating set of them rather than
+trusting: the homomorphism relation on generators of each normalizer,
+and the res/tr relations at class representatives and canonical pairs
+only, for generators of their stabilizers.  Every other instance is a
+product or a conjugate of a checked one; its docstring has the proof.
 
 Ownership: functors and morphisms keep the 2-D object arrays they are
 given, so stored matrices may be shared with the caller and between
@@ -40,45 +44,6 @@ from .groups import FiniteGroup
 from .gsets import GMap, GSet, standard_orbit
 
 
-def covering_pairs(group: FiniteGroup):
-    """Covering pairs (A, B) of the full subgroup lattice, A maximal in B."""
-    if "covers" in group._cache:
-        return group._cache["covers"]
-    subs = group.subgroups()
-    out = []
-    for B in subs:
-        Bs = set(B)
-        inside = [A for A in subs if set(A) < Bs]
-        for A in inside:
-            As = set(A)
-            if not any(As < set(C) and set(C) < Bs for C in inside):
-                out.append((A, B))
-    out = tuple(out)
-    group._cache["covers"] = out
-    return out
-
-
-def canonical_covers(group: FiniteGroup):
-    """One covering pair (Hp, K0) per G-conjugacy class of covering pairs.
-
-    K0 is a class representative and Hp the minimal member of the
-    N(K0)-orbit of a maximal subgroup of K0.  A Mackey functor stores its
-    restriction and transfer at these pairs only.
-    """
-    if "canonical_covers" in group._cache:
-        return group._cache["canonical_covers"]
-    reps = {cls.representative: cls for cls in group.subgroup_classes()}
-    seen, out = set(), []
-    for (A, B) in covering_pairs(group):
-        if B in reps and (A, B) not in seen:
-            orbit = {group.conjugate_subgroup(n, A) for n in reps[B].normalizer}
-            seen |= {(C, B) for C in orbit}
-            out.append((min(orbit), B))
-    out = tuple(out)
-    group._cache["canonical_covers"] = out
-    return out
-
-
 def class_pair_covers(group: FiniteGroup):
     """{(ca, cb): (Hp, K0)}: the canonical cover of each class covering pair.
 
@@ -86,7 +51,7 @@ def class_pair_covers(group: FiniteGroup):
     of covering pairs, which data keyed by class pairs cannot address.
     """
     out = {}
-    for (Hp, K0) in canonical_covers(group):
+    for (Hp, K0) in group.canonical_covers:
         key = (group.class_index_of(Hp), group.class_index_of(K0))
         if key in out:
             raise ValueError(
@@ -97,24 +62,11 @@ def class_pair_covers(group: FiniteGroup):
     return out
 
 
-def _maximal_under(group, A, B):
-    """Minimal-labelled maximal subgroup of B containing A (A < B)."""
-    As, Bs = set(A), set(B)
-    best = None
-    for C, D in covering_pairs(group):
-        if D == B and As <= set(C):
-            if best is None or C < best:
-                best = C
-    if best is None:
-        raise ValueError("no covering step found")
-    return best
-
-
 class MackeyFunctor:
     """Levels on subgroup classes plus generating structure matrices.
 
     `res`/`tr` hold one matrix per G-conjugacy class of covering pairs,
-    keyed by the canonical pairs of `canonical_covers`.
+    keyed by the canonical pairs of `FiniteGroup.canonical_covers`.
     """
 
     def __init__(self, group: FiniteGroup, levels, res, tr, weyl,
@@ -124,7 +76,7 @@ class MackeyFunctor:
         classes = group.subgroup_classes()
         if len(self.levels) != len(classes):
             raise ValueError("need one level per subgroup class")
-        covers = canonical_covers(group)
+        covers = group.canonical_covers
         for kind, data in (("res", res), ("tr", tr)):
             if set(data) != set(covers):
                 raise ValueError(f"{kind} must hold exactly one matrix per "
@@ -167,7 +119,7 @@ class MackeyFunctor:
     def _check_shapes(self):
         group = self.group
         classes = group.subgroup_classes()
-        for (A, B) in canonical_covers(group):
+        for (A, B) in group.canonical_covers:
             la, lb = (self.levels[group.class_index_of(H)] for H in (A, B))
             for what, m, src, tgt in (("restriction", self.res[(A, B)], lb, la),
                                       ("transfer", self.tr[(A, B)], la, lb)):
@@ -199,13 +151,8 @@ class MackeyFunctor:
 
     def conj_mat(self, g, L):
         """Matrix of conjugation by g from M@L to M@(gLg^-1), in class coords."""
-        group = self.group
-        L = tuple(sorted(L))
-        Lp = group.conjugate_subgroup(g, L)
-        cidx = group.class_index_of(L)
-        n = group.mul(group.mul(group.transport(Lp), g),
-                      group.inv(group.transport(L)))
-        return self.weyl[cidx][n]
+        c, n = self.group.conj_index(g, L)
+        return self.weyl[c][n]
 
     def cover_mats(self, A, B):
         """(res, tr) of the covering step A < B, in class coords.
@@ -242,7 +189,7 @@ class MackeyFunctor:
         if A == B:
             out = intmat.identity(self._gens(A))
         else:
-            M = _maximal_under(self.group, A, B)
+            M = self.group.maximal_under(A, B)
             out = self.res_mat(A, M) @ self.cover_mats(M, B)[0]
         self._cache[key] = out
         return out
@@ -256,7 +203,7 @@ class MackeyFunctor:
         if A == B:
             out = intmat.identity(self._gens(A))
         else:
-            M = _maximal_under(self.group, A, B)
+            M = self.group.maximal_under(A, B)
             out = self.cover_mats(M, B)[1] @ self.tr_mat(A, M)
         self._cache[key] = out
         return out
@@ -319,25 +266,59 @@ class MackeyFunctor:
     # -- validation ----------------------------------------------------------------
 
     def validate_functoriality(self):
-        """Exhaustive check of the Mackey-algebra relations on the stored data.
+        """Check the Mackey-algebra relations on a generating set of them.
 
-        The span evaluation is a functor exactly when these relations of
-        Thevenaz-Webb (Trans. AMS 347, 1995, section 3) hold, each checked
-        on every one of its cells modulo the target level's relations:
+        The span evaluation is a functor exactly when the relations of
+        Thevenaz-Webb (Trans. AMS 347, 1995, section 3) hold at every
+        subgroup and every group element.  This checks, on every cell and
+        modulo the target level's relations (written ==):
 
-        - conjugation is a homomorphism on each N(H), and H acts trivially;
-        - transitivity: res_mat/tr_mat do not depend on the chain, at every
-          covering step C < B and every A < C;
-        - conjugation commutes with res and tr at every covering pair;
-        - the double-coset formula res^L_H tr^L_K =
-          sum_{x in H\\L/K} tr^H_{H cap xK} c_x res^K_{H^x cap K} for every
-          L and every H, K <= L.
+        (I) w(e) == 1 and w(h) == 1 for h in `SubgroupClass.generators`;
+        (H) w(a) w(s) == w(as) for every a in N(H) and s in
+            `SubgroupClass.normalizer_generators`;
+        (C) conjugation commutes with the stored res and tr at each
+            canonical pair (Hp, K0), for the generators of N(K0) cap N(Hp);
+        (T) transitivity: res_mat/tr_mat through a covering step C < B equal
+            res_mat/tr_mat along the chain `maximal_under` picks, for B a
+            class representative and every A < C;
+        (D) the double-coset formula res^L_H tr^L_K =
+            sum_{x in H\\L/K} tr^H_{xDx^-1} c_x res^K_D, D = x^-1Hx cap K,
+            for L a class representative and every H, K <= L.
 
-        Returns {relation: cells checked}.  Raises ValueError naming the
-        relation and the subgroups of the first failing cell.
+        `FiniteGroup.relation_plan` holds the group data of (C), (T), (D).
+        Here w is `weyl`; the stored matrices are well-defined (the
+        constructor checks it), so == survives composition on both sides.
+        These relations imply the full set:
+
+        1. Writing b = s1...sk in generators, (H) gives w(ab) ==
+           w(a) w(s1)...w(sk) for every a; with a = e and (I), w(b) ==
+           w(s1)...w(sk), so w(a) w(b) == w(ab), and w is trivial on H
+           because it is on H's generators.  Hence `conj_mat` is a functor:
+           c_g' c_g == c_g'g, and c_h == 1 at L for h in L.
+        2. Products of generators extend (C) to all of N(K0) cap N(Hp).
+           `cover_mats(C, B)` is c_v^-1 R c_v for one v carrying (C, B)
+           onto (Hp, K0); any other such v is nv with n in that
+           stabilizer, so by (C) every v gives the same matrix.  As vg^-1
+           carries (gC, gB) there, c_g cover(C, B) == cover(gC, gB) c_g
+           for every covering pair and every g.
+        3. By induction on |B|: once all maximal chains into proper
+           subgroups of B give one product, (T) makes every chain into a
+           representative B give res_mat/tr_mat, and conjugating the
+           chains by 2 carries that to every conjugate of B.  So res_mat
+           and tr_mat are transitive and commute with conjugation.
+        4. Conjugating (D) at (L, H, K) by g gives, by 3, the formula at
+           (gL, gH, gK), whose double cosets are the g-conjugates of those
+           in L.  A term does not depend on its representative: x' = hxk
+           changes it by c_h at H and c_k at K, both == 1 by 1.
+
+        Every checked cell is also a cell of the exhaustive check (the
+        oracle in the tests), so both accept the same data.  Returns
+        {relation: cells checked}.  Raises ValueError naming the relation
+        and the subgroups of the first failing cell.
         """
         group = self.group
-        subs = group.subgroups()
+        plan = group.relation_plan
+        cidx = group.class_index_of
         counts = {}
 
         def check(lhs, rhs, src, tgt, relation, where):
@@ -349,67 +330,51 @@ class MackeyFunctor:
         for cls in group.subgroup_classes():
             c, w = cls.index, self.weyl[cls.index]
             ident = intmat.identity(self.levels[c].generator_count)
-            for h in cls.representative:
+            for h in (0,) + cls.generators:
                 check(w[h], ident, c, c, "inner conjugation is trivial",
                       f"{h} in {cls.representative}")
             for a in cls.normalizer:
-                for b in cls.normalizer:
-                    check(w[a] @ w[b], w[group.mul(a, b)], c, c,
+                for s in cls.normalizer_generators:
+                    check(w[a] @ w[s], w[group.mul(a, s)], c, c,
                           "conjugation is a homomorphism",
-                          f"{a}*{b} on {cls.representative}")
-        cidx = group.class_index_of
-        for (C, B) in covering_pairs(group):
+                          f"{a}*{s} on {cls.representative}")
+        for (Hp, K0), gens in plan.conjugation:
+            ch, ck = cidx(Hp), cidx(K0)
+            r, t = self.res[(Hp, K0)], self.tr[(Hp, K0)]
+            for n, (c, m) in gens:
+                wh, wk = self.weyl[c][m], self.weyl[ck][n]
+                where = f"{n} on {Hp} < {K0}"
+                check(wh @ r, r @ wk, ck, ch,
+                      "conjugation commutes with restriction", where)
+                check(wk @ t, t @ wh, ch, ck,
+                      "conjugation commutes with transfer", where)
+        for (A, C, B) in plan.transitivity:
             r, t = self.cover_mats(C, B)
-            for A in subs:
-                if not set(A) < set(C) or _maximal_under(group, A, B) == C:
-                    continue
-                where = f"{A} < {C} < {B}"
-                check(self.res_mat(A, C) @ r, self.res_mat(A, B), cidx(B),
-                      cidx(A), "transitivity of restriction", where)
-                check(t @ self.tr_mat(A, C), self.tr_mat(A, B), cidx(A),
-                      cidx(B), "transitivity of transfer", where)
-            for g in group.elements():
-                gC, gB = (group.conjugate_subgroup(g, H) for H in (C, B))
-                rg, tg = self.cover_mats(gC, gB)
-                where = f"{g} on {C} < {B}"
-                check(self.conj_mat(g, C) @ r, rg @ self.conj_mat(g, B),
-                      cidx(B), cidx(C), "conjugation commutes with restriction",
-                      where)
-                check(self.conj_mat(g, B) @ t, tg @ self.conj_mat(g, C),
-                      cidx(C), cidx(B), "conjugation commutes with transfer",
-                      where)
-        for L in subs:
-            inside = [H for H in subs if set(H) <= set(L)]
-            for H in inside:
-                for K in inside:
-                    rhs = intmat.zeros(self._gens(H), self._gens(K))
-                    for x in _double_coset_reps(group, H, L, K):
-                        D = tuple(sorted(set(group.conjugate_subgroup(
-                            group.inv(x), H)) & set(K)))
-                        rhs = rhs + self.tr_mat(group.conjugate_subgroup(x, D),
-                                                H) \
-                            @ self.conj_mat(x, D) @ self.res_mat(D, K)
-                    check(self.res_mat(H, L) @ self.tr_mat(K, L), rhs, cidx(K),
-                          cidx(H), "double-coset formula",
-                          f"res^{L}_{H} tr^{L}_{K}")
+            where = f"{A} < {C} < {B}"
+            check(self.res_mat(A, C) @ r, self.res_mat(A, B), cidx(B),
+                  cidx(A), "transitivity of restriction", where)
+            check(t @ self.tr_mat(A, C), self.tr_mat(A, B), cidx(A),
+                  cidx(B), "transitivity of transfer", where)
+        for (L, H, K, terms) in plan.double_coset:
+            rhs = intmat.zeros(self._gens(H), self._gens(K))
+            for (E, D, (c, m)) in terms:
+                rhs = rhs + self.tr_mat(E, H) @ self.weyl[c][m] \
+                    @ self.res_mat(D, K)
+            check(self.res_mat(H, L) @ self.tr_mat(K, L), rhs, cidx(K),
+                  cidx(H), "double-coset formula", f"res^{L}_{H} tr^{L}_{K}")
         return counts
-
-
-def _double_coset_reps(group, H, L, K):
-    """Minimal representatives of the double cosets H x K inside L."""
-    covered, reps = set(), []
-    for x in L:
-        if x not in covered:
-            reps.append(x)
-            covered.update(group.mul(group.mul(h, x), k) for h in H for k in K)
-    return reps
 
 
 # -- morphisms ---------------------------------------------------------------------
 
 
 class MackeyMorphism:
-    """Levelwise matrices commuting with res, tr and conjugation."""
+    """Levelwise matrices commuting with res, tr and conjugation.
+
+    Commuting with conjugation is checked on the generators of each N(H):
+    both functors' conjugations are homomorphisms, so it follows for every
+    product of generators.
+    """
 
     def __init__(self, source: MackeyFunctor, target: MackeyFunctor,
                  mats, check=True):
@@ -429,7 +394,7 @@ class MackeyMorphism:
             if not abgroups.map_is_welldefined(mat, self.source.levels[c],
                                                self.target.levels[c]):
                 raise ValueError(f"morphism not well-defined at class {c}")
-        for (A, B) in canonical_covers(group):
+        for (A, B) in group.canonical_covers:
             ca, cb = group.class_index_of(A), group.class_index_of(B)
             if not abgroups.maps_equal(
                     self.mats[ca] @ self.source.res[(A, B)],
@@ -443,7 +408,7 @@ class MackeyMorphism:
                 raise ValueError(f"morphism does not commute with tr at {A}<{B}")
         for cls in group.subgroup_classes():
             c = cls.index
-            for n in cls.normalizer:
+            for n in cls.normalizer_generators:
                 if not abgroups.maps_equal(
                         self.mats[c] @ self.source.weyl[c][n],
                         self.target.weyl[c][n] @ self.mats[c],
@@ -546,7 +511,7 @@ def mackey_from_span_action(group: FiniteGroup, levels, action, name=None,
     e between standard orbits, in the corresponding level coordinates.
     """
     res, tr = {}, {}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         res[(A, B)] = action(res_element(group, A, B))
         tr[(A, B)] = action(tr_element(group, A, B))
     weyl = []
@@ -593,7 +558,7 @@ def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
     """The zero functor: every level 0, every structure matrix 0 x 0."""
     if "zero_mackey" not in group._cache:
         classes = group.subgroup_classes()
-        covers = canonical_covers(group)
+        covers = group.canonical_covers
         empty = intmat.zeros(0, 0)
         group._cache["zero_mackey"] = MackeyFunctor(
             group, [FinPresAbGroup.zero()] * len(classes),
@@ -662,7 +627,7 @@ def _subfunctor(M: MackeyFunctor, levels, incls, name=None):
         return intmat.from_cols(cols, k)
 
     res, tr = {}, {}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         res[(A, B)] = restrict(M.res[(A, B)], cb, ca)
         tr[(A, B)] = restrict(M.tr[(A, B)], ca, cb)
@@ -706,7 +671,7 @@ def minimize_presentation(M: MackeyFunctor):
         return W if P is None else P @ W
 
     res, tr = {}, {}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         res[(A, B)] = squeeze(projs[ca], M.res[(A, B)], sects[cb])
         tr[(A, B)] = squeeze(projs[cb], M.tr[(A, B)], sects[ca])
@@ -748,7 +713,7 @@ def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     levels, offsets = zip(*(
         abgroups.direct_sum_groups([F.levels[c] for F in summands])
         for c in range(len(M.levels))))
-    covers = canonical_covers(group)
+    covers = group.canonical_covers
     res = {k: intmat.block_diag([F.res[k] for F in summands]) for k in covers}
     tr = {k: intmat.block_diag([F.tr[k] for F in summands]) for k in covers}
     weyl = [{n: intmat.block_diag([F.weyl[c][n] for F in summands])
@@ -912,14 +877,16 @@ class NatSolver:
             self.add_condition(coeff_rows, self.N.levels[c_tgt])
 
     def _add_structure(self):
+        # as in MackeyMorphism._check, conjugation by the generators of
+        # each N(H) implies it by all of N(H)
         group = self.M.group
-        for (A, B) in canonical_covers(group):
+        for (A, B) in group.canonical_covers:
             ca, cb = group.class_index_of(A), group.class_index_of(B)
             self.add_commuting(cb, ca, self.M.res[(A, B)], self.N.res[(A, B)])
             self.add_commuting(ca, cb, self.M.tr[(A, B)], self.N.tr[(A, B)])
         for cls in group.subgroup_classes():
             c = cls.index
-            for n in cls.normalizer:
+            for n in cls.normalizer_generators:
                 self.add_commuting(c, c, self.M.weyl[c][n], self.N.weyl[c][n])
 
     def solve(self) -> HomGroup:
@@ -1061,7 +1028,7 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         return sol[:basis.shape[1]]
 
     res, tr = {}, {}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         tA, tB = group.transport(A), group.transport(B)
         # res: V^B -> V^A transported into representative coordinates
@@ -1129,9 +1096,9 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
     """Build and validate a Mackey functor from generating data.
 
     `res_data`/`tr_data` are keyed by class covering pairs (ca, cb); the
-    matrices are read against the canonical pair of `canonical_covers`
-    (the minimal maximal subgroup of the class-cb representative lying in
-    class ca).  `conj_data[c]` maps elements of the normalizer of the
+    matrices are read against the canonical pair of
+    `FiniteGroup.canonical_covers` (the minimal maximal subgroup of the
+    class-cb representative lying in class ca).  `conj_data[c]` maps elements of the normalizer of the
     class-c representative to matrices; missing elements are filled by
     closure.  Raises ValueError when class pairs cannot address the
     stored data (see class_pair_covers), on bad shapes, and, through

@@ -1,9 +1,12 @@
 """Shared brute-force and dense oracles used by the tests."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from mackeykit import intmat
 from mackeykit import intmat as im
+from mackeykit import abgroups
 from mackeykit.abgroups import FinPresAbGroup, maps_equal
 from mackeykit.burnside import (
     basis_element,
@@ -29,6 +32,7 @@ from mackeykit.convolution import (
     box_unit_iso,
     over_codes,
 )
+from mackeykit.groups import group_from_permutations
 from mackeykit.gsets import (
     GMap,
     GSet,
@@ -39,10 +43,30 @@ from mackeykit.gsets import (
 )
 from mackeykit.mackey import (
     compose_morphisms,
-    covering_pairs,
     identity_morphism,
     mackey_from_span_action,
 )
+
+
+# One-line generators of the permutation groups beyond the built-ins.
+PERMUTATION_GROUPS = {
+    "A4": (4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
+    "D6": (6, [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+    "C2xC2xC2": (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+                     (0, 1, 2, 3, 5, 4)]),
+    "S4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "A5": (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+}
+
+# The permutation battery: orders 8 to 24, up to 16 subgroup classes.
+PERMUTATION_BATTERY = ("A4", "D6", "C2xC2xC2", "S4")
+
+
+@lru_cache(maxsize=None)
+def permutation_group(name):
+    """The group `PERMUTATION_GROUPS[name]`, built once per test session."""
+    degree, gens = PERMUTATION_GROUPS[name]
+    return group_from_permutations(degree, gens, name=name)
 
 
 def full_action_oracle(group, action):
@@ -221,7 +245,7 @@ def span_functoriality_oracle(M):
         for n in cls.normalizer:
             check(M.eval_span(weyl_element(group, c, n)), M.weyl[c][n],
                   M.levels[c], M.levels[c], f"conjugation by {n} at {c}")
-    for (A, B) in covering_pairs(group):
+    for (A, B) in group.covering_pairs:
         la = M.levels[group.class_index_of(A)]
         lb = M.levels[group.class_index_of(B)]
         check(M.eval_span(res_element(group, A, B)), M.res_mat(A, B), lb, la,
@@ -247,6 +271,85 @@ def span_functoriality_oracle(M):
                               M.eval_span(t) @ eval_s, gx, gz,
                               f"spans {code_s} ; {code_t}")
     return pairs
+
+
+def exhaustive_functoriality_oracle(M):
+    """The Mackey-algebra relations on every subgroup and group element.
+
+    The reference for `MackeyFunctor.validate_functoriality`, which checks
+    a generating set of these: conjugation is a homomorphism on all of each
+    N(H), every element of H acts trivially, transitivity at every covering
+    step, conjugation commutes with res and tr at every covering pair and
+    every g, and the double-coset formula for every L and H, K <= L.
+    Returns {relation: cells checked}; raises ValueError like the validator.
+    """
+    group = M.group
+    subs = group.subgroups()
+    counts = {}
+
+    def check(lhs, rhs, src, tgt, relation, where):
+        counts[relation] = counts.get(relation, 0) + 1
+        if not abgroups.maps_equal(lhs, rhs, M.levels[src],
+                                   M.levels[tgt]):
+            raise ValueError(f"functoriality fails: {relation} at {where}")
+
+    for cls in group.subgroup_classes():
+        c, w = cls.index, M.weyl[cls.index]
+        ident = intmat.identity(M.levels[c].generator_count)
+        for h in cls.representative:
+            check(w[h], ident, c, c, "inner conjugation is trivial",
+                  f"{h} in {cls.representative}")
+        for a in cls.normalizer:
+            for b in cls.normalizer:
+                check(w[a] @ w[b], w[group.mul(a, b)], c, c,
+                      "conjugation is a homomorphism",
+                      f"{a}*{b} on {cls.representative}")
+    cidx = group.class_index_of
+    for (C, B) in group.covering_pairs:
+        r, t = M.cover_mats(C, B)
+        for A in subs:
+            if not set(A) < set(C) or group.maximal_under(A, B) == C:
+                continue
+            where = f"{A} < {C} < {B}"
+            check(M.res_mat(A, C) @ r, M.res_mat(A, B), cidx(B),
+                  cidx(A), "transitivity of restriction", where)
+            check(t @ M.tr_mat(A, C), M.tr_mat(A, B), cidx(A),
+                  cidx(B), "transitivity of transfer", where)
+        for g in group.elements():
+            gC, gB = (group.conjugate_subgroup(g, H) for H in (C, B))
+            rg, tg = M.cover_mats(gC, gB)
+            where = f"{g} on {C} < {B}"
+            check(M.conj_mat(g, C) @ r, rg @ M.conj_mat(g, B),
+                  cidx(B), cidx(C), "conjugation commutes with restriction",
+                  where)
+            check(M.conj_mat(g, B) @ t, tg @ M.conj_mat(g, C),
+                  cidx(C), cidx(B), "conjugation commutes with transfer",
+                  where)
+    for L in subs:
+        inside = [H for H in subs if set(H) <= set(L)]
+        for H in inside:
+            for K in inside:
+                rhs = intmat.zeros(M._gens(H), M._gens(K))
+                for x in _double_coset_reps(group, H, L, K):
+                    D = tuple(sorted(set(group.conjugate_subgroup(
+                        group.inv(x), H)) & set(K)))
+                    rhs = rhs + M.tr_mat(group.conjugate_subgroup(x, D),
+                                         H) \
+                        @ M.conj_mat(x, D) @ M.res_mat(D, K)
+                check(M.res_mat(H, L) @ M.tr_mat(K, L), rhs, cidx(K),
+                      cidx(H), "double-coset formula",
+                      f"res^{L}_{H} tr^{L}_{K}")
+    return counts
+
+
+def _double_coset_reps(group, H, L, K):
+    """Minimal representatives of the double cosets H x K inside L."""
+    covered, reps = set(), []
+    for x in L:
+        if x not in covered:
+            reps.append(x)
+            covered.update(group.mul(group.mul(h, x), k) for h in H for k in K)
+    return reps
 
 
 def gmodule_hom_group(group, M, V, act):
@@ -379,7 +482,7 @@ def box_validate_green(G):
 def _box_validate_levelwise(G):
     R = G.underlying
     group = G.group
-    for (A, B) in covering_pairs(group):
+    for (A, B) in group.covering_pairs:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         res = R.res_mat(A, B)
         tr = R.tr_mat(A, B)

@@ -147,6 +147,51 @@ def test_maps_equal_modulo_relations():
     assert not maps_equal(im.intmat([[2]]), im.intmat([[3]]), G, G)
 
 
+@st.composite
+def levels_and_maps(draw):
+    """(src, tgt, M1, M2): presented, relator-free or empty levels, a map M1
+    and a map M2 that differs from it by tgt relators and, sometimes, by a
+    random matrix."""
+    def level():
+        kind = draw(st.sampled_from(["presented", "free", "empty"]))
+        if kind == "empty":
+            return FinPresAbGroup(0)
+        n = draw(st.integers(1, 4))
+        if kind == "free":
+            return FinPresAbGroup(n)
+        rels = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                      max_size=n), min_size=1, max_size=3))
+        return FinPresAbGroup(n, rels)
+
+    def matrix(rows, cols, bound):
+        return im.intmat([[draw(st.integers(-bound, bound))
+                           for _ in range(cols)] for _ in range(rows)], cols)
+
+    src, tgt = level(), level()
+    n, m = tgt.generator_count, src.generator_count
+    M1 = matrix(n, m, 9)
+    lat = tgt.relation_lattice
+    M2 = M1 + lat @ matrix(lat.shape[1], m, 3)
+    if draw(st.booleans()):
+        M2 = M2 + matrix(n, m, 1)
+    return src, tgt, M1, M2
+
+
+def _columns_zero(D, tgt):
+    return all(not any(tgt.normal_form(D[:, j])) for j in range(D.shape[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels_and_maps())
+def test_whole_matrix_comparison_matches_normal_forms_per_column(case):
+    # maps_equal and map_is_welldefined reduce a whole difference matrix
+    # with one product; the oracle is one normal form per column
+    src, tgt, M1, M2 = case
+    assert maps_equal(M1, M2, src, tgt) == _columns_zero(M1 - M2, tgt)
+    assert map_is_welldefined(M1, src, tgt) == _columns_zero(
+        M1 @ src.relation_lattice, tgt)
+
+
 # -- relator-free groups: the implicit identity against a dense oracle -------------
 
 

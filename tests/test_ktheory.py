@@ -4,7 +4,7 @@ from mackeykit import intmat as im
 from mackeykit.groups import builtin_group
 from mackeykit.gsets import GSet, GMap, point_gset, standard_orbit
 from mackeykit.burnside import burnside_ring_table, hom_basis
-from mackeykit.mackey import burnside_mackey, covering_pairs
+from mackeykit.mackey import burnside_mackey
 from mackeykit.ktheory import (
     BpqResult,
     bpq_verify,
@@ -31,7 +31,7 @@ def test_k0_mackey_c2_matrices():
     C2 = builtin_group("C2")
     M = k0_mackey(C2)
     assert [l.generator_count for l in M.levels] == [1, 2]
-    (A, B), = covering_pairs(C2)
+    (A, B), = C2.covering_pairs
     # tr: the free class over the point; res: point-class -> 1, free -> 2
     # basis of K0(pt) is ([C2/e -> pt], [pt -> pt]) in canonical code order
     tr = M.tr[(A, B)]

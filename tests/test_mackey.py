@@ -35,11 +35,10 @@ from mackeykit.convolution import box
 from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
+    NatSolver,
     burnside_mackey,
-    canonical_covers,
     cokernel,
     compose_morphisms,
-    covering_pairs,
     direct_sum,
     fixed_point_mackey,
     hom_mackey,
@@ -58,11 +57,15 @@ from mackeykit.mackey import (
 )
 
 from support import (
+    PERMUTATION_BATTERY,
+    PERMUTATION_GROUPS,
     assert_same_group,
     brute_force_borel_level,
     dense_free,
     eval_span_oracle,
+    exhaustive_functoriality_oracle,
     gmodule_hom_group,
+    permutation_group,
     span_functoriality_oracle,
 )
 
@@ -122,7 +125,7 @@ def test_missing_conjugation_data_rejected(s3):
     levels = [FinPresAbGroup.free(1)] * 4
     res = {(ca, cb): [[1]] for (ca, cb) in
            {(s3.class_index_of(a), s3.class_index_of(b))
-            for (a, b) in covering_pairs(s3)}}
+            for (a, b) in s3.covering_pairs}}
     tr = dict(res)
     with pytest.raises(ValueError, match="normalizer"):
         mackey_from_levels(s3, levels, res, tr, {})
@@ -159,9 +162,11 @@ def test_functoriality_battery():
         group = builtin_group(name)
         A = burnside_mackey(group)
         report = A.validate_functoriality()
+        # the formula is checked at class representatives L only
         assert report["double-coset formula"] == sum(
-            sum(1 for H in group.subgroups() if set(H) <= set(L)) ** 2
-            for L in group.subgroups())
+            sum(1 for H in group.subgroups()
+                if set(H) <= set(cls.representative)) ** 2
+            for cls in group.subgroup_classes())
 
 
 def test_double_coset_formula_all_class_pairs():
@@ -329,7 +334,7 @@ def test_fixed_point_examples(c2):
     Z = FinPresAbGroup.free(1)
     FP = fixed_point_mackey(c2, Z, trivial_module(c2, Z))
     assert [l.invariant_factors for l in FP.levels] == [(0,), (0,)]
-    (A, B), = covering_pairs(c2)
+    (A, B), = c2.covering_pairs
     assert FP.res[(A, B)][0, 0] == 1
     assert FP.tr[(A, B)][0, 0] == 2
     # V = 0 gives the zero functor
@@ -342,7 +347,7 @@ def test_fixed_point_regular_representation(c2):
     V, act = regular_module(c2)
     FP = fixed_point_mackey(c2, V, act)
     assert [l.generator_count for l in FP.levels] == [2, 1]
-    (A, B), = covering_pairs(c2)
+    (A, B), = c2.covering_pairs
     # transfer is the norm: the fixed line maps to (1, 1) summed over cosets
     tr = FP.tr[(A, B)]
     assert tr.shape == (1, 2)
@@ -378,12 +383,40 @@ def test_borel_adjunction_small():
             assert groups_isomorphic(hg.group, oracle), (name, M.name)
 
 
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_hom_commutes_with_normalizer_generators_only_same_basis(name):
+    # commuting with the generators of each N(H) implies commuting with all
+    # of N(H), and the solution lattice is read off as a Hermite form, so
+    # adding a condition for every element leaves the basis byte-identical
+    group = builtin_group(name)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    pairs = [(burnside_mackey(group), FP), (FP, cokernel(two)[0])]
+    if group.order < 8:
+        pairs.append((burnside_mackey(group),
+                      fixed_point_mackey(group, *regular_module(group))))
+    for M, N in pairs:
+        full = NatSolver(M, N)
+        for cls in group.subgroup_classes():
+            for n in cls.normalizer:
+                full.add_commuting(cls.index, cls.index, M.weyl[cls.index][n],
+                                   N.weyl[cls.index][n])
+        assert len(full.conditions) > len(NatSolver(M, N).conditions)
+        expected, got = full.solve(), hom_mackey(M, N)
+        assert np.array_equal(expected.group.relation_lattice,
+                              got.group.relation_lattice)
+        assert len(expected.basis) == len(got.basis)
+        for a, b in zip(expected.basis, got.basis):
+            assert all(np.array_equal(x, y) for x, y in zip(a.mats, b.mats))
+
+
 # -- stored data and the Mackey-algebra relations ----------------------------------------
 
 
-def _corruptions(M):
-    """Every single-entry +-1 corruption of M's res, tr and conj data."""
-    for kind in ("res", "tr"):
+def _corruptions(M, kinds=("res", "tr", "conj")):
+    """Every single-entry +-1 corruption of M's data of the given kinds."""
+    for kind in [k for k in ("res", "tr") if k in kinds]:
         for k, mat in getattr(M, kind).items():
             for i, j in np.ndindex(*mat.shape):
                 for d in (1, -1):
@@ -393,7 +426,7 @@ def _corruptions(M):
                     yield (kind, k, i, j, d), MackeyFunctor(
                         M.group, M.levels, data["res"], data["tr"], M.weyl,
                         check=False)
-    for c, w in enumerate(M.weyl):
+    for c, w in enumerate(M.weyl if "conj" in kinds else ()):
         for n, mat in w.items():
             for i, j in np.ndindex(*mat.shape):
                 for d in (1, -1):
@@ -435,9 +468,118 @@ def test_validate_functoriality_agrees_with_span_oracle(name):
     assert 0 < rejected <= cases
 
 
+def _functor(group, kind):
+    Z = FinPresAbGroup.free(1)
+    return {"A": burnside_mackey,
+            "FP(Z)": lambda g: fixed_point_mackey(g, Z, trivial_module(g, Z)),
+            "FP(Z[G])": lambda g: fixed_point_mackey(g, *regular_module(g)),
+            }[kind](group)
+
+
+def _group(name):
+    if name == "C2wrC3":
+        return _c2_wreath_c3()
+    if name in PERMUTATION_GROUPS:
+        return permutation_group(name)
+    return builtin_group(name)
+
+
+# (group, functor, corrupted kinds): the whole corruption family of every
+# functor on the groups below order 8, and of FP(Z) on D4, Q8 and A4; the
+# res and tr corruptions, which probe the reduced conjugation,
+# transitivity and double-coset relations, of A on Q8 and of FP(Z) on
+# C2wrC3, where the exhaustive oracle takes 10-70 ms per corruption
+_ORACLE_CASES = [
+    (name, functor, ("res", "tr", "conj"))
+    for name in ("trivial", "C2", "C3", "C4", "C6", "C2xC2", "S3")
+    for functor in ("A", "FP(Z)", "FP(Z[G])")
+] + [(name, "FP(Z)", ("res", "tr", "conj")) for name in ("D4", "Q8", "A4")
+     ] + [("Q8", "A", ("res", "tr")), ("C2wrC3", "FP(Z)", ("res", "tr"))]
+
+
+@pytest.mark.parametrize("name,functor,kinds", _ORACLE_CASES, ids=[
+    f"{name}-{functor}-{'+'.join(kinds)}" for name, functor, kinds in _ORACLE_CASES])
+def test_validate_functoriality_agrees_with_exhaustive_oracle(name, functor,
+                                                              kinds):
+    # the generating set of relations and the old exhaustive check on every
+    # subgroup and group element give the same verdict on a valid functor
+    # and on each of its single-entry +-1 corruptions
+    M = _functor(_group(name), functor)
+    assert _accepts(MackeyFunctor.validate_functoriality, M)
+    assert _accepts(exhaustive_functoriality_oracle, M)
+    for key, N in _corruptions(M, kinds):
+        verdict = _accepts(MackeyFunctor.validate_functoriality, N)
+        assert verdict == _accepts(exhaustive_functoriality_oracle, N), key
+
+
+@pytest.mark.parametrize("name", PERMUTATION_BATTERY)
+def test_permutation_battery_passes_both_validators(name):
+    for functor in ("A", "FP(Z)"):
+        M = _functor(permutation_group(name), functor)
+        new = M.validate_functoriality()
+        old = exhaustive_functoriality_oracle(M)
+        assert set(new) == set(old)
+        assert sum(new.values()) < sum(old.values())
+
+
+def test_a5_passes_validate_functoriality():
+    group = permutation_group("A5")
+    report = burnside_mackey(group).validate_functoriality()
+    assert sum(report.values()) == 4496
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8"])
+def test_conjugation_off_the_normalizer_generators_is_checked(name):
+    # only w(e), the generators of H and products with the generators of
+    # N(H) are compared directly; a +-1 in the conjugation matrix of any
+    # other element must still be rejected
+    group = builtin_group(name)
+    for functor in ("A", "FP(Z)", "FP(Z[G])"):
+        M = _functor(group, functor)
+        checked = 0
+        for key, N in _corruptions(M, ("conj",)):
+            _, c, n = key[:3]
+            cls = group.subgroup_classes()[c]
+            if n in cls.normalizer_generators:
+                continue
+            assert not _accepts(MackeyFunctor.validate_functoriality, N), key
+            checked += 1
+        assert checked
+
+
+def test_conjugation_must_commute_with_restriction(c2):
+    # every relation but (C) holds: the outer element acts by -1 on M(e)
+    # and restriction lands outside its fixed points; tr = 0 keeps the
+    # double-coset formula res tr = 1 + c_g = 0 true
+    (Hp, K0), = c2.canonical_covers
+    one, zero, minus = (im.intmat([[v]]) for v in (1, 0, -1))
+    M = MackeyFunctor(c2, [FinPresAbGroup.free(1)] * 2, {(Hp, K0): one},
+                      {(Hp, K0): zero}, [{0: one, 1: minus}, {0: one, 1: one}])
+    with pytest.raises(ValueError, match="conjugation commutes with "
+                                         "restriction"):
+        M.validate_functoriality()
+    assert not _accepts(exhaustive_functoriality_oracle, M)
+
+
+def test_inner_elements_must_act_trivially(c2):
+    # w is a homomorphism and every res/tr relation holds, but the
+    # generator of C2 acts by -1 on M(C2) = Z (the constructor's own
+    # check is skipped)
+    (Hp, K0), = c2.canonical_covers
+    empty = im.zeros(0, 0)
+    M = MackeyFunctor(c2, [FinPresAbGroup.zero(), FinPresAbGroup.free(1)],
+                      {(Hp, K0): im.zeros(0, 1)}, {(Hp, K0): im.zeros(1, 0)},
+                      [{0: empty, 1: empty},
+                       {0: im.intmat([[1]]), 1: im.intmat([[-1]])}],
+                      check=False)
+    with pytest.raises(ValueError, match="inner conjugation is trivial"):
+        M.validate_functoriality()
+    assert not _accepts(exhaustive_functoriality_oracle, M)
+
+
 def test_validation_error_names_relation_and_subgroups(s3):
     A = burnside_mackey(s3)
-    (Hp, K0) = canonical_covers(s3)[-1]
+    (Hp, K0) = s3.canonical_covers[-1]
     tr = dict(A.tr)
     tr[(Hp, K0)] = tr[(Hp, K0)].copy()
     tr[(Hp, K0)][0, 0] += 1
@@ -449,13 +591,13 @@ def test_validation_error_names_relation_and_subgroups(s3):
 def test_structure_data_stored_once_per_conjugacy_class():
     for name, stored, total in (("S3", 4, 8), ("D4", 11, 15)):
         group = builtin_group(name)
-        assert len(covering_pairs(group)) == total
-        assert len(canonical_covers(group)) == stored
+        assert len(group.covering_pairs) == total
+        assert len(group.canonical_covers) == stored
         A = burnside_mackey(group)
-        assert set(A.res) == set(A.tr) == set(canonical_covers(group))
+        assert set(A.res) == set(A.tr) == set(group.canonical_covers)
         # every other covering step is derived, and agrees with the
         # evaluation of its structure span
-        for (H, K) in covering_pairs(group):
+        for (H, K) in group.covering_pairs:
             ch, ck = group.class_index_of(H), group.class_index_of(K)
             assert maps_equal(A.res_mat(H, K),
                               A.eval_span(res_element(group, H, K)),
@@ -477,9 +619,9 @@ def _c2_wreath_c3():
 
 def test_split_class_pair_works_internally_and_is_refused_by_json():
     group = _c2_wreath_c3()
-    assert len(canonical_covers(group)) > len(
+    assert len(group.canonical_covers) > len(
         {(group.class_index_of(A), group.class_index_of(B))
-         for (A, B) in canonical_covers(group)})
+         for (A, B) in group.canonical_covers})
     Z = FinPresAbGroup.free(1)
     FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
     assert FP.validate_functoriality()["double-coset formula"] > 0
@@ -492,7 +634,7 @@ def test_split_class_pair_works_internally_and_is_refused_by_json():
            "res": {}, "tr": {},
            "conj": {c.label: {str(n): [list(r) for r in FP.weyl[c.index][n]]
                               for n in c.normalizer} for c in classes}}
-    for (A, B) in canonical_covers(group):
+    for (A, B) in group.canonical_covers:
         key = f"{classes[group.class_index_of(A)].label}<" \
               f"{classes[group.class_index_of(B)].label}"
         doc["res"][key] = [list(r) for r in FP.res[(A, B)]]
@@ -561,7 +703,7 @@ def _oracle_spans(group):
                 yield restriction_element(f)
                 yield transfer_element(f)
         idX = identity_element(X)
-        for (A, B) in canonical_covers(group):
+        for (A, B) in group.canonical_covers:
             yield tensor(idX, res_element(group, A, B))
             yield tensor(idX, tr_element(group, A, B))
 
