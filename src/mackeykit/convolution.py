@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -260,23 +261,19 @@ def _pairing_terms(data: BoxData, levels, U: GSet, V: GSet, e: BurnsideElement):
     return out
 
 
-def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
-    """The box product M box N, with pairing data attached.
+def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
+    """The box product M box N, presented, with pairing data attached.
 
-    Each structure matrix is a sum of Kronecker products of the factors'
-    twisted restrictions, one per term of `over_image`.
-
-    With presentation=False only the generator layout is computed: the
-    level groups are left free on the generators, and the functor, from
-    `MackeyFunctor.levels_only`, has no structure maps.  That skeleton is
-    enough for module plumbing (injections, action matrices, pairings),
-    and avoids presenting the large auxiliary boxes that never get used
-    as honest functors.
+    Each level is presented by the generators (code, i, j) of its
+    over-codes and the coend relations (`_box_level_presentation`), and
+    each structure matrix is a sum of Kronecker products of the factors'
+    twisted restrictions, one per term of `over_image`.  Module actions
+    do not go through a box: a `GreenModule` stores its level tables.
     """
     if M.group != N.group:
         raise ValueError("different groups")
     group = M.group
-    key = ("box", id(N), presentation)
+    key = ("box", id(N))
     if key in M._cache:
         return M._cache[key]
     orbits = [standard_orbit(group, cls.index)
@@ -285,12 +282,6 @@ def box(M: MackeyFunctor, N: MackeyFunctor, presentation=True) -> BoxData:
     blocks = [_block_starts(M, N, cs) for cs in codes]
     data = BoxData(M, N, codes,
                    tuple(_layout(M, N, starts) for starts, _ in blocks))
-    if not presentation:
-        levels = [FinPresAbGroup.free(gens) for _, gens in blocks]
-        data.functor = MackeyFunctor.levels_only(group, levels,
-                                                 "(layout-only box)")
-        M._cache[key] = data
-        return data
     levels = [_box_level_presentation(M, N, X, starts, gens)
               for X, (starts, gens) in zip(orbits, blocks)]
     twists = {}
@@ -362,15 +353,14 @@ def _pair(terms, total, u_vec, v_vec):
     return out
 
 
-def box_map(f: MackeyMorphism, g: MackeyMorphism,
-            presentation=True) -> MackeyMorphism:
+def box_map(f: MackeyMorphism, g: MackeyMorphism) -> MackeyMorphism:
     """The induced morphism f box g on box products (same over-codes).
 
     The block of each over-code is the Kronecker product of f and g at
     its class.
     """
-    src = box(f.source, g.source, presentation=presentation)
-    tgt = box(f.target, g.target, presentation=presentation)
+    src = box(f.source, g.source)
+    tgt = box(f.target, g.target)
     mats = []
     for c, codes in enumerate(src.codes):
         lo, _ = _block_starts(f.source, g.source, codes)
@@ -395,35 +385,40 @@ def point_representable(group) -> MackeyFunctor:
     return group._cache[key]
 
 
+def _unit_action_block(M: MackeyFunctor, cidx, code, i):
+    """Basis span i of A_pt(G/L) acting on M(G/L), pushed along `code`.
+
+    Span i is pt <- G/K -> G/L with base image y, and acting by it is
+    transfer and restriction along G/K -> G/L.  Pushing along the
+    structure map s of the over-code (L, x) of G/H_cidx makes the single
+    span G/L <- G/K -> G/H_cidx with base images (y, s(y)); its block
+    M(G/L) -> M(G/H_cidx) is returned.  At the diagonal over-code its
+    column j is e_i . m_j, the canonical action of the Burnside ring.
+    """
+    group = M.group
+    cw, x = code
+    O, X = standard_orbit(group, cw), standard_orbit(group, cidx)
+    ck, _pt, y = hom_basis(point_gset(group), O)[i]
+    span = transitive_code(O, X, group.subgroup_classes()[ck].representative,
+                           y, X.act(O.orbit_index.reach[y], x))
+    return _block(M, O, X, span)
+
+
 def box_unit_eval(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
     """The evaluation morphism A_pt box M -> M on generators.
 
-    Generator (code, i, j) pairs basis span i of A_pt(G/L), pt <- G/K ->
-    G/L with base image y, with generator j of M(G/L).  Acting by it is
-    transfer and restriction along G/K -> G/L, and pushing along the
-    structure map s of code makes the single span G/L <- G/K -> X with
-    base images (y, s(y)); its block's column j is the image.
-
-    Works on layout-only data as well; no invertibility claims.
+    Generator (code, i, j) pairs basis span i of A_pt(G/L) with generator
+    j of M(G/L), and goes to column j of `_unit_action_block`.
     """
-    group = M.group
-    pt = point_gset(group)
-    classes = group.subgroup_classes()
     mats = []
-    for cls in classes:
-        X = standard_orbit(group, cls.index)
-        cols = [None] * data.functor.levels[cls.index].generator_count
+    for c, layout in enumerate(data.layout):
+        cols = [None] * len(layout)
         blocks = {}
-        for (code, i, j), idx in data.layout[cls.index].items():
+        for (code, i, j), idx in layout.items():
             if (code, i) not in blocks:
-                cw, x = code
-                O = standard_orbit(group, cw)
-                ck, _pt, y = hom_basis(pt, O)[i]
-                span = transitive_code(O, X, classes[ck].representative, y,
-                                       X.act(O.orbit_index.reach[y], x))
-                blocks[(code, i)] = _block(M, O, X, span)
+                blocks[(code, i)] = _unit_action_block(M, c, code, i)
             cols[idx] = blocks[(code, i)][:, j]
-        mats.append(intmat.from_cols(cols, M.levels[cls.index].generator_count))
+        mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
     return MackeyMorphism(data.functor, M, mats, check=False)
 
 
@@ -444,11 +439,12 @@ def box_unit_iso(M: MackeyFunctor, unit_rep=None):
     unit = _unit_vector(group, A)
     inv_mats = []
     for c, lvl in enumerate(data.functor.levels):
-        terms, one = _diag_terms(data, c), _restriction(A, top, c, 0) @ unit
-        E = intmat.identity(M.levels[c].generator_count)
-        inv_mats.append(intmat.from_cols(
-            [_pair(terms, lvl.generator_count, one, E[:, k])
-             for k in range(E.shape[1])], lvl.generator_count))
+        one, key = _restriction(A, top, c, 0) @ unit, _diag_code(group, c)
+        inv = intmat.zeros(lvl.generator_count, M.levels[c].generator_count)
+        for (code, a, k), idx in data.layout[c].items():
+            if code == key:
+                inv[idx, k] = one[a]
+        inv_mats.append(inv)
     eta = MackeyMorphism(M, data.functor, inv_mats, check=False)
 
     _verify_two_sided(eps, eta)
@@ -656,32 +652,6 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
 # -- Green functors -------------------------------------------------------------------
 
 
-def _diag_terms(data: BoxData, cidx):
-    """Pairing terms along the diagonal of G/H_cidx: the level product.
-
-    m (x) n over the identity over-object goes to the canonical diagonal
-    over-code, both factors twisted by the same u (`over_image` of the
-    identity span).
-    """
-    M, N = data.left, data.right
-    O = standard_orbit(M.group, cidx)
-    (key, o, u, _n), = over_image(O, O, (cidx, 0, 0), (cidx, 0))
-    lay = data.layout[cidx]
-    return [(M.weyl[cidx][u] @ _restriction(M, cidx, cidx, o),
-             N.weyl[cidx][u] @ _restriction(N, cidx, cidx, o),
-             lambda aa, bb: lay[(key, aa, bb)])]
-
-
-def _level_table(data: BoxData, action: MackeyMorphism, cidx):
-    """table[i][j] = action(e_i (x) e_j) at G/H_cidx; action starts at data."""
-    terms = _diag_terms(data, cidx)
-    total = data.functor.levels[cidx].generator_count
-    EM = intmat.identity(data.left.levels[cidx].generator_count)
-    EN = intmat.identity(data.right.levels[cidx].generator_count)
-    return [[action.mats[cidx] @ _pair(terms, total, EM[:, i], EN[:, j])
-             for j in range(EN.shape[1])] for i in range(EM.shape[1])]
-
-
 @dataclass
 class GreenFunctor:
     """A Mackey functor R with a commutative, unital box multiplication.
@@ -700,12 +670,22 @@ class GreenFunctor:
     def group(self):
         return self.underlying.group
 
+    @cached_property
+    def tables(self):
+        """tables[c][i][j] = e_i . e_j in R(G/H_c): the column of `mult` on
+        the generator (diagonal over-code, i, j), derived once."""
+        out = []
+        for c, lvl in enumerate(self.underlying.levels):
+            key, n = _diag_code(self.group, c), lvl.generator_count
+            lay, mat = self.data.layout[c], self.mult.mats[c]
+            out.append([[mat[:, lay[(key, i, j)]] for j in range(n)]
+                        for i in range(n)])
+        return out
+
     def level_product(self, cidx, x_vec, y_vec):
-        """The ring product on R(G/H) through the diagonal pairing."""
-        vec = _pair(_diag_terms(self.data, cidx),
-                    self.data.functor.levels[cidx].generator_count,
-                    x_vec, y_vec)
-        return self.mult.mats[cidx] @ vec
+        """The ring product on R(G/H), read from the level table."""
+        return _times(self.tables[cidx], x_vec, y_vec,
+                      self.underlying.levels[cidx].generator_count)
 
     def level_unit(self, cidx):
         """The multiplicative unit of R(G/H)."""
@@ -716,7 +696,7 @@ class GreenFunctor:
 
     def ring_table(self, cidx):
         """Structure constants of the level ring on its generators."""
-        return _level_table(self.data, self.mult, cidx)
+        return self.tables[cidx]
 
 
 def _unit_vector(group, unit_rep):
@@ -755,26 +735,27 @@ def validate_green(G: GreenFunctor):
     A monoid for the box product is the same thing as a Mackey functor with
     a ring at every level on which conjugation and restriction act by unital
     ring maps and Frobenius reciprocity holds (Thevenaz-Webb, Trans. AMS 347,
-    1995; Bouc, LNM 1671, 1997).  Each level's product table and unit are
+    1995; Bouc, LNM 1671, 1997).  The level tables `G.tables` and units are
     built once, and the checks are table arithmetic:
 
-    (a) every column of G.mult, on a generator (code, i, j) of G.data, is
-        the transfer along code of the level product e_i . e_j, and G.unit
-        is the Yoneda extension of the top-level unit.  This ties the
+    (a) G.unit is the Yoneda extension of the top-level unit, and every
+        column of G.mult, on a generator (code, i, j) of G.data, is the
+        transfer along code of the level product e_i . e_j.  This ties the
         morphisms to the tables, so no column of mult goes unchecked;
-    (b) at every level the product is well defined on relations,
-        commutative, associative and unital, and every normalizer element
-        acts by a unital ring map;
-    (c) at every canonical covering pair restriction is a unital ring map
-        and tr(x . res y) = tr(x) . y.  The other covering pairs are
-        conjugates of these, and conjugation is a ring map by (b).
+    (b) the level rings act on themselves (`_check_action`): each product
+        is well defined on relations, associative and unital, conjugation
+        and restriction respect it, and Frobenius reciprocity holds;
+    (c) every level ring is commutative, and conjugation by the generators
+        of each N(H) and restriction at every canonical covering pair
+        preserve the unit.  Conjugation is a homomorphism on N(H), so
+        fixing the unit on generators fixes it on all of N(H).
 
     Raises GreenValidationError naming the first failing axiom and cell.
     """
     R = G.underlying
     group = G.group
     classes = group.subgroup_classes()
-    tables = [G.ring_table(c) for c in range(len(classes))]
+    tables = G.tables
     units = [G.level_unit(c) for c in range(len(classes))]
     pt = point_gset(group)
     for c, cls in enumerate(classes):
@@ -785,8 +766,15 @@ def validate_green(G: GreenFunctor):
                 raise GreenValidationError(
                     f"unit is not the Yoneda extension of the top-level unit "
                     f"at level {cls.label}, cell ({k})")
-    _check_action(R, R, tables, tables, units, G.mult, G.data,
-                  "multiplication")
+    want = action_from_tables(G.data, R, tables).mats
+    for c, cls in enumerate(classes):
+        for (code, i, j), k in G.data.layout[c].items():
+            if not R.levels[c].elements_equal(G.mult.mats[c][:, k],
+                                              want[c][:, k]):
+                raise GreenValidationError(
+                    f"multiplication is not the transfer of the level "
+                    f"product at level {cls.label}, cell ({code}, {i}, {j})")
+    _check_action(R, R, tables, tables, units, "multiplication")
     for c, cls in enumerate(classes):
         lvl = R.levels[c]
         for i in range(lvl.generator_count):
@@ -795,7 +783,7 @@ def validate_green(G: GreenFunctor):
                     raise GreenValidationError(
                         f"multiplication is not commutative at level "
                         f"{cls.label}, cell ({i}, {j})")
-        for n in cls.normalizer:
+        for n in cls.normalizer_generators:
             if not lvl.elements_equal(R.weyl[c][n] @ units[c], units[c]):
                 raise GreenValidationError(
                     f"conjugation by {n} does not preserve the unit at level "
@@ -808,30 +796,39 @@ def validate_green(G: GreenFunctor):
                 f"restriction does not preserve the unit at {A}<{B}")
 
 
+def _act(row, y, n):
+    """sum_j y_j row[j] in a level with n generators: one generator e acting
+    on y, where row[j] = e . m_j."""
+    out = intmat.zero_vec(n)
+    for j, yj in enumerate(y):
+        if yj:
+            out += yj * row[j]
+    return out
+
+
 def _times(table, x, y, n):
     """x . y from table[i][j] = e_i . e_j, in a level with n generators."""
     out = intmat.zero_vec(n)
     for i, xi in enumerate(x):
         if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    out += (xi * yj) * table[i][j]
+            out += xi * _act(table[i], y, n)
     return out
 
 
 def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
-                  action: MackeyMorphism, data: BoxData, name):
-    """Levelwise axioms of an action R box M -> M, on product tables.
+                  name):
+    """Levelwise axioms of an action of R on M, on product tables.
 
-    rings[c][i][j] and acts[c][i][j] are e_i . e_j in R(G/H_c) and in
-    M(G/H_c), and units[c] is the unit of R(G/H_c).  Checks that `action`
-    on each generator (code, i, j) of `data` is the transfer along code of
-    acts[code class][i][j]; that the level action is well defined on the
-    relations of both factors, associative and unital; that conjugation
-    commutes with it at every level and restriction at every canonical
-    covering pair; and Frobenius reciprocity on both sides at every
-    canonical covering pair.  Raises GreenValidationError naming the axiom
-    and the cell.
+    rings[c][i][j] and acts[c][i][j] are e_i . e_j in R(G/H_c) and
+    e_i . m_j in M(G/H_c), and units[c] is the unit of R(G/H_c).  Checks
+    that the level action is well defined on the relations of both
+    factors, associative and unital; that conjugation by the generators
+    of each N(H) and restriction at every canonical covering pair commute
+    with it; and Frobenius reciprocity on both sides at every canonical
+    covering pair.  Generators suffice: w is a homomorphism on N(H)
+    (`validate_functoriality` proves it), so w(as) = w(a)w(s) respects
+    the action when w(a) and w(s) do.  Raises GreenValidationError
+    naming the axiom and the cell.
     """
     group = R.group
     classes = group.subgroup_classes()
@@ -848,16 +845,6 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
     EM = [intmat.identity(lvl.generator_count) for lvl in M.levels]
     for c, cls in enumerate(classes):
         where = f"level {cls.label}"
-        X = standard_orbit(group, c)
-        for code in data.codes[c]:
-            push = _over_transfer(M, X, code)
-            cw = code[0]
-            for i in range(R.levels[cw].generator_count):
-                for j in range(M.levels[cw].generator_count):
-                    check(c, action.mats[c][:, data.layout[c][(code, i, j)]],
-                          push @ acts[cw][i][j],
-                          f"{name} is not the transfer of the level product",
-                          where, (code, i, j))
         nR, nM = ER[c].shape[1], EM[c].shape[1]
         zero = intmat.zero_vec(nM)
         relR = R.levels[c].relation_lattice
@@ -881,7 +868,7 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                     check(c, times(c, rings[c][i][k], EM[c][:, j]),
                           times(c, ER[c][:, i], acts[c][k][j]),
                           f"{name} is not associative", where, (i, k, j))
-        for n in cls.normalizer:
+        for n in cls.normalizer_generators:
             WR, WM = R.weyl[c][n], M.weyl[c][n]
             for i in range(nR):
                 for j in range(nM):
@@ -914,6 +901,33 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                       f"for the {name}", where, (i, j))
 
 
+def _integer_tables(R: MackeyFunctor, M: MackeyFunctor, tables, what):
+    """`tables` as integer vectors, after checking that each class has an
+    nR x nM table of length-nM vectors (the generator counts of R and M).
+    Raises ValueError naming the level and the cell."""
+    classes = R.group.subgroup_classes()
+    if len(tables) != len(classes):
+        raise ValueError(f"need one {what} per subgroup class, "
+                         f"got {len(tables)} for {len(classes)}")
+    out = []
+    for cls, table in zip(classes, tables):
+        nR = R.levels[cls.index].generator_count
+        nM = M.levels[cls.index].generator_count
+        where = f"{what} at level {cls.label}"
+        if len(table) != nR or any(len(row) != nM for row in table):
+            raise ValueError(f"{where} must be {nR}x{nM}")
+        for i, row in enumerate(table):
+            for j, vec in enumerate(row):
+                if len(vec) != nM:
+                    raise ValueError(
+                        f"{where}, cell ({i}, {j}): vector of length "
+                        f"{len(vec)}, expected {nM}")
+        out.append([[intmat.intvec(_labels(vec, f"{where}, cell ({i}, {j})"))
+                     for j, vec in enumerate(row)]
+                    for i, row in enumerate(table)])
+    return out
+
+
 def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
                          check=True) -> GreenFunctor:
     """Build the mult/unit morphisms from levelwise ring tables.
@@ -926,30 +940,11 @@ def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
     unit, is named rather than truncated.  Round-trips with green_from_mult
     through the same validation.
     """
-    group = R.group
-    classes = group.subgroup_classes()
-    if len(ring_tables) != len(classes):
-        raise ValueError(f"need one ring table per subgroup class, "
-                         f"got {len(ring_tables)} for {len(classes)}")
-    tables = []
-    for cls, table in zip(classes, ring_tables):
-        n = R.levels[cls.index].generator_count
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError(f"ring table at level {cls.label} must be "
-                             f"{n}x{n}")
-        for i, row in enumerate(table):
-            for j, vec in enumerate(row):
-                if len(vec) != n:
-                    raise ValueError(
-                        f"ring table at level {cls.label}, cell ({i}, {j}): "
-                        f"vector of length {len(vec)}, expected {n}")
-        tables.append([[intmat.intvec(_labels(
-            vec, f"ring table at level {cls.label}, cell ({i}, {j})"))
-            for j, vec in enumerate(row)] for i, row in enumerate(table)])
+    tables = _integer_tables(R, R, ring_tables, "ring table")
     unit_vec = intmat.intvec(_labels(unit_vec, "unit"))
     data = box(R, R)
     mult = action_from_tables(data, R, tables)
-    unit, unit_rep = yoneda_element(R, point_gset(group), unit_vec)
+    unit, unit_rep = yoneda_element(R, point_gset(R.group), unit_vec)
     return green_from_mult(R, mult, unit, data=data, unit_rep=unit_rep,
                            check=check)
 
@@ -961,7 +956,8 @@ def action_from_tables(data: BoxData, target: MackeyFunctor,
     `tables[c][i][j]` is the level product e_i . e_j in target(G/H_c) of
     generator i of data.left and generator j of data.right.  A generator
     (code, i, j) of the box goes to the transfer along code of
-    tables[class of code][i][j], the rule that `_check_action` enforces.
+    tables[class of code][i][j], the rule that `validate_green` checks
+    for `GreenFunctor.mult`.
     """
     group = target.group
     mats = []
@@ -994,11 +990,16 @@ def burnside_green(group, check=True) -> GreenFunctor:
 
 @dataclass
 class GreenModule:
-    """A Mackey functor with a validated action of a Green functor."""
+    """A Mackey functor M with an action of a Green functor R, stored as
+    level tables: tables[c][i][j] is e_i . m_j in M(G/H_c).
+
+    The action R box M -> M sends (code, i, j) to the transfer along code
+    of tables[class of code][i][j] (`action_from_tables`), and is the same
+    thing as these level actions (see `validate_module`).
+    """
     ring: GreenFunctor
     underlying: MackeyFunctor
-    action: MackeyMorphism        # (R box M) -> M
-    data: BoxData                 # presentation of R box M
+    tables: list
 
     @property
     def group(self):
@@ -1006,25 +1007,23 @@ class GreenModule:
 
 
 def validate_module(mod: GreenModule):
-    """Exact module axioms for the action R box M -> M, checked levelwise.
+    """Exact module axioms for the level action tables, checked levelwise.
 
     As for validate_green, an action of a Green functor is the same thing
     as an action of each level ring R(G/H) on M(G/H) that commutes with
     conjugation and restriction and satisfies Frobenius reciprocity on both
-    sides.  The check ties every column of the action to the level action
-    tables, then verifies well-definedness, (r.s).m = r.(s.m), 1.m = m,
-    compatibility with conjugation and restriction, and both Frobenius
-    identities.  Raises GreenValidationError naming the axiom and cell.
+    sides.  The check verifies the table shapes (ValueError), then
+    well-definedness, (r.s).m = r.(s.m), 1.m = m, compatibility with
+    conjugation and restriction, and both Frobenius identities.  Raises
+    naming the level or axiom and the cell.
     """
     ring = mod.ring
-    nclasses = len(mod.group.subgroup_classes())
-    rings = [ring.ring_table(c) for c in range(nclasses)]
-    units = [ring.level_unit(c) for c in range(nclasses)]
-    acts = [_level_table(mod.data, mod.action, c) for c in range(nclasses)]
-    _check_action(ring.underlying, mod.underlying, rings, acts, units,
-                  mod.action, mod.data, "module action")
+    R, M = ring.underlying, mod.underlying
+    acts = _integer_tables(R, M, mod.tables, "module table")
+    units = [ring.level_unit(c) for c in range(len(R.levels))]
+    _check_action(R, M, ring.tables, acts, units, "module action")
 
 
 def ring_as_module(G: GreenFunctor) -> GreenModule:
-    """R regarded as a module over itself via its multiplication."""
-    return GreenModule(G, G.underlying, G.mult, G.data)
+    """R regarded as a module over itself via its level tables."""
+    return GreenModule(G, G.underlying, G.tables)

@@ -1,10 +1,14 @@
 """Modules over Green functors, Tor, and filtered-complex spectral sequences.
 
-The free module on a G-set X is R(X x -), the Dress construction of R at
-X, which is R box A_X: its levels are values of R, the action is the
-level product after restriction, and a module map out of it is the Yoneda
-formula at X.  Covers pick one free generator per level generator,
-resolutions iterate kernels, and Tor is the homology of the relative box
+A module over a Green functor R is stored as level action tables, e_i . m_j
+in M(G/H) for generators of R(G/H) and M(G/H); for Mackey functors that
+is the same thing as an action R box M -> M, and no box product is built
+to hold it.  The free module on a G-set X is R(X x -), the Dress
+construction of R at X, which is R box A_X: its levels are values of R,
+the action is the level product after restriction, and a module map out
+of it is the Yoneda formula at X.  Covers pick one free generator per
+level generator, resolutions iterate kernels (whose tables are lifted
+through the inclusion), and Tor is the homology of the relative box
 product against a free resolution.  Spectral sequence pages follow the
 image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
 induced by the connecting morphism of the obvious short exact sequence of
@@ -23,11 +27,11 @@ from .convolution import (
     BoxData,
     GreenFunctor,
     GreenModule,
+    _act,
     _diag_code,
-    action_from_tables,
+    _unit_action_block,
     box,
     box_map,
-    box_unit_eval,
     internal_hom_rep,
 )
 from .gsets import (
@@ -48,6 +52,7 @@ from .mackey import (
     identity_morphism,
     image,
     kernel,
+    lift_columns,
     lift_through_inclusion,
     orbit_embeddings,
     zero_mackey,
@@ -76,29 +81,19 @@ class FreeModule:
         return self.module.underlying
 
 
-def _level_act(action: MackeyMorphism, data: BoxData, cw, r_idx, m_idx):
-    """e_r . e_m at level cw: the diagonal over-code column of an action."""
-    idx = data.layout[cw][(_diag_code(action.target.group, cw), r_idx, m_idx)]
-    return action.mats[cw][:, idx]
-
-
-def _act_columns(action: MackeyMorphism, data: BoxData, Y: GSet, m):
+def _act_columns(tables, M: MackeyFunctor, Y: GSet, m):
     """e_j . m in M(Y) for every generator e_j of R(Y), orbit by orbit.
 
-    `action` is R box M -> M on `data`; on each orbit of Y the product is
-    the level action of the orbit's class.
+    `tables` are the level tables of an R-action on M; on each orbit of Y
+    the product is the level action of the orbit's class.
     """
-    R, M = data.left, action.target
     grp, offsets = M.value_at(Y)
     cols = []
     for b, L in enumerate(Y.orbit_index.classes):
         lo, n = offsets[b], M.levels[L].generator_count
-        for s in range(R.levels[L].generator_count):
+        for row in tables[L]:
             col = intmat.zero_vec(grp.generator_count)
-            for t in range(n):
-                if m[lo + t]:
-                    col[lo:lo + n] += m[lo + t] * _level_act(action, data,
-                                                             L, s, t)
+            col[lo:lo + n] = _act(row, m[lo:lo + n], n)
             cols.append(col)
     return cols
 
@@ -117,11 +112,9 @@ def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
     for cw in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, cw))
         res = Rk.eval_span(restriction_element(P.right))
-        tables.append([_act_columns(R.mult, R.data, P.gset, res[:, i])
+        tables.append([_act_columns(R.tables, Rk, P.gset, res[:, i])
                        for i in range(res.shape[1])])
-    data = box(Rk, F, presentation=False)
-    return FreeModule(R, X, GreenModule(R, F, action_from_tables(data, F, tables),
-                                        data))
+    return FreeModule(R, X, GreenModule(R, F, tables))
 
 
 def free_unit_vector(F: FreeModule):
@@ -158,7 +151,7 @@ def _classifying_mats(M: GreenModule, X: GSet, m_vec):
         m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
         push = Mk.eval_span(transfer_element(P.right))
         cols = [push @ col
-                for col in _act_columns(M.action, M.data, P.gset, m_res)]
+                for col in _act_columns(M.tables, Mk, P.gset, m_res)]
         mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
     return mats
 
@@ -170,32 +163,23 @@ def classifying_morphism(F: FreeModule, M: GreenModule, m_vec) -> MackeyMorphism
 
 
 def hom_modules(P: GreenModule, M: GreenModule):
-    """R-linear natural transformations P -> M as a HomGroup."""
+    """R-linear natural transformations P -> M as a HomGroup.
+
+    R-linearity is imposed on the level tables: at every level, phi
+    commutes with the action of each generator of R.  The action on a
+    generator (code, i, j) of R box P is the transfer along code of a
+    level product, and a natural phi commutes with transfer, so this is
+    linearity on all of R box P.
+    """
     if P.ring is not M.ring and P.ring.underlying != M.ring.underlying:
         raise ValueError("modules over different rings")
     solver = NatSolver(P.underlying, M.underlying)
-    group = P.group
-    data_P, data_M = P.data, M.data
-    for c in range(len(P.underlying.levels)):
-        actP = P.action.mats[c]
-        actM = M.action.mats[c]
-        ngen_t = M.underlying.levels[c].generator_count
-        for (code, i, j), gamma in data_P.layout[c].items():
-            cw = code[0]
-            coeff_rows = []
-            for t in range(ngen_t):
-                row = {}
-                for k in range(actP.shape[0]):
-                    if actP[k, gamma]:
-                        key = solver.entry(c, t, k)
-                        row[key] = row.get(key, 0) + actP[k, gamma]
-                for b in range(M.underlying.levels[cw].generator_count):
-                    delta = data_M.layout[c][(code, i, b)]
-                    if actM[t, delta]:
-                        key = solver.entry(cw, b, j)
-                        row[key] = row.get(key, 0) - actM[t, delta]
-                coeff_rows.append(row)
-            solver.add_condition(coeff_rows, M.underlying.levels[c])
+    for c, (tP, tM) in enumerate(zip(P.tables, M.tables)):
+        nP = P.underlying.levels[c].generator_count
+        nM = M.underlying.levels[c].generator_count
+        for rowP, rowM in zip(tP, tM):
+            solver.add_commuting(c, c, intmat.from_cols(rowP, nP),
+                                 intmat.from_cols(rowM, nM))
     return solver.solve()
 
 
@@ -246,14 +230,20 @@ def module_cover(M: GreenModule, prune=True, reverse=False):
 
 
 def module_kernel(M: GreenModule, f: MackeyMorphism):
-    """Kernel of an R-linear map as a GreenModule, with its inclusion."""
+    """Kernel of an R-linear map as a GreenModule, with its inclusion.
+
+    e_i . k_j is the lift through the inclusion of e_i . incl(k_j).
+    """
     K, incl = kernel(f)
-    data_RK = box(M.ring.underlying, K, presentation=False)
-    act = lift_through_inclusion(
-        incl, compose_morphisms(M.action,
-                                box_map(identity_morphism(M.ring.underlying),
-                                        incl, presentation=False)))
-    return GreenModule(M.ring, K, act, data_RK), incl
+    tables = []
+    for c, table in enumerate(M.tables):
+        n = M.underlying.levels[c].generator_count
+        ks = list(incl.mats[c].T)
+        lifted = lift_columns(incl, c, [_act(row, k, n) for row in table
+                                        for k in ks])
+        tables.append([lifted[i * len(ks):(i + 1) * len(ks)]
+                       for i in range(len(table))])
+    return GreenModule(M.ring, K, tables), incl
 
 
 @dataclass
@@ -333,36 +323,27 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     for m, r, n all at one over-code, (r.m) (x) n = m (x) (r.n).  One
     relation column per (over-code, m, r, n) generator triple.
     """
-    R = M.ring
-    Mk, Nk, Rk = M.underlying, N.underlying, R.underlying
-    group = R.group
+    Mk, Nk = M.underlying, N.underlying
+    group = M.group
     data = box(Mk, Nk)
     levels = []
-    for c in range(len(group.subgroup_classes())):
+    for c, (lay, lvl) in enumerate(zip(data.layout, data.functor.levels)):
         cols = []
         for code in data.codes[c]:
-            cw = code[0]
-            nM = Mk.levels[cw].generator_count
-            nN = Nk.levels[cw].generator_count
-            nR = Rk.levels[cw].generator_count
-            for r_idx in range(nR):
-                for i in range(nM):
-                    rm = _level_act(M.action, M.data, cw, r_idx, i)
-                    for k in range(nN):
-                        rn = _level_act(N.action, N.data, cw, r_idx, k)
-                        col = intmat.zero_vec(
-                            data.functor.levels[c].generator_count)
-                        for a in range(nM):
-                            if rm[a]:
-                                col[data.layout[c][(code, a, k)]] += rm[a]
-                        for b in range(nN):
-                            if rn[b]:
-                                col[data.layout[c][(code, i, b)]] -= rn[b]
+            for rowM, rowN in zip(M.tables[code[0]], N.tables[code[0]]):
+                for i, rm in enumerate(rowM):
+                    for k, rn in enumerate(rowN):
+                        col = intmat.zero_vec(lvl.generator_count)
+                        for a, x in enumerate(rm):
+                            if x:
+                                col[lay[(code, a, k)]] += x
+                        for b, x in enumerate(rn):
+                            if x:
+                                col[lay[(code, i, b)]] -= x
                         if not intmat.is_zero(col):
                             cols.append(col)
-        rels = intmat.from_cols(cols, data.functor.levels[c].generator_count)
-        levels.append(abgroups.quotient_by_columns(data.functor.levels[c],
-                                                   rels))
+        levels.append(abgroups.quotient_by_columns(
+            lvl, intmat.from_cols(cols, lvl.generator_count)))
     F = data.functor
     Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.weyl,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
@@ -382,10 +363,20 @@ def rel_box_map(src: RelBox, tgt: RelBox, phi: MackeyMorphism) -> MackeyMorphism
 
 
 def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
-    """Every Mackey functor is a module over the Burnside Green functor."""
-    data = box(G.unit_rep, M, presentation=False)
-    eps = box_unit_eval(M, data)
-    return GreenModule(G, M, eps, data)
+    """Every Mackey functor is a module over the Burnside Green functor.
+
+    Basis span i of A_pt(G/H) acts on M(G/H) by its block at the diagonal
+    over-code, which `box_unit_eval` shares.
+    """
+    group = G.group
+    if M.group != group:
+        raise ValueError("different groups")
+    tables = []
+    for c, lvl in enumerate(G.unit_rep.levels):
+        code = _diag_code(group, c)
+        tables.append([list(_unit_action_block(M, c, code, i).T.copy())
+                       for i in range(lvl.generator_count)])
+    return GreenModule(G, M, tables)
 
 
 # -- chain complexes ----------------------------------------------------------------------

@@ -95,22 +95,6 @@ class MackeyFunctor:
         if check:
             self._check_shapes()
 
-    @classmethod
-    def levels_only(cls, group: FiniteGroup, levels, name=None):
-        """Levels without structure maps: `res`, `tr` and `weyl` are None.
-
-        Such a functor fixes the generators of each level, so it can be
-        the source or target of a morphism, but it cannot be evaluated or
-        validated.  Layout-only box products are built this way.
-        """
-        obj = object.__new__(cls)
-        obj.group = group
-        obj.levels = tuple(levels)
-        obj.res = obj.tr = obj.weyl = None
-        obj.name = name
-        obj._cache = {}
-        return obj
-
     # -- bookkeeping -----------------------------------------------------------
 
     def _gens(self, H):
@@ -736,25 +720,38 @@ def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     return D, incls[0], incls[1], projs[0], projs[1]
 
 
+def _is_identity(incl: MackeyMorphism):
+    return all(m.shape[0] == m.shape[1]
+               and intmat.mats_equal(m, intmat.identity(m.shape[0]))
+               for m in incl.mats)
+
+
+def lift_columns(incl: MackeyMorphism, c, cols):
+    """Coordinates over incl.source(G/H_c) of the vectors `cols` of
+    incl.target(G/H_c), one solver for all; an identity returns them."""
+    if _is_identity(incl):
+        return list(cols)
+    amb = incl.target.levels[c]
+    lat = intmat.hstack([incl.mats[c], amb.relation_lattice]) \
+        if amb.relation_lattice.shape[1] else incl.mats[c]
+    k = incl.mats[c].shape[1]
+    solver = intmat.Solver(lat)
+    out = []
+    for v in cols:
+        sol = solver.solve(v)
+        if sol is None:
+            raise ValueError("morphism does not factor through the subfunctor")
+        out.append(sol[:k])
+    return out
+
+
 def lift_through_inclusion(incl: MackeyMorphism, f: MackeyMorphism):
     """Factor f: X -> M through a subfunctor inclusion S -> M."""
-    if all(m.shape[0] == m.shape[1] and intmat.mats_equal(m, intmat.identity(m.shape[0]))
-           for m in incl.mats):
+    if _is_identity(incl):
         return MackeyMorphism(f.source, incl.source, f.mats, check=False)
-    mats = []
-    for c, mat in enumerate(f.mats):
-        amb = incl.target.levels[c]
-        lat = intmat.hstack([incl.mats[c], amb.relation_lattice]) \
-            if amb.relation_lattice.shape[1] else incl.mats[c]
-        k = incl.mats[c].shape[1]
-        solver = intmat.Solver(lat)
-        cols = []
-        for j in range(mat.shape[1]):
-            sol = solver.solve(mat[:, j])
-            if sol is None:
-                raise ValueError("morphism does not factor through the subfunctor")
-            cols.append(sol[:k])
-        mats.append(intmat.from_cols(cols, k))
+    mats = [intmat.from_cols(lift_columns(incl, c, list(mat.T)),
+                             incl.mats[c].shape[1])
+            for c, mat in enumerate(f.mats)]
     return MackeyMorphism(f.source, incl.source, mats, check=False)
 
 

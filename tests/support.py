@@ -26,6 +26,8 @@ from mackeykit.convolution import (
     BoxData,
     GreenValidationError,
     _pairing_terms,
+    action_from_tables,
+    box,
     box_assoc_iso,
     box_comm_iso,
     box_map,
@@ -42,6 +44,7 @@ from mackeykit.gsets import (
     standard_orbit,
 )
 from mackeykit.mackey import (
+    NatSolver,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
@@ -854,3 +857,39 @@ def box_oracle(M, N):
 
     return mackey_from_span_action(group, levels, entry_matrix,
                                    name="box oracle", check=False)
+
+
+# -- R-linear maps, checked at every over-code --------------------------------------
+
+
+def hom_modules_oracle(P, M):
+    """hom_{R-mod}(P, M) with R-linearity imposed at every over-code.
+
+    Each action is the map R box P -> P that `action_from_tables` builds
+    on the presented box, and a natural phi must satisfy
+    phi . act_P = act_M . (id box phi) on every generator (code, i, j),
+    not only at the diagonal over-code as `hom_modules` imposes it.
+    """
+    R = P.ring.underlying
+    data_P, data_M = box(R, P.underlying), box(R, M.underlying)
+    actP = action_from_tables(data_P, P.underlying, P.tables).mats
+    actM = action_from_tables(data_M, M.underlying, M.tables).mats
+    solver = NatSolver(P.underlying, M.underlying)
+    for c in range(len(P.underlying.levels)):
+        for (code, i, j), gamma in data_P.layout[c].items():
+            cw = code[0]
+            coeff_rows = []
+            for t in range(M.underlying.levels[c].generator_count):
+                row = {}
+                for k in range(actP[c].shape[0]):
+                    if actP[c][k, gamma]:
+                        key = solver.entry(c, t, k)
+                        row[key] = row.get(key, 0) + actP[c][k, gamma]
+                for b in range(M.underlying.levels[cw].generator_count):
+                    delta = data_M.layout[c][(code, i, b)]
+                    if actM[c][t, delta]:
+                        key = solver.entry(cw, b, j)
+                        row[key] = row.get(key, 0) - actM[c][t, delta]
+                coeff_rows.append(row)
+            solver.add_condition(coeff_rows, M.underlying.levels[c])
+    return solver.solve()

@@ -30,6 +30,7 @@ from mackeykit.mackey import (
     zero_mackey,
 )
 from mackeykit.convolution import (
+    GreenModule,
     GreenValidationError,
     box,
     box_assoc_iso,
@@ -442,23 +443,79 @@ def test_green_from_mult_rejects_off_diagonal_column():
                                      unit_rep=G.unit_rep))
 
 
-@pytest.mark.parametrize("name", ["C2", "S3"])
-def test_validate_module(name):
+def _modules(name):
+    """The modules of the corruption family over the Burnside ring."""
     group = builtin_group(name)
     G = burnside_green(group)
-    validate_module(ring_as_module(G))
-    validate_module(free_module(G, standard_orbit(group, 0)).module)
     Z = FinPresAbGroup.free(1)
-    mod = canonical_module(G, fixed_point_mackey(group, Z,
-                                                 trivial_module(group, Z)))
-    validate_module(mod)
-    top = len(group.subgroup_classes()) - 1
-    mod.action = MackeyMorphism(mod.action.source, mod.action.target,
-                                [m.copy() for m in mod.action.mats],
-                                check=False)
-    mod.action.mats[top][0, 0] += 1
-    with pytest.raises(GreenValidationError, match="module action"):
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    return {
+        "FP(Z)": canonical_module(G, FP),
+        "FP(Z)/2": canonical_module(G, cokernel(two)[0]),
+        "FP(Z[G])": canonical_module(
+            G, fixed_point_mackey(group, *regular_module(group))),
+        "R": ring_as_module(G),
+        "R^(G/e)": free_module(G, standard_orbit(group, 0)).module,
+    }
+
+
+# entries of the level tables of each module: two corruptions each, 1,118
+# in all
+MODULE_TABLE_CELLS = {
+    ("C2", "FP(Z)"): 3, ("C2", "FP(Z)/2"): 3, ("C2", "FP(Z[G])"): 6,
+    ("C2", "R"): 9, ("C2", "R^(G/e)"): 6,
+    ("C3", "FP(Z)"): 3, ("C3", "FP(Z)/2"): 3, ("C3", "FP(Z[G])"): 11,
+    ("C3", "R"): 9, ("C3", "R^(G/e)"): 11,
+    ("S3", "FP(Z)"): 9, ("S3", "FP(Z)/2"): 9, ("S3", "FP(Z[G])"): 66,
+    ("S3", "R"): 81, ("S3", "R^(G/e)"): 66,
+    ("C2xC2", "FP(Z)"): 12, ("C2xC2", "FP(Z)/2"): 12, ("C2xC2", "FP(Z[G])"): 45,
+    ("C2xC2", "R"): 150, ("C2xC2", "R^(G/e)"): 45,
+}
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "S3", "C2xC2"])
+def test_validate_module(name):
+    # each module of the family passes, and every +-1 in every entry of
+    # its level tables is caught
+    for kind, mod in _modules(name).items():
         validate_module(mod)
+        cells = 0
+        for c, i, j in ((c, i, j) for c, table in enumerate(mod.tables)
+                        for i, row in enumerate(table)
+                        for j in range(len(row))):
+            for t in range(len(mod.tables[c][i][j])):
+                cells += 1
+                for delta in (1, -1):
+                    bad = [[[v.copy() for v in row] for row in tb]
+                           for tb in mod.tables]
+                    bad[c][i][j][t] += delta
+                    with pytest.raises(GreenValidationError,
+                                       match="module action"):
+                        validate_module(GreenModule(mod.ring, mod.underlying,
+                                                    bad))
+        assert cells == MODULE_TABLE_CELLS[(name, kind)], kind
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t.pop(), r"need one module table per subgroup class, "
+                        r"got 1 for 2"),
+    (lambda t: t[1].pop(), r"module table at level C2 must be 2x1"),
+    (lambda t: t[0][0].append(im.intvec([1])),
+     r"module table at level e must be 1x1"),
+    (lambda t: t[1].__setitem__(0, [im.intvec([1, 0])]),
+     r"module table at level C2, cell \(0, 0\): vector of length 2, "
+     r"expected 1"),
+    (lambda t: t[0][0].__setitem__(0, [0.5]),
+     r"module table at level e, cell \(0, 0\)\[0\] is not an integer: "
+     r"0\.5"),
+], ids=["tables", "rows", "columns", "vector", "float"])
+def test_validate_module_rejects_tables_of_the_wrong_shape(edit, match):
+    mod = _modules("C2")["FP(Z)"]
+    bad = [[list(row) for row in tb] for tb in mod.tables]
+    edit(bad)
+    with pytest.raises(ValueError, match=match):
+        validate_module(GreenModule(mod.ring, mod.underlying, bad))
 
 
 def test_mackey_level_rejects_transfer_of_wrong_index():

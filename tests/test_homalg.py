@@ -43,6 +43,7 @@ from mackeykit.homalg import (
     ss_pages,
     tor,
 )
+from support import hom_modules_oracle
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,44 @@ def test_free_module_is_r_of_x_times_and_classifies_m_of_x(name):
                 psi = classifying_morphism(F, M, m)
                 MackeyMorphism(psi.source, psi.target, psi.mats)  # natural
                 assert val.elements_equal(psi.at_gset(X) @ eta, m)
+
+
+def _hom_bytes(hg):
+    return (hg.group.generator_count, hg.group.relations.tolist(),
+            [[m.tolist() for m in phi.mats] for phi in hg.basis])
+
+
+def _fp_modules(group, R):
+    """FP(Z) and FP(Z)/2 as modules over the Burnside ring."""
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    return canonical_module(R, FP), canonical_module(R, cokernel(two)[0])
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_GROUP_NAMES
+                                  if builtin_group(n).order < 8])
+def test_hom_modules_matches_the_all_over_code_oracle(name):
+    # linearity on the level tables gives byte for byte the hom group that
+    # linearity at every over-code of R box P gives
+    group = builtin_group(name)
+    R = burnside_green(group, check=False)
+    for X in _free_bases(group):
+        F = free_module(R, X)
+        for M in _fp_modules(group, R):
+            assert _hom_bytes(hom_modules(F.module, M)) == \
+                _hom_bytes(hom_modules_oracle(F.module, M))
+
+
+def test_hom_modules_matches_the_oracle_on_d4():
+    group = builtin_group("D4")
+    R = burnside_green(group, check=False)
+    F = free_module(R, standard_orbit(group, 0))
+    FPmod = _fp_modules(group, R)[0]
+    hg = hom_modules(F.module, FPmod)
+    assert _hom_bytes(hg) == _hom_bytes(hom_modules_oracle(F.module, FPmod))
+    assert groups_isomorphic(hg.group, FPmod.underlying.value_at(
+        standard_orbit(group, 0))[0])
 
 
 def test_free_module_adjunction_over_second_ring(c2_setup):
@@ -323,17 +362,22 @@ def test_tor_symmetric_for_commutative_ring(c2_setup):
 
 
 def test_module_kernel_is_a_module(c2_setup):
+    # the kernel's level tables are the free action read through the
+    # inclusion: incl(K.tables[c][i][j]) = e_i . incl(k_j) in F
     C2, R, FP = c2_setup
     FPmod = canonical_module(R, FP)
     F, surj = module_cover(FPmod)
     K, incl = module_kernel(F.module, surj)
-    # the kernel's action restricts the free action through the inclusion
-    lhs = compose_morphisms(incl, K.action)
-    from mackeykit.convolution import box_map
-    rhs = compose_morphisms(F.module.action,
-                            box_map(identity_morphism(R.underlying), incl,
-                                    presentation=False))
-    assert lhs.equals(rhs)
+    validate_module(K)
+    for c, table in enumerate(K.tables):
+        lvl = F.underlying.levels[c]
+        inc = incl.mats[c]
+        for i, row in enumerate(table):
+            for j, k_j in enumerate(row):
+                act = im.zero_vec(lvl.generator_count)
+                for t, x in enumerate(inc[:, j]):
+                    act += x * F.module.tables[c][i][t]
+                assert lvl.elements_equal(inc @ k_j, act), (c, i, j)
 
 
 # -- spectral sequences -------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import `random` anywhere, so every validator stays deterministic.  Only
 `gsets` may call `.stabilizer(`: every other module reads orbits,
 stabilizers and their classes from `GSet.orbit_index`.  The presented box
 product has one implementation, the Mackey formula on over-codes: its
-functions build no G-maps, G-set products or spans.
+functions build no G-maps, G-set products or spans.  A Green module is
+its level action tables: the functions that build, cover, map and check
+modules present no box product and build no map out of one.
 """
 
 import ast
@@ -148,4 +150,52 @@ def test_box_structure_comes_from_over_codes_only():
     source = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
     calls, found = calls_inside(source, BOX_FUNCTIONS, SPAN_BUILDERS)
     assert found == set(BOX_FUNCTIONS)
+    assert calls == []
+
+
+MODULE_FUNCTIONS = {
+    "homalg.py": ("canonical_module", "free_module", "module_kernel",
+                  "module_cover", "classifying_morphism", "hom_modules"),
+    "convolution.py": ("validate_module", "ring_as_module"),
+}
+BOX_PRODUCT_CALLS = {"box", "box_map", "box_unit_eval", "action_from_tables"}
+
+# The module constructions, abridged, as they read when a module stored its
+# action as a map out of a box product that presented no relations.
+BOXED_MODULES = '''
+def canonical_module(G, M):
+    data = box(G.unit_rep, M)
+    return GreenModule(G, M, box_unit_eval(M, data), data)
+
+def free_module(R, X):
+    data = box(Rk, F)
+    return FreeModule(R, X, GreenModule(R, F, action_from_tables(data, F, t),
+                                        data))
+
+def module_kernel(M, f):
+    data_RK = box(M.ring.underlying, K)
+    act = lift_through_inclusion(incl, compose_morphisms(
+        act_M, box_map(identity_morphism(R), incl)))
+'''
+
+
+def test_scanner_finds_box_products_in_boxed_module_code():
+    calls, found = calls_inside(BOXED_MODULES, MODULE_FUNCTIONS["homalg.py"],
+                                BOX_PRODUCT_CALLS)
+    assert found == {"canonical_module", "free_module", "module_kernel"}
+    assert calls == [("canonical_module", 3, "box"),
+                     ("canonical_module", 4, "box_unit_eval"),
+                     ("free_module", 7, "box"),
+                     ("free_module", 8, "action_from_tables"),
+                     ("module_kernel", 12, "box"),
+                     ("module_kernel", 14, "box_map")]
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FUNCTIONS))
+def test_modules_are_level_tables_built_without_box_products(name):
+    # a module is its level tables: building, covering, checking and
+    # mapping modules presents no box product and no map out of one
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    calls, found = calls_inside(source, MODULE_FUNCTIONS[name], BOX_PRODUCT_CALLS)
+    assert found == set(MODULE_FUNCTIONS[name])
     assert calls == []

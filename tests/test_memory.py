@@ -11,22 +11,8 @@ import sys
 import tracemalloc
 
 from mackeykit.abgroups import FinPresAbGroup
-from mackeykit.convolution import box, point_representable
-from mackeykit.groups import builtin_group
-from mackeykit.mackey import fixed_point_mackey, regular_module
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-
-def test_layout_only_box_stores_no_structure_matrices():
-    group = builtin_group("S3")
-    FP = fixed_point_mackey(group, *regular_module(group))
-    data = box(point_representable(group), FP, presentation=False)
-    F = data.functor
-    assert F.res is None and F.tr is None and F.weyl is None
-    assert [len(lay) for lay in data.layout] == \
-        [lvl.generator_count for lvl in F.levels]
-    assert all(lvl._transforms is None for lvl in F.levels)
 
 
 def test_relator_free_group_traces_linear_in_its_rank():
