@@ -56,7 +56,7 @@ print("\nBurnside Green functor of S3:")
 print("  associativity, commutativity, unit, Frobenius: all exact")
 labels = [c.label for c in S3.subgroup_classes()]
 top = len(labels) - 1
-table = G.ring_table(top)
+table = G.tables[top]
 print(f"  ring at level {labels[top]} (the Burnside ring of S3):")
 for i, row in enumerate(table):
     print(f"    row {i}: {[list(v) for v in row]}")

@@ -30,7 +30,6 @@ from .convolution import (
     box_unit_iso,
     burnside_green,
     green_from_levelwise,
-    green_from_mult,
     internal_hom_rep,
 )
 from .groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group, load_group

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .burnside import (
     basis_element,
     compose,
     hom_basis,
+    identity_element,
     materialize_code,
     restriction_element,
     span_element,
@@ -47,7 +47,6 @@ from .mackey import (
     orbit_embeddings,
     representable,
     representable_basis,
-    yoneda_element,
 )
 
 
@@ -119,12 +118,6 @@ def _restriction(F: MackeyFunctor, cw, cwp, o):
     O, W = standard_orbit(group, cw), standard_orbit(group, cwp)
     rep = group.subgroup_classes()[cwp].representative
     return _block(F, O, W, transitive_code(O, W, rep, o, 0))
-
-
-def _over_transfer(F: MackeyFunctor, X: GSet, code):
-    """F(G/L) -> F(X): transfer along the structure map of an over-code."""
-    O = standard_orbit(F.group, code[0])
-    return _block(F, O, X, (code[0], 0, code[1]))
 
 
 @dataclass
@@ -422,7 +415,7 @@ def box_unit_eval(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
     return MackeyMorphism(data.functor, M, mats, check=False)
 
 
-def box_unit_iso(M: MackeyFunctor, unit_rep=None):
+def box_unit_iso(M: MackeyFunctor):
     """Isomorphism A_pt box M -> M with verified two-sided inverse.
 
     Returns (iso, data) where data is the box presentation.  Raises if the
@@ -430,13 +423,13 @@ def box_unit_iso(M: MackeyFunctor, unit_rep=None):
     implementation fault rather than a mathematical one.
     """
     group = M.group
-    A = unit_rep if unit_rep is not None else point_representable(group)
+    A = point_representable(group)
     data = box(A, M)
     eps = box_unit_eval(M, data)
 
     # inverse: m |-> [res(1) (x) m] over the diagonal over-code
     top = len(group.subgroup_classes()) - 1
-    unit = _unit_vector(group, A)
+    unit = _unit_vector(group)
     inv_mats = []
     for c, lvl in enumerate(data.functor.levels):
         one, key = _restriction(A, top, c, 0) @ unit, _diag_code(group, c)
@@ -451,14 +444,15 @@ def box_unit_iso(M: MackeyFunctor, unit_rep=None):
     return eps, data
 
 
-def _unit_code_index(group):
+def _unit_vector(group):
+    """The unit [pt <- pt -> pt] of the Burnside ring A_pt(pt), on its
+    span basis."""
     pt = point_gset(group)
     basis = hom_basis(pt, pt)
-    from .burnside import identity_element
-    ident = identity_element(pt)
-    (code, v), = ident.coeffs.items()
-    assert v == 1
-    return basis.index(code)
+    (code, v), = identity_element(pt).coeffs.items()
+    vec = intmat.zero_vec(len(basis))
+    vec[basis.index(code)] = v
+    return vec
 
 
 def _verify_two_sided(f: MackeyMorphism, g: MackeyMorphism):
@@ -636,7 +630,6 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
 def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
     """F(A_X, M), with level G/H equal to M(X x G/H)."""
     group = X.group
-    from .burnside import identity_element
     idX = identity_element(X)
     classes = group.subgroup_classes()
     levels = []
@@ -654,33 +647,20 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
 
 @dataclass
 class GreenFunctor:
-    """A Mackey functor R with a commutative, unital box multiplication.
+    """A Mackey functor R with a commutative, unital ring at every level.
 
-    `mult` is a morphism R box R -> R on the presentation `data`, and `unit`
-    a morphism A_pt -> R.  validate_green checks the monoid laws through
-    the level rings R(G/H), which is equivalent (see validate_green).
+    tables[c][i][j] is e_i . e_j in R(G/H_c), and `unit` is the unit of the
+    one-point level, whose restrictions are the units below it.  A monoid
+    R box R -> R for the box product is the same data (see validate_green),
+    so no box product is built to hold or check it.
     """
     underlying: MackeyFunctor
-    mult: MackeyMorphism          # (R box R) -> R
-    unit: MackeyMorphism          # A_pt -> R
-    data: BoxData                 # presentation of R box R
-    unit_rep: MackeyFunctor       # the representable A_pt used by unit
+    tables: list
+    unit: np.ndarray
 
     @property
     def group(self):
         return self.underlying.group
-
-    @cached_property
-    def tables(self):
-        """tables[c][i][j] = e_i . e_j in R(G/H_c): the column of `mult` on
-        the generator (diagonal over-code, i, j), derived once."""
-        out = []
-        for c, lvl in enumerate(self.underlying.levels):
-            key, n = _diag_code(self.group, c), lvl.generator_count
-            lay, mat = self.data.layout[c], self.mult.mats[c]
-            out.append([[mat[:, lay[(key, i, j)]] for j in range(n)]
-                        for i in range(n)])
-        return out
 
     def level_product(self, cidx, x_vec, y_vec):
         """The ring product on R(G/H), read from the level table."""
@@ -689,44 +669,12 @@ class GreenFunctor:
 
     def level_unit(self, cidx):
         """The multiplicative unit of R(G/H)."""
-        group = self.group
-        top = len(group.subgroup_classes()) - 1
-        unit_pt = self.unit.mats[top] @ _unit_vector(group, self.unit_rep)
-        return _restriction(self.underlying, top, cidx, 0) @ unit_pt
-
-    def ring_table(self, cidx):
-        """Structure constants of the level ring on its generators."""
-        return self.tables[cidx]
-
-
-def _unit_vector(group, unit_rep):
-    nclasses = len(group.subgroup_classes())
-    vec = intmat.zero_vec(unit_rep.levels[nclasses - 1].generator_count)
-    vec[_unit_code_index(group)] = 1
-    return vec
+        top = len(self.group.subgroup_classes()) - 1
+        return _restriction(self.underlying, top, cidx, 0) @ self.unit
 
 
 class GreenValidationError(ValueError):
     pass
-
-
-def green_from_mult(R: MackeyFunctor, mult: MackeyMorphism,
-                    unit: MackeyMorphism, data: BoxData = None,
-                    unit_rep: MackeyFunctor = None,
-                    check=True) -> GreenFunctor:
-    """Assemble a Green functor from mult: R box R -> R and unit: A_pt -> R.
-
-    With check, validate_green verifies the axioms exactly: it ties every
-    column of mult to the level products and unit to its top-level value,
-    then checks the level rings, which is equivalent to the box-level
-    monoid laws.
-    """
-    data = data or box(R, R)
-    unit_rep = unit_rep if unit_rep is not None else unit.source
-    G = GreenFunctor(R, mult, unit, data, unit_rep)
-    if check:
-        validate_green(G)
-    return G
 
 
 def validate_green(G: GreenFunctor):
@@ -735,17 +683,13 @@ def validate_green(G: GreenFunctor):
     A monoid for the box product is the same thing as a Mackey functor with
     a ring at every level on which conjugation and restriction act by unital
     ring maps and Frobenius reciprocity holds (Thevenaz-Webb, Trans. AMS 347,
-    1995; Bouc, LNM 1671, 1997).  The level tables `G.tables` and units are
-    built once, and the checks are table arithmetic:
+    1995; Bouc, LNM 1671, 1997).  The level units are restricted from the
+    one-point level once, and the checks are table arithmetic:
 
-    (a) G.unit is the Yoneda extension of the top-level unit, and every
-        column of G.mult, on a generator (code, i, j) of G.data, is the
-        transfer along code of the level product e_i . e_j.  This ties the
-        morphisms to the tables, so no column of mult goes unchecked;
-    (b) the level rings act on themselves (`_check_action`): each product
+    (a) the level rings act on themselves (`_check_action`): each product
         is well defined on relations, associative and unital, conjugation
         and restriction respect it, and Frobenius reciprocity holds;
-    (c) every level ring is commutative, and conjugation by the generators
+    (b) every level ring is commutative, and conjugation by the generators
         of each N(H) and restriction at every canonical covering pair
         preserve the unit.  Conjugation is a homomorphism on N(H), so
         fixing the unit on generators fixes it on all of N(H).
@@ -757,23 +701,6 @@ def validate_green(G: GreenFunctor):
     classes = group.subgroup_classes()
     tables = G.tables
     units = [G.level_unit(c) for c in range(len(classes))]
-    pt = point_gset(group)
-    for c, cls in enumerate(classes):
-        O = standard_orbit(group, c)
-        for k, code in enumerate(hom_basis(pt, O)):
-            want = R.eval_span(basis_element(pt, O, code)) @ units[-1]
-            if not R.levels[c].elements_equal(G.unit.mats[c][:, k], want):
-                raise GreenValidationError(
-                    f"unit is not the Yoneda extension of the top-level unit "
-                    f"at level {cls.label}, cell ({k})")
-    want = action_from_tables(G.data, R, tables).mats
-    for c, cls in enumerate(classes):
-        for (code, i, j), k in G.data.layout[c].items():
-            if not R.levels[c].elements_equal(G.mult.mats[c][:, k],
-                                              want[c][:, k]):
-                raise GreenValidationError(
-                    f"multiplication is not the transfer of the level "
-                    f"product at level {cls.label}, cell ({code}, {i}, {j})")
     _check_action(R, R, tables, tables, units, "multiplication")
     for c, cls in enumerate(classes):
         lvl = R.levels[c]
@@ -930,57 +857,50 @@ def _integer_tables(R: MackeyFunctor, M: MackeyFunctor, tables, what):
 
 def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
                          check=True) -> GreenFunctor:
-    """Build the mult/unit morphisms from levelwise ring tables.
+    """The Green functor on R with the given level rings and unit.
 
     `ring_tables[c][i][j]` is the vector of e_i * e_j in R(G/H_c); `unit_vec`
     is the multiplicative unit of R at the one-point level.  Raises
     ValueError, naming the class label and the cell, unless there is one
     n x n table of length-n integer vectors per class (n the level's
-    generator count); a float, string or bool entry, of a table or of the
-    unit, is named rather than truncated.  Round-trips with green_from_mult
-    through the same validation.
+    generator count), and naming `unit` unless it is an integer vector of
+    the one-point level's length; a float, string or bool entry, of a table
+    or of the unit, is named rather than truncated.  With check,
+    validate_green verifies the axioms.
     """
     tables = _integer_tables(R, R, ring_tables, "ring table")
-    unit_vec = intmat.intvec(_labels(unit_vec, "unit"))
-    data = box(R, R)
-    mult = action_from_tables(data, R, tables)
-    unit, unit_rep = yoneda_element(R, point_gset(R.group), unit_vec)
-    return green_from_mult(R, mult, unit, data=data, unit_rep=unit_rep,
-                           check=check)
+    unit = intmat.intvec(_labels(unit_vec, "unit"))
+    top = R.group.subgroup_classes()[-1]
+    n = R.levels[top.index].generator_count
+    if len(unit) != n:
+        raise ValueError(f"unit at level {top.label}: vector of length "
+                         f"{len(unit)}, expected {n}")
+    G = GreenFunctor(R, tables, unit)
+    if check:
+        validate_green(G)
+    return G
 
 
-def action_from_tables(data: BoxData, target: MackeyFunctor,
-                       tables) -> MackeyMorphism:
-    """The map out of `data` that is the transfer of the level products.
-
-    `tables[c][i][j]` is the level product e_i . e_j in target(G/H_c) of
-    generator i of data.left and generator j of data.right.  A generator
-    (code, i, j) of the box goes to the transfer along code of
-    tables[class of code][i][j], the rule that `validate_green` checks
-    for `GreenFunctor.mult`.
-    """
-    group = target.group
-    mats = []
-    for c in range(len(group.subgroup_classes())):
-        X = standard_orbit(group, c)
-        push = {code: _over_transfer(target, X, code)
-                for code in data.codes[c]}
-        cols = [None] * data.functor.levels[c].generator_count
-        for (code, i, j), idx in data.layout[c].items():
-            cols[idx] = push[code] @ tables[code[0]][i][j]
-        mats.append(intmat.from_cols(cols, target.levels[c].generator_count))
-    return MackeyMorphism(data.functor, target, mats, check=False)
+def _burnside_action_tables(M: MackeyFunctor):
+    """tables[c][i][j] = e_i . m_j for basis span i of A_pt(G/H_c) acting
+    on M(G/H_c): the columns of the unit-action block at the diagonal
+    over-code."""
+    group = M.group
+    return [[list(_unit_action_block(M, c, _diag_code(group, c), i).T.copy())
+             for i in range(lvl.generator_count)]
+            for c, lvl in enumerate(point_representable(group).levels)]
 
 
 def burnside_green(group, check=True) -> GreenFunctor:
-    """The Burnside Green functor: A_pt with the unitor multiplication."""
+    """The Burnside Green functor: A_pt with the Burnside ring at each level,
+    which acts on A_pt as on every Mackey functor."""
     key = ("burnside_green", check)
     if key in group._cache:
         return group._cache[key]
     R = point_representable(group)
-    eps, data = box_unit_iso(R, unit_rep=R)
-    unit = identity_morphism(R)
-    G = green_from_mult(R, eps, unit, data=data, unit_rep=R, check=check)
+    G = GreenFunctor(R, _burnside_action_tables(R), _unit_vector(group))
+    if check:
+        validate_green(G)
     group._cache[key] = G
     return G
 
@@ -993,9 +913,9 @@ class GreenModule:
     """A Mackey functor M with an action of a Green functor R, stored as
     level tables: tables[c][i][j] is e_i . m_j in M(G/H_c).
 
-    The action R box M -> M sends (code, i, j) to the transfer along code
-    of tables[class of code][i][j] (`action_from_tables`), and is the same
-    thing as these level actions (see `validate_module`).
+    An action R box M -> M is the same data (see `validate_module`): it
+    sends (code, i, j) to the transfer along code of
+    tables[class of code][i][j], so no box product is built to hold it.
     """
     ring: GreenFunctor
     underlying: MackeyFunctor

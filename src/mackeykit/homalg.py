@@ -28,11 +28,11 @@ from .convolution import (
     GreenFunctor,
     GreenModule,
     _act,
-    _diag_code,
-    _unit_action_block,
+    _burnside_action_tables,
     box,
     box_map,
     internal_hom_rep,
+    point_representable,
 )
 from .gsets import (
     GMap,
@@ -366,17 +366,15 @@ def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
     """Every Mackey functor is a module over the Burnside Green functor.
 
     Basis span i of A_pt(G/H) acts on M(G/H) by its block at the diagonal
-    over-code, which `box_unit_eval` shares.
+    over-code, which `box_unit_eval` shares.  Raises ValueError unless G
+    is a Green functor on A_pt over the group of M.
     """
-    group = G.group
-    if M.group != group:
+    if M.group != G.group:
         raise ValueError("different groups")
-    tables = []
-    for c, lvl in enumerate(G.unit_rep.levels):
-        code = _diag_code(group, c)
-        tables.append([list(_unit_action_block(M, c, code, i).T.copy())
-                       for i in range(lvl.generator_count)])
-    return GreenModule(G, M, tables)
+    if G.underlying is not point_representable(G.group):
+        raise ValueError("canonical_module needs a Green functor on the "
+                         "Burnside functor A_pt, such as burnside_green")
+    return GreenModule(G, M, _burnside_action_tables(M))
 
 
 # -- chain complexes ----------------------------------------------------------------------

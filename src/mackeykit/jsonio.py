@@ -147,16 +147,11 @@ def mackey_from_json(doc) -> MackeyFunctor:
 
 
 def green_to_json(G: GreenFunctor):
-    group = G.group
-    classes = group.subgroup_classes()
-    rings = {}
-    for cls in classes:
-        table = G.ring_table(cls.index)
-        rings[cls.label] = [[list(v) for v in row] for row in table]
-    unit = list(G.level_unit(len(classes) - 1))
     return {"mackey": mackey_to_json(G.underlying),
-            "rings": rings,
-            "unit": [int(u) for u in unit]}
+            "rings": {cls.label: [[list(v) for v in row]
+                                  for row in G.tables[cls.index]]
+                      for cls in G.group.subgroup_classes()},
+            "unit": [int(u) for u in G.unit]}
 
 
 def green_from_json(doc, check=True) -> GreenFunctor:

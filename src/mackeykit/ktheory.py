@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .abgroups import FinPresAbGroup
-from .burnside import hom_basis, materialize_code, span_codes
+from .burnside import hom_basis, materialize_code, span_codes, transitive_code
 from .convolution import GreenFunctor, burnside_green, green_from_levelwise
 from .groups import FiniteGroup
 from .gsets import (
@@ -46,6 +46,12 @@ def k0_of_slice(X: GSet) -> SliceK0:
     pt = point_gset(X.group)
     basis = hom_basis(pt, X)
     return SliceK0(X, basis, FinPresAbGroup.free(len(basis)))
+
+
+def _slices(group: FiniteGroup):
+    """K0 over each standard orbit, in class order: the levels of k0_mackey."""
+    return [k0_of_slice(standard_orbit(group, c.index))
+            for c in group.subgroup_classes()]
 
 
 def _over_object(X: GSet, code):
@@ -111,7 +117,7 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
     """The K0 Mackey functor: transfers by postcomposition, restrictions
     by pullback, conjugation by translation isomorphisms."""
     classes = group.subgroup_classes()
-    slices = [k0_of_slice(standard_orbit(group, c.index)) for c in classes]
+    slices = _slices(group)
     levels = [s.group for s in slices]
     res, tr = {}, {}
     for (A, B) in group.canonical_covers:
@@ -126,15 +132,13 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
             w[n] = k0_transfer(slices[cls.index], slices[cls.index],
                                _weyl_map(group, cls.index, n))
         weyl.append(w)
-    M = MackeyFunctor(group, levels, res, tr, weyl, name="K0")
-    M._cache["k0_slices"] = slices
-    return M
+    return MackeyFunctor(group, levels, res, tr, weyl, name="K0")
 
 
 def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
     """K0 with the fiber-product multiplication, as a validated Green functor."""
     M = k0_mackey(group)
-    slices = M._cache["k0_slices"]
+    slices = _slices(group)
     tables = []
     for c, sl in enumerate(slices):
         n = len(sl.basis)
@@ -150,7 +154,6 @@ def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
             table.append(row)
         tables.append(table)
     pt_slice = slices[-1]
-    from .burnside import transitive_code
     pt = point_gset(group)
     unit_code = transitive_code(pt, pt, tuple(range(group.order)), 0, 0)
     unit_vec = intmat.zero_vec(len(pt_slice.basis))
@@ -184,7 +187,7 @@ def bpq_verify(group: FiniteGroup, check_green=True) -> BpqResult:
     A = burnside_green(group, check=False)
     KM, AM = K.underlying, A.underlying
     classes = group.subgroup_classes()
-    slices = KM._cache["k0_slices"]
+    slices = _slices(group)
     pt = point_gset(group)
     mats = []
     for c, cls in enumerate(classes):

@@ -26,7 +26,6 @@ from mackeykit.convolution import (
     BoxData,
     GreenValidationError,
     _pairing_terms,
-    action_from_tables,
     box,
     box_assoc_iso,
     box_comm_iso,
@@ -39,15 +38,18 @@ from mackeykit.gsets import (
     GMap,
     GSet,
     compose_maps,
+    point_gset,
     product,
     pullback,
     standard_orbit,
 )
 from mackeykit.mackey import (
+    MackeyMorphism,
     NatSolver,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
+    yoneda_element,
 )
 
 
@@ -451,30 +453,67 @@ def brute_force_borel_level(group, V, act, H):
 # -- box-level Green validation ------------------------------------------------------
 
 
+def action_from_tables(data, target, tables):
+    """The map out of the presented box `data` that is the transfer of the
+    level products.
+
+    `tables[c][i][j]` is the level product e_i . e_j in target(G/H_c) of
+    generator i of data.left and generator j of data.right.  A generator
+    (code, i, j) of the box goes to the transfer along code of
+    tables[class of code][i][j].
+    """
+    group = target.group
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        X = standard_orbit(group, c)
+        push = {code: target.eval_span(basis_element(
+                    standard_orbit(group, code[0]), X,
+                    (code[0], 0, code[1])))
+                for code in data.codes[c]}
+        cols = [None] * data.functor.levels[c].generator_count
+        for (code, i, j), idx in data.layout[c].items():
+            cols[idx] = push[code] @ tables[code[0]][i][j]
+        mats.append(intmat.from_cols(cols, target.levels[c].generator_count))
+    return MackeyMorphism(data.functor, target, mats, check=False)
+
+
+def green_morphisms(G):
+    """(mult, unit): the monoid R box R -> R, A_pt -> R that G stores as
+    level tables and a one-point unit.
+
+    mult is the transfer of the level products on the presented box(R, R),
+    and unit the Yoneda extension of G.unit.
+    """
+    R = G.underlying
+    mult = action_from_tables(box(R, R), R, G.tables)
+    unit, _A = yoneda_element(R, point_gset(G.group), G.unit)
+    return mult, unit
+
+
 def box_validate_green(G):
     """Exact associativity/commutativity/unit squares plus Frobenius.
 
     Raises GreenValidationError naming the first failing axiom and cell.
     """
     R = G.underlying
-    group = G.group
+    mult, unit = green_morphisms(G)
 
     # commutativity: mult . comm = mult
     comm = box_comm_iso(R, R)
-    if not compose_morphisms(G.mult, comm).equals(G.mult):
+    if not compose_morphisms(mult, comm).equals(mult):
         raise GreenValidationError("multiplication is not commutative")
 
     # unit square: mult . (unit box id) = unit isomorphism
-    eps, data_AR = box_unit_iso(R, unit_rep=G.unit_rep)
-    u_boxed = box_map(G.unit, identity_morphism(R))
-    if not compose_morphisms(G.mult, u_boxed).equals(eps):
+    eps, _data = box_unit_iso(R)
+    u_boxed = box_map(unit, identity_morphism(R))
+    if not compose_morphisms(mult, u_boxed).equals(eps):
         raise GreenValidationError("unit law fails")
 
     # associativity through the associator witness
     f, _g = box_assoc_iso(R, R, R)
-    path1 = compose_morphisms(G.mult, box_map(G.mult, identity_morphism(R)))
+    path1 = compose_morphisms(mult, box_map(mult, identity_morphism(R)))
     path2 = compose_morphisms(
-        G.mult, compose_morphisms(box_map(identity_morphism(R), G.mult), f))
+        mult, compose_morphisms(box_map(identity_morphism(R), mult), f))
     if not path1.equals(path2):
         raise GreenValidationError("multiplication is not associative")
 

@@ -178,6 +178,18 @@ def test_green_check_detects_violation(tmp_path, capsys):
         or "Frobenius" in payload["error"]
 
 
+def test_green_check_names_a_unit_of_the_wrong_length(tmp_path, capsys):
+    doc = jsonio.green_to_json(burnside_green(builtin_group("C2")))
+    doc["unit"] = [0, 1, 0]
+    path = tmp_path / "bad_green.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["green-check", str(path), "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert payload["error"] == "unit at level C2: vector of length 3, expected 2"
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["rings"]["C2"][1].__setitem__(1, [0.5, 1.5]),
     lambda doc: doc.update(unit=[0.9, 1]),

@@ -40,7 +40,6 @@ from mackeykit.convolution import (
     burnside_green,
     free_evaluation_iso,
     green_from_levelwise,
-    green_from_mult,
     internal_hom_rep,
     over_codes,
     point_representable,
@@ -50,7 +49,7 @@ from mackeykit.convolution import (
     validate_module,
 )
 from mackeykit.homalg import canonical_module, free_module, rel_box
-from support import box_oracle, box_validate_green
+from support import action_from_tables, box_oracle, box_validate_green
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -278,7 +277,7 @@ def test_burnside_green_levelwise_rings():
     from mackeykit.burnside import burnside_ring_table
     C2 = builtin_group("C2")
     G = burnside_green(C2)
-    table = G.ring_table(1)
+    table = G.tables[1]
     ring = burnside_ring_table(C2)
     # basis of A(pt, pt) is ([C2/e], [C2/C2]) = (free orbit, unit)
     assert list(table[0][0]) == [2, 0]
@@ -291,12 +290,20 @@ def test_burnside_green_levelwise_rings():
 def test_green_round_trip_levelwise_and_mult():
     C2 = builtin_group("C2")
     G = burnside_green(C2)
-    tables = [G.ring_table(c) for c in range(2)]
-    unit_vec = G.level_unit(1)
-    G2 = green_from_levelwise(G.underlying, tables, unit_vec)
-    assert G2.mult.equals(G.mult)
-    assert G2.unit.equals(compose_morphisms(G.unit, identity_morphism(
-        G.unit.source))) or G2.unit.equals(G.unit)
+    G2 = green_from_levelwise(G.underlying, G.tables, G.level_unit(1))
+    for t2, t in zip(G2.tables, G.tables):
+        assert [[v.tolist() for v in row] for row in t2] == \
+            [[v.tolist() for v in row] for row in t]
+    assert G2.unit.tolist() == G.unit.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_green_from_levelwise_names_a_unit_of_the_wrong_length(length):
+    G = burnside_green(builtin_group("C2"))
+    with pytest.raises(ValueError, match=rf"^unit at level C2: vector of "
+                       rf"length {length}, expected 2$"):
+        green_from_levelwise(G.underlying, G.tables, [1] * length,
+                             check=False)
 
 
 def test_fixed_point_green_trivial_ring():
@@ -333,7 +340,7 @@ def test_validate_green_agrees_with_box_oracle(name, cases):
     G = burnside_green(builtin_group(name))
     assert _verdict(validate_green, G) and _verdict(box_validate_green, G)
     n = len(G.group.subgroup_classes())
-    tables = [G.ring_table(c) for c in range(n)]
+    tables = G.tables
     unit_vec = G.level_unit(n - 1)
     seen = 0
     for c, table in enumerate(tables):
@@ -349,6 +356,20 @@ def test_validate_green_agrees_with_box_oracle(name, cases):
                         _verdict(box_validate_green, H), (c, i, j, t, delta)
                     seen += 1
     assert seen == cases
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_burnside_tables_give_the_verified_unitor(name):
+    # the map box(A, A) -> A that the Burnside ring tables transfer is the
+    # unitor A_pt box A -> A, whose inverse box_unit_iso verifies
+    group = builtin_group(name)
+    A = point_representable(group)
+    G = burnside_green(group, check=False)
+    assert G.underlying is A
+    got = action_from_tables(box(A, A), A, G.tables)
+    eps, _data = box_unit_iso(A)
+    for a, b in zip(got.mats, eps.mats):
+        assert np.array_equal(a, b)
 
 
 def _trivial_group_functor(level):
@@ -389,14 +410,6 @@ def test_green_rejects_wrong_unit():
     _rejects(r"unit law fails for the multiplication at level e, cell \(0\)",
              lambda: green_from_levelwise(R, [_tables([[[1]]])],
                                           im.intvec([2])))
-    # a unit morphism that disagrees with the top-level unit below the top
-    G = burnside_green(builtin_group("C2"))
-    unit = MackeyMorphism(G.unit.source, G.unit.target,
-                          [m.copy() for m in G.unit.mats], check=False)
-    unit.mats[0][0, 0] += 1
-    _rejects(r"Yoneda extension of the top-level unit at level e, cell \(0\)",
-             lambda: green_from_mult(G.underlying, G.mult, unit, data=G.data,
-                                     unit_rep=G.unit_rep))
 
 
 def test_green_rejects_product_not_defined_on_relations():
@@ -415,7 +428,7 @@ def test_green_rejects_non_frobenius_ring():
     top = _tables([[[0, 4], [1, 0]], [[1, 0], [0, 1]]])
     _rejects(r"Frobenius reciprocity tr\(r.res m\) = tr\(r\).m fails .* "
              r"cell \(0, 0\)",
-             lambda: green_from_levelwise(G.underlying, [G.ring_table(0), top],
+             lambda: green_from_levelwise(G.underlying, [G.tables[0], top],
                                           G.level_unit(1)))
 
 
@@ -430,17 +443,6 @@ def test_green_rejects_conjugation_that_is_not_a_ring_map():
              r"level e, cell \(0, 0\)",
              lambda: green_from_levelwise(R, [free_level, _tables([[[1]]])],
                                           im.intvec([1])))
-
-
-def test_green_from_mult_rejects_off_diagonal_column():
-    G = burnside_green(builtin_group("C2"))
-    mult = MackeyMorphism(G.mult.source, G.mult.target,
-                          [m.copy() for m in G.mult.mats], check=False)
-    mult.mats[1][0, G.data.layout[1][((0, 0), 0, 0)]] += 1
-    _rejects(r"not the transfer of the level product at level C2, "
-             r"cell \(\(0, 0\), 0, 0\)",
-             lambda: green_from_mult(G.underlying, mult, G.unit, data=G.data,
-                                     unit_rep=G.unit_rep))
 
 
 def _modules(name):
@@ -661,8 +663,8 @@ def test_box_of_burnside_and_regular_fixed_points_matches_span_oracle(name):
 
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])
 def test_burnside_green_box_matches_span_oracle(name):
-    G = burnside_green(builtin_group(name), check=False)
-    assert_box_matches_oracle(G.data, G.underlying, G.underlying)
+    R = burnside_green(builtin_group(name), check=False).underlying
+    assert_box_matches_oracle(box(R, R), R, R)
 
 
 @pytest.mark.parametrize("name", ["C4", "S3"])

@@ -211,6 +211,17 @@ def test_free_module_adjunction_over_second_ring(c2_setup):
         assert groups_isomorphic(hg.group, val)
 
 
+def test_canonical_module_rejects_a_ring_other_than_burnside(c2_setup):
+    # the trivial ring Z on FP(Z) has 1x1 level tables where the Burnside
+    # ring of C2 acts through 2x1 ones
+    from mackeykit.convolution import green_from_levelwise
+    C2, R, FP = c2_setup
+    G2 = green_from_levelwise(FP, [[[im.intvec([1])]], [[im.intvec([1])]]],
+                              im.intvec([1]))
+    with pytest.raises(ValueError, match="Burnside functor A_pt"):
+        canonical_module(G2, FP)
+
+
 # -- covers and resolutions -----------------------------------------------------------
 
 

@@ -156,9 +156,13 @@ def test_box_structure_comes_from_over_codes_only():
 MODULE_FUNCTIONS = {
     "homalg.py": ("canonical_module", "free_module", "module_kernel",
                   "module_cover", "classifying_morphism", "hom_modules"),
-    "convolution.py": ("validate_module", "ring_as_module"),
+    "convolution.py": ("validate_module", "ring_as_module",
+                       "green_from_levelwise", "burnside_green",
+                       "validate_green"),
+    "ktheory.py": ("k0_green",),
 }
-BOX_PRODUCT_CALLS = {"box", "box_map", "box_unit_eval", "action_from_tables"}
+BOX_PRODUCT_CALLS = {"box", "box_map", "box_unit_eval", "box_unit_iso",
+                     "action_from_tables"}
 
 # The module constructions, abridged, as they read when a module stored its
 # action as a map out of a box product that presented no relations.
@@ -193,8 +197,9 @@ def test_scanner_finds_box_products_in_boxed_module_code():
 
 @pytest.mark.parametrize("name", sorted(MODULE_FUNCTIONS))
 def test_modules_are_level_tables_built_without_box_products(name):
-    # a module is its level tables: building, covering, checking and
-    # mapping modules presents no box product and no map out of one
+    # modules and Green functors are their level tables: building,
+    # covering, checking and mapping them presents no box product and no
+    # map out of one
     source = (PACKAGE / name).read_text(encoding="utf-8")
     calls, found = calls_inside(source, MODULE_FUNCTIONS[name], BOX_PRODUCT_CALLS)
     assert found == set(MODULE_FUNCTIONS[name])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -30,6 +31,7 @@ from mackeykit.mackey import (
     trivial_module,
 )
 from mackeykit.convolution import burnside_green, green_from_levelwise
+from mackeykit.ktheory import k0_green
 
 
 def test_group_roundtrip():
@@ -91,7 +93,39 @@ def test_green_roundtrip():
     G = burnside_green(C2)
     doc = green_to_json(G)
     G2 = green_from_json(json.loads(json.dumps(doc)))
-    assert G2.ring_table(1)[0][0].tolist() == [2, 0]
+    assert G2.tables[1][0][0].tolist() == [2, 0]
+
+
+# SHA-256 of json.dumps(green_to_json(G), sort_keys=True) for the Burnside
+# and K0 Green functors, recorded from tables read off a multiplication
+# morphism on the presented box(R, R), so the stored tables and unit must
+# file the same bytes.
+GREEN_JSON_SHA256 = {
+    ("burnside", "C4"):
+        "feb976fff53f5ff453e9241a7deb0e283b1a29e835f5b480c83fee7a0a5b411a",
+    ("burnside", "C2xC2"):
+        "6bca41543d563155958266433666c50af4b2aa8a3835dbad1399ee141abb4525",
+    ("burnside", "S3"):
+        "b0afeb82327fd68161a9f57f91d0c0e548608293e7a0f14925033a376150ee34",
+    ("burnside", "C6"):
+        "21f5415185e442e77efa3980d78f281d37918f445d33c544c5ccf7008023963d",
+    ("k0", "C4"):
+        "066b186280b12f48353932520099d9540b3cb9a1408be38a0caf5295e4d2f7d6",
+    ("k0", "C2xC2"):
+        "235d933c1bc887a9210af9542cbe4e16723aa6e2eadf5af722c47d014536e3ec",
+    ("k0", "S3"):
+        "4a70cfeeb9504242765ca85106e8067317ad883e9f9eaa81736c108430d314b8",
+    ("k0", "C6"):
+        "6b936330c3831eca3caec2829cba2f14f055c727deb5b920a46dd2ba3d6e8ef8",
+}
+
+
+@pytest.mark.parametrize("ring, name", sorted(GREEN_JSON_SHA256))
+def test_green_to_json_bytes_are_pinned(ring, name):
+    build = {"burnside": burnside_green, "k0": k0_green}[ring]
+    doc = green_to_json(build(builtin_group(name)))
+    data = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == GREEN_JSON_SHA256[(ring, name)]
 
 
 def test_element_roundtrip():
@@ -188,7 +222,7 @@ def test_green_file_with_non_integer_entries_rejected(path, value, match):
 
 def test_green_from_levelwise_names_a_non_integer_cell():
     G = burnside_green(builtin_group("C2"))
-    tables = [G.ring_table(0), [list(row) for row in G.ring_table(1)]]
+    tables = [G.tables[0], [list(row) for row in G.tables[1]]]
     tables[1][1][0] = [1.5, 0]
     with pytest.raises(ValueError, match=r"level C2, cell \(1, 0\)\[0\] "
                                          r"is not an integer: 1\.5"):

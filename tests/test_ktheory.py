@@ -53,12 +53,11 @@ def test_k0_multiplication_reproduces_burnside_ring():
         G = k0_green(group, check=False)
         # at the one-point level, fiber products over pt are products
         nclasses = len(group.subgroup_classes())
-        table = G.ring_table(nclasses - 1)
+        table = G.tables[nclasses - 1]
         ring = burnside_ring_table(group)
         # match the K0 basis (codes over pt) with the orbit basis: code
         # (class c, 0, 0) corresponds to the orbit G/H_c
-        slices = G.underlying._cache["k0_slices"]
-        basis = slices[-1].basis
+        basis = k0_of_slice(standard_orbit(group, nclasses - 1)).basis
         order = [code[0] for code in basis]
         n = len(order)
         for i in range(n):
