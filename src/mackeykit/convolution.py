@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -711,7 +711,7 @@ def validate_green(G: GreenFunctor):
                         f"multiplication is not commutative at level "
                         f"{cls.label}, cell ({i}, {j})")
         for n in cls.normalizer_generators:
-            if not lvl.elements_equal(R.weyl[c][n] @ units[c], units[c]):
+            if not lvl.elements_equal(R.conj[c][n] @ units[c], units[c]):
                 raise GreenValidationError(
                     f"conjugation by {n} does not preserve the unit at level "
                     f"{cls.label}")
@@ -796,7 +796,7 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                           times(c, ER[c][:, i], acts[c][k][j]),
                           f"{name} is not associative", where, (i, k, j))
         for n in cls.normalizer_generators:
-            WR, WM = R.weyl[c][n], M.weyl[c][n]
+            WR, WM = R.conj[c][n], M.conj[c][n]
             for i in range(nR):
                 for j in range(nM):
                     check(c, WM @ acts[c][i][j],
@@ -916,10 +916,15 @@ class GreenModule:
     An action R box M -> M is the same data (see `validate_module`): it
     sends (code, i, j) to the transfer along code of
     tables[class of code][i][j], so no box product is built to hold it.
+    `_resolutions` holds the module's free resolutions
+    (`homalg.module_resolution`), keyed by `reverse`: two modules on one
+    Mackey functor have their own.
     """
     ring: GreenFunctor
     underlying: MackeyFunctor
     tables: list
+    _resolutions: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     @property
     def group(self):

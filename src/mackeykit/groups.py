@@ -187,8 +187,10 @@ class FiniteGroup:
         Breadth-first closure over subsets seeded by the cyclic subgroups;
         fine at the target scale of |G| <= 12.
         """
-        if "subgroups" in self._cache:
-            return self._cache["subgroups"]
+        return self._subgroups
+
+    @cached_property
+    def _subgroups(self):
         found = {self.closure([g]) for g in range(self.order)}
         frontier = set(found)
         while frontier:
@@ -202,9 +204,7 @@ class FiniteGroup:
                             found.add(S)
                             new.add(S)
             frontier = new
-        out = tuple(sorted(found, key=lambda H: (len(H), H)))
-        self._cache["subgroups"] = out
-        return out
+        return tuple(sorted(found, key=lambda H: (len(H), H)))
 
     def conjugate_subgroup(self, g, H):
         row, gi = self.table[g], self.inverse[g]
@@ -217,8 +217,10 @@ class FiniteGroup:
 
     def subgroup_classes(self):
         """Conjugacy classes of subgroups, ordered by (order, representative)."""
-        if "classes" in self._cache:
-            return self._cache["classes"]
+        return self._classes
+
+    @cached_property
+    def _classes(self):
         seen = set()
         classes = []
         for H in self.subgroups():
@@ -232,7 +234,7 @@ class FiniteGroup:
             classes.append((rep, conjs, norm))
         classes.sort(key=lambda c: (len(c[0]), c[0]))
         labels = _class_labels(self, [c[0] for c in classes])
-        out = tuple(
+        return tuple(
             SubgroupClass(representative=rep, conjugates=conjs,
                           normalizer=norm,
                           weyl_order=len(norm) // len(rep),
@@ -240,20 +242,30 @@ class FiniteGroup:
                           generators=self.greedy_generators(rep),
                           normalizer_generators=self.greedy_generators(norm))
             for i, (rep, conjs, norm) in enumerate(classes))
-        self._cache["classes"] = out
+
+    @cached_property
+    def _class_and_transport(self):
+        """{H: (class index, transport(H))} for every subgroup H.
+
+        Walking g upward from the identity, H = g^-1 rep g is met first at
+        the least g conjugating H onto its class representative rep.
+        """
+        out = {}
+        for cls in self.subgroup_classes():
+            for g in range(self.order):
+                out.setdefault(self.conjugate_subgroup(
+                    self.inverse[g], cls.representative), (cls.index, g))
         return out
+
+    def _class_entry(self, H):
+        try:
+            return self._class_and_transport[tuple(sorted(H))]
+        except KeyError:
+            raise ValueError(f"{tuple(sorted(H))} is not a subgroup") from None
 
     def class_index_of(self, H):
         """Index of the conjugacy class containing the subgroup H."""
-        key = ("clsidx", tuple(sorted(H)))
-        if key in self._cache:
-            return self._cache[key]
-        H = tuple(sorted(H))
-        for cls in self.subgroup_classes():
-            if H in cls.conjugates:
-                self._cache[key] = cls.index
-                return cls.index
-        raise ValueError(f"{H} is not a subgroup")
+        return self._class_entry(H)[0]
 
     def class_by_label(self, label):
         for cls in self.subgroup_classes():
@@ -269,23 +281,14 @@ class FiniteGroup:
 
     def transport(self, H):
         """Smallest g conjugating H onto its class representative."""
-        key = ("transport", tuple(sorted(H)))
-        if key in self._cache:
-            return self._cache[key]
-        H = tuple(sorted(H))
-        rep = self.subgroup_classes()[self.class_index_of(H)].representative
-        for g in range(self.order):
-            if self.conjugate_subgroup(g, H) == rep:
-                self._cache[key] = g
-                return g
-        raise AssertionError("conjugacy class bookkeeping is broken")
+        return self._class_entry(H)[1]
 
     def conj_index(self, g, L):
         """(c, n): conjugation by g out of L in class coordinates.
 
         c is the class of L and n = transport(gLg^-1) g transport(L)^-1 the
         element of the normalizer of its representative that the Mackey
-        functors' stored conjugation `weyl[c][n]` reads.
+        functors' conjugation `weyl[c][n]` reads.
         """
         L = tuple(sorted(L))
         n = self.mul(self.mul(self.transport(self.conjugate_subgroup(g, L)), g),

@@ -186,14 +186,14 @@ def hom_modules(P: GreenModule, M: GreenModule):
 # -- covers and resolutions ------------------------------------------------------------
 
 
-def module_cover(M: GreenModule, prune=True, reverse=False):
+def module_cover(M: GreenModule, reverse=False):
     """A deterministic free cover F -> M.
 
     Walks level generators in canonical level order (reversed when
     `reverse` is set, giving an independent second cover for resolution
-    comparisons), one free summand R^{G/H} per generator; with prune=True
-    a generator already in the image of the partial cover is skipped,
-    which keeps iterated kernels from growing multiplicatively.
+    comparisons), one free summand R^{G/H} per generator; a generator
+    already in the image of the partial cover is skipped, which keeps
+    iterated kernels from growing multiplicatively.
     Returns (F: FreeModule, surj).
     """
     group = M.group
@@ -208,13 +208,12 @@ def module_cover(M: GreenModule, prune=True, reverse=False):
         for k in range(n):
             ek = intmat.zero_vec(n)
             ek[k] = 1
-            if prune and intmat.in_lattice(ek, images[c]):
+            if intmat.in_lattice(ek, images[c]):
                 continue
             slots.append((c, k))
-            if prune:
-                phi = _classifying_mats(M, standard_orbit(group, c), ek)
-                for cp in range(len(classes)):
-                    images[cp] = intmat.lattice_sum(images[cp], phi[cp])
+            phi = _classifying_mats(M, standard_orbit(group, c), ek)
+            for cp in range(len(classes)):
+                images[cp] = intmat.lattice_sum(images[cp], phi[cp])
     if slots:
         X = disjoint_union_of_orbits(group, tuple(c for (c, _k) in slots))
     else:
@@ -266,14 +265,16 @@ def module_resolution(R: GreenFunctor, M, length: int,
     """Iterated free covers out to the given length.
 
     A FreeModule is its own resolution of length zero.  Results are
-    cached per module, so several Tor computations against the same
-    argument share one resolution.
+    cached on the module, keyed by `reverse`, so several Tor computations
+    against the same argument share one resolution.  Raises ValueError
+    unless R is the ring of M.
     """
+    if M.ring is not R and M.ring.underlying != R.underlying:
+        raise ValueError("module over a different ring")
     if isinstance(M, FreeModule):
         return Resolution(R, M.module, [M], [],
                           identity_morphism(M.underlying))
-    key = ("resolution", id(R), reverse)
-    cached = M.underlying._cache.get(key)
+    cached = M._resolutions.get(reverse)
     if cached is not None:
         asked, res = cached
         terminated = len(res.modules) < asked + 1
@@ -281,7 +282,7 @@ def module_resolution(R: GreenFunctor, M, length: int,
             return Resolution(R, res.target, res.modules[:length + 1],
                               res.diffs[:length], res.augmentation)
     out = _module_resolution_uncached(R, M, length, reverse)
-    M.underlying._cache[key] = (length, out)
+    M._resolutions[reverse] = (length, out)
     return out
 
 
@@ -345,7 +346,7 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
         levels.append(abgroups.quotient_by_columns(
             lvl, intmat.from_cols(cols, lvl.generator_count)))
     F = data.functor
-    Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.weyl,
+    Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.conj,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
     from .mackey import minimize_presentation
     Q, section, projection = minimize_presentation(Qbig)

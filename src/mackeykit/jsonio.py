@@ -5,8 +5,10 @@ generators.  Mackey functors are keyed by subgroup-class labels in the
 canonical class order (ascending subgroup order, then lexicographic
 representative); restriction and transfer matrices are read against the
 canonical covering pair of each class pair (`class_pair_covers`), and
-conjugation data against normalizer elements of the class representative.
-A group where one class pair holds several conjugacy classes of covering
+conjugation data against normalizer elements of the class representative:
+a dump lists every element, derived from the stored generators, and a
+load stores the generators and checks every given entry against the
+action they generate (`mackey_from_levels`).  A group where one class pair holds several conjugacy classes of covering
 pairs has no such file: loading and dumping raise ValueError.  Every
 loader validates and every dump reloads to an equal object.
 """

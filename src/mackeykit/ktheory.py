@@ -125,14 +125,11 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
         pi = _projection_map(group, A, B)
         res[(A, B)] = k0_restrict(slices[cb], slices[ca], pi)
         tr[(A, B)] = k0_transfer(slices[ca], slices[cb], pi)
-    weyl = []
-    for cls in classes:
-        w = {}
-        for n in cls.normalizer:
-            w[n] = k0_transfer(slices[cls.index], slices[cls.index],
-                               _weyl_map(group, cls.index, n))
-        weyl.append(w)
-    return MackeyFunctor(group, levels, res, tr, weyl, name="K0")
+    conj = [{n: k0_transfer(slices[cls.index], slices[cls.index],
+                            _weyl_map(group, cls.index, n))
+             for n in cls.normalizer_generators}
+            for cls in classes]
+    return MackeyFunctor(group, levels, res, tr, conj, name="K0")
 
 
 def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
@@ -140,19 +137,11 @@ def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
     M = k0_mackey(group)
     slices = _slices(group)
     tables = []
-    for c, sl in enumerate(slices):
-        n = len(sl.basis)
-        table = []
-        for i in range(n):
-            Ui, ui = _over_object(sl.base, sl.basis[i])
-            row = []
-            for j in range(n):
-                Uj, uj = _over_object(sl.base, sl.basis[j])
-                pb = pullback(ui, uj)
-                row.append(_class_vector(sl, pb.gset,
-                                         compose_maps(ui, pb.left)))
-            table.append(row)
-        tables.append(table)
+    for sl in slices:
+        legs = [_over_object(sl.base, code)[1] for code in sl.basis]
+        tables.append([[_class_vector(sl, pb.gset, compose_maps(ui, pb.left))
+                        for pb in (pullback(ui, uj) for uj in legs)]
+                       for ui in legs])
     pt_slice = slices[-1]
     pt = point_gset(group)
     unit_code = transitive_code(pt, pt, tuple(range(group.order)), 0, 0)

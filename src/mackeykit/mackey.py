@@ -3,12 +3,14 @@
 A Mackey functor stores one finitely presented abelian group per
 subgroup-conjugacy class, one restriction and one transfer matrix per
 G-conjugacy class of covering pairs (read against the canonical pair of
-`FiniteGroup.canonical_covers`), and the normalizer action on each class
-representative.  Values at arbitrary subgroups are reached through fixed
-transport elements (the minimal conjugator onto the class
-representative); the covering step at any other pair is derived from the
-stored one by conjugation, and arbitrary spans are evaluated by factoring
-each transitive span as transfer . conjugation . restriction.
+`FiniteGroup.canonical_covers`), and conjugation by the generators of the
+normalizer of each class representative; conjugation by any other
+element is their product along a breadth-first walk.  Values at
+arbitrary subgroups are reached through fixed transport elements (the
+minimal conjugator onto the class representative); the covering step at
+any other pair is derived from the stored one by conjugation, and
+arbitrary spans are evaluated by factoring each transitive span as
+transfer . conjugation . restriction.
 Functoriality of that evaluation is equivalent to the relations of the
 Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3).
 `validate_functoriality` checks a generating set of them rather than
@@ -26,6 +28,7 @@ matrices are never written; other input is converted and checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +65,35 @@ def class_pair_covers(group: FiniteGroup):
     return out
 
 
+def _generated_action(group: FiniteGroup, gens, identity):
+    """{g: w(g)} for every g in the subgroup generated by `gens`.
+
+    `gens` maps generators s to matrices w(s), and w(e) is `identity`.  A
+    breadth-first walk from e, in the order of `gens`, gives the element
+    as, first reached from a, the product w(a) w(s).
+    """
+    out = {0: identity}
+    walk = [0]
+    for a in walk:
+        for s, m in gens.items():
+            b = group.mul(a, s)
+            if b not in out:
+                out[b] = out[a] @ m
+                walk.append(b)
+    return out
+
+
 class MackeyFunctor:
     """Levels on subgroup classes plus generating structure matrices.
 
     `res`/`tr` hold one matrix per G-conjugacy class of covering pairs,
-    keyed by the canonical pairs of `FiniteGroup.canonical_covers`.
+    keyed by the canonical pairs of `FiniteGroup.canonical_covers`, and
+    `conj[c]` one matrix per element of `normalizer_generators` of class
+    c.  `weyl[c][n]`, conjugation by every n in that normalizer, is
+    derived from `conj` on first read; no constructor takes it.
     """
 
-    def __init__(self, group: FiniteGroup, levels, res, tr, weyl,
+    def __init__(self, group: FiniteGroup, levels, res, tr, conj,
                  name=None, check=True):
         self.group = group
         self.levels = tuple(levels)
@@ -85,11 +109,15 @@ class MackeyFunctor:
                     for k in covers}
         self.tr = {k: _int_matrix(tr[k], self._gens(k[0]), "tr at {}", k)
                    for k in covers}
-        self.weyl = tuple(
-            {n: _int_matrix(m, self.levels[c].generator_count,
-                            "conjugation by {} at class {}", n, c)
-             for n, m in w.items()}
-            for c, w in enumerate(weyl))
+        if [set(w) for w in conj] != [set(c.normalizer_generators)
+                                      for c in classes]:
+            raise ValueError("conj must hold exactly one matrix per "
+                             "generator of each normalizer")
+        self.conj = tuple(
+            {s: _int_matrix(w[s], self.levels[cls.index].generator_count,
+                            "conjugation by {} at class {}", s, cls.index)
+             for s in cls.normalizer_generators}
+            for w, cls in zip(conj, classes))
         self.name = name
         self._cache = {}
         if check:
@@ -112,14 +140,12 @@ class MackeyFunctor:
                 if not abgroups.map_is_welldefined(m, src, tgt):
                     raise ValueError(f"{what} not well-defined at {A} < {B}")
         for cls in classes:
-            w = self.weyl[cls.index]
             lvl = self.levels[cls.index]
-            for n in cls.normalizer:
-                if n not in w:
-                    raise ValueError(f"missing normalizer action {n} at class "
-                                     f"{cls.label}")
-                if not abgroups.map_is_welldefined(w[n], lvl, lvl):
+            for m in self.conj[cls.index].values():
+                if not abgroups.map_is_welldefined(m, lvl, lvl):
                     raise ValueError(f"conjugation not well-defined at {cls.label}")
+        for cls in classes:
+            w, lvl = self.weyl[cls.index], self.levels[cls.index]
             for h in cls.representative:
                 if not abgroups.maps_equal(w[h], intmat.identity(lvl.generator_count),
                                            lvl, lvl):
@@ -132,6 +158,14 @@ class MackeyFunctor:
         return f"{name}({', '.join(ranks)})"
 
     # -- derived structure matrices ---------------------------------------------
+
+    @cached_property
+    def weyl(self):
+        """Conjugation by every element of each N(H_c), in class order."""
+        return tuple(
+            _generated_action(self.group, w,
+                              intmat.identity(lvl.generator_count))
+            for w, lvl in zip(self.conj, self.levels))
 
     def conj_mat(self, g, L):
         """Matrix of conjugation by g from M@L to M@(gLg^-1), in class coords."""
@@ -270,8 +304,9 @@ class MackeyFunctor:
             for L a class representative and every H, K <= L.
 
         `FiniteGroup.relation_plan` holds the group data of (C), (T), (D).
-        Here w is `weyl`; the stored matrices are well-defined (the
-        constructor checks it), so == survives composition on both sides.
+        Here w is `weyl`, the products of the stored generator matrices
+        `conj`; those are well-defined (the constructor checks it), so ==
+        survives composition on both sides.
         These relations imply the full set:
 
         1. Writing b = s1...sk in generators, (H) gives w(ab) ==
@@ -318,8 +353,8 @@ class MackeyFunctor:
                 check(w[h], ident, c, c, "inner conjugation is trivial",
                       f"{h} in {cls.representative}")
             for a in cls.normalizer:
-                for s in cls.normalizer_generators:
-                    check(w[a] @ w[s], w[group.mul(a, s)], c, c,
+                for s, ws in self.conj[c].items():
+                    check(w[a] @ ws, w[group.mul(a, s)], c, c,
                           "conjugation is a homomorphism",
                           f"{a}*{s} on {cls.representative}")
         for (Hp, K0), gens in plan.conjugation:
@@ -394,8 +429,8 @@ class MackeyMorphism:
             c = cls.index
             for n in cls.normalizer_generators:
                 if not abgroups.maps_equal(
-                        self.mats[c] @ self.source.weyl[c][n],
-                        self.target.weyl[c][n] @ self.mats[c],
+                        self.mats[c] @ self.source.conj[c][n],
+                        self.target.conj[c][n] @ self.mats[c],
                         self.source.levels[c], self.target.levels[c]):
                     raise ValueError(
                         f"morphism does not commute with conjugation at class {c}")
@@ -465,17 +500,10 @@ def zero_morphism(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
 def _invert_mod(mat, src: FinPresAbGroup, tgt: FinPresAbGroup):
     """Matrix g with mat@g = id (mod tgt rels) and g@mat = id (mod src rels)."""
     n_t, n_s = mat.shape
-    lat = tgt.relation_lattice
-    stacked = intmat.hstack([mat, lat]) if lat.shape[1] else mat
-    solver = intmat.Solver(stacked)
-    cols = []
-    for j in range(n_t):
-        rhs = intmat.zero_vec(n_t)
-        rhs[j] = 1
-        sol = solver.solve(rhs)
-        if sol is None:
-            return None
-        cols.append(sol[:n_s])
+    try:
+        cols = _coordinates(mat, tgt, "not onto")(intmat.identity(n_t))
+    except ValueError:
+        return None
     g = intmat.from_cols(cols, n_s)
     if not abgroups.map_is_welldefined(g, tgt, src):
         return None
@@ -498,11 +526,10 @@ def mackey_from_span_action(group: FiniteGroup, levels, action, name=None,
     for (A, B) in group.canonical_covers:
         res[(A, B)] = action(res_element(group, A, B))
         tr[(A, B)] = action(tr_element(group, A, B))
-    weyl = []
-    for cls in group.subgroup_classes():
-        weyl.append({n: action(weyl_element(group, cls.index, n))
-                     for n in cls.normalizer})
-    return MackeyFunctor(group, levels, res, tr, weyl, name=name, check=check)
+    conj = [{n: action(weyl_element(group, cls.index, n))
+             for n in cls.normalizer_generators}
+            for cls in group.subgroup_classes()]
+    return MackeyFunctor(group, levels, res, tr, conj, name=name, check=check)
 
 
 def representable(X: GSet, name=None) -> MackeyFunctor:
@@ -547,7 +574,8 @@ def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
         group._cache["zero_mackey"] = MackeyFunctor(
             group, [FinPresAbGroup.zero()] * len(classes),
             dict.fromkeys(covers, empty), dict.fromkeys(covers, empty),
-            [dict.fromkeys(cls.normalizer, empty) for cls in classes],
+            [dict.fromkeys(cls.normalizer_generators, empty)
+             for cls in classes],
             name="0", check=False)
     return group._cache["zero_mackey"]
 
@@ -588,39 +616,57 @@ def image(f: MackeyMorphism):
     return sub, incl
 
 
-def _subfunctor(M: MackeyFunctor, levels, incls, name=None):
-    """Subfunctor on given level sublattices (columns of incls)."""
-    group = M.group
+def _carried(M: MackeyFunctor, levels, carry, name):
+    """The functor on `levels` whose res, tr and conj are M's, each matrix
+    m from class c_src to class c_tgt replaced by carry(m, c_src, c_tgt)."""
+    cidx = M.group.class_index_of
+    pairs = [(k, cidx(k[0]), cidx(k[1])) for k in M.res]
+    res = {k: carry(M.res[k], cb, ca) for k, ca, cb in pairs}
+    tr = {k: carry(M.tr[k], ca, cb) for k, ca, cb in pairs}
+    conj = [{n: carry(m, c, c) for n, m in w.items()}
+            for c, w in enumerate(M.conj)]
+    return MackeyFunctor(M.group, levels, res, tr, conj, name=name,
+                         check=False)
 
+
+def _coordinates(basis, amb: FinPresAbGroup, error):
+    """coords(vectors): the coordinates over the columns of `basis` of
+    vectors of amb in their span modulo amb's relations, one solver for
+    all.  A vector outside raises ValueError(error)."""
+    rel = amb.relation_lattice
+    solver = intmat.Solver(intmat.hstack([basis, rel]) if rel.shape[1]
+                           else basis)
+
+    def coords(vectors):
+        out = []
+        for v in vectors:
+            sol = solver.solve(v)
+            if sol is None:
+                raise ValueError(error)
+            out.append(sol[:basis.shape[1]])
+        return out
+    return coords
+
+
+def _restricter(bases, ambients, error):
+    """carry(mat, c_src, c_tgt): mat, a map of ambient levels, restricted
+    to the sublattices spanned by bases[c_src] and bases[c_tgt], in their
+    coordinates; one solver per target class, built on first use."""
     solvers = {}
 
-    def restrict(mat, c_src, c_tgt):
-        cols = []
+    def carry(mat, c_src, c_tgt):
         if c_tgt not in solvers:
-            lat = intmat.hstack([incls[c_tgt],
-                                 M.levels[c_tgt].relation_lattice]) \
-                if M.levels[c_tgt].relation_lattice.shape[1] else incls[c_tgt]
-            solvers[c_tgt] = intmat.Solver(lat)
-        k = incls[c_tgt].shape[1]
-        for j in range(incls[c_src].shape[1]):
-            v = mat @ incls[c_src][:, j]
-            sol = solvers[c_tgt].solve(v)
-            if sol is None:
-                raise ValueError("level lattices are not structure-stable")
-            cols.append(sol[:k])
-        return intmat.from_cols(cols, k)
+            solvers[c_tgt] = _coordinates(bases[c_tgt], ambients[c_tgt], error)
+        return intmat.from_cols(solvers[c_tgt]([mat @ v for v in bases[c_src].T]),
+                                bases[c_tgt].shape[1])
+    return carry
 
-    res, tr = {}, {}
-    for (A, B) in group.canonical_covers:
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        res[(A, B)] = restrict(M.res[(A, B)], cb, ca)
-        tr[(A, B)] = restrict(M.tr[(A, B)], ca, cb)
-    weyl = []
-    for cls in group.subgroup_classes():
-        weyl.append({n: restrict(M.weyl[cls.index][n], cls.index, cls.index)
-                     for n in cls.normalizer})
-    return MackeyFunctor(group, levels, res, tr, weyl,
-                         name=name or f"sub({M.name})", check=False)
+
+def _subfunctor(M: MackeyFunctor, levels, incls, name=None):
+    """Subfunctor on given level sublattices (columns of incls)."""
+    restrict = _restricter(incls, M.levels,
+                           "level lattices are not structure-stable")
+    return _carried(M, levels, restrict, name or f"sub({M.name})")
 
 
 def minimize_presentation(M: MackeyFunctor):
@@ -648,24 +694,13 @@ def minimize_presentation(M: MackeyFunctor):
                      intmat.zeros(0, lvl.generator_count))
         sects.append(Uinv[:, keep] if keep else
                      intmat.zeros(lvl.generator_count, 0))
-    group = M.group
 
-    def squeeze(P, W, S):
+    def squeeze(W, c_src, c_tgt):
+        P, S = projs[c_tgt], sects[c_src]
         W = W if S is None else intmat.sparse_mm(W, S)
         return W if P is None else P @ W
 
-    res, tr = {}, {}
-    for (A, B) in group.canonical_covers:
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        res[(A, B)] = squeeze(projs[ca], M.res[(A, B)], sects[cb])
-        tr[(A, B)] = squeeze(projs[cb], M.tr[(A, B)], sects[ca])
-    weyl = []
-    for cls in group.subgroup_classes():
-        c = cls.index
-        weyl.append({n: squeeze(projs[c], M.weyl[c][n], sects[c])
-                     for n in cls.normalizer})
-    Mmin = MackeyFunctor(group, levels, res, tr, weyl,
-                         name=M.name, check=False)
+    Mmin = _carried(M, levels, squeeze, M.name)
     eye = {c: intmat.identity(M.levels[c].generator_count)
            for c, P in enumerate(projs) if P is None}
     section = MackeyMorphism(Mmin, M, [eye.get(c, S) for c, S in enumerate(sects)],
@@ -682,7 +717,7 @@ def cokernel(f: MackeyMorphism):
                                        f.target.levels[c])
               for c, mat in enumerate(f.mats)]
     M = f.target
-    quo = MackeyFunctor(group, levels, M.res, M.tr, M.weyl,
+    quo = MackeyFunctor(group, levels, M.res, M.tr, M.conj,
                         name=f"coker({M.name})", check=False)
     proj = MackeyMorphism(M, quo,
                           [intmat.identity(l.generator_count) for l in M.levels],
@@ -700,10 +735,10 @@ def direct_sum(M: MackeyFunctor, N: MackeyFunctor):
     covers = group.canonical_covers
     res = {k: intmat.block_diag([F.res[k] for F in summands]) for k in covers}
     tr = {k: intmat.block_diag([F.tr[k] for F in summands]) for k in covers}
-    weyl = [{n: intmat.block_diag([F.weyl[c][n] for F in summands])
-             for n in M.weyl[c]}
-            for c in range(len(M.levels))]
-    D = MackeyFunctor(group, levels, res, tr, weyl,
+    conj = [{n: intmat.block_diag([F.conj[c][n] for F in summands])
+             for n in w}
+            for c, w in enumerate(M.conj)]
+    D = MackeyFunctor(group, levels, res, tr, conj,
                       name=f"{M.name}+{N.name}", check=False)
     incls, projs = [], []
     for b, F in enumerate(summands):
@@ -731,18 +766,8 @@ def lift_columns(incl: MackeyMorphism, c, cols):
     incl.target(G/H_c), one solver for all; an identity returns them."""
     if _is_identity(incl):
         return list(cols)
-    amb = incl.target.levels[c]
-    lat = intmat.hstack([incl.mats[c], amb.relation_lattice]) \
-        if amb.relation_lattice.shape[1] else incl.mats[c]
-    k = incl.mats[c].shape[1]
-    solver = intmat.Solver(lat)
-    out = []
-    for v in cols:
-        sol = solver.solve(v)
-        if sol is None:
-            raise ValueError("morphism does not factor through the subfunctor")
-        out.append(sol[:k])
-    return out
+    return _coordinates(incl.mats[c], incl.target.levels[c],
+                        "morphism does not factor through the subfunctor")(cols)
 
 
 def lift_through_inclusion(incl: MackeyMorphism, f: MackeyMorphism):
@@ -793,13 +818,8 @@ def _hom_layout(M: MackeyFunctor, N: MackeyFunctor):
 
 
 def _morphism_from_vec(M, N, layout, vec):
-    mats = []
-    for (off, rows, cols) in layout:
-        m = intmat.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                m[i, j] = vec[off + i * cols + j]
-        mats.append(m)
+    mats = [np.array(vec[off:off + rows * cols], dtype=object)
+            .reshape(rows, cols) for (off, rows, cols) in layout]
     return MackeyMorphism(M, N, mats, check=False)
 
 
@@ -884,7 +904,7 @@ class NatSolver:
         for cls in group.subgroup_classes():
             c = cls.index
             for n in cls.normalizer_generators:
-                self.add_commuting(c, c, self.M.weyl[c][n], self.N.weyl[c][n])
+                self.add_commuting(c, c, self.M.conj[c][n], self.N.conj[c][n])
 
     def solve(self) -> HomGroup:
         total = self.total
@@ -1011,47 +1031,21 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         fixed_basis.append(basis)
         levels.append(grp)
 
-    coord_solvers = {}
-
-    def coords_in(cidx, v):
-        basis = fixed_basis[cidx]
-        if cidx not in coord_solvers:
-            rel = V.relation_lattice
-            lat = intmat.hstack([basis, rel]) if rel.shape[1] else basis
-            coord_solvers[cidx] = intmat.Solver(lat)
-        sol = coord_solvers[cidx].solve(v)
-        if sol is None:
-            raise AssertionError("fixed-point bookkeeping is broken")
-        return sol[:basis.shape[1]]
-
+    on_fixed = _restricter(fixed_basis, [V] * len(classes),
+                           "fixed-point bookkeeping is broken")
     res, tr = {}, {}
     for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         tA, tB = group.transport(A), group.transport(B)
         # res: V^B -> V^A transported into representative coordinates
-        mat_r = act[tA] @ act[group.inv(tB)]
-        cols = [coords_in(ca, mat_r @ fixed_basis[cb][:, j])
-                for j in range(fixed_basis[cb].shape[1])]
-        res[(A, B)] = intmat.from_cols(cols, fixed_basis[ca].shape[1])
+        res[(A, B)] = on_fixed(act[tA] @ act[group.inv(tB)], cb, ca)
         # tr: V^A -> V^B, sum over B/A coset translates
-        cos_sum = intmat.zeros(n, n)
-        for coset in _subcosets(group, A, B):
-            cos_sum += act[coset]
-        mat_t = act[tB] @ cos_sum @ act[group.inv(tA)]
-        cols = [coords_in(cb, mat_t @ fixed_basis[ca][:, j])
-                for j in range(fixed_basis[ca].shape[1])]
-        tr[(A, B)] = intmat.from_cols(cols, fixed_basis[cb].shape[1])
-    weyl = []
-    for cls in classes:
-        w = {}
-        for nn in cls.normalizer:
-            cols = [coords_in(cls.index, act[nn] @ fixed_basis[cls.index][:, j])
-                    for j in range(fixed_basis[cls.index].shape[1])]
-            w[nn] = intmat.from_cols(cols, fixed_basis[cls.index].shape[1])
-        weyl.append(w)
-    M = MackeyFunctor(group, levels, res, tr, weyl,
-                      name=name or "FP")
-    return M
+        cos_sum = sum((act[x] for x in _subcosets(group, A, B)),
+                      intmat.zeros(n, n))
+        tr[(A, B)] = on_fixed(act[tB] @ cos_sum @ act[group.inv(tA)], ca, cb)
+    conj = [{s: on_fixed(act[s], cls.index, cls.index)
+             for s in cls.normalizer_generators} for cls in classes]
+    return MackeyFunctor(group, levels, res, tr, conj, name=name or "FP")
 
 
 def _subcosets(group, A, B):
@@ -1095,41 +1089,37 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
     `res_data`/`tr_data` are keyed by class covering pairs (ca, cb); the
     matrices are read against the canonical pair of
     `FiniteGroup.canonical_covers` (the minimal maximal subgroup of the
-    class-cb representative lying in class ca).  `conj_data[c]` maps elements of the normalizer of the
-    class-c representative to matrices; missing elements are filled by
-    closure.  Raises ValueError when class pairs cannot address the
-    stored data (see class_pair_covers), on bad shapes, and, through
-    validate_functoriality, on data violating a Mackey-algebra relation.
+    class-cb representative lying in class ca).  `conj_data[c]` maps
+    elements of the normalizer of the class-c representative to matrices;
+    with the identity on the representative's generators they must
+    generate the normalizer, and they give the stored generator matrices.
+    Raises ValueError when class pairs cannot address the stored data
+    (see class_pair_covers), on bad shapes, naming the class and the
+    element when a given matrix disagrees with the action generated by
+    the stored ones, and through validate_functoriality on data violating
+    a Mackey-algebra relation.
     """
     classes = group.subgroup_classes()
     levels = tuple(levels)
 
-    weyl = []
+    given, conj = [], []
     for cls in classes:
-        c = cls.index
-        n_gens = dict(conj_data.get(c, {}))
-        ident = intmat.identity(levels[c].generator_count)
-        known = {h: ident for h in cls.representative}
-        for g, m in n_gens.items():
+        n = levels[cls.index].generator_count
+        mats = {}
+        for g, m in conj_data.get(cls.index, {}).items():
             if g not in cls.normalizer:
                 raise ValueError(f"{g} does not normalize class {cls.label}")
-            known[g] = _int_matrix(m, levels[c].generator_count,
-                                   "conj {} {}", cls.label, g)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(known):
-                for b in list(known):
-                    ab = group.mul(a, b)
-                    if ab not in known:
-                        known[ab] = known[a] @ known[b]
-                        changed = True
-        missing = [n for n in cls.normalizer if n not in known]
+            mats[g] = _int_matrix(m, n, "conj {} {}", cls.label, g)
+        known = _generated_action(
+            group, {**dict.fromkeys(cls.generators, intmat.identity(n)),
+                    **mats}, intmat.identity(n))
+        missing = [g for g in cls.normalizer if g not in known]
         if missing:
             raise ValueError(f"conjugation data does not generate the "
                              f"normalizer action at class {cls.label}: "
                              f"missing {missing}")
-        weyl.append({n: known[n] for n in cls.normalizer})
+        given.append(mats)
+        conj.append({s: known[s] for s in cls.normalizer_generators})
 
     res, tr = {}, {}
     for (ca, cb), pair in class_pair_covers(group).items():
@@ -1140,6 +1130,13 @@ def mackey_from_levels(group: FiniteGroup, levels, res_data, tr_data, conj_data,
                                 "res {}<{}", *where)
         tr[pair] = _int_matrix(tr_data[(ca, cb)], levels[ca].generator_count,
                                "tr {}<{}", *where)
-    M = MackeyFunctor(group, levels, res, tr, weyl, name=name)
+    M = MackeyFunctor(group, levels, res, tr, conj, name=name)
+    for cls, mats in zip(classes, given):
+        lvl = levels[cls.index]
+        for g, m in mats.items():
+            if not abgroups.maps_equal(m, M.weyl[cls.index][g], lvl, lvl):
+                raise ValueError(
+                    f"conjugation by {g} at class {cls.label} disagrees with "
+                    f"the action generated by {cls.normalizer_generators}")
     M.validate_functoriality()
     return M

@@ -278,6 +278,44 @@ def span_functoriality_oracle(M):
     return pairs
 
 
+def representable_span_action(X):
+    """The span action A_X is built from: e applied to each basis span
+    X -> e.source by composition, read in the basis of X -> e.target.
+    Its value on a conjugation span is the matrix a functor stored for
+    every normalizer element before conjugation was stored on generators."""
+    def action(e):
+        src, tgt = hom_basis(X, e.source), hom_basis(X, e.target)
+        out = intmat.zeros(len(tgt), len(src))
+        for j, code in enumerate(src):
+            image = compose(e, basis_element(X, e.source, code))
+            for c, v in image.coeffs.items():
+                out[tgt.index(c), j] += v
+        return out
+    return action
+
+
+def derived_conjugation_oracle(M, action=None):
+    """Every derived conjugation matrix against span evaluation.
+
+    For every class c and every n in N(H_c), M.weyl[c][n], a product of
+    the stored generator matrices `conj`, must equal M.eval_span of the
+    conjugation span weyl_element(c, n) modulo the level's relations, and
+    so must action(weyl_element(c, n)) when the span action M was built
+    from is given.  Returns the number of elements checked; raises
+    AssertionError naming the first mismatch.
+    """
+    group = M.group
+    checked = 0
+    for cls in group.subgroup_classes():
+        c, lvl = cls.index, M.levels[cls.index]
+        for n in cls.normalizer:
+            e = weyl_element(group, c, n)
+            for ref in [M.eval_span(e)] + ([action(e)] if action else []):
+                assert maps_equal(M.weyl[c][n], ref, lvl, lvl), (cls.label, n)
+            checked += 1
+    return checked
+
+
 def exhaustive_functoriality_oracle(M):
     """The Mackey-algebra relations on every subgroup and group element.
 

@@ -374,8 +374,7 @@ def test_burnside_tables_give_the_verified_unitor(name):
 
 def _trivial_group_functor(level):
     triv = builtin_group("trivial")
-    return MackeyFunctor(triv, [level], {}, {},
-                         [{0: im.identity(level.generator_count)}])
+    return MackeyFunctor(triv, [level], {}, {}, [{}])
 
 
 def _tables(rows):
@@ -637,8 +636,9 @@ def test_box_matches_literal_day_presentation(name):
 
 
 def assert_box_matches_oracle(data, M, N):
-    """Every relation lattice and every res/tr/weyl matrix of a presented
-    box, entry for entry, against the box built by composing spans."""
+    """Every relation lattice and every stored res/tr/conj matrix of a
+    presented box, entry for entry, against the box built by composing
+    spans."""
     got, want = data.functor, box_oracle(M, N)
     for c, (a, b) in enumerate(zip(got.levels, want.levels)):
         assert a.generator_count == b.generator_count, c
@@ -647,10 +647,10 @@ def assert_box_matches_oracle(data, M, N):
     for k in want.res:
         assert np.array_equal(got.res[k], want.res[k]), ("res", k)
         assert np.array_equal(got.tr[k], want.tr[k]), ("tr", k)
-    for c, w in enumerate(want.weyl):
-        assert got.weyl[c].keys() == w.keys()
+    for c, w in enumerate(want.conj):
+        assert got.conj[c].keys() == w.keys()
         for n, mat in w.items():
-            assert np.array_equal(got.weyl[c][n], mat), ("weyl", c, n)
+            assert np.array_equal(got.conj[c][n], mat), ("conj", c, n)
 
 
 @pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))

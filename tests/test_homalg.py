@@ -16,6 +16,7 @@ from mackeykit.mackey import (
     burnside_mackey,
     cokernel,
     compose_morphisms,
+    direct_sum,
     fixed_point_mackey,
     hom_mackey,
     identity_morphism,
@@ -24,7 +25,13 @@ from mackeykit.mackey import (
     zero_mackey,
     zero_morphism,
 )
-from mackeykit.convolution import box, burnside_green, validate_module
+from mackeykit.convolution import (
+    GreenModule,
+    box,
+    burnside_green,
+    green_from_levelwise,
+    validate_module,
+)
 from mackeykit.homalg import (
     ChainComplex,
     FilteredComplex,
@@ -250,6 +257,49 @@ def test_resolution_of_zero_module(c2_setup):
     res = module_resolution(R, Zmod, 3)
     assert all(all(l.is_trivial() for l in F.underlying.levels)
                for F in res.modules)
+
+
+def _over_two_projections(group):
+    """R = A_pt + A_pt with componentwise Burnside products, and A_pt as an
+    R-module through the first and through the second projection: two
+    modules over one ring on one Mackey functor."""
+    B = burnside_green(group)
+    A = B.underlying
+    ring, mods = [], ([], [])
+    for table in B.tables:
+        n = len(table)
+        zero = im.zero_vec(n)
+
+        def block(i, j, n=n, table=table):
+            out = im.zero_vec(2 * n)
+            if i // n == j // n:
+                out[i // n * n:(i // n + 1) * n] = table[i % n][j % n]
+            return out
+
+        ring.append([[block(i, j) for j in range(2 * n)]
+                     for i in range(2 * n)])
+        for b, mod in enumerate(mods):
+            mod.append([[table[i % n][j] if i // n == b else zero
+                         for j in range(n)] for i in range(2 * n)])
+    R = green_from_levelwise(direct_sum(A, A)[0], ring, list(B.unit) * 2)
+    M1, M2 = (GreenModule(R, A, tables) for tables in mods)
+    for M in (M1, M2):
+        validate_module(M)
+    return R, M1, M2
+
+
+@pytest.mark.parametrize("name, tor0", [("trivial", ["Z"]),
+                                        ("C2", ["Z", "Z^2"])])
+def test_two_modules_on_one_functor_have_their_own_resolutions(name, tor0):
+    # M1 and M2 share their Mackey functor; Tor_0(M1, M1) = A_pt must not
+    # read the resolution of M2 made by the Tor before it
+    R, M1, M2 = _over_two_projections(builtin_group(name))
+    tor(R, M1, M2, 0)
+    result = tor(R, M1, M1, 0)
+    assert [lvl.describe() for lvl in result.tor[0].levels] == tor0
+    result.tor0_witness.inverse()
+    with pytest.raises(ValueError, match="different ring"):
+        module_resolution(burnside_green(builtin_group(name)), M1, 0)
 
 
 def test_resolution_exact_in_middle_degrees(c2_setup):

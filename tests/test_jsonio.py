@@ -88,6 +88,22 @@ def test_mackey_roundtrip_with_torsion_levels():
         [l.invariant_factors for l in FP.levels]
 
 
+def test_mackey_file_with_conjugation_off_the_generated_action_rejected():
+    # a file lists conjugation by every normalizer element, and a functor
+    # stores the generators' matrices; conjugation by 2 on Z[C4] given as
+    # that by 3 disagrees with the action generated by 1
+    C4 = builtin_group("C4")
+    doc = mackey_to_json(fixed_point_mackey(C4, *regular_module(C4)))
+    e = C4.subgroup_classes()[0]
+    assert e.normalizer_generators == (1,)
+    mackey_from_json(doc)
+    doc["conj"]["e"]["2"] = doc["conj"]["e"]["3"]
+    with pytest.raises(ValueError, match=re.escape(
+            "conjugation by 2 at class e disagrees with the action "
+            "generated by (1,)")):
+        mackey_from_json(doc)
+
+
 def test_green_roundtrip():
     C2 = builtin_group("C2")
     G = burnside_green(C2)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic, maps_equal
-from mackeykit.groups import builtin_group, group_from_permutations
+from mackeykit.groups import (
+    BUILTIN_GROUP_NAMES,
+    builtin_group,
+    group_from_permutations,
+)
 from mackeykit.jsonio import mackey_from_json, mackey_to_json
 from mackeykit.gsets import (
     GMap,
@@ -31,7 +36,9 @@ from mackeykit.burnside import (
     transfer_element,
     weyl_element,
 )
-from mackeykit.convolution import box
+from mackeykit.convolution import box, burnside_green, internal_hom_rep
+from mackeykit.homalg import canonical_module, rel_box
+from mackeykit.ktheory import k0_mackey
 from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -62,10 +69,12 @@ from support import (
     assert_same_group,
     brute_force_borel_level,
     dense_free,
+    derived_conjugation_oracle,
     eval_span_oracle,
     exhaustive_functoriality_oracle,
     gmodule_hom_group,
     permutation_group,
+    representable_span_action,
     span_functoriality_oracle,
 )
 
@@ -415,7 +424,8 @@ def test_hom_commutes_with_normalizer_generators_only_same_basis(name):
 
 
 def _corruptions(M, kinds=("res", "tr", "conj")):
-    """Every single-entry +-1 corruption of M's data of the given kinds."""
+    """Every single-entry +-1 corruption of M's stored data of the given
+    kinds; conjugation is stored on the generators of each normalizer."""
     for kind in [k for k in ("res", "tr") if k in kinds]:
         for k, mat in getattr(M, kind).items():
             for i, j in np.ndindex(*mat.shape):
@@ -424,17 +434,17 @@ def _corruptions(M, kinds=("res", "tr", "conj")):
                     data[kind][k] = mat.copy()
                     data[kind][k][i, j] += d
                     yield (kind, k, i, j, d), MackeyFunctor(
-                        M.group, M.levels, data["res"], data["tr"], M.weyl,
+                        M.group, M.levels, data["res"], data["tr"], M.conj,
                         check=False)
-    for c, w in enumerate(M.weyl if "conj" in kinds else ()):
+    for c, w in enumerate(M.conj if "conj" in kinds else ()):
         for n, mat in w.items():
             for i, j in np.ndindex(*mat.shape):
                 for d in (1, -1):
-                    weyl = [dict(x) for x in M.weyl]
-                    weyl[c][n] = mat.copy()
-                    weyl[c][n][i, j] += d
+                    conj = [dict(x) for x in M.conj]
+                    conj[c][n] = mat.copy()
+                    conj[c][n][i, j] += d
                     yield ("conj", c, n, i, j, d), MackeyFunctor(
-                        M.group, M.levels, M.res, M.tr, weyl, check=False)
+                        M.group, M.levels, M.res, M.tr, conj, check=False)
 
 
 def _accepts(check, M):
@@ -530,21 +540,76 @@ def test_a5_passes_validate_functoriality():
 
 @pytest.mark.parametrize("name", ["D4", "Q8"])
 def test_conjugation_off_the_normalizer_generators_is_checked(name):
-    # only w(e), the generators of H and products with the generators of
-    # N(H) are compared directly; a +-1 in the conjugation matrix of any
-    # other element must still be rejected
+    # a functor stores conjugation by the generators of N(H) only, so the
+    # matrix of any other element exists only in a file, which lists every
+    # element; a +-1 there must be rejected, naming the element
     group = builtin_group(name)
     for functor in ("A", "FP(Z)", "FP(Z[G])"):
-        M = _functor(group, functor)
+        doc = dict(mackey_to_json(_functor(group, functor)), group=name)
         checked = 0
-        for key, N in _corruptions(M, ("conj",)):
-            _, c, n = key[:3]
-            cls = group.subgroup_classes()[c]
-            if n in cls.normalizer_generators:
-                continue
-            assert not _accepts(MackeyFunctor.validate_functoriality, N), key
-            checked += 1
+        for cls in group.subgroup_classes():
+            for n in cls.normalizer:
+                mat = doc["conj"][cls.label][str(n)]
+                if n in cls.normalizer_generators or not mat:
+                    continue
+                for i, j in np.ndindex(len(mat), len(mat[0])):
+                    for d in (1, -1):
+                        mat[i][j] += d
+                        with pytest.raises(ValueError, match=re.escape(
+                                f"conjugation by {n} at class {cls.label} ")):
+                            mackey_from_json(doc)
+                        mat[i][j] -= d
+                        checked += 1
         assert checked
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_derived_conjugation_matches_span_evaluation(name):
+    # conjugation by every normalizer element, derived from the generators,
+    # is the functor on the conjugation span; for A_pt also the span action
+    # the old per-element storage held
+    group = _group(name)
+    A = burnside_mackey(group)
+    FP = _functor(group, "FP(Z)")
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    elements = sum(len(cls.normalizer) for cls in group.subgroup_classes())
+    assert derived_conjugation_oracle(
+        A, representable_span_action(point_gset(group))) == elements
+    functors = [FP, cokernel(two)[0], _functor(group, "FP(Z[G])")]
+    if group.order <= 6:
+        functors.append(box(A, FP).functor)
+    for M in functors:
+        assert derived_conjugation_oracle(M) == elements
+
+
+# (elements of every normalizer, of their generating sets) per group
+_STORED_CONJUGATIONS = {"C4": (12, 3), "S3": (20, 7), "C2xC2": (20, 10),
+                        "C6": (24, 4), "D4": (56, 16)}
+
+
+@pytest.mark.parametrize("name", sorted(_STORED_CONJUGATIONS))
+def test_functors_store_one_conjugation_per_normalizer_generator(name):
+    group = builtin_group(name)
+    classes = group.subgroup_classes()
+    elements, stored = _STORED_CONJUGATIONS[name]
+    assert sum(len(cls.normalizer) for cls in classes) == elements
+    R = burnside_green(group)
+    A = R.underlying
+    FP = _functor(group, "FP(Z)")
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    Q = cokernel(two)[0]
+    boxed = box(A, FP).functor
+    # nothing holds the other elements' matrices until they are read
+    assert "weyl" not in vars(boxed)
+    functors = [A, FP, Q, boxed, zero_mackey(group), k0_mackey(group),
+                kernel(two)[0], direct_sum(A, Q)[0], minimize_presentation(Q)[0],
+                internal_hom_rep(standard_orbit(group, 0), FP),
+                rel_box(canonical_module(R, FP), canonical_module(R, Q)).functor,
+                mackey_from_json(mackey_to_json(Q))]
+    for M in functors:
+        assert [tuple(w) for w in M.conj] == \
+            [cls.normalizer_generators for cls in classes], M.name
+        assert sum(map(len, M.conj)) == stored
 
 
 def test_conjugation_must_commute_with_restriction(c2):
@@ -554,7 +619,7 @@ def test_conjugation_must_commute_with_restriction(c2):
     (Hp, K0), = c2.canonical_covers
     one, zero, minus = (im.intmat([[v]]) for v in (1, 0, -1))
     M = MackeyFunctor(c2, [FinPresAbGroup.free(1)] * 2, {(Hp, K0): one},
-                      {(Hp, K0): zero}, [{0: one, 1: minus}, {0: one, 1: one}])
+                      {(Hp, K0): zero}, [{1: minus}, {1: one}])
     with pytest.raises(ValueError, match="conjugation commutes with "
                                          "restriction"):
         M.validate_functoriality()
@@ -569,8 +634,7 @@ def test_inner_elements_must_act_trivially(c2):
     empty = im.zeros(0, 0)
     M = MackeyFunctor(c2, [FinPresAbGroup.zero(), FinPresAbGroup.free(1)],
                       {(Hp, K0): im.zeros(0, 1)}, {(Hp, K0): im.zeros(1, 0)},
-                      [{0: empty, 1: empty},
-                       {0: im.intmat([[1]]), 1: im.intmat([[-1]])}],
+                      [{1: empty}, {1: im.intmat([[-1]])}],
                       check=False)
     with pytest.raises(ValueError, match="inner conjugation is trivial"):
         M.validate_functoriality()
@@ -583,7 +647,7 @@ def test_validation_error_names_relation_and_subgroups(s3):
     tr = dict(A.tr)
     tr[(Hp, K0)] = tr[(Hp, K0)].copy()
     tr[(Hp, K0)][0, 0] += 1
-    bad = MackeyFunctor(s3, A.levels, A.res, tr, A.weyl)
+    bad = MackeyFunctor(s3, A.levels, A.res, tr, A.conj)
     with pytest.raises(ValueError, match=r"functoriality fails: .* at .*\(0"):
         bad.validate_functoriality()
 
@@ -606,7 +670,7 @@ def test_structure_data_stored_once_per_conjugacy_class():
                               A.eval_span(tr_element(group, H, K)),
                               A.levels[ch], A.levels[ck])
     with pytest.raises(ValueError, match="exactly one matrix"):
-        MackeyFunctor(group, A.levels, {}, A.tr, A.weyl)
+        MackeyFunctor(group, A.levels, {}, A.tr, A.conj)
 
 
 def _c2_wreath_c3():
@@ -667,14 +731,14 @@ def test_minimize_presentation_of_relator_free_levels_matches_dense(make):
     # the same functor with every relator-free level holding a dense identity
     D = MackeyFunctor(M.group, [dense_free(lvl.generator_count) if f else lvl
                                 for lvl, f in zip(M.levels, free)],
-                      M.res, M.tr, M.weyl)
+                      M.res, M.tr, M.conj)
     Mmin, sect, proj = minimize_presentation(M)
     Dmin, dsect, dproj = minimize_presentation(D)
     for a, b in zip(Mmin.levels, Dmin.levels):
         assert_same_group(a, b)
     pairs = [(Mmin.res[k], Dmin.res[k]) for k in Mmin.res]
     pairs += [(Mmin.tr[k], Dmin.tr[k]) for k in Mmin.tr]
-    pairs += [(w[n], v[n]) for w, v in zip(Mmin.weyl, Dmin.weyl) for n in w]
+    pairs += [(w[n], v[n]) for w, v in zip(Mmin.conj, Dmin.conj) for n in w]
     pairs += list(zip(sect.mats, dsect.mats)) + list(zip(proj.mats, dproj.mats))
     for a, b in pairs:
         assert a.dtype == b.dtype == object
