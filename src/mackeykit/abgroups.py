@@ -282,13 +282,6 @@ def quotient_by_columns(amb: FinPresAbGroup, cols):
     return FinPresAbGroup(amb.generator_count, rels.T)
 
 
-def kernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
-    """Kernel of the induced map on quotients, as (grp, incl)."""
-    M = mat(M, src.generator_count)
-    K = preimage_lattice(M, tgt.relation_lattice)
-    return subgroup_from_lattice(K, src)
-
-
 def image_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
     """Image subgroup of tgt, as (grp, incl)."""
     return subgroup_from_lattice(mat(M, src.generator_count), tgt)

@@ -175,10 +175,6 @@ class BurnsideElement:
             raise ValueError("elements have different feet")
 
 
-def zero_element(X: GSet, Y: GSet) -> BurnsideElement:
-    return BurnsideElement(X, Y)
-
-
 def basis_element(X: GSet, Y: GSet, code) -> BurnsideElement:
     return BurnsideElement(X, Y, {code: 1})
 
@@ -524,11 +520,6 @@ def multi_product(feet) -> MultiFeet:
         projs.append(pd.right)
         P = pd.gset
     return MultiFeet(feet, P, tuple(projs))
-
-
-def multimap_basis(feet, z: GSet):
-    """Transitive multimap codes from a tuple of feet into z."""
-    return hom_basis(multi_product(feet).gset, z)
 
 
 def promonoidal_coend_check(feet, z: GSet):

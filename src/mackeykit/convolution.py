@@ -30,21 +30,20 @@ from .burnside import (
     compose,
     hom_basis,
     identity_element,
-    materialize_code,
     restriction_element,
     span_element,
     tensor,
+    transfer_element,
     transitive_code,
 )
 from .groups import _labels
-from .gsets import GMap, GSet, compose_maps, point_gset, product, standard_orbit
+from .gsets import GMap, GSet, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
-    orbit_embeddings,
     representable,
     representable_basis,
 )
@@ -201,59 +200,6 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
     return FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
 
 
-def _level_offsets(levels, X: GSet):
-    """Block offsets of the box value at X, matching value_at ordering."""
-    offs = []
-    total = 0
-    for c in X.orbit_index.classes:
-        offs.append(total)
-        total += levels[c].generator_count
-    return offs, total
-
-
-def _pairing_terms(data: BoxData, levels, U: GSet, V: GSet, e: BurnsideElement):
-    """Twisted evaluation matrices for pairing along e: U x V -> X.
-
-    Yields (TM, TN, slot) per transitive code of e, where the image of
-    m (x) n accumulates (TM @ m) outer (TN @ n) at the generator slots
-    slot(a, b) of the box value at e.target.
-    """
-    M, N = data.left, data.right
-    group = M.group
-    PD = product(U, V)
-    if e.source != PD.gset:
-        raise ValueError("pairing element must start at product(U, V)")
-    X = e.target
-    offs, _total = _level_offsets(levels, X)
-    embeds = orbit_embeddings(X)
-    inv_embeds = [{emb(w): w for w in range(emb.source.size)} for emb in embeds]
-    ix = X.orbit_index
-    out = []
-    for code, a in e.coeffs.items():
-        cw, _p, y = code
-        W, legP, legY = materialize_code(PD.gset, X, code)
-        legU = compose_maps(PD.left, legP)
-        legV = compose_maps(PD.right, legP)
-        RU = M.eval_span(restriction_element(legU))
-        RV = N.eval_span(restriction_element(legV))
-        b = ix.orbit_of[y]
-        cb = ix.classes[b]
-        z = inv_embeds[b][y]
-        Ob = standard_orbit(group, cb)
-        zstar, u = _canonical_over(group, cw, z, Ob)
-        TM = (M.weyl[cw][u] @ RU) * a
-        TN = N.weyl[cw][u] @ RV
-        lay = data.layout[cb]
-        offset = offs[b]
-        key = (cw, zstar)
-
-        def slot(aa, bb, lay=lay, key=key, offset=offset):
-            return offset + lay[(key, aa, bb)]
-
-        out.append((TM, TN, slot))
-    return out
-
-
 def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     """The box product M box N, presented, with pairing data attached.
 
@@ -321,50 +267,34 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     return span_element(P.gset, X, O, diag, struct)
 
 
-def box_pairing(data: BoxData, U: GSet, V: GSet, e: BurnsideElement,
-                u_vec, v_vec):
-    """Universal bilinear pairing M(U) x N(V) -> (M box N)(target of e)."""
-    levels = data.functor.levels
-    _offs, total = _level_offsets(levels, e.target)
-    return _pair(_pairing_terms(data, levels, U, V, e), total, u_vec, v_vec)
+def diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
+    """The matrix of m -> m (x) n, from M(Z) to (M box N)(Z), for n in N(Z).
 
-
-def _pair(terms, total, u_vec, v_vec):
-    """Image of u (x) v under precomputed pairing terms, of length total."""
-    out = intmat.zero_vec(total)
-    u_vec = np.asarray(u_vec, dtype=object)
-    v_vec = np.asarray(v_vec, dtype=object)
-    for (TM, TN, slot) in terms:
-        mv = TM @ u_vec
-        nv = TN @ v_vec
-        for aa in range(len(mv)):
-            if mv[aa] == 0:
-                continue
-            for bb in range(len(nv)):
-                if nv[bb]:
-                    out[slot(aa, bb)] += mv[aa] * nv[bb]
-    return out
-
-
-def box_map(f: MackeyMorphism, g: MackeyMorphism) -> MackeyMorphism:
-    """The induced morphism f box g on box products (same over-codes).
-
-    The block of each over-code is the Kronecker product of f and g at
-    its class.
+    On an orbit of Z of class L, m (x) n is the generator block of the
+    diagonal over-code of G/L (the identity over-object, untwisted), with
+    m_i (x) n_j at the index `_layout` gives (code, i, j).
     """
-    src = box(f.source, g.source)
-    tgt = box(f.target, g.target)
-    mats = []
-    for c, codes in enumerate(src.codes):
-        lo, _ = _block_starts(f.source, g.source, codes)
-        hi, rows = _block_starts(f.target, g.target, codes)
-        out = intmat.zeros(rows, src.functor.levels[c].generator_count)
-        for code in codes:
-            K = _kron(f.mats[code[0]], g.mats[code[0]])
-            out[hi[code]:hi[code] + K.shape[0],
-                lo[code]:lo[code] + K.shape[1]] = K
-        mats.append(out)
-    return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
+    group = M.group
+    mgrp, moff = M.value_at(Z)
+    _, noff = N.value_at(Z)
+    diag = {}
+    rows, offsets = 0, []
+    for L in Z.orbit_index.classes:
+        if L not in diag:
+            starts, gens = _block_starts(
+                M, N, over_codes(standard_orbit(group, L)))
+            diag[L] = (starts[_diag_code(group, L)], gens)
+        offsets.append(rows)
+        rows += diag[L][1]
+    out = intmat.zeros(rows, mgrp.generator_count)
+    for b, L in enumerate(Z.orbit_index.classes):
+        nM, nN = M.levels[L].generator_count, N.levels[L].generator_count
+        lo = offsets[b] + diag[L][0]
+        for j, x in enumerate(n_vec[noff[b]:noff[b] + nN]):
+            if x:
+                for i in range(nM):
+                    out[lo + i * nN + j, moff[b] + i] += x
+    return out
 
 
 # -- unit, commutativity, associativity ---------------------------------------------
@@ -591,8 +521,9 @@ def rep_monoidal_iso(X: GSet, Y: GSet):
 def free_evaluation_iso(M: MackeyFunctor, X: GSet):
     """The natural isomorphism M(X x -) -> M box A_X, with inverse.
 
-    The source is the internal hom F(A_X, M); the map pairs an element of
-    M(X x Y) with the identity class of A_X(X) along the evident span.
+    The source is the internal hom F(A_X, M); m in M(X x Y) goes to
+    tr(m (x) res 1_X) along X x Y -> Y, pairing it diagonally with the
+    restriction of the identity class 1_X of A_X(X).
     """
     group = M.group
     FX = internal_hom_rep(X, M)
@@ -600,24 +531,12 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
     data = box(M, AX)
     from .mackey import identity_element_vector
     idvec, _rep = identity_element_vector(X)
-    classes = group.subgroup_classes()
     mats = []
-    for cls in classes:
-        c = cls.index
-        Y = standard_orbit(group, c)
-        U = product(X, Y)
-        PU = product(U.gset, X)
-        leg1 = GMap(U.gset, PU.gset,
-                    tuple(PU.of_pair(w, U.left(w)) for w in range(U.gset.size)))
-        e = span_element(PU.gset, Y, U.gset, leg1, U.right)
-        grp, _ = M.value_at(U.gset)
-        cols = []
-        for k in range(grp.generator_count):
-            m_vec = intmat.zero_vec(grp.generator_count)
-            m_vec[k] = 1
-            cols.append(box_pairing(data, U.gset, X, e, m_vec, idvec))
-        mats.append(intmat.from_cols(cols,
-                                     data.functor.levels[c].generator_count))
+    for c in range(len(group.subgroup_classes())):
+        U = product(X, standard_orbit(group, c))
+        pair = diagonal_pairing(
+            M, AX, U.gset, AX.eval_span(restriction_element(U.left)) @ idvec)
+        mats.append(data.functor.eval_span(transfer_element(U.right)) @ pair)
     fwd = MackeyMorphism(FX, data.functor, mats, check=True)
     bwd = fwd.inverse()
     _verify_two_sided(fwd, bwd)
@@ -689,16 +608,18 @@ def validate_green(G: GreenFunctor):
     (a) the level rings act on themselves (`_check_action`): each product
         is well defined on relations, associative and unital, conjugation
         and restriction respect it, and Frobenius reciprocity holds;
-    (b) every level ring is commutative, and conjugation by the generators
-        of each N(H) and restriction at every canonical covering pair
-        preserve the unit.  Conjugation is a homomorphism on N(H), so
-        fixing the unit on generators fixes it on all of N(H).
+    (b) every level ring is commutative.
+
+    That conjugation and restriction preserve the unit needs no check of
+    its own: the unit of R(G/H) is `level_unit`, the restriction of the
+    one-point unit along G/H -> pt, so c_n(1_H) = 1_H is c_n res = res and
+    res(1_K) = 1_H is res res = res, relations of the Mackey functor R
+    that `validate_functoriality` proves.
 
     Raises GreenValidationError naming the first failing axiom and cell.
     """
     R = G.underlying
-    group = G.group
-    classes = group.subgroup_classes()
+    classes = G.group.subgroup_classes()
     tables = G.tables
     units = [G.level_unit(c) for c in range(len(classes))]
     _check_action(R, R, tables, tables, units, "multiplication")
@@ -710,17 +631,6 @@ def validate_green(G: GreenFunctor):
                     raise GreenValidationError(
                         f"multiplication is not commutative at level "
                         f"{cls.label}, cell ({i}, {j})")
-        for n in cls.normalizer_generators:
-            if not lvl.elements_equal(R.conj[c][n] @ units[c], units[c]):
-                raise GreenValidationError(
-                    f"conjugation by {n} does not preserve the unit at level "
-                    f"{cls.label}")
-    for (A, B) in group.canonical_covers:
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        if not R.levels[ca].elements_equal(R.res[(A, B)] @ units[cb],
-                                           units[ca]):
-            raise GreenValidationError(
-                f"restriction does not preserve the unit at {A}<{B}")
 
 
 def _act(row, y, n):

@@ -8,8 +8,12 @@ construction of R at X, which is R box A_X: its levels are values of R,
 the action is the level product after restriction, and a module map out
 of it is the Yoneda formula at X.  Covers pick one free generator per
 level generator, resolutions iterate kernels (whose tables are lifted
-through the inclusion), and Tor is the homology of the relative box
-product against a free resolution.  Spectral sequence pages follow the
+through the inclusion), and Tor_p(M, N) is the homology of M box_R F for
+a free resolution F of N.  Since M box_R R(X x -) is M(X x -), no term
+of that complex is a presented box: term p is M(X_p x -), and d_p is the
+Yoneda formula read off the element of R(X_{p-1} x X_p) that defines the
+map of free modules.  The one box a Tor call presents is M box_R N, the
+target of the Tor_0 witness.  Spectral sequence pages follow the
 image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
 induced by the connecting morphism of the obvious short exact sequence of
 quotient complexes; everything is levelwise exact integer arithmetic.
@@ -24,13 +28,12 @@ import numpy as np
 from . import abgroups, intmat
 from .burnside import restriction_element, transfer_element
 from .convolution import (
-    BoxData,
     GreenFunctor,
     GreenModule,
     _act,
     _burnside_action_tables,
     box,
-    box_map,
+    diagonal_pairing,
     internal_hom_rep,
     point_representable,
 )
@@ -45,7 +48,6 @@ from .gsets import (
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
-    NatSolver,
     compose_morphisms,
     cokernel,
     homology_at,
@@ -54,6 +56,7 @@ from .mackey import (
     kernel,
     lift_columns,
     lift_through_inclusion,
+    minimize_presentation,
     orbit_embeddings,
     zero_mackey,
     zero_morphism,
@@ -70,7 +73,9 @@ class FreeModule:
     Its level at G/H is R(X x G/H), and r in R(G/H) acts on f by
     res(r) . f, restricting along the projection X x G/H -> G/H and
     multiplying blockwise over the orbits of X x G/H.  This is the Dress
-    construction: R(X x -) is R box A_X (`free_evaluation_iso`).
+    construction: R(X x -) is R box A_X (`free_evaluation_iso`), and for
+    every R-module M, M box_R R(X x -) is M(X x -), which is how `tor`
+    reads the terms of M box_R F.
     """
     ring: GreenFunctor
     base: GSet
@@ -150,8 +155,9 @@ def _classifying_mats(M: GreenModule, X: GSet, m_vec):
         P = product(X, standard_orbit(group, c))
         m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
         push = Mk.eval_span(transfer_element(P.right))
-        cols = [push @ col
-                for col in _act_columns(M.tables, Mk, P.gset, m_res)]
+        cols = [push[:, nz] @ col[nz]
+                for col in _act_columns(M.tables, Mk, P.gset, m_res)
+                for nz in [np.flatnonzero(col)]]
         mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
     return mats
 
@@ -160,27 +166,6 @@ def classifying_morphism(F: FreeModule, M: GreenModule, m_vec) -> MackeyMorphism
     """The R-module map R^X -> M classified by m_vec in M(X)."""
     return MackeyMorphism(F.underlying, M.underlying,
                           _classifying_mats(M, F.base, m_vec), check=False)
-
-
-def hom_modules(P: GreenModule, M: GreenModule):
-    """R-linear natural transformations P -> M as a HomGroup.
-
-    R-linearity is imposed on the level tables: at every level, phi
-    commutes with the action of each generator of R.  The action on a
-    generator (code, i, j) of R box P is the transfer along code of a
-    level product, and a natural phi commutes with transfer, so this is
-    linearity on all of R box P.
-    """
-    if P.ring is not M.ring and P.ring.underlying != M.ring.underlying:
-        raise ValueError("modules over different rings")
-    solver = NatSolver(P.underlying, M.underlying)
-    for c, (tP, tM) in enumerate(zip(P.tables, M.tables)):
-        nP = P.underlying.levels[c].generator_count
-        nM = M.underlying.levels[c].generator_count
-        for rowP, rowM in zip(tP, tM):
-            solver.add_commuting(c, c, intmat.from_cols(rowP, nP),
-                                 intmat.from_cols(rowM, nM))
-    return solver.solve()
 
 
 # -- covers and resolutions ------------------------------------------------------------
@@ -307,13 +292,15 @@ def _module_resolution_uncached(R, M, length, reverse):
 
 @dataclass
 class RelBox:
-    """M box_R N as a cokernel of the two action routes, minimized."""
+    """M box_R N as a cokernel of the two action routes, minimized.
+
+    `projection` starts at the presented box(M, N).functor; `tor` presents
+    it for the target of the Tor_0 witness only, never for a free term.
+    """
     left: GreenModule
     right: GreenModule
     functor: MackeyFunctor
     projection: MackeyMorphism     # from box(M, N).functor
-    plain: BoxData                 # presentation of M box N
-    section: MackeyMorphism        # functor -> box coordinates, splits projection
 
 
 def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
@@ -348,19 +335,8 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     F = data.functor
     Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.conj,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
-    from .mackey import minimize_presentation
-    Q, section, projection = minimize_presentation(Qbig)
-    proj = MackeyMorphism(F, Q, projection.mats, check=False)
-    sect = MackeyMorphism(Q, F, section.mats, check=False)
-    return RelBox(M, N, Q, proj, data, sect)
-
-
-def rel_box_map(src: RelBox, tgt: RelBox, phi: MackeyMorphism) -> MackeyMorphism:
-    """Induced map M box_R N -> M box_R N' from an R-linear phi: N -> N'."""
-    raw = box_map(identity_morphism(src.left.underlying), phi)
-    mats = [tgt.projection.mats[c] @ raw.mats[c] @ src.section.mats[c]
-            for c in range(len(src.functor.levels))]
-    return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
+    Q, _section, projection = minimize_presentation(Qbig)
+    return RelBox(M, N, Q, MackeyMorphism(F, Q, projection.mats, check=False))
 
 
 def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
@@ -433,37 +409,157 @@ def complex_map_homology(C: ChainComplex, D: ChainComplex, maps: dict, n):
 
 @dataclass
 class TorResult:
+    """Tor_p^R(M, N) for p = 0..p_max and the data it was computed from.
+
+    `complex` is M box_R F for the resolution F of N, with term p the
+    Dress construction M(X_p x -), and `tor0_witness` is the isomorphism
+    H_0 -> M box_R N induced by the augmentation, into `rel`.
+    """
     ring: GreenFunctor
     left: GreenModule
     right: GreenModule
     resolution: Resolution
     complex: ChainComplex
     tor: list                     # MackeyFunctor per degree 0..p_max
-    tor0_witness: MackeyMorphism  # H_0 -> rel_box(left, right), invertible
+    tor0_witness: MackeyMorphism  # H_0 -> rel.functor, invertible
     rel: RelBox
 
 
+def _act_on(M: GreenModule, Y: GSet, r, mat):
+    """r . m in M(Y) for r in R(Y) and every column m of `mat`.
+
+    Orbit by orbit of Y the product is the level action of the orbit's
+    class, sum_i r_i (e_i . m), read from the module's tables.
+    """
+    Rk, Mk = M.ring.underlying, M.underlying
+    _, roff = Rk.value_at(Y)
+    _, moff = Mk.value_at(Y)
+    out = intmat.zeros(*mat.shape)
+    for b, L in enumerate(Y.orbit_index.classes):
+        lo, n = moff[b], Mk.levels[L].generator_count
+        act = intmat.zeros(n, n)
+        for i, ri in enumerate(r[roff[b]:roff[b] + Rk.levels[L].generator_count]):
+            if ri:
+                act += ri * intmat.from_cols(M.tables[L][i], n)
+        out[lo:lo + n] = act @ mat[lo:lo + n]
+    return out
+
+
+def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
+               tgt: FreeModule, source: MackeyFunctor, target: MackeyFunctor):
+    """M box_R d: M(Z x -) -> M(X x -) for an R-linear d: R^Z -> R^X.
+
+    d is the Yoneda extension of its values f_b = d(1_b) in R(X x O_b) on
+    the free generators of the orbits O_b of Z (`free_unit_vector`), so
+    M box_R d sends m in M(Z x Y) to the sum over b of tr(res f_b . res m)
+    along S_b x Y -> X x Y, with m restricted along S_b x Y -> Z x Y.
+    S_b holds the orbits of X x O_b that f_b is supported on, one
+    standard orbit each, since f_b restricted to the others is zero.
+    """
+    Mk, Rk = M.underlying, M.ring.underlying
+    group = M.group
+    Z, X = src.base, tgt.base
+    zix = Z.orbit_index
+    eta = free_unit_vector(src)
+    _, offsets = d.source.value_at(Z)
+    blocks = []
+    for b, (emb, cb) in enumerate(zip(orbit_embeddings(Z), zix.classes)):
+        n = d.source.levels[cb].generator_count
+        f = d.mats[cb] @ eta[offsets[b]:offsets[b] + n]
+        P = product(X, emb.source)
+        _, poff = Rk.value_at(P.gset)
+        pix = P.gset.orbit_index
+        support = [k for k, L in enumerate(pix.classes) if not intmat.is_zero(
+            f[poff[k]:poff[k] + Rk.levels[L].generator_count])]
+        if not support:
+            continue
+        S = disjoint_union_of_orbits(group, tuple(pix.classes[k]
+                                                  for k in support))
+        pembs = orbit_embeddings(P.gset)
+        inc = GMap(S, P.gset, tuple(pembs[k](o) for k in support
+                                    for o in range(pembs[k].source.size)))
+        blocks.append((b, S, [P.left(w) for w in inc.mapping],
+                       [emb(P.right(w)) for w in inc.mapping],
+                       Rk.eval_span(restriction_element(inc)) @ f))
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        Y = standard_orbit(group, c)
+        XY, ZY = product(X, Y), product(Z, Y)
+        # the generators of M(Z x Y) on the orbits over O_b, per b
+        _, qoff = Mk.value_at(ZY.gset)
+        qix = ZY.gset.orbit_index
+        over = [[] for _ in zix.classes]
+        for k, (orbit, L) in enumerate(zip(qix.orbits, qix.classes)):
+            over[zix.orbit_of[ZY.left(orbit[0])]].extend(
+                range(qoff[k], qoff[k] + Mk.levels[L].generator_count))
+        out = intmat.zeros(target.levels[c].generator_count,
+                           source.levels[c].generator_count)
+        for b, S, xs, zs, f in blocks:
+            T = product(S, Y)
+            pts = [(T.left(t), T.right(t)) for t in range(T.gset.size)]
+            to_z = GMap(T.gset, ZY.gset, tuple(ZY.of_pair(zs[w], y)
+                                               for w, y in pts))
+            to_x = GMap(T.gset, XY.gset, tuple(XY.of_pair(xs[w], y)
+                                               for w, y in pts))
+            r = Rk.eval_span(restriction_element(T.left)) @ f
+            m = _act_on(M, T.gset, r,
+                        Mk.eval_span(restriction_element(to_z))[:, over[b]])
+            out[:, over[b]] += Mk.eval_span(transfer_element(to_x)) @ m
+        mats.append(out)
+    return MackeyMorphism(source, target, mats, check=False)
+
+
+def _augmentation_mats(M: GreenModule, res: Resolution, target: RelBox):
+    """Levels of M box_R eps: M(X_0 x -) -> M box_R N, eps the augmentation.
+
+    eps is the Yoneda extension of n = eps(1_X0) in N(X_0), so m in
+    M(X_0 x Y) goes to the class of tr(m (x) res n) along X_0 x Y -> Y:
+    the diagonal pairing at X_0 x Y, the box functor's own transfer, and
+    rel_box's projection.
+    """
+    Mk, Nk = M.underlying, res.target.underlying
+    F0 = res.modules[0]
+    X = F0.base
+    n = res.augmentation.at_gset(X) @ free_unit_vector(F0)
+    boxed = target.projection.source
+    mats = []
+    for c in range(len(M.group.subgroup_classes())):
+        P = product(X, standard_orbit(M.group, c))
+        pair = diagonal_pairing(Mk, Nk, P.gset,
+                                Nk.eval_span(restriction_element(P.left)) @ n)
+        mats.append(target.projection.mats[c] @
+                    boxed.eval_span(transfer_element(P.right)) @ pair)
+    return mats
+
+
 def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
-    """Tor_p^R(M, N) for p = 0..p_max via a free resolution of N."""
+    """Tor_p^R(M, N) for p = 0..p_max via a free resolution F of N.
+
+    M box_R R(X x -) is M(X x -) (the Dress construction; Bouc, LNM 1671),
+    so term p of M box_R F is `internal_hom_rep(X_p, M)` and d_p is the
+    Yoneda formula (`_dress_map`).  The only box presented is M box N, the
+    target of the Tor_0 witness (`rel_box`).
+    """
     if isinstance(M, FreeModule):
         M = M.module
     res = module_resolution(R, N, p_max + 1, reverse=reverse)
     if isinstance(N, FreeModule):
         N = N.module
-    rels = [rel_box(M, F.module) for F in res.modules]
-    terms = {p: rb.functor for p, rb in enumerate(rels)}
-    diffs = {}
-    for p in range(1, len(res.modules)):
-        diffs[p] = rel_box_map(rels[p], rels[p - 1], res.diffs[p - 1])
+    free = res.modules
+    terms = {p: internal_hom_rep(F.base, M.underlying)
+             for p, F in enumerate(free)}
+    diffs = {p: _dress_map(M, res.diffs[p - 1], free[p], free[p - 1],
+                           terms[p], terms[p - 1])
+             for p in range(1, len(free))}
     C = ChainComplex(R.group, terms, diffs)
     tor_list = [C.homology(p) for p in range(p_max + 1)]
 
     # Tor_0 = M box_R N, witnessed by the augmentation
     target = rel_box(M, N)
-    aug_map = rel_box_map(rels[0], target, res.augmentation)
+    aug = _augmentation_mats(M, res, target)
     H0, incl0, _proj0, sect0 = C.homology_data(0)
     wit = MackeyMorphism(H0, target.functor,
-                         [aug_map.mats[c] @ incl0.mats[c] @ sect0.mats[c]
+                         [aug[c] @ incl0.mats[c] @ sect0.mats[c]
                           for c in range(len(H0.levels))], check=False)
     return TorResult(R, M, N, res, C, tor_list, wit, target)
 

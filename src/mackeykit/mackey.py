@@ -958,24 +958,6 @@ def orbit_embeddings(X: GSet):
     return out
 
 
-def yoneda_element(M: MackeyFunctor, X: GSet, vec):
-    """Morphism A_X -> M classified by the element vec of M(X)."""
-    group = X.group
-    rep = representable(X)
-    _, offsets = M.value_at(X)
-    mats = []
-    for c, cls in enumerate(group.subgroup_classes()):
-        basis = representable_basis(rep, c)
-        O = standard_orbit(group, c)
-        cols = []
-        for code in basis:
-            e = basis_element(X, O, code)
-            cols.append(M.eval_span(e) @ np.asarray(vec, dtype=object))
-        cols = [np.asarray(col, dtype=object) for col in cols]
-        mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
-    return MackeyMorphism(rep, M, mats, check=False), rep
-
-
 def identity_element_vector(X: GSet):
     """Coordinates of [id_X] inside A_X(X) block coordinates."""
     from .burnside import restriction_element
@@ -1000,7 +982,12 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
 
     Levels are the H-fixed subgroups of V, restrictions are inclusions,
     transfers are coset sums, and conjugation is the module action.
-    `action` maps each group element to a matrix on V's generators.
+    `action` maps each group element to a matrix on V's generators.  It is
+    proven a representation, as `GSet` proves an action, by rho(e) = 1 and
+    rho(g s) = rho(g) rho(s) for every g and every s in `group.generators`:
+    the h with rho(g h) = rho(g) rho(h) for all g include e and every
+    generator and are closed under right multiplication by a generator, so
+    they are every element of G.
     """
     n = V.generator_count
     act = {g: intmat.intmat(action[g], n) for g in group.elements()}
@@ -1010,8 +997,9 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
     for g in group.elements():
         if not abgroups.map_is_welldefined(act[g], V, V):
             raise ValueError(f"action of {g} is not well-defined")
-        for h in group.elements():
-            if not abgroups.maps_equal(act[g] @ act[h], act[group.mul(g, h)], V, V):
+        for s in group.generators:
+            if not abgroups.maps_equal(act[g] @ act[s], act[group.mul(g, s)],
+                                       V, V):
                 raise ValueError("action matrices are not a representation")
 
     classes = group.subgroup_classes()

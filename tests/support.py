@@ -14,6 +14,7 @@ from mackeykit.burnside import (
     hom_basis,
     identity_element,
     materialize_code,
+    multi_product,
     res_element,
     restriction_element,
     span_codes,
@@ -25,11 +26,12 @@ from mackeykit.burnside import (
 from mackeykit.convolution import (
     BoxData,
     GreenValidationError,
-    _pairing_terms,
+    _block_starts,
+    _canonical_over,
+    _kron,
     box,
     box_assoc_iso,
     box_comm_iso,
-    box_map,
     box_unit_iso,
     over_codes,
 )
@@ -43,13 +45,20 @@ from mackeykit.gsets import (
     pullback,
     standard_orbit,
 )
+from mackeykit.homalg import (
+    ChainComplex,
+    module_resolution,
+    rel_box,
+)
 from mackeykit.mackey import (
     MackeyMorphism,
     NatSolver,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
-    yoneda_element,
+    orbit_embeddings,
+    representable,
+    representable_basis,
 )
 
 
@@ -970,3 +979,162 @@ def hom_modules_oracle(P, M):
                 coeff_rows.append(row)
             solver.add_condition(coeff_rows, M.underlying.levels[c])
     return solver.solve()
+
+
+# -- the test-only surface: small constructions no library code calls ------------
+
+
+def multimap_basis(feet, z):
+    """Transitive multimap codes from a tuple of feet into z."""
+    return hom_basis(multi_product(feet).gset, z)
+
+
+def kernel_of_map(M, src, tgt):
+    """Kernel of the induced map on quotients, as (grp, incl)."""
+    M = intmat.intmat(M, src.generator_count)
+    K = intmat.preimage_lattice(M, tgt.relation_lattice)
+    return abgroups.subgroup_from_lattice(K, src)
+
+
+def yoneda_element(M, X, vec):
+    """Morphism A_X -> M classified by the element vec of M(X)."""
+    group = X.group
+    rep = representable(X)
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        O = standard_orbit(group, c)
+        cols = [M.eval_span(basis_element(X, O, code))
+                @ np.asarray(vec, dtype=object)
+                for code in representable_basis(rep, c)]
+        mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
+    return MackeyMorphism(rep, M, mats, check=False), rep
+
+
+def hom_modules(P, M):
+    """R-linear natural transformations P -> M as a HomGroup.
+
+    R-linearity is imposed on the level tables: at every level, phi
+    commutes with the action of each generator of R.  The action on a
+    generator (code, i, j) of R box P is the transfer along code of a
+    level product, and a natural phi commutes with transfer, so this is
+    linearity on all of R box P (`hom_modules_oracle` imposes it there).
+    """
+    if P.ring is not M.ring and P.ring.underlying != M.ring.underlying:
+        raise ValueError("modules over different rings")
+    solver = NatSolver(P.underlying, M.underlying)
+    for c, (tP, tM) in enumerate(zip(P.tables, M.tables)):
+        nP = P.underlying.levels[c].generator_count
+        nM = M.underlying.levels[c].generator_count
+        for rowP, rowM in zip(tP, tM):
+            solver.add_commuting(c, c, intmat.from_cols(rowP, nP),
+                                 intmat.from_cols(rowM, nM))
+    return solver.solve()
+
+
+# -- Tor through a presented relative box per term: the old route -------------------
+
+
+def box_map(f, g):
+    """The induced morphism f box g on box products (same over-codes).
+
+    The block of each over-code is the Kronecker product of f and g at
+    its class.
+    """
+    src = box(f.source, g.source)
+    tgt = box(f.target, g.target)
+    mats = []
+    for c, codes in enumerate(src.codes):
+        lo, _ = _block_starts(f.source, g.source, codes)
+        hi, rows = _block_starts(f.target, g.target, codes)
+        out = intmat.zeros(rows, src.functor.levels[c].generator_count)
+        for code in codes:
+            K = _kron(f.mats[code[0]], g.mats[code[0]])
+            out[hi[code]:hi[code] + K.shape[0],
+                lo[code]:lo[code] + K.shape[1]] = K
+        mats.append(out)
+    return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
+
+
+def _section(proj):
+    """Levels of a right inverse of the surjection `proj` of a RelBox."""
+    mats = []
+    for c, P in enumerate(proj.mats):
+        solver = intmat.Solver(P)
+        n = proj.target.levels[c].generator_count
+        mats.append(intmat.from_cols(
+            [solver.solve(intmat.identity(n)[:, k]) for k in range(n)],
+            P.shape[1]))
+    return mats
+
+
+def rel_box_map(src, tgt, phi):
+    """Induced map M box_R N -> M box_R N' of RelBoxes from an R-linear
+    phi: N -> N', through box_map on the presented boxes."""
+    raw = box_map(identity_morphism(src.left.underlying), phi)
+    mats = [tgt.projection.mats[c] @ intmat.sparse_mm(raw.mats[c], s)
+            for c, s in enumerate(_section(src.projection))]
+    return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
+
+
+def tor_by_rel_boxes(R, M, N, p_max):
+    """(complex, witness) of Tor^R(M, N) with a presented rel_box(M, F_p)
+    per term and rel_box_map differentials, the route before the Dress
+    construction; the witness is H_0 -> rel_box(M, N)."""
+    res = module_resolution(R, N, p_max + 1)
+    rels = [rel_box(M, F.module) for F in res.modules]
+    C = ChainComplex(R.group, {p: rb.functor for p, rb in enumerate(rels)},
+                     {p: rel_box_map(rels[p], rels[p - 1], res.diffs[p - 1])
+                      for p in range(1, len(rels))})
+    target = rel_box(M, res.target)
+    aug = rel_box_map(rels[0], target, res.augmentation)
+    H0, incl0, _proj0, sect0 = C.homology_data(0)
+    wit = MackeyMorphism(H0, target.functor,
+                         [aug.mats[c] @ incl0.mats[c] @ sect0.mats[c]
+                          for c in range(len(H0.levels))], check=False)
+    return C, wit
+
+
+# -- the box pairing along a materialized span ----------------------------------------
+
+
+def _pairing_terms(data, levels, U, V, e):
+    """Twisted evaluation matrices for pairing along e: U x V -> X.
+
+    Yields (TM, TN, slot) per transitive code of e, where the image of
+    m (x) n accumulates (TM @ m) outer (TN @ n) at the generator slots
+    slot(a, b) of the box value at e.target.
+    """
+    M, N = data.left, data.right
+    group = M.group
+    PD = product(U, V)
+    if e.source != PD.gset:
+        raise ValueError("pairing element must start at product(U, V)")
+    X = e.target
+    offs, total = [], 0
+    for c in X.orbit_index.classes:
+        offs.append(total)
+        total += levels[c].generator_count
+    inv_embeds = [{emb(w): w for w in range(emb.source.size)}
+                  for emb in orbit_embeddings(X)]
+    ix = X.orbit_index
+    out = []
+    for code, a in e.coeffs.items():
+        cw, _p, y = code
+        W, legP, legY = materialize_code(PD.gset, X, code)
+        RU = M.eval_span(restriction_element(compose_maps(PD.left, legP)))
+        RV = N.eval_span(restriction_element(compose_maps(PD.right, legP)))
+        b = ix.orbit_of[y]
+        cb = ix.classes[b]
+        zstar, u = _canonical_over(group, cw, inv_embeds[b][y],
+                                   standard_orbit(group, cb))
+        TM = (M.weyl[cw][u] @ RU) * a
+        TN = N.weyl[cw][u] @ RV
+        lay = data.layout[cb]
+        offset = offs[b]
+        key = (cw, zstar)
+
+        def slot(aa, bb, lay=lay, key=key, offset=offset):
+            return offset + lay[(key, aa, bb)]
+
+        out.append((TM, TN, slot))
+    return out

@@ -15,14 +15,13 @@ from mackeykit.abgroups import (
     direct_sum_groups,
     groups_isomorphic,
     image_of_map,
-    kernel_of_map,
     map_is_welldefined,
     maps_equal,
     quotient_by_columns,
     subgroup_from_lattice,
     tensor_group,
 )
-from support import assert_same_group, dense_free
+from support import assert_same_group, dense_free, kernel_of_map
 
 
 def test_invariant_factors_examples():

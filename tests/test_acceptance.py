@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line; run with `pytest -s` to see them.
 The group battery is {trivial, C2, C3, C4, C2xC2, S3, C6} throughout;
-criterion 10 also covers the order-8 groups D4 and Q8.
+criterion 7 also covers D4, and criterion 10 the order-8 groups D4 and Q8.
 """
 
 import json
@@ -283,7 +283,7 @@ def test_criterion_06_free_module_evaluation():
 
 def test_criterion_07_tor0_and_free_vanishing():
     triples = 0
-    for name in BATTERY:
+    for name in BATTERY + ("D4",):
         group = builtin_group(name)
         R = burnside_green(group, check=False)
         Z = FinPresAbGroup.free(1)

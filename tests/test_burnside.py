@@ -31,7 +31,6 @@ from mackeykit.burnside import (
     identity_element,
     materialize_code,
     multi_product,
-    multimap_basis,
     promonoidal_coend_check,
     restriction_element,
     span_codes,
@@ -44,6 +43,7 @@ from mackeykit.burnside import (
     weyl_element,
 )
 from support import (
+    multimap_basis,
     pullback_compose_oracle,
     pullback_tensor_oracle,
     structure_span_oracles,

@@ -35,7 +35,6 @@ from mackeykit.convolution import (
     box,
     box_assoc_iso,
     box_comm_iso,
-    box_map,
     box_unit_iso,
     burnside_green,
     free_evaluation_iso,
@@ -49,7 +48,12 @@ from mackeykit.convolution import (
     validate_module,
 )
 from mackeykit.homalg import canonical_module, free_module, rel_box
-from support import action_from_tables, box_oracle, box_validate_green
+from support import (
+    action_from_tables,
+    box_map,
+    box_oracle,
+    box_validate_green,
+)
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -676,4 +680,5 @@ def test_rel_box_presentation_matches_span_oracle(name):
     two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
     Q = cokernel(two)[0]
     rb = rel_box(canonical_module(R, FP), canonical_module(R, Q))
-    assert_box_matches_oracle(rb.plain, FP, Q)
+    assert rb.projection.source is box(FP, Q).functor
+    assert_box_matches_oracle(box(FP, Q), FP, Q)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mackeykit import convolution, homalg
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic
 from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
@@ -39,18 +40,21 @@ from mackeykit.homalg import (
     classifying_morphism,
     free_module,
     free_unit_vector,
-    hom_modules,
     homology_filtration_graded,
     module_cover,
     module_kernel,
     module_resolution,
     rel_box,
-    rel_box_map,
     skeletal_filtration,
     ss_pages,
     tor,
 )
-from support import hom_modules_oracle
+from support import (
+    hom_modules,
+    hom_modules_oracle,
+    rel_box_map,
+    tor_by_rel_boxes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +421,67 @@ def test_tor_symmetric_for_commutative_ring(c2_setup):
     ba = tor(R, N, M, 2)
     for p in range(3):
         assert invariants(ab.tor[p]) == invariants(ba.tor[p]), p
+
+
+# -- Tor in the Dress picture ----------------------------------------------------------
+
+
+BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+
+
+def _tor_modules(group):
+    """R, and FP(Z), FP(Z)/2 and R as R-modules, built fresh."""
+    R = burnside_green(group, check=False)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    return R, {"FP": canonical_module(R, FP),
+               "FP/2": canonical_module(R, cokernel(two)[0]),
+               "R": canonical_module(R, R.underlying)}
+
+
+def _two_sided(f):
+    inv = f.inverse()
+    assert compose_morphisms(f, inv).equals(identity_morphism(f.target))
+    assert compose_morphisms(inv, f).equals(identity_morphism(f.source))
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_tor_matches_a_presented_rel_box_per_term(name):
+    # the Dress terms M(X_p x -) against rel_box(M, F_p) with rel_box_map
+    # differentials, on one resolution: the same homology degree by degree
+    R, mods = _tor_modules(builtin_group(name))
+    for a, M in mods.items():
+        for b, N in mods.items():
+            result = tor(R, M, N, 2)
+            C, wit = tor_by_rel_boxes(R, M, N, 2)
+            result.complex.validate()
+            C.validate()
+            for p in range(3):
+                assert invariants(result.tor[p]) == \
+                    invariants(C.homology(p)), (a, b, p)
+            _two_sided(result.tor0_witness)
+            _two_sided(wit)
+
+
+def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):
+    R, mods = _tor_modules(builtin_group("S3"))
+    M, N = mods["FP"], mods["FP/2"]
+    calls = []
+    real = convolution.box
+
+    def counting(A, B):
+        calls.append((A, B))
+        return real(A, B)
+
+    monkeypatch.setattr(convolution, "box", counting)
+    monkeypatch.setattr(homalg, "box", counting)
+    result = tor(R, M, N, 2)
+    assert calls == [(M.underlying, N.underlying)]
+    pinned = [key for key in M.underlying._cache if key[0] == "box"]
+    assert pinned == [("box", id(N.underlying))]
+    assert all(("box", id(F.underlying)) not in M.underlying._cache
+               for F in result.resolution.modules)
 
 
 # -- module kernels carry the action ----------------------------------------------------------

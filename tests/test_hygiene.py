@@ -155,7 +155,7 @@ def test_box_structure_comes_from_over_codes_only():
 
 MODULE_FUNCTIONS = {
     "homalg.py": ("canonical_module", "free_module", "module_kernel",
-                  "module_cover", "classifying_morphism", "hom_modules"),
+                  "module_cover", "classifying_morphism"),
     "convolution.py": ("validate_module", "ring_as_module",
                        "green_from_levelwise", "burnside_green",
                        "validate_green"),

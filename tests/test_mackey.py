@@ -24,6 +24,7 @@ from mackeykit.gsets import (
     standard_orbit,
 )
 from mackeykit.burnside import (
+    BurnsideElement,
     basis_element,
     compose,
     hom_basis,
@@ -58,7 +59,6 @@ from mackeykit.mackey import (
     regular_module,
     representable,
     trivial_module,
-    yoneda_element,
     zero_mackey,
     zero_morphism,
 )
@@ -76,6 +76,7 @@ from support import (
     permutation_group,
     representable_span_action,
     span_functoriality_oracle,
+    yoneda_element,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
@@ -150,8 +151,7 @@ def test_eval_identity_and_zero(s3):
         ident = A.eval_span(identity_element(X))
         n = ident.shape[0]
         assert im.mats_equal(ident, im.identity(n))
-        from mackeykit.burnside import zero_element
-        z = A.eval_span(zero_element(X, X))
+        z = A.eval_span(BurnsideElement(X, X))
         assert im.is_zero(z)
 
 
@@ -366,6 +366,22 @@ def test_bad_action_rejected(c2):
     V = FinPresAbGroup.free(1)
     with pytest.raises(ValueError, match="representation|trivially"):
         fixed_point_mackey(c2, V, {0: im.intmat([[1]]), 1: im.intmat([[2]])})
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", "C2xC2"])
+def test_action_wrong_at_one_non_generator_is_rejected(name):
+    # the representation is checked on generators only; an action that is
+    # right everywhere except at one element outside {e} and the
+    # generators must still be caught
+    group = builtin_group(name)
+    V, act = regular_module(group)
+    g0 = next(g for g in group.elements()
+              if g != 0 and g not in group.generators)
+    bad = dict(act)
+    bad[g0] = im.identity(group.order)
+    with pytest.raises(ValueError, match="action matrices are not a "
+                                         "representation"):
+        fixed_point_mackey(group, V, bad)
 
 
 def test_borel_against_bruteforce_limit():
