@@ -81,6 +81,18 @@ def _table(rows, headers=None):
     return lines
 
 
+def _levels(M, header="group"):
+    """A functor's levels: {class label: invariant factors} for the JSON
+    payload, and a level/`header` text table."""
+    classes = M.group.subgroup_classes()
+    payload = {cls.label: list(M.levels[c].invariant_factors)
+               for c, cls in enumerate(classes)}
+    table = _table([[cls.label, M.levels[c].describe()]
+                    for c, cls in enumerate(classes)],
+                   headers=("level", header))
+    return payload, table
+
+
 def _load_group_arg(args):
     spec = args.group
     if spec.endswith(".json") or os.path.exists(spec):
@@ -189,31 +201,17 @@ def cmd_mackey_check(args):
         _emit(args, {"valid": False, "error": str(err)},
               [f"mackey-check: {_fail()}", f"  {err}"])
         return 1
-    labels = [c.label for c in M.group.subgroup_classes()]
-    payload = {"valid": True,
-               "levels": {labels[c]: list(M.levels[c].invariant_factors)
-                          for c in range(len(labels))}}
-    lines = [f"mackey-check: {_ok()}"]
-    lines += _table([[labels[c], M.levels[c].describe()]
-                     for c in range(len(labels))],
-                    headers=("level", "group"))
-    _emit(args, payload, lines)
+    levels, table = _levels(M)
+    _emit(args, {"valid": True, "levels": levels},
+          [f"mackey-check: {_ok()}"] + table)
     return 0
 
 
 def cmd_box(args):
     M = jsonio.mackey_from_json(jsonio.load_json_file(args.left))
     N = jsonio.mackey_from_json(jsonio.load_json_file(args.right))
-    data = box(M, N)
-    labels = [c.label for c in M.group.subgroup_classes()]
-    payload = {"levels": {labels[c]:
-                          list(data.functor.levels[c].invariant_factors)
-                          for c in range(len(labels))}}
-    lines = ["box product levels:"]
-    lines += _table([[labels[c], data.functor.levels[c].describe()]
-                     for c in range(len(labels))],
-                    headers=("level", "group"))
-    _emit(args, payload, lines)
+    levels, table = _levels(box(M, N).functor)
+    _emit(args, {"levels": levels}, ["box product levels:"] + table)
     return 0
 
 
@@ -225,21 +223,14 @@ def cmd_green_check(args):
         _emit(args, {"valid": False, "error": str(err)},
               [f"green-check: {_fail()}", f"  {err}"])
         return 1
-    labels = [c.label for c in G.group.subgroup_classes()]
-    payload = {"valid": True,
-               "levels": {labels[c]:
-                          list(G.underlying.levels[c].invariant_factors)
-                          for c in range(len(labels))}}
-    lines = [f"green-check: {_ok()} (associativity, commutativity, unit, "
-             "Frobenius all hold)"]
-    lines += _table([[labels[c], G.underlying.levels[c].describe()]
-                     for c in range(len(labels))],
-                    headers=("level", "ring underlying"))
-    _emit(args, payload, lines)
+    levels, table = _levels(G.underlying, "ring underlying")
+    _emit(args, {"valid": True, "levels": levels},
+          [f"green-check: {_ok()} (associativity, commutativity, unit, "
+           "Frobenius all hold)"] + table)
     return 0
 
 
-def _tor_ring(args, doc):
+def _tor_ring(doc):
     if isinstance(doc, dict) and "burnside" in doc:
         return burnside_green(load_group(doc["burnside"]), check=False)
     raise ValueError(
@@ -248,22 +239,17 @@ def _tor_ring(args, doc):
 
 
 def cmd_tor(args):
-    ring_doc = jsonio.load_json_file(args.ring)
-    R = _tor_ring(args, ring_doc)
+    R = _tor_ring(jsonio.load_json_file(args.ring))
     group = R.group
     M = jsonio.mackey_from_json(jsonio.load_json_file(args.left))
     N = jsonio.mackey_from_json(jsonio.load_json_file(args.right))
     result = tor(R, canonical_module(R, M), canonical_module(R, N), args.pmax)
-    labels = [c.label for c in group.subgroup_classes()]
-    payload = {"group": group.name,
-               "tor": [{labels[c]: list(T.levels[c].invariant_factors)
-                        for c in range(len(labels))} for T in result.tor]}
+    payload = {"group": group.name, "tor": []}
     lines = []
     for p, T in enumerate(result.tor):
-        lines.append(f"Tor_{p}:")
-        lines += _table([[labels[c], T.levels[c].describe()]
-                         for c in range(len(labels))],
-                        headers=("level", "group"))
+        levels, table = _levels(T)
+        payload["tor"].append(levels)
+        lines += [f"Tor_{p}:"] + table
     _emit(args, payload, lines)
     return 0
 
@@ -274,20 +260,18 @@ def cmd_ss(args):
     terms = {}
     for deg, mdoc in doc["terms"].items():
         terms[int(deg)] = jsonio.mackey_from_json(mdoc)
+    class_labels = [c.label for c in group.subgroup_classes()]
     diffs = {}
-    labels = {c.label: c.index for c in group.subgroup_classes()}
     for deg, mats in doc.get("diffs", {}).items():
         n = int(deg)
-        ordered = [mats[lbl] for lbl in
-                   [c.label for c in group.subgroup_classes()]]
-        diffs[n] = MackeyMorphism(terms[n], terms[n - 1], ordered)
+        diffs[n] = MackeyMorphism(terms[n], terms[n - 1],
+                                  [mats[lbl] for lbl in class_labels])
     C = ChainComplex(group, terms, diffs)
     C.validate()
     if doc.get("filtration", "skeletal") != "skeletal":
         raise ValueError("only the skeletal filtration is supported in JSON")
     filt = skeletal_filtration(C)
     pages = ss_pages(filt, args.rmax)
-    class_labels = [c.label for c in group.subgroup_classes()]
     payload = {"group": group.name, "pages": []}
     lines = []
     for page in pages:

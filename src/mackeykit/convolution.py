@@ -42,10 +42,10 @@ from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
     compose_morphisms,
+    identity_element_vector,
     identity_morphism,
     mackey_from_span_action,
     representable,
-    representable_basis,
 )
 
 
@@ -267,7 +267,7 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     return span_element(P.gset, X, O, diag, struct)
 
 
-def diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
+def _diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
     """The matrix of m -> m (x) n, from M(Z) to (M box N)(Z), for n in N(Z).
 
     On an orbit of Z of class L, m (x) n is the generator block of the
@@ -295,6 +295,27 @@ def diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
                 for i in range(nM):
                     out[lo + i * nN + j, moff[b] + i] += x
     return out
+
+
+def dress_pairing(M: MackeyFunctor, N: MackeyFunctor, boxed: MackeyFunctor,
+                  X: GSet, n_vec):
+    """Levels of the map M(X x -) -> M box N that pairs with n in N(X).
+
+    At G/H it sends m in M(X x G/H) to tr(m (x) res n) along the
+    projection X x G/H -> G/H: the diagonal pairing with the restriction
+    of n, then the transfer of `boxed`, the presented box(M, N).functor.
+    `free_evaluation_iso` pairs with the identity class of A_X, and the
+    Tor_0 witness of `homalg.tor` with the image of the free generators
+    in N(X_0).
+    """
+    group = M.group
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        P = product(X, standard_orbit(group, c))
+        pair = _diagonal_pairing(
+            M, N, P.gset, N.eval_span(restriction_element(P.left)) @ n_vec)
+        mats.append(boxed.eval_span(transfer_element(P.right)) @ pair)
+    return mats
 
 
 # -- unit, commutativity, associativity ---------------------------------------------
@@ -359,7 +380,7 @@ def box_unit_iso(M: MackeyFunctor):
 
     # inverse: m |-> [res(1) (x) m] over the diagonal over-code
     top = len(group.subgroup_classes()) - 1
-    unit = _unit_vector(group)
+    unit = identity_element_vector(point_gset(group))
     inv_mats = []
     for c, lvl in enumerate(data.functor.levels):
         one, key = _restriction(A, top, c, 0) @ unit, _diag_code(group, c)
@@ -372,17 +393,6 @@ def box_unit_iso(M: MackeyFunctor):
 
     _verify_two_sided(eps, eta)
     return eps, data
-
-
-def _unit_vector(group):
-    """The unit [pt <- pt -> pt] of the Burnside ring A_pt(pt), on its
-    span basis."""
-    pt = point_gset(group)
-    basis = hom_basis(pt, pt)
-    (code, v), = identity_element(pt).coeffs.items()
-    vec = intmat.zero_vec(len(basis))
-    vec[basis.index(code)] = v
-    return vec
 
 
 def _verify_two_sided(f: MackeyMorphism, g: MackeyMorphism):
@@ -493,20 +503,21 @@ def rep_monoidal_iso(X: GSet, Y: GSet):
     two-sided inverse is solved for and verified.
     """
     group = X.group
-    AX, AY = representable(X), representable(Y)
-    data = box(AX, AY)
-    AP = representable(product(X, Y).gset)
+    P = product(X, Y).gset
+    data = box(representable(X), representable(Y))
+    AP = representable(P)
+    orbits = [standard_orbit(group, c) for c in range(len(data.codes))]
+    bX, bY, bP = ([hom_basis(Z, O) for O in orbits] for Z in (X, Y, P))
     mats = []
     for c, codes in enumerate(data.codes):
-        O_level = standard_orbit(group, c)
-        row = {code: k for k, code in enumerate(representable_basis(AP, c))}
-        spans = {code: _struct_span(O_level, code) for code in codes}
+        row = {code: k for k, code in enumerate(bP[c])}
+        spans = {code: _struct_span(orbits[c], code) for code in codes}
         cols = [None] * data.functor.levels[c].generator_count
         for (code, i, j), idx in data.layout[c].items():
             cw = code[0]
-            O = standard_orbit(group, cw)
-            t = tensor(basis_element(X, O, representable_basis(AX, cw)[i]),
-                       basis_element(Y, O, representable_basis(AY, cw)[j]))
+            O = orbits[cw]
+            t = tensor(basis_element(X, O, bX[cw][i]),
+                       basis_element(Y, O, bY[cw][j]))
             col = intmat.zero_vec(len(row))
             for cc, v in compose(spans[code], t).coeffs.items():
                 col[row[cc]] += v
@@ -525,19 +536,13 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
     tr(m (x) res 1_X) along X x Y -> Y, pairing it diagonally with the
     restriction of the identity class 1_X of A_X(X).
     """
-    group = M.group
     FX = internal_hom_rep(X, M)
     AX = representable(X)
     data = box(M, AX)
-    from .mackey import identity_element_vector
-    idvec, _rep = identity_element_vector(X)
-    mats = []
-    for c in range(len(group.subgroup_classes())):
-        U = product(X, standard_orbit(group, c))
-        pair = diagonal_pairing(
-            M, AX, U.gset, AX.eval_span(restriction_element(U.left)) @ idvec)
-        mats.append(data.functor.eval_span(transfer_element(U.right)) @ pair)
-    fwd = MackeyMorphism(FX, data.functor, mats, check=True)
+    fwd = MackeyMorphism(FX, data.functor,
+                         dress_pairing(M, AX, data.functor, X,
+                                       identity_element_vector(X)),
+                         check=True)
     bwd = fwd.inverse()
     _verify_two_sided(fwd, bwd)
     return fwd, bwd, FX, data
@@ -803,15 +808,17 @@ def _burnside_action_tables(M: MackeyFunctor):
 
 def burnside_green(group, check=True) -> GreenFunctor:
     """The Burnside Green functor: A_pt with the Burnside ring at each level,
-    which acts on A_pt as on every Mackey functor."""
-    key = ("burnside_green", check)
-    if key in group._cache:
-        return group._cache[key]
-    R = point_representable(group)
-    G = GreenFunctor(R, _burnside_action_tables(R), _unit_vector(group))
+    which acts on A_pt as on every Mackey functor.  One object per group;
+    with check, validate_green verifies it on every call."""
+    key = "burnside_green"
+    if key not in group._cache:
+        R = point_representable(group)
+        group._cache[key] = GreenFunctor(
+            R, _burnside_action_tables(R),
+            identity_element_vector(point_gset(group)))
+    G = group._cache[key]
     if check:
         validate_green(G)
-    group._cache[key] = G
     return G
 
 
@@ -833,7 +840,7 @@ class GreenModule:
     ring: GreenFunctor
     underlying: MackeyFunctor
     tables: list
-    _resolutions: dict = field(default_factory=dict, repr=False,
+    _resolutions: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
     @property

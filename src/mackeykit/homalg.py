@@ -33,7 +33,7 @@ from .convolution import (
     _act,
     _burnside_action_tables,
     box,
-    diagonal_pairing,
+    dress_pairing,
     internal_hom_rep,
     point_representable,
 )
@@ -48,6 +48,7 @@ from .gsets import (
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
+    _coordinates,
     compose_morphisms,
     cokernel,
     homology_at,
@@ -67,8 +68,9 @@ from .mackey import (
 
 
 @dataclass
-class FreeModule:
-    """The free left R-module R^X = R(X x -) on a basis G-set X.
+class FreeModule(GreenModule):
+    """The free left R-module R^X = R(X x -) on a basis G-set X: a
+    GreenModule that remembers its basis.
 
     Its level at G/H is R(X x G/H), and r in R(G/H) acts on f by
     res(r) . f, restricting along the projection X x G/H -> G/H and
@@ -77,13 +79,7 @@ class FreeModule:
     every R-module M, M box_R R(X x -) is M(X x -), which is how `tor`
     reads the terms of M box_R F.
     """
-    ring: GreenFunctor
     base: GSet
-    module: GreenModule
-
-    @property
-    def underlying(self):
-        return self.module.underlying
 
 
 def _act_columns(tables, M: MackeyFunctor, Y: GSet, m):
@@ -119,7 +115,7 @@ def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
         res = Rk.eval_span(restriction_element(P.right))
         tables.append([_act_columns(R.tables, Rk, P.gset, res[:, i])
                        for i in range(res.shape[1])])
-    return FreeModule(R, X, GreenModule(R, F, tables))
+    return FreeModule(R, F, tables, X)
 
 
 def free_unit_vector(F: FreeModule):
@@ -257,8 +253,7 @@ def module_resolution(R: GreenFunctor, M, length: int,
     if M.ring is not R and M.ring.underlying != R.underlying:
         raise ValueError("module over a different ring")
     if isinstance(M, FreeModule):
-        return Resolution(R, M.module, [M], [],
-                          identity_morphism(M.underlying))
+        return Resolution(R, M, [M], [], identity_morphism(M.underlying))
     cached = M._resolutions.get(reverse)
     if cached is not None:
         asked, res = cached
@@ -277,7 +272,7 @@ def _module_resolution_uncached(R, M, length, reverse):
     diffs = []
     current_free, current_map = F0, eps
     for _p in range(length):
-        Kmod, incl = module_kernel(current_free.module, current_map)
+        Kmod, incl = module_kernel(current_free, current_map)
         if all(l.is_trivial() for l in Kmod.underlying.levels):
             break
         Fnext, cover_map = module_cover(Kmod, reverse=reverse)
@@ -395,13 +390,13 @@ class ChainComplex:
 
 def complex_map_homology(C: ChainComplex, D: ChainComplex, maps: dict, n):
     """Induced morphism H_n(C) -> H_n(D) from a chain map (dict of mats)."""
-    HC, inclC, projC, sectC = C.homology_data(n)
+    HC, inclC, _projC, sectC = C.homology_data(n)
     HD, inclD, projD, _sectD = D.homology_data(n)
     u = maps[n] if n in maps else zero_morphism(C.term(n), D.term(n))
     j = lift_through_inclusion(inclD, compose_morphisms(u, inclC))
     mats = [projD.mats[c] @ j.mats[c] @ sectC.mats[c]
             for c in range(len(HC.levels))]
-    return MackeyMorphism(HC, HD, mats, check=False), HC, HD
+    return MackeyMorphism(HC, HD, mats, check=False)
 
 
 # -- Tor ------------------------------------------------------------------------------------
@@ -509,42 +504,18 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     return MackeyMorphism(source, target, mats, check=False)
 
 
-def _augmentation_mats(M: GreenModule, res: Resolution, target: RelBox):
-    """Levels of M box_R eps: M(X_0 x -) -> M box_R N, eps the augmentation.
-
-    eps is the Yoneda extension of n = eps(1_X0) in N(X_0), so m in
-    M(X_0 x Y) goes to the class of tr(m (x) res n) along X_0 x Y -> Y:
-    the diagonal pairing at X_0 x Y, the box functor's own transfer, and
-    rel_box's projection.
-    """
-    Mk, Nk = M.underlying, res.target.underlying
-    F0 = res.modules[0]
-    X = F0.base
-    n = res.augmentation.at_gset(X) @ free_unit_vector(F0)
-    boxed = target.projection.source
-    mats = []
-    for c in range(len(M.group.subgroup_classes())):
-        P = product(X, standard_orbit(M.group, c))
-        pair = diagonal_pairing(Mk, Nk, P.gset,
-                                Nk.eval_span(restriction_element(P.left)) @ n)
-        mats.append(target.projection.mats[c] @
-                    boxed.eval_span(transfer_element(P.right)) @ pair)
-    return mats
-
-
 def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
     """Tor_p^R(M, N) for p = 0..p_max via a free resolution F of N.
 
     M box_R R(X x -) is M(X x -) (the Dress construction; Bouc, LNM 1671),
     so term p of M box_R F is `internal_hom_rep(X_p, M)` and d_p is the
     Yoneda formula (`_dress_map`).  The only box presented is M box N, the
-    target of the Tor_0 witness (`rel_box`).
+    target of the Tor_0 witness (`rel_box`).  The augmentation eps is the
+    Yoneda extension of n = eps(1_X0) in N(X_0), so M box_R eps sends m in
+    M(X_0 x Y) to the class of tr(m (x) res n) along X_0 x Y -> Y
+    (`dress_pairing`, then rel_box's projection).
     """
-    if isinstance(M, FreeModule):
-        M = M.module
     res = module_resolution(R, N, p_max + 1, reverse=reverse)
-    if isinstance(N, FreeModule):
-        N = N.module
     free = res.modules
     terms = {p: internal_hom_rep(F.base, M.underlying)
              for p, F in enumerate(free)}
@@ -556,11 +527,15 @@ def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
 
     # Tor_0 = M box_R N, witnessed by the augmentation
     target = rel_box(M, N)
-    aug = _augmentation_mats(M, res, target)
+    X0 = free[0].base
+    n0 = res.augmentation.at_gset(X0) @ free_unit_vector(free[0])
+    aug = dress_pairing(M.underlying, N.underlying,
+                        target.projection.source, X0, n0)
     H0, incl0, _proj0, sect0 = C.homology_data(0)
     wit = MackeyMorphism(H0, target.functor,
-                         [aug[c] @ incl0.mats[c] @ sect0.mats[c]
-                          for c in range(len(H0.levels))], check=False)
+                         [target.projection.mats[c] @ aug[c] @ incl0.mats[c]
+                          @ sect0.mats[c] for c in range(len(H0.levels))],
+                         check=False)
     return TorResult(R, M, N, res, C, tor_list, wit, target)
 
 
@@ -694,9 +669,7 @@ def _entry_data(filt: FilteredComplex, r, p, n):
     u = {m: MackeyMorphism(Q1.term(m), Q2.term(m),
                            filt.inclusion(p, p + r - 1, m).mats, check=False)
          for m in Q1.degrees()}
-    Hmap, H1, H2 = complex_map_homology(Q1, Q2, u, n)
-    E, incl = image(Hmap)
-    return E, incl, H2, Q2
+    return image(complex_map_homology(Q1, Q2, u, n))
 
 
 def ss_pages(filt: FilteredComplex, r_max: int):
@@ -711,27 +684,21 @@ def ss_pages(filt: FilteredComplex, r_max: int):
     pages = []
     for r in range(1, r_max + 1):
         entries = {}
-        data = {}
+        incls = {}
         for p in range(pmin, pmax + 1):
             for n in range(nmin, nmax + 1):
                 q = n - p
-                E, incl, H2, Q2 = _entry_data(filt, r, p, n)
-                entries[(p, q)] = E
-                data[(p, q)] = (E, incl, H2, Q2)
+                entries[(p, q)], incls[(p, q)] = _entry_data(filt, r, p, n)
         diffs = {}
         for p in range(pmin, pmax + 1):
             for n in range(nmin, nmax + 1):
                 q = n - p
                 tp, tq = p - r, q + r - 1
-                if (tp, tq) not in data:
+                if (tp, tq) not in incls:
                     continue
-                E, incl, H2, Q2 = data[(p, q)]
-                Et, inclt, H2t, Q2t = data[(tp, tq)]
-                bd = _connecting(filt, r, p, n)
-                if bd is None:
-                    continue
-                lift = compose_morphisms(bd, incl)
-                diffs[(p, q)] = lift_through_inclusion(inclt, lift)
+                lift = compose_morphisms(_connecting(filt, r, p, n),
+                                         incls[(p, q)])
+                diffs[(p, q)] = lift_through_inclusion(incls[(tp, tq)], lift)
         pages.append(SpectralSequencePage(r, entries, diffs,
                                           ((pmin, pmax), (nmin, nmax))))
     return pages
@@ -753,27 +720,16 @@ def _connecting(filt: FilteredComplex, r, p, n):
     dB = B.diff(n)
     mats = []
     for c in range(len(HC.levels)):
-        relB = B.term(n - 1).levels[c].relation_lattice
-        iota_c = iota.mats[c]
-        stacked = intmat.hstack([iota_c, relB]) if relB.shape[1] else iota_c
-        solver1 = intmat.Solver(stacked)
-        KA = inclA.mats[c]
-        relA = A.term(n - 1).levels[c].relation_lattice
-        stacked2 = intmat.hstack([KA, relA]) if relA.shape[1] else KA
-        solver2 = intmat.Solver(stacked2)
+        lift = _coordinates(iota.mats[c], B.term(n - 1).levels[c],
+                            "connecting morphism failed to solve")
+        cycle = _coordinates(inclA.mats[c], A.term(n - 1).levels[c],
+                             "connecting image is not a cycle")
         reps = inclC.mats[c] @ sectC.mats[c]
-        cols = []
-        for k in range(HC.levels[c].generator_count):
-            target = dB.mats[c] @ reps[:, k]
-            sol = solver1.solve(target)
-            if sol is None:
-                raise ValueError("connecting morphism failed to solve")
-            w = sol[:iota_c.shape[1]]
-            sol2 = solver2.solve(w)
-            if sol2 is None:
-                raise ValueError("connecting image is not a cycle")
-            cols.append(projA.mats[c] @ sol2[:KA.shape[1]])
-        mats.append(intmat.from_cols(cols, HA.levels[c].generator_count))
+        bounds = [dB.mats[c] @ reps[:, k]
+                  for k in range(HC.levels[c].generator_count)]
+        mats.append(intmat.from_cols(
+            [projA.mats[c] @ z for z in cycle(lift(bounds))],
+            HA.levels[c].generator_count))
     return MackeyMorphism(HC, HA, mats, check=False)
 
 
@@ -793,8 +749,7 @@ def homology_filtration_graded(filt: FilteredComplex, n):
                                filt.inclusion(p, filt.max_index, m).mats,
                                check=False) for m in Fp.degrees()}
         if Fp.degrees():
-            Hmap, _, _ = complex_map_homology(Fp, total, u, n)
-            Im, incl = image(Hmap)
+            Im, incl = image(complex_map_homology(Fp, total, u, n))
         else:
             Htot = total.homology(n)
             Im, incl = kernel(identity_morphism(Htot))

@@ -132,7 +132,7 @@ def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
     return MackeyFunctor(group, levels, res, tr, conj, name="K0")
 
 
-def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
+def k0_green(group: FiniteGroup) -> GreenFunctor:
     """K0 with the fiber-product multiplication, as a validated Green functor."""
     M = k0_mackey(group)
     slices = _slices(group)
@@ -147,7 +147,7 @@ def k0_green(group: FiniteGroup, check=True) -> GreenFunctor:
     unit_code = transitive_code(pt, pt, tuple(range(group.order)), 0, 0)
     unit_vec = intmat.zero_vec(len(pt_slice.basis))
     unit_vec[pt_slice.basis.index(unit_code)] = 1
-    return green_from_levelwise(M, tables, unit_vec, check=check)
+    return green_from_levelwise(M, tables, unit_vec)
 
 
 @dataclass
@@ -164,7 +164,7 @@ class BpqResult:
         return self.multiplicative and self.unital
 
 
-def bpq_verify(group: FiniteGroup, check_green=True) -> BpqResult:
+def bpq_verify(group: FiniteGroup) -> BpqResult:
     """Exhibit k0_green(G) = Burnside Green functor, or raise.
 
     The isomorphism matches each K0 basis class (a transitive G-set over
@@ -172,7 +172,7 @@ def bpq_verify(group: FiniteGroup, check_green=True) -> BpqResult:
     with every stored structure map, carry multiplication to
     multiplication, and preserve units.
     """
-    K = k0_green(group, check=check_green)
+    K = k0_green(group)
     A = burnside_green(group, check=False)
     KM, AM = K.underlying, A.underlying
     classes = group.subgroup_classes()

@@ -40,6 +40,7 @@ from .burnside import (
     compose,
     hom_basis,
     res_element,
+    restriction_element,
     tr_element,
     weyl_element,
 )
@@ -549,14 +550,8 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
                 out[bases[tgt_c].index(c2), j] += v
         return out
 
-    M = mackey_from_span_action(group, levels, action,
-                                name=name or f"A[{X.name or X.size}]")
-    M._cache["rep_bases"] = bases
-    return M
-
-
-def representable_basis(M: MackeyFunctor, cidx):
-    return M._cache["rep_bases"][cidx]
+    return mackey_from_span_action(group, levels, action,
+                                   name=name or f"A[{X.name or X.size}]")
 
 
 def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
@@ -959,18 +954,22 @@ def orbit_embeddings(X: GSet):
 
 
 def identity_element_vector(X: GSet):
-    """Coordinates of [id_X] inside A_X(X) block coordinates."""
-    from .burnside import restriction_element
-    rep = representable(X)
-    grp, offsets = rep.value_at(X)
-    vec = intmat.zero_vec(grp.generator_count)
-    for b, (emb, cidx) in enumerate(zip(orbit_embeddings(X),
-                                        X.orbit_index.classes)):
-        basis = representable_basis(rep, cidx)
-        comp = restriction_element(emb)
-        for code, v in comp.coeffs.items():
-            vec[offsets[b] + basis.index(code)] += v
-    return vec, rep
+    """Coordinates of [id_X] in A_X(X), block by block over the orbits of X.
+
+    The block of an orbit of class c is A_X(G/H_c), on the basis
+    hom_basis(X, G/H_c), and holds the restriction along the orbit's
+    standard embedding.  No representable functor is built.
+    """
+    group = X.group
+    classes = X.orbit_index.classes
+    bases = {c: hom_basis(X, standard_orbit(group, c)) for c in set(classes)}
+    vec = intmat.zero_vec(sum(len(bases[c]) for c in classes))
+    lo = 0
+    for emb, c in zip(orbit_embeddings(X), classes):
+        for code, v in restriction_element(emb).coeffs.items():
+            vec[lo + bases[c].index(code)] += v
+        lo += len(bases[c])
+    return vec
 
 
 # -- fixed-point (Borel) construction ----------------------------------------------

@@ -12,8 +12,8 @@ CHANGES.md.
 The artifacts are demo stdout; the Mackey JSON and the
 `validate_functoriality` report of Burnside, FP(Z), FP(Z[G]), FP(Z)/2
 and K0 on the built-in groups; criterion 7's Tor invariant factors and
-Tor_0 witness matrices on the battery; and one CLI JSON payload per
-command.
+Tor_0 witness matrices on the battery; one CLI JSON payload per
+command; and the text output of the commands that print level tables.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from mackeykit.mackey import (  # noqa: E402
 MANIFEST = os.path.join(HERE, "data", "output_manifest.json")
 DEMOS = os.path.join(ROOT, "demos")
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+# CLI commands whose `--format text` output is recorded as well
+TEXT_COMMANDS = ("mackey-check", "box", "green-check", "tor")
 
 
 def _sha(data: bytes) -> str:
@@ -120,15 +122,27 @@ def tor_artifacts():
                 [m.tolist() for m in result.tor0_witness.mats])
 
 
-def _cli_payload(argv) -> bytes:
+def _cli_run(argv):
+    """(exit code, stdout) of the CLI on argv."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(argv + ["--format", "json"])
-    return _json_bytes({"exit": code, "payload": json.loads(out.getvalue())})
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _cli_payload(argv) -> bytes:
+    code, out = _cli_run(argv + ["--format", "json"])
+    return _json_bytes({"exit": code, "payload": json.loads(out)})
+
+
+def _cli_text(argv) -> bytes:
+    code, out = _cli_run(argv + ["--format", "text"])
+    return _json_bytes({"exit": code, "stdout": out})
 
 
 def cli_artifacts():
-    """One JSON payload per CLI command, on C2 and S3 inputs."""
+    """One JSON payload per CLI command, on C2 and S3 inputs, and the text
+    output of TEXT_COMMANDS."""
     S3 = builtin_group("S3")
     C2 = builtin_group("C2")
     O, pt = standard_orbit(C2, 0), point_gset(C2)
@@ -173,6 +187,8 @@ def cli_artifacts():
         }
         for command, argv in runs.items():
             yield f"cli/{command}", _cli_payload(argv)
+            if command in TEXT_COMMANDS:
+                yield f"cli_text/{command}", _cli_text(argv)
 
 
 def compute():

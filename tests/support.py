@@ -58,7 +58,6 @@ from mackeykit.mackey import (
     mackey_from_span_action,
     orbit_embeddings,
     representable,
-    representable_basis,
 )
 
 
@@ -1005,9 +1004,35 @@ def yoneda_element(M, X, vec):
         O = standard_orbit(group, c)
         cols = [M.eval_span(basis_element(X, O, code))
                 @ np.asarray(vec, dtype=object)
-                for code in representable_basis(rep, c)]
+                for code in hom_basis(X, O)]
         mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
     return MackeyMorphism(rep, M, mats, check=False), rep
+
+
+def identity_element_vector_oracle(X):
+    """[id_X] in A_X(X) through a built representable A_X: its value at X
+    gives the block offsets, hom_basis(X, G/H_c) the basis of each block,
+    and each block holds the restriction along its orbit's embedding."""
+    rep = representable(X)
+    grp, offsets = rep.value_at(X)
+    vec = intmat.zero_vec(grp.generator_count)
+    for b, (emb, cidx) in enumerate(zip(orbit_embeddings(X),
+                                        X.orbit_index.classes)):
+        basis = hom_basis(X, standard_orbit(X.group, cidx))
+        for code, v in restriction_element(emb).coeffs.items():
+            vec[offsets[b] + basis.index(code)] += v
+    return vec
+
+
+def burnside_unit_vector(group):
+    """The unit [pt <- pt -> pt] of the Burnside ring A_pt(pt) on its span
+    basis, read off identity_element(pt)."""
+    pt = point_gset(group)
+    basis = hom_basis(pt, pt)
+    (code, v), = identity_element(pt).coeffs.items()
+    vec = intmat.zero_vec(len(basis))
+    vec[basis.index(code)] = v
+    return vec
 
 
 def hom_modules(P, M):
@@ -1081,7 +1106,7 @@ def tor_by_rel_boxes(R, M, N, p_max):
     per term and rel_box_map differentials, the route before the Dress
     construction; the witness is H_0 -> rel_box(M, N)."""
     res = module_resolution(R, N, p_max + 1)
-    rels = [rel_box(M, F.module) for F in res.modules]
+    rels = [rel_box(M, F) for F in res.modules]
     C = ChainComplex(R.group, {p: rb.functor for p, rb in enumerate(rels)},
                      {p: rel_box_map(rels[p], rels[p - 1], res.diffs[p - 1])
                       for p in range(1, len(rels))})

@@ -397,7 +397,7 @@ def test_criterion_09_borel_adjunction():
 def test_criterion_10_bpq():
     for name in BATTERY + ORDER_8:
         group = builtin_group(name)
-        result = bpq_verify(group, check_green=True)
+        result = bpq_verify(group)
         assert result.ok, name
         if name == "trivial":
             # classical specialization: K0(pointed finite sets) = Z

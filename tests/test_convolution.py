@@ -10,7 +10,7 @@ from mackeykit.abgroups import (
     maps_equal,
     tensor_group,
 )
-from mackeykit.groups import builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
 from mackeykit.gsets import point_gset, product, standard_orbit
 from mackeykit.burnside import basis_element, compose, hom_basis, tensor
 from mackeykit.mackey import (
@@ -22,6 +22,7 @@ from mackeykit.mackey import (
     direct_sum,
     fixed_point_mackey,
     hom_mackey,
+    identity_element_vector,
     identity_morphism,
     mackey_from_levels,
     regular_module,
@@ -53,6 +54,7 @@ from support import (
     box_map,
     box_oracle,
     box_validate_green,
+    burnside_unit_vector,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
@@ -291,6 +293,19 @@ def test_burnside_green_levelwise_rings():
     assert list(G.level_unit(1)) == [0, 1]
 
 
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_burnside_unit_is_the_identity_class_of_the_point(name):
+    group = builtin_group(name)
+    unit = identity_element_vector(point_gset(group)).tolist()
+    assert unit == burnside_unit_vector(group).tolist()
+    assert burnside_green(group, check=False).unit.tolist() == unit
+
+
+def test_burnside_green_is_one_object_per_group():
+    group = builtin_group("S3")
+    assert burnside_green(group, check=False) is burnside_green(group)
+
+
 def test_green_round_trip_levelwise_and_mult():
     C2 = builtin_group("C2")
     G = burnside_green(C2)
@@ -461,7 +476,7 @@ def _modules(name):
         "FP(Z[G])": canonical_module(
             G, fixed_point_mackey(group, *regular_module(group))),
         "R": ring_as_module(G),
-        "R^(G/e)": free_module(G, standard_orbit(group, 0)).module,
+        "R^(G/e)": free_module(G, standard_orbit(group, 0)),
     }
 
 

@@ -31,6 +31,7 @@ from mackeykit.convolution import (
     box,
     burnside_green,
     green_from_levelwise,
+    internal_hom_rep,
     validate_module,
 )
 from mackeykit.homalg import (
@@ -109,7 +110,7 @@ def test_free_module_adjunction(c2_setup):
     for cidx in (0, 1):
         X = standard_orbit(C2, cidx)
         F = free_module(R, X)
-        hg = hom_modules(F.module, FPmod)
+        hg = hom_modules(F, FPmod)
         val, _ = FP.value_at(X)
         assert groups_isomorphic(hg.group, val)
         # unit element classifies back and forth
@@ -145,7 +146,7 @@ def test_free_module_is_r_of_x_times_and_classifies_m_of_x(name):
         mods.append(canonical_module(R, cokernel(two)[0]))
     for X in _free_bases(group):
         F = free_module(R, X)
-        validate_module(F.module)
+        validate_module(F)
         for c, lvl in enumerate(F.underlying.levels):
             val, _ = R.underlying.value_at(
                 product(X, standard_orbit(group, c)).gset)
@@ -155,7 +156,7 @@ def test_free_module_is_r_of_x_times_and_classifies_m_of_x(name):
         for M in mods:
             Mk = M.underlying
             val, _ = Mk.value_at(X)
-            hg = hom_modules(F.module, M)
+            hg = hom_modules(F, M)
             assert groups_isomorphic(hg.group, val)
             for phi in hg.basis:
                 psi = classifying_morphism(F, M, phi.at_gset(X) @ eta)
@@ -191,8 +192,8 @@ def test_hom_modules_matches_the_all_over_code_oracle(name):
     for X in _free_bases(group):
         F = free_module(R, X)
         for M in _fp_modules(group, R):
-            assert _hom_bytes(hom_modules(F.module, M)) == \
-                _hom_bytes(hom_modules_oracle(F.module, M))
+            assert _hom_bytes(hom_modules(F, M)) == \
+                _hom_bytes(hom_modules_oracle(F, M))
 
 
 def test_hom_modules_matches_the_oracle_on_d4():
@@ -200,8 +201,8 @@ def test_hom_modules_matches_the_oracle_on_d4():
     R = burnside_green(group, check=False)
     F = free_module(R, standard_orbit(group, 0))
     FPmod = _fp_modules(group, R)[0]
-    hg = hom_modules(F.module, FPmod)
-    assert _hom_bytes(hg) == _hom_bytes(hom_modules_oracle(F.module, FPmod))
+    hg = hom_modules(F, FPmod)
+    assert _hom_bytes(hg) == _hom_bytes(hom_modules_oracle(F, FPmod))
     assert groups_isomorphic(hg.group, FPmod.underlying.value_at(
         standard_orbit(group, 0))[0])
 
@@ -217,7 +218,7 @@ def test_free_module_adjunction_over_second_ring(c2_setup):
     for cidx in (0, 1):
         X = standard_orbit(C2, cidx)
         F = free_module(G2, X)
-        hg = hom_modules(F.module, Rmod)
+        hg = hom_modules(F, Rmod)
         val, _ = FP.value_at(X)
         assert groups_isomorphic(hg.group, val)
 
@@ -352,7 +353,7 @@ def test_rel_box_with_free_module_gives_levelwise_values(c2_setup):
     FPmod = canonical_module(R, FP)
     O = standard_orbit(C2, 0)
     F = free_module(R, O)
-    rb = rel_box(FPmod, F.module)
+    rb = rel_box(FPmod, F)
     for c in range(2):
         Y = standard_orbit(C2, c)
         val, _ = FP.value_at(product(O, Y).gset)
@@ -464,6 +465,21 @@ def test_tor_matches_a_presented_rel_box_per_term(name):
             _two_sided(wit)
 
 
+@pytest.mark.parametrize("name", ("C2", "S3"))
+def test_tor_with_a_free_module_on_the_left(name):
+    # R(X x -) box_R - is exact and is N(X x -) on N, so Tor_p(R^X, N)
+    # vanishes for p >= 1 and Tor_0 is N(X x -)
+    R, mods = _tor_modules(builtin_group(name))
+    X = standard_orbit(R.group, 0)
+    F = free_module(R, X)
+    result = tor(R, F, mods["FP"], 2)
+    for p in (1, 2):
+        assert all(l.is_trivial() for l in result.tor[p].levels), p
+    assert invariants(result.tor[0]) == \
+        invariants(internal_hom_rep(X, mods["FP"].underlying))
+    _two_sided(result.tor0_witness)
+
+
 def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):
     R, mods = _tor_modules(builtin_group("S3"))
     M, N = mods["FP"], mods["FP/2"]
@@ -493,7 +509,7 @@ def test_module_kernel_is_a_module(c2_setup):
     C2, R, FP = c2_setup
     FPmod = canonical_module(R, FP)
     F, surj = module_cover(FPmod)
-    K, incl = module_kernel(F.module, surj)
+    K, incl = module_kernel(F, surj)
     validate_module(K)
     for c, table in enumerate(K.tables):
         lvl = F.underlying.levels[c]
@@ -502,7 +518,7 @@ def test_module_kernel_is_a_module(c2_setup):
             for j, k_j in enumerate(row):
                 act = im.zero_vec(lvl.generator_count)
                 for t, x in enumerate(inc[:, j]):
-                    act += x * F.module.tables[c][i][t]
+                    act += x * F.tables[c][i][t]
                 assert lvl.elements_equal(inc @ k_j, act), (c, i, j)
 
 

@@ -50,7 +50,7 @@ def test_k0_mackey_functorial():
 def test_k0_multiplication_reproduces_burnside_ring():
     for name in ("C2", "C4", "S3"):
         group = builtin_group(name)
-        G = k0_green(group, check=False)
+        G = k0_green(group)
         # at the one-point level, fiber products over pt are products
         nclasses = len(group.subgroup_classes())
         table = G.tables[nclasses - 1]
@@ -81,7 +81,7 @@ def test_k0_trivial_group_is_integers():
 @pytest.mark.parametrize("name", BATTERY + ORDER_8)
 def test_bpq_battery(name):
     group = builtin_group(name)
-    result = bpq_verify(group, check_green=True)
+    result = bpq_verify(group)
     assert result.ok
     # equal level invariants and matching structure matrices through the iso
     A = burnside_mackey(group)

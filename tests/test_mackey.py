@@ -73,6 +73,7 @@ from support import (
     eval_span_oracle,
     exhaustive_functoriality_oracle,
     gmodule_hom_group,
+    identity_element_vector_oracle,
     permutation_group,
     representable_span_action,
     span_functoriality_oracle,
@@ -256,7 +257,7 @@ def test_yoneda_isomorphism_roundtrip():
             assert groups_isomorphic(hg.group, val)
             # explicit: evaluating a hom-basis morphism at the identity
             # element and classifying back is the identity
-            eta, rep = identity_element_vector(X)
+            eta, rep = identity_element_vector(X), representable(X)
             for phi in hg.basis:
                 vec = phi.at_gset(X) @ eta
                 psi, rep2 = yoneda_element(N, X, vec)
@@ -264,6 +265,42 @@ def test_yoneda_isomorphism_roundtrip():
                 for c in range(len(N.levels)):
                     assert maps_equal(psi.mats[c], phi.mats[c],
                                       rep.levels[c], N.levels[c])
+
+
+def test_identity_element_vector_builds_no_mackey_functor(monkeypatch):
+    # [id_X] is read off hom_basis(X, G/H); no representable A_X is built
+    built = []
+    real = MackeyFunctor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MackeyFunctor, "__init__", counting)
+    S3 = builtin_group("S3")
+    for c in range(len(S3.subgroup_classes())):
+        identity_element_vector(standard_orbit(S3, c))
+    assert built == []
+    representable(standard_orbit(S3, 0))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_identity_element_vector_matches_the_representable_route(name):
+    group = builtin_group(name)
+    for c in range(len(group.subgroup_classes())):
+        X = standard_orbit(group, c)
+        assert identity_element_vector(X).tolist() == \
+            identity_element_vector_oracle(X).tolist(), c
+
+
+def test_identity_element_vector_on_three_orbits():
+    S3 = builtin_group("S3")
+    for X in (product(standard_orbit(S3, 0), standard_orbit(S3, 1)).gset,
+              disjoint_union_of_orbits(S3, (1, 0, 1))):
+        assert len(X.orbit_index.classes) == 3
+        assert identity_element_vector(X).tolist() == \
+            identity_element_vector_oracle(X).tolist()
 
 
 def test_projectivity_of_representables(c2):
