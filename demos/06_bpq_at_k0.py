@@ -10,6 +10,7 @@ structure map, unit, and multiplication table exactly.
 
 from mackeykit import builtin_group, bpq_verify, k0_mackey, k0_of_slice
 from mackeykit.gsets import point_gset, standard_orbit
+from mackeykit.mackey import compose_morphisms, identity_morphism
 
 triv = builtin_group("trivial")
 s = k0_of_slice(point_gset(triv))
@@ -26,6 +27,8 @@ print("  restriction matrix:", [list(r) for r in M.res[(A, B)]],
 for name in ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6"):
     group = builtin_group(name)
     result = bpq_verify(group)
-    assert result.ok
+    iso, inv = result.iso, result.inverse
+    assert compose_morphisms(inv, iso).equals(identity_morphism(iso.source))
+    assert compose_morphisms(iso, inv).equals(identity_morphism(iso.target))
     print(f"BPQ at K0 verified for {name}: K0(G-sets) = Burnside Green "
           "functor")

@@ -206,24 +206,11 @@ def restriction_element(f: GMap) -> BurnsideElement:
 # -- materialization -----------------------------------------------------------
 
 
-def _coset_reps(O: GSet):
-    """Minimal element of each coset, in point order, for a coset space O.
-
-    O is G/H on cosets sorted by minimal element, so point 0 is H and
-    g.0 is the coset gH: the first g reaching a point is its minimum.
-    """
-    reps = [None] * O.size
-    for g, row in enumerate(O.action):
-        if reps[row[0]] is None:
-            reps[row[0]] = g
-    return reps
-
-
 def materialize_code(X: GSet, Y: GSet, code):
     """Explicit transitive span (middle, left leg, right leg) for a code."""
     cidx, x, y = code
     U = standard_orbit(X.group, cidx)
-    reps = _coset_reps(U)
+    reps = U.orbit_index.reach    # the least element of each coset
     left = GMap(U, X, tuple(X.action[g][x] for g in reps))
     right = GMap(U, Y, tuple(Y.action[g][y] for g in reps))
     return U, left, right
@@ -261,7 +248,7 @@ def _double_coset_codes(L, O, code_of, keep=None):
     Each orbit whose first coset bM passes keep(b) gives
     code_of(L n bMb^-1, b), b the minimal element of that coset.
     """
-    reps = _coset_reps(O)
+    reps = O.orbit_index.reach
     rows = [O.action[h] for h in L]
     seen = [False] * O.size
     codes = []

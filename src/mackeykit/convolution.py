@@ -16,7 +16,6 @@ and every isomorphism returns a two-sided matrix witness.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import intmat
 from .abgroups import FinPresAbGroup
 from .burnside import (
     BurnsideElement,
-    _double_coset_codes,
+    _compose_codes,
     basis_element,
     compose,
     hom_basis,
@@ -41,6 +40,7 @@ from .gsets import GMap, GSet, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
+    burnside_mackey,
     compose_morphisms,
     identity_element_vector,
     identity_morphism,
@@ -75,24 +75,19 @@ def over_image(S: GSet, T: GSet, ecode, code):
     m (x) n goes to c_u res_o(m) (x) c_u res_o(n) (Thevenaz-Webb 1995;
     Bouc, LNM 1671, ch. 1).  A middle of the class of S makes the span a
     transfer along g.yp -> g.z, which moves x and keeps o at the base;
-    otherwise the L-orbits on the middle's cosets are walked as `compose`
-    walks them.
+    otherwise the composite is the span's code composed with the
+    over-code's structure span G/L -> S, as `compose` computes it.
     """
     group = S.group
     cw, x = code
     m, yp, z = ecode
-    Sa, Ta = S.action, T.action
     if m == S.orbit_index.classes[0]:
         reach = S.orbit_index.reach
         g = group.table[reach[x]][group.inverse[reach[yp]]]
-        terms = {(cw, 0, Ta[g][z]): 1}
+        terms = {(cw, 0, T.action[g][z]): 1}
     else:
-        O = standard_orbit(group, cw)
-        terms = Counter(_double_coset_codes(
-            group.subgroup_classes()[cw].representative,
-            standard_orbit(group, m),
-            lambda K, b: transitive_code(O, T, K, 0, Ta[b][z]),
-            keep=lambda b: Sa[b][yp] == x))
+        terms = _compose_codes(standard_orbit(group, cw), S, T, (cw, 0, x),
+                               ecode)
     out = []
     for (cwp, o, y), mult in terms.items():
         zstar, u = _canonical_over(group, cwp, y, T)
@@ -321,14 +316,6 @@ def dress_pairing(M: MackeyFunctor, N: MackeyFunctor, boxed: MackeyFunctor,
 # -- unit, commutativity, associativity ---------------------------------------------
 
 
-def point_representable(group) -> MackeyFunctor:
-    """The Burnside Mackey functor A_pt, cached per group."""
-    key = "point_representable"
-    if key not in group._cache:
-        group._cache[key] = representable(point_gset(group), name="Burnside")
-    return group._cache[key]
-
-
 def _unit_action_block(M: MackeyFunctor, cidx, code, i):
     """Basis span i of A_pt(G/L) acting on M(G/L), pushed along `code`.
 
@@ -374,7 +361,7 @@ def box_unit_iso(M: MackeyFunctor):
     implementation fault rather than a mathematical one.
     """
     group = M.group
-    A = point_representable(group)
+    A = burnside_mackey(group)
     data = box(A, M)
     eps = box_unit_eval(M, data)
 
@@ -573,23 +560,35 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
 class GreenFunctor:
     """A Mackey functor R with a commutative, unital ring at every level.
 
-    tables[c][i][j] is e_i . e_j in R(G/H_c), and `unit` is the unit of the
-    one-point level, whose restrictions are the units below it.  A monoid
-    R box R -> R for the box product is the same data (see validate_green),
-    so no box product is built to hold or check it.
+    tables[c] is an n x n x n integer array, n the generator count of
+    R(G/H_c), with tables[c][i][j] = e_i . e_j, so that y @ tables[c] is
+    every e_i . y.  `unit` is the unit of the one-point level, whose
+    restrictions are the units below it.  The constructor checks both
+    (`_integer_tables`).  A monoid R box R -> R for the box product is the
+    same data (see validate_green), so no box product is built to hold or
+    check it.
     """
     underlying: MackeyFunctor
     tables: list
     unit: np.ndarray
+
+    def __post_init__(self):
+        R = self.underlying
+        self.tables = _integer_tables(R, R, self.tables, "ring table")
+        self.unit = intmat.intvec(_labels(self.unit, "unit"))
+        top = R.group.subgroup_classes()[-1]
+        n = R.levels[top.index].generator_count
+        if len(self.unit) != n:
+            raise ValueError(f"unit at level {top.label}: vector of length "
+                             f"{len(self.unit)}, expected {n}")
 
     @property
     def group(self):
         return self.underlying.group
 
     def level_product(self, cidx, x_vec, y_vec):
-        """The ring product on R(G/H), read from the level table."""
-        return _times(self.tables[cidx], x_vec, y_vec,
-                      self.underlying.levels[cidx].generator_count)
+        """The ring product x . y on R(G/H), read from the level table."""
+        return x_vec @ (y_vec @ self.tables[cidx])
 
     def level_unit(self, cidx):
         """The multiplicative unit of R(G/H)."""
@@ -638,25 +637,6 @@ def validate_green(G: GreenFunctor):
                         f"{cls.label}, cell ({i}, {j})")
 
 
-def _act(row, y, n):
-    """sum_j y_j row[j] in a level with n generators: one generator e acting
-    on y, where row[j] = e . m_j."""
-    out = intmat.zero_vec(n)
-    for j, yj in enumerate(y):
-        if yj:
-            out += yj * row[j]
-    return out
-
-
-def _times(table, x, y, n):
-    """x . y from table[i][j] = e_i . e_j, in a level with n generators."""
-    out = intmat.zero_vec(n)
-    for i, xi in enumerate(x):
-        if xi:
-            out += xi * _act(table[i], y, n)
-    return out
-
-
 def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
                   name):
     """Levelwise axioms of an action of R on M, on product tables.
@@ -675,78 +655,67 @@ def _check_action(R: MackeyFunctor, M: MackeyFunctor, rings, acts, units,
     group = R.group
     classes = group.subgroup_classes()
 
-    def times(c, x, y):
-        return _times(acts[c], x, y, M.levels[c].generator_count)
-
     def check(c, lhs, rhs, what, where, cell):
         if not M.levels[c].elements_equal(lhs, rhs):
             raise GreenValidationError(
                 f"{what} at {where}, cell ({', '.join(map(str, cell))})")
 
-    ER = [intmat.identity(lvl.generator_count) for lvl in R.levels]
-    EM = [intmat.identity(lvl.generator_count) for lvl in M.levels]
     for c, cls in enumerate(classes):
         where = f"level {cls.label}"
-        nR, nM = ER[c].shape[1], EM[c].shape[1]
-        zero = intmat.zero_vec(nM)
-        relR = R.levels[c].relation_lattice
-        relM = M.levels[c].relation_lattice
-        for r in range(relR.shape[1]):
+        T = acts[c]
+        nR, nM = T.shape[:2]
+        EM, zero = intmat.identity(nM), intmat.zero_vec(nM)
+        for r, rel in enumerate(R.levels[c].relation_lattice.T):
+            for j, v in enumerate(np.tensordot(rel, T, 1)):
+                check(c, v, zero, f"{name} is not well defined on relations",
+                      where, (f"relation {r}", j))
+        for r, rel in enumerate(M.levels[c].relation_lattice.T):
+            for i, v in enumerate(rel @ T):
+                check(c, v, zero, f"{name} is not well defined on relations",
+                      where, (i, f"relation {r}"))
+        for j, v in enumerate(np.tensordot(units[c], T, 1)):
+            check(c, v, EM[j], f"unit law fails for the {name}", where, (j,))
+        for i, k in itertools.product(range(nR), repeat=2):
+            lhs, rhs = np.tensordot(rings[c][i, k], T, 1), T[k] @ T[i]
             for j in range(nM):
-                check(c, times(c, relR[:, r], EM[c][:, j]), zero,
-                      f"{name} is not well defined on relations", where,
-                      (f"relation {r}", j))
-        for r in range(relM.shape[1]):
-            for i in range(nR):
-                check(c, times(c, ER[c][:, i], relM[:, r]), zero,
-                      f"{name} is not well defined on relations", where,
-                      (i, f"relation {r}"))
-        for j in range(nM):
-            check(c, times(c, units[c], EM[c][:, j]), EM[c][:, j],
-                  f"unit law fails for the {name}", where, (j,))
-        for i in range(nR):
-            for k in range(nR):
-                for j in range(nM):
-                    check(c, times(c, rings[c][i][k], EM[c][:, j]),
-                          times(c, ER[c][:, i], acts[c][k][j]),
-                          f"{name} is not associative", where, (i, k, j))
+                check(c, lhs[j], rhs[j], f"{name} is not associative", where,
+                      (i, k, j))
         for n in cls.normalizer_generators:
             WR, WM = R.conj[c][n], M.conj[c][n]
-            for i in range(nR):
-                for j in range(nM):
-                    check(c, WM @ acts[c][i][j],
-                          times(c, WR[:, i], WM[:, j]),
-                          f"conjugation by {n} does not respect the {name}",
-                          where, (i, j))
+            lhs, rhs = T @ WM.T, np.tensordot(WR, WM.T @ T, (0, 0))
+            for i, j in itertools.product(range(nR), range(nM)):
+                check(c, lhs[i, j], rhs[i, j],
+                      f"conjugation by {n} does not respect the {name}",
+                      where, (i, j))
     for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
         where = f"{A}<{B}"
         resR, resM = R.res[(A, B)], M.res[(A, B)]
         trR, trM = R.tr[(A, B)], M.tr[(A, B)]
-        for i in range(ER[cb].shape[1]):
-            for j in range(EM[cb].shape[1]):
-                check(ca, resM @ acts[cb][i][j],
-                      times(ca, resR[:, i], resM[:, j]),
-                      f"restriction does not respect the {name}", where,
-                      (i, j))
-        for i in range(ER[ca].shape[1]):
-            for j in range(EM[cb].shape[1]):
-                check(cb, trM @ times(ca, ER[ca][:, i], resM[:, j]),
-                      times(cb, trR[:, i], EM[cb][:, j]),
-                      f"Frobenius reciprocity tr(r.res m) = tr(r).m fails "
-                      f"for the {name}", where, (i, j))
-        for i in range(ER[cb].shape[1]):
-            for j in range(EM[ca].shape[1]):
-                check(cb, trM @ times(ca, resR[:, i], EM[ca][:, j]),
-                      times(cb, ER[cb][:, i], trM[:, j]),
-                      f"Frobenius reciprocity tr(res r.m) = r.tr(m) fails "
-                      f"for the {name}", where, (i, j))
+        TA, TB = acts[ca], acts[cb]
+        res_m = resM.T @ TA      # [i, j] = e_i . res(m_j)
+        for i, j in itertools.product(*map(range, TB.shape[:2])):
+            check(ca, resM @ TB[i, j], resR[:, i] @ res_m[:, j],
+                  f"restriction does not respect the {name}", where, (i, j))
+        for i, j in itertools.product(range(TA.shape[0]), range(TB.shape[1])):
+            check(cb, trM @ res_m[i, j], trR[:, i] @ TB[:, j],
+                  f"Frobenius reciprocity tr(r.res m) = tr(r).m fails "
+                  f"for the {name}", where, (i, j))
+        for i, j in itertools.product(range(TB.shape[0]), range(TA.shape[1])):
+            check(cb, trM @ (resR[:, i] @ TA[:, j]), trM[:, j] @ TB[i],
+                  f"Frobenius reciprocity tr(res r.m) = r.tr(m) fails "
+                  f"for the {name}", where, (i, j))
 
 
 def _integer_tables(R: MackeyFunctor, M: MackeyFunctor, tables, what):
-    """`tables` as integer vectors, after checking that each class has an
-    nR x nM table of length-nM vectors (the generator counts of R and M).
-    Raises ValueError naming the level and the cell."""
+    """`tables` as one nR x nM x nM integer array per class, nR and nM the
+    generator counts of R and M there.
+
+    An object array of that shape is the library's own representation and
+    is kept as given, as `_int_matrix` keeps a matrix.  Other input is
+    converted cell by cell; raises ValueError naming the level and the
+    cell unless each class has nR rows of nM vectors of nM integers.
+    """
     classes = R.group.subgroup_classes()
     if len(tables) != len(classes):
         raise ValueError(f"need one {what} per subgroup class, "
@@ -755,18 +724,22 @@ def _integer_tables(R: MackeyFunctor, M: MackeyFunctor, tables, what):
     for cls, table in zip(classes, tables):
         nR = R.levels[cls.index].generator_count
         nM = M.levels[cls.index].generator_count
+        if isinstance(table, np.ndarray) and table.dtype == object \
+                and table.shape == (nR, nM, nM):
+            out.append(table)
+            continue
         where = f"{what} at level {cls.label}"
         if len(table) != nR or any(len(row) != nM for row in table):
             raise ValueError(f"{where} must be {nR}x{nM}")
+        arr = np.empty((nR, nM, nM), dtype=object)
         for i, row in enumerate(table):
             for j, vec in enumerate(row):
                 if len(vec) != nM:
                     raise ValueError(
                         f"{where}, cell ({i}, {j}): vector of length "
                         f"{len(vec)}, expected {nM}")
-        out.append([[intmat.intvec(_labels(vec, f"{where}, cell ({i}, {j})"))
-                     for j, vec in enumerate(row)]
-                    for i, row in enumerate(table)])
+                arr[i, j] = _labels(vec, f"{where}, cell ({i}, {j})")
+        out.append(arr)
     return out
 
 
@@ -775,22 +748,11 @@ def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
     """The Green functor on R with the given level rings and unit.
 
     `ring_tables[c][i][j]` is the vector of e_i * e_j in R(G/H_c); `unit_vec`
-    is the multiplicative unit of R at the one-point level.  Raises
-    ValueError, naming the class label and the cell, unless there is one
-    n x n table of length-n integer vectors per class (n the level's
-    generator count), and naming `unit` unless it is an integer vector of
-    the one-point level's length; a float, string or bool entry, of a table
-    or of the unit, is named rather than truncated.  With check,
-    validate_green verifies the axioms.
+    is the multiplicative unit of R at the one-point level.  `GreenFunctor`
+    checks their shapes and entries, naming the level and the cell; with
+    check, validate_green verifies the axioms.
     """
-    tables = _integer_tables(R, R, ring_tables, "ring table")
-    unit = intmat.intvec(_labels(unit_vec, "unit"))
-    top = R.group.subgroup_classes()[-1]
-    n = R.levels[top.index].generator_count
-    if len(unit) != n:
-        raise ValueError(f"unit at level {top.label}: vector of length "
-                         f"{len(unit)}, expected {n}")
-    G = GreenFunctor(R, tables, unit)
+    G = GreenFunctor(R, ring_tables, unit_vec)
     if check:
         validate_green(G)
     return G
@@ -801,9 +763,9 @@ def _burnside_action_tables(M: MackeyFunctor):
     on M(G/H_c): the columns of the unit-action block at the diagonal
     over-code."""
     group = M.group
-    return [[list(_unit_action_block(M, c, _diag_code(group, c), i).T.copy())
-             for i in range(lvl.generator_count)]
-            for c, lvl in enumerate(point_representable(group).levels)]
+    return [np.stack([_unit_action_block(M, c, _diag_code(group, c), i).T
+                      for i in range(lvl.generator_count)])
+            for c, lvl in enumerate(burnside_mackey(group).levels)]
 
 
 def burnside_green(group, check=True) -> GreenFunctor:
@@ -812,7 +774,7 @@ def burnside_green(group, check=True) -> GreenFunctor:
     with check, validate_green verifies it on every call."""
     key = "burnside_green"
     if key not in group._cache:
-        R = point_representable(group)
+        R = burnside_mackey(group)
         group._cache[key] = GreenFunctor(
             R, _burnside_action_tables(R),
             identity_element_vector(point_gset(group)))
@@ -828,7 +790,9 @@ def burnside_green(group, check=True) -> GreenFunctor:
 @dataclass
 class GreenModule:
     """A Mackey functor M with an action of a Green functor R, stored as
-    level tables: tables[c][i][j] is e_i . m_j in M(G/H_c).
+    one integer array per level: tables[c][i][j] is e_i . m_j in M(G/H_c),
+    so m @ tables[c] is every e_i . m.  The constructor checks the arrays'
+    shapes and entries (`_integer_tables`).
 
     An action R box M -> M is the same data (see `validate_module`): it
     sends (code, i, j) to the transfer along code of
@@ -843,6 +807,10 @@ class GreenModule:
     _resolutions: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
+    def __post_init__(self):
+        self.tables = _integer_tables(self.ring.underlying, self.underlying,
+                                      self.tables, "module table")
+
     @property
     def group(self):
         return self.underlying.group
@@ -854,16 +822,15 @@ def validate_module(mod: GreenModule):
     As for validate_green, an action of a Green functor is the same thing
     as an action of each level ring R(G/H) on M(G/H) that commutes with
     conjugation and restriction and satisfies Frobenius reciprocity on both
-    sides.  The check verifies the table shapes (ValueError), then
-    well-definedness, (r.s).m = r.(s.m), 1.m = m, compatibility with
-    conjugation and restriction, and both Frobenius identities.  Raises
-    naming the level or axiom and the cell.
+    sides.  The check verifies well-definedness, (r.s).m = r.(s.m),
+    1.m = m, compatibility with conjugation and restriction, and both
+    Frobenius identities, raising GreenValidationError naming the axiom and
+    the cell.
     """
     ring = mod.ring
-    R, M = ring.underlying, mod.underlying
-    acts = _integer_tables(R, M, mod.tables, "module table")
-    units = [ring.level_unit(c) for c in range(len(R.levels))]
-    _check_action(R, M, ring.tables, acts, units, "module action")
+    units = [ring.level_unit(c) for c in range(len(ring.tables))]
+    _check_action(ring.underlying, mod.underlying, ring.tables, mod.tables,
+                  units, "module action")
 
 
 def ring_as_module(G: GreenFunctor) -> GreenModule:

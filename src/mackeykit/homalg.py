@@ -30,12 +30,12 @@ from .burnside import restriction_element, transfer_element
 from .convolution import (
     GreenFunctor,
     GreenModule,
-    _act,
+    _block_starts,
     _burnside_action_tables,
+    _kron,
     box,
     dress_pairing,
     internal_hom_rep,
-    point_representable,
 )
 from .gsets import (
     GMap,
@@ -49,6 +49,7 @@ from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
     _coordinates,
+    burnside_mackey,
     compose_morphisms,
     cokernel,
     homology_at,
@@ -83,20 +84,16 @@ class FreeModule(GreenModule):
 
 
 def _act_columns(tables, M: MackeyFunctor, Y: GSet, m):
-    """e_j . m in M(Y) for every generator e_j of R(Y), orbit by orbit.
+    """The matrix of r -> r . m from R(Y) to M(Y), for m in M(Y).
 
-    `tables` are the level tables of an R-action on M; on each orbit of Y
-    the product is the level action of the orbit's class.
+    `tables` are the level tables of an R-action on M.  Both values are
+    sums over the orbits of Y, and on an orbit of class L the block is
+    (m @ tables[L]).T, whose column i is e_i . m.
     """
-    grp, offsets = M.value_at(Y)
-    cols = []
-    for b, L in enumerate(Y.orbit_index.classes):
-        lo, n = offsets[b], M.levels[L].generator_count
-        for row in tables[L]:
-            col = intmat.zero_vec(grp.generator_count)
-            col[lo:lo + n] = _act(row, m[lo:lo + n], n)
-            cols.append(col)
-    return cols
+    _, offsets = M.value_at(Y)
+    return intmat.block_diag([
+        (m[lo:lo + M.levels[L].generator_count] @ tables[L]).T
+        for lo, L in zip(offsets, Y.orbit_index.classes)])
 
 
 def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
@@ -113,8 +110,10 @@ def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
     for cw in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, cw))
         res = Rk.eval_span(restriction_element(P.right))
-        tables.append([_act_columns(R.tables, Rk, P.gset, res[:, i])
-                       for i in range(res.shape[1])])
+        n = res.shape[0]
+        tables.append(np.array([_act_columns(R.tables, Rk, P.gset, r).T
+                                for r in res.T],
+                               dtype=object).reshape(res.shape[1], n, n))
     return FreeModule(R, F, tables, X)
 
 
@@ -152,7 +151,7 @@ def _classifying_mats(M: GreenModule, X: GSet, m_vec):
         m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
         push = Mk.eval_span(transfer_element(P.right))
         cols = [push[:, nz] @ col[nz]
-                for col in _act_columns(M.tables, Mk, P.gset, m_res)
+                for col in _act_columns(M.tables, Mk, P.gset, m_res).T
                 for nz in [np.flatnonzero(col)]]
         mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
     return mats
@@ -217,12 +216,10 @@ def module_kernel(M: GreenModule, f: MackeyMorphism):
     K, incl = kernel(f)
     tables = []
     for c, table in enumerate(M.tables):
-        n = M.underlying.levels[c].generator_count
-        ks = list(incl.mats[c].T)
-        lifted = lift_columns(incl, c, [_act(row, k, n) for row in table
-                                        for k in ks])
-        tables.append([lifted[i * len(ks):(i + 1) * len(ks)]
-                       for i in range(len(table))])
+        acted = incl.mats[c].T @ table    # [i, j] = e_i . incl(k_j)
+        nR, nK, n = acted.shape
+        lifted = lift_columns(incl, c, list(acted.reshape(nR * nK, n)))
+        tables.append(np.array(lifted, dtype=object).reshape(nR, nK, nK))
     return GreenModule(M.ring, K, tables), incl
 
 
@@ -303,30 +300,29 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
 
     The image of (act_M box id - id box act_N) is generated by the
     balanced-product relations over diagonal transitive over-objects:
-    for m, r, n all at one over-code, (r.m) (x) n = m (x) (r.n).  One
-    relation column per (over-code, m, r, n) generator triple.
+    for m, r, n all at one over-code, (r.m) (x) n = m (x) (r.n).  Per
+    over-code and generator r they are the columns of the block
+    kron(T_M[r].T, I) - kron(I, T_N[r].T) on the over-code's generators
+    (code, i, j), i major, T the level tables; zero columns are dropped.
     """
     Mk, Nk = M.underlying, N.underlying
     group = M.group
     data = box(Mk, Nk)
     levels = []
-    for c, (lay, lvl) in enumerate(zip(data.layout, data.functor.levels)):
-        cols = []
-        for code in data.codes[c]:
-            for rowM, rowN in zip(M.tables[code[0]], N.tables[code[0]]):
-                for i, rm in enumerate(rowM):
-                    for k, rn in enumerate(rowN):
-                        col = intmat.zero_vec(lvl.generator_count)
-                        for a, x in enumerate(rm):
-                            if x:
-                                col[lay[(code, a, k)]] += x
-                        for b, x in enumerate(rn):
-                            if x:
-                                col[lay[(code, i, b)]] -= x
-                        if not intmat.is_zero(col):
-                            cols.append(col)
+    for c, lvl in enumerate(data.functor.levels):
+        n = lvl.generator_count
+        blocks = [intmat.zeros(n, 0)]
+        for code, s in _block_starts(Mk, Nk, data.codes[c])[0].items():
+            TM, TN = M.tables[code[0]], N.tables[code[0]]
+            IM, IN = intmat.identity(TM.shape[1]), intmat.identity(TN.shape[1])
+            k = len(IM) * len(IN)
+            for tm, tn in zip(TM, TN):
+                block = intmat.zeros(n, k)
+                block[s:s + k] = _kron(tm.T, IN) - _kron(IM, tn.T)
+                blocks.append(block)
+        rels = intmat.hstack(blocks)
         levels.append(abgroups.quotient_by_columns(
-            lvl, intmat.from_cols(cols, lvl.generator_count)))
+            lvl, rels[:, np.any(rels != 0, axis=0)]))
     F = data.functor
     Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.conj,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
@@ -343,7 +339,7 @@ def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
     """
     if M.group != G.group:
         raise ValueError("different groups")
-    if G.underlying is not point_representable(G.group):
+    if G.underlying is not burnside_mackey(G.group):
         raise ValueError("canonical_module needs a Green functor on the "
                          "Burnside functor A_pt, such as burnside_green")
     return GreenModule(G, M, _burnside_action_tables(M))
@@ -424,7 +420,8 @@ def _act_on(M: GreenModule, Y: GSet, r, mat):
     """r . m in M(Y) for r in R(Y) and every column m of `mat`.
 
     Orbit by orbit of Y the product is the level action of the orbit's
-    class, sum_i r_i (e_i . m), read from the module's tables.
+    class: with r_b the orbit's block of r, row j of
+    tensordot(r_b, tables[L]) is r_b . m_j.
     """
     Rk, Mk = M.ring.underlying, M.underlying
     _, roff = Rk.value_at(Y)
@@ -432,11 +429,8 @@ def _act_on(M: GreenModule, Y: GSet, r, mat):
     out = intmat.zeros(*mat.shape)
     for b, L in enumerate(Y.orbit_index.classes):
         lo, n = moff[b], Mk.levels[L].generator_count
-        act = intmat.zeros(n, n)
-        for i, ri in enumerate(r[roff[b]:roff[b] + Rk.levels[L].generator_count]):
-            if ri:
-                act += ri * intmat.from_cols(M.tables[L][i], n)
-        out[lo:lo + n] = act @ mat[lo:lo + n]
+        r_b = r[roff[b]:roff[b] + Rk.levels[L].generator_count]
+        out[lo:lo + n] = np.tensordot(r_b, M.tables[L], 1).T @ mat[lo:lo + n]
     return out
 
 

@@ -12,6 +12,7 @@ of the equivariant Barratt-Priddy-Quillen equivalence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import intmat
@@ -97,20 +98,16 @@ def _projection_map(group: FiniteGroup, A, B) -> GMap:
     ca, cb = group.class_index_of(A), group.class_index_of(B)
     OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
     tA, tB = group.transport(A), group.transport(B)
-    reps = [c[0] for c in group.left_cosets(
-        group.subgroup_classes()[ca].representative)]
     shift = group.mul(tA, group.inv(tB))
     return GMap(OA, OB, tuple(coset_index_of(group, cb, group.mul(g, shift))
-                              for g in reps))
+                              for g in OA.orbit_index.reach))
 
 
 def _weyl_map(group: FiniteGroup, cidx, n) -> GMap:
     O = standard_orbit(group, cidx)
-    reps = [c[0] for c in group.left_cosets(
-        group.subgroup_classes()[cidx].representative)]
     return GMap(O, O, tuple(coset_index_of(group, cidx,
                                            group.mul(g, group.inv(n)))
-                            for g in reps))
+                            for g in O.orbit_index.reach))
 
 
 def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
@@ -152,16 +149,11 @@ def k0_green(group: FiniteGroup) -> GreenFunctor:
 
 @dataclass
 class BpqResult:
-    """Outcome of the K0-level Barratt-Priddy-Quillen comparison."""
+    """The K0-level Barratt-Priddy-Quillen comparison; `bpq_verify` returns
+    one only when every check passed."""
     group: FiniteGroup
     iso: MackeyMorphism           # k0_mackey -> Burnside Mackey functor
     inverse: MackeyMorphism
-    multiplicative: bool
-    unital: bool
-
-    @property
-    def ok(self):
-        return self.multiplicative and self.unital
 
 
 def bpq_verify(group: FiniteGroup) -> BpqResult:
@@ -193,26 +185,15 @@ def bpq_verify(group: FiniteGroup) -> BpqResult:
         raise ValueError(f"BPQ comparison fails on structure maps: {err}")
     inv = iso.inverse()
 
-    multiplicative = True
-    unital = True
-    for c in range(len(classes)):
-        n = KM.levels[c].generator_count
-        for i in range(n):
-            xi = intmat.zero_vec(n)
-            xi[i] = 1
-            for j in range(n):
-                yj = intmat.zero_vec(n)
-                yj[j] = 1
-                lhs = mats[c] @ K.level_product(c, xi, yj)
-                rhs = A.level_product(c, mats[c] @ xi, mats[c] @ yj)
-                if not AM.levels[c].elements_equal(lhs, rhs):
-                    multiplicative = False
-                    raise ValueError(
-                        f"BPQ comparison fails multiplicativity at level "
-                        f"{classes[c].label}, cell ({i},{j})")
-        if not AM.levels[c].elements_equal(mats[c] @ K.level_unit(c),
+    for c, (m, table) in enumerate(zip(mats, K.tables)):
+        for i, j in itertools.product(range(len(table)), repeat=2):
+            if not AM.levels[c].elements_equal(
+                    m @ table[i, j], A.level_product(c, m[:, i], m[:, j])):
+                raise ValueError(
+                    f"BPQ comparison fails multiplicativity at level "
+                    f"{classes[c].label}, cell ({i},{j})")
+        if not AM.levels[c].elements_equal(m @ K.level_unit(c),
                                            A.level_unit(c)):
-            unital = False
             raise ValueError(
                 f"BPQ comparison fails unitality at level {classes[c].label}")
-    return BpqResult(group, iso, inv, multiplicative, unital)
+    return BpqResult(group, iso, inv)

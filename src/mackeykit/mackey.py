@@ -45,7 +45,7 @@ from .burnside import (
     weyl_element,
 )
 from .groups import FiniteGroup
-from .gsets import GMap, GSet, standard_orbit
+from .gsets import GMap, GSet, point_gset, standard_orbit
 
 
 def class_pair_covers(group: FiniteGroup):
@@ -555,9 +555,12 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
 
 
 def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
-    """The Burnside Mackey functor, represented by the one-point G-set."""
-    from .gsets import point_gset
-    return representable(point_gset(group), name="Burnside")
+    """The Burnside Mackey functor A_pt, represented by the one-point G-set;
+    one object per group."""
+    if "burnside_mackey" not in group._cache:
+        group._cache["burnside_mackey"] = representable(point_gset(group),
+                                                        name="Burnside")
+    return group._cache["burnside_mackey"]
 
 
 def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
@@ -947,9 +950,8 @@ def orbit_embeddings(X: GSet):
         base = orbit[0]
         t = group.transport(stab)
         O = standard_orbit(group, cidx)
-        reps = [c[0] for c in group.left_cosets(
-            group.subgroup_classes()[cidx].representative)]
-        out.append(GMap(O, X, tuple(X.act(group.mul(g, t), base) for g in reps)))
+        out.append(GMap(O, X, tuple(X.act(group.mul(g, t), base)
+                                    for g in O.orbit_index.reach)))
     return out
 
 
@@ -1027,24 +1029,12 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         # res: V^B -> V^A transported into representative coordinates
         res[(A, B)] = on_fixed(act[tA] @ act[group.inv(tB)], cb, ca)
         # tr: V^A -> V^B, sum over B/A coset translates
-        cos_sum = sum((act[x] for x in _subcosets(group, A, B)),
+        cos_sum = sum((act[x] for x in group._left_cosets_in(B, A)[1]),
                       intmat.zeros(n, n))
         tr[(A, B)] = on_fixed(act[tB] @ cos_sum @ act[group.inv(tA)], ca, cb)
     conj = [{s: on_fixed(act[s], cls.index, cls.index)
              for s in cls.normalizer_generators} for cls in classes]
     return MackeyFunctor(group, levels, res, tr, conj, name=name or "FP")
-
-
-def _subcosets(group, A, B):
-    """Minimal representatives of the cosets bA inside B."""
-    seen = set()
-    reps = []
-    for b in B:
-        coset = tuple(sorted(group.mul(b, a) for a in A))
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(coset[0])
-    return reps
 
 
 def trivial_module(group: FiniteGroup, V: FinPresAbGroup):

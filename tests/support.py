@@ -51,11 +51,13 @@ from mackeykit.homalg import (
     rel_box,
 )
 from mackeykit.mackey import (
+    MackeyFunctor,
     MackeyMorphism,
     NatSolver,
     compose_morphisms,
     identity_morphism,
     mackey_from_span_action,
+    minimize_presentation,
     orbit_embeddings,
     representable,
 )
@@ -1163,3 +1165,61 @@ def _pairing_terms(data, levels, U, V, e):
 
         out.append((TM, TN, slot))
     return out
+
+
+# -- level actions by loops over vectors: the route before one array per level ------
+
+
+def times_oracle(table, x, y, n):
+    """x . y from table[i][j] = e_i . e_j, in a level with n generators,
+    summed vector by vector over the nonzero coordinates of x and y."""
+    out = intmat.zero_vec(n)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    out += xi * yj * table[i][j]
+    return out
+
+
+def rel_box_oracle(M, N):
+    """(functor, projection mats) of rel_box(M, N) with one relation column
+    per (over-code, m, r, n) generator triple, written into the presented
+    box entry by entry."""
+    Mk, Nk = M.underlying, N.underlying
+    data = box(Mk, Nk)
+    levels = []
+    for c, (lay, lvl) in enumerate(zip(data.layout, data.functor.levels)):
+        cols = []
+        for code in data.codes[c]:
+            for rowM, rowN in zip(M.tables[code[0]], N.tables[code[0]]):
+                for i, rm in enumerate(rowM):
+                    for k, rn in enumerate(rowN):
+                        col = intmat.zero_vec(lvl.generator_count)
+                        for a, x in enumerate(rm):
+                            col[lay[(code, a, k)]] += x
+                        for b, x in enumerate(rn):
+                            col[lay[(code, i, b)]] -= x
+                        if not intmat.is_zero(col):
+                            cols.append(col)
+        levels.append(abgroups.quotient_by_columns(
+            lvl, intmat.from_cols(cols, lvl.generator_count)))
+    F = data.functor
+    Q, _section, projection = minimize_presentation(MackeyFunctor(
+        M.group, levels, F.res, F.tr, F.conj, check=False))
+    return Q, projection.mats
+
+
+def assert_level_arrays(ring, M, tables):
+    """Each level table of an action of `ring` on M is one object array of
+    shape (nR, nM, nM)."""
+    assert len(tables) == len(M.levels)
+    for T, lr, lm in zip(tables, ring.underlying.levels, M.levels):
+        assert isinstance(T, np.ndarray) and T.dtype == object
+        assert T.shape == (lr.generator_count,) + (lm.generator_count,) * 2
+
+
+def is_two_sided_inverse(f, g):
+    """g . f and f . g are the identities of f's source and target."""
+    return compose_morphisms(g, f).equals(identity_morphism(f.source)) and \
+        compose_morphisms(f, g).equals(identity_morphism(f.target))

@@ -61,6 +61,7 @@ from mackeykit.homalg import (
     tor,
 )
 from mackeykit.ktheory import bpq_verify
+from support import is_two_sided_inverse
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 ORDER_8 = ("D4", "Q8")
@@ -398,7 +399,7 @@ def test_criterion_10_bpq():
     for name in BATTERY + ORDER_8:
         group = builtin_group(name)
         result = bpq_verify(group)
-        assert result.ok, name
+        assert is_two_sided_inverse(result.iso, result.inverse), name
         if name == "trivial":
             # classical specialization: K0(pointed finite sets) = Z
             assert result.iso.source.levels[0].invariant_factors == (0,)

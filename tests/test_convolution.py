@@ -42,19 +42,21 @@ from mackeykit.convolution import (
     green_from_levelwise,
     internal_hom_rep,
     over_codes,
-    point_representable,
     rep_monoidal_iso,
     ring_as_module,
     validate_green,
     validate_module,
 )
 from mackeykit.homalg import canonical_module, free_module, rel_box
+from mackeykit.ktheory import k0_green
 from support import (
     action_from_tables,
+    assert_level_arrays,
     box_map,
     box_oracle,
     box_validate_green,
     burnside_unit_vector,
+    times_oracle,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
@@ -145,7 +147,7 @@ def test_comm_iso_involution():
 
 def test_assoc_iso_and_pentagon_on_representables():
     C2 = builtin_group("C2")
-    A = point_representable(C2)
+    A = burnside_mackey(C2)
     Ae = representable(standard_orbit(C2, 0))
     f, g = box_assoc_iso(A, Ae, A)      # two-sided verified inside
     # pentagon: the two routes ((A.A).A).A -> A.(A.(A.A)) agree
@@ -306,6 +308,32 @@ def test_burnside_green_is_one_object_per_group():
     assert burnside_green(group, check=False) is burnside_green(group)
 
 
+def test_burnside_mackey_is_one_object_per_group():
+    group = builtin_group("C6")
+    assert burnside_mackey(group) is burnside_mackey(group) is \
+        burnside_green(group, check=False).underlying
+
+
+def _small_vectors(n):
+    """The basis of Z^n and two vectors with entries in -2..2."""
+    return list(im.identity(n)) + [
+        im.intvec([(3 * k + 1) % 5 - 2 for k in range(n)]),
+        im.intvec([(k * k) % 3 - 1 for k in range(n)])]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_level_product_matches_the_loop_oracle(name):
+    # x @ (y @ tables[c]) is the sum of x_i y_j e_i e_j, vector by vector
+    group = builtin_group(name)
+    for G in (burnside_green(group, check=False), k0_green(group)):
+        assert_level_arrays(G, G.underlying, G.tables)
+        for c, table in enumerate(G.tables):
+            n = len(table)
+            for x, y in itertools.product(_small_vectors(n), repeat=2):
+                assert G.level_product(c, x, y).tolist() == \
+                    times_oracle(table, x, y, n).tolist(), (c, x, y)
+
+
 def test_green_round_trip_levelwise_and_mult():
     C2 = builtin_group("C2")
     G = burnside_green(C2)
@@ -382,7 +410,7 @@ def test_burnside_tables_give_the_verified_unitor(name):
     # the map box(A, A) -> A that the Burnside ring tables transfer is the
     # unitor A_pt box A -> A, whose inverse box_unit_iso verifies
     group = builtin_group(name)
-    A = point_representable(group)
+    A = burnside_mackey(group)
     G = burnside_green(group, check=False)
     assert G.underlying is A
     got = action_from_tables(box(A, A), A, G.tables)
@@ -538,6 +566,28 @@ def test_validate_module_rejects_tables_of_the_wrong_shape(edit, match):
         validate_module(GreenModule(mod.ring, mod.underlying, bad))
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t[0][0].__setitem__(0, [1.5]),
+     r"^module table at level e, cell \(0, 0\)\[0\] is not an integer: "
+     r"1\.5$"),
+    (lambda t: t[1].pop(), r"^module table at level C2 must be 2x1$"),
+], ids=["float", "short"])
+def test_green_module_checks_its_tables_at_construction(edit, match):
+    # a float entry or a missing row is named when the module is built,
+    # before any validation or Tor reads the tables
+    mod = _modules("C2")["FP(Z)"]
+    bad = [[list(row) for row in tb] for tb in mod.tables]
+    edit(bad)
+    with pytest.raises(ValueError, match=match):
+        GreenModule(mod.ring, mod.underlying, bad)
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_module_tables_are_one_integer_array_per_level(name):
+    for kind, mod in _modules(name).items():
+        assert_level_arrays(mod.ring, mod.underlying, mod.tables)
+
+
 def test_mackey_level_rejects_transfer_of_wrong_index():
     # tr = 3 against index 2 violates the double-coset formula and is
     # rejected before any Green structure is even attempted
@@ -675,7 +725,7 @@ def assert_box_matches_oracle(data, M, N):
 @pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
 def test_box_of_burnside_and_regular_fixed_points_matches_span_oracle(name):
     group = builtin_group(name)
-    A = point_representable(group)
+    A = burnside_mackey(group)
     FP = fixed_point_mackey(group, *regular_module(group))
     assert_box_matches_oracle(box(A, FP), A, FP)
 

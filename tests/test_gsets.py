@@ -21,7 +21,13 @@ from mackeykit.gsets import (
     pullback,
     standard_orbit,
 )
-from support import full_action_oracle, full_equivariance_oracle, orbits_oracle
+from support import (
+    PERMUTATION_BATTERY,
+    full_action_oracle,
+    full_equivariance_oracle,
+    orbits_oracle,
+    permutation_group,
+)
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
@@ -458,3 +464,15 @@ def test_orbit_index_matches_brute_force(name):
                                            if X.act(g, base) == x)
         assert X.orbit_type() == tuple(sorted(ix.classes))
         assert X.orbit_index is ix   # derived once
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_standard_orbit_reach_is_the_least_element_of_each_coset(name):
+    # point x of G/H is the x-th coset in order of least element, and
+    # reach[x], the least g with g.H = x, is that least element
+    group = builtin_group(name) if name in BUILTIN_GROUP_NAMES \
+        else permutation_group(name)
+    for cls in group.subgroup_classes():
+        O = standard_orbit(group, cls.index)
+        assert list(O.orbit_index.reach) == \
+            [coset[0] for coset in group.left_cosets(cls.representative)]

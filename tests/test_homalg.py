@@ -51,9 +51,11 @@ from mackeykit.homalg import (
     tor,
 )
 from support import (
+    assert_level_arrays,
     hom_modules,
     hom_modules_oracle,
     rel_box_map,
+    rel_box_oracle,
     tor_by_rel_boxes,
 )
 
@@ -463,6 +465,43 @@ def test_tor_matches_a_presented_rel_box_per_term(name):
                     invariants(C.homology(p)), (a, b, p)
             _two_sided(result.tor0_witness)
             _two_sided(wit)
+
+
+def _presentation(F):
+    """The levels and structure matrices of a Mackey functor, as lists."""
+    return ([(lvl.generator_count, lvl.relations.tolist()) for lvl in F.levels],
+            {k: m.tolist() for k, m in F.res.items()},
+            {k: m.tolist() for k, m in F.tr.items()},
+            [{n: m.tolist() for n, m in w.items()} for w in F.conj])
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_rel_box_matches_the_loop_built_relations(name):
+    # the Kronecker blocks of the balanced relations give byte for byte the
+    # presentation and projection of one relation column per generator
+    # triple
+    R, mods = _tor_modules(builtin_group(name))
+    for a, M in mods.items():
+        for b, N in mods.items():
+            got = rel_box(M, N)
+            Q, projection = rel_box_oracle(M, N)
+            assert _presentation(got.functor) == _presentation(Q), (a, b)
+            assert [m.tolist() for m in got.projection.mats] == \
+                [m.tolist() for m in projection], (a, b)
+
+
+@pytest.mark.parametrize("name", ("C2", "S3", "C2xC2"))
+def test_resolution_tables_are_one_integer_array_per_level(name):
+    # covers and kernels of a length-2 resolution of FP/2 keep the
+    # (nR, nM, nM) object arrays that GreenModule takes as given
+    R, mods = _tor_modules(builtin_group(name))
+    M = mods["FP/2"]
+    for _p in range(2):
+        F, surj = module_cover(M)
+        M, _incl = module_kernel(F, surj)
+        for mod in (F, M):
+            validate_module(mod)
+            assert_level_arrays(R, mod.underlying, mod.tables)
 
 
 @pytest.mark.parametrize("name", ("C2", "S3"))

@@ -13,7 +13,7 @@ from mackeykit.ktheory import (
     k0_of_slice,
 )
 
-from support import span_functoriality_oracle
+from support import is_two_sided_inverse, span_functoriality_oracle
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 ORDER_8 = ("D4", "Q8")
@@ -74,7 +74,7 @@ def test_k0_trivial_group_is_integers():
     M = k0_mackey(triv)
     assert [l.invariant_factors for l in M.levels] == [(0,)]
     result = bpq_verify(triv)
-    assert result.ok
+    assert is_two_sided_inverse(result.iso, result.inverse)
     assert [list(r) for r in result.iso.mats[0]] == [[1]]
 
 
@@ -82,7 +82,7 @@ def test_k0_trivial_group_is_integers():
 def test_bpq_battery(name):
     group = builtin_group(name)
     result = bpq_verify(group)
-    assert result.ok
+    assert is_two_sided_inverse(result.iso, result.inverse)
     # equal level invariants and matching structure matrices through the iso
     A = burnside_mackey(group)
     K = result.iso.source
