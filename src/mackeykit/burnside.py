@@ -18,6 +18,16 @@ so its transitive code is the one `transitive_code` gives for that
 subgroup and pair.  Since codes are canonical, the result is the code
 multiset of the pullback itself, exactly.  The tensor of two basis
 spans is the same walk over G/L x G/M without the fibre condition.
+
+Everything these walks read that depends only on the group or on one
+G-set is derived once, as cached properties of its owner:
+`FiniteGroup.transporters(L)` lists the g carrying L onto its class
+representative, which `transitive_code` minimizes over;
+`GSet.subgroup_orbits` holds, per class with representative L, the
+L-orbits on X with the stabilizer in L of each least point, which is the
+walk over G/M above; and `GSet.fixed_orbits` holds X^L and its
+N(L)-orbits with the stabilizer in N(L) of each least point, from which
+`hom_basis` and `table_of_marks` read.
 """
 
 from __future__ import annotations
@@ -42,14 +52,14 @@ from .gsets import (
 
 
 def transitive_code(X: GSet, Y: GSet, L, x, y):
-    """Canonical code of the transitive span with middle G/L marked at (x, y)."""
-    group = X.group
-    cidx = group.class_index_of(L)
-    cls = group.subgroup_classes()[cidx]
-    t = group.transport(L)
+    """Canonical code of the transitive span with middle G/L marked at (x, y).
+
+    The least (g.x, g.y) over the g carrying L onto its class
+    representative, which the group lists once per subgroup.
+    """
+    cidx, movers = X.group.transporters(L)
     xa, ya = X.action, Y.action
-    best = min((xa[g][x], ya[g][y])
-               for g in (group.table[n][t] for n in cls.normalizer))
+    best = min([(xa[g][x], ya[g][y]) for g in movers])
     return (cidx, best[0], best[1])
 
 
@@ -219,58 +229,58 @@ def materialize_code(X: GSet, Y: GSet, code):
 def hom_basis(X: GSet, Y: GSet):
     """All transitive span codes X -> Y, sorted by (class, x, y).
 
-    The pairs of X^L x Y^L are walked in lexicographic order and each one
-    marks its N(L)-orbit, so the first pair reached in an orbit is its
-    minimum, which is the code.
+    The code of class L is the least pair of an N(L)-orbit on X^L x Y^L.
+    Its x is the least point x0 of an N(L)-orbit on X^L, and the pairs of
+    that orbit starting at x0 are (x0, s.y) for s in the stabilizer S of
+    x0 in N(L), so its y is the least point of an S-orbit on Y^L.
+    Conversely each S-orbit on Y^L gives one N(L)-orbit.  So walking the
+    S-orbits on Y^L in order of least point, x0 by x0 from
+    `X.fixed_orbits`, yields every code once and in sorted order.
     """
     if X.group != Y.group:
         raise ValueError("different groups")
-    out = []
-    for cls in X.group.subgroup_classes():
-        L = cls.representative
-        xs, ys = X.fixed_points(L), Y.fixed_points(L)
-        rows = [(X.action[n], Y.action[n]) for n in cls.normalizer]
-        seen = set()
-        for x in xs:
-            for y in ys:
-                if (x, y) not in seen:
-                    out.append((cls.index, x, y))
-                    seen.update((rx[x], ry[y]) for rx, ry in rows)
+    ya, out = Y.action, []
+    for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
+        for x0, S in fx.orbits:
+            rows = [ya[s] for s in S]
+            seen = set()
+            for y in fy.points:
+                if y not in seen:
+                    out.append((c, x0, y))
+                    seen.update(row[y] for row in rows)
     return out
 
 
 # -- composition, tensor, duality ----------------------------------------------
 
 
-def _double_coset_codes(L, O, code_of, keep=None):
+def _double_coset_codes(c, O, code_of, keep=None):
     """One code per L-orbit on the cosets bM of O = G/M, in orbit order.
 
-    Each orbit whose first coset bM passes keep(b) gives
-    code_of(L n bMb^-1, b), b the minimal element of that coset.
+    L is the representative of class c.  Each orbit, read from
+    `O.subgroup_orbits[c]` as its least coset bM and that coset's
+    stabilizer L n bMb^-1, gives code_of(L n bMb^-1, b) when keep(b)
+    holds, b the minimal element of the coset.  `keep` must be constant
+    on L-orbits.
     """
-    reps = O.orbit_index.reach
-    rows = [O.action[h] for h in L]
-    seen = [False] * O.size
-    codes = []
-    for p, b in enumerate(reps):
-        if seen[p] or (keep is not None and not keep(b)):
-            continue
-        for row in rows:
-            seen[row[p]] = True
-        codes.append(code_of(tuple(h for h, row in zip(L, rows)
-                                   if row[p] == p), b))
-    return codes
+    reach = O.orbit_index.reach
+    return [code_of(K, reach[p]) for p, K in O.subgroup_orbits[c]
+            if keep is None or keep(reach[p])]
 
 
 def _compose_codes(X, Y, Z, c1, c2):
-    """Code multiset of the composite of basis spans c2 . c1."""
-    L = code_subgroup(X, Y, c1)
+    """Code multiset of the composite of basis spans c2 . c1.
+
+    The fibre condition b.y' = y is constant on L-orbits of cosets bM: L
+    fixes y and M fixes y', so (hbm).y' = h.(b.y') for h in L, m in M.
+    """
+    code_subgroup(X, Y, c1)
     code_subgroup(Y, Z, c2)
-    _, x, y = c1
+    c, x, y = c1
     m, yp, z = c2
     ya, za = Y.action, Z.action
     codes = _double_coset_codes(
-        L, standard_orbit(X.group, m),
+        c, standard_orbit(X.group, m),
         lambda K, b: transitive_code(X, Z, K, x, za[b][z]),
         keep=lambda b: ya[b][yp] == y)
     # counted in the order of the canonical pullback's orbits: by the
@@ -293,14 +303,14 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
 
 def _tensor_codes(X, Xp, Y, Yp, c1, c2):
     """Code multiset of the external product of basis spans c1 and c2."""
-    L = code_subgroup(X, Y, c1)
+    code_subgroup(X, Y, c1)
     code_subgroup(Xp, Yp, c2)
-    _, x, y = c1
+    c, x, y = c1
     m, xp, yp = c2
     ps, pt = product(X, Xp), product(Y, Yp)
     xa, ya = Xp.action, Yp.action
     return Counter(_double_coset_codes(
-        L, standard_orbit(X.group, m),
+        c, standard_orbit(X.group, m),
         lambda K, b: transitive_code(ps.gset, pt.gset, K,
                                      ps.of_pair(x, xa[b][xp]),
                                      pt.of_pair(y, ya[b][yp]))))
@@ -443,9 +453,10 @@ def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
 
 def table_of_marks(group: FiniteGroup):
     """marks[i][j] = number of K_j-fixed points of G/H_i."""
-    classes = group.subgroup_classes()
-    return [[len(standard_orbit(group, ci.index).fixed_points(cj.representative))
-             for cj in classes] for ci in classes]
+    k = len(group.subgroup_classes())
+    return [[len(fixed.points)
+             for fixed in standard_orbit(group, i).fixed_orbits]
+            for i in range(k)]
 
 
 def burnside_ring_table(group: FiniteGroup):

@@ -182,7 +182,7 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
         for (cw, x), s in starts.items():
             O = standard_orbit(group, cw)
             reach = O.orbit_index.reach
-            for q in O.fixed_points(Lp):
+            for q in O.fixed_orbits[cwp].points:
                 if X.action[reach[q]][x] != xp:
                     continue
                 trM, trN = (_block(F, Op, O, (cwp, 0, q)) for F in (M, N))

@@ -184,8 +184,11 @@ class FiniteGroup:
     def subgroups(self):
         """All subgroups, sorted by (order, labels).
 
-        Breadth-first closure over subsets seeded by the cyclic subgroups;
-        fine at the target scale of |G| <= 12.
+        Breadth-first closure over subsets seeded by the cyclic subgroups:
+        each subgroup found is extended by every element outside it.  That
+        is quick to order 24 (0.09 s on S4) but grows fast beyond: 2.6 s
+        on A5 and 56.6 s on S5 (156 subgroups), single runs on a shared
+        2-core x86-64 host.
         """
         return self._subgroups
 
@@ -245,19 +248,27 @@ class FiniteGroup:
 
     @cached_property
     def _class_and_transport(self):
-        """{H: (class index, transport(H))} for every subgroup H.
+        """{H: (class index, transport(H), transporters)} for every subgroup H.
 
         Walking g upward from the identity, H = g^-1 rep g is met first at
-        the least g conjugating H onto its class representative rep.
+        the least g conjugating H onto its class representative rep.  The
+        elements g with gHg^-1 = rep are the coset N(rep) t of that least
+        t; they are listed as n t for n in N(rep), in the order of N(rep).
         """
         out = {}
         for cls in self.subgroup_classes():
             for g in range(self.order):
-                out.setdefault(self.conjugate_subgroup(
-                    self.inverse[g], cls.representative), (cls.index, g))
+                H = self.conjugate_subgroup(self.inverse[g], cls.representative)
+                if H not in out:
+                    out[H] = (cls.index, g, tuple(self.table[n][g]
+                                                  for n in cls.normalizer))
         return out
 
     def _class_entry(self, H):
+        try:
+            return self._class_and_transport[H]
+        except (KeyError, TypeError):
+            pass
         try:
             return self._class_and_transport[tuple(sorted(H))]
         except KeyError:
@@ -266,6 +277,15 @@ class FiniteGroup:
     def class_index_of(self, H):
         """Index of the conjugacy class containing the subgroup H."""
         return self._class_entry(H)[0]
+
+    def transporters(self, H):
+        """(c, elements g with gHg^-1 the representative of H's class c).
+
+        Transitive span codes minimize over these elements, so each
+        subgroup's are listed once per group, not per code.
+        """
+        c, _t, movers = self._class_entry(H)
+        return c, movers
 
     def class_by_label(self, label):
         for cls in self.subgroup_classes():

@@ -34,6 +34,18 @@ class OrbitIndex:
     reach: tuple
 
 
+@dataclass(frozen=True)
+class FixedOrbits:
+    """The points of a G-set fixed by a class representative L, in orbits.
+
+    `points` is X^L, sorted.  `orbits` has one (x0, S) per N(L)-orbit on
+    X^L, ordered by x0, its least point; S is the stabilizer of x0 in
+    N(L), sorted.
+    """
+    points: tuple
+    orbits: tuple
+
+
 class GSet:
     """A finite set with a validated G-action.
 
@@ -112,6 +124,33 @@ class GSet:
         return OrbitIndex(tuple(orbits), tuple(stabs), tuple(classes),
                           tuple(orbit_of), tuple(reach))
 
+    @cached_property
+    def fixed_orbits(self):
+        """One `FixedOrbits` per subgroup class, by class index, derived once.
+
+        A point is fixed by L when each of `generators` of L fixes it.
+        """
+        action, out = self.action, []
+        for cls in self.group.subgroup_classes():
+            points = range(self.size)
+            for h in cls.generators:
+                row = action[h]
+                points = [x for x in points if row[x] == x]
+            out.append(FixedOrbits(tuple(points), _orbits_on(
+                action, cls.normalizer, points)))
+        return tuple(out)
+
+    @cached_property
+    def subgroup_orbits(self):
+        """The orbits of each class representative L on X, derived once.
+
+        Entry c has one (p, K) per orbit of the representative of class c,
+        ordered by p, its least point; K is the stabilizer of p in L.
+        """
+        return tuple(_orbits_on(self.action, cls.representative,
+                                range(self.size))
+                     for cls in self.group.subgroup_classes())
+
     def orbits(self):
         """Orbits as sorted tuples, ordered by their minimal point."""
         return self.orbit_index.orbits
@@ -130,6 +169,21 @@ class GSet:
             row = self.action[h]
             fixed = [x for x in fixed if row[x] == x]
         return tuple(fixed)
+
+
+def _orbits_on(action, H, points):
+    """(least point, stabilizer in H) of each H-orbit on `points`.
+
+    `points` must be sorted and closed under H, whose elements are sorted;
+    the orbits come in order of least point.
+    """
+    rows = [action[h] for h in H]
+    seen, out = set(), []
+    for x in points:
+        if x not in seen:
+            seen.update(row[x] for row in rows)
+            out.append((x, tuple(h for h, row in zip(H, rows) if row[x] == x)))
+    return tuple(out)
 
 
 class GMap:

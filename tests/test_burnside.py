@@ -1,11 +1,13 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
 from mackeykit.gsets import (
     GMap,
     GSet,
@@ -44,12 +46,24 @@ from mackeykit.burnside import (
 )
 from support import (
     multimap_basis,
+    permutation_group,
     pullback_compose_oracle,
     pullback_tensor_oracle,
     structure_span_oracles,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+# Of the permutation battery, A4 and D6 run against the span oracles.
+# C2xC2xC2 (33,480 composable pairs, 11 s) and S4 (41,409 pairs, 50 s) are
+# left out of Tier-1 for their run time.
+ORACLE_PERMUTATION_GROUPS = ("A4", "D6")
+
+
+def group_named(name):
+    """A built-in group, or one of the permutation groups by name."""
+    if name in BUILTIN_GROUP_NAMES:
+        return builtin_group(name)
+    return permutation_group(name)
 
 
 def orbits_of(group):
@@ -112,9 +126,9 @@ def test_canonical_form_invariant_under_middle_relabeling():
 def test_hom_basis_against_orbit_enumeration():
     # oracle: orbits of triples (subgroup, x, y) under simultaneous action,
     # on standard orbits and on products of two of them, for every built-in
-    # group
-    for name in BUILTIN_GROUP_NAMES:
-        group = builtin_group(name)
+    # group and for A4 and D6
+    for name in BUILTIN_GROUP_NAMES + ORACLE_PERMUTATION_GROUPS:
+        group = group_named(name)
         orbs = orbits_of(group)
         prods = [product(X, Y).gset
                  for i, X in enumerate(orbs) for Y in orbs[i:]]
@@ -179,12 +193,14 @@ def basis_spans(group):
     return [(X, Y, c) for X in orbs for Y in orbs for c in hom_basis(X, Y)]
 
 
-@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+@pytest.mark.parametrize("name",
+                         BUILTIN_GROUP_NAMES + ORACLE_PERMUTATION_GROUPS)
 def test_compose_matches_pullback_oracle(name):
-    # every composable pair of basis spans, 9,575 over the built-in groups;
-    # the code multiset and its order must equal the pullback's
+    # every composable pair of basis spans, 9,575 over the built-in groups
+    # and 14,128 over A4 and D6; the code multiset and its order must equal
+    # the pullback's
     pairs = 0
-    spans = basis_spans(builtin_group(name))
+    spans = basis_spans(group_named(name))
     for X, Y, c1 in spans:
         for Yp, Z, c2 in spans:
             if Yp == Y:
@@ -195,7 +211,7 @@ def test_compose_matches_pullback_oracle(name):
                 pairs += 1
     assert pairs == {"trivial": 1, "C2": 18, "C3": 25, "C4": 149,
                      "C6": 450, "C2xC2": 565, "S3": 387, "D4": 5536,
-                     "Q8": 2444}[name]
+                     "Q8": 2444, "A4": 2429, "D6": 11699}[name]
 
 
 @pytest.mark.parametrize("name", BATTERY + ("D4",))
@@ -242,6 +258,24 @@ def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
     (code,) = hom_basis(O, pt)
     moved = BurnsideElement(O, pt, {(0, 1, 0): 1})
     assert compose(identity_element(pt), moved) == basis_element(O, pt, code)
+
+
+def test_orbit_tables_do_not_pin_gsets():
+    # a fresh group object, and X built from its action table outside the
+    # lru_caches of gsets, so only the derived orbit tables could keep X
+    # alive; the group's own table is a cached property, not a `_cache` key
+    group = FiniteGroup(builtin_group("S3").table, name="S3")
+    O, pt = standard_orbit(group, 1), point_gset(group)
+    X = GSet(group, [row + tuple(O.size + y for y in row) for row in O.action])
+    for c1, c2 in itertools.product(hom_basis(X, O), hom_basis(O, pt)):
+        e = compose(basis_element(O, pt, c2), basis_element(X, O, c1))
+        assert e.source is X and not e.is_zero()
+    assert len(X.subgroup_orbits) == len(X.fixed_orbits) == 4
+    ref = weakref.ref(X)
+    del X, e
+    gc.collect()
+    assert ref() is None
+    assert group._cache == {}
 
 
 def test_coefficients_must_be_integers():

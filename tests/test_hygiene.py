@@ -4,8 +4,9 @@ No linter ships with the toolchain, so this stdlib-`ast` scan is the guard.
 An import inside a function must be used inside that function; a
 module-level import must be used somewhere in the module.  No module may
 import `random` anywhere, so every validator stays deterministic.  Only
-`gsets` may call `.stabilizer(`: every other module reads orbits,
-stabilizers and their classes from `GSet.orbit_index`.  The presented box
+`gsets` may call `.stabilizer(` or `.fixed_points(`: every other module
+reads orbits, stabilizers and their classes from `GSet.orbit_index`, and
+fixed points per subgroup class from `GSet.fixed_orbits`.  The presented box
 product has one implementation, the Mackey formula on over-codes: its
 functions build no G-maps, G-set products or spans.  A Green module is
 its level action tables: the functions that build, cover, map and check
@@ -93,24 +94,30 @@ def test_no_random_imports(path):
     assert [m for m in mods if m[1] == "random"] == []
 
 
-def stabilizer_calls(source):
-    """Lines of every call of a `.stabilizer(...)` attribute."""
+ORBIT_METHODS = ("stabilizer", "fixed_points")
+
+
+def orbit_method_calls(source):
+    """Lines of every call of a `.stabilizer(...)` or `.fixed_points(...)`
+    attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "stabilizer")
+                  and node.func.attr in ORBIT_METHODS)
 
 
 def test_scanner_finds_stabilizer_calls():
     src = ("def f(X, o):\n    s = X.stabilizer(o[0])\n"
-           "    return g(X).stabilizer(0), stabilizer(1), X.stabilizer\n")
-    assert stabilizer_calls(src) == [2, 3]
+           "    return g(X).stabilizer(0), stabilizer(1), X.stabilizer\n"
+           "def h(X, L):\n    return fixed_points(L), X.fixed_points\n"
+           "def k(O, L):\n    return [q for q in O.fixed_points(L)]\n")
+    assert orbit_method_calls(src) == [2, 3, 7]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gsets.py"],
                          ids=lambda p: p.name)
 def test_orbit_data_is_read_from_the_orbit_index(path):
-    assert stabilizer_calls(path.read_text(encoding="utf-8")) == []
+    assert orbit_method_calls(path.read_text(encoding="utf-8")) == []
 
 
 BOX_FUNCTIONS = ("box", "_box_level_presentation", "over_image")
