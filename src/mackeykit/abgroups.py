@@ -71,7 +71,7 @@ class FinPresAbGroup:
         if m == 0:
             self._transforms, self._diag = None, [0] * n
             return
-        S, D, _, Sinv, _ = smith_normal_form(self._rel_cols)
+        S, D, Sinv, _ = smith_normal_form(self._rel_cols)
         self._transforms = (Sinv, S)
         self._diag = [int(D[i, i]) if i < min(n, m) else 0 for i in range(n)]
 

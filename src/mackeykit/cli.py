@@ -218,7 +218,7 @@ def cmd_box(args):
 def cmd_green_check(args):
     doc = jsonio.load_json_file(args.file)
     try:
-        G = jsonio.green_from_json(doc, check=True)
+        G = jsonio.green_from_json(doc)
     except (GreenValidationError, ValueError) as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"green-check: {_fail()}", f"  {err}"])

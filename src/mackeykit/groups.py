@@ -129,6 +129,8 @@ class FiniteGroup:
         return range(self.order)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.table == other.table

@@ -151,6 +151,21 @@ class GSet:
                                 range(self.size))
                      for cls in self.group.subgroup_classes())
 
+    @cached_property
+    def orbit_embeddings(self):
+        """Standard-orbit isomorphisms onto the orbits of X, one per block,
+        derived once: a tuple of `GMap`s G/H_c -> X."""
+        group = self.group
+        ix = self.orbit_index
+        out = []
+        for orbit, stab, cidx in zip(ix.orbits, ix.stabilizers, ix.classes):
+            base = orbit[0]
+            t = group.transport(stab)
+            O = standard_orbit(group, cidx)
+            out.append(GMap(O, self, tuple(self.act(group.mul(g, t), base)
+                                           for g in O.orbit_index.reach)))
+        return tuple(out)
+
     def orbits(self):
         """Orbits as sorted tuples, ordered by their minimal point."""
         return self.orbit_index.orbits

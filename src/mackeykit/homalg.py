@@ -59,7 +59,6 @@ from .mackey import (
     lift_columns,
     lift_through_inclusion,
     minimize_presentation,
-    orbit_embeddings,
     zero_mackey,
     zero_morphism,
 )
@@ -127,7 +126,7 @@ def free_unit_vector(F: FreeModule):
     X = F.base
     grp, offsets = F.underlying.value_at(X)
     out = intmat.zero_vec(grp.generator_count)
-    for b, (emb, c) in enumerate(zip(orbit_embeddings(X),
+    for b, (emb, c) in enumerate(zip(X.orbit_embeddings,
                                      X.orbit_index.classes)):
         O = emb.source
         P = product(X, O)
@@ -452,7 +451,7 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     eta = free_unit_vector(src)
     _, offsets = d.source.value_at(Z)
     blocks = []
-    for b, (emb, cb) in enumerate(zip(orbit_embeddings(Z), zix.classes)):
+    for b, (emb, cb) in enumerate(zip(Z.orbit_embeddings, zix.classes)):
         n = d.source.levels[cb].generator_count
         f = d.mats[cb] @ eta[offsets[b]:offsets[b] + n]
         P = product(X, emb.source)
@@ -464,7 +463,7 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
             continue
         S = disjoint_union_of_orbits(group, tuple(pix.classes[k]
                                                   for k in support))
-        pembs = orbit_embeddings(P.gset)
+        pembs = P.gset.orbit_embeddings
         inc = GMap(S, P.gset, tuple(pembs[k](o) for k in support
                                     for o in range(pembs[k].source.size)))
         blocks.append((b, S, [P.left(w) for w in inc.mapping],
@@ -627,19 +626,11 @@ def quotient_complex(filt: FilteredComplex, a, b):
     if key in filt._qcache:
         return filt._qcache[key]
     Fa = filt.complex_at(a)
-    terms = {}
-    diffs = {}
-    projs = {}
-    for n in Fa.degrees():
-        inc = filt.inclusion(b, a, n)
-        Q, proj = cokernel(inc)
-        terms[n] = Q
-        projs[n] = proj
-    for n in Fa.degrees():
-        if (n - 1) in terms:
-            diffs[n] = MackeyMorphism(terms[n], terms[n - 1],
-                                      Fa.diff(n).mats, check=False)
-    out = (ChainComplex(Fa.group, terms, diffs), projs)
+    terms = {n: cokernel(filt.inclusion(b, a, n))[0] for n in Fa.degrees()}
+    diffs = {n: MackeyMorphism(terms[n], terms[n - 1], Fa.diff(n).mats,
+                               check=False)
+             for n in terms if (n - 1) in terms}
+    out = ChainComplex(Fa.group, terms, diffs)
     filt._qcache[key] = out
     return out
 
@@ -658,8 +649,8 @@ class SpectralSequencePage:
 
 def _entry_data(filt: FilteredComplex, r, p, n):
     """E_r at filtration p, total degree n: the image formula with maps."""
-    Q1, _ = quotient_complex(filt, p, p - r)
-    Q2, _ = quotient_complex(filt, p + r - 1, p - 1)
+    Q1 = quotient_complex(filt, p, p - r)
+    Q2 = quotient_complex(filt, p + r - 1, p - 1)
     u = {m: MackeyMorphism(Q1.term(m), Q2.term(m),
                            filt.inclusion(p, p + r - 1, m).mats, check=False)
          for m in Q1.degrees()}
@@ -705,9 +696,9 @@ def _connecting(filt: FilteredComplex, r, p, n):
     is F(p+r-1)/F(p-r-1); generator sets are shared, so lifting a cycle is
     the identity on coordinates and only the boundary needs solving.
     """
-    A, _ = quotient_complex(filt, p - 1, p - r - 1)
-    B, _ = quotient_complex(filt, p + r - 1, p - r - 1)
-    C, _ = quotient_complex(filt, p + r - 1, p - 1)
+    A = quotient_complex(filt, p - 1, p - r - 1)
+    B = quotient_complex(filt, p + r - 1, p - r - 1)
+    C = quotient_complex(filt, p + r - 1, p - 1)
     HC, inclC, _projC, sectC = C.homology_data(n)
     HA, inclA, projA, _sectA = A.homology_data(n - 1)
     iota = filt.inclusion(p - 1, p + r - 1, n - 1)

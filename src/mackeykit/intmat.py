@@ -7,8 +7,8 @@ Lattices are column spans: the lattice "spanned by A" means the set
 
 The hot kernels work on sparse rows, {column: value} dicts, and touch
 numpy only to read their input and write their output.
-`smith_normal_form` eliminates on sparse rows of D, Sinv and T, with S
-and Tinv kept transposed so that every operation they receive is a row
+`smith_normal_form` eliminates on sparse rows of D and Sinv, with S and
+Tinv kept transposed so that every operation they receive is a row
 operation; it performs the dense elimination's operations in the same
 order, which is why its output is identical entry for entry.  `Solver`
 keeps Sinv by rows and Tinv by columns and never forms a dense product.
@@ -175,17 +175,18 @@ def _add_row(dst, src, k):
 def smith_normal_form(A):
     """Smith normal form with transforms.
 
-    Returns (S, D, T, Sinv, Tinv) with A = S @ D @ T, where S and T are
-    unimodular, D is diagonal with nonnegative entries d_1 | d_2 | ...
+    Returns (S, D, Sinv, Tinv) with S @ D == A @ Tinv, where S (with
+    inverse Sinv) and Tinv are unimodular and D is diagonal with
+    nonnegative entries d_1 | d_2 | ...
 
     The elimination runs on sparse rows, one {column: value} dict per row
-    of D, Sinv and T.  S and Tinv are kept transposed, one dict per
-    column, so the column operations that S and Tinv receive are row
-    operations too: a swap exchanges two list slots and an add costs the
-    nonzeros of the row added.  Only the column operations on D visit
-    rows, and only rows t and below, since every row above the current
-    pivot t is already zero outside its diagonal.  The five dense arrays
-    are built once, at the end.
+    of D and Sinv.  S and Tinv are kept transposed, one dict per column,
+    so the column operations that S and Tinv receive are row operations
+    too: a swap exchanges two list slots and an add costs the nonzeros of
+    the row added.  Only the column operations on D visit rows, and only
+    rows t and below, since every row above the current pivot t is
+    already zero outside its diagonal.  The four dense arrays are built
+    once, at the end.
 
     The operations are the dense elimination's, in its order, so the
     output is the same matrices entry for entry.  For pivot t: the pivot
@@ -199,7 +200,7 @@ def smith_normal_form(A):
 
     An input already in Smith form (nonzeros only at (t, t), nonnegative,
     each dividing the next, so zeros come last) returns
-    (I_m, A, I_n, I_m, I_n) without elimination.  That is exactly what the
+    (I_m, A, I_m, I_n) without elimination.  That is exactly what the
     elimination would return: at every step the pivot search picks (t, t),
     since d_t is the first nonzero of least size in what remains, and the
     row, column and divisibility passes find nothing to clear, so nothing
@@ -217,15 +218,13 @@ def smith_normal_form(A):
             and all(d >= 0 for d in diag)
             and all(b % a == 0 if a else b == 0
                     for a, b in zip(diag, diag[1:]))):
-        return (identity(m), _from_rows(D, n), identity(n),
-                identity(m), identity(n))
+        return identity(m), _from_rows(D, n), identity(m), identity(n)
     Sinv = [{i: 1} for i in range(m)]
     St = [{i: 1} for i in range(m)]         # St[i] is column i of S
-    T = [{i: 1} for i in range(n)]
     Tinvt = [{i: 1} for i in range(n)]      # Tinvt[i] is column i of Tinv
     t = 0
 
-    # Elementary operations on D, mirrored so A = S @ D @ T stays true.
+    # Elementary operations on D, mirrored so S @ D == A @ Tinv stays true.
     # Column operations on D touch only rows t and below.
     def row_add(i, j, k):  # row_i += k * row_j
         _add_row(D[i], D[j], k)
@@ -240,7 +239,6 @@ def smith_normal_form(A):
                 Dr[j] = w
             else:
                 del Dr[j]
-        _add_row(T[i], T[j], -k)
         _add_row(Tinvt[j], Tinvt[i], k)
 
     def col_swap(i, j):
@@ -255,7 +253,6 @@ def smith_normal_form(A):
                     rows.append(r)
                 if a:
                     Dr[j] = a
-        T[i], T[j] = T[j], T[i]
         Tinvt[i], Tinvt[j] = Tinvt[j], Tinvt[i]
         return rows
 
@@ -326,13 +323,12 @@ def smith_normal_form(A):
         t += 1
 
     return (_from_rows(St, m, transposed=True), _from_rows(D, n),
-            _from_rows(T, n), _from_rows(Sinv, m),
-            _from_rows(Tinvt, n, transposed=True))
+            _from_rows(Sinv, m), _from_rows(Tinvt, n, transposed=True))
 
 
 def snf_diagonal(A):
     """Diagonal of the Smith form as a list of nonnegative ints."""
-    _, D, _, _, _ = smith_normal_form(A)
+    _, D, _, _ = smith_normal_form(A)
     return [int(D[i, i]) for i in range(min(D.shape))]
 
 
@@ -340,7 +336,7 @@ def kernel(A):
     """Basis (as columns) of the integer kernel {x : A @ x = 0}."""
     A = intmat(A)
     m, n = A.shape
-    _, D, _, _, Tinv = smith_normal_form(A)
+    _, D, _, Tinv = smith_normal_form(A)
     free = [j for j in range(n) if j >= min(m, n) or D[j, j] == 0]
     return Tinv[:, free]
 
@@ -348,7 +344,7 @@ def kernel(A):
 class Solver:
     """Factor a matrix once, then solve A @ x = b for many right sides.
 
-    With A = S @ D @ T, x = Tinv @ y where D @ y = Sinv @ b.  The factors
+    With S @ D == A @ Tinv, x = Tinv @ y where D @ y = Sinv @ b.  The factors
     are kept sparse, Sinv by rows and Tinv by columns, so a solve costs the
     nonzeros of Sinv plus those of the Tinv columns that y uses.
     """
@@ -356,7 +352,7 @@ class Solver:
     def __init__(self, A):
         A = intmat(A)
         self.m, self.n = A.shape
-        _, D, _, Sinv, Tinv = smith_normal_form(A)
+        _, D, Sinv, Tinv = smith_normal_form(A)
         self._diag = [D[i, i] for i in range(min(self.m, self.n))]
         self._sinv_rows = _column_entries(Sinv.T)
         self._tinv_cols = _column_entries(Tinv)

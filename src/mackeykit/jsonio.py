@@ -156,11 +156,11 @@ def green_to_json(G: GreenFunctor):
             "unit": [int(u) for u in G.unit]}
 
 
-def green_from_json(doc, check=True) -> GreenFunctor:
+def green_from_json(doc) -> GreenFunctor:
     """Green functor from a file; green_from_levelwise checks every entry."""
     M = mackey_from_json(doc["mackey"])
     tables = [doc["rings"][cls.label] for cls in M.group.subgroup_classes()]
-    return green_from_levelwise(M, tables, doc["unit"], check=check)
+    return green_from_levelwise(M, tables, doc["unit"])
 
 
 def load_json_file(path):

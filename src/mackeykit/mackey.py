@@ -45,7 +45,7 @@ from .burnside import (
     weyl_element,
 )
 from .groups import FiniteGroup
-from .gsets import GMap, GSet, point_gset, standard_orbit
+from .gsets import GSet, point_gset, standard_orbit
 
 
 def class_pair_covers(group: FiniteGroup):
@@ -941,20 +941,6 @@ def hom_mackey(M: MackeyFunctor, N: MackeyFunctor) -> HomGroup:
 # -- Yoneda -----------------------------------------------------------------------
 
 
-def orbit_embeddings(X: GSet):
-    """Standard-orbit isomorphisms onto the orbits of X, one per block."""
-    group = X.group
-    out = []
-    ix = X.orbit_index
-    for orbit, stab, cidx in zip(ix.orbits, ix.stabilizers, ix.classes):
-        base = orbit[0]
-        t = group.transport(stab)
-        O = standard_orbit(group, cidx)
-        out.append(GMap(O, X, tuple(X.act(group.mul(g, t), base)
-                                    for g in O.orbit_index.reach)))
-    return out
-
-
 def identity_element_vector(X: GSet):
     """Coordinates of [id_X] in A_X(X), block by block over the orbits of X.
 
@@ -967,7 +953,7 @@ def identity_element_vector(X: GSet):
     bases = {c: hom_basis(X, standard_orbit(group, c)) for c in set(classes)}
     vec = intmat.zero_vec(sum(len(bases[c]) for c in classes))
     lo = 0
-    for emb, c in zip(orbit_embeddings(X), classes):
+    for emb, c in zip(X.orbit_embeddings, classes):
         for code, v in restriction_element(emb).coeffs.items():
             vec[lo + bases[c].index(code)] += v
         lo += len(bases[c])

@@ -58,7 +58,6 @@ from mackeykit.mackey import (
     identity_morphism,
     mackey_from_span_action,
     minimize_presentation,
-    orbit_embeddings,
     representable,
 )
 
@@ -615,6 +614,8 @@ def dense_smith_oracle(A):
 
     Returns (S, D, T, Sinv, Tinv) with A = S @ D @ T, where S and T are
     unimodular, D is diagonal with nonnegative entries d_1 | d_2 | ...
+    `smith_normal_form` returns (S, D, Sinv, Tinv), the same factors
+    without T; T stays here, where it shows that Tinv is unimodular.
     The elimination runs on plain Python lists; object-dtype numpy access
     is far too slow for the inner loops.
 
@@ -1018,7 +1019,7 @@ def identity_element_vector_oracle(X):
     rep = representable(X)
     grp, offsets = rep.value_at(X)
     vec = intmat.zero_vec(grp.generator_count)
-    for b, (emb, cidx) in enumerate(zip(orbit_embeddings(X),
+    for b, (emb, cidx) in enumerate(zip(X.orbit_embeddings,
                                         X.orbit_index.classes)):
         basis = hom_basis(X, standard_orbit(X.group, cidx))
         for code, v in restriction_element(emb).coeffs.items():
@@ -1142,7 +1143,7 @@ def _pairing_terms(data, levels, U, V, e):
         offs.append(total)
         total += levels[c].generator_count
     inv_embeds = [{emb(w): w for w in range(emb.source.size)}
-                  for emb in orbit_embeddings(X)]
+                  for emb in X.orbit_embeddings]
     ix = X.orbit_index
     out = []
     for code, a in e.coeffs.items():

@@ -271,6 +271,8 @@ def test_orbit_tables_do_not_pin_gsets():
         e = compose(basis_element(O, pt, c2), basis_element(X, O, c1))
         assert e.source is X and not e.is_zero()
     assert len(X.subgroup_orbits) == len(X.fixed_orbits) == 4
+    # the embeddings map into X, so X sits in a reference cycle
+    assert [emb.target is X for emb in X.orbit_embeddings] == [True, True]
     ref = weakref.ref(X)
     del X, e
     gc.collect()
