@@ -29,11 +29,8 @@ from .burnside import (
     compose,
     hom_basis,
     identity_element,
-    restriction_element,
     span_element,
     tensor,
-    transfer_element,
-    transitive_code,
 )
 from .groups import _labels
 from .gsets import GMap, GSet, point_gset, product, standard_orbit
@@ -108,10 +105,8 @@ def _block(F: MackeyFunctor, S: GSet, T: GSet, code):
 
 def _restriction(F: MackeyFunctor, cw, cwp, o):
     """F(G/L) -> F(G/L'): restriction along the map gL' -> g.o."""
-    group = F.group
-    O, W = standard_orbit(group, cw), standard_orbit(group, cwp)
-    rep = group.subgroup_classes()[cwp].representative
-    return _block(F, O, W, transitive_code(O, W, rep, o, 0))
+    return _block(F, standard_orbit(F.group, cw), standard_orbit(F.group, cwp),
+                  (cwp, o, 0))
 
 
 @dataclass
@@ -160,7 +155,6 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
     along gL' -> g.q are read from the factors' span blocks.
     """
     group = X.group
-    classes = group.subgroup_classes()
     nM = [lvl.generator_count for lvl in M.levels]
     nN = [lvl.generator_count for lvl in N.levels]
     eye = intmat.identity
@@ -178,7 +172,6 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
         add((s, _kron(eye(nM[cw]), N.levels[cw].relation_lattice)))
     for (cwp, xp), sp in starts.items():
         Op = standard_orbit(group, cwp)
-        Lp = classes[cwp].representative
         for (cw, x), s in starts.items():
             O = standard_orbit(group, cw)
             reach = O.orbit_index.reach
@@ -186,8 +179,7 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
                 if X.action[reach[q]][x] != xp:
                     continue
                 trM, trN = (_block(F, Op, O, (cwp, 0, q)) for F in (M, N))
-                rcode = transitive_code(O, Op, Lp, q, 0)
-                rsM, rsN = (_block(F, O, Op, rcode) for F in (M, N))
+                rsM, rsN = (_block(F, O, Op, (cwp, q, 0)) for F in (M, N))
                 add((s, _kron(trM, eye(nN[cw]))),
                     (sp, -_kron(eye(nM[cwp]), rsN)))
                 add((s, _kron(eye(nM[cw]), trN)),
@@ -307,9 +299,8 @@ def dress_pairing(M: MackeyFunctor, N: MackeyFunctor, boxed: MackeyFunctor,
     mats = []
     for c in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, c))
-        pair = _diagonal_pairing(
-            M, N, P.gset, N.eval_span(restriction_element(P.left)) @ n_vec)
-        mats.append(boxed.eval_span(transfer_element(P.right)) @ pair)
+        pair = _diagonal_pairing(M, N, P.gset, N.apply_gmap(P.left, n_vec))
+        mats.append(boxed.apply_gmap(P.right, pair, transfer=True))
     return mats
 
 
@@ -330,9 +321,7 @@ def _unit_action_block(M: MackeyFunctor, cidx, code, i):
     cw, x = code
     O, X = standard_orbit(group, cw), standard_orbit(group, cidx)
     ck, _pt, y = hom_basis(point_gset(group), O)[i]
-    span = transitive_code(O, X, group.subgroup_classes()[ck].representative,
-                           y, X.act(O.orbit_index.reach[y], x))
-    return _block(M, O, X, span)
+    return _block(M, O, X, (ck, y, X.action[O.orbit_index.reach[y]][x]))
 
 
 def box_unit_eval(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:

@@ -17,6 +17,8 @@ target of the Tor_0 witness.  Spectral sequence pages follow the
 image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
 induced by the connecting morphism of the obvious short exact sequence of
 quotient complexes; everything is levelwise exact integer arithmetic.
+Res and tr along G-maps are applied orbit block by orbit block
+(`MackeyFunctor.gmap_blocks`), with no span element or dense span matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abgroups, intmat
-from .burnside import restriction_element, transfer_element
 from .convolution import (
     GreenFunctor,
     GreenModule,
@@ -82,24 +83,12 @@ class FreeModule(GreenModule):
     base: GSet
 
 
-def _act_columns(tables, M: MackeyFunctor, Y: GSet, m):
-    """The matrix of r -> r . m from R(Y) to M(Y), for m in M(Y).
-
-    `tables` are the level tables of an R-action on M.  Both values are
-    sums over the orbits of Y, and on an orbit of class L the block is
-    (m @ tables[L]).T, whose column i is e_i . m.
-    """
-    _, offsets = M.value_at(Y)
-    return intmat.block_diag([
-        (m[lo:lo + M.levels[L].generator_count] @ tables[L]).T
-        for lo, L in zip(offsets, Y.orbit_index.classes)])
-
-
 def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
     """R^X = R(X x -), the internal hom F(A_X, R), with its R-action.
 
     r in R(G/H) sends generator f of R(X x G/H) to f . res(r), which is
-    res(r) . f since R is commutative.
+    res(r) . f since R is commutative: on an orbit of class L of X x G/H
+    with restriction block B, e_i sends e_j to e_j . (B e_i).
     """
     Rk = R.underlying
     group = X.group
@@ -108,11 +97,14 @@ def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
     tables = []
     for cw in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, cw))
-        res = Rk.eval_span(restriction_element(P.right))
-        n = res.shape[0]
-        tables.append(np.array([_act_columns(R.tables, Rk, P.gset, r).T
-                                for r in res.T],
-                               dtype=object).reshape(res.shape[1], n, n))
+        grp, offsets = Rk.value_at(P.gset)
+        n, classes = grp.generator_count, P.gset.orbit_index.classes
+        table = np.zeros((Rk.levels[cw].generator_count, n, n), dtype=object)
+        for b, _, block in Rk.gmap_blocks(P.right):
+            lo, hi = offsets[b], offsets[b] + len(block)
+            table[:, lo:hi, lo:hi] = np.tensordot(
+                block.T, R.tables[classes[b]].swapaxes(0, 1), 1)
+        tables.append(table)
     return FreeModule(R, F, tables, X)
 
 
@@ -131,7 +123,7 @@ def free_unit_vector(F: FreeModule):
         O = emb.source
         P = product(X, O)
         diag = GMap(O, P.gset, tuple(P.of_pair(emb(o), o) for o in range(O.size)))
-        vec = Rk.eval_span(transfer_element(diag)) @ F.ring.level_unit(c)
+        vec = Rk.apply_gmap(diag, F.ring.level_unit(c), transfer=True)
         out[offsets[b]:offsets[b] + len(vec)] = vec
     return out
 
@@ -140,6 +132,8 @@ def _classifying_mats(M: GreenModule, X: GSet, m_vec):
     """Levels of the R-linear map R(X x -) -> M classified by m in M(X).
 
     The Yoneda formula: f in R(X x Y) goes to tr_{pr_Y}(f . res_{pr_X} m).
+    On an orbit of X x Y of class L, with m_b its part of res m and B its
+    transfer block, column i is B (e_i . m_b): B (m_b @ tables[L]).T.
     """
     Mk = M.underlying
     group = X.group
@@ -147,12 +141,14 @@ def _classifying_mats(M: GreenModule, X: GSet, m_vec):
     mats = []
     for c in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, c))
-        m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
-        push = Mk.eval_span(transfer_element(P.right))
-        cols = [push[:, nz] @ col[nz]
-                for col in _act_columns(M.tables, Mk, P.gset, m_res).T
-                for nz in [np.flatnonzero(col)]]
-        mats.append(intmat.from_cols(cols, Mk.levels[c].generator_count))
+        m_res = Mk.apply_gmap(P.left, m_vec)
+        _, offsets = Mk.value_at(P.gset)
+        classes = P.gset.orbit_index.classes
+        mats.append(intmat.hstack(
+            [intmat.zeros(Mk.levels[c].generator_count, 0)]
+            + [block @ (m_res[offsets[b]:offsets[b] + block.shape[1]]
+                        @ M.tables[classes[b]]).T
+               for b, _, block in Mk.gmap_blocks(P.right, transfer=True)]))
     return mats
 
 
@@ -415,24 +411,6 @@ class TorResult:
     rel: RelBox
 
 
-def _act_on(M: GreenModule, Y: GSet, r, mat):
-    """r . m in M(Y) for r in R(Y) and every column m of `mat`.
-
-    Orbit by orbit of Y the product is the level action of the orbit's
-    class: with r_b the orbit's block of r, row j of
-    tensordot(r_b, tables[L]) is r_b . m_j.
-    """
-    Rk, Mk = M.ring.underlying, M.underlying
-    _, roff = Rk.value_at(Y)
-    _, moff = Mk.value_at(Y)
-    out = intmat.zeros(*mat.shape)
-    for b, L in enumerate(Y.orbit_index.classes):
-        lo, n = moff[b], Mk.levels[L].generator_count
-        r_b = r[roff[b]:roff[b] + Rk.levels[L].generator_count]
-        out[lo:lo + n] = np.tensordot(r_b, M.tables[L], 1).T @ mat[lo:lo + n]
-    return out
-
-
 def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
                tgt: FreeModule, source: MackeyFunctor, target: MackeyFunctor):
     """M box_R d: M(Z x -) -> M(X x -) for an R-linear d: R^Z -> R^X.
@@ -443,15 +421,16 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     along S_b x Y -> X x Y, with m restricted along S_b x Y -> Z x Y.
     S_b holds the orbits of X x O_b that f_b is supported on, one
     standard orbit each, since f_b restricted to the others is zero.
+    Each orbit of S_b x Y adds the product of its blocks of those maps.
     """
     Mk, Rk = M.underlying, M.ring.underlying
     group = M.group
     Z, X = src.base, tgt.base
-    zix = Z.orbit_index
     eta = free_unit_vector(src)
     _, offsets = d.source.value_at(Z)
     blocks = []
-    for b, (emb, cb) in enumerate(zip(Z.orbit_embeddings, zix.classes)):
+    for b, (emb, cb) in enumerate(zip(Z.orbit_embeddings,
+                                      Z.orbit_index.classes)):
         n = d.source.levels[cb].generator_count
         f = d.mats[cb] @ eta[offsets[b]:offsets[b] + n]
         P = product(X, emb.source)
@@ -466,33 +445,33 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
         pembs = P.gset.orbit_embeddings
         inc = GMap(S, P.gset, tuple(pembs[k](o) for k in support
                                     for o in range(pembs[k].source.size)))
-        blocks.append((b, S, [P.left(w) for w in inc.mapping],
+        blocks.append((S, [P.left(w) for w in inc.mapping],
                        [emb(P.right(w)) for w in inc.mapping],
-                       Rk.eval_span(restriction_element(inc)) @ f))
+                       Rk.apply_gmap(inc, f)))
     mats = []
     for c in range(len(group.subgroup_classes())):
         Y = standard_orbit(group, c)
         XY, ZY = product(X, Y), product(Z, Y)
-        # the generators of M(Z x Y) on the orbits over O_b, per b
-        _, qoff = Mk.value_at(ZY.gset)
-        qix = ZY.gset.orbit_index
-        over = [[] for _ in zix.classes]
-        for k, (orbit, L) in enumerate(zip(qix.orbits, qix.classes)):
-            over[zix.orbit_of[ZY.left(orbit[0])]].extend(
-                range(qoff[k], qoff[k] + Mk.levels[L].generator_count))
+        (_, xoff), (_, zoff) = Mk.value_at(XY.gset), Mk.value_at(ZY.gset)
         out = intmat.zeros(target.levels[c].generator_count,
                            source.levels[c].generator_count)
-        for b, S, xs, zs, f in blocks:
+        for S, xs, zs, f in blocks:
+            _, soff = Rk.value_at(S)
             T = product(S, Y)
             pts = [(T.left(t), T.right(t)) for t in range(T.gset.size)]
             to_z = GMap(T.gset, ZY.gset, tuple(ZY.of_pair(zs[w], y)
                                                for w, y in pts))
             to_x = GMap(T.gset, XY.gset, tuple(XY.of_pair(xs[w], y)
                                                for w, y in pts))
-            r = Rk.eval_span(restriction_element(T.left)) @ f
-            m = _act_on(M, T.gset, r,
-                        Mk.eval_span(restriction_element(to_z))[:, over[b]])
-            out[:, over[b]] += Mk.eval_span(transfer_element(to_x)) @ m
+            # orbit t of S x Y: r_t = res f acts between its two blocks
+            for (t, s, rb), (_, q, zb), (_, p, xb) in zip(
+                    Rk.gmap_blocks(T.left), Mk.gmap_blocks(to_z),
+                    Mk.gmap_blocks(to_x, transfer=True)):
+                r = rb @ f[soff[s]:soff[s] + rb.shape[1]]
+                act = np.tensordot(r, M.tables[T.gset.orbit_index.classes[t]],
+                                   1).T
+                out[xoff[p]:xoff[p] + len(xb),
+                    zoff[q]:zoff[q] + zb.shape[1]] += xb @ act @ zb
         mats.append(out)
     return MackeyMorphism(source, target, mats, check=False)
 

@@ -45,7 +45,7 @@ from .burnside import (
     weyl_element,
 )
 from .groups import FiniteGroup
-from .gsets import GSet, point_gset, standard_orbit
+from .gsets import GMap, GSet, point_gset, standard_orbit
 
 
 def class_pair_covers(group: FiniteGroup):
@@ -281,6 +281,37 @@ class MackeyFunctor:
             right = self.tr_mat(B2, Sy0) @ self.conj_mat(group.inv(k), L)
             self._cache[key] = right @ left
         return self._cache[key], (bx, by)
+
+    def gmap_blocks(self, f: GMap, transfer=False):
+        """(orbit of X, orbit of Y, block) of res_f: M(Y) -> M(X), or of
+        tr_f: M(X) -> M(Y), for f: X -> Y: one triple per orbit of X.
+
+        The orbit of its base x0 is the span G/L -> X x Y, gL ->
+        (gt.x0, gt.f(x0)), t the transport of x0's stabilizer onto L: a
+        valid code, which `_eval_code` evaluates as it is.
+        """
+        ix, iy = f.source.orbit_index, f.target.orbit_index
+        xa, ya = f.source.action, f.target.action
+        for bx, (orbit, stab, c) in enumerate(zip(ix.orbits, ix.stabilizers,
+                                                  ix.classes)):
+            t = self.group.transport(stab)
+            x, y = xa[t][orbit[0]], ya[t][f.mapping[orbit[0]]]
+            if transfer:
+                block, (_, by) = self._eval_code(ix, iy, (c, x, y))
+            else:
+                block, (by, _) = self._eval_code(iy, ix, (c, y, x))
+            yield bx, by, block
+
+    def apply_gmap(self, f: GMap, v, transfer=False):
+        """res_f v, or tr_f v, for a vector or a column block v, applied
+        block by block: no dense |M(Y)| x |M(X)| matrix is built."""
+        ends = (f.source, f.target) if transfer else (f.target, f.source)
+        (_, soff), (grp, toff) = map(self.value_at, ends)
+        out = np.zeros((grp.generator_count,) + v.shape[1:], dtype=object)
+        for bx, by, block in self.gmap_blocks(f, transfer):
+            s, t = (soff[bx], toff[by]) if transfer else (soff[by], toff[bx])
+            out[t:t + len(block)] += block @ v[s:s + block.shape[1]]
+        return out
 
     # -- validation ----------------------------------------------------------------
 

@@ -299,13 +299,23 @@ def test_criterion_07_tor0_and_free_vanishing():
             wit = result.tor0_witness
             inv = wit.inverse()           # exact two-sided witness
             triples += 1
-        # Tor_p(M, R^X) = 0 for 1 <= p <= 3
+        # Tor_p(M, R^X) = 0 for 1 <= p <= 3; R^X is its own resolution, so
+        # this reads a complex with one term
         F = free_module(R, standard_orbit(group, 0))
         result = tor(R, FPm, F, 3)
         for p in range(1, 4):
             assert all(l.is_trivial() for l in result.tor[p].levels), (name, p)
+        # Tor_p(R^X, N) = 0 for p = 1, 2 is read off a resolution of N, so
+        # it can fail; D4 joins once its length-3 resolutions are cheap
+        if name == "D4":
+            continue
+        for N in (FPm, Qm):
+            result = tor(R, F, N, 2)
+            for p in (1, 2):
+                assert all(l.is_trivial() for l in result.tor[p].levels), \
+                    (name, p)
     report(7, f"Tor_0 = relative box with witness for {triples} triples; "
-              "Tor_1..3 vanish on free modules")
+              "Tor_1..3(M, F) and Tor_1..2(F, N) vanish on free F")
 
 
 # -- criterion 8: spectral sequence consistency -----------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -517,6 +518,23 @@ def test_tor_with_a_free_module_on_the_left(name):
     assert invariants(result.tor[0]) == \
         invariants(internal_hom_rep(X, mods["FP"].underlying))
     _two_sided(result.tor0_witness)
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_tor_agrees_across_covers_and_argument_order(name):
+    # Tor_p(M, N) read off the reverse cover's resolution of N, and, the
+    # Burnside ring being commutative, off a resolution of M as
+    # Tor_p(N, M): neither shares a resolution with tor(R, M, N, 2)
+    R, mods = _tor_modules(builtin_group(name))
+    nonzero = 0
+    for a, b in itertools.product(("FP", "FP/2"), repeat=2):
+        M, N = mods[a], mods[b]
+        want = [invariants(t) for t in tor(R, M, N, 2).tor]
+        assert [invariants(t) for t in
+                tor(R, M, N, 2, reverse=True).tor] == want, (a, b)
+        assert [invariants(t) for t in tor(R, N, M, 2).tor] == want, (a, b)
+        nonzero += sum(any(levels) for levels in want[1:])
+    assert nonzero > 0    # some Tor_1 or Tor_2 is nonzero, so this can fail
 
 
 def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):

@@ -10,7 +10,11 @@ fixed points per subgroup class from `GSet.fixed_orbits`.  The presented box
 product has one implementation, the Mackey formula on over-codes: its
 functions build no G-maps, G-set products or spans.  A Green module is
 its level action tables: the functions that build, cover, map and check
-modules present no box product and build no map out of one.
+modules present no box product and build no map out of one.  Res and tr
+along a G-map have one path on the resolution and Tor route, the orbit
+blocks of `MackeyFunctor.gmap_blocks`: no function in `homalg`, and not
+`convolution.dress_pairing`, builds a span element along a map, a
+canonical code or a dense span matrix.
 """
 
 import ast
@@ -125,22 +129,31 @@ SPAN_BUILDERS = {"GMap", "compose", "materialize_code", "product",
                  "transfer_element", "restriction_element"}
 
 
+def named_calls(tree, names):
+    """(line, name) of every call of one of `names` under an ast node, by
+    bare name or as an attribute."""
+    out = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        if name in names:
+            out.append((call.lineno, name))
+    return sorted(out)
+
+
 def calls_inside(source, functions, names):
-    """(function, line, name) of every call of one of `names`, by bare name
-    or as an attribute, inside the named top-level functions (nested
-    scopes included), plus the set of those functions the source defines."""
+    """(function, line, name) of every call of one of `names` inside the
+    named top-level functions (nested scopes included), plus the set of
+    those functions the source defines."""
     found, out = set(), []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and node.name in functions:
             found.add(node.name)
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                f = call.func
-                name = f.id if isinstance(f, ast.Name) else \
-                    f.attr if isinstance(f, ast.Attribute) else None
-                if name in names:
-                    out.append((node.name, call.lineno, name))
+            out.extend((node.name, line, name)
+                       for line, name in named_calls(node, names))
     return sorted(out), found
 
 
@@ -210,4 +223,49 @@ def test_modules_are_level_tables_built_without_box_products(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
     calls, found = calls_inside(source, MODULE_FUNCTIONS[name], BOX_PRODUCT_CALLS)
     assert found == set(MODULE_FUNCTIONS[name])
+    assert calls == []
+
+
+SPAN_EVALUATION = {"eval_span", "restriction_element", "transfer_element",
+                   "transitive_code"}
+
+# The resolution and Tor path, abridged, as it read when a structure map
+# along a G-map went through a span element, its canonical codes and a
+# dense span matrix.
+SPAN_ROUTE = '''
+def _classifying_mats(M, X, m_vec):
+    m_res = Mk.eval_span(restriction_element(P.left)) @ m_vec
+    push = Mk.eval_span(transfer_element(P.right))
+
+class Cover:
+    def code(self, O, W, rep, o):
+        return transitive_code(O, W, rep, o, 0)
+
+def dress_pairing(M, N, boxed, X, n_vec):
+    return boxed.eval_span(transfer_element(P.right)) @ pair
+'''
+
+
+def test_scanner_finds_span_evaluation_in_functions_and_methods():
+    assert named_calls(ast.parse(SPAN_ROUTE), SPAN_EVALUATION) == [
+        (3, "eval_span"), (3, "restriction_element"), (4, "eval_span"),
+        (4, "transfer_element"), (8, "transitive_code"), (11, "eval_span"),
+        (11, "transfer_element")]
+    calls, found = calls_inside(SPAN_ROUTE, ("dress_pairing",),
+                                SPAN_EVALUATION)
+    assert found == {"dress_pairing"}
+    assert calls == [("dress_pairing", 11, "eval_span"),
+                     ("dress_pairing", 11, "transfer_element")]
+
+
+def test_tor_path_reads_structure_maps_orbit_by_orbit():
+    # res and tr along a G-map on the resolution and Tor path come from
+    # `MackeyFunctor.gmap_blocks`, the one path: no span element, no
+    # canonical code and no dense span matrix
+    homalg = (PACKAGE / "homalg.py").read_text(encoding="utf-8")
+    assert named_calls(ast.parse(homalg), SPAN_EVALUATION) == []
+    convolution = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(convolution, ("dress_pairing",),
+                                SPAN_EVALUATION)
+    assert found == {"dress_pairing"}
     assert calls == []

@@ -17,6 +17,7 @@ from mackeykit.jsonio import mackey_from_json, mackey_to_json
 from mackeykit.gsets import (
     GMap,
     GSet,
+    coproduct,
     disjoint_union_of_orbits,
     identity_map,
     point_gset,
@@ -35,6 +36,7 @@ from mackeykit.burnside import (
     tensor,
     tr_element,
     transfer_element,
+    transitive_code,
     weyl_element,
 )
 from mackeykit.convolution import box, burnside_green, internal_hom_rep
@@ -847,6 +849,81 @@ def test_eval_span_on_a_presented_box_is_bit_identical_to_the_oracle():
     FP = fixed_point_mackey(group, *regular_module(group))
     M = box(burnside_mackey(group), FP).functor
     _assert_eval_matches_oracle(M, _oracle_spans(group))
+
+
+def _oracle_gmaps(group):
+    """Product projections, orbit embeddings, diagonals O -> X x O, the fold
+    X + X -> X, the maps gH -> gnH of G/H for n in N(H), whose base images
+    a canonical code need not pick, and G/H relabelled so that its base
+    stabilizer is not the class representative."""
+    classes = group.subgroup_classes()
+    X = disjoint_union_of_orbits(group, tuple(range(len(classes))))
+    for cls, emb in zip(classes, X.orbit_embeddings):
+        O = standard_orbit(group, cls.index)
+        P = product(X, O)
+        yield from (P.left, P.right, emb)
+        yield GMap(O, P.gset, tuple(P.of_pair(emb(o), o)
+                                    for o in range(O.size)))
+        reach = O.orbit_index.reach
+        for n in cls.normalizer:
+            yield GMap(O, O, tuple(O.action[g][O.action[n][0]]
+                                   for g in reach))
+        # G/H relabelled so that its base point is a coset not fixed by H:
+        # its stabilizer is another conjugate, reached by a transport
+        # outside N(H)
+        moved = [q for q in range(O.size)
+                 if any(O.action[h][q] != q for h in cls.representative)]
+        if moved:
+            swap = list(range(O.size))
+            swap[0], swap[moved[0]] = moved[0], 0
+            Ot = GSet(group, [[swap[row[swap[x]]] for x in range(O.size)]
+                              for row in O.action])
+            iso = GMap(Ot, O, tuple(swap))
+            yield from (iso, iso.inverse(), GMap(Ot, point_gset(group),
+                                                 (0,) * O.size))
+    sums = coproduct(X, X)
+    fold = [None] * sums.gset.size
+    for x in range(X.size):
+        fold[sums.left(x)] = fold[sums.right(x)] = x
+    yield GMap(sums.gset, X, tuple(fold))
+
+
+def _non_canonical_codes(f):
+    """How many of f's orbit codes, in res and tr, are not canonical."""
+    X, Y = f.source, f.target
+    ix, out = X.orbit_index, 0
+    for orbit, stab, c in zip(ix.orbits, ix.stabilizers, ix.classes):
+        t = X.group.transport(stab)
+        x, y = X.action[t][orbit[0]], Y.action[t][f(orbit[0])]
+        out += transitive_code(X, Y, stab, orbit[0], f(orbit[0])) != (c, x, y)
+        out += transitive_code(Y, X, stab, f(orbit[0]), orbit[0]) != (c, y, x)
+    return out
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8", "A4", "D6"))
+def test_gmap_blocks_match_the_span_matrices(name):
+    # res_f and tr_f applied orbit block by orbit block to identity
+    # columns equal the dense evaluation of the canonical span elements
+    group = _group(name)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    functors = (burnside_mackey(group), FP,
+                fixed_point_mackey(group, *regular_module(group)),
+                box(FP, FP).functor)
+    gmaps = list(_oracle_gmaps(group))
+    for f in gmaps:
+        for M in functors:
+            for transfer, e in ((False, restriction_element(f)),
+                                (True, transfer_element(f))):
+                want = M.eval_span(e)
+                eye = im.identity(want.shape[1])
+                got = M.apply_gmap(f, eye, transfer)
+                assert got.shape == want.shape and np.array_equal(got, want)
+                for j in range(min(2, len(eye))):    # vectors, too
+                    assert np.array_equal(M.apply_gmap(f, eye[:, j], transfer),
+                                          want[:, j])
+    if name != "trivial":
+        assert sum(map(_non_canonical_codes, gmaps)) > 0
 
 
 @pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "S3", "D4", "Q8"])
