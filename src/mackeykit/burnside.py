@@ -18,6 +18,10 @@ so its transitive code is the one `transitive_code` gives for that
 subgroup and pair.  Since codes are canonical, the result is the code
 multiset of the pullback itself, exactly.  The tensor of two basis
 spans is the same walk over G/L x G/M without the fibre condition.
+Each basis pair is one loop over those L-orbits, shared with
+`convolution.over_image`, that tests the fibre condition and minimizes
+codes inline.  Each factor's codes pass `code_subgroup` once per call,
+before any pair is walked, so a bad code is refused even against zero.
 
 Everything these walks read that depends only on the group or on one
 G-set is derived once, as cached properties of its owner:
@@ -32,9 +36,8 @@ N(L)-orbits with the stabilizer in N(L) of each least point, from which
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import index
 
 from .groups import FiniteGroup
 from .gsets import (
@@ -254,38 +257,31 @@ def hom_basis(X: GSet, Y: GSet):
 # -- composition, tensor, duality ----------------------------------------------
 
 
-def _double_coset_codes(c, O, code_of, keep=None):
-    """One code per L-orbit on the cosets bM of O = G/M, in orbit order.
+def _add_composite(out, a, X, Y, Z, c1, c2):
+    """Add a times each code of the composite c2 . c1 of basis spans to out.
 
-    L is the representative of class c.  Each orbit, read from
-    `O.subgroup_orbits[c]` as its least coset bM and that coset's
-    stabilizer L n bMb^-1, gives code_of(L n bMb^-1, b) when keep(b)
-    holds, b the minimal element of the coset.  `keep` must be constant
-    on L-orbits.
+    The codes must have passed `code_subgroup`.  The fibre condition
+    b.y' = y is constant on L-orbits of cosets bM: L fixes y and M fixes
+    y', so (hbm).y' = h.(b.y') for h in L, m in M.  The codes come in the
+    order of the canonical pullback's orbits: by the class of their
+    stabilizer, ties by first coset.
     """
-    reach = O.orbit_index.reach
-    return [code_of(K, reach[p]) for p, K in O.subgroup_orbits[c]
-            if keep is None or keep(reach[p])]
-
-
-def _compose_codes(X, Y, Z, c1, c2):
-    """Code multiset of the composite of basis spans c2 . c1.
-
-    The fibre condition b.y' = y is constant on L-orbits of cosets bM: L
-    fixes y and M fixes y', so (hbm).y' = h.(b.y') for h in L, m in M.
-    """
-    code_subgroup(X, Y, c1)
-    code_subgroup(Y, Z, c2)
     c, x, y = c1
     m, yp, z = c2
-    ya, za = Y.action, Z.action
-    codes = _double_coset_codes(
-        c, standard_orbit(X.group, m),
-        lambda K, b: transitive_code(X, Z, K, x, za[b][z]),
-        keep=lambda b: ya[b][yp] == y)
-    # counted in the order of the canonical pullback's orbits: by the
-    # class of their stabilizer, ties by first coset
-    return Counter(sorted(codes, key=itemgetter(0)))
+    O = standard_orbit(X.group, m)
+    reach = O.orbit_index.reach
+    transporters = X.group.transporters
+    xa, ya, za = X.action, Y.action, Z.action
+    codes = []
+    for p, K in O.subgroup_orbits[c]:
+        b = reach[p]
+        if ya[b][yp] == y:
+            zb = za[b][z]
+            cidx, movers = transporters(K)
+            codes.append((cidx, *min([(xa[g][x], za[g][zb]) for g in movers])))
+    codes.sort(key=lambda code: code[0])
+    for code in codes:
+        out[code] = out.get(code, 0) + a
 
 
 def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
@@ -293,27 +289,15 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
     if s1.target != s2.source:
         raise ValueError("feet do not match for composition")
     X, Y, Z = s1.source, s1.target, s2.target
+    for c1 in s1.coeffs:
+        code_subgroup(X, Y, c1)
+    for c2 in s2.coeffs:
+        code_subgroup(Y, Z, c2)
     out = {}
     for c1, a1 in s1.coeffs.items():
         for c2, a2 in s2.coeffs.items():
-            for code, mult in _compose_codes(X, Y, Z, c1, c2).items():
-                out[code] = out.get(code, 0) + a1 * a2 * mult
+            _add_composite(out, a1 * a2, X, Y, Z, c1, c2)
     return BurnsideElement._of_checked(X, Z, out)
-
-
-def _tensor_codes(X, Xp, Y, Yp, c1, c2):
-    """Code multiset of the external product of basis spans c1 and c2."""
-    code_subgroup(X, Y, c1)
-    code_subgroup(Xp, Yp, c2)
-    c, x, y = c1
-    m, xp, yp = c2
-    ps, pt = product(X, Xp), product(Y, Yp)
-    xa, ya = Xp.action, Yp.action
-    return Counter(_double_coset_codes(
-        c, standard_orbit(X.group, m),
-        lambda K, b: transitive_code(ps.gset, pt.gset, K,
-                                     ps.of_pair(x, xa[b][xp]),
-                                     pt.of_pair(y, ya[b][yp]))))
 
 
 def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
@@ -321,14 +305,28 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
     if s.group != t.group:
         raise ValueError("different groups")
     X, Y, Xp, Yp = s.source, s.target, t.source, t.target
-    src = product(X, Xp).gset
-    tgt = product(Y, Yp).gset
+    for c1 in s.coeffs:
+        code_subgroup(X, Y, c1)
+    for c2 in t.coeffs:
+        code_subgroup(Xp, Yp, c2)
+    ps, pt = product(X, Xp), product(Y, Yp)
+    sa, ta = ps.gset.action, pt.gset.action
+    xpa, ypa = Xp.action, Yp.action
+    transporters = s.group.transporters
     out = {}
-    for c1, a1 in s.coeffs.items():
-        for c2, a2 in t.coeffs.items():
-            for code, mult in _tensor_codes(X, Xp, Y, Yp, c1, c2).items():
-                out[code] = out.get(code, 0) + a1 * a2 * mult
-    return BurnsideElement._of_checked(src, tgt, out)
+    for (c, x, y), a1 in s.coeffs.items():
+        px, py = ps.pair_index[x], pt.pair_index[y]
+        for (m, xp, yp), a2 in t.coeffs.items():
+            a = a1 * a2
+            O = standard_orbit(s.group, m)
+            reach = O.orbit_index.reach
+            for p, K in O.subgroup_orbits[c]:
+                b = reach[p]
+                u, v = px[xpa[b][xp]], py[ypa[b][yp]]
+                cidx, movers = transporters(K)
+                code = (cidx, *min([(sa[g][u], ta[g][v]) for g in movers]))
+                out[code] = out.get(code, 0) + a
+    return BurnsideElement._of_checked(ps.gset, pt.gset, out)
 
 
 def dual(s: BurnsideElement) -> BurnsideElement:
@@ -353,12 +351,7 @@ def evaluation_span(X: GSet) -> BurnsideElement:
 
 def coevaluation_span(X: GSet) -> BurnsideElement:
     """pt -> X (x) X with middle X and legs (terminal, diagonal)."""
-    group = X.group
-    pt = point_gset(group)
-    pd = product(X, X)
-    left = GMap(X, pt, (0,) * X.size)
-    right = GMap(X, pd.gset, tuple(pd.of_pair(x, x) for x in range(X.size)))
-    return span_element(pt, pd.gset, X, left, right)
+    return dual(evaluation_span(X))
 
 
 def triangle_composite(X: GSet) -> BurnsideElement:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import jsonio
 from .burnside import (
@@ -342,7 +343,9 @@ def cmd_promonoidal_check(args):
     return 0 if ok else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process, at the first call."""
     parser = argparse.ArgumentParser(
         prog="mackeykit",
         description="Exact Burnside-category, Mackey/Green-functor and "

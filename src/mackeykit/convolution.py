@@ -24,8 +24,9 @@ from . import intmat
 from .abgroups import FinPresAbGroup
 from .burnside import (
     BurnsideElement,
-    _compose_codes,
+    _add_composite,
     basis_element,
+    code_subgroup,
     compose,
     hom_basis,
     identity_element,
@@ -54,10 +55,8 @@ def over_codes(X: GSet):
 
 def _canonical_over(group, cidx, z, Ob: GSet):
     """Canonical representative z* = min n.z over the normalizer, with witness."""
-    cls = group.subgroup_classes()[cidx]
-    zstar = min(Ob.act(n, z) for n in cls.normalizer)
-    u = min(n for n in cls.normalizer if Ob.act(n, z) == zstar)
-    return zstar, u
+    normalizer = group.subgroup_classes()[cidx].normalizer
+    return min((Ob.action[n][z], n) for n in normalizer)
 
 
 def over_image(S: GSet, T: GSet, ecode, code):
@@ -83,8 +82,11 @@ def over_image(S: GSet, T: GSet, ecode, code):
         g = group.table[reach[x]][group.inverse[reach[yp]]]
         terms = {(cw, 0, T.action[g][z]): 1}
     else:
-        terms = _compose_codes(standard_orbit(group, cw), S, T, (cw, 0, x),
-                               ecode)
+        Ow, struct = standard_orbit(group, cw), (cw, 0, x)
+        code_subgroup(Ow, S, struct)
+        code_subgroup(S, T, ecode)
+        terms = {}
+        _add_composite(terms, 1, Ow, S, T, struct, ecode)
     out = []
     for (cwp, o, y), mult in terms.items():
         zstar, u = _canonical_over(group, cwp, y, T)

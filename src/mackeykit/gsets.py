@@ -90,6 +90,8 @@ class GSet:
         return self.action[g][x]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GSet):
             return NotImplemented
         return self.group == other.group and self.action == other.action

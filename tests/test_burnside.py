@@ -260,6 +260,32 @@ def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
     assert compose(identity_element(pt), moved) == basis_element(O, pt, code)
 
 
+def test_compose_and_tensor_check_each_factor_once_even_against_zero():
+    # every code of each factor is checked before any pair is walked, so a
+    # bad code is refused even when the other factor has no codes at all
+    C2 = builtin_group("C2")
+    O, pt = standard_orbit(C2, 0), point_gset(C2)
+    zero = BurnsideElement(O, O)
+    for bad, X, Y in [((1, 0, 0), O, pt), ((1, 0, 1), O, O),
+                      ((0, 2, 0), O, pt), ((5, 0, 0), pt, pt)]:
+        e = BurnsideElement._of_checked(X, Y, {bad: 1})
+        for call in (lambda: compose(e, BurnsideElement(X, X)),
+                     lambda: compose(BurnsideElement(Y, Y), e),
+                     lambda: tensor(e, zero), lambda: tensor(zero, e)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"span code {bad}")):
+                call()
+    # a bad code next to good ones is refused too, and with bad codes on
+    # both sides the first factor's is named
+    (good,) = hom_basis(O, pt)
+    left = BurnsideElement._of_checked(O, pt, {good: 2, (1, 0, 0): 1})
+    right = BurnsideElement._of_checked(pt, pt, {(5, 0, 0): 1})
+    with pytest.raises(ValueError, match=re.escape("span code (1, 0, 0)")):
+        compose(right, left)
+    with pytest.raises(ValueError, match=re.escape("span code (1, 0, 0)")):
+        tensor(left, right)
+
+
 def test_orbit_tables_do_not_pin_gsets():
     # a fresh group object, and X built from its action table outside the
     # lru_caches of gsets, so only the derived orbit tables could keep X

@@ -322,6 +322,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["marks"])          # missing --group
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["marks", "--group", "C2", "--format", "json"])
+    assert code == 0 and json.loads(out)["marks"] == [[2, 0], [1, 1]]
+    # the next command starts from the defaults again, not from the last
+    # command's options
+    code, out, _ = run(capsys, ["marks", "--group", "C2"])
+    assert code == 0 and not out.lstrip().startswith("{")
+
+
 def test_unknown_group_is_an_error(capsys):
     code, _out, err = run(capsys, ["marks", "--group", "E8"])
     assert code == 1

@@ -33,6 +33,7 @@ from mackeykit.mackey import (
 from mackeykit.convolution import (
     GreenModule,
     GreenValidationError,
+    _canonical_over,
     box,
     box_assoc_iso,
     box_comm_iso,
@@ -42,6 +43,7 @@ from mackeykit.convolution import (
     green_from_levelwise,
     internal_hom_rep,
     over_codes,
+    over_image,
     rep_monoidal_iso,
     ring_as_module,
     validate_green,
@@ -60,6 +62,32 @@ from support import (
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4",))
+def test_over_image_is_compose_with_the_structure_span(name):
+    # every span code between standard orbits against every over-code of
+    # its source: the terms, their order and multiplicities are those of
+    # compose(span, G/L -> S), the over-code's structure span; the transfer
+    # shortcut for a middle of the class of S included
+    group = builtin_group(name)
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    shortcuts = 0
+    for S in orbs:
+        for T in orbs:
+            for ecode in hom_basis(S, T):
+                shortcuts += ecode[0] == S.orbit_index.classes[0]
+                span = basis_element(S, T, ecode)
+                for cw, x in over_codes(S):
+                    struct = basis_element(orbs[cw], S, (cw, 0, x))
+                    want = []
+                    for (cwp, o, y), mult in \
+                            compose(span, struct).coeffs.items():
+                        zstar, u = _canonical_over(group, cwp, y, T)
+                        want.append(((cwp, zstar), o, u, mult))
+                    got = over_image(S, T, ecode, (cw, x))
+                    assert got == want, (S, T, ecode, (cw, x))
+    assert shortcuts
 
 
 def sample_functors(group):

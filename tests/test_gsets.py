@@ -418,15 +418,23 @@ def test_non_integer_map_entries_rejected():
 @pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
 def test_equal_objects_hash_equal(name):
     # hashes are computed once at construction; rebuilt copies, also from
-    # numpy entries, must still agree with the originals
+    # numpy entries, must still agree with the originals.  `X == X`
+    # answers without reading the table, so distinct copies are compared
+    # both ways, and a relabelled action must still compare unequal
     group = builtin_group(name)
     twin = FiniteGroup(np.array(group.table))
     assert twin is not group and twin == group and hash(twin) == hash(group)
+    rng = random.Random(len(name))
     for cls in group.subgroup_classes():
         O = standard_orbit(group, cls.index)
-        copy = GSet(twin, [list(map(np.int64, row)) for row in O.action])
-        assert copy == O and hash(copy) == hash(O)
-        assert {copy: 1}[O] == 1
+        assert O == O and not O != O
+        for copy in (GSet(twin, [list(map(np.int64, row)) for row in O.action]),
+                     GSet(group, O.action)):
+            assert copy is not O and copy == O and O == copy
+            assert not copy != O and hash(copy) == hash(O)
+            assert {copy: 1}[O] == 1
+        moved = random_relabel(O, rng)
+        assert (moved == O) == (O == moved) == (moved.action == O.action)
 
 
 def _orbit_index_gsets(group):

@@ -388,7 +388,11 @@ def test_tor_vanishes_on_free_arguments(c2_setup):
     C2, R, FP = c2_setup
     FPmod = canonical_module(R, FP)
     F = free_module(R, standard_orbit(C2, 0))
-    result = tor(R, FPmod, F, 3)
+    # the free module on the left, so FPmod is resolved and Tor_1..3 are
+    # read off a complex with nonzero terms in those degrees
+    result = tor(R, F, FPmod, 3)
+    modules = result.resolution.modules
+    assert len(modules) > 3 and all(F.base.size for F in modules)
     for p in range(1, 4):
         assert all(l.is_trivial() for l in result.tor[p].levels)
     result.tor0_witness.inverse()    # raises unless invertible

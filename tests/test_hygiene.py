@@ -14,7 +14,11 @@ modules present no box product and build no map out of one.  Res and tr
 along a G-map have one path on the resolution and Tor route, the orbit
 blocks of `MackeyFunctor.gmap_blocks`: no function in `homalg`, and not
 `convolution.dress_pairing`, builds a span element along a map, a
-canonical code or a dense span matrix.
+canonical code or a dense span matrix.  Span composition has one walk over
+the double cosets: `compose` checks each factor's codes and hands every
+basis pair to one helper, which checks nothing itself and is the helper
+`convolution.over_image` calls after its own two checks; `burnside` keeps
+no second walk and no `Counter`.
 """
 
 import ast
@@ -269,3 +273,74 @@ def test_tor_path_reads_structure_maps_orbit_by_orbit():
                                 SPAN_EVALUATION)
     assert found == {"dress_pairing"}
     assert calls == []
+
+
+RETIRED_WALKS = {"Counter", "_compose_codes", "_double_coset_codes",
+                 "_tensor_codes"}
+
+
+def one_walk_report(burnside, convolution):
+    """(names of RETIRED_WALKS that `burnside` defines, imports or reads;
+    the burnside functions other than `code_subgroup` that `compose`
+    calls; those of them `convolution.over_image` calls too; the
+    `code_subgroup` calls in compose, in those shared helpers and in
+    over_image)."""
+    tree = ast.parse(burnside)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    names = set(functions) | _used_names(tree) | {
+        name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_names(node)}
+    called = {name for _, name in named_calls(functions["compose"],
+                                               set(functions))}
+    called.discard("code_subgroup")
+    shared, _ = calls_inside(convolution, ("over_image",), called)
+    shared = {name for _, _, name in shared}
+
+    def checks(node):
+        return len(named_calls(node, {"code_subgroup"}))
+
+    over_image = next(n for n in ast.parse(convolution).body
+                      if isinstance(n, ast.FunctionDef)
+                      and n.name == "over_image")
+    return (names & RETIRED_WALKS, called, shared,
+            (checks(functions["compose"]),
+             sum(checks(functions[name]) for name in shared),
+             checks(over_image)))
+
+
+# Composition as it read with a per-pair walk of its own, abridged.
+PER_PAIR_WALK = '''
+from collections import Counter
+
+def _compose_codes(X, Y, Z, c1, c2):
+    code_subgroup(X, Y, c1)
+    code_subgroup(Y, Z, c2)
+    return Counter(_double_coset_codes(c1, c2))
+
+def compose(s2, s1):
+    for c1 in s1:
+        for c2 in s2:
+            out.update(_compose_codes(X, Y, Z, c1, c2))
+'''
+OVER_IMAGE = '''
+def over_image(S, T, ecode, code):
+    terms = _compose_codes(standard_orbit(group, cw), S, T, code, ecode)
+'''
+
+
+def test_scanner_finds_a_per_pair_walk_and_its_checks():
+    assert one_walk_report(PER_PAIR_WALK, OVER_IMAGE) == (
+        {"Counter", "_compose_codes", "_double_coset_codes"},
+        {"_compose_codes"}, {"_compose_codes"}, (0, 2, 0))
+
+
+def test_compose_and_over_image_share_one_walk():
+    burnside = (PACKAGE / "burnside.py").read_text(encoding="utf-8")
+    convolution = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
+    retired, called, shared, checks = one_walk_report(burnside, convolution)
+    assert retired == set()
+    assert len(called) == 1 and shared == called
+    # compose checks each factor, the walk checks nothing, and over_image
+    # keeps its own check of both codes
+    assert checks == (2, 0, 2)
