@@ -39,16 +39,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
+from . import intmat
 from .groups import FiniteGroup
 from .gsets import (
     GMap,
     GSet,
     compose_maps,
     coproduct,
-    coset_index_of,
+    identity_map,
+    orbit_map,
     point_gset,
     product,
+    projection_map,
     standard_orbit,
+    translation_map,
 )
 
 # code := (subgroup class index, x, y) with (x, y) minimal in its orbit
@@ -223,10 +227,7 @@ def materialize_code(X: GSet, Y: GSet, code):
     """Explicit transitive span (middle, left leg, right leg) for a code."""
     cidx, x, y = code
     U = standard_orbit(X.group, cidx)
-    reps = U.orbit_index.reach    # the least element of each coset
-    left = GMap(U, X, tuple(X.action[g][x] for g in reps))
-    right = GMap(U, Y, tuple(Y.action[g][y] for g in reps))
-    return U, left, right
+    return U, orbit_map(U, X, x), orbit_map(U, Y, y)
 
 
 def hom_basis(X: GSet, Y: GSet):
@@ -406,39 +407,21 @@ def direct_sum_reassemble(e1: BurnsideElement, e2: BurnsideElement,
 
 
 def res_element(group: FiniteGroup, A, B) -> BurnsideElement:
-    """Restriction span ORB([B]) -> ORB([A]) along the inclusion A <= B.
-
-    Its middle is G/A, whose base goes to the cosets t^-1 B0 and t'^-1 A0
-    of the class representatives, t and t' the transports of B and A.
-    """
-    A, B = tuple(sorted(A)), tuple(sorted(B))
-    if not set(A) <= set(B):
-        raise ValueError("A must be contained in B")
-    ca, cb = group.class_index_of(A), group.class_index_of(B)
-    OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
-    code = transitive_code(
-        OB, OA, A, coset_index_of(group, cb, group.inv(group.transport(B))),
-        coset_index_of(group, ca, group.inv(group.transport(A))))
-    return BurnsideElement._of_checked(OB, OA, {code: 1})
+    """Restriction span ORB([B]) -> ORB([A]) along the inclusion A <= B:
+    the restriction along `gsets.projection_map`."""
+    return restriction_element(projection_map(group, A, B))
 
 
 def tr_element(group: FiniteGroup, A, B) -> BurnsideElement:
-    """Transfer span ORB([A]) -> ORB([B]) along the inclusion A <= B."""
-    return dual(res_element(group, A, B))
+    """Transfer span ORB([A]) -> ORB([B]) along the inclusion A <= B: the
+    transfer along `gsets.projection_map`."""
+    return transfer_element(projection_map(group, A, B))
 
 
 def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
-    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H.
-
-    It is the transfer along gH -> g n^-1 H, whose code pairs the base with
-    the coset n^-1 H.
-    """
-    cls = group.subgroup_classes()[cidx]
-    if n not in cls.normalizer:
-        raise ValueError("element does not normalize the representative")
-    O = standard_orbit(group, cidx)
-    return BurnsideElement._of_checked(
-        O, O, {(cidx, 0, coset_index_of(group, cidx, group.inv(n))): 1})
+    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H:
+    the transfer along `gsets.translation_map`, gH -> g n^-1 H."""
+    return transfer_element(translation_map(group, cidx, n))
 
 
 # -- table of marks and the Burnside ring --------------------------------------
@@ -502,7 +485,6 @@ def multi_product(feet) -> MultiFeet:
     feet = tuple(feet)
     if not feet:
         raise ValueError("need at least one foot")
-    from .gsets import identity_map
     P = feet[0]
     projs = [identity_map(P)]
     for nxt in feet[1:]:
@@ -521,8 +503,6 @@ def promonoidal_coend_check(feet, z: GSet):
     that composition induces an isomorphism onto multimap(feet, z).
     Returns (ok, detail dict).
     """
-    from . import intmat
-
     group = z.group
     P = multi_product(feet).gset
     classes = group.subgroup_classes()

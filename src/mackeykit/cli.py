@@ -177,7 +177,10 @@ def cmd_hom_basis(args):
 def cmd_compose(args):
     first = jsonio.load_json_file(args.first)
     second = jsonio.load_json_file(args.second)
-    group = load_group(first["group"])
+    group, other = load_group(first["group"]), load_group(second["group"])
+    if other != group:
+        raise ValueError(f"the elements are over different groups: "
+                         f"{group.name} and {other.name}")
     X = jsonio.gset_from_json(first["source"], group)
     Y = jsonio.gset_from_json(first["target"], group)
     Yp = jsonio.gset_from_json(second["source"], group)
@@ -217,9 +220,8 @@ def cmd_box(args):
 
 
 def cmd_green_check(args):
-    doc = jsonio.load_json_file(args.file)
     try:
-        G = jsonio.green_from_json(doc)
+        G = jsonio.green_from_json(jsonio.load_json_file(args.file))
     except (GreenValidationError, ValueError) as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"green-check: {_fail()}", f"  {err}"])

@@ -34,7 +34,7 @@ from .burnside import (
     tensor,
 )
 from .groups import _labels
-from .gsets import GMap, GSet, point_gset, product, standard_orbit
+from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -251,9 +251,7 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     O = standard_orbit(group, cidx)
     P = product(O, O)
     diag = GMap(O, P.gset, tuple(P.of_pair(w, w) for w in range(O.size)))
-    reach = O.orbit_index.reach
-    struct = GMap(O, X, tuple(X.act(reach[w], x) for w in range(O.size)))
-    return span_element(P.gset, X, O, diag, struct)
+    return span_element(P.gset, X, O, diag, orbit_map(O, X, x))
 
 
 def _diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):

@@ -157,16 +157,11 @@ class GSet:
     def orbit_embeddings(self):
         """Standard-orbit isomorphisms onto the orbits of X, one per block,
         derived once: a tuple of `GMap`s G/H_c -> X."""
-        group = self.group
-        ix = self.orbit_index
-        out = []
-        for orbit, stab, cidx in zip(ix.orbits, ix.stabilizers, ix.classes):
-            base = orbit[0]
-            t = group.transport(stab)
-            O = standard_orbit(group, cidx)
-            out.append(GMap(O, self, tuple(self.act(group.mul(g, t), base)
-                                           for g in O.orbit_index.reach)))
-        return tuple(out)
+        group, ix = self.group, self.orbit_index
+        return tuple(orbit_map(standard_orbit(group, c), self,
+                               self.act(group.transport(stab), orbit[0]))
+                     for orbit, stab, c in zip(ix.orbits, ix.stabilizers,
+                                               ix.classes))
 
     def orbits(self):
         """Orbits as sorted tuples, ordered by their minimal point."""
@@ -299,6 +294,35 @@ def coset_index_of(group: FiniteGroup, class_index: int, g: int) -> int:
     minimal element), so g*H is where g sends it.
     """
     return standard_orbit(group, class_index).action[g][0]
+
+
+def orbit_map(O: GSet, Y: GSet, y) -> GMap:
+    """The G-map gH -> g.y out of a standard orbit O = G/H, for a point y
+    of Y fixed by H."""
+    return GMap(O, Y, tuple(Y.action[g][y] for g in O.orbit_index.reach))
+
+
+def projection_map(group: FiniteGroup, A, B) -> GMap:
+    """The projection G/A -> G/B for A <= B, on standard orbits: gA is the
+    coset g tA^-1 of A's class representative, tA = transport(A), so the
+    base goes to the coset of tA tB^-1.  A Mackey structure map."""
+    A, B = tuple(sorted(A)), tuple(sorted(B))
+    if not set(A) <= set(B):
+        raise ValueError("A must be contained in B")
+    cb = group.class_index_of(B)
+    shift = group.mul(group.transport(A), group.inv(group.transport(B)))
+    return orbit_map(standard_orbit(group, group.class_index_of(A)),
+                     standard_orbit(group, cb),
+                     coset_index_of(group, cb, shift))
+
+
+def translation_map(group: FiniteGroup, class_index: int, n: int) -> GMap:
+    """The translation gH -> g n^-1 H of the standard orbit of H, for n in
+    N(H), H the class representative.  A Mackey structure map."""
+    if n not in group.subgroup_classes()[class_index].normalizer:
+        raise ValueError("element does not normalize the representative")
+    O = standard_orbit(group, class_index)
+    return orbit_map(O, O, coset_index_of(group, class_index, group.inv(n)))
 
 
 def canonicalize(X: GSet):

@@ -118,34 +118,48 @@ def mackey_to_json(M: MackeyFunctor):
 def mackey_from_json(doc) -> MackeyFunctor:
     group = load_group(doc["group"])
     classes = group.subgroup_classes()
-    if "class_order" in doc:
-        expect = [cls.label for cls in classes]
-        if list(doc["class_order"]) != expect:
-            raise ValueError(f"class_order must be {expect}")
-    levels = []
-    for cls in classes:
-        entry = doc["levels"][cls.label]
+    labels = [cls.label for cls in classes]
+    if "class_order" in doc and list(doc["class_order"]) != labels:
+        raise ValueError(f"class_order must be {labels}")
+    levels, entries = [], _by_label(labels, doc["levels"], "levels")
+    for label, entry in zip(labels, entries):
         try:
             levels.append(FinPresAbGroup(entry["generators"],
                                          entry.get("relations", [])))
         except ValueError as err:
-            raise ValueError(f"level {cls.label}: {err}") from None
-    label_to_idx = {cls.label: cls.index for cls in classes}
+            raise ValueError(f"level {label}: {err}") from None
 
-    def read_pairs(table):
+    def read_pairs(kind):
         out = {}
-        for key, mat in table.items():
+        for key, mat in doc[kind].items():
             la, lb = key.split("<")
-            out[(label_to_idx[la], label_to_idx[lb])] = mat
+            out[(_label_index(labels, la, f"{kind} {key}"),
+                 _label_index(labels, lb, f"{kind} {key}"))] = mat
         return out
 
     conj = {}
     for cls in classes:
         given = doc.get("conj", {}).get(cls.label, {})
         conj[cls.index] = {int(g): m for g, m in given.items()}
-    return mackey_from_levels(group, levels, read_pairs(doc["res"]),
-                              read_pairs(doc["tr"]), conj,
+    return mackey_from_levels(group, levels, read_pairs("res"),
+                              read_pairs("tr"), conj,
                               name=doc.get("name"))
+
+
+def _label_index(labels, label, where):
+    if label not in labels:
+        raise ValueError(f"{where} names unknown class label {label!r}")
+    return labels.index(label)
+
+
+def _by_label(labels, table, where):
+    """A table keyed by class labels, as a list in class order."""
+    for label in table:
+        _label_index(labels, label, where)
+    for label in labels:
+        if label not in table:
+            raise ValueError(f"{where} has no entry for level {label!r}")
+    return [table[label] for label in labels]
 
 
 def green_to_json(G: GreenFunctor):
@@ -159,8 +173,9 @@ def green_to_json(G: GreenFunctor):
 def green_from_json(doc) -> GreenFunctor:
     """Green functor from a file; green_from_levelwise checks every entry."""
     M = mackey_from_json(doc["mackey"])
-    tables = [doc["rings"][cls.label] for cls in M.group.subgroup_classes()]
-    return green_from_levelwise(M, tables, doc["unit"])
+    labels = [cls.label for cls in M.group.subgroup_classes()]
+    return green_from_levelwise(M, _by_label(labels, doc["rings"], "rings"),
+                                doc["unit"])
 
 
 def load_json_file(path):

@@ -3,11 +3,14 @@
 The group completion of isomorphism classes of G-sets over X is free on
 the transitive classes, so K0(X) is computed exactly.  Restrictions come
 from pullback of over-objects, transfers from postcomposition, and the
-multiplication from fiber products over the base.  The comparison
-isomorphism with the span-built Burnside Green functor is constructed on
-canonical class codes and every compatibility (structure maps, unit,
-multiplication tables) is checked exactly; this is the degree-zero shadow
-of the equivariant Barratt-Priddy-Quillen equivalence.
+multiplication from fiber products over the base.  `k0_mackey` takes them
+along the structure G-maps of `gsets` (`projection_map`,
+`translation_map`), whose coordinates the span-built Burnside functor
+shares; no span is composed here.  The comparison isomorphism with that
+Green functor is constructed on canonical class codes and every
+compatibility (structure maps, unit, multiplication tables) is checked
+exactly; this is the degree-zero shadow of the equivariant
+Barratt-Priddy-Quillen equivalence.
 """
 
 from __future__ import annotations
@@ -17,19 +20,20 @@ from dataclasses import dataclass
 
 from . import intmat
 from .abgroups import FinPresAbGroup
-from .burnside import hom_basis, materialize_code, span_codes, transitive_code
+from .burnside import hom_basis, span_codes
 from .convolution import GreenFunctor, burnside_green, green_from_levelwise
 from .groups import FiniteGroup
 from .gsets import (
     GMap,
     GSet,
     compose_maps,
-    coset_index_of,
+    identity_map,
+    orbit_map,
     point_gset,
     pullback,
     standard_orbit,
 )
-from .mackey import MackeyFunctor, MackeyMorphism
+from .mackey import MackeyFunctor, MackeyMorphism, mackey_from_gmaps
 
 
 @dataclass
@@ -56,17 +60,15 @@ def _slices(group: FiniteGroup):
 
 
 def _over_object(X: GSet, code):
-    """Materialize a basis class as (total G-set, structure map to X)."""
-    pt = point_gset(X.group)
-    W, _legpt, legX = materialize_code(pt, X, code)
-    return W, legX
+    """The structure map G/L -> X of a basis class of K0 over X."""
+    return orbit_map(standard_orbit(X.group, code[0]), X, code[2])
 
 
-def _class_vector(slice_k0: SliceK0, U: GSet, u: GMap):
-    """Expand the class of an arbitrary over-object in the slice basis."""
+def _class_vector(slice_k0: SliceK0, u: GMap):
+    """Expand the class of an over-object u: U -> X in the slice basis."""
+    U = u.source
     pt = point_gset(U.group)
-    to_pt = GMap(U, pt, (0,) * U.size)
-    codes = span_codes(pt, slice_k0.base, U, to_pt, u)
+    codes = span_codes(pt, slice_k0.base, U, GMap(U, pt, (0,) * U.size), u)
     vec = intmat.zero_vec(len(slice_k0.basis))
     for code, mult in codes.items():
         vec[slice_k0.basis.index(code)] += mult
@@ -75,58 +77,29 @@ def _class_vector(slice_k0: SliceK0, U: GSet, u: GMap):
 
 def k0_restrict(src: SliceK0, tgt: SliceK0, f: GMap):
     """Pullback of over-objects along f: tgt.base -> src.base."""
-    cols = []
-    for code in src.basis:
-        W, legX = _over_object(src.base, code)
-        pb = pullback(legX, f)
-        cols.append(_class_vector(tgt, pb.gset, pb.right))
+    cols = [_class_vector(tgt, pullback(_over_object(src.base, code), f).right)
+            for code in src.basis]
     return intmat.from_cols(cols, len(tgt.basis))
 
 
 def k0_transfer(src: SliceK0, tgt: SliceK0, f: GMap):
     """Postcomposition of over-objects with f: src.base -> tgt.base."""
-    cols = []
-    for code in src.basis:
-        W, legX = _over_object(src.base, code)
-        cols.append(_class_vector(tgt, W, compose_maps(f, legX)))
+    cols = [_class_vector(tgt, compose_maps(f, _over_object(src.base, code)))
+            for code in src.basis]
     return intmat.from_cols(cols, len(tgt.basis))
-
-
-def _projection_map(group: FiniteGroup, A, B) -> GMap:
-    """The transported projection ORB([A]) -> ORB([B]) for A <= B."""
-    A, B = tuple(sorted(A)), tuple(sorted(B))
-    ca, cb = group.class_index_of(A), group.class_index_of(B)
-    OA, OB = standard_orbit(group, ca), standard_orbit(group, cb)
-    tA, tB = group.transport(A), group.transport(B)
-    shift = group.mul(tA, group.inv(tB))
-    return GMap(OA, OB, tuple(coset_index_of(group, cb, group.mul(g, shift))
-                              for g in OA.orbit_index.reach))
-
-
-def _weyl_map(group: FiniteGroup, cidx, n) -> GMap:
-    O = standard_orbit(group, cidx)
-    return GMap(O, O, tuple(coset_index_of(group, cidx,
-                                           group.mul(g, group.inv(n)))
-                            for g in O.orbit_index.reach))
 
 
 def k0_mackey(group: FiniteGroup) -> MackeyFunctor:
     """The K0 Mackey functor: transfers by postcomposition, restrictions
     by pullback, conjugation by translation isomorphisms."""
-    classes = group.subgroup_classes()
     slices = _slices(group)
-    levels = [s.group for s in slices]
-    res, tr = {}, {}
-    for (A, B) in group.canonical_covers:
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        pi = _projection_map(group, A, B)
-        res[(A, B)] = k0_restrict(slices[cb], slices[ca], pi)
-        tr[(A, B)] = k0_transfer(slices[ca], slices[cb], pi)
-    conj = [{n: k0_transfer(slices[cls.index], slices[cls.index],
-                            _weyl_map(group, cls.index, n))
-             for n in cls.normalizer_generators}
-            for cls in classes]
-    return MackeyFunctor(group, levels, res, tr, conj, name="K0")
+
+    def along(f: GMap, transfer):
+        s, t = (slices[X.orbit_index.classes[0]] for X in (f.source, f.target))
+        return k0_transfer(s, t, f) if transfer else k0_restrict(t, s, f)
+
+    return mackey_from_gmaps(group, [s.group for s in slices], along,
+                             name="K0")
 
 
 def k0_green(group: FiniteGroup) -> GreenFunctor:
@@ -135,16 +108,13 @@ def k0_green(group: FiniteGroup) -> GreenFunctor:
     slices = _slices(group)
     tables = []
     for sl in slices:
-        legs = [_over_object(sl.base, code)[1] for code in sl.basis]
-        tables.append([[_class_vector(sl, pb.gset, compose_maps(ui, pb.left))
+        legs = [_over_object(sl.base, code) for code in sl.basis]
+        tables.append([[_class_vector(sl, compose_maps(ui, pb.left))
                         for pb in (pullback(ui, uj) for uj in legs)]
                        for ui in legs])
-    pt_slice = slices[-1]
-    pt = point_gset(group)
-    unit_code = transitive_code(pt, pt, tuple(range(group.order)), 0, 0)
-    unit_vec = intmat.zero_vec(len(pt_slice.basis))
-    unit_vec[pt_slice.basis.index(unit_code)] = 1
-    return green_from_levelwise(M, tables, unit_vec)
+    # the unit is the class of the identity over the point
+    unit = _class_vector(slices[-1], identity_map(point_gset(group)))
+    return green_from_levelwise(M, tables, unit)
 
 
 @dataclass
@@ -171,12 +141,10 @@ def bpq_verify(group: FiniteGroup) -> BpqResult:
     slices = _slices(group)
     pt = point_gset(group)
     mats = []
-    for c, cls in enumerate(classes):
-        O = standard_orbit(group, c)
-        target_basis = hom_basis(pt, O)
-        n = len(slices[c].basis)
-        m = intmat.zeros(len(target_basis), n)
-        for j, code in enumerate(slices[c].basis):
+    for c, sl in enumerate(slices):
+        target_basis = hom_basis(pt, standard_orbit(group, c))
+        m = intmat.zeros(len(target_basis), len(sl.basis))
+        for j, code in enumerate(sl.basis):
             m[target_basis.index(code), j] = 1
         mats.append(m)
     try:

@@ -2,9 +2,11 @@
 
 A Mackey functor stores one finitely presented abelian group per
 subgroup-conjugacy class, one restriction and one transfer matrix per
-G-conjugacy class of covering pairs (read against the canonical pair of
-`FiniteGroup.canonical_covers`), and conjugation by the generators of the
-normalizer of each class representative; conjugation by any other
+G-conjugacy class of covering pairs (along `gsets.projection_map` of the
+canonical pair of `FiniteGroup.canonical_covers`), and conjugation by the
+generators of the normalizer of each class representative (the transfer
+along `gsets.translation_map`), so `mackey_from_gmaps` builds every
+functor given by res and tr along G-maps; conjugation by any other
 element is their product along a breadth-first walk.  Values at
 arbitrary subgroups are reached through fixed transport elements (the
 minimal conjugator onto the class representative); the covering step at
@@ -39,13 +41,18 @@ from .burnside import (
     basis_element,
     compose,
     hom_basis,
-    res_element,
     restriction_element,
-    tr_element,
-    weyl_element,
+    transfer_element,
 )
 from .groups import FiniteGroup
-from .gsets import GMap, GSet, point_gset, standard_orbit
+from .gsets import (
+    GMap,
+    GSet,
+    point_gset,
+    projection_map,
+    standard_orbit,
+    translation_map,
+)
 
 
 def class_pair_covers(group: FiniteGroup):
@@ -544,24 +551,33 @@ def _invert_mod(mat, src: FinPresAbGroup, tgt: FinPresAbGroup):
     return g
 
 
-# -- constructions: representables, span actions ------------------------------------
+# -- constructions along the structure G-maps: representables, span actions --------
+
+
+def mackey_from_gmaps(group: FiniteGroup, levels, along, name=None,
+                      check=True):
+    """Atlas data of a functor from `along(f, transfer)`, its matrix of
+    tr_f if `transfer` and of res_f if not, for f a G-map between standard
+    orbits, in level coordinates: res/tr along `gsets.projection_map` at
+    each canonical cover, conjugation along `gsets.translation_map`."""
+    res, tr = {}, {}
+    for (A, B) in group.canonical_covers:
+        f = projection_map(group, A, B)
+        res[(A, B)], tr[(A, B)] = along(f, False), along(f, True)
+    conj = [{n: along(translation_map(group, cls.index, n), True)
+             for n in cls.normalizer_generators}
+            for cls in group.subgroup_classes()]
+    return MackeyFunctor(group, levels, res, tr, conj, name=name, check=check)
 
 
 def mackey_from_span_action(group: FiniteGroup, levels, action, name=None,
                             check=True):
-    """Build atlas data by evaluating a functor on structure spans.
-
-    `action(e)` must return the matrix of the functor on a Burnside element
-    e between standard orbits, in the corresponding level coordinates.
-    """
-    res, tr = {}, {}
-    for (A, B) in group.canonical_covers:
-        res[(A, B)] = action(res_element(group, A, B))
-        tr[(A, B)] = action(tr_element(group, A, B))
-    conj = [{n: action(weyl_element(group, cls.index, n))
-             for n in cls.normalizer_generators}
-            for cls in group.subgroup_classes()]
-    return MackeyFunctor(group, levels, res, tr, conj, name=name, check=check)
+    """`mackey_from_gmaps` for a functor given on Burnside elements:
+    `action(e)` is its matrix on e between standard orbits."""
+    return mackey_from_gmaps(
+        group, levels, lambda f, transfer: action(
+            transfer_element(f) if transfer else restriction_element(f)),
+        name=name, check=check)
 
 
 def representable(X: GSet, name=None) -> MackeyFunctor:
@@ -597,15 +613,10 @@ def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
 def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
     """The zero functor: every level 0, every structure matrix 0 x 0."""
     if "zero_mackey" not in group._cache:
-        classes = group.subgroup_classes()
-        covers = group.canonical_covers
         empty = intmat.zeros(0, 0)
-        group._cache["zero_mackey"] = MackeyFunctor(
-            group, [FinPresAbGroup.zero()] * len(classes),
-            dict.fromkeys(covers, empty), dict.fromkeys(covers, empty),
-            [dict.fromkeys(cls.normalizer_generators, empty)
-             for cls in classes],
-            name="0", check=False)
+        group._cache["zero_mackey"] = mackey_from_gmaps(
+            group, [FinPresAbGroup.zero()] * len(group.subgroup_classes()),
+            lambda f, transfer: empty, name="0", check=False)
     return group._cache["zero_mackey"]
 
 

@@ -627,9 +627,10 @@ def test_multimap_composition_associative_over_regrouping():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+@pytest.mark.parametrize("name",
+                         BUILTIN_GROUP_NAMES + ORACLE_PERMUTATION_GROUPS)
 def test_structure_span_codes_match_explicit_spans(name):
-    for what, built, oracle in structure_span_oracles(builtin_group(name)):
+    for what, built, oracle in structure_span_oracles(group_named(name)):
         assert built == oracle, what
 
 

@@ -215,6 +215,48 @@ def test_green_check_accepts_valid(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc["levels"].pop("e"), "levels has no entry for level 'e'"),
+    (lambda doc: doc["res"].__setitem__("X<C2", doc["res"].pop("e<C2")),
+     "res X<C2 names unknown class label 'X'"),
+    (lambda doc: doc["tr"].__setitem__("e<Y", doc["tr"].pop("e<C2")),
+     "tr e<Y names unknown class label 'Y'"),
+], ids=["missing-level", "res-label", "tr-label"])
+def test_mackey_check_names_a_missing_level_or_unknown_label(
+        tmp_path, capsys, edit, error):
+    doc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["mackey-check", str(path),
+                                  "--format", "json"])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"schema_version": 1, "valid": False,
+                               "error": error}
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc["mackey"]["levels"].pop("C2"),
+     "levels has no entry for level 'C2'"),
+    (lambda doc: doc["rings"].pop("C2"), "rings has no entry for level 'C2'"),
+    (lambda doc: doc["rings"].__setitem__("Q", doc["rings"].pop("e")),
+     "rings names unknown class label 'Q'"),
+    (lambda doc: doc["mackey"]["res"].__setitem__(
+        "e<Z", doc["mackey"]["res"].pop("e<C2")),
+     "res e<Z names unknown class label 'Z'"),
+], ids=["missing-level", "missing-ring", "ring-label", "res-label"])
+def test_green_check_names_a_missing_level_or_unknown_label(
+        tmp_path, capsys, edit, error):
+    doc = jsonio.green_to_json(burnside_green(builtin_group("C2")))
+    edit(doc)
+    path = tmp_path / "bad_green.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["green-check", str(path), "--format", "json"])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"schema_version": 1, "valid": False,
+                               "error": error}
+
+
 def test_tor_cli(tmp_path, capsys):
     C2 = builtin_group("C2")
     ring = tmp_path / "ring.json"
@@ -276,6 +318,31 @@ def test_compose_cli(tmp_path, capsys):
     doc = json.loads(out)
     # res . tr through the point is identity + translation
     assert len(doc["composite"]["coefficients"]) == 2
+
+
+def _point_identity_doc(group_doc):
+    """The identity span of the one-point G-set, over the given group."""
+    return {"group": group_doc, "source": {"orbits": [["G", 1]]},
+            "target": {"orbits": [["G", 1]]},
+            "coefficients": [[["G", 0, 0], 1]]}
+
+
+def test_compose_cli_refuses_elements_over_different_groups(tmp_path,
+                                                            capsys):
+    f1, f2 = tmp_path / "c2.json", tmp_path / "c3.json"
+    f1.write_text(json.dumps(_point_identity_doc("C2")))
+    f2.write_text(json.dumps(_point_identity_doc("C3")))
+    code, out, err = run(capsys, ["compose", str(f1), str(f2),
+                                  "--format", "json"])
+    assert code == 1 and out == ""
+    assert err == "error: the elements are over different groups: C2 and C3\n"
+    # a group given by name and the same group given by its table compose
+    f2.write_text(json.dumps(_point_identity_doc(
+        jsonio.group_to_json(builtin_group("C2")))))
+    code, out, err = run(capsys, ["compose", str(f1), str(f2),
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["composite"]["coefficients"] == [[["C2", 0, 0], 1]]
 
 
 @pytest.mark.parametrize("code_doc, match", [

@@ -11,6 +11,7 @@ from mackeykit.gsets import (
     GSet,
     canonicalize,
     coproduct,
+    compose_maps,
     coset_index_of,
     disjoint_union_of_orbits,
     empty_gset,
@@ -18,8 +19,10 @@ from mackeykit.gsets import (
     orbit_decompose,
     point_gset,
     product,
+    projection_map,
     pullback,
     standard_orbit,
+    translation_map,
 )
 from support import (
     PERMUTATION_BATTERY,
@@ -389,6 +392,37 @@ def test_coset_index_of_matches_left_cosets(name):
         for g in group.elements():
             coset = tuple(sorted(group.mul(g, h) for h in H))
             assert coset_index_of(group, cls.index, g) == cosets.index(coset)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_structure_maps_compose_and_check_their_input(name):
+    # projections compose along A <= B <= C, translations along N(H), and
+    # each refuses a pair it is not defined on
+    group = builtin_group(name)
+    subs = group.subgroups()
+    for A, B in itertools.product(subs, repeat=2):
+        if not set(A) <= set(B):
+            with pytest.raises(ValueError, match="A must be contained in B"):
+                projection_map(group, A, B)
+            continue
+        for C in subs:
+            if set(B) <= set(C):
+                assert compose_maps(projection_map(group, B, C),
+                                    projection_map(group, A, B)) == \
+                    projection_map(group, A, C)
+    for cls in group.subgroup_classes():
+        c = cls.index
+        assert translation_map(group, c, 0).mapping == \
+            tuple(range(standard_orbit(group, c).size))
+        for n in group.elements():
+            if n not in cls.normalizer:
+                with pytest.raises(ValueError, match="does not normalize"):
+                    translation_map(group, c, n)
+                continue
+            for m in cls.normalizer:
+                assert compose_maps(translation_map(group, c, n),
+                                    translation_map(group, c, m)) == \
+                    translation_map(group, c, group.mul(n, m))
 
 
 def test_non_integer_action_entries_rejected():

@@ -1,9 +1,9 @@
 """Source hygiene: no unused imports, no randomness, one source of orbit data.
 
 No linter ships with the toolchain, so this stdlib-`ast` scan is the guard.
-An import inside a function must be used inside that function; a
-module-level import must be used somewhere in the module.  No module may
-import `random` anywhere, so every validator stays deterministic.  Only
+No function imports anything, and a module-level import must be used
+somewhere in the module.  No module may import `random` anywhere, so
+every validator stays deterministic.  Only
 `gsets` may call `.stabilizer(` or `.fixed_points(`: every other module
 reads orbits, stabilizers and their classes from `GSet.orbit_index`, and
 fixed points per subgroup class from `GSet.fixed_orbits`.  The presented box
@@ -18,7 +18,9 @@ canonical code or a dense span matrix.  Span composition has one walk over
 the double cosets: `compose` checks each factor's codes and hands every
 basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
-no second walk and no `Counter`.
+no second walk and no `Counter`.  `ktheory` composes no spans and
+evaluates none: K0 shares only the structure G-maps with the span-built
+Burnside functor it is compared with.
 """
 
 import ast
@@ -86,6 +88,30 @@ def test_scanner_finds_unused_module_and_local_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_imports(source):
+    """(function, line) of every import inside a function or method."""
+    out = []
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.extend((scope.name, node.lineno) for node in ast.walk(scope)
+                       if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(set(out))
+
+
+def test_scanner_finds_imports_in_functions_and_methods():
+    src = ("import os\n\ndef f():\n    from . import intmat\n"
+           "    return intmat\n\nclass C:\n    def m(self):\n"
+           "        if self:\n            import json\n")
+    assert function_imports(src) == [("f", 4), ("m", 10)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_imports(path):
+    # every dependency of a module is stated once, at its top
+    assert function_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_scanner_finds_module_level_and_local_random_imports():
@@ -344,3 +370,16 @@ def test_compose_and_over_image_share_one_walk():
     # compose checks each factor, the walk checks nothing, and over_image
     # keeps its own check of both codes
     assert checks == (2, 0, 2)
+
+
+SPAN_COMPOSITION = {"compose", "tensor", "eval_span", "restriction_element",
+                    "transfer_element", "res_element", "tr_element",
+                    "weyl_element"}
+
+
+def test_k0_is_computed_without_span_composition():
+    # K0 comes from pullback and postcomposition of G-sets over orbits; it
+    # shares only the structure G-maps with the span-built Burnside functor,
+    # so the BPQ comparison does not test span composition against itself
+    ktheory = (PACKAGE / "ktheory.py").read_text(encoding="utf-8")
+    assert named_calls(ast.parse(ktheory), SPAN_COMPOSITION) == []
