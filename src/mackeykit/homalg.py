@@ -16,7 +16,9 @@ map of free modules.  The one box a Tor call presents is M box_R N, the
 target of the Tor_0 witness.  Spectral sequence pages follow the
 image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
 induced by the connecting morphism of the obvious short exact sequence of
-quotient complexes; everything is levelwise exact integer arithmetic.
+quotient complexes; an entry whose quotient has a trivial term in its
+degree is the zero functor, and neither it nor a differential with a
+zero end is computed.  Everything is levelwise exact integer arithmetic.
 Res and tr along G-maps are applied orbit block by orbit block
 (`MackeyFunctor.gmap_blocks`), with no span element or dense span matrix.
 """
@@ -265,7 +267,7 @@ def _module_resolution_uncached(R, M, length, reverse):
     current_free, current_map = F0, eps
     for _p in range(length):
         Kmod, incl = module_kernel(current_free, current_map)
-        if all(l.is_trivial() for l in Kmod.underlying.levels):
+        if _is_zero(Kmod.underlying):
             break
         Fnext, cover_map = module_cover(Kmod, reverse=reverse)
         diffs.append(compose_morphisms(incl, cover_map))
@@ -626,18 +628,42 @@ class SpectralSequencePage:
         return self.entries.get((p, q))
 
 
-def _entry_data(filt: FilteredComplex, r, p, n):
-    """E_r at filtration p, total degree n: the image formula with maps."""
-    Q1 = quotient_complex(filt, p, p - r)
-    Q2 = quotient_complex(filt, p + r - 1, p - 1)
+def _entry_data(filt: FilteredComplex, Q1, Q2, r, p, n):
+    """E_r at filtration p, total degree n, with its inclusion into
+    H_n(Q2); (0, None) when a trivial term forces it to zero."""
+    if _is_zero(Q1.term(n)) or _is_zero(Q2.term(n)):
+        return zero_mackey(filt.steps[-1].group), None
     u = {m: MackeyMorphism(Q1.term(m), Q2.term(m),
                            filt.inclusion(p, p + r - 1, m).mats, check=False)
          for m in Q1.degrees()}
     return image(complex_map_homology(Q1, Q2, u, n))
 
 
+def _is_zero(M: MackeyFunctor):
+    return all(level.is_trivial() for level in M.levels)
+
+
 def ss_pages(filt: FilteredComplex, r_max: int):
-    """Pages E_1 .. E_{r_max} of the filtration spectral sequence."""
+    """Pages E_1 .. E_{r_max} of the filtration spectral sequence.
+
+    Only the entries and differentials that can be nonzero are computed:
+
+    - A trivial term gives a zero entry.  E_r^{p,q} (n = p + q) is the
+      image of H_n(Q1) -> H_n(Q2) for Q1 = F(p)/F(p-r) and
+      Q2 = F(p+r-1)/F(p-1).  H_n of a complex is a subquotient of its
+      term in degree n, so if every level of Q1_n or of Q2_n is 0, then
+      H_n(Q1) or H_n(Q2) is 0 and so is the image.  Such an entry is
+      `zero_mackey`, and no homology of Q1 or Q2 is taken in degree n.
+    - A zero end gives a zero differential.  d_r is a morphism
+      E_r^{p,q} -> E_r^{p-r,q+r-1}; a morphism out of or into the zero
+      functor is zero, so the connecting morphism is not built.
+    - An entry depends only on the clamped pairs.  F(a) is F(max_index)
+      for a above max_index and 0 below min_index, so Q1, Q2 and the
+      inclusion F(p) -> F(p+r-1) inducing the map depend only on the
+      clamped pairs, for which `quotient_complex` keeps one object each.
+      Each (Q1, Q2, n) is computed once per call; once r passes the
+      length of the filtration, the pages repeat at no cost.
+    """
     total = filt.steps[-1]
     degs = total.degrees()
     if not degs:
@@ -645,24 +671,31 @@ def ss_pages(filt: FilteredComplex, r_max: int):
                 for r in range(1, r_max + 1)]
     nmin, nmax = min(degs), max(degs)
     pmin, pmax = filt.min_index, filt.max_index
+    done = {}     # (id Q1, id Q2, n) -> (entry, inclusion); ids are
+                  # stable, as filt holds one object per clamped pair
     pages = []
     for r in range(1, r_max + 1):
         entries = {}
         incls = {}
         for p in range(pmin, pmax + 1):
             for n in range(nmin, nmax + 1):
-                q = n - p
-                entries[(p, q)], incls[(p, q)] = _entry_data(filt, r, p, n)
+                Q1 = quotient_complex(filt, p, p - r)
+                Q2 = quotient_complex(filt, p + r - 1, p - 1)
+                key = (id(Q1), id(Q2), n)
+                if key not in done:
+                    done[key] = _entry_data(filt, Q1, Q2, r, p, n)
+                entries[(p, n - p)], incls[(p, n - p)] = done[key]
         diffs = {}
-        for p in range(pmin, pmax + 1):
-            for n in range(nmin, nmax + 1):
-                q = n - p
-                tp, tq = p - r, q + r - 1
-                if (tp, tq) not in incls:
-                    continue
-                lift = compose_morphisms(_connecting(filt, r, p, n),
-                                         incls[(p, q)])
-                diffs[(p, q)] = lift_through_inclusion(incls[(tp, tq)], lift)
+        for (p, q), incl in incls.items():
+            tp, tq = p - r, q + r - 1
+            if (tp, tq) not in incls:
+                continue
+            if incl is None or incls[(tp, tq)] is None:
+                diffs[(p, q)] = zero_morphism(entries[(p, q)],
+                                              entries[(tp, tq)])
+                continue
+            lift = compose_morphisms(_connecting(filt, r, p, p + q), incl)
+            diffs[(p, q)] = lift_through_inclusion(incls[(tp, tq)], lift)
         pages.append(SpectralSequencePage(r, entries, diffs,
                                           ((pmin, pmax), (nmin, nmax))))
     return pages

@@ -137,10 +137,9 @@ def mackey_from_json(doc) -> MackeyFunctor:
                  _label_index(labels, lb, f"{kind} {key}"))] = mat
         return out
 
-    conj = {}
-    for cls in classes:
-        given = doc.get("conj", {}).get(cls.label, {})
-        conj[cls.index] = {int(g): m for g, m in given.items()}
+    conj = {_label_index(labels, label, "conj"):
+            {int(g): m for g, m in given.items()}
+            for label, given in doc.get("conj", {}).items()}
     return mackey_from_levels(group, levels, read_pairs("res"),
                               read_pairs("tr"), conj,
                               name=doc.get("name"))

@@ -47,7 +47,11 @@ from mackeykit.gsets import (
 )
 from mackeykit.homalg import (
     ChainComplex,
+    SpectralSequencePage,
+    _connecting,
+    complex_map_homology,
     module_resolution,
+    quotient_complex,
     rel_box,
 )
 from mackeykit.mackey import (
@@ -56,6 +60,8 @@ from mackeykit.mackey import (
     NatSolver,
     compose_morphisms,
     identity_morphism,
+    image,
+    lift_through_inclusion,
     mackey_from_span_action,
     minimize_presentation,
     representable,
@@ -1120,6 +1126,39 @@ def tor_by_rel_boxes(R, M, N, p_max):
                          [aug.mats[c] @ incl0.mats[c] @ sect0.mats[c]
                           for c in range(len(H0.levels))], check=False)
     return C, wit
+
+
+# -- spectral sequence pages at every entry: the route before zero entries ----------
+
+
+def ss_pages_oracle(filt, r_max):
+    """Pages E_1 .. E_{r_max} with every entry the image formula
+    im[H_n(F(p)/F(p-r)) -> H_n(F(p+r-1)/F(p-1))] and every in-window
+    differential induced by the connecting morphism, none skipped."""
+    degs = filt.steps[-1].degrees()
+    nmin, nmax = min(degs), max(degs)
+    pmin, pmax = filt.min_index, filt.max_index
+    pages = []
+    for r in range(1, r_max + 1):
+        entries, incls = {}, {}
+        for p in range(pmin, pmax + 1):
+            for n in range(nmin, nmax + 1):
+                Q1 = quotient_complex(filt, p, p - r)
+                Q2 = quotient_complex(filt, p + r - 1, p - 1)
+                u = {m: MackeyMorphism(Q1.term(m), Q2.term(m),
+                                       filt.inclusion(p, p + r - 1, m).mats,
+                                       check=False) for m in Q1.degrees()}
+                entries[(p, n - p)], incls[(p, n - p)] = image(
+                    complex_map_homology(Q1, Q2, u, n))
+        diffs = {}
+        for (p, q), incl in incls.items():
+            target = (p - r, q + r - 1)
+            if target in incls:
+                lift = compose_morphisms(_connecting(filt, r, p, p + q), incl)
+                diffs[(p, q)] = lift_through_inclusion(incls[target], lift)
+        pages.append(SpectralSequencePage(r, entries, diffs,
+                                          ((pmin, pmax), (nmin, nmax))))
+    return pages
 
 
 # -- the box pairing along a materialized span ----------------------------------------

@@ -221,7 +221,9 @@ def test_green_check_accepts_valid(tmp_path, capsys):
      "res X<C2 names unknown class label 'X'"),
     (lambda doc: doc["tr"].__setitem__("e<Y", doc["tr"].pop("e<C2")),
      "tr e<Y names unknown class label 'Y'"),
-], ids=["missing-level", "res-label", "tr-label"])
+    (lambda doc: doc["conj"].__setitem__("X", {"1": [[7]]}),
+     "conj names unknown class label 'X'"),
+], ids=["missing-level", "res-label", "tr-label", "conj-label"])
 def test_mackey_check_names_a_missing_level_or_unknown_label(
         tmp_path, capsys, edit, error):
     doc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
@@ -244,7 +246,10 @@ def test_mackey_check_names_a_missing_level_or_unknown_label(
     (lambda doc: doc["mackey"]["res"].__setitem__(
         "e<Z", doc["mackey"]["res"].pop("e<C2")),
      "res e<Z names unknown class label 'Z'"),
-], ids=["missing-level", "missing-ring", "ring-label", "res-label"])
+    (lambda doc: doc["mackey"]["conj"].__setitem__("X", {"1": [[7]]}),
+     "conj names unknown class label 'X'"),
+], ids=["missing-level", "missing-ring", "ring-label", "res-label",
+        "conj-label"])
 def test_green_check_names_a_missing_level_or_unknown_label(
         tmp_path, capsys, edit, error):
     doc = jsonio.green_to_json(burnside_green(builtin_group("C2")))
@@ -288,6 +293,27 @@ def test_ss_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pages"][0]["r"] == 1
+
+
+def test_ss_cli_pages_agree_once_the_filtration_has_degenerated(
+        tmp_path, capsys):
+    # Burnside --2--> Burnside on C2 with its two-step skeletal filtration
+    # degenerates at E_2, so pages 2..5 list the same entries; from r = 3
+    # on the pages read the same quotient complexes
+    mdoc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({
+        "group": "C2", "terms": {"0": mdoc, "1": mdoc},
+        "diffs": {"1": {"e": [[2]], "C2": [[2, 0], [0, 2]]}},
+        "filtration": "skeletal"}))
+    code, out, _ = run(capsys, ["ss", str(path), "--rmax", "5",
+                                "--format", "json"])
+    assert code == 0
+    pages = json.loads(out)["pages"]
+    assert [page["r"] for page in pages] == [1, 2, 3, 4, 5]
+    E2 = pages[1]["entries"]
+    assert E2 == {"0,0": {"e": [2], "C2": [2, 2]}}
+    assert all(page["entries"] == E2 for page in pages[2:])
 
 
 def test_compose_cli(tmp_path, capsys):

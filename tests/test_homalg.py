@@ -57,6 +57,7 @@ from support import (
     hom_modules_oracle,
     rel_box_map,
     rel_box_oracle,
+    ss_pages_oracle,
     tor_by_rel_boxes,
 )
 
@@ -676,3 +677,103 @@ def test_ss_rejects_nonsense_differentials(c2_setup):
                         2: MackeyMorphism(FP, FP, [im.intmat([[1]])] * 2)})
     with pytest.raises(ValueError, match="d.d"):
         bad.validate()
+
+
+# -- pages skip what a trivial term forces to zero ---------------------------------------------
+
+
+def _nonzero(M):
+    return any(not level.is_trivial() for level in M.levels)
+
+
+def _summary(page):
+    """The invariant factors of every entry and whether each differential
+    is zero."""
+    return ({k: invariants(E) for k, E in page.entries.items()},
+            {k: d.is_zero() for k, d in page.differentials.items()})
+
+
+def _assert_pages_match_the_oracle(filt, r_max):
+    pages = ss_pages(filt, r_max)
+    want = ss_pages_oracle(filt, r_max)
+    assert [_summary(page) for page in pages] == \
+        [_summary(page) for page in want]
+    return pages
+
+
+FP_PAIRS = list(itertools.product(("FP", "FP/2"), repeat=2))
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("C2", FP_PAIRS), ("C3", FP_PAIRS), ("S3", FP_PAIRS),
+    ("C2xC2", [("FP", "FP/2")]),
+], ids=["C2", "C3", "S3", "C2xC2"])
+def test_ss_pages_match_the_every_entry_oracle_on_tor(name, pairs):
+    R, mods = _tor_modules(builtin_group(name))
+    for a, b in pairs:
+        result = tor(R, mods[a], mods[b], 2)
+        _assert_pages_match_the_oracle(skeletal_filtration(result.complex), 4)
+
+
+@pytest.mark.parametrize("factor", [0, 2])
+@pytest.mark.parametrize("shape", ["one-step", "two-step", "constant"])
+def test_ss_pages_match_the_every_entry_oracle_off_the_row(c2_setup, shape,
+                                                           factor):
+    # FP --factor--> FP; with factor 0, H_1 = FP sits off the q = 0 row at
+    # E^{0,1} of the one-step and the constant filtration, and the
+    # constant one's F(1)/F(0) has terms that are trivial cokernels
+    C2, R, FP = c2_setup
+    d = MackeyMorphism(FP, FP, [im.intmat([[factor]])] * 2)
+    C = ChainComplex(C2, {0: FP, 1: FP}, {1: d})
+    one = identity_morphism(FP)
+    filt = {"one-step": FilteredComplex([C], [], 0),
+            "two-step": FilteredComplex(
+                [ChainComplex(C2, {0: FP}, {}), C], [{0: one}], 0),
+            "constant": FilteredComplex([C, C], [{0: one, 1: one}], 0)}[shape]
+    filt.validate()
+    pages = _assert_pages_match_the_oracle(filt, 3)
+    if factor == 0 and shape != "two-step":
+        assert all(invariants(page.entry(0, 1)) == invariants(FP)
+                   for page in pages)
+
+
+def test_ss_pages_skip_what_a_trivial_term_forces_to_zero(monkeypatch):
+    # the C2 Tor complex of (FP, FP/2) has degrees 0..3; with r_max = 4,
+    # 48 of its 64 entries have a trivial term
+    C2 = builtin_group("C2")
+    R, mods = _tor_modules(C2)
+    filt = skeletal_filtration(tor(R, mods["FP"], mods["FP/2"], 2).complex)
+    homology, connecting, maps = [], [], []
+    real_homology = ChainComplex.homology_data
+    real_connecting = homalg._connecting
+    real_map = homalg.complex_map_homology
+
+    def homology_data(self, n):
+        if n not in self._hcache:
+            homology.append((self, n))
+        return real_homology(self, n)
+
+    def counting_connecting(filt, r, p, n):
+        connecting.append((r, p, n))
+        return real_connecting(filt, r, p, n)
+
+    def counting_map(C, D, chain_map, n):
+        maps.append((id(C), id(D), n))
+        return real_map(C, D, chain_map, n)
+
+    monkeypatch.setattr(ChainComplex, "homology_data", homology_data)
+    monkeypatch.setattr(homalg, "_connecting", counting_connecting)
+    monkeypatch.setattr(homalg, "complex_map_homology", counting_map)
+    pages = ss_pages(filt, 4)
+    entries = [E for page in pages for E in page.entries.values()]
+    assert len(entries) == 64
+    assert sum(E is zero_mackey(C2) for E in entries) == 48
+    # no quotient complex takes homology where its term is trivial
+    assert homology and all(_nonzero(Q.term(n)) for Q, n in homology)
+    # each (Q1, Q2, n) is mapped once, though pages 3 and 4 share some
+    assert maps and len(maps) == len(set(maps))
+    # the connecting morphism runs exactly where both ends are nonzero
+    both = [(page.r, p, p + q) for page in pages for p, q in page.differentials
+            if _nonzero(page.entry(p, q))
+            and _nonzero(page.entry(p - page.r, q + page.r - 1))]
+    assert connecting and sorted(connecting) == sorted(both)
