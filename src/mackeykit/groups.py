@@ -528,16 +528,7 @@ def group_from_permutations(degree, generators, name=None):
     forms, which puts the identity at label 0.  `degree` must be a
     non-negative integer; a float, string or bool raises ValueError.
     """
-    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
-            or degree < 0):
-        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
-    degree = int(degree)
-    gens = []
-    for k, g in enumerate(generators):
-        g = _labels(g, f"generators[{k}]")
-        if sorted(g) != list(range(degree)):
-            raise ValueError(f"{g} is not a permutation of {degree} points")
-        gens.append(g)
+    degree, gens = _permutations(degree, generators)
     ident = tuple(range(degree))
     elems = {ident}
     frontier = {ident}
@@ -555,6 +546,22 @@ def group_from_permutations(degree, generators, name=None):
     table = [[index[tuple(p[q[i]] for i in range(degree))] for q in elems]
              for p in elems]
     return FiniteGroup(table, name=name)
+
+
+def _permutations(degree, generators):
+    """(degree, generators) as an int and a tuple of one-line permutations
+    of range(degree); raises ValueError on anything else."""
+    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+            or degree < 0):
+        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
+    degree = int(degree)
+    gens = []
+    for k, g in enumerate(generators):
+        g = _labels(g, f"generators[{k}]")
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"{g} is not a permutation of {degree} points")
+        gens.append(g)
+    return degree, tuple(gens)
 
 
 def cyclic_group_table(n):
@@ -618,6 +625,9 @@ def load_group(spec):
 
     Accepted forms: a built-in name, {"kind": "table", "table": [[...]]},
     or {"kind": "perm", "degree": n, "generators": [[one-line perm], ...]}.
+    A description gives one object per (name, table) or (name, degree,
+    generators), as a name does, so the data cached on a group (subgroup
+    classes, relation plan, Burnside functor) is derived once per spec.
     """
     if isinstance(spec, str):
         return builtin_group(spec)
@@ -625,10 +635,21 @@ def load_group(spec):
         return spec
     if not isinstance(spec, dict):
         raise ValueError("group spec must be a name or an object")
-    kind = spec.get("kind")
+    kind, name = spec.get("kind"), spec.get("name")
+    if kind not in ("table", "perm"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"group name must be a string: {name!r}")
     if kind == "table":
-        return FiniteGroup(spec["table"], name=spec.get("name"))
-    if kind == "perm":
-        return group_from_permutations(spec["degree"], spec["generators"],
-                                       name=spec.get("name"))
-    raise ValueError(f"unknown group kind {kind!r}")
+        return _spec_group(name, tuple(_labels(row, f"table[{a}]")
+                                       for a, row in enumerate(spec["table"])))
+    return _spec_group(name, *_permutations(spec["degree"], spec["generators"]))
+
+
+@lru_cache(maxsize=64)
+def _spec_group(name, *data):
+    """The group of a described spec whose entries are already ints:
+    data is (table,) or (degree, generators)."""
+    if len(data) == 1:
+        return FiniteGroup(data[0], name=name)
+    return group_from_permutations(*data, name=name)

@@ -204,7 +204,8 @@ class GMap:
     Equivariance, f(s·x) = s·f(x), is checked for every generator s in
     `group.generators`.  That is enough because both actions are already
     proven: if f commutes with g and with s, it commutes with g·s, and in a
-    finite group every element is a product of generators.
+    finite group every element is a product of generators.  `orbit_map`
+    builds its maps past this check, on a proof of its own.
     """
 
     def __init__(self, source: GSet, target: GSet, mapping):
@@ -298,8 +299,27 @@ def coset_index_of(group: FiniteGroup, class_index: int, g: int) -> int:
 
 def orbit_map(O: GSet, Y: GSet, y) -> GMap:
     """The G-map gH -> g.y out of a standard orbit O = G/H, for a point y
-    of Y fixed by H."""
-    return GMap(O, Y, tuple(Y.action[g][y] for g in O.orbit_index.reach))
+    of Y fixed by H.
+
+    With g_x = reach[x], x -> g_x.y is equivariant exactly when H, the
+    base point's stabilizer, fixes y (g g_x = g_{gx} h with h in H), so
+    only that is checked; an h that moves y is named in the ValueError.
+    """
+    ix = O.orbit_index
+    if O.group != Y.group:
+        raise ValueError("source and target live over different groups")
+    if len(ix.orbits) != 1:
+        raise ValueError("source must be a single orbit")
+    if not 0 <= y < Y.size:
+        raise ValueError("point out of range")
+    moved = [h for h in ix.stabilizers[0] if Y.action[h][y] != y]
+    if moved:
+        raise ValueError(f"map is not equivariant: {moved[0]} fixes the "
+                         f"base point but moves {y}")
+    f = object.__new__(GMap)
+    f.source, f.target = O, Y
+    f.mapping = tuple(Y.action[g][y] for g in ix.reach)
+    return f
 
 
 def projection_map(group: FiniteGroup, A, B) -> GMap:

@@ -18,7 +18,10 @@ image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
 induced by the connecting morphism of the obvious short exact sequence of
 quotient complexes; an entry whose quotient has a trivial term in its
 degree is the zero functor, and neither it nor a differential with a
-zero end is computed.  Everything is levelwise exact integer arithmetic.
+zero end is computed.  A quotient F(a)/F(b) with F(b) = 0 is F(a)
+itself, and the skeletal filtration's top step is the complex itself,
+so pages reuse the homology a Tor call cached on its complex.
+Everything is levelwise exact integer arithmetic.
 Res and tr along G-maps are applied orbit block by orbit block
 (`MackeyFunctor.gmap_blocks`), with no span element or dense span matrix.
 """
@@ -582,15 +585,19 @@ class FilteredComplex:
 
 
 def skeletal_filtration(C: ChainComplex) -> FilteredComplex:
-    """Brutal truncations sigma_{<=p} as an increasing filtration."""
+    """Brutal truncations sigma_{<=p} as an increasing filtration.
+
+    The top step is C itself, so homology C already holds is reused.
+    """
     degs = C.degrees()
     lo, hi = min(degs), max(degs)
     steps = []
     incls = []
-    for p in range(lo, hi + 1):
+    for p in range(lo, hi):
         terms = {n: C.term(n) for n in degs if n <= p}
         diffs = {n: C.diff(n) for n in degs if n <= p and (n - 1) in terms}
         steps.append(ChainComplex(C.group, terms, diffs))
+    steps.append(C)
     for i in range(len(steps) - 1):
         mapping = {}
         for n in steps[i].degrees():
@@ -600,9 +607,12 @@ def skeletal_filtration(C: ChainComplex) -> FilteredComplex:
 
 
 def quotient_complex(filt: FilteredComplex, a, b):
-    """F(a)/F(b) with generator sets inherited from F(a)."""
+    """F(a)/F(b) with generator sets inherited from F(a); F(a) itself
+    when F(b) is 0 (b below min_index), with the homology it holds."""
     a = min(a, filt.max_index)
     b = min(max(b, filt.min_index - 1), a)
+    if b < filt.min_index:
+        return filt.complex_at(a)
     key = (a, b)
     if key in filt._qcache:
         return filt._qcache[key]

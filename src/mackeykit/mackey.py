@@ -25,10 +25,16 @@ Ownership: functors and morphisms keep the 2-D object arrays they are
 given, so stored matrices may be shared with the caller and between
 functors (a cokernel shares its target's structure matrices).  Stored
 matrices are never written; other input is converted and checked.
+
+Derived functors (kernels, images, cokernels, minimized presentations)
+carry each res, tr and conj matrix from their parent when it is first
+read (`CarriedMatrices`): on the Tor path most of them are never read,
+and the homology of a complex costs its levels and inclusions only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,6 +97,42 @@ def _generated_action(group: FiniteGroup, gens, identity):
     return out
 
 
+class CarriedMatrices(Mapping):
+    """Structure matrices {key: compute(key)}, each computed on first read
+    and stored.  Once every key has been read, `compute`, which holds the
+    parent functor, is dropped."""
+
+    def __init__(self, keys, compute):
+        self._keys = dict.fromkeys(keys)
+        self._done = {}
+        self._compute = compute if self._keys else None
+
+    def __getitem__(self, key):
+        if key not in self._done:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._done[key] = self._compute(key)
+            if len(self._done) == len(self._keys):
+                self._compute = None
+        return self._done[key]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _stored(data, keys, convert):
+    """Carried matrices as they are, unread; else {k: convert(k)}."""
+    if isinstance(data, CarriedMatrices):
+        return data
+    return {k: convert(k) for k in keys}
+
+
 class MackeyFunctor:
     """Levels on subgroup classes plus generating structure matrices.
 
@@ -98,7 +140,8 @@ class MackeyFunctor:
     keyed by the canonical pairs of `FiniteGroup.canonical_covers`, and
     `conj[c]` one matrix per element of `normalizer_generators` of class
     c.  `weyl[c][n]`, conjugation by every n in that normalizer, is
-    derived from `conj` on first read; no constructor takes it.
+    derived from `conj` on first read; no constructor takes it.  A
+    derived functor's mappings are `CarriedMatrices`, kept as given.
     """
 
     def __init__(self, group: FiniteGroup, levels, res, tr, conj,
@@ -113,18 +156,18 @@ class MackeyFunctor:
             if set(data) != set(covers):
                 raise ValueError(f"{kind} must hold exactly one matrix per "
                                  f"canonical covering pair")
-        self.res = {k: _int_matrix(res[k], self._gens(k[1]), "res at {}", k)
-                    for k in covers}
-        self.tr = {k: _int_matrix(tr[k], self._gens(k[0]), "tr at {}", k)
-                   for k in covers}
+        self.res = _stored(res, covers, lambda k: _int_matrix(
+            res[k], self._gens(k[1]), "res at {}", k))
+        self.tr = _stored(tr, covers, lambda k: _int_matrix(
+            tr[k], self._gens(k[0]), "tr at {}", k))
         if [set(w) for w in conj] != [set(c.normalizer_generators)
                                       for c in classes]:
             raise ValueError("conj must hold exactly one matrix per "
                              "generator of each normalizer")
         self.conj = tuple(
-            {s: _int_matrix(w[s], self.levels[cls.index].generator_count,
-                            "conjugation by {} at class {}", s, cls.index)
-             for s in cls.normalizer_generators}
+            _stored(w, cls.normalizer_generators, lambda s, w=w, c=cls.index:
+                    _int_matrix(w[s], self.levels[c].generator_count,
+                                "conjugation by {} at class {}", s, c))
             for w, cls in zip(conj, classes))
         self.name = name
         self._cache = {}
@@ -628,7 +671,12 @@ def _literally_zero(f: MackeyMorphism) -> bool:
 
 
 def kernel(f: MackeyMorphism):
-    """Kernel subfunctor with its inclusion morphism."""
+    """Kernel subfunctor with its inclusion morphism.
+
+    Structure maps are carried on first read (`_carried`): for an f that
+    is not natural (check=False), the first read of one leaving the
+    kernel lattices raises "level lattices are not structure-stable".
+    """
     if _literally_zero(f):
         return f.source, identity_morphism(f.source)
     incls = []
@@ -644,7 +692,8 @@ def kernel(f: MackeyMorphism):
 
 
 def image(f: MackeyMorphism):
-    """Image subfunctor of the target with its inclusion morphism."""
+    """Image subfunctor of the target with its inclusion morphism;
+    structure maps are carried on first read, as in `kernel`."""
     levels, incls = [], []
     for c, mat in enumerate(f.mats):
         grp, basis = abgroups.image_of_map(mat, f.source.levels[c],
@@ -658,12 +707,18 @@ def image(f: MackeyMorphism):
 
 def _carried(M: MackeyFunctor, levels, carry, name):
     """The functor on `levels` whose res, tr and conj are M's, each matrix
-    m from class c_src to class c_tgt replaced by carry(m, c_src, c_tgt)."""
+    m from class c_src to class c_tgt replaced by carry(m, c_src, c_tgt).
+
+    Each entry is carried when first read and stored (`CarriedMatrices`),
+    so an error of `carry`, such as "level lattices are not
+    structure-stable", is raised by that read, not here.
+    """
     cidx = M.group.class_index_of
-    pairs = [(k, cidx(k[0]), cidx(k[1])) for k in M.res]
-    res = {k: carry(M.res[k], cb, ca) for k, ca, cb in pairs}
-    tr = {k: carry(M.tr[k], ca, cb) for k, ca, cb in pairs}
-    conj = [{n: carry(m, c, c) for n, m in w.items()}
+    res = CarriedMatrices(M.res, lambda k: carry(M.res[k], cidx(k[1]),
+                                                 cidx(k[0])))
+    tr = CarriedMatrices(M.tr, lambda k: carry(M.tr[k], cidx(k[0]),
+                                               cidx(k[1])))
+    conj = [CarriedMatrices(w, lambda n, c=c, w=w: carry(w[n], c, c))
             for c, w in enumerate(M.conj)]
     return MackeyFunctor(M.group, levels, res, tr, conj, name=name,
                          check=False)
@@ -751,7 +806,8 @@ def minimize_presentation(M: MackeyFunctor):
 
 
 def cokernel(f: MackeyMorphism):
-    """Cokernel functor with its projection morphism."""
+    """Cokernel functor with its projection morphism; it shares f.target's
+    structure mappings, so carried ones stay unread."""
     group = f.source.group
     levels = [abgroups.cokernel_of_map(mat, f.source.levels[c],
                                        f.target.levels[c])

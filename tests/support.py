@@ -1263,3 +1263,28 @@ def is_two_sided_inverse(f, g):
     """g . f and f . g are the identities of f's source and target."""
     return compose_morphisms(g, f).equals(identity_morphism(f.source)) and \
         compose_morphisms(f, g).equals(identity_morphism(f.target))
+
+
+# -- derived functors carried at construction: the route before first-read maps ------
+
+
+def eager_carried(M, levels, carry, name):
+    """`mackey._carried` with every res, tr and conj matrix carried when
+    the functor is built, each matrix m from class c_src to class c_tgt
+    replaced by carry(m, c_src, c_tgt)."""
+    cidx = M.group.class_index_of
+    pairs = [(k, cidx(k[0]), cidx(k[1])) for k in M.res]
+    res = {k: carry(M.res[k], cb, ca) for k, ca, cb in pairs}
+    tr = {k: carry(M.tr[k], ca, cb) for k, ca, cb in pairs}
+    conj = [{n: carry(m, c, c) for n, m in w.items()}
+            for c, w in enumerate(M.conj)]
+    return MackeyFunctor(M.group, levels, res, tr, conj, name=name,
+                         check=False)
+
+
+def structure_matrices(M):
+    """Every stored res, tr and conj matrix of M, keyed by kind and key."""
+    out = {("res", k): M.res[k] for k in M.res}
+    out.update({("tr", k): M.tr[k] for k in M.tr})
+    out.update({("conj", c, n): w[n] for c, w in enumerate(M.conj) for n in w})
+    return out

@@ -65,6 +65,43 @@ def test_load_group_s3_from_generators():
     assert len(perms) == G.order
 
 
+def test_load_group_returns_one_object_per_spec():
+    table = {"kind": "table", "name": "Z2", "table": [[0, 1], [1, 0]]}
+    G = load_group(table)
+    assert load_group({"kind": "table", "name": "Z2",
+                       "table": ((0, 1), (1, 0))}) is G
+    assert load_group({**table, "name": "other"}) is not G
+    perm = {"kind": "perm", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+    S3 = load_group(perm)
+    assert load_group({"kind": "perm", "degree": 3,
+                       "generators": [(1, 0, 2), (1, 2, 0)]}) is S3
+    assert S3.relation_plan is load_group(perm).relation_plan
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "table", "table": [[0, 1.0], [1, 0]]},
+     r"table\[0\]\[1\] is not an integer: 1\.0"),
+    ({"kind": "table", "table": [[0, True], [1, 0]]},
+     r"table\[0\]\[1\] is not an integer: True"),
+    ({"kind": "table", "table": [[0, 1], [1, 1]]}, "no two-sided inverse"),
+    ({"kind": "perm", "degree": 2.0, "generators": [[1, 0]]},
+     "degree must be a non-negative integer"),
+    ({"kind": "perm", "degree": 2, "generators": [[1.0, 0]]},
+     r"generators\[0\]\[0\] is not an integer"),
+    ({"kind": "perm", "degree": 2, "generators": [[0, 0]]},
+     "is not a permutation of 2 points"),
+    ({"kind": "table", "table": [[0]], "name": ["C1"]},
+     "group name must be a string"),
+])
+def test_load_group_rejects_bad_specs_every_time(spec, message):
+    # a spec equal, as Python values, to a cached one is still refused
+    load_group({"kind": "table", "table": [[0, 1], [1, 0]]})
+    load_group({"kind": "perm", "degree": 2, "generators": [[1, 0]]})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            load_group(spec)
+
+
 def test_malformed_inputs_rejected():
     with pytest.raises(ValueError):
         load_group({"kind": "table", "table": [[0, 1], [1, 1]]})  # no inverse row

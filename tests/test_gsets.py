@@ -17,6 +17,7 @@ from mackeykit.gsets import (
     empty_gset,
     find_isomorphism,
     orbit_decompose,
+    orbit_map,
     point_gset,
     product,
     projection_map,
@@ -381,6 +382,43 @@ def test_equivariance_check_agrees_with_full_oracle(name):
         cases += 1
         accepted += expected
     assert 0 < accepted <= cases
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_orbit_map_agrees_with_full_oracle(name):
+    # orbit_map checks only that the base stabilizer fixes y; it accepts
+    # y exactly when gH -> g.y passes the all-pairs equivariance oracle
+    group = builtin_group(name)
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    cases = accepted = 0
+    for O, Y in itertools.product(orbs, repeat=2):
+        for y in range(Y.size):
+            mapping = tuple(Y.act(g, y) for g in O.orbit_index.reach)
+            expected = full_equivariance_oracle(O, Y, mapping)
+            try:
+                f = orbit_map(O, Y, y)
+            except ValueError as err:
+                assert "not equivariant" in str(err)
+                assert not expected, (O, Y, y)
+            else:
+                assert expected, (O, Y, y)
+                assert f == GMap(O, Y, mapping)
+                assert f.source is O and f.target is Y
+            cases += 1
+            accepted += expected
+    assert 0 < accepted < cases or group.order == 1
+
+
+def test_orbit_map_refuses_points_it_cannot_address():
+    group = builtin_group("S3")
+    O, Y = standard_orbit(group, 0), standard_orbit(group, 1)
+    for y in (-1, Y.size):
+        with pytest.raises(ValueError, match="out of range"):
+            orbit_map(O, Y, y)
+    with pytest.raises(ValueError, match="single orbit"):
+        orbit_map(disjoint_union_of_orbits(group, (0, 0)), Y, 0)
+    with pytest.raises(ValueError, match="different groups"):
+        orbit_map(standard_orbit(builtin_group("C6"), 0), Y, 0)
 
 
 @pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mackeykit import convolution, homalg
+from mackeykit import convolution, homalg, mackey
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic
 from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
@@ -21,7 +21,10 @@ from mackeykit.mackey import (
     direct_sum,
     fixed_point_mackey,
     hom_mackey,
+    homology_at,
     identity_morphism,
+    image,
+    kernel,
     representable,
     trivial_module,
     zero_mackey,
@@ -46,6 +49,7 @@ from mackeykit.homalg import (
     module_cover,
     module_kernel,
     module_resolution,
+    quotient_complex,
     rel_box,
     skeletal_filtration,
     ss_pages,
@@ -53,11 +57,13 @@ from mackeykit.homalg import (
 )
 from support import (
     assert_level_arrays,
+    eager_carried,
     hom_modules,
     hom_modules_oracle,
     rel_box_map,
     rel_box_oracle,
     ss_pages_oracle,
+    structure_matrices,
     tor_by_rel_boxes,
 )
 
@@ -777,3 +783,81 @@ def test_ss_pages_skip_what_a_trivial_term_forces_to_zero(monkeypatch):
             if _nonzero(page.entry(p, q))
             and _nonzero(page.entry(p - page.r, q + page.r - 1))]
     assert connecting and sorted(connecting) == sorted(both)
+
+
+# -- pages reuse the complexes and the homology tor already has --------------------------------
+
+
+def test_skeletal_filtration_and_quotients_reuse_their_complexes(c2_setup):
+    C2, R, FP = c2_setup
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * 2)
+    C = tor(R, canonical_module(R, FP), canonical_module(R, cokernel(two)[0]),
+            2).complex
+    filt = skeletal_filtration(C)
+    assert filt.steps[-1] is C
+    lo = filt.min_index
+    for a in range(lo - 1, filt.max_index + 2):
+        for b in (lo - 1, lo - 3):
+            # F(a)/F(b) with F(b) = 0 is F(a) itself, not a cokernel copy
+            assert quotient_complex(filt, a, b) is filt.complex_at(a)
+    assert quotient_complex(filt, lo + 1, lo) is not filt.complex_at(lo + 1)
+
+
+def test_pages_reuse_the_homology_tor_computed(monkeypatch):
+    # after tor, neither the pages nor the graded homology take the
+    # homology of the Tor complex (or of a copy of it) again in a degree
+    # tor already computed
+    R, mods = _tor_modules(builtin_group("C2"))
+    C = tor(R, mods["FP"], mods["FP/2"], 2).complex
+    computed = set(C._hcache)
+    assert computed == {0, 1, 2}
+    again = []
+    real = ChainComplex.homology_data
+
+    def homology_data(self, n):
+        if n not in self._hcache and self.terms == C.terms \
+                and self.diffs == C.diffs:
+            again.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(ChainComplex, "homology_data", homology_data)
+    filt = skeletal_filtration(C)
+    ss_pages(filt, 4)
+    for n in range(3):
+        homology_filtration_graded(filt, n)
+    assert not computed & set(again), again
+
+
+# -- derived functors carry their structure maps on first read ---------------------------------
+
+
+def _derived_at(C, n):
+    """The kernel, image and cokernel functors of C's differentials at
+    degree n, and homology_at's kernel, unminimized and minimized
+    homology."""
+    d_in, d_out = C.diff(n + 1), C.diff(n)
+    H, incl, proj, _sect = homology_at(d_in, d_out)
+    return [kernel(d_out)[0], image(d_in)[0], cokernel(d_in)[0],
+            incl.source, proj.source, H]
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4",))
+def test_carried_structure_maps_match_the_eager_route(name, monkeypatch):
+    # each res/tr/conj matrix carried on first read equals, entry for
+    # entry, the one the eager route carries when the functor is built
+    R, mods = _tor_modules(builtin_group(name))
+    C = tor(R, mods["FP"], mods["FP/2"], 0 if name == "D4" else 1).complex
+    for n in C.degrees():
+        lazy = _derived_at(C, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(mackey, "_carried", eager_carried)
+            eager = _derived_at(C, n)
+        for got, want in zip(lazy, eager):
+            assert all(im.mats_equal(a.relation_lattice, b.relation_lattice)
+                       for a, b in zip(got.levels, want.levels))
+            got_maps, want_maps = (structure_matrices(got),
+                                   structure_matrices(want))
+            assert list(got_maps) == list(want_maps)
+            for key, m in want_maps.items():
+                assert got_maps[key].dtype == object, (n, key)
+                assert im.mats_equal(got_maps[key], m), (n, key)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mackeykit import intmat as im
+from mackeykit import mackey
 from mackeykit.abgroups import FinPresAbGroup, groups_isomorphic, maps_equal
 from mackeykit.groups import (
     BUILTIN_GROUP_NAMES,
@@ -40,7 +41,7 @@ from mackeykit.burnside import (
     weyl_element,
 )
 from mackeykit.convolution import box, burnside_green, internal_hom_rep
-from mackeykit.homalg import canonical_module, rel_box
+from mackeykit.homalg import canonical_module, rel_box, tor
 from mackeykit.ktheory import k0_mackey
 from mackeykit.mackey import (
     MackeyFunctor,
@@ -52,6 +53,7 @@ from mackeykit.mackey import (
     direct_sum,
     fixed_point_mackey,
     hom_mackey,
+    homology_at,
     identity_element_vector,
     identity_morphism,
     image,
@@ -79,6 +81,7 @@ from support import (
     permutation_group,
     representable_span_action,
     span_functoriality_oracle,
+    structure_matrices,
     yoneda_element,
 )
 
@@ -965,3 +968,72 @@ def test_span_evaluation_does_not_pin_gsets():
     gc.collect()
     assert ref() is None
     assert not any(_holds_gset(key) for key in M._cache)
+
+
+# -- derived functors carry their structure maps on first read ------------------------------
+
+
+def _fp_z(group):
+    Z = FinPresAbGroup.free(1)
+    return fixed_point_mackey(group, Z, trivial_module(group, Z))
+
+
+def test_subfunctor_of_a_non_natural_map_fails_on_first_read(c2):
+    # on FP(Z) over C2, tr(1) = 2 at C2; a levelwise map that is 0 at e
+    # and 1 at C2 (or the reverse) commutes with neither res nor tr, and
+    # its kernel (image) is not stable under tr, which only a read finds
+    FP = _fp_z(c2)
+    pair = c2.canonical_covers[0]
+    for sub, mats in ((kernel, [[[0]], [[1]]]), (image, [[[1]], [[0]]])):
+        f = MackeyMorphism(FP, FP, [im.intmat(m) for m in mats], check=False)
+        S, _incl = sub(f)
+        assert S.res[pair].shape == (1, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="level lattices are not structure-stable"):
+                S.tr[pair]
+
+
+def test_homology_levels_build_no_solver_for_structure_maps(monkeypatch):
+    # homology_at and its levels solve for the inclusions only; carrying a
+    # structure map through a subfunctor's solver waits for its first read
+    group = builtin_group("C2xC2")
+    R = burnside_green(group, check=False)
+    FP = _fp_z(group)
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    C = tor(R, canonical_module(R, FP), canonical_module(R, cokernel(two)[0]),
+            0).complex
+    carried = []
+    real = mackey._coordinates
+
+    def coordinates(basis, amb, error):
+        if error == "level lattices are not structure-stable":
+            carried.append(basis.shape)
+        return real(basis, amb, error)
+
+    monkeypatch.setattr(mackey, "_coordinates", coordinates)
+    H, incl, _proj, _sect = homology_at(C.diff(2), C.diff(1))
+    K = incl.source
+    assert [lvl.invariant_factors for lvl in H.levels]
+    assert [lvl.invariant_factors for lvl in K.levels]
+    assert carried == []
+    structure_matrices(H)
+    assert carried, "reading the maps carries them through the kernel"
+
+
+def test_carried_functor_drops_its_parent_once_every_map_is_read(c2):
+    def build():
+        FP = _fp_z(c2)
+        two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+        K, _incl = kernel(cokernel(two)[1])
+        return K, weakref.ref(FP)
+
+    K, parent = build()
+    gc.collect()
+    assert parent() is not None
+    first = structure_matrices(K)
+    gc.collect()
+    assert parent() is None
+    # stored: a second read returns the same matrices
+    again = structure_matrices(K)
+    assert all(again[k] is m for k, m in first.items())
