@@ -31,6 +31,8 @@ from .convolution import (
     burnside_green,
     green_from_levelwise,
     internal_hom_rep,
+    validate_green,
+    validate_module,
 )
 from .groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group, load_group
 from .gsets import (

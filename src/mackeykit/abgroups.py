@@ -90,20 +90,6 @@ class FinPresAbGroup:
         obj._diag = list(diag)
         return obj
 
-    @property
-    def _U(self):
-        """Transform to diagonal coordinates, built when relator-free."""
-        if self._transforms is None:
-            return intmat.identity(self.generator_count)
-        return self._transforms[0]
-
-    @property
-    def _Uinv(self):
-        """Transform back to generator coordinates, built when relator-free."""
-        if self._transforms is None:
-            return intmat.identity(self.generator_count)
-        return self._transforms[1]
-
     def _from_diagonal(self, y):
         """Generator coordinates Uinv @ y of diagonal coordinates y."""
         return y if self._transforms is None else self._transforms[1] @ y
@@ -191,9 +177,6 @@ class FinPresAbGroup:
     def reduce(self, v):
         """Canonical representative vector of the class of v."""
         return self._from_diagonal(intmat.intvec(self.normal_form(v)))
-
-    def is_zero_element(self, v):
-        return all(c == 0 for c in self.normal_form(v))
 
     def elements_equal(self, v, w):
         return self.normal_form(v) == self.normal_form(w)
@@ -292,28 +275,6 @@ def cokernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
     return quotient_by_columns(tgt, mat(M, src.generator_count))
 
 
-def tensor_group(A: FinPresAbGroup, B: FinPresAbGroup):
-    """Tensor product A (x) B presented on generator pairs.
-
-    Generator (i, j) of the product sits at index i * B.generator_count + j.
-    """
-    na, nb = A.generator_count, B.generator_count
-    rels = []
-    for r in range(A.relations.shape[0]):
-        for j in range(nb):
-            row = [0] * (na * nb)
-            for i in range(na):
-                row[i * nb + j] = A.relations[r, i]
-            rels.append(row)
-    for r in range(B.relations.shape[0]):
-        for i in range(na):
-            row = [0] * (na * nb)
-            for j in range(nb):
-                row[i * nb + j] = B.relations[r, j]
-            rels.append(row)
-    return FinPresAbGroup(na * nb, mat(rels, na * nb))
-
-
 def direct_sum_groups(groups):
     """Direct sum with block generator layout; returns (grp, offsets).
 
@@ -341,7 +302,3 @@ def direct_sum_groups(groups):
         else:
             U[o:o + k, o:o + k], Uinv[o:o + k, o:o + k] = g._transforms
     return FinPresAbGroup._assembled(rel_cols, U, Uinv, diag), offsets
-
-
-def groups_isomorphic(A: FinPresAbGroup, B: FinPresAbGroup) -> bool:
-    return A.invariant_factors == B.invariant_factors

@@ -45,14 +45,11 @@ from .gsets import (
     GMap,
     GSet,
     compose_maps,
-    coproduct,
     identity_map,
-    orbit_map,
     point_gset,
     product,
     projection_map,
     standard_orbit,
-    translation_map,
 )
 
 # code := (subgroup class index, x, y) with (x, y) minimal in its orbit
@@ -220,16 +217,6 @@ def restriction_element(f: GMap) -> BurnsideElement:
         Y, X, _orbit_codes(Y, X, X, f.mapping, range(X.size)))
 
 
-# -- materialization -----------------------------------------------------------
-
-
-def materialize_code(X: GSet, Y: GSet, code):
-    """Explicit transitive span (middle, left leg, right leg) for a code."""
-    cidx, x, y = code
-    U = standard_orbit(X.group, cidx)
-    return U, orbit_map(U, X, x), orbit_map(U, Y, y)
-
-
 def hom_basis(X: GSet, Y: GSet):
     """All transitive span codes X -> Y, sorted by (class, x, y).
 
@@ -387,22 +374,6 @@ def triangle_composite(X: GSet) -> BurnsideElement:
     return out
 
 
-def direct_sum_decompose(e: BurnsideElement, X: GSet, Xp: GSet):
-    """Split e: (X + X') -> Y over the two summands of the coproduct."""
-    cp = coproduct(X, Xp)
-    if e.source != cp.gset:
-        raise ValueError("source is not the stated coproduct")
-    return (compose(e, transfer_element(cp.left)),
-            compose(e, transfer_element(cp.right)))
-
-
-def direct_sum_reassemble(e1: BurnsideElement, e2: BurnsideElement,
-                          X: GSet, Xp: GSet) -> BurnsideElement:
-    cp = coproduct(X, Xp)
-    return (compose(e1, restriction_element(cp.left))
-            + compose(e2, restriction_element(cp.right)))
-
-
 # -- structure spans between standard orbits ----------------------------------
 
 
@@ -416,12 +387,6 @@ def tr_element(group: FiniteGroup, A, B) -> BurnsideElement:
     """Transfer span ORB([A]) -> ORB([B]) along the inclusion A <= B: the
     transfer along `gsets.projection_map`."""
     return transfer_element(projection_map(group, A, B))
-
-
-def weyl_element(group: FiniteGroup, cidx: int, n: int) -> BurnsideElement:
-    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H:
-    the transfer along `gsets.translation_map`, gH -> g n^-1 H."""
-    return transfer_element(translation_map(group, cidx, n))
 
 
 # -- table of marks and the Burnside ring --------------------------------------

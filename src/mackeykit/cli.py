@@ -68,6 +68,21 @@ def _emit(args, payload, text_lines):
         print(out)
 
 
+def _int_at_least(least):
+    """An argparse type: an integer no smaller than `least`, so a value
+    out of range is a usage error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 def _table(rows, headers=None):
     rows = [[str(c) for c in r] for r in rows]
     if headers:
@@ -410,13 +425,13 @@ def build_parser():
     p.add_argument("ring", help='ring file: {"burnside": "<group>"}')
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--pmax", type=int, default=3)
+    p.add_argument("--pmax", type=_int_at_least(0), default=3)
     p.set_defaults(func=cmd_tor)
 
     p = sub.add_parser("ss", help="spectral sequence of a filtered complex")
     common(p)
     p.add_argument("file")
-    p.add_argument("--rmax", type=int, default=4)
+    p.add_argument("--rmax", type=_int_at_least(1), default=4)
     p.set_defaults(func=cmd_ss)
 
     p = sub.add_parser("bpq", help="verify Barratt-Priddy-Quillen at K0")

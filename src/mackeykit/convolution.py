@@ -29,7 +29,6 @@ from .burnside import (
     code_subgroup,
     compose,
     hom_basis,
-    identity_element,
     span_element,
     tensor,
 )
@@ -42,6 +41,7 @@ from .mackey import (
     compose_morphisms,
     identity_element_vector,
     identity_morphism,
+    mackey_from_gmaps,
     mackey_from_span_action,
     representable,
 )
@@ -197,9 +197,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     each structure matrix is a sum of Kronecker products of the factors'
     twisted restrictions, one per term of `over_image`.  Module actions
     do not go through a box: a `GreenModule` stores its level tables.
+    Raises ValueError, naming both groups, unless M and N share a group.
     """
     if M.group != N.group:
-        raise ValueError("different groups")
+        raise ValueError(f"the factors are over different groups: "
+                         f"{M.group.name} and {N.group.name}")
     group = M.group
     key = ("box", id(N))
     if key in M._cache:
@@ -528,18 +530,22 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
 
 
 def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
-    """F(A_X, M), with level G/H equal to M(X x G/H)."""
+    """F(A_X, M) = M(X x -): level G/H is M(X x G/H), and res/tr along
+    f: G/A -> G/B are M's along id_X x f: X x G/A -> X x G/B, applied
+    orbit block by orbit block (`MackeyFunctor.apply_gmap`)."""
     group = X.group
-    idX = identity_element(X)
-    classes = group.subgroup_classes()
-    levels = []
-    for cls in classes:
-        grp, _ = M.value_at(product(X, standard_orbit(group, cls.index)).gset)
-        levels.append(grp)
+    levels = [M.value_at(product(X, standard_orbit(group, cls.index)).gset)[0]
+              for cls in group.subgroup_classes()]
 
-    return mackey_from_span_action(
-        group, levels, lambda e: M.eval_span(tensor(idX, e)),
-        name=f"F(A_X, {M.name})", check=False)
+    def along(f: GMap, transfer):
+        P, Q = product(X, f.source), product(X, f.target)
+        g = GMap(P.gset, Q.gset, [Q.of_pair(x, f.mapping[o]) for x, o in
+                                  zip(P.left.mapping, P.right.mapping)])
+        grp, _ = M.value_at(g.source if transfer else g.target)
+        return M.apply_gmap(g, intmat.identity(grp.generator_count), transfer)
+
+    return mackey_from_gmaps(group, levels, along, name=f"F(A_X, {M.name})",
+                             check=False)
 
 
 # -- Green functors -------------------------------------------------------------------
@@ -820,8 +826,3 @@ def validate_module(mod: GreenModule):
     units = [ring.level_unit(c) for c in range(len(ring.tables))]
     _check_action(ring.underlying, mod.underlying, ring.tables, mod.tables,
                   units, "module action")
-
-
-def ring_as_module(G: GreenFunctor) -> GreenModule:
-    """R regarded as a module over itself via its level tables."""
-    return GreenModule(G, G.underlying, G.tables)

@@ -174,14 +174,6 @@ class GSet:
         """Multiset of subgroup-class indices, one per orbit, sorted."""
         return tuple(sorted(self.orbit_index.classes))
 
-    def fixed_points(self, H):
-        """Points fixed by every element of the subgroup H."""
-        fixed = range(self.size)
-        for h in H:
-            row = self.action[h]
-            fixed = [x for x in fixed if row[x] == x]
-        return tuple(fixed)
-
 
 def _orbits_on(action, H, points):
     """(least point, stabilizer in H) of each H-orbit on `points`.

@@ -245,8 +245,11 @@ def module_resolution(R: GreenFunctor, M, length: int,
     A FreeModule is its own resolution of length zero.  Results are
     cached on the module, keyed by `reverse`, so several Tor computations
     against the same argument share one resolution.  Raises ValueError
-    unless R is the ring of M.
+    unless R is the ring of M and the length is nonnegative.
     """
+    if length < 0:
+        raise ValueError(f"resolution length must be nonnegative, got "
+                         f"{length}")
     if M.ring is not R and M.ring.underlying != R.underlying:
         raise ValueError("module over a different ring")
     if isinstance(M, FreeModule):
@@ -338,7 +341,8 @@ def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
     is a Green functor on A_pt over the group of M.
     """
     if M.group != G.group:
-        raise ValueError("different groups")
+        raise ValueError(f"the ring and the functor are over different "
+                         f"groups: {G.group.name} and {M.group.name}")
     if G.underlying is not burnside_mackey(G.group):
         raise ValueError("canonical_module needs a Green functor on the "
                          "Burnside functor A_pt, such as burnside_green")
@@ -490,8 +494,11 @@ def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
     target of the Tor_0 witness (`rel_box`).  The augmentation eps is the
     Yoneda extension of n = eps(1_X0) in N(X_0), so M box_R eps sends m in
     M(X_0 x Y) to the class of tr(m (x) res n) along X_0 x Y -> Y
-    (`dress_pairing`, then rel_box's projection).
+    (`dress_pairing`, then rel_box's projection).  Raises ValueError for
+    a negative p_max.
     """
+    if p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
     res = module_resolution(R, N, p_max + 1, reverse=reverse)
     free = res.modules
     terms = {p: internal_hom_rep(F.base, M.underlying)

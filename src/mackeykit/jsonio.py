@@ -49,11 +49,6 @@ def gset_from_json(doc, group=None) -> GSet:
     return GSet(group, action)
 
 
-def gset_to_json(X: GSet):
-    return {"group": group_to_json(X.group), "size": X.size,
-            "action": [list(r) for r in X.action]}
-
-
 def _multiplicity(label, mult):
     """An orbit multiplicity, a nonnegative integer (0 allowed)."""
     if isinstance(mult, bool) or not isinstance(mult, numbers.Integral) \

@@ -1044,7 +1044,9 @@ def identity_element_vector(X: GSet):
 
     The block of an orbit of class c is A_X(G/H_c), on the basis
     hom_basis(X, G/H_c), and holds the restriction along the orbit's
-    standard embedding.  No representable functor is built.
+    standard embedding emb: one transitive span, marked at the least
+    (emb(o), o) over the points o of G/H_c fixed by H_c, which are the
+    N(H_c)-translates of the base.  No span is built.
     """
     group = X.group
     classes = X.orbit_index.classes
@@ -1052,8 +1054,8 @@ def identity_element_vector(X: GSet):
     vec = intmat.zero_vec(sum(len(bases[c]) for c in classes))
     lo = 0
     for emb, c in zip(X.orbit_embeddings, classes):
-        for code, v in restriction_element(emb).coeffs.items():
-            vec[lo + bases[c].index(code)] += v
+        x, y = min((emb(o), o) for o in emb.source.fixed_orbits[c].points)
+        vec[lo + bases[c].index((c, x, y))] = 1
         lo += len(bases[c])
     return vec
 

@@ -49,6 +49,7 @@ from mackeykit.mackey import (  # noqa: E402
     regular_module,
     trivial_module,
 )
+from support import gset_to_json  # noqa: E402
 
 MANIFEST = os.path.join(HERE, "data", "output_manifest.json")
 DEMOS = os.path.join(ROOT, "demos")
@@ -154,8 +155,8 @@ def cli_artifacts():
             return path
 
         def element(src, tgt):
-            return {"group": "C2", "source": jsonio.gset_to_json(src),
-                    "target": jsonio.gset_to_json(tgt),
+            return {"group": "C2", "source": gset_to_json(src),
+                    "target": gset_to_json(tgt),
                     "coefficients": [[jsonio.code_to_json(
                         C2, hom_basis(src, tgt)[0]), 1]]}
 

@@ -6,22 +6,21 @@ import numpy as np
 
 from mackeykit import intmat
 from mackeykit import intmat as im
-from mackeykit import abgroups
+from mackeykit import abgroups, jsonio
 from mackeykit.abgroups import FinPresAbGroup, maps_equal
 from mackeykit.burnside import (
     basis_element,
     compose,
     hom_basis,
     identity_element,
-    materialize_code,
     multi_product,
     res_element,
     restriction_element,
     span_codes,
     span_element,
+    tensor,
     tr_element,
     transfer_element,
-    weyl_element,
 )
 from mackeykit.convolution import (
     BoxData,
@@ -40,10 +39,13 @@ from mackeykit.gsets import (
     GMap,
     GSet,
     compose_maps,
+    coproduct,
+    orbit_map,
     point_gset,
     product,
     pullback,
     standard_orbit,
+    translation_map,
 )
 from mackeykit.homalg import (
     ChainComplex,
@@ -66,6 +68,76 @@ from mackeykit.mackey import (
     minimize_presentation,
     representable,
 )
+
+
+# -- span and group helpers the tests build with ---------------------------------------
+
+
+def materialize_code(X, Y, code):
+    """Explicit transitive span (middle, left leg, right leg) for a code."""
+    cidx, x, y = code
+    U = standard_orbit(X.group, cidx)
+    return U, orbit_map(U, X, x), orbit_map(U, Y, y)
+
+
+def weyl_element(group, cidx, n):
+    """Conjugation-by-n isomorphism span on ORB([H]), for n normalizing H:
+    the transfer along `gsets.translation_map`, gH -> g n^-1 H."""
+    return transfer_element(translation_map(group, cidx, n))
+
+
+def direct_sum_decompose(e, X, Xp):
+    """Split e: (X + X') -> Y over the two summands of the coproduct."""
+    cp = coproduct(X, Xp)
+    if e.source != cp.gset:
+        raise ValueError("source is not the stated coproduct")
+    return (compose(e, transfer_element(cp.left)),
+            compose(e, transfer_element(cp.right)))
+
+
+def direct_sum_reassemble(e1, e2, X, Xp):
+    """The element (X + X') -> Y with the given restrictions to X and X'."""
+    cp = coproduct(X, Xp)
+    return (compose(e1, restriction_element(cp.left))
+            + compose(e2, restriction_element(cp.right)))
+
+
+def fixed_points(X, H):
+    """Points of X fixed by every element of the subgroup H, by a scan of
+    X's action rows: the oracle for `GSet.fixed_orbits`."""
+    fixed = range(X.size)
+    for h in H:
+        row = X.action[h]
+        fixed = [x for x in fixed if row[x] == x]
+    return tuple(fixed)
+
+
+def tensor_group(A, B):
+    """Tensor product A (x) B presented on generator pairs.
+
+    Generator (i, j) of the product sits at index i * B.generator_count + j.
+    """
+    na, nb = A.generator_count, B.generator_count
+    rels = []
+    for r in range(A.relations.shape[0]):
+        for j in range(nb):
+            row = [0] * (na * nb)
+            for i in range(na):
+                row[i * nb + j] = A.relations[r, i]
+            rels.append(row)
+    for r in range(B.relations.shape[0]):
+        for i in range(na):
+            row = [0] * (na * nb)
+            for j in range(nb):
+                row[i * nb + j] = B.relations[r, j]
+            rels.append(row)
+    return FinPresAbGroup(na * nb, im.intmat(rels, na * nb))
+
+
+def gset_to_json(X):
+    """The explicit-action JSON document `jsonio.gset_from_json` reads."""
+    return {"group": jsonio.group_to_json(X.group), "size": X.size,
+            "action": [list(r) for r in X.action]}
 
 
 # One-line generators of the permutation groups beyond the built-ins.
@@ -807,9 +879,10 @@ def dense_free(n):
 def assert_same_group(G, H):
     """Equal generators, relations, transforms and diagonal, entry for entry."""
     assert G.generator_count == H.generator_count
+    eye = (im.identity(G.generator_count),) * 2    # what None stands for
     for a, b in ((G.relation_lattice, H.relation_lattice),
-                 (G.relations, H.relations), (G._U, H._U),
-                 (G._Uinv, H._Uinv)):
+                 (G.relations, H.relations),
+                 *zip(G._transforms or eye, H._transforms or eye)):
         assert a.dtype == b.dtype == object
         assert im.mats_equal(a, b)
     assert G._diag == H._diag
@@ -838,7 +911,7 @@ def _oracle_over_maps(X, code_src, code_tgt):
     sc = _oracle_struct_gmap(X, code_tgt)
     reps = [c[0] for c in group.left_cosets(Lp)]
     return [GMap(Op, O, tuple(O.act(g, q) for g in reps))
-            for q in O.fixed_points(Lp) if sc(q) == sp(0)]
+            for q in fixed_points(O, Lp) if sc(q) == sp(0)]
 
 
 def _oracle_level_presentation(M, N, X):
@@ -1031,6 +1104,18 @@ def identity_element_vector_oracle(X):
         for code, v in restriction_element(emb).coeffs.items():
             vec[offsets[b] + basis.index(code)] += v
     return vec
+
+
+def internal_hom_rep_by_spans(X, M):
+    """F(A_X, M) through spans: each res/tr along a structure G-map f is
+    M evaluated on id_X (x) e, e the restriction or transfer span of f."""
+    group = X.group
+    idX = identity_element(X)
+    levels = [M.value_at(product(X, standard_orbit(group, cls.index)).gset)[0]
+              for cls in group.subgroup_classes()]
+    return mackey_from_span_action(
+        group, levels, lambda e: M.eval_span(tensor(idX, e)),
+        name=f"F(A_X, {M.name})", check=False)
 
 
 def burnside_unit_vector(group):

@@ -13,15 +13,13 @@ from mackeykit.abgroups import (
     FinPresAbGroup,
     cokernel_of_map,
     direct_sum_groups,
-    groups_isomorphic,
     image_of_map,
     map_is_welldefined,
     maps_equal,
     quotient_by_columns,
     subgroup_from_lattice,
-    tensor_group,
 )
-from support import assert_same_group, dense_free, kernel_of_map
+from support import assert_same_group, dense_free, kernel_of_map, tensor_group
 
 
 def test_invariant_factors_examples():
@@ -57,8 +55,8 @@ def test_invariant_factors_match_sympy_without_factoring(factors):
 @pytest.mark.parametrize("n", [0, 1, 5, 717])
 def test_relator_free_group_has_identity_transforms(n):
     G = FinPresAbGroup(n)
-    assert im.mats_equal(G._U, im.identity(n))
-    assert im.mats_equal(G._Uinv, im.identity(n))
+    # None stands for the identity transforms
+    assert G._transforms is None
     assert G._diag == [0] * n
 
 
@@ -93,7 +91,7 @@ def test_kernel_cokernel_image_against_enumeration():
     image_forms = set()
     for a in range(4):
         for b in range(-8, 8):
-            if tgt.is_zero_element(M @ im.intvec([a, b])):
+            if not any(tgt.normal_form(M @ im.intvec([a, b]))):
                 pass
     # the kernel has index |image| in the source; check orders instead
     assert I.order() == 4         # {0, 2, 4, 6} in Z/8
@@ -101,7 +99,7 @@ def test_kernel_cokernel_image_against_enumeration():
     assert K.free_rank == 1       # (0, b) with 2a + 4b = 0 mod 8 has a line
     # inclusion lands in the kernel
     for j in range(kincl.shape[1]):
-        assert tgt.is_zero_element(M @ kincl[:, j])
+        assert not any(tgt.normal_form(M @ kincl[:, j]))
 
 
 def test_not_welldefined_detected():
@@ -137,7 +135,8 @@ def test_direct_sum():
     S, offs = direct_sum_groups([A, B])
     assert S.invariant_factors == (2, 4, 0)
     assert offs == [0, 1]
-    assert groups_isomorphic(S, FinPresAbGroup.from_invariants([4, 2, 0]))
+    assert S.invariant_factors == \
+        FinPresAbGroup.from_invariants([4, 2, 0]).invariant_factors
 
 
 def test_maps_equal_modulo_relations():
@@ -224,7 +223,6 @@ def test_implicit_identity_normal_form_and_reduce_match_dense(nv):
         r, s = G.reduce(w), D.reduce(w)
         assert r.dtype == s.dtype == object and r.shape == s.shape == (n,)
         assert list(r) == list(s)
-        assert G.is_zero_element(w) == D.is_zero_element(w)
 
 
 @pytest.mark.parametrize("n", FREE_SIZES)

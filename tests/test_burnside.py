@@ -25,13 +25,10 @@ from mackeykit.burnside import (
     burnside_ring_table,
     coevaluation_span,
     compose,
-    direct_sum_decompose,
-    direct_sum_reassemble,
     dual,
     evaluation_span,
     hom_basis,
     identity_element,
-    materialize_code,
     multi_product,
     promonoidal_coend_check,
     restriction_element,
@@ -42,14 +39,18 @@ from mackeykit.burnside import (
     transfer_element,
     transitive_code,
     triangle_composite,
-    weyl_element,
 )
 from support import (
+    direct_sum_decompose,
+    direct_sum_reassemble,
+    fixed_points,
+    materialize_code,
     multimap_basis,
     permutation_group,
     pullback_compose_oracle,
     pullback_tensor_oracle,
     structure_span_oracles,
+    weyl_element,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
@@ -136,8 +137,8 @@ def test_hom_basis_against_orbit_enumeration():
             for Y in orbs:
                 triples = set()
                 for L in group.subgroups():
-                    for x in X.fixed_points(L):
-                        for y in Y.fixed_points(L):
+                    for x in fixed_points(X, L):
+                        for y in fixed_points(Y, L):
                             triples.add((L, x, y))
                 orbit_count = 0
                 seen = set()

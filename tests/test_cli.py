@@ -7,6 +7,7 @@ from mackeykit import cli, jsonio
 from mackeykit.groups import builtin_group
 from mackeykit.mackey import burnside_mackey
 from mackeykit.convolution import burnside_green
+from support import gset_to_json
 
 
 def run(capsys, argv):
@@ -152,14 +153,18 @@ def test_box_and_tor_report_errors_as_json(tmp_path, capsys, command, left,
     assert err == ""
 
 
-@pytest.mark.parametrize("command", ["box", "tor"])
+@pytest.mark.parametrize("command,message", [
+    ("box", "the factors are over different groups: C4 and S3"),
+    ("tor", "the ring and the functor are over different groups: C4 and S3"),
+], ids=["box", "tor"])
 def test_box_and_tor_report_errors_on_stderr_in_text_mode(tmp_path, capsys,
-                                                         command):
+                                                         command, message):
+    # the message names both groups, as `compose` does
     paths = _bad_input_files(tmp_path)
     code, out, err = run(capsys, _box_or_tor(command, paths, "C4", "S3"))
     assert code == 1
     assert out == ""
-    assert err == "error: different groups\n"
+    assert err == f"error: {message}\n"
 
 
 def test_green_check_detects_violation(tmp_path, capsys):
@@ -324,14 +329,14 @@ def test_compose_cli(tmp_path, capsys):
     pt = point_gset(C2)
     tr_doc = {
         "group": "C2",
-        "source": jsonio.gset_to_json(O),
-        "target": jsonio.gset_to_json(pt),
+        "source": gset_to_json(O),
+        "target": gset_to_json(pt),
         "coefficients": [[jsonio.code_to_json(C2, hom_basis(O, pt)[0]), 1]],
     }
     res_doc = {
         "group": "C2",
-        "source": jsonio.gset_to_json(pt),
-        "target": jsonio.gset_to_json(O),
+        "source": gset_to_json(pt),
+        "target": gset_to_json(O),
         "coefficients": [[jsonio.code_to_json(C2, hom_basis(pt, O)[0]), 1]],
     }
     f1 = tmp_path / "tr.json"
@@ -381,11 +386,11 @@ def test_compose_cli_rejects_bad_codes(tmp_path, capsys, code_doc, match):
     from mackeykit.gsets import point_gset, standard_orbit
     O = standard_orbit(C2, 0)
     pt = point_gset(C2)
-    bad = {"group": "C2", "source": jsonio.gset_to_json(O),
-           "target": jsonio.gset_to_json(pt),
+    bad = {"group": "C2", "source": gset_to_json(O),
+           "target": gset_to_json(pt),
            "coefficients": [[code_doc, 1]]}
-    ident = {"group": "C2", "source": jsonio.gset_to_json(pt),
-             "target": jsonio.gset_to_json(pt),
+    ident = {"group": "C2", "source": gset_to_json(pt),
+             "target": gset_to_json(pt),
              "coefficients": [[["C2", 0, 0], 1]]}
     f1 = tmp_path / "bad.json"
     f1.write_text(json.dumps(bad))
@@ -413,6 +418,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["marks"])          # missing --group
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["tor", "ring.json", "m.json", "m.json", "--pmax", "-1"], "--pmax"),
+    (["tor", "ring.json", "m.json", "m.json", "--pmax", "two"], "--pmax"),
+    (["ss", "cx.json", "--rmax", "0"], "--rmax"),
+    (["ss", "cx.json", "--rmax", "-3"], "--rmax"),
+], ids=["pmax-negative", "pmax-not-a-number", "rmax-zero", "rmax-negative"])
+def test_out_of_range_degrees_are_usage_errors(capsys, argv, option):
+    # rejected while parsing, before any file is read: no output, exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: expected an integer >= " in err
 
 
 def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):

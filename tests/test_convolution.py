@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from mackeykit import intmat as im
-from mackeykit.abgroups import (
-    FinPresAbGroup,
-    groups_isomorphic,
-    maps_equal,
-    tensor_group,
-)
+from mackeykit.abgroups import FinPresAbGroup, maps_equal
 from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
-from mackeykit.gsets import point_gset, product, standard_orbit
+from mackeykit.gsets import (
+    disjoint_union_of_orbits,
+    point_gset,
+    product,
+    standard_orbit,
+)
 from mackeykit.burnside import basis_element, compose, hom_basis, tensor
 from mackeykit.mackey import (
     MackeyFunctor,
@@ -45,19 +45,23 @@ from mackeykit.convolution import (
     over_codes,
     over_image,
     rep_monoidal_iso,
-    ring_as_module,
     validate_green,
     validate_module,
 )
 from mackeykit.homalg import canonical_module, free_module, rel_box
 from mackeykit.ktheory import k0_green
 from support import (
+    PERMUTATION_BATTERY,
     action_from_tables,
     assert_level_arrays,
     box_map,
     box_oracle,
     box_validate_green,
     burnside_unit_vector,
+    internal_hom_rep_by_spans,
+    permutation_group,
+    structure_matrices,
+    tensor_group,
     times_oracle,
 )
 
@@ -156,7 +160,8 @@ def test_free_evaluation_identity(name):
             for c in range(len(group.subgroup_classes())):
                 Y = standard_orbit(group, c)
                 val, _ = M.value_at(product(X, Y).gset)
-                assert groups_isomorphic(val, data.functor.levels[c])
+                assert val.invariant_factors == \
+                    data.functor.levels[c].invariant_factors
 
 
 # -- symmetry and associativity ----------------------------------------------------------
@@ -199,7 +204,7 @@ def test_evaluation_at_free_orbit_is_monoidal():
         FP = fixed_point_mackey(group, V, act)
         data = box(A, FP)
         T = tensor_group(A.levels[0], FP.levels[0])
-        assert groups_isomorphic(data.functor.levels[0], T)
+        assert data.functor.levels[0].invariant_factors == T.invariant_factors
         # single over-code at the free level: generator (i, j) -> i*nN + j
         codes = over_codes(standard_orbit(group, 0))
         assert len(codes) == 1
@@ -277,6 +282,36 @@ def test_internal_hom_levels_example():
     assert F.levels[0].invariant_factors == (0, 0)
 
 
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8") + PERMUTATION_BATTERY)
+def test_internal_hom_rep_matches_the_span_route(name):
+    # res/tr along id_X x f, read orbit block by orbit block, against M on
+    # the span id_X (x) e: every res, tr and conj matrix entry for entry,
+    # X an orbit or a sum of two
+    group = (permutation_group(name) if name in PERMUTATION_BATTERY
+             else builtin_group(name))
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    Q = cokernel(two)[0]
+    functors = (burnside_mackey(group), FP,
+                fixed_point_mackey(group, *regular_module(group)), Q,
+                box(Q, FP).functor)
+    classes = range(len(group.subgroup_classes()))
+    feet = [standard_orbit(group, c) for c in classes] + \
+        [disjoint_union_of_orbits(group, (0, classes[-1]))]
+    for M in functors:
+        for X in feet:
+            got, want = internal_hom_rep(X, M), internal_hom_rep_by_spans(X, M)
+            assert [g.relation_lattice.tolist() for g in got.levels] == \
+                [w.relation_lattice.tolist() for w in want.levels]
+            got_maps = structure_matrices(got)
+            want_maps = structure_matrices(want)
+            assert list(got_maps) == list(want_maps)
+            for key, m in want_maps.items():
+                assert got_maps[key].dtype == object, (M.name, X, key)
+                assert np.array_equal(got_maps[key], m), (M.name, X, key)
+
+
 def test_internal_hom_adjunction_sample():
     # hom(N box A_X, M) = hom(N, F(A_X, M)) as groups
     C2 = builtin_group("C2")
@@ -287,7 +322,7 @@ def test_internal_hom_adjunction_sample():
     AX = representable(O)
     lhs = hom_mackey(box(A, AX).functor, FP)
     rhs = hom_mackey(A, internal_hom_rep(O, FP))
-    assert groups_isomorphic(lhs.group, rhs.group)
+    assert lhs.group.invariant_factors == rhs.group.invariant_factors
 
 
 def test_dual_free_modules_self_duality():
@@ -302,7 +337,7 @@ def test_dual_free_modules_self_duality():
         for (M, N) in ((A, FP), (FP, A)):
             lhs = hom_mackey(box(AX, M).functor, N)
             rhs = hom_mackey(M, box(AX, N).functor)
-            assert groups_isomorphic(lhs.group, rhs.group)
+            assert lhs.group.invariant_factors == rhs.group.invariant_factors
 
 
 # -- Green functors ---------------------------------------------------------------------------
@@ -531,7 +566,7 @@ def _modules(name):
         "FP(Z)/2": canonical_module(G, cokernel(two)[0]),
         "FP(Z[G])": canonical_module(
             G, fixed_point_mackey(group, *regular_module(group))),
-        "R": ring_as_module(G),
+        "R": GreenModule(G, G.underlying, G.tables),
         "R^(G/e)": free_module(G, standard_orbit(group, 0)),
     }
 
@@ -724,7 +759,8 @@ def test_box_matches_literal_day_presentation(name):
         data = box(M, N)
         for cj in range(len(group.subgroup_classes())):
             oracle = literal_day_level(M, N, group, cj)
-            assert groups_isomorphic(oracle, data.functor.levels[cj]), \
+            assert oracle.invariant_factors == \
+                data.functor.levels[cj].invariant_factors, \
                 (name, cj, oracle.invariant_factors,
                  data.functor.levels[cj].invariant_factors)
 

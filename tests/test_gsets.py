@@ -27,6 +27,7 @@ from mackeykit.gsets import (
 )
 from support import (
     PERMUTATION_BATTERY,
+    fixed_points,
     full_action_oracle,
     full_equivariance_oracle,
     orbits_oracle,
@@ -150,8 +151,8 @@ def test_product_size_and_fixed_points_multiplicative():
                 assert P.gset.size == X.size * Y.size
                 for cls in group.subgroup_classes():
                     H = cls.representative
-                    assert len(P.gset.fixed_points(H)) == \
-                        len(X.fixed_points(H)) * len(Y.fixed_points(H))
+                    assert len(fixed_points(P.gset, H)) == \
+                        len(fixed_points(X, H)) * len(fixed_points(Y, H))
 
 
 def test_coproduct_examples():
@@ -229,16 +230,16 @@ def test_fixed_points_examples():
     O = standard_orbit(C2, 0)
     pt = point_gset(C2)
     G = (0, 1)
-    assert O.fixed_points((0,)) == (0, 1)
-    assert len(O.fixed_points(G)) == 0
-    assert len(pt.fixed_points(G)) == 1
+    assert fixed_points(O, (0,)) == (0, 1)
+    assert len(fixed_points(O, G)) == 0
+    assert len(fixed_points(pt, G)) == 1
     # (G/H)^G nonempty iff H = G
     for name in BATTERY:
         group = builtin_group(name)
         whole = tuple(range(group.order))
         for cls in group.subgroup_classes():
             X = standard_orbit(group, cls.index)
-            fixed = X.fixed_points(whole)
+            fixed = fixed_points(X, whole)
             assert (len(fixed) > 0) == (len(cls.representative) == group.order)
 
 

@@ -12,15 +12,18 @@ functions build no G-maps, G-set products or spans.  A Green module is
 its level action tables: the functions that build, cover, map and check
 modules present no box product and build no map out of one.  Res and tr
 along a G-map have one path on the resolution and Tor route, the orbit
-blocks of `MackeyFunctor.gmap_blocks`: no function in `homalg`, and not
-`convolution.dress_pairing`, builds a span element along a map, a
-canonical code or a dense span matrix.  Span composition has one walk over
+blocks of `MackeyFunctor.gmap_blocks`: no function in `homalg`, and
+neither `convolution.dress_pairing`, `convolution.internal_hom_rep` nor
+`mackey.identity_element_vector`, builds a span element, a canonical
+code or a dense span matrix.  Span composition has one walk over
 the double cosets: `compose` checks each factor's codes and hands every
 basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
 no second walk and no `Counter`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
-Burnside functor it is compared with.
+Burnside functor it is compared with.  Every public top-level function
+of the package is called in it, exported from it, or read by the
+benchmark or the demos; helpers only tests read live in tests/support.py.
 """
 
 import ast
@@ -206,9 +209,8 @@ def test_box_structure_comes_from_over_codes_only():
 MODULE_FUNCTIONS = {
     "homalg.py": ("canonical_module", "free_module", "module_kernel",
                   "module_cover", "classifying_morphism"),
-    "convolution.py": ("validate_module", "ring_as_module",
-                       "green_from_levelwise", "burnside_green",
-                       "validate_green"),
+    "convolution.py": ("validate_module", "green_from_levelwise",
+                       "burnside_green", "validate_green"),
     "ktheory.py": ("k0_green",),
 }
 BOX_PRODUCT_CALLS = {"box", "box_map", "box_unit_eval", "box_unit_iso",
@@ -288,17 +290,47 @@ def test_scanner_finds_span_evaluation_in_functions_and_methods():
                      ("dress_pairing", 11, "transfer_element")]
 
 
+# The span route the Tor terms and the identity class took, abridged: a
+# term's res/tr along f was M on the span id_X (x) e, and [id_X] was read
+# off the restriction span along each orbit embedding.
+TERM_SPAN_ROUTE = '''
+def internal_hom_rep(X, M):
+    idX = identity_element(X)
+    return mackey_from_span_action(
+        group, levels, lambda e: M.eval_span(tensor(idX, e)))
+
+def identity_element_vector(X):
+    for emb, c in zip(X.orbit_embeddings, classes):
+        for code, v in restriction_element(emb).coeffs.items():
+            vec[lo + bases[c].index(code)] += v
+'''
+TOR_TERMS = {"convolution.py": ("dress_pairing", "internal_hom_rep"),
+             "mackey.py": ("identity_element_vector",)}
+SPAN_ROUTE_NAMES = SPAN_EVALUATION | {"tensor", "identity_element"}
+
+
+def test_scanner_finds_the_span_route_of_the_tor_terms():
+    calls, found = calls_inside(TERM_SPAN_ROUTE, TOR_TERMS["convolution.py"]
+                                + TOR_TERMS["mackey.py"], SPAN_ROUTE_NAMES)
+    assert found == {"internal_hom_rep", "identity_element_vector"}
+    assert calls == [("identity_element_vector", 9, "restriction_element"),
+                     ("internal_hom_rep", 3, "identity_element"),
+                     ("internal_hom_rep", 5, "eval_span"),
+                     ("internal_hom_rep", 5, "tensor")]
+
+
 def test_tor_path_reads_structure_maps_orbit_by_orbit():
     # res and tr along a G-map on the resolution and Tor path come from
     # `MackeyFunctor.gmap_blocks`, the one path: no span element, no
-    # canonical code and no dense span matrix
+    # canonical code and no dense span matrix, in `homalg`, in the Tor
+    # terms M(X x -) and their pairing, or in the identity class [id_X]
     homalg = (PACKAGE / "homalg.py").read_text(encoding="utf-8")
-    assert named_calls(ast.parse(homalg), SPAN_EVALUATION) == []
-    convolution = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
-    calls, found = calls_inside(convolution, ("dress_pairing",),
-                                SPAN_EVALUATION)
-    assert found == {"dress_pairing"}
-    assert calls == []
+    assert named_calls(ast.parse(homalg), SPAN_ROUTE_NAMES) == []
+    for name, functions in TOR_TERMS.items():
+        source = (PACKAGE / name).read_text(encoding="utf-8")
+        calls, found = calls_inside(source, functions, SPAN_ROUTE_NAMES)
+        assert found == set(functions)
+        assert calls == []
 
 
 RETIRED_WALKS = {"Counter", "_compose_codes", "_double_coset_codes",
@@ -383,3 +415,68 @@ def test_k0_is_computed_without_span_composition():
     # so the BPQ comparison does not test span composition against itself
     ktheory = (PACKAGE / "ktheory.py").read_text(encoding="utf-8")
     assert named_calls(ast.parse(ktheory), SPAN_COMPOSITION) == []
+
+
+def _read_names(node):
+    """Every name read under an ast node: bare names, attributes and the
+    names a `from` import brings in."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def uncalled_functions(modules, exported, outside):
+    """(module, name) of every public top-level function of `modules`
+    ({module: source}) that no module reads outside the function's own
+    body, that the package source `exported` does not import, and that no
+    source in `outside` reads."""
+    defined, read = [], _read_names(ast.parse(exported))
+    for source in outside:
+        read |= _read_names(ast.parse(source))
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            names = _read_names(node)
+            if isinstance(node, ast.FunctionDef):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined.append((module, node.name))
+            read |= names
+    return sorted((m, name) for m, name in defined if name not in read)
+
+
+def test_scanner_finds_functions_nothing_calls():
+    modules = {
+        "a.py": ("def used():\n    return 1\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "def _private():\n    return used()\n\n"
+                 "def exported():\n    pass\n\n"
+                 "def benched():\n    pass\n\n"
+                 "def handler(args):\n    pass\n\n"
+                 "class C:\n    def method(self):\n        pass\n"),
+        "b.py": ("from .a import handler\n\n"
+                 "def main():\n    parser.set_defaults(func=handler)\n\n"
+                 "if __name__ == '__main__':\n    main()\n"),
+    }
+    exported = "from .a import exported\n"
+    outside = ["from mackeykit import a\n\nprint(a.benched())\n"]
+    assert uncalled_functions(modules, exported, outside) == [
+        ("a.py", "recursive")]
+
+
+def test_every_public_function_has_a_caller():
+    # a public function is called in the package, exported from it, or
+    # read by the benchmark or the demos; test-only helpers live in
+    # tests/support.py
+    root = PACKAGE.parents[1]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    exported = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    outside = [p.read_text(encoding="utf-8")
+               for d in ("perfbench", "demos")
+               for p in sorted((root / d).glob("*.py"))]
+    assert uncalled_functions(modules, exported, outside) == []

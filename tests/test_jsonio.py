@@ -17,7 +17,6 @@ from mackeykit.jsonio import (
     green_from_json,
     green_to_json,
     gset_from_json,
-    gset_to_json,
     group_to_json,
     mackey_from_json,
     mackey_to_json,
@@ -32,6 +31,7 @@ from mackeykit.mackey import (
 )
 from mackeykit.convolution import burnside_green, green_from_levelwise
 from mackeykit.ktheory import k0_green
+from support import gset_to_json
 
 
 def test_group_roundtrip():
