@@ -104,7 +104,10 @@ class FinPresAbGroup:
 
     @classmethod
     def from_invariants(cls, factors):
-        """Group with one generator per listed factor (0 meaning Z)."""
+        """Group with one generator per listed factor (0 meaning Z).
+
+        Raises ValueError naming a factor that is not an integer."""
+        factors = _labels(factors, "factors")
         n = len(factors)
         rels = [[factors[i] if j == i else 0 for j in range(n)]
                 for i in range(n) if factors[i] != 0]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import index
 
 from . import intmat
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _same_group
 from .gsets import (
     GMap,
     GSet,
@@ -133,8 +133,7 @@ class BurnsideElement:
         return obj
 
     def _fill(self, source, target, coeffs):
-        if source.group != target.group:
-            raise ValueError("feet live over different groups")
+        _same_group(source.group, target.group, "the feet")
         self.source = source
         self.target = target
         self.coeffs = {}
@@ -228,8 +227,7 @@ def hom_basis(X: GSet, Y: GSet):
     S-orbits on Y^L in order of least point, x0 by x0 from
     `X.fixed_orbits`, yields every code once and in sorted order.
     """
-    if X.group != Y.group:
-        raise ValueError("different groups")
+    _same_group(X.group, Y.group, "the G-sets")
     ya, out = Y.action, []
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
         for x0, S in fx.orbits:
@@ -290,8 +288,7 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
 
 def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
     """External product A(X,Y) x A(X',Y') -> A(X x X', Y x Y')."""
-    if s.group != t.group:
-        raise ValueError("different groups")
+    _same_group(s.group, t.group, "the factors")
     X, Y, Xp, Yp = s.source, s.target, t.source, t.target
     for c1 in s.coeffs:
         code_subgroup(X, Y, c1)

@@ -26,7 +26,7 @@ from .burnside import (
     triangle_composite,
 )
 from .convolution import GreenValidationError, box, burnside_green
-from .groups import BUILTIN_GROUP_NAMES, load_group
+from .groups import BUILTIN_GROUP_NAMES, _same_group, load_group
 from .gsets import point_gset, standard_orbit
 from .homalg import (
     canonical_module,
@@ -193,9 +193,7 @@ def cmd_compose(args):
     first = jsonio.load_json_file(args.first)
     second = jsonio.load_json_file(args.second)
     group, other = load_group(first["group"]), load_group(second["group"])
-    if other != group:
-        raise ValueError(f"the elements are over different groups: "
-                         f"{group.name} and {other.name}")
+    _same_group(group, other, "the elements")
     X = jsonio.gset_from_json(first["source"], group)
     Y = jsonio.gset_from_json(first["target"], group)
     Yp = jsonio.gset_from_json(second["source"], group)

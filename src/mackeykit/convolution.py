@@ -32,7 +32,7 @@ from .burnside import (
     span_element,
     tensor,
 )
-from .groups import _labels
+from .groups import _labels, _same_group
 from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
 from .mackey import (
     MackeyFunctor,
@@ -92,12 +92,6 @@ def over_image(S: GSet, T: GSet, ecode, code):
         zstar, u = _canonical_over(group, cwp, y, T)
         out.append(((cwp, zstar), o, u, mult))
     return out
-
-
-def _kron(A, B):
-    """Kronecker product of two 2-D object matrices."""
-    (p, q), (r, s) = A.shape, B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _block(F: MackeyFunctor, S: GSet, T: GSet, code):
@@ -170,8 +164,8 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
         rows.update(r for r in map(tuple, block.T.tolist()) if any(r))
 
     for (cw, _x), s in starts.items():
-        add((s, _kron(M.levels[cw].relation_lattice, eye(nN[cw]))))
-        add((s, _kron(eye(nM[cw]), N.levels[cw].relation_lattice)))
+        add((s, intmat.kron(M.levels[cw].relation_lattice, eye(nN[cw]))))
+        add((s, intmat.kron(eye(nM[cw]), N.levels[cw].relation_lattice)))
     for (cwp, xp), sp in starts.items():
         Op = standard_orbit(group, cwp)
         for (cw, x), s in starts.items():
@@ -182,10 +176,10 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
                     continue
                 trM, trN = (_block(F, Op, O, (cwp, 0, q)) for F in (M, N))
                 rsM, rsN = (_block(F, O, Op, (cwp, q, 0)) for F in (M, N))
-                add((s, _kron(trM, eye(nN[cw]))),
-                    (sp, -_kron(eye(nM[cwp]), rsN)))
-                add((s, _kron(eye(nM[cw]), trN)),
-                    (sp, -_kron(rsM, eye(nN[cwp]))))
+                add((s, intmat.kron(trM, eye(nN[cw]))),
+                    (sp, -intmat.kron(eye(nM[cwp]), rsN)))
+                add((s, intmat.kron(eye(nM[cw]), trN)),
+                    (sp, -intmat.kron(rsM, eye(nN[cwp]))))
     return FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
 
 
@@ -199,9 +193,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     do not go through a box: a `GreenModule` stores its level tables.
     Raises ValueError, naming both groups, unless M and N share a group.
     """
-    if M.group != N.group:
-        raise ValueError(f"the factors are over different groups: "
-                         f"{M.group.name} and {N.group.name}")
+    _same_group(M.group, N.group, "the factors")
     group = M.group
     key = ("box", id(N))
     if key in M._cache:
@@ -236,7 +228,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
                     hi = tgt_starts[tcode]
                     out[hi:hi + TM.shape[0] * TN.shape[0],
                         lo:lo + TM.shape[1] * TN.shape[1]] += \
-                        (a * mult) * _kron(TM, TN)
+                        (a * mult) * intmat.kron(TM, TN)
         return out
 
     data.functor = mackey_from_span_action(

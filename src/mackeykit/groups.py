@@ -69,6 +69,14 @@ def _labels(values, name):
     raise ValueError(f"{name}[{i}] is not an integer: {values[i]!r}")
 
 
+def _same_group(G, H, what):
+    """Raise ValueError, naming both groups, unless G == H; `what` names
+    the two things that must share a group."""
+    if G != H:
+        raise ValueError(f"{what} are over different groups: "
+                         f"{G.name} and {H.name}")
+
+
 class FiniteGroup:
     """A finite group with a validated multiplication table.
 
@@ -120,10 +128,6 @@ class FiniteGroup:
 
     def inv(self, a):
         return self.inverse[a]
-
-    def conj(self, g, a):
-        """g * a * g^-1."""
-        return self.mul(self.mul(g, a), self.inverse[g])
 
     def elements(self):
         return range(self.order)

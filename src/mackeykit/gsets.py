@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .groups import FiniteGroup, _labels
+from .groups import FiniteGroup, _labels, _same_group
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ class GMap:
 
     def __init__(self, source: GSet, target: GSet, mapping):
         mapping = _labels(mapping, "mapping")
-        if source.group != target.group:
-            raise ValueError("source and target live over different groups")
+        _same_group(source.group, target.group, "source and target")
         if len(mapping) != source.size:
             raise ValueError("mapping has the wrong length")
         if mapping and not (0 <= min(mapping) and max(mapping) < target.size):
@@ -298,8 +297,7 @@ def orbit_map(O: GSet, Y: GSet, y) -> GMap:
     only that is checked; an h that moves y is named in the ValueError.
     """
     ix = O.orbit_index
-    if O.group != Y.group:
-        raise ValueError("source and target live over different groups")
+    _same_group(O.group, Y.group, "source and target")
     if len(ix.orbits) != 1:
         raise ValueError("source must be a single orbit")
     if not 0 <= y < Y.size:
@@ -393,8 +391,7 @@ class ProductData:
 @lru_cache(maxsize=None)
 def product(X: GSet, Y: GSet) -> ProductData:
     """Cartesian product with the diagonal action, canonically relabelled."""
-    if X.group != Y.group:
-        raise ValueError("factors live over different groups")
+    _same_group(X.group, Y.group, "the factors")
     group = X.group
     n = X.size * Y.size
     raw = GSet(group, [[gx * Y.size + gy for gx in row_x for gy in row_y]
@@ -418,8 +415,7 @@ class CoproductData:
 @lru_cache(maxsize=None)
 def coproduct(X: GSet, Y: GSet) -> CoproductData:
     """Disjoint union, canonically relabelled, with its injections."""
-    if X.group != Y.group:
-        raise ValueError("summands live over different groups")
+    _same_group(X.group, Y.group, "the summands")
     group = X.group
     raw = GSet(group, [list(row_x) + [X.size + gy for gy in row_y]
                        for row_x, row_y in zip(X.action, Y.action)])
@@ -475,8 +471,7 @@ def find_isomorphism(X: GSet, Y: GSet):
     Orbit decomposition is a complete isomorphism invariant, so this
     succeeds exactly when the orbit types agree.
     """
-    if X.group != Y.group:
-        raise ValueError("different groups")
+    _same_group(X.group, Y.group, "the G-sets")
     if X.orbit_type() != Y.orbit_type():
         return None
     _, ix = canonicalize(X)

@@ -38,11 +38,11 @@ from .convolution import (
     GreenModule,
     _block_starts,
     _burnside_action_tables,
-    _kron,
     box,
     dress_pairing,
     internal_hom_rep,
 )
+from .groups import _same_group
 from .gsets import (
     GMap,
     GSet,
@@ -321,7 +321,7 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
             k = len(IM) * len(IN)
             for tm, tn in zip(TM, TN):
                 block = intmat.zeros(n, k)
-                block[s:s + k] = _kron(tm.T, IN) - _kron(IM, tn.T)
+                block[s:s + k] = intmat.kron(tm.T, IN) - intmat.kron(IM, tn.T)
                 blocks.append(block)
         rels = intmat.hstack(blocks)
         levels.append(abgroups.quotient_by_columns(
@@ -340,9 +340,7 @@ def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
     over-code, which `box_unit_eval` shares.  Raises ValueError unless G
     is a Green functor on A_pt over the group of M.
     """
-    if M.group != G.group:
-        raise ValueError(f"the ring and the functor are over different "
-                         f"groups: {G.group.name} and {M.group.name}")
+    _same_group(G.group, M.group, "the ring and the functor")
     if G.underlying is not burnside_mackey(G.group):
         raise ValueError("canonical_module needs a Green functor on the "
                          "Burnside functor A_pt, such as burnside_green")
@@ -680,7 +678,11 @@ def ss_pages(filt: FilteredComplex, r_max: int):
       clamped pairs, for which `quotient_complex` keeps one object each.
       Each (Q1, Q2, n) is computed once per call; once r passes the
       length of the filtration, the pages repeat at no cost.
+
+    Raises ValueError for an r_max below 1.
     """
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
     total = filt.steps[-1]
     degs = total.degrees()
     if not degs:

@@ -145,6 +145,12 @@ def block_diag(mats):
     return out
 
 
+def kron(A, B):
+    """Kronecker product of two object matrices: block (i, j) is A[i, j] B."""
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
+
+
 def _from_rows(rows, n, transposed=False):
     """Object matrix with the given sparse rows and n columns.
 

@@ -50,7 +50,7 @@ from .burnside import (
     restriction_element,
     transfer_element,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _same_group
 from .gsets import (
     GMap,
     GSet,
@@ -289,8 +289,7 @@ class MackeyFunctor:
 
     def eval_span(self, e: BurnsideElement):
         """Matrix of M applied to a Burnside element, M(source) -> M(target)."""
-        if e.group != self.group:
-            raise ValueError("element lives over a different group")
+        _same_group(e.group, self.group, "the element and the functor")
         X, Y = e.source, e.target
         gx, offx = self.value_at(X)
         gy, offy = self.value_at(Y)
@@ -469,18 +468,35 @@ class MackeyFunctor:
 # -- morphisms ---------------------------------------------------------------------
 
 
-class MackeyMorphism:
-    """Levelwise matrices commuting with res, tr and conjugation.
+def _naturality(M: MackeyFunctor, N: MackeyFunctor):
+    """The naturality conditions on levelwise maps U: M -> N, one per
+    stored structure matrix: (c_src, c_tgt, m_src, m_tgt, label) asks
+    U_{c_tgt} m_src = m_tgt U_{c_src} modulo the relations of N at c_tgt.
 
-    Commuting with conjugation is checked on the generators of each N(H):
-    both functors' conjugations are homomorphisms, so it follows for every
-    product of generators.
+    They are res and tr at each canonical cover and conjugation by the
+    generators of each N(H): both functors' conjugations are
+    homomorphisms, so commuting with the generators implies commuting
+    with all of N(H).
     """
+    group = M.group
+    for (A, B) in group.canonical_covers:
+        ca, cb = group.class_index_of(A), group.class_index_of(B)
+        yield cb, ca, M.res[(A, B)], N.res[(A, B)], f"res at {A}<{B}"
+        yield ca, cb, M.tr[(A, B)], N.tr[(A, B)], f"tr at {A}<{B}"
+    for cls in group.subgroup_classes():
+        c = cls.index
+        for n in cls.normalizer_generators:
+            yield (c, c, M.conj[c][n], N.conj[c][n],
+                   f"conjugation at class {c}")
+
+
+class MackeyMorphism:
+    """Levelwise matrices, well defined and commuting with the structure
+    matrices `_naturality` lists."""
 
     def __init__(self, source: MackeyFunctor, target: MackeyFunctor,
                  mats, check=True):
-        if source.group != target.group:
-            raise ValueError("source and target over different groups")
+        _same_group(source.group, target.group, "source and target")
         self.source = source
         self.target = target
         self.mats = tuple(_int_matrix(m, source.levels[c].generator_count,
@@ -490,32 +506,15 @@ class MackeyMorphism:
             self._check()
 
     def _check(self):
-        group = self.source.group
+        M, N = self.source, self.target
         for c, mat in enumerate(self.mats):
-            if not abgroups.map_is_welldefined(mat, self.source.levels[c],
-                                               self.target.levels[c]):
+            if not abgroups.map_is_welldefined(mat, M.levels[c], N.levels[c]):
                 raise ValueError(f"morphism not well-defined at class {c}")
-        for (A, B) in group.canonical_covers:
-            ca, cb = group.class_index_of(A), group.class_index_of(B)
+        for c_src, c_tgt, m_src, m_tgt, label in _naturality(M, N):
             if not abgroups.maps_equal(
-                    self.mats[ca] @ self.source.res[(A, B)],
-                    self.target.res[(A, B)] @ self.mats[cb],
-                    self.source.levels[cb], self.target.levels[ca]):
-                raise ValueError(f"morphism does not commute with res at {A}<{B}")
-            if not abgroups.maps_equal(
-                    self.mats[cb] @ self.source.tr[(A, B)],
-                    self.target.tr[(A, B)] @ self.mats[ca],
-                    self.source.levels[ca], self.target.levels[cb]):
-                raise ValueError(f"morphism does not commute with tr at {A}<{B}")
-        for cls in group.subgroup_classes():
-            c = cls.index
-            for n in cls.normalizer_generators:
-                if not abgroups.maps_equal(
-                        self.mats[c] @ self.source.conj[c][n],
-                        self.target.conj[c][n] @ self.mats[c],
-                        self.source.levels[c], self.target.levels[c]):
-                    raise ValueError(
-                        f"morphism does not commute with conjugation at class {c}")
+                    self.mats[c_tgt] @ m_src, m_tgt @ self.mats[c_src],
+                    M.levels[c_src], N.levels[c_tgt]):
+                raise ValueError(f"morphism does not commute with {label}")
 
     def at_gset(self, X: GSet):
         """Induced matrix M(X) -> N(X) in block coordinates."""
@@ -902,133 +901,74 @@ class HomGroup:
     target: MackeyFunctor
 
 
-def _hom_layout(M: MackeyFunctor, N: MackeyFunctor):
-    layout = []
-    total = 0
-    for c in range(len(M.levels)):
-        rows = N.levels[c].generator_count
-        cols = M.levels[c].generator_count
-        layout.append((total, rows, cols))
-        total += rows * cols
-    return tuple(layout), total
-
-
-def _morphism_from_vec(M, N, layout, vec):
-    mats = [np.array(vec[off:off + rows * cols], dtype=object)
-            .reshape(rows, cols) for (off, rows, cols) in layout]
-    return MackeyMorphism(M, N, mats, check=False)
-
-
-def _hom_zero_lattice(M, N, layout):
-    """Tuples representing the zero morphism: single columns of N-relators."""
-    total = layout[-1][0] + layout[-1][1] * layout[-1][2] if layout else 0
-    cols = []
-    for c, (off, rows, ncols) in enumerate(layout):
-        rel = N.levels[c].relation_lattice
-        for r in range(rel.shape[1]):
-            for j in range(ncols):
-                v = intmat.zero_vec(total)
-                for i in range(rows):
-                    v[off + i * ncols + j] = rel[i, r]
-                cols.append(v)
-    return intmat.from_cols(cols, total)
-
-
 class NatSolver:
-    """Integer solver for naturality-style constraints on hom(M, N).
+    """Integer solver for naturality-style conditions on hom(M, N).
 
-    Unknowns are the per-class matrix entries of a would-be morphism; each
-    condition is a vector of linear forms in those entries read modulo the
-    relation lattice of a target level (handled by slack variables).
+    The unknowns are vec(U_c), each level matrix U_c: M_c -> N_c read row
+    by row, stacked in class order.  A condition is one block matrix over
+    them, {class: block}, read modulo the relations rel of a level of N:
+    its value, an n x k matrix read row by row, must have every column in
+    the span of rel, so its slack columns are rel (x) I_k.  Read row by
+    row, vec(A U B) = (A (x) B^T) vec(U): well-definedness U_c rel(M_c) is
+    the block I (x) rel(M_c)^T, and U_t m_s = m_t U_s the blocks
+    I (x) m_s^T at t and -(m_t (x) I) at s.
     """
 
     def __init__(self, M: MackeyFunctor, N: MackeyFunctor):
         self.M = M
         self.N = N
-        self.layout, self.total = _hom_layout(M, N)
         self.conditions = []
-        self._add_welldefined()
-        self._add_structure()
+        for c, (src, tgt) in enumerate(zip(M.levels, N.levels)):
+            self.add_condition({c: intmat.kron(
+                intmat.identity(tgt.generator_count),
+                src.relation_lattice.T)}, tgt)
+        for c_src, c_tgt, m_src, m_tgt, _ in _naturality(M, N):
+            self.add_commuting(c_src, c_tgt, m_src, m_tgt)
 
-    def entry(self, c, i, j):
-        off, _, cols = self.layout[c]
-        return off + i * cols + j
-
-    def add_condition(self, coeff_rows, tgt_level):
-        """coeff_rows: one {var: coeff} dict per generator of the target."""
-        self.conditions.append((coeff_rows, tgt_level))
-
-    def _add_welldefined(self):
-        for c in range(len(self.M.levels)):
-            src, tgt = self.M.levels[c], self.N.levels[c]
-            rel = src.relation_lattice
-            for r in range(rel.shape[1]):
-                coeff_rows = []
-                for i in range(tgt.generator_count):
-                    row = {}
-                    for j in range(src.generator_count):
-                        if rel[j, r] != 0:
-                            row[self.entry(c, i, j)] = rel[j, r]
-                    coeff_rows.append(row)
-                self.add_condition(coeff_rows, tgt)
+    def add_condition(self, blocks, tgt_level):
+        """blocks: {class c: matrix on vec(U_c)}, all with the rows of one
+        n x k value read modulo tgt_level's relations, column by column."""
+        self.conditions.append((blocks, tgt_level))
 
     def add_commuting(self, c_src, c_tgt, m_src, m_tgt):
         """U_{c_tgt} @ m_src = m_tgt @ U_{c_src}  (mod N relations)."""
-        for j in range(m_src.shape[1]):
-            coeff_rows = []
-            for i in range(self.N.levels[c_tgt].generator_count):
-                row = {}
-                for k in range(m_src.shape[0]):
-                    if m_src[k, j] != 0:
-                        key = self.entry(c_tgt, i, k)
-                        row[key] = row.get(key, 0) + m_src[k, j]
-                for k in range(self.N.levels[c_src].generator_count):
-                    if m_tgt[i, k] != 0:
-                        key = self.entry(c_src, k, j)
-                        row[key] = row.get(key, 0) - m_tgt[i, k]
-                coeff_rows.append(row)
-            self.add_condition(coeff_rows, self.N.levels[c_tgt])
-
-    def _add_structure(self):
-        # as in MackeyMorphism._check, conjugation by the generators of
-        # each N(H) implies it by all of N(H)
-        group = self.M.group
-        for (A, B) in group.canonical_covers:
-            ca, cb = group.class_index_of(A), group.class_index_of(B)
-            self.add_commuting(cb, ca, self.M.res[(A, B)], self.N.res[(A, B)])
-            self.add_commuting(ca, cb, self.M.tr[(A, B)], self.N.tr[(A, B)])
-        for cls in group.subgroup_classes():
-            c = cls.index
-            for n in cls.normalizer_generators:
-                self.add_commuting(c, c, self.M.conj[c][n], self.N.conj[c][n])
+        n = self.N.levels[c_tgt].generator_count
+        blocks = {c_tgt: intmat.kron(intmat.identity(n), m_src.T)}
+        blocks[c_src] = blocks.get(c_src, 0) - intmat.kron(
+            m_tgt, intmat.identity(m_src.shape[1]))
+        self.add_condition(blocks, self.N.levels[c_tgt])
 
     def solve(self) -> HomGroup:
-        total = self.total
-        nrows = sum(len(cr) for cr, _ in self.conditions)
-        nslack = sum(lvl.relation_lattice.shape[1]
-                     for _, lvl in self.conditions)
-        big = intmat.zeros(nrows, total + nslack)
-        r0, s0 = 0, total
-        for coeff_rows, lvl in self.conditions:
-            rel = lvl.relation_lattice
-            for i, row in enumerate(coeff_rows):
-                for var, cf in row.items():
-                    big[r0 + i, var] += cf
-                for s in range(rel.shape[1]):
-                    big[r0 + i, s0 + s] += rel[i, s]
-            r0 += len(coeff_rows)
-            s0 += rel.shape[1]
-        ker = intmat.kernel(big)
-        sol_lattice = intmat.hermite_normal_form(ker[:total, :]) if total \
-            else intmat.zeros(0, 0)
-        zero_lat = _hom_zero_lattice(self.M, self.N, self.layout)
-        rels = intmat.preimage_lattice(sol_lattice, zero_lat) if total \
-            else intmat.zeros(0, 0)
-        grp = FinPresAbGroup(sol_lattice.shape[1], rels.T)
-        basis = [_morphism_from_vec(self.M, self.N, self.layout,
-                                    sol_lattice[:, j])
-                 for j in range(sol_lattice.shape[1])]
-        return HomGroup(grp, basis, self.M, self.N)
+        M, N = self.M, self.N
+        shapes = [(b.generator_count, a.generator_count)
+                  for a, b in zip(M.levels, N.levels)]
+        starts = np.cumsum([0] + [r * c for r, c in shapes]).tolist()
+        total = starts[-1]
+        rows, slack = [], []
+        for blocks, lvl in self.conditions:
+            m = len(next(iter(blocks.values())))
+            row = intmat.zeros(m, total)
+            for c, block in blocks.items():
+                row[:, starts[c]:starts[c + 1]] += block
+            rows.append(row)
+            n = lvl.generator_count
+            slack.append(intmat.kron(lvl.relation_lattice,
+                                     intmat.identity(m // n if n else 0)))
+        if not total:
+            sol = rels = intmat.zeros(0, 0)
+        else:
+            big = intmat.hstack([intmat.vstack(rows),
+                                 intmat.block_diag(slack)])
+            sol = intmat.hermite_normal_form(intmat.kernel(big)[:total, :])
+            zero = intmat.block_diag([
+                intmat.kron(b.relation_lattice, intmat.identity(a))
+                for b, (_, a) in zip(N.levels, shapes)])
+            rels = intmat.preimage_lattice(sol, zero)
+        basis = [MackeyMorphism(M, N, [
+            v[lo:hi].reshape(shape)
+            for lo, hi, shape in zip(starts, starts[1:], shapes)],
+            check=False) for v in sol.T]
+        return HomGroup(FinPresAbGroup(sol.shape[1], rels.T), basis, M, N)
 
 
 def hom_mackey(M: MackeyFunctor, N: MackeyFunctor) -> HomGroup:
@@ -1074,10 +1014,16 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
     rho(g s) = rho(g) rho(s) for every g and every s in `group.generators`:
     the h with rho(g h) = rho(g) rho(h) for all g include e and every
     generator and are closed under right multiplication by a generator, so
-    they are every element of G.
+    they are every element of G.  An entry of `action[g]` that is not an
+    integer, or a matrix that is not n x n, raises ValueError naming it.
     """
     n = V.generator_count
-    act = {g: intmat.intmat(action[g], n) for g in group.elements()}
+    act = {}
+    for g in group.elements():
+        act[g] = _int_matrix(action[g], n, "action[{}]", g)
+        if act[g].shape != (n, n):
+            raise ValueError(f"action[{g}] must be {n} x {n}, "
+                             f"got {act[g].shape[0]} x {act[g].shape[1]}")
     ident = intmat.identity(n)
     if not abgroups.maps_equal(act[0], ident, V, V):
         raise ValueError("identity must act trivially")

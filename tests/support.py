@@ -27,7 +27,6 @@ from mackeykit.convolution import (
     GreenValidationError,
     _block_starts,
     _canonical_over,
-    _kron,
     box,
     box_assoc_iso,
     box_comm_iso,
@@ -1026,6 +1025,33 @@ def box_oracle(M, N):
                                    name="box oracle", check=False)
 
 
+# -- naturality by span evaluation --------------------------------------------------
+
+
+def natural_by_spans(M, N, mats):
+    """Is the levelwise family `mats` a natural transformation M -> N?
+
+    Oracle: each U_c must be well defined, and U_{c'} M(e) = N(e) U_c
+    modulo N's relations for every basis span e in
+    hom_basis(G/H_c, G/H_{c'}), with M(e) and N(e) read through
+    `eval_span`; no stored res, tr or conj matrix is read directly.
+    """
+    group = M.group
+    orbits = [standard_orbit(group, c) for c in range(len(M.levels))]
+    if not all(abgroups.map_is_welldefined(U, M.levels[c], N.levels[c])
+               for c, U in enumerate(mats)):
+        return False
+    for c, S in enumerate(orbits):
+        for d, T in enumerate(orbits):
+            for code in hom_basis(S, T):
+                e = basis_element(S, T, code)
+                if not maps_equal(mats[d] @ M.eval_span(e),
+                                  N.eval_span(e) @ mats[c],
+                                  M.levels[c], N.levels[d]):
+                    return False
+    return True
+
+
 # -- R-linear maps, checked at every over-code --------------------------------------
 
 
@@ -1042,23 +1068,18 @@ def hom_modules_oracle(P, M):
     actP = action_from_tables(data_P, P.underlying, P.tables).mats
     actM = action_from_tables(data_M, M.underlying, M.tables).mats
     solver = NatSolver(P.underlying, M.underlying)
-    for c in range(len(P.underlying.levels)):
-        for (code, i, j), gamma in data_P.layout[c].items():
+    for c, codes in enumerate(data_P.codes):
+        for code in codes:
             cw = code[0]
-            coeff_rows = []
-            for t in range(M.underlying.levels[c].generator_count):
-                row = {}
-                for k in range(actP[c].shape[0]):
-                    if actP[c][k, gamma]:
-                        key = solver.entry(c, t, k)
-                        row[key] = row.get(key, 0) + actP[c][k, gamma]
-                for b in range(M.underlying.levels[cw].generator_count):
-                    delta = data_M.layout[c][(code, i, b)]
-                    if actM[c][t, delta]:
-                        key = solver.entry(cw, b, j)
-                        row[key] = row.get(key, 0) - actM[c][t, delta]
-                coeff_rows.append(row)
-            solver.add_condition(coeff_rows, M.underlying.levels[c])
+            nP, nM = (F.levels[cw].generator_count
+                      for F in (P.underlying, M.underlying))
+            for i in range(R.levels[cw].generator_count):
+                # phi . act_P = act_M . (id box phi) on the generators
+                # (code, i, j) of R box P, for every j at once
+                gammas = [data_P.layout[c][(code, i, j)] for j in range(nP)]
+                deltas = [data_M.layout[c][(code, i, b)] for b in range(nM)]
+                solver.add_commuting(cw, c, actP[c][:, gammas],
+                                     actM[c][:, deltas])
     return solver.solve()
 
 
@@ -1167,7 +1188,7 @@ def box_map(f, g):
         hi, rows = _block_starts(f.target, g.target, codes)
         out = intmat.zeros(rows, src.functor.levels[c].generator_count)
         for code in codes:
-            K = _kron(f.mats[code[0]], g.mats[code[0]])
+            K = intmat.kron(f.mats[code[0]], g.mats[code[0]])
             out[hi[code]:hi[code] + K.shape[0],
                 lo[code]:lo[code] + K.shape[1]] = K
         mats.append(out)

@@ -86,15 +86,19 @@ def test_kernel_cokernel_image_against_enumeration():
     K, kincl = kernel_of_map(M, src, tgt)
     C = cokernel_of_map(M, src, tgt)
     I, _ = image_of_map(M, src, tgt)
-    # oracle by enumeration over the finite quotient of the source box
-    kernel_size = 0
+    # oracle by enumeration over the source representatives (a, b),
+    # 0 <= a < 4 and -8 <= b < 8: v is in the kernel exactly when it lies
+    # in the span of the kernel inclusion and the source relations
+    kernel_or_rels = im.hstack([kincl, src.relation_lattice])
     image_forms = set()
     for a in range(4):
         for b in range(-8, 8):
-            if not any(tgt.normal_form(M @ im.intvec([a, b]))):
-                pass
-    # the kernel has index |image| in the source; check orders instead
-    assert I.order() == 4         # {0, 2, 4, 6} in Z/8
+            v = im.intvec([a, b])
+            value = tgt.normal_form(M @ v)
+            image_forms.add(value)
+            assert im.in_lattice(v, kernel_or_rels) == (not any(value)), v
+    assert image_forms == {(0,), (2,), (4,), (6,)}
+    assert I.order() == len(image_forms) == 4
     assert C.order() == 2
     assert K.free_rank == 1       # (0, b) with 2a + 4b = 0 mod 8 has a line
     # inclusion lands in the kernel
@@ -282,6 +286,15 @@ def test_generator_count_must_be_a_nonnegative_integer(count):
 def test_relator_entries_must_be_integers(relations):
     with pytest.raises(ValueError, match=r"relations\[\d\]\[\d\] is not an integer"):
         FinPresAbGroup(2, relations)
+
+
+@pytest.mark.parametrize("factors", [[2.5], ["4"], [3, True],
+                                     np.array([2.0, 3.0])],
+                         ids=["float", "string", "bool", "float-array"])
+def test_invariant_factors_must_be_integers(factors):
+    # int() once read 2.5 as 2 and parsed '4'
+    with pytest.raises(ValueError, match=r"^factors\[\d\] is not an integer"):
+        FinPresAbGroup.from_invariants(factors)
 
 
 def test_numpy_integers_are_accepted():

@@ -637,6 +637,19 @@ def test_trivial_filtration_gives_homology(c2_setup):
             assert invariants(page.entry(0, n)) == invariants(H)
 
 
+def test_page_counts_below_one_are_refused(c2_setup):
+    # r_max 0 and -2 once returned no pages at all
+    C2, R, FP = c2_setup
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * 2)
+    C = ChainComplex(C2, {0: FP, 1: FP}, {1: two})
+    for filt in (FilteredComplex([C], [], 0),
+                 FilteredComplex([ChainComplex(C2, {}, {})], [], 0)):
+        for r_max in (0, -2):
+            with pytest.raises(ValueError, match="r_max must be at least 1"):
+                ss_pages(filt, r_max)
+        assert len(ss_pages(filt, 1)) == 1
+
+
 def test_two_step_filtration_les(c2_setup):
     C2, R, FP = c2_setup
     two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * 2)

@@ -21,7 +21,10 @@ basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
 no second walk and no `Counter`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
-Burnside functor it is compared with.  Every public top-level function
+Burnside functor it is compared with.  The naturality conditions are
+listed once: `MackeyMorphism._check` and `NatSolver` read res, tr and
+conjugation only through `mackey._naturality`, and `intmat.kron` is the
+one Kronecker product.  Every public top-level function
 of the package is called in it, exported from it, or read by the
 benchmark or the demos; helpers only tests read live in tests/support.py.
 """
@@ -480,3 +483,112 @@ def test_every_public_function_has_a_caller():
                for d in ("perfbench", "demos")
                for p in sorted((root / d).glob("*.py"))]
     assert uncalled_functions(modules, exported, outside) == []
+
+
+STRUCTURE_READS = {"canonical_covers", "normalizer_generators", "res", "tr",
+                   "conj"}
+# the methods that read the naturality conditions; None: every method
+NATURALITY_READERS = {"MackeyMorphism": ("_check",), "NatSolver": None}
+
+
+def structure_reads(source, readers):
+    """(method, line, name) of every attribute of STRUCTURE_READS read in
+    the named methods of the named top-level classes, and the set of those
+    methods that call `_naturality`."""
+    out, callers = [], set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name not in readers:
+            continue
+        wanted = readers[node.name]
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) or \
+                    (wanted is not None and method.name not in wanted):
+                continue
+            where = f"{node.name}.{method.name}"
+            out.extend((where, a.lineno, a.attr) for a in ast.walk(method)
+                       if isinstance(a, ast.Attribute)
+                       and a.attr in STRUCTURE_READS)
+            if named_calls(method, {"_naturality"}):
+                callers.add(where)
+    return sorted(out), callers
+
+
+def kronecker_products(source):
+    """(line, what) of every function named like a Kronecker product, every
+    `np.kron` and every broadcast outer product (an index tuple of three or
+    more entries holding `None`)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and "kron" in node.name.lower():
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.Attribute) and node.attr == "kron" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            out.append((node.lineno, "np.kron"))
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.slice, ast.Tuple) \
+                and len(node.slice.elts) >= 3 \
+                and any(isinstance(e, ast.Constant) and e.value is None
+                        for e in node.slice.elts):
+            out.append((node.lineno, "broadcast"))
+    return sorted(out)
+
+
+# The morphism check, the hom solver and the box product, abridged, as they
+# read when the check and the solver each listed the naturality conditions
+# and the box product kept its own Kronecker product.
+CONDITIONS_LISTED_TWICE = '''
+class MackeyMorphism:
+    def _check(self):
+        for (A, B) in group.canonical_covers:
+            check(self.source.res[(A, B)], self.target.tr[(A, B)])
+        for n in cls.normalizer_generators:
+            check(self.source.conj[c][n])
+
+    def at_gset(self, X):
+        return self.source.res
+
+class NatSolver:
+    def _add_structure(self):
+        for c_src, c_tgt, m_src, m_tgt, _ in _naturality(self.M, self.N):
+            self.add_commuting(cb, ca, self.M.res[(A, B)], self.N.res[(A, B)])
+
+def _kron(A, B):
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
+
+def box(M, N):
+    return np.kron(M, N)
+'''
+
+
+def test_scanner_finds_naturality_conditions_and_kronecker_products():
+    reads, callers = structure_reads(CONDITIONS_LISTED_TWICE,
+                                     NATURALITY_READERS)
+    assert reads == [
+        ("MackeyMorphism._check", 4, "canonical_covers"),
+        ("MackeyMorphism._check", 5, "res"), ("MackeyMorphism._check", 5, "tr"),
+        ("MackeyMorphism._check", 6, "normalizer_generators"),
+        ("MackeyMorphism._check", 7, "conj"),
+        ("NatSolver._add_structure", 15, "res"),
+        ("NatSolver._add_structure", 15, "res")]
+    assert callers == {"NatSolver._add_structure"}
+    assert kronecker_products(CONDITIONS_LISTED_TWICE) == [
+        (17, "_kron"), (18, "broadcast"), (18, "broadcast"), (21, "np.kron")]
+
+
+def test_naturality_is_listed_once_and_kronecker_products_live_in_intmat():
+    # the morphism check and the hom solver read res, tr and conjugation
+    # only through `mackey._naturality`, and `intmat.kron` is the one
+    # Kronecker product
+    mackey = (PACKAGE / "mackey.py").read_text(encoding="utf-8")
+    reads, callers = structure_reads(mackey, NATURALITY_READERS)
+    assert reads == []
+    assert callers == {"MackeyMorphism._check", "NatSolver.__init__"}
+    for path in MODULES:
+        found = kronecker_products(path.read_text(encoding="utf-8"))
+        if path.name == "intmat.py":
+            assert [what for _, what in found] == ["kron", "broadcast",
+                                                   "broadcast"]
+        else:
+            assert found == [], path.name

@@ -20,7 +20,9 @@ from mackeykit.gsets import (
     GSet,
     coproduct,
     disjoint_union_of_orbits,
+    find_isomorphism,
     identity_map,
+    orbit_map,
     point_gset,
     product,
     standard_orbit,
@@ -77,6 +79,7 @@ from support import (
     exhaustive_functoriality_oracle,
     gmodule_hom_group,
     identity_element_vector_oracle,
+    natural_by_spans,
     permutation_group,
     representable_span_action,
     span_functoriality_oracle,
@@ -410,6 +413,24 @@ def test_bad_action_rejected(c2):
         fixed_point_mackey(c2, V, {0: im.intmat([[1]]), 1: im.intmat([[2]])})
 
 
+@pytest.mark.parametrize("entry", [[[1.7]], [["1"]], [[True]],
+                                   np.array([[1.0]])],
+                         ids=["float", "string", "bool", "float-array"])
+def test_action_entries_must_be_integers(c2, entry):
+    # int() once read 1.7 as 1 and parsed '1'
+    V = FinPresAbGroup.free(1)
+    with pytest.raises(ValueError,
+                       match=r"^action\[1\]\[0\]\[0\] is not an integer"):
+        fixed_point_mackey(c2, V, {0: [[1]], 1: entry})
+
+
+def test_action_matrices_must_be_square_on_the_generators(c2):
+    V = FinPresAbGroup.free(1)
+    with pytest.raises(ValueError, match=r"^action\[1\] must be 1 x 1, "
+                                         r"got 1 x 2$"):
+        fixed_point_mackey(c2, V, {0: [[1]], 1: [[1, 0]]})
+
+
 @pytest.mark.parametrize("name", ["C4", "S3", "C2xC2"])
 def test_action_wrong_at_one_non_generator_is_rejected(name):
     # the representation is checked on generators only; an action that is
@@ -478,6 +499,118 @@ def test_hom_commutes_with_normalizer_generators_only_same_basis(name):
         assert len(expected.basis) == len(got.basis)
         for a, b in zip(expected.basis, got.basis):
             assert all(np.array_equal(x, y) for x, y in zip(a.mats, b.mats))
+
+
+def _natural_pairs(group):
+    """(M, N) pairs for the naturality checks; the first three have free
+    source levels, on which every levelwise matrix is well defined."""
+    Z = FinPresAbGroup.free(1)
+    A = burnside_mackey(group)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    half = cokernel(two)[0]
+    return [(A, FP), (FP, half),
+            (A, fixed_point_mackey(group, *regular_module(group))),
+            (half, half), (half, FP)]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_hom_basis_is_natural_by_span_evaluation(name):
+    for M, N in _natural_pairs(builtin_group(name)):
+        for f in hom_mackey(M, N).basis:
+            assert natural_by_spans(M, N, f.mats)
+
+
+def _refused_as_spans_refuse(M, N, names):
+    """Add 1 to one entry of one level of a hom(M, N) basis morphism, each
+    way: the checked constructor must raise, naming one of `names`,
+    exactly when some basis span does not commute with the result.
+    Returns how many it refused."""
+    refused = 0
+    for f in hom_mackey(M, N).basis:
+        for c, i, j in [(c, i, j) for c, U in enumerate(f.mats)
+                        for i, j in np.ndindex(*U.shape)]:
+            mats = list(f.mats)
+            mats[c] = mats[c].copy()
+            mats[c][i, j] += 1
+            if natural_by_spans(M, N, mats):
+                MackeyMorphism(M, N, mats)
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match=f"does not commute with "
+                                                 f"({names}) at "):
+                MackeyMorphism(M, N, mats)
+    return refused
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_morphism_check_refuses_exactly_the_maps_spans_refuse(name):
+    group = builtin_group(name)
+    refused = sum(_refused_as_spans_refuse(M, N, "res|tr|conjugation")
+                  for M, N in _natural_pairs(group)[:3])
+    assert refused or group.order == 1
+
+
+def _one_structure_map_pair(kind):
+    """(M, N) on which naturality can fail only along `kind`.  S, Z at
+    C2/C2 and 0 at C2/e, has zero res and tr, so A -> S meets only tr and
+    S -> A only res; W, Z[C3]/(1 + g + g^2) at C3/e and 0 at C3/C3, has
+    no res and tr to meet, only conjugation."""
+    free = FinPresAbGroup.free
+    if kind == "conjugation":
+        group = builtin_group("C3")
+        W = mackey_from_levels(group, [free(2), free(0)],
+                               {(0, 1): im.zeros(2, 0)},
+                               {(0, 1): im.zeros(0, 2)},
+                               {0: {1: [[0, -1], [1, -1]]}}, name="W")
+        return W, W
+    group = builtin_group("C2")
+    S = mackey_from_levels(group, [free(0), free(1)], {(0, 1): im.zeros(0, 1)},
+                           {(0, 1): im.zeros(1, 0)}, {0: {1: im.zeros(0, 0)}},
+                           name="S")
+    A = burnside_mackey(group)
+    return (A, S) if kind == "tr" else (S, A)
+
+
+@pytest.mark.parametrize("kind", ["res", "tr", "conjugation"])
+def test_morphism_check_names_the_one_structure_map_that_fails(kind):
+    # dropping any one kind of condition from the morphism check shows here
+    assert _refused_as_spans_refuse(*_one_structure_map_pair(kind), kind)
+
+
+def test_morphism_check_names_res_on_the_fixed_points_of_z(c2):
+    # FP(Z) -> FP(Z), 0 at e and 1 at C2: res from C2 to e is the identity
+    # of Z, so U_e res = 0 while res U_C2 = 1
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(c2, Z, trivial_module(c2, Z))
+    mats = [im.intmat([[int(len(cls.representative) > 1)]])
+            for cls in c2.subgroup_classes()]
+    assert not natural_by_spans(FP, FP, mats)
+    with pytest.raises(ValueError, match="does not commute with res at"):
+        MackeyMorphism(FP, FP, mats)
+
+
+@pytest.mark.parametrize("build", [
+    lambda X, Y: hom_basis(X, Y),
+    lambda X, Y: tensor(identity_element(X), identity_element(Y)),
+    lambda X, Y: find_isomorphism(X, Y),
+    lambda X, Y: GMap(X, Y, [0]),
+    lambda X, Y: orbit_map(X, Y, 0),
+    lambda X, Y: product(X, Y),
+    lambda X, Y: coproduct(X, Y),
+    lambda X, Y: BurnsideElement(X, Y, {}),
+    lambda X, Y: MackeyMorphism(burnside_mackey(X.group),
+                                burnside_mackey(Y.group), []),
+    lambda X, Y: burnside_mackey(Y.group).eval_span(identity_element(X)),
+], ids=["hom_basis", "tensor", "find_isomorphism", "GMap", "orbit_map",
+        "product", "coproduct", "BurnsideElement", "MackeyMorphism",
+        "eval_span"])
+def test_gset_span_and_morphism_mismatch_names_both_groups(build):
+    X = point_gset(builtin_group("C2"))
+    Y = point_gset(builtin_group("C3"))
+    with pytest.raises(ValueError,
+                       match="are over different groups: C2 and C3$"):
+        build(X, Y)
 
 
 # -- stored data and the Mackey-algebra relations ----------------------------------------
