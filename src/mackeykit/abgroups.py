@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import intmat
-from .groups import _labels
 from .intmat import (
+    _labels,
     hermite_normal_form,
     intmat as mat,
     lattice_sum,
@@ -30,21 +30,15 @@ def _int_matrix(rows, ncols, name, *where):
     """`rows` as an object matrix of Python ints, with `ncols` if empty.
 
     A 2-D object array is the library's own representation and is returned
-    as given, not copied.  Other input is converted entry by entry: a
-    float, string or bool raises ValueError naming it as `name[i][j]`,
-    where `int()` would truncate or parse it.  `name` is formatted with
-    `where` only then, which keeps the shared path free of string work.
+    as given, not copied.  Other input goes through `intmat`, which names
+    a float, string or bool entry as `name[i][j]`.  `name` is formatted
+    with `where` only then, which keeps the shared path free of string
+    work.
     """
     if isinstance(rows, np.ndarray) and rows.dtype == object \
             and rows.ndim == 2:
         return rows
-    name = name.format(*where)
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError(f"{name} is not a 2-D array")
-        rows = rows.tolist()
-    return mat([_labels(r, f"{name}[{i}]") for i, r in enumerate(rows)],
-               ncols)
+    return mat(rows, ncols, name.format(*where))
 
 
 class FinPresAbGroup:
@@ -160,11 +154,19 @@ class FinPresAbGroup:
         return out
 
     def normal_form(self, v):
-        """Unique canonical tuple for the class of v."""
+        """Unique canonical tuple for the class of v.
+
+        An object array, the library's own representation, is read as it
+        is.  Any other v must hold integers: a float, bool or string entry
+        raises ValueError naming it, as does a length other than the
+        generator count.
+        """
+        if not (isinstance(v, np.ndarray) and v.dtype == object):
+            v = _labels(v, "element")
+        if len(v) != self.generator_count:
+            raise ValueError(f"element of length {len(v)} in a group "
+                             f"on {self.generator_count} generators")
         if self._transforms is None:
-            if len(v) != self.generator_count:
-                raise ValueError(f"element of length {len(v)} in a group "
-                                 f"on {self.generator_count} generators")
             return tuple(map(int, v))
         y = self._transforms[0] @ np.asarray(v, dtype=object)
         out = []

@@ -72,18 +72,21 @@ def code_subgroup(X: GSet, Y: GSet, code):
 
     Raises ValueError naming the code unless x and y are points of X and Y
     fixed by L, which is what makes gL -> (g.x, g.y) a well-defined span.
+    The class's `generators` suffice: the stabilizer of a point is a
+    subgroup, so it contains L exactly when it contains a generating set
+    of L.
     """
     cidx, x, y = code
     classes = X.group.subgroup_classes()
     if not (0 <= cidx < len(classes) and 0 <= x < X.size and 0 <= y < Y.size):
         raise ValueError(f"span code {code} is out of range")
-    L = classes[cidx].representative
+    cls = classes[cidx]
     xa, ya = X.action, Y.action
-    for h in L:
+    for h in cls.generators:
         if xa[h][x] != x or ya[h][y] != y:
             raise ValueError(f"span code {code}: its points are not fixed "
-                             f"by {L}")
-    return L
+                             f"by {cls.representative}")
+    return cls.representative
 
 
 def span_codes(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):

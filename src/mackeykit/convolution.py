@@ -7,7 +7,10 @@ M(G/L) (x) N(G/L) per class of transitive over-object), modulo the coend
 relations generated by equivariant maps between transitive over-objects:
 a transfer in one slot trades for a restriction in the other.  Structure
 maps and relations are the Mackey formula on over-codes (`over_image`),
-read off action rows and the factors' span blocks.  The
+read off action rows and the factors' span blocks.  Each relation is a
+sparse column built from the nonzeros of those blocks and of the
+factors' relators, and a level's distinct columns go straight to the
+sparse Hermite form, with no dense relation matrix.  The
 universal bilinear pairing, the unit/associativity/commutativity
 witnesses, and the internal hom against representables are all exact,
 and every isomorphism returns a two-sided matrix witness.
@@ -32,8 +35,9 @@ from .burnside import (
     span_element,
     tensor,
 )
-from .groups import _labels, _same_group
+from .groups import _same_group
 from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
+from .intmat import _column_entries, _labels, hermite_normal_form_of_columns
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -141,7 +145,7 @@ def _layout(M: MackeyFunctor, N: MackeyFunctor, starts):
 
 
 def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
-                            starts, gens):
+                            starts, gens, rels, span_blocks):
     """The level group (M box N)(X) of an orbit X.
 
     The relations are those of M and N in each block, and the coend
@@ -149,38 +153,63 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
     along every over-map (L', x') -> (L, x): a point q of G/L fixed by L'
     that the structure map of x sends to x'.  Transfer and restriction
     along gL' -> g.q are read from the factors' span blocks.
+
+    Each relation is one sparse column {generator: value}, built from the
+    nonzeros of those blocks and of the factors' relation lattices, column
+    by column: `rels[c]` holds those of M's and N's relators at class c,
+    and `span_blocks(cwp, cw, q)` those of (tr_M, tr_N, res_M, res_N)
+    along gL' -> g.q.  The distinct columns go to the sparse Hermite
+    form, last generated first.  The Hermite form of a lattice is unique,
+    so neither their order nor repeats among them change the relation
+    lattice; the order sets only the fill-in.  Last first, the elimination
+    for A box FP(Z[G]) and R box R takes 1.8-6x less time than in
+    generation order on D4, Q8 and S4.
     """
     group = X.group
     nM = [lvl.generator_count for lvl in M.levels]
     nN = [lvl.generator_count for lvl in N.levels]
-    eye = intmat.identity
-    rows = set()
+    cols = {}     # distinct relations, as frozensets of (generator, value)
 
-    def add(*pieces):
-        """Relation columns: (start row, matrix) pieces summed into one block."""
-        block = intmat.zeros(gens, pieces[0][1].shape[1])
-        for start, mat in pieces:
-            block[start:start + mat.shape[0]] += mat
-        rows.update(r for r in map(tuple, block.T.tolist()) if any(r))
+    def add(first, second=()):
+        """The relation first - second, both given by (generator, value)."""
+        col = dict(first)
+        for k, v in second:
+            w = col.get(k, 0) - v
+            if w:
+                col[k] = w
+            else:
+                del col[k]
+        if col:
+            cols[frozenset(col.items())] = None
 
     for (cw, _x), s in starts.items():
-        add((s, intmat.kron(M.levels[cw].relation_lattice, eye(nN[cw]))))
-        add((s, intmat.kron(eye(nM[cw]), N.levels[cw].relation_lattice)))
+        n = nN[cw]
+        relM, relN = rels[cw]
+        for col in relM:                    # kron(rel_M, I)
+            for j in range(n):
+                add((s + i * n + j, v) for i, v in col)
+        for i in range(nM[cw]):             # kron(I, rel_N)
+            for col in relN:
+                add((s + i * n + j, v) for j, v in col)
     for (cwp, xp), sp in starts.items():
-        Op = standard_orbit(group, cwp)
         for (cw, x), s in starts.items():
             O = standard_orbit(group, cw)
             reach = O.orbit_index.reach
+            n, n_p = nN[cw], nN[cwp]
             for q in O.fixed_orbits[cwp].points:
                 if X.action[reach[q]][x] != xp:
                     continue
-                trM, trN = (_block(F, Op, O, (cwp, 0, q)) for F in (M, N))
-                rsM, rsN = (_block(F, O, Op, (cwp, q, 0)) for F in (M, N))
-                add((s, intmat.kron(trM, eye(nN[cw]))),
-                    (sp, -intmat.kron(eye(nM[cwp]), rsN)))
-                add((s, intmat.kron(eye(nM[cw]), trN)),
-                    (sp, -intmat.kron(rsM, eye(nN[cwp]))))
-    return FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
+                trM, trN, rsM, rsN = span_blocks(cwp, cw, q)
+                for a, tcol in enumerate(trM):
+                    for b, rcol in enumerate(rsN):
+                        add(((s + i * n + b, v) for i, v in tcol),
+                            ((sp + a * n_p + j, v) for j, v in rcol))
+                for a, rcol in enumerate(rsM):
+                    for b, tcol in enumerate(trN):
+                        add(((s + a * n + j, v) for j, v in tcol),
+                            ((sp + i * n_p + b, v) for i, v in rcol))
+    H = hermite_normal_form_of_columns(reversed(cols), gens)
+    return FinPresAbGroup(gens, H.T)
 
 
 def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
@@ -204,7 +233,24 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     blocks = [_block_starts(M, N, cs) for cs in codes]
     data = BoxData(M, N, codes,
                    tuple(_layout(M, N, starts) for starts, _ in blocks))
-    levels = [_box_level_presentation(M, N, X, starts, gens)
+    rels = [(_column_entries(m.relation_lattice),
+             _column_entries(n.relation_lattice))
+            for m, n in zip(M.levels, N.levels)]
+    nonzeros = {}
+
+    def span_blocks(cwp, cw, q):
+        """Nonzeros of tr_M, tr_N, res_M, res_N along gL' -> g.q, read
+        once per box."""
+        if (cwp, cw, q) not in nonzeros:
+            Op, O = orbits[cwp], orbits[cw]
+            nonzeros[(cwp, cw, q)] = tuple(
+                _column_entries(_block(F, S, T, code))
+                for S, T, code in ((Op, O, (cwp, 0, q)), (O, Op, (cwp, q, 0)))
+                for F in (M, N))
+        return nonzeros[(cwp, cw, q)]
+
+    levels = [_box_level_presentation(M, N, X, starts, gens, rels,
+                                      span_blocks)
               for X, (starts, gens) in zip(orbits, blocks)]
     twists = {}
 

@@ -9,9 +9,10 @@ opaquely through `mul`, `inv` and the subgroup-class data computed here.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+
+from .intmat import _labels
 
 
 @dataclass(frozen=True)
@@ -49,24 +50,6 @@ class RelationPlan:
     conjugation: tuple
     transitivity: tuple
     double_coset: tuple
-
-
-def _labels(values, name):
-    """The entries of `values` as a tuple of ints.
-
-    Python and numpy integers pass.  A float, string or bool raises a
-    ValueError naming the entry as `name[i]`, where `int()` would truncate
-    or parse it.
-    """
-    values = tuple(values)
-    if bool not in map(type, values):
-        try:
-            return tuple(map(operator.index, values))
-        except TypeError:
-            pass
-    i = next(i for i, x in enumerate(values)
-             if isinstance(x, bool) or not isinstance(x, numbers.Integral))
-    raise ValueError(f"{name}[{i}] is not an integer: {values[i]!r}")
 
 
 def _same_group(G, H, what):

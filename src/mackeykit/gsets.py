@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .groups import FiniteGroup, _labels, _same_group
+from .groups import FiniteGroup, _same_group
+from .intmat import _labels
 
 
 @dataclass(frozen=True)

@@ -12,32 +12,64 @@ Tinv kept transposed so that every operation they receive is a row
 operation; it performs the dense elimination's operations in the same
 order, which is why its output is identical entry for entry.  `Solver`
 keeps Sinv by rows and Tinv by columns and never forms a dense product.
-`hermite_normal_form` returns an input already in Hermite form after one
-pass over its nonzeros.
+`hermite_normal_form_of_columns` is the one Hermite elimination, on
+sparse columns; `hermite_normal_form` hands it a dense matrix's nonzeros,
+and returns an input already in Hermite form after one pass over them.
+
+Object arrays, the library's own representation, are taken as given.
+Any other input must hold integers: `intmat` and `intvec` refuse a float,
+bool or string entry by name where `int()` would truncate or parse it.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 
 
-def intmat(rows, ncols=None):
-    """Build an object-dtype matrix from nested lists.
+def _labels(values, name):
+    """The entries of `values` as a tuple of ints.
+
+    Python and numpy integers pass.  A float, string or bool raises a
+    ValueError naming the entry as `name[i]`, where `int()` would truncate
+    or parse it.
+    """
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    i = next(i for i, x in enumerate(values)
+             if isinstance(x, bool) or not isinstance(x, numbers.Integral))
+    raise ValueError(f"{name}[{i}] is not an integer: {values[i]!r}")
+
+
+def intmat(rows, ncols=None, name="matrix"):
+    """Build an object-dtype matrix from nested lists or a 2-D array.
 
     `ncols` disambiguates the empty matrix: intmat([], 3) has shape (0, 3).
+    An object array, the library's own representation, is copied as it
+    is.  Any other input must hold integers: a float, bool or string
+    entry raises ValueError naming it as `name[i][j]`, where `int()`
+    would truncate or parse it.
     """
     if isinstance(rows, np.ndarray):
-        out = rows.astype(object)
-        if out.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return out
+        if rows.ndim != 2:
+            raise ValueError(f"{name} is not a 2-D array")
+        if rows.dtype == object or rows.dtype.kind in "iu":
+            return rows.astype(object)
+        rows = rows.tolist()    # named entry by entry below
     rows = list(rows)
     if not rows:
         return np.zeros((0, 0 if ncols is None else ncols), dtype=object)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    return _from_lists([list(map(int, r)) for r in rows], len(rows), width)
+    return _from_lists([_labels(r, f"{name}[{i}]") for i, r in enumerate(rows)],
+                       len(rows), width)
 
 
 def _from_lists(rows, m, n):
@@ -53,8 +85,17 @@ def _from_lists(rows, m, n):
 
 
 def intvec(entries):
+    """Object-dtype vector of the entries.
+
+    An object array is copied as it is; any other entry that is not an
+    integer raises ValueError naming it as `vector[i]`.
+    """
+    if isinstance(entries, np.ndarray):
+        if entries.dtype == object and entries.ndim == 1:
+            return entries.copy()
+        entries = entries.tolist()
     out = np.empty(len(entries), dtype=object)
-    out[:] = list(map(int, entries))
+    out[:] = _labels(entries, "vector")
     return out
 
 
@@ -402,22 +443,32 @@ def hermite_normal_form(A):
 
     An input that already has those properties is returned as a copy
     after one pass over its nonzeros: the Hermite form of a lattice is
-    unique, so elimination would give the same matrix.
+    unique, so elimination would give the same matrix.  Any other input
+    is eliminated by `hermite_normal_form_of_columns` on its nonzeros.
     """
     A = intmat(A)          # a fresh array, returned as is when canonical
-    m, n = A.shape
     entries = _column_entries(A)
     if _in_hermite_form(entries):
         return A
-    # incremental sparse echelon insertion: pivots[r] holds a column (as a
-    # sparse dict) whose minimal nonzero row is r.  Sparse unit columns go
-    # in first; they make clean pivots and keep fill-in down.
-    cols = [dict(c) for c in entries]
-    cols.sort(key=lambda v: (len(v), max((abs(x) for x in v.values()),
-                                         default=0)))
+    return hermite_normal_form_of_columns(entries, A.shape[0])
+
+
+def hermite_normal_form_of_columns(cols, nrows):
+    """`hermite_normal_form` of the nrows-row matrix with sparse columns.
+
+    Each column is an iterable of (row, value) pairs: distinct rows in
+    [0, nrows), values nonzero Python ints, as `_column_entries` or the
+    items of a {row: value} dict give them.  An empty sequence is a zero
+    column.  The Hermite form of a lattice is unique, so neither the order
+    of the columns nor repeated columns change the result.
+
+    Incremental sparse echelon insertion: pivots[r] holds a column (as a
+    sparse dict) whose least nonzero row is r.  Sparse unit columns go in
+    first; they make clean pivots and keep fill-in down.
+    """
     pivots = {}
-    for v in cols:
-        v = dict(v)
+    for v in sorted(map(dict, cols), key=lambda v: (
+            len(v), max((abs(x) for x in v.values()), default=0))):
         while v:
             r = min(v)
             p = pivots.get(r)
@@ -435,7 +486,7 @@ def hermite_normal_form(A):
                 else:
                     v.pop(i, None)
     rows = sorted(pivots)
-    W = zeros(m, len(rows))
+    W = zeros(nrows, len(rows))
     for j, r in enumerate(rows):
         col = pivots[r]
         sign = -1 if col[r] < 0 else 1

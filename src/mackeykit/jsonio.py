@@ -21,7 +21,8 @@ import numbers
 from .abgroups import FinPresAbGroup
 from .burnside import BurnsideElement, code_subgroup, transitive_code
 from .convolution import GreenFunctor, green_from_levelwise
-from .groups import FiniteGroup, _labels, load_group
+from .groups import FiniteGroup, load_group
+from .intmat import _labels
 from .gsets import GSet, disjoint_union_of_orbits, empty_gset
 from .mackey import MackeyFunctor, class_pair_covers, mackey_from_levels
 

@@ -297,6 +297,28 @@ def test_invariant_factors_must_be_integers(factors):
         FinPresAbGroup.from_invariants(factors)
 
 
+@pytest.mark.parametrize("v,where", [([1.5, 0.5], r"element\[0\]"),
+                                     ([1, True], r"element\[1\]"),
+                                     (["1", 0], r"element\[0\]")])
+def test_normal_form_elements_must_be_integers(v, where):
+    # int() once read [1.5, 0.5] as (1, 0), with relators and without
+    for G in (FinPresAbGroup.from_invariants([2, 0]), FinPresAbGroup.free(2)):
+        with pytest.raises(ValueError, match=where + " is not an integer"):
+            G.normal_form(v)
+    assert FinPresAbGroup.from_invariants([2, 0]).normal_form(
+        np.array([3, -1])) == (1, -1)
+
+
+@pytest.mark.parametrize("G", [FinPresAbGroup.from_invariants([2, 0]),
+                               FinPresAbGroup.free(2)], ids=["C2xZ", "Z^2"])
+def test_normal_form_refuses_elements_of_the_wrong_length(G):
+    # with relators a wrong length once raised numpy's shape error
+    for v in ([1], [1, 0, 0], im.intvec([1, 0, 0])):
+        with pytest.raises(ValueError, match=f"element of length {len(v)} "
+                           "in a group on 2 generators"):
+            G.normal_form(v)
+
+
 def test_numpy_integers_are_accepted():
     G = FinPresAbGroup(np.int64(2), np.array([[4, 6]], dtype=np.int64))
     H = FinPresAbGroup(2, [[4, 6]])

@@ -23,6 +23,7 @@ from mackeykit.burnside import (
     basis_element,
     burnside_ring_from_spans,
     burnside_ring_table,
+    code_subgroup,
     coevaluation_span,
     compose,
     dual,
@@ -41,6 +42,7 @@ from mackeykit.burnside import (
     triangle_composite,
 )
 from support import (
+    PERMUTATION_BATTERY,
     direct_sum_decompose,
     direct_sum_reassemble,
     fixed_points,
@@ -285,6 +287,35 @@ def test_compose_and_tensor_check_each_factor_once_even_against_zero():
         compose(right, left)
     with pytest.raises(ValueError, match=re.escape("span code (1, 0, 0)")):
         tensor(left, right)
+
+
+def code_subgroup_oracle(X, Y, code):
+    """`code_subgroup` by testing every element of L, or its message."""
+    cidx, x, y = code
+    L = X.group.subgroup_classes()[cidx].representative
+    if all(X.action[h][x] == x and Y.action[h][y] == y for h in L):
+        return L
+    return f"span code {code}: its points are not fixed by {L}"
+
+
+@pytest.mark.parametrize("name", BATTERY + PERMUTATION_BATTERY)
+def test_code_subgroup_checks_the_class_generators_like_every_element(name):
+    group = group_named(name)
+    orbits = [standard_orbit(group, cls.index)
+              for cls in group.subgroup_classes()]
+    refused = 0
+    for X, Y in itertools.product(orbits, repeat=2):
+        for code in itertools.product(range(len(orbits)), range(X.size),
+                                      range(Y.size)):
+            want = code_subgroup_oracle(X, Y, code)
+            try:
+                got = code_subgroup(X, Y, code)
+            except ValueError as err:
+                got = str(err)
+                refused += 1
+            assert got == want, (name, X.size, Y.size, code)
+    # the trivial group fixes every point, and any other refuses some code
+    assert (refused == 0) == (name == "trivial")
 
 
 def test_orbit_tables_do_not_pin_gsets():

@@ -794,6 +794,29 @@ def test_box_of_burnside_and_regular_fixed_points_matches_span_oracle(name):
     assert_box_matches_oracle(box(A, FP), A, FP)
 
 
+@pytest.mark.parametrize("pair", ["FP/2,FP", "FP,FP/2", "FP/2,FP/2", "Q,Q"])
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_box_with_relators_matches_span_oracle(name, pair):
+    # FP(Z)/2 has a relator at every level, so the relator columns
+    # kron(rel_M, I) and kron(I, rel_N) meet the coend relations.  Its
+    # levels have one generator, where the two Kronecker orders agree, so
+    # Q = FP(Z[G]) / (2 + phi), phi the last basis morphism of its
+    # endomorphisms, adds levels of several generators with relators that
+    # are not scalar
+    group = builtin_group(name)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    FZ = fixed_point_mackey(group, *regular_module(group))
+    phi = hom_mackey(FZ, FZ).basis[-1]
+    factors = {"FP": FP}
+    for f, F, maps in (("FP/2", FP, [2 * im.identity(1)] * len(FP.levels)),
+                       ("Q", FZ, [m + 2 * im.identity(m.shape[0])
+                                  for m in phi.mats])):
+        factors[f] = cokernel(MackeyMorphism(F, F, maps))[0]
+    M, N = (factors[f] for f in pair.split(","))
+    assert_box_matches_oracle(box(M, N), M, N)
+
+
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])
 def test_burnside_green_box_matches_span_oracle(name):
     R = burnside_green(builtin_group(name), check=False).underlying

@@ -8,7 +8,9 @@ every validator stays deterministic.  Only
 reads orbits, stabilizers and their classes from `GSet.orbit_index`, and
 fixed points per subgroup class from `GSet.fixed_orbits`.  The presented box
 product has one implementation, the Mackey formula on over-codes: its
-functions build no G-maps, G-set products or spans.  A Green module is
+functions build no G-maps, G-set products or spans, and its level
+relations are sparse columns handed to the column Hermite form, with no
+dense block, row list, row sort or dense Hermite form.  A Green module is
 its level action tables: the functions that build, cover, map and check
 modules present no box product and build no map out of one.  Res and tr
 along a G-map have one path on the resolution and Tor route, the orbit
@@ -207,6 +209,53 @@ def test_box_structure_comes_from_over_codes_only():
     calls, found = calls_inside(source, BOX_FUNCTIONS, SPAN_BUILDERS)
     assert found == set(BOX_FUNCTIONS)
     assert calls == []
+
+
+DENSE_RELATIONS = {"intmat", "zeros", "tolist", "sorted",
+                   "hermite_normal_form"}
+
+# The box level presentation, abridged, as it read when every relation was
+# a dense row as wide as the level's generator count.
+DENSE_BOX_LEVEL = '''
+def _box_level_presentation(M, N, X, starts, gens):
+    rows = set()
+
+    def add(*pieces):
+        block = intmat.zeros(gens, pieces[0][1].shape[1])
+        rows.update(r for r in map(tuple, block.T.tolist()) if any(r))
+
+    return FinPresAbGroup(gens, intmat.intmat(sorted(rows), gens))
+
+def _box_level_hermite(rows, gens):
+    return hermite_normal_form(intmat.intmat(rows, gens).T)
+'''
+
+
+def test_scanner_finds_dense_relation_rows():
+    calls, found = calls_inside(DENSE_BOX_LEVEL, ("_box_level_presentation",
+                                                  "_box_level_hermite"),
+                                DENSE_RELATIONS)
+    assert found == {"_box_level_presentation", "_box_level_hermite"}
+    assert calls == [("_box_level_hermite", 12, "hermite_normal_form"),
+                     ("_box_level_hermite", 12, "intmat"),
+                     ("_box_level_presentation", 6, "zeros"),
+                     ("_box_level_presentation", 7, "tolist"),
+                     ("_box_level_presentation", 9, "intmat"),
+                     ("_box_level_presentation", 9, "sorted")]
+
+
+def test_box_relations_are_sparse_columns():
+    # each box relation is a sparse column that goes straight to the
+    # column Hermite form: no dense block or row, no list conversion, no
+    # sort of rows and no dense Hermite form
+    source = (PACKAGE / "convolution.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(source, ("_box_level_presentation",),
+                                DENSE_RELATIONS)
+    assert found == {"_box_level_presentation"}
+    assert calls == []
+    calls, _ = calls_inside(source, ("_box_level_presentation",),
+                            {"hermite_normal_form_of_columns"})
+    assert len(calls) == 1
 
 
 MODULE_FUNCTIONS = {

@@ -3,6 +3,7 @@ import json
 import operator
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -238,15 +239,56 @@ def test_from_cols_rejects_column_of_wrong_length():
 
 
 def test_intmat_coerces_and_rejects_ragged_rows():
-    A = im.intmat([[np.int64(3), True], [2 ** 70, -1]])
+    A = im.intmat([[np.int64(3), 1], [2 ** 70, -1]])
     assert [type(x) for x in A.ravel()] == [int] * 4
     assert A[1, 0] == 2 ** 70 and A[0, 1] == 1
+    assert im.mats_equal(im.intmat(np.array([[3, 1], [0, -1]], dtype=np.int8)),
+                         im.intmat([[3, 1], [0, -1]]))
     assert im.intmat([], 3).shape == (0, 3)
     assert im.intmat([[], []]).shape == (2, 0)
     with pytest.raises(ValueError, match="ragged rows"):
         im.intmat([[1, 2], [3]])
     v = im.intvec([np.int64(4), 2 ** 70])
     assert [type(x) for x in v] == [int, int] and v[1] == 2 ** 70
+
+
+@pytest.mark.parametrize("rows,entry", [
+    (np.array([[1.5, 2.0], [0.0, 3.0]]), "[0][0] is not an integer: 1.5"),
+    (np.array([[1.0, 2.0]]), "[0][0] is not an integer: 1.0"),
+    (np.array([[1, 0], [0, 1]], dtype=bool), "[0][0] is not an integer: True"),
+    (np.array([["1", "2"]]), "[0][0] is not an integer: '1'"),
+    ([[1.7, 2]], "[0][0] is not an integer: 1.7"),
+    ([[1, 2], [3, True]], "[1][1] is not an integer: True"),
+    ([[1, np.float64(2.0)]], "[0][1] is not an integer: np.float64(2.0)"),
+], ids=["float-array", "integral-float-array", "bool-array", "str-array",
+        "float-list", "bool-list", "numpy-float"])
+def test_intmat_refuses_entries_that_are_not_integers(rows, entry):
+    # int() once truncated 1.7 to 1, and a float array kept its floats,
+    # which the Hermite and Smith forms then divided and truncated
+    with pytest.raises(ValueError, match=re.escape("matrix" + entry)):
+        im.intmat(rows)
+    if isinstance(rows, np.ndarray):
+        for f in (im.hermite_normal_form, im.smith_normal_form):
+            with pytest.raises(ValueError, match=re.escape(entry)):
+                f(rows)
+
+
+def test_intvec_refuses_entries_that_are_not_integers():
+    for v, entry in (([1, 2.5], "[1] is not an integer: 2.5"),
+                     ([True], "[0] is not an integer: True"),
+                     (np.array([0.5]), "[0] is not an integer: 0.5")):
+        with pytest.raises(ValueError, match=re.escape("vector" + entry)):
+            im.intvec(v)
+
+
+def test_object_arrays_pass_as_given():
+    # the library's own representation is copied, not checked entry by entry
+    A = im.intmat([[1, 2], [3, 4]])
+    B = im.intmat(A)
+    assert im.mats_equal(A, B) and B is not A
+    v = im.intvec([1, 2 ** 70])
+    w = im.intvec(v)
+    assert im.mats_equal(v, w) and w is not v
 
 
 @settings(max_examples=120, deadline=None)
@@ -306,6 +348,46 @@ def test_hermite_canonical(A):
         assert im.is_zero(A[:, j]) or im.in_lattice(A[:, j], H)
     for j in range(H.shape[1]):
         assert im.in_lattice(H[:, j], A)
+
+
+def sparse_columns(A):
+    """The columns of A as {row: value} dicts without zeros."""
+    return [{i: v for i, v in enumerate(A[:, j]) if v}
+            for j in range(A.shape[1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.randoms(use_true_random=False))
+@example(im.zeros(4, 0), random.Random(0))
+@example(im.zeros(0, 3), random.Random(0))
+def test_hermite_of_columns_matches_the_dense_form(A, rng):
+    # any order of the columns and of their entries, columns repeated,
+    # negated and added, and zero columns: the same lattice, so the same form
+    m, n = A.shape
+    H = im.hermite_normal_form(A)
+    cols = sparse_columns(A)
+    moved = cols + [{i: -v for i, v in c.items()} for c in cols
+                    if rng.random() < 0.5]
+    moved += [rng.choice(cols) for _ in range(rng.randint(0, n))]
+    for a, b in [(rng.choice(cols), rng.choice(cols)) for _ in range(n and 2)]:
+        total = {i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}
+        moved.append({i: v for i, v in total.items() if v})
+    moved += [{}] * rng.randint(0, 2)
+    rng.shuffle(moved)
+    items = []
+    for c in moved:
+        pairs = list(c.items())
+        rng.shuffle(pairs)
+        items.append(pairs)
+    got = im.hermite_normal_form_of_columns(items, m)
+    assert got.shape == H.shape and im.mats_equal(got, H)
+    assert sympy_hnf(to_sympy(got)) == sympy_hnf(to_sympy(A))
+    # a matrix already in Hermite form comes back unchanged, from its
+    # columns in any order
+    cols = sparse_columns(H)
+    rng.shuffle(cols)
+    assert im.mats_equal(im.hermite_normal_form_of_columns(
+        [c.items() for c in cols], m), H)
 
 
 def test_hermite_canonical_under_column_moves():
