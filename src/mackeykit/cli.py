@@ -273,6 +273,8 @@ def cmd_tor(args):
 def cmd_ss(args):
     doc = jsonio.load_json_file(args.file)
     group = load_group(doc["group"])
+    if doc.get("filtration", "skeletal") != "skeletal":
+        raise ValueError("only the skeletal filtration is supported in JSON")
     terms = {}
     for deg, mdoc in doc["terms"].items():
         terms[int(deg)] = jsonio.mackey_from_json(mdoc)
@@ -280,12 +282,13 @@ def cmd_ss(args):
     diffs = {}
     for deg, mats in doc.get("diffs", {}).items():
         n = int(deg)
-        diffs[n] = MackeyMorphism(terms[n], terms[n - 1],
-                                  [mats[lbl] for lbl in class_labels])
+        for d in (n, n - 1):
+            if d not in terms:
+                raise ValueError(f"diffs {n} needs a term in degree {d}")
+        diffs[n] = MackeyMorphism(terms[n], terms[n - 1], jsonio._by_label(
+            class_labels, mats, f"diffs {n}"))
     C = ChainComplex(group, terms, diffs)
     C.validate()
-    if doc.get("filtration", "skeletal") != "skeletal":
-        raise ValueError("only the skeletal filtration is supported in JSON")
     filt = skeletal_filtration(C)
     pages = ss_pages(filt, args.rmax)
     payload = {"group": group.name, "pages": []}

@@ -46,7 +46,6 @@ from .mackey import (
     identity_element_vector,
     identity_morphism,
     mackey_from_gmaps,
-    mackey_from_span_action,
     representable,
 )
 
@@ -217,8 +216,9 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
 
     Each level is presented by the generators (code, i, j) of its
     over-codes and the coend relations (`_box_level_presentation`), and
-    each structure matrix is a sum of Kronecker products of the factors'
-    twisted restrictions, one per term of `over_image`.  Module actions
+    res and tr along each structure G-map (`mackey_from_gmaps`) are a sum
+    of Kronecker products of the factors' twisted restrictions, one per
+    term of `over_image` on the G-map's span code.  Module actions
     do not go through a box: a `GreenModule` stores its level tables.
     Raises ValueError, naming both groups, unless M and N share a group.
     """
@@ -261,24 +261,27 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
                 F.weyl[cwp][u] @ _restriction(F, cw, cwp, o) for F in (M, N))
         return twists[(cw, cwp, o, u)]
 
-    def entry_matrix(e: BurnsideElement):
-        S, T = e.source, e.target
+    def along(f: GMap, transfer):
+        """tr_f or res_f for f: G/A -> G/B, on the span code (A, 0, f(0))
+        or (A, f(0), 0): valid, as A fixes the base of G/A."""
+        c, y = f.source.orbit_index.classes[0], f.mapping[0]
+        S, T, ecode = (f.source, f.target, (c, 0, y)) if transfer else \
+            (f.target, f.source, (c, y, 0))
         c_src, c_tgt = S.orbit_index.classes[0], T.orbit_index.classes[0]
         starts, tgt_starts = blocks[c_src][0], blocks[c_tgt][0]
         out = intmat.zeros(blocks[c_tgt][1], blocks[c_src][1])
-        for ecode, a in e.coeffs.items():
-            for code, lo in starts.items():
-                cw = code[0]
-                for tcode, o, u, mult in over_image(S, T, ecode, code):
-                    TM, TN = twisted(cw, tcode[0], o, u)
-                    hi = tgt_starts[tcode]
-                    out[hi:hi + TM.shape[0] * TN.shape[0],
-                        lo:lo + TM.shape[1] * TN.shape[1]] += \
-                        (a * mult) * intmat.kron(TM, TN)
+        for code, lo in starts.items():
+            cw = code[0]
+            for tcode, o, u, mult in over_image(S, T, ecode, code):
+                TM, TN = twisted(cw, tcode[0], o, u)
+                hi = tgt_starts[tcode]
+                out[hi:hi + TM.shape[0] * TN.shape[0],
+                    lo:lo + TM.shape[1] * TN.shape[1]] += \
+                    mult * intmat.kron(TM, TN)
         return out
 
-    data.functor = mackey_from_span_action(
-        group, levels, entry_matrix,
+    data.functor = mackey_from_gmaps(
+        group, levels, along,
         name=f"({M.name or 'M'} box {N.name or 'N'})", check=False)
     M._cache[key] = data
     return data

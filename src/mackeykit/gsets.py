@@ -413,7 +413,6 @@ class CoproductData:
     right: GMap     # injection of the second summand
 
 
-@lru_cache(maxsize=None)
 def coproduct(X: GSet, Y: GSet) -> CoproductData:
     """Disjoint union, canonically relabelled, with its injections."""
     _same_group(X.group, Y.group, "the summands")

@@ -54,7 +54,8 @@ def intmat(rows, ncols=None, name="matrix"):
     An object array, the library's own representation, is copied as it
     is.  Any other input must hold integers: a float, bool or string
     entry raises ValueError naming it as `name[i][j]`, where `int()`
-    would truncate or parse it.
+    would truncate or parse it, and a row that is not a sequence as
+    `name[i]`.
     """
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2:
@@ -65,9 +66,15 @@ def intmat(rows, ncols=None, name="matrix"):
     rows = list(rows)
     if not rows:
         return np.zeros((0, 0 if ncols is None else ncols), dtype=object)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    widths = set()
+    for i, r in enumerate(rows):
+        try:
+            widths.add(len(r))
+        except TypeError:
+            raise ValueError(f"{name}[{i}] is not a row: {r!r}") from None
+    if len(widths) != 1:
         raise ValueError("ragged rows")
+    (width,) = widths
     return _from_lists([_labels(r, f"{name}[{i}]") for i, r in enumerate(rows)],
                        len(rows), width)
 

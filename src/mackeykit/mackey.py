@@ -6,8 +6,10 @@ G-conjugacy class of covering pairs (along `gsets.projection_map` of the
 canonical pair of `FiniteGroup.canonical_covers`), and conjugation by the
 generators of the normalizer of each class representative (the transfer
 along `gsets.translation_map`), so `mackey_from_gmaps` builds every
-functor given by res and tr along G-maps; conjugation by any other
-element is their product along a breadth-first walk.  Values at
+functor given by a rule for res and tr along G-maps: fixed-point
+functors, representables, box products, K0, the zero functor and the
+Dress terms M(X x -).  Conjugation by any other element is the product
+of the stored ones along a breadth-first walk.  Values at
 arbitrary subgroups are reached through fixed transport elements (the
 minimal conjugator onto the class representative); the covering step at
 any other pair is derived from the stored one by conjugation, and
@@ -497,6 +499,10 @@ class MackeyMorphism:
     def __init__(self, source: MackeyFunctor, target: MackeyFunctor,
                  mats, check=True):
         _same_group(source.group, target.group, "source and target")
+        mats = tuple(mats)
+        if len(mats) != len(source.levels):
+            raise ValueError(f"need one matrix per subgroup class: got "
+                             f"{len(mats)} for {len(source.levels)}")
         self.source = source
         self.target = target
         self.mats = tuple(_int_matrix(m, source.levels[c].generator_count,
@@ -593,7 +599,7 @@ def _invert_mod(mat, src: FinPresAbGroup, tgt: FinPresAbGroup):
     return g
 
 
-# -- constructions along the structure G-maps: representables, span actions --------
+# -- constructions along the structure G-maps: representables -----------------------
 
 
 def mackey_from_gmaps(group: FiniteGroup, levels, along, name=None,
@@ -612,16 +618,6 @@ def mackey_from_gmaps(group: FiniteGroup, levels, along, name=None,
     return MackeyFunctor(group, levels, res, tr, conj, name=name, check=check)
 
 
-def mackey_from_span_action(group: FiniteGroup, levels, action, name=None,
-                            check=True):
-    """`mackey_from_gmaps` for a functor given on Burnside elements:
-    `action(e)` is its matrix on e between standard orbits."""
-    return mackey_from_gmaps(
-        group, levels, lambda f, transfer: action(
-            transfer_element(f) if transfer else restriction_element(f)),
-        name=name, check=check)
-
-
 def representable(X: GSet, name=None) -> MackeyFunctor:
     """The Mackey functor A_X = A(X, -), free on transitive span codes."""
     group = X.group
@@ -629,7 +625,9 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
     bases = [hom_basis(X, standard_orbit(group, c.index)) for c in classes]
     levels = [FinPresAbGroup.free(len(b)) for b in bases]
 
-    def action(e: BurnsideElement):
+    def along(f: GMap, transfer):
+        """Postcomposition with the span of tr_f or res_f."""
+        e = transfer_element(f) if transfer else restriction_element(f)
         src_c = e.source.orbit_index.classes[0]
         tgt_c = e.target.orbit_index.classes[0]
         out = intmat.zeros(len(bases[tgt_c]), len(bases[src_c]))
@@ -639,8 +637,8 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
                 out[bases[tgt_c].index(c2), j] += v
         return out
 
-    return mackey_from_span_action(group, levels, action,
-                                   name=name or f"A[{X.name or X.size}]")
+    return mackey_from_gmaps(group, levels, along,
+                             name=name or f"A[{X.name or X.size}]")
 
 
 def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
@@ -1007,8 +1005,9 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
                        name=None) -> MackeyFunctor:
     """Right Kan extension of a G-module from free orbits.
 
-    Levels are the H-fixed subgroups of V, restrictions are inclusions,
-    transfers are coset sums, and conjugation is the module action.
+    Levels are the H-fixed subgroups of V; res and tr along a G-map f
+    are precomposition with f and the sum over its fibres: inclusions,
+    coset sums and, along translations, the module action.
     `action` maps each group element to a matrix on V's generators.  It is
     proven a representation, as `GSet` proves an action, by rho(e) = 1 and
     rho(g s) = rho(g) rho(s) for every g and every s in `group.generators`:
@@ -1020,7 +1019,11 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
     n = V.generator_count
     act = {}
     for g in group.elements():
-        act[g] = _int_matrix(action[g], n, "action[{}]", g)
+        try:
+            given = action[g]
+        except LookupError:
+            raise ValueError(f"action has no matrix for element {g}") from None
+        act[g] = _int_matrix(given, n, "action[{}]", g)
         if act[g].shape != (n, n):
             raise ValueError(f"action[{g}] must be {n} x {n}, "
                              f"got {act[g].shape[0]} x {act[g].shape[1]}")
@@ -1054,19 +1057,19 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
 
     on_fixed = _restricter(fixed_basis, [V] * len(classes),
                            "fixed-point bookkeeping is broken")
-    res, tr = {}, {}
-    for (A, B) in group.canonical_covers:
-        ca, cb = group.class_index_of(A), group.class_index_of(B)
-        tA, tB = group.transport(A), group.transport(B)
-        # res: V^B -> V^A transported into representative coordinates
-        res[(A, B)] = on_fixed(act[tA] @ act[group.inv(tB)], cb, ca)
-        # tr: V^A -> V^B, sum over B/A coset translates
-        cos_sum = sum((act[x] for x in group._left_cosets_in(B, A)[1]),
-                      intmat.zeros(n, n))
-        tr[(A, B)] = on_fixed(act[tB] @ cos_sum @ act[group.inv(tA)], ca, cb)
-    conj = [{s: on_fixed(act[s], cls.index, cls.index)
-             for s in cls.normalizer_generators} for cls in classes]
-    return MackeyFunctor(group, levels, res, tr, conj, name=name or "FP")
+
+    def along(f: GMap, transfer):
+        # res_f v = rho(g) v for g.base = f(base); tr_f v sums rho(g_x) v
+        # over the points x = g_x.base with f(x) = base
+        ca, cb = (Z.orbit_index.classes[0] for Z in (f.source, f.target))
+        if not transfer:
+            return on_fixed(act[f.target.orbit_index.reach[f.mapping[0]]],
+                            cb, ca)
+        reach = f.source.orbit_index.reach
+        return on_fixed(sum((act[reach[x]] for x, y in enumerate(f.mapping)
+                             if y == 0), intmat.zeros(n, n)), ca, cb)
+
+    return mackey_from_gmaps(group, levels, along, name=name or "FP")
 
 
 def trivial_module(group: FiniteGroup, V: FinPresAbGroup):

@@ -59,11 +59,12 @@ from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
     NatSolver,
+    _restricter,
     compose_morphisms,
     identity_morphism,
     image,
     lift_through_inclusion,
-    mackey_from_span_action,
+    mackey_from_gmaps,
     minimize_presentation,
     representable,
 )
@@ -147,6 +148,11 @@ PERMUTATION_GROUPS = {
                      (0, 1, 2, 3, 5, 4)]),
     "S4": (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
     "A5": (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+    # (12) and (34) are conjugate under (135)(246) but not under the
+    # normalizer of <(12), (34)>, so one class pair holds two conjugacy
+    # classes of covering pairs, and a canonical cover starts at a
+    # subgroup that is not its class representative
+    "C2wrC3": (6, [(1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1)]),
 }
 
 # The permutation battery: orders 8 to 24, up to 16 subgroup classes.
@@ -574,6 +580,42 @@ def brute_force_borel_level(group, V, act, H):
     return FinPresAbGroup(fam.shape[1], rels.T)
 
 
+def fixed_point_by_cosets(group, V, act):
+    """FP(V) with its structure maps built by hand, as `fixed_point_mackey`
+    built them before it went through `mackey_from_gmaps`: res through the
+    transports of both subgroups, tr as the sum over a transversal of B/A,
+    and conjugation by n as act[n], each restricted to the fixed
+    sublattices.  `act` is trusted."""
+    n = V.generator_count
+    ident, rel = im.identity(n), V.relation_lattice
+    bases, levels = [], []
+    for cls in group.subgroup_classes():
+        H = cls.representative
+        lat = ident
+        if len(H) > 1:
+            stacked = im.vstack([act[h] - ident for h in H if h != 0])
+            big_rel = im.block_diag([rel] * (len(H) - 1)) if rel.shape[1] \
+                else im.zeros(stacked.shape[0], 0)
+            lat = im.preimage_lattice(stacked, big_rel)
+        grp, basis = abgroups.subgroup_from_lattice(lat, V)
+        bases.append(basis)
+        levels.append(grp)
+    on_fixed = _restricter(bases, [V] * len(levels), "not fixed")
+    res, tr = {}, {}
+    for (A, B) in group.canonical_covers:
+        ca, cb = group.class_index_of(A), group.class_index_of(B)
+        tA, tB = group.transport(A), group.transport(B)
+        res[(A, B)] = on_fixed(act[tA] @ act[group.inv(tB)], cb, ca)
+        cos_sum = sum((act[x] for x in group._left_cosets_in(B, A)[1]),
+                      im.zeros(n, n))
+        tr[(A, B)] = on_fixed(act[tB] @ cos_sum @ act[group.inv(tA)], ca, cb)
+    conj = [{s: on_fixed(act[s], cls.index, cls.index)
+             for s in cls.normalizer_generators}
+            for cls in group.subgroup_classes()]
+    return MackeyFunctor(group, levels, res, tr, conj, name="FP by cosets",
+                         check=False)
+
+
 # -- box-level Green validation ------------------------------------------------------
 
 
@@ -888,6 +930,15 @@ def assert_same_group(G, H):
 
 
 # -- the box product through spans and G-sets ----------------------------------------
+
+
+def mackey_from_span_action(group, levels, action, name=None, check=True):
+    """`mackey_from_gmaps` for a functor given on Burnside elements:
+    `action(e)` is its matrix on e between standard orbits."""
+    return mackey_from_gmaps(
+        group, levels, lambda f, transfer: action(
+            transfer_element(f) if transfer else restriction_element(f)),
+        name=name, check=check)
 
 
 def _oracle_struct_gmap(X, code):

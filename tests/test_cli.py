@@ -321,6 +321,31 @@ def test_ss_cli_pages_agree_once_the_filtration_has_degenerated(
     assert all(page["entries"] == E2 for page in pages[2:])
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc["diffs"]["1"].pop("C2"),
+     "diffs 1 has no entry for level 'C2'"),
+    (lambda doc: doc["diffs"].__setitem__("2", doc["diffs"].pop("1")),
+     "diffs 2 needs a term in degree 2"),
+    (lambda doc: doc["diffs"]["1"].__setitem__("typo", [[1]]),
+     "diffs 1 names unknown class label 'typo'"),
+    (lambda doc: doc.update(filtration="other", terms={}),
+     "only the skeletal filtration is supported in JSON"),
+], ids=["missing-level", "missing-term", "unknown-label", "filtration-first"])
+def test_ss_cli_names_what_is_wrong_with_a_malformed_complex(
+        tmp_path, capsys, edit, error):
+    # these once exited with "error: 'C2'" and "error: 1", or, for the
+    # unknown label, with code 0; the filtration is read before the terms
+    mdoc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
+    doc = {"group": "C2", "terms": {"0": mdoc, "1": mdoc},
+           "diffs": {"1": {"e": [[0]], "C2": [[0, 0], [0, 0]]}},
+           "filtration": "skeletal"}
+    edit(doc)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["ss", str(path), "--format", "json"])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
 def test_compose_cli(tmp_path, capsys):
     C2 = builtin_group("C2")
     from mackeykit.gsets import point_gset, standard_orbit

@@ -10,6 +10,7 @@ from mackeykit.gsets import (
     disjoint_union_of_orbits,
     point_gset,
     product,
+    projection_map,
     standard_orbit,
 )
 from mackeykit.burnside import basis_element, compose, hom_basis, tensor
@@ -815,6 +816,21 @@ def test_box_with_relators_matches_span_oracle(name, pair):
         factors[f] = cokernel(MackeyMorphism(F, F, maps))[0]
     M, N = (factors[f] for f in pair.split(","))
     assert_box_matches_oracle(box(M, N), M, N)
+
+
+def test_box_restricts_along_projections_off_the_base_point():
+    # on C2wrC3 a canonical cover starts at a subgroup that is not its
+    # class representative, so the projection moves the base point and
+    # the box restricts along the span code (A, f(0), 0) with f(0) != 0
+    group = permutation_group("C2wrC3")
+    moved = [(A, B) for (A, B) in group.canonical_covers
+             if projection_map(group, A, B).mapping[0] != 0]
+    assert moved
+    Z = FinPresAbGroup.free(1)
+    A = burnside_mackey(group)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    for M, N in ((A, FP), (FP, FP)):
+        assert_box_matches_oracle(box(M, N), M, N)
 
 
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3"])

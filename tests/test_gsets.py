@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,23 @@ def test_product_size_and_fixed_points_multiplicative():
                     H = cls.representative
                     assert len(fixed_points(P.gset, H)) == \
                         len(fixed_points(X, H)) * len(fixed_points(Y, H))
+
+
+def test_coproduct_does_not_pin_its_summands():
+    # X and Y are built from action tables, outside the lru_caches of
+    # gsets, so only a cache of coproduct could keep them alive; the
+    # canonical coproduct itself is a cached disjoint union of orbits
+    S3 = builtin_group("S3")
+    O = standard_orbit(S3, 1)
+    X = GSet(S3, [row + tuple(O.size + y for y in row) for row in O.action])
+    Y = GSet(S3, O.action)
+    cp = coproduct(X, Y)
+    assert cp.gset.orbit_type() == (1, 1, 1)
+    assert cp.left.source is X and cp.right.source is Y
+    refs = [weakref.ref(X), weakref.ref(Y)]
+    del X, Y, cp
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_coproduct_examples():

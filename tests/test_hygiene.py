@@ -26,7 +26,10 @@ evaluates none: K0 shares only the structure G-maps with the span-built
 Burnside functor it is compared with.  The naturality conditions are
 listed once: `MackeyMorphism._check` and `NatSolver` read res, tr and
 conjugation only through `mackey._naturality`, and `intmat.kron` is the
-one Kronecker product.  Every public top-level function
+one Kronecker product.  A functor given by a rule has one builder,
+`mackey_from_gmaps`: besides it only `mackey_from_levels` and the
+levelwise constructions call `MackeyFunctor` directly, and no
+span-action builder is left in src.  Every public top-level function
 of the package is called in it, exported from it, or read by the
 benchmark or the demos; helpers only tests read live in tests/support.py.
 """
@@ -383,6 +386,61 @@ def test_tor_path_reads_structure_maps_orbit_by_orbit():
         calls, found = calls_inside(source, functions, SPAN_ROUTE_NAMES)
         assert found == set(functions)
         assert calls == []
+
+
+def functor_constructions(source):
+    """(top-level function or class, line) of every direct `MackeyFunctor`
+    call, nested scopes included, and the top-level functions the source
+    defines."""
+    out, defined = [], set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        name = getattr(node, "name", "<module>")
+        out.extend((name, line)
+                   for line, _ in named_calls(node, {"MackeyFunctor"}))
+    return sorted(out), defined
+
+
+# Two functors given by rules, abridged, as they read when the fixed-point
+# functor built its structure maps by hand and spans were fed to the one
+# builder through a helper of their own, and a method building a functor.
+HAND_BUILT_FUNCTORS = '''
+def mackey_from_span_action(group, levels, action):
+    return mackey_from_gmaps(group, levels, lambda f, transfer: action(f))
+
+def fixed_point_mackey(group, V, action):
+    conj = [{s: on_fixed(act[s]) for s in gens} for cls in classes]
+    return mackey.MackeyFunctor(group, levels, res, tr, conj)
+
+class Box:
+    def functor(self):
+        return MackeyFunctor(*self.data)
+'''
+# every other functor given by a rule goes through `mackey_from_gmaps`
+FUNCTOR_CONSTRUCTORS = {
+    "mackey.py": {"mackey_from_gmaps", "mackey_from_levels", "direct_sum",
+                  "cokernel", "_carried"},
+    "homalg.py": {"rel_box"}}
+
+
+def test_scanner_finds_direct_functor_constructions():
+    calls, defined = functor_constructions(HAND_BUILT_FUNCTORS)
+    assert calls == [("Box", 11), ("fixed_point_mackey", 7)]
+    assert defined == {"mackey_from_span_action", "fixed_point_mackey"}
+
+
+def test_functors_given_by_rules_are_built_along_g_maps():
+    # fixed-point functors, representables, box products, K0 and the Dress
+    # terms are all built by `mackey_from_gmaps`; only it, the
+    # user-facing constructor and the levelwise constructions call
+    # `MackeyFunctor` directly, and no span-action builder is left in src
+    for path in MODULES:
+        calls, defined = functor_constructions(
+            path.read_text(encoding="utf-8"))
+        assert {name for name, _ in calls} == \
+            FUNCTOR_CONSTRUCTORS.get(path.name, set()), path.name
+        assert "mackey_from_span_action" not in defined, path.name
 
 
 RETIRED_WALKS = {"Counter", "_compose_codes", "_double_coset_codes",

@@ -17,6 +17,7 @@ from sympy.polys.matrices.normalforms import (
 )
 
 from mackeykit import intmat as im
+from mackeykit.abgroups import FinPresAbGroup
 from support import dense_smith_oracle, dense_solve_oracle
 
 TOR_SMITH_INPUTS = os.path.join(os.path.dirname(__file__), "data",
@@ -271,6 +272,17 @@ def test_intmat_refuses_entries_that_are_not_integers(rows, entry):
         for f in (im.hermite_normal_form, im.smith_normal_form):
             with pytest.raises(ValueError, match=re.escape(entry)):
                 f(rows)
+
+
+@pytest.mark.parametrize("build,entry", [
+    (lambda: im.intmat([1, 2]), "matrix[0] is not a row: 1"),
+    (lambda: im.intmat([[1, 2], 3]), "matrix[1] is not a row: 3"),
+    (lambda: FinPresAbGroup(2, [1, 2]), "relations[0] is not a row: 1"),
+], ids=["flat-list", "one-flat-row", "relations"])
+def test_a_flat_list_is_not_a_matrix(build, entry):
+    # len() of an int once raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(entry)}$"):
+        build()
 
 
 def test_intvec_refuses_entries_that_are_not_integers():

@@ -77,6 +77,7 @@ from support import (
     derived_conjugation_oracle,
     eval_span_oracle,
     exhaustive_functoriality_oracle,
+    fixed_point_by_cosets,
     gmodule_hom_group,
     identity_element_vector_oracle,
     natural_by_spans,
@@ -447,6 +448,55 @@ def test_action_wrong_at_one_non_generator_is_rejected(name):
         fixed_point_mackey(group, V, bad)
 
 
+def test_action_missing_an_element_is_named(c2):
+    V = FinPresAbGroup.free(1)
+    with pytest.raises(ValueError,
+                       match="^action has no matrix for element 1$"):
+        fixed_point_mackey(c2, V, {0: [[1]]})
+
+
+def _fixed_point_modules(group):
+    """(label, V, action): Z and Z[G], then Z/2 and Z[G]/2."""
+    Z, Z2 = FinPresAbGroup.free(1), FinPresAbGroup(1, [[2]])
+    ZG, reg = regular_module(group)
+    ZG2 = FinPresAbGroup(group.order, 2 * im.identity(group.order))
+    return [("Z", Z, trivial_module(group, Z)), ("Z[G]", ZG, reg),
+            ("Z/2", Z2, trivial_module(group, Z2)), ("Z[G]/2", ZG2, reg)]
+
+
+def _matrix_ends(group, key):
+    """(source class, target class) of a `structure_matrices` key."""
+    if key[0] == "conj":
+        return key[1], key[1]
+    ca, cb = map(group.class_index_of, key[1])
+    return (cb, ca) if key[0] == "res" else (ca, cb)
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8") + PERMUTATION_BATTERY
+                         + ("C2wrC3",))
+def test_fixed_point_maps_match_the_hand_built_formula(name):
+    # FP(V) along the structure G-maps against the transports and coset
+    # sums it was built from by hand: entry for entry on free V; with
+    # relations the two may differ by rho(h) v - v, h in the fixed
+    # subgroup, which lies in the relations of the target level.  Only on
+    # C2wrC3 does a restriction move the base point
+    group = _group(name)
+    for label, V, act in _fixed_point_modules(group):
+        got = fixed_point_mackey(group, V, act)
+        want = fixed_point_by_cosets(group, V, act)
+        assert [g.relation_lattice.tolist() for g in got.levels] == \
+            [w.relation_lattice.tolist() for w in want.levels], label
+        got_maps, want_maps = structure_matrices(got), structure_matrices(want)
+        assert list(got_maps) == list(want_maps)
+        for key, m in want_maps.items():
+            if V.relation_lattice.shape[1] == 0:
+                assert np.array_equal(got_maps[key], m), (label, key)
+            else:
+                src, tgt = _matrix_ends(group, key)
+                assert maps_equal(got_maps[key], m, got.levels[src],
+                                  got.levels[tgt]), (label, key)
+
+
 def test_borel_against_bruteforce_limit():
     for name in ("C2", "C3", "S3", "C6"):
         group = builtin_group(name)
@@ -613,6 +663,18 @@ def test_gset_span_and_morphism_mismatch_names_both_groups(build):
         build(X, Y)
 
 
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("count", [1, 3])
+def test_morphism_needs_one_matrix_per_class(c2, check, count):
+    # C2 has two classes; too few matrices were once accepted unchecked
+    A = burnside_mackey(c2)
+    mats = [im.identity(lvl.generator_count) for lvl in A.levels]
+    mats = (mats + mats)[:count]
+    with pytest.raises(ValueError, match=f"^need one matrix per subgroup "
+                                         f"class: got {count} for 2$"):
+        MackeyMorphism(A, A, mats, check=check)
+
+
 # -- stored data and the Mackey-algebra relations ----------------------------------------
 
 
@@ -680,8 +742,6 @@ def _functor(group, kind):
 
 
 def _group(name):
-    if name == "C2wrC3":
-        return _c2_wreath_c3()
     if name in PERMUTATION_GROUPS:
         return permutation_group(name)
     return builtin_group(name)
@@ -867,11 +927,9 @@ def test_structure_data_stored_once_per_conjugacy_class():
 
 
 def _c2_wreath_c3():
-    # (12) and (34) are conjugate under (135)(246) but not under the
-    # normalizer of <(12), (34)>, so one class pair holds two conjugacy
-    # classes of covering pairs
-    return group_from_permutations(
-        6, [(1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1)], name="C2wrC3")
+    # a fresh C2 wr C3, whose class pairs are split (support has why)
+    return group_from_permutations(*PERMUTATION_GROUPS["C2wrC3"],
+                                   name="C2wrC3")
 
 
 def test_split_class_pair_works_internally_and_is_refused_by_json():
