@@ -25,7 +25,7 @@ from .burnside import (
     table_of_marks,
     triangle_composite,
 )
-from .convolution import GreenValidationError, box, burnside_green
+from .convolution import box, burnside_green
 from .groups import BUILTIN_GROUP_NAMES, _same_group, load_group
 from .gsets import point_gset, standard_orbit
 from .homalg import (
@@ -235,7 +235,7 @@ def cmd_box(args):
 def cmd_green_check(args):
     try:
         G = jsonio.green_from_json(jsonio.load_json_file(args.file))
-    except (GreenValidationError, ValueError) as err:
+    except ValueError as err:
         _emit(args, {"valid": False, "error": str(err)},
               [f"green-check: {_fail()}", f"  {err}"])
         return 1
@@ -272,11 +272,11 @@ def cmd_tor(args):
 
 def cmd_ss(args):
     doc = jsonio.load_json_file(args.file)
-    group = load_group(doc["group"])
+    group = load_group(jsonio.required(doc, "group", "complex"))
     if doc.get("filtration", "skeletal") != "skeletal":
         raise ValueError("only the skeletal filtration is supported in JSON")
     terms = {}
-    for deg, mdoc in doc["terms"].items():
+    for deg, mdoc in jsonio.required(doc, "terms", "complex").items():
         terms[int(deg)] = jsonio.mackey_from_json(mdoc)
     class_labels = [c.label for c in group.subgroup_classes()]
     diffs = {}

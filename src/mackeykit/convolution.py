@@ -110,20 +110,26 @@ def _restriction(F: MackeyFunctor, cw, cwp, o):
 
 @dataclass
 class BoxData:
-    """Presentation bookkeeping for M box N."""
+    """M box N, presented, with its one generator layout: at the class-c
+    orbit, starts[c] maps each over-code (`over_codes`), in order, to the
+    index of its first generator.  Generator (code, i, j), i and j
+    generators of M and N at the code's class L, is
+    starts[c][code] + i * n_N + j, n_N the generator count of N(G/L)."""
     left: MackeyFunctor
     right: MackeyFunctor
-    codes: tuple          # per class: over-codes of the class orbit
-    layout: tuple         # per class: dict (code, i, j) -> generator index
-    functor: MackeyFunctor = None
+    starts: tuple         # per class: over-code -> index of its first generator
+    functor: MackeyFunctor
+
+    def index(self, level_class, code, i, j):
+        """The index of generator (code, i, j) at the given class."""
+        n = self.right.levels[code[0]].generator_count
+        return self.starts[level_class][code] + i * n + j
 
     def generators(self, level_class):
         """Generator keys (code, i, j) in index order."""
-        lay = self.layout[level_class]
-        out = [None] * len(lay)
-        for key, idx in lay.items():
-            out[idx] = key
-        return out
+        return [(code, i, j) for code in self.starts[level_class]
+                for i in range(self.left.levels[code[0]].generator_count)
+                for j in range(self.right.levels[code[0]].generator_count)]
 
 
 def _block_starts(M: MackeyFunctor, N: MackeyFunctor, codes):
@@ -134,13 +140,6 @@ def _block_starts(M: MackeyFunctor, N: MackeyFunctor, codes):
         starts[c] = gens
         gens += M.levels[c[0]].generator_count * N.levels[c[0]].generator_count
     return starts, gens
-
-
-def _layout(M: MackeyFunctor, N: MackeyFunctor, starts):
-    return {(c, i, j): s + i * N.levels[c[0]].generator_count + j
-            for c, s in starts.items()
-            for i in range(M.levels[c[0]].generator_count)
-            for j in range(N.levels[c[0]].generator_count)}
 
 
 def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
@@ -229,10 +228,7 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
         return M._cache[key]
     orbits = [standard_orbit(group, cls.index)
               for cls in group.subgroup_classes()]
-    codes = tuple(over_codes(X) for X in orbits)
-    blocks = [_block_starts(M, N, cs) for cs in codes]
-    data = BoxData(M, N, codes,
-                   tuple(_layout(M, N, starts) for starts, _ in blocks))
+    blocks = [_block_starts(M, N, over_codes(X)) for X in orbits]
     rels = [(_column_entries(m.relation_lattice),
              _column_entries(n.relation_lattice))
             for m, n in zip(M.levels, N.levels)]
@@ -280,9 +276,9 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
                     mult * intmat.kron(TM, TN)
         return out
 
-    data.functor = mackey_from_gmaps(
-        group, levels, along,
-        name=f"({M.name or 'M'} box {N.name or 'N'})", check=False)
+    functor = mackey_from_gmaps(group, levels, along, check=False,
+                                name=f"({M.name or 'M'} box {N.name or 'N'})")
+    data = BoxData(M, N, tuple(starts for starts, _ in blocks), functor)
     M._cache[key] = data
     return data
 
@@ -297,29 +293,25 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     return span_element(P.gset, X, O, diag, orbit_map(O, X, x))
 
 
-def _diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
+def _diagonal_pairing(data: BoxData, Z: GSet, n_vec):
     """The matrix of m -> m (x) n, from M(Z) to (M box N)(Z), for n in N(Z).
 
     On an orbit of Z of class L, m (x) n is the generator block of the
     diagonal over-code of G/L (the identity over-object, untwisted), with
-    m_i (x) n_j at the index `_layout` gives (code, i, j).
+    m_i (x) n_j at `data.index(L, code, i, j)`; the orbit's block of
+    (M box N)(Z) starts at the box's own `value_at` offset.
     """
+    M, N = data.left, data.right
     group = M.group
     mgrp, moff = M.value_at(Z)
     _, noff = N.value_at(Z)
-    diag = {}
-    rows, offsets = 0, []
-    for L in Z.orbit_index.classes:
-        if L not in diag:
-            starts, gens = _block_starts(
-                M, N, over_codes(standard_orbit(group, L)))
-            diag[L] = (starts[_diag_code(group, L)], gens)
-        offsets.append(rows)
-        rows += diag[L][1]
-    out = intmat.zeros(rows, mgrp.generator_count)
-    for b, L in enumerate(Z.orbit_index.classes):
+    bgrp, boff = data.functor.value_at(Z)
+    classes = Z.orbit_index.classes
+    diag = {L: data.starts[L][_diag_code(group, L)] for L in set(classes)}
+    out = intmat.zeros(bgrp.generator_count, mgrp.generator_count)
+    for b, L in enumerate(classes):
         nM, nN = M.levels[L].generator_count, N.levels[L].generator_count
-        lo = offsets[b] + diag[L][0]
+        lo = boff[b] + diag[L]
         for j, x in enumerate(n_vec[noff[b]:noff[b] + nN]):
             if x:
                 for i in range(nM):
@@ -327,23 +319,23 @@ def _diagonal_pairing(M: MackeyFunctor, N: MackeyFunctor, Z: GSet, n_vec):
     return out
 
 
-def dress_pairing(M: MackeyFunctor, N: MackeyFunctor, boxed: MackeyFunctor,
-                  X: GSet, n_vec):
+def dress_pairing(data: BoxData, X: GSet, n_vec):
     """Levels of the map M(X x -) -> M box N that pairs with n in N(X).
 
-    At G/H it sends m in M(X x G/H) to tr(m (x) res n) along the
-    projection X x G/H -> G/H: the diagonal pairing with the restriction
-    of n, then the transfer of `boxed`, the presented box(M, N).functor.
-    `free_evaluation_iso` pairs with the identity class of A_X, and the
-    Tor_0 witness of `homalg.tor` with the image of the free generators
-    in N(X_0).
+    `data` is box(M, N), which the pairing lands in.  At G/H it sends m
+    in M(X x G/H) to tr(m (x) res n) along the projection X x G/H -> G/H:
+    the diagonal pairing with the restriction of n, then the transfer of
+    data.functor.  `free_evaluation_iso` pairs with the identity class of
+    A_X, and the Tor_0 witness of `homalg.tor` with the image of the free
+    generators in N(X_0).
     """
-    group = M.group
+    group = data.left.group
     mats = []
     for c in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, c))
-        pair = _diagonal_pairing(M, N, P.gset, N.apply_gmap(P.left, n_vec))
-        mats.append(boxed.apply_gmap(P.right, pair, transfer=True))
+        pair = _diagonal_pairing(data, P.gset,
+                                 data.right.apply_gmap(P.left, n_vec))
+        mats.append(data.functor.apply_gmap(P.right, pair, transfer=True))
     return mats
 
 
@@ -371,17 +363,14 @@ def box_unit_eval(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
     """The evaluation morphism A_pt box M -> M on generators.
 
     Generator (code, i, j) pairs basis span i of A_pt(G/L) with generator
-    j of M(G/L), and goes to column j of `_unit_action_block`.
+    j of M(G/L), and goes to column j of `_unit_action_block`: level c is
+    those blocks side by side, over-code by over-code and i by i.
     """
-    mats = []
-    for c, layout in enumerate(data.layout):
-        cols = [None] * len(layout)
-        blocks = {}
-        for (code, i, j), idx in layout.items():
-            if (code, i) not in blocks:
-                blocks[(code, i)] = _unit_action_block(M, c, code, i)
-            cols[idx] = blocks[(code, i)][:, j]
-        mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
+    A = data.left
+    mats = [intmat.hstack(_unit_action_block(M, c, code, i)
+                          for code in starts
+                          for i in range(A.levels[code[0]].generator_count))
+            for c, starts in enumerate(data.starts)]
     return MackeyMorphism(data.functor, M, mats, check=False)
 
 
@@ -392,26 +381,27 @@ def box_unit_iso(M: MackeyFunctor):
     constructed map fails invertibility, which would signal an
     implementation fault rather than a mathematical one.
     """
-    group = M.group
-    A = burnside_mackey(group)
-    data = box(A, M)
+    data = box(burnside_mackey(M.group), M)
     eps = box_unit_eval(M, data)
+    _verify_two_sided(eps, _box_unit_inverse(M, data))
+    return eps, data
 
-    # inverse: m |-> [res(1) (x) m] over the diagonal over-code
+
+def _box_unit_inverse(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
+    """M -> A_pt box M, m -> [res(1) (x) m] over the diagonal over-code,
+    whose rows hold kron(res(1), I)."""
+    group = M.group
     top = len(group.subgroup_classes()) - 1
     unit = identity_element_vector(point_gset(group))
-    inv_mats = []
+    mats = []
     for c, lvl in enumerate(data.functor.levels):
-        one, key = _restriction(A, top, c, 0) @ unit, _diag_code(group, c)
-        inv = intmat.zeros(lvl.generator_count, M.levels[c].generator_count)
-        for (code, a, k), idx in data.layout[c].items():
-            if code == key:
-                inv[idx, k] = one[a]
-        inv_mats.append(inv)
-    eta = MackeyMorphism(M, data.functor, inv_mats, check=False)
-
-    _verify_two_sided(eps, eta)
-    return eps, data
+        one = _restriction(data.left, top, c, 0) @ unit
+        block = intmat.kron(one.reshape(-1, 1),
+                            intmat.identity(M.levels[c].generator_count))
+        s = data.starts[c][_diag_code(group, c)]
+        mats.append(intmat.zeros(lvl.generator_count, block.shape[1]))
+        mats[-1][s:s + len(block)] = block
+    return MackeyMorphism(M, data.functor, mats, check=False)
 
 
 def _verify_two_sided(f: MackeyMorphism, g: MackeyMorphism):
@@ -422,17 +412,18 @@ def _verify_two_sided(f: MackeyMorphism, g: MackeyMorphism):
 
 
 def box_comm_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
-    """The symmetry M box N -> N box M, swapping tensor slots."""
+    """The symmetry M box N -> N box M, swapping tensor slots: both boxes
+    list the same over-codes, so each level permutes the identity's
+    columns, e_i (x) e_j -> e_j (x) e_i in each over-code's block."""
     src = box(M, N)
     tgt = box(N, M)
     mats = []
-    for c in range(len(src.functor.levels)):
-        cols = [None] * src.functor.levels[c].generator_count
-        for (code, i, j), idx in src.layout[c].items():
-            col = intmat.zero_vec(tgt.functor.levels[c].generator_count)
-            col[tgt.layout[c][(code, j, i)]] = 1
-            cols[idx] = col
-        mats.append(intmat.from_cols(cols, tgt.functor.levels[c].generator_count))
+    for c, starts in enumerate(src.starts):
+        perm = []
+        for (cw, _x), s in starts.items():
+            nM, nN = M.levels[cw].generator_count, N.levels[cw].generator_count
+            perm.extend(s + np.arange(nM * nN).reshape(nN, nM).T.ravel())
+        mats.append(intmat.identity(len(perm))[:, perm])
     return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
 
 
@@ -447,12 +438,10 @@ def box_assoc_iso(M: MackeyFunctor, N: MackeyFunctor, P: MackeyFunctor):
     diag = [_diag_code(group, c) for c in range(len(group.subgroup_classes()))]
 
     def to_right(c, outer_code, cwp, a, b, d):
-        return right.layout[c][(outer_code, a,
-                                NP.layout[cwp][(diag[cwp], b, d)])]
+        return right.index(c, outer_code, a, NP.index(cwp, diag[cwp], b, d))
 
     def to_left(c, outer_code, cwp, a, b, d):
-        return left.layout[c][(outer_code, MN.layout[cwp][(diag[cwp], a, b)],
-                               d)]
+        return left.index(c, outer_code, MN.index(cwp, diag[cwp], a, b), d)
 
     fwd = _regroup_matrices(left, MN, (M, N, P), True, right.functor.levels,
                             to_right)
@@ -492,8 +481,8 @@ def _regroup_matrices(outer: BoxData, inner: BoxData, factors, inner_left,
     mats = []
     for c in range(nclasses):
         X = standard_orbit(group, c)
-        cols = [None] * outer.functor.levels[c].generator_count
-        for (code, x, y), idx in outer.layout[c].items():
+        cols = []
+        for code, x, y in outer.generators(c):
             cw = code[0]
             if inner_left:
                 (code_in, i, j), k = inner_gens[cw][x], y
@@ -510,7 +499,7 @@ def _regroup_matrices(outer: BoxData, inner: BoxData, factors, inner_left,
                     for Wf, v in zip(W, (i, j, k)))):
                 col[place(c, outer_code, cwp, a, b, d)] += \
                     W[0][a, i] * W[1][b, j] * W[2][d, k]
-            cols[idx] = col
+            cols.append(col)
         mats.append(intmat.from_cols(cols, target_levels[c].generator_count))
     return mats
 
@@ -525,14 +514,14 @@ def rep_monoidal_iso(X: GSet, Y: GSet):
     P = product(X, Y).gset
     data = box(representable(X), representable(Y))
     AP = representable(P)
-    orbits = [standard_orbit(group, c) for c in range(len(data.codes))]
+    orbits = [standard_orbit(group, c) for c in range(len(data.starts))]
     bX, bY, bP = ([hom_basis(Z, O) for O in orbits] for Z in (X, Y, P))
     mats = []
-    for c, codes in enumerate(data.codes):
+    for c, starts in enumerate(data.starts):
         row = {code: k for k, code in enumerate(bP[c])}
-        spans = {code: _struct_span(orbits[c], code) for code in codes}
-        cols = [None] * data.functor.levels[c].generator_count
-        for (code, i, j), idx in data.layout[c].items():
+        spans = {code: _struct_span(orbits[c], code) for code in starts}
+        cols = []
+        for code, i, j in data.generators(c):
             cw = code[0]
             O = orbits[cw]
             t = tensor(basis_element(X, O, bX[cw][i]),
@@ -540,7 +529,7 @@ def rep_monoidal_iso(X: GSet, Y: GSet):
             col = intmat.zero_vec(len(row))
             for cc, v in compose(spans[code], t).coeffs.items():
                 col[row[cc]] += v
-            cols[idx] = col
+            cols.append(col)
         mats.append(intmat.from_cols(cols, len(row)))
     fwd = MackeyMorphism(data.functor, AP, mats, check=False)
     bwd = fwd.inverse()
@@ -559,8 +548,7 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
     AX = representable(X)
     data = box(M, AX)
     fwd = MackeyMorphism(FX, data.functor,
-                         dress_pairing(M, AX, data.functor, X,
-                                       identity_element_vector(X)),
+                         dress_pairing(data, X, identity_element_vector(X)),
                          check=True)
     bwd = fwd.inverse()
     _verify_two_sided(fwd, bwd)

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import abgroups, intmat
 from .convolution import (
+    BoxData,
     GreenFunctor,
     GreenModule,
-    _block_starts,
     _burnside_action_tables,
     box,
     dress_pairing,
@@ -244,8 +244,13 @@ def module_resolution(R: GreenFunctor, M, length: int,
 
     A FreeModule is its own resolution of length zero.  Results are
     cached on the module, keyed by `reverse`, so several Tor computations
-    against the same argument share one resolution.  Raises ValueError
-    unless R is the ring of M and the length is nonnegative.
+    against the same argument share one resolution, and a longer request
+    extends the cached one from its last free module and its last
+    differential (or the augmentation).  The kernel of incl . cover is
+    the kernel of the cover, and kernels come in Hermite form, so each
+    step is the one a fresh resolution takes.  A resolution whose last
+    kernel was zero has terminated and is not extended.  Raises
+    ValueError unless R is the ring of M and the length is nonnegative.
     """
     if length < 0:
         raise ValueError(f"resolution length must be nonnegative, got "
@@ -254,32 +259,21 @@ def module_resolution(R: GreenFunctor, M, length: int,
         raise ValueError("module over a different ring")
     if isinstance(M, FreeModule):
         return Resolution(R, M, [M], [], identity_morphism(M.underlying))
-    cached = M._resolutions.get(reverse)
-    if cached is not None:
-        asked, res = cached
-        terminated = len(res.modules) < asked + 1
-        if asked >= length or terminated:
-            return Resolution(R, res.target, res.modules[:length + 1],
-                              res.diffs[:length], res.augmentation)
-    out = _module_resolution_uncached(R, M, length, reverse)
-    M._resolutions[reverse] = (length, out)
-    return out
-
-
-def _module_resolution_uncached(R, M, length, reverse):
-    F0, eps = module_cover(M, reverse=reverse)
-    modules = [F0]
-    diffs = []
-    current_free, current_map = F0, eps
-    for _p in range(length):
-        Kmod, incl = module_kernel(current_free, current_map)
-        if _is_zero(Kmod.underlying):
-            break
-        Fnext, cover_map = module_cover(Kmod, reverse=reverse)
-        diffs.append(compose_morphisms(incl, cover_map))
-        modules.append(Fnext)
-        current_free, current_map = Fnext, cover_map
-    return Resolution(R, M, modules, diffs, eps)
+    if reverse not in M._resolutions:
+        F0, eps = module_cover(M, reverse=reverse)
+        M._resolutions[reverse] = (False, Resolution(R, M, [F0], [], eps))
+    terminated, res = M._resolutions[reverse]
+    while not terminated and len(res.modules) <= length:
+        last = res.diffs[-1] if res.diffs else res.augmentation
+        Kmod, incl = module_kernel(res.modules[-1], last)
+        terminated = _is_zero(Kmod.underlying)
+        if not terminated:
+            Fnext, cover_map = module_cover(Kmod, reverse=reverse)
+            res.diffs.append(compose_morphisms(incl, cover_map))
+            res.modules.append(Fnext)
+    M._resolutions[reverse] = (terminated, res)
+    return Resolution(R, res.target, res.modules[:length + 1],
+                      res.diffs[:length], res.augmentation)
 
 
 # -- relative box product ----------------------------------------------------------------
@@ -289,13 +283,15 @@ def _module_resolution_uncached(R, M, length, reverse):
 class RelBox:
     """M box_R N as a cokernel of the two action routes, minimized.
 
-    `projection` starts at the presented box(M, N).functor; `tor` presents
-    it for the target of the Tor_0 witness only, never for a free term.
+    `box` is the presented box(M, N) it quotients, and `projection` starts
+    at box.functor.  `tor` presents it for the target of the Tor_0 witness
+    only, never for a free term, and pairs into `box`.
     """
     left: GreenModule
     right: GreenModule
+    box: BoxData
     functor: MackeyFunctor
-    projection: MackeyMorphism     # from box(M, N).functor
+    projection: MackeyMorphism     # from box.functor
 
 
 def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
@@ -306,7 +302,8 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     for m, r, n all at one over-code, (r.m) (x) n = m (x) (r.n).  Per
     over-code and generator r they are the columns of the block
     kron(T_M[r].T, I) - kron(I, T_N[r].T) on the over-code's generators
-    (code, i, j), i major, T the level tables; zero columns are dropped.
+    (code, i, j), i major, from `data.starts`, T the level tables; zero
+    columns are dropped.
     """
     Mk, Nk = M.underlying, N.underlying
     group = M.group
@@ -315,7 +312,7 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     for c, lvl in enumerate(data.functor.levels):
         n = lvl.generator_count
         blocks = [intmat.zeros(n, 0)]
-        for code, s in _block_starts(Mk, Nk, data.codes[c])[0].items():
+        for code, s in data.starts[c].items():
             TM, TN = M.tables[code[0]], N.tables[code[0]]
             IM, IN = intmat.identity(TM.shape[1]), intmat.identity(TN.shape[1])
             k = len(IM) * len(IN)
@@ -330,7 +327,8 @@ def rel_box(M: GreenModule, N: GreenModule) -> RelBox:
     Qbig = MackeyFunctor(group, levels, F.res, F.tr, F.conj,
                          name=f"({Mk.name} box_R {Nk.name})", check=False)
     Q, _section, projection = minimize_presentation(Qbig)
-    return RelBox(M, N, Q, MackeyMorphism(F, Q, projection.mats, check=False))
+    return RelBox(M, N, data, Q,
+                  MackeyMorphism(F, Q, projection.mats, check=False))
 
 
 def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
@@ -511,8 +509,7 @@ def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
     target = rel_box(M, N)
     X0 = free[0].base
     n0 = res.augmentation.at_gset(X0) @ free_unit_vector(free[0])
-    aug = dress_pairing(M.underlying, N.underlying,
-                        target.projection.source, X0, n0)
+    aug = dress_pairing(target.box, X0, n0)
     H0, incl0, _proj0, sect0 = C.homology_data(0)
     wit = MackeyMorphism(H0, target.functor,
                          [target.projection.mats[c] @ aug[c] @ incl0.mats[c]

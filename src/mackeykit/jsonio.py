@@ -111,23 +111,32 @@ def mackey_to_json(M: MackeyFunctor):
     }
 
 
+def required(doc, key, where):
+    """doc[key], for a JSON object doc; raises ValueError naming `where`
+    and the key unless doc is an object holding it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where} has no {key!r}")
+    return doc[key]
+
+
 def mackey_from_json(doc) -> MackeyFunctor:
-    group = load_group(doc["group"])
+    group = load_group(required(doc, "group", "Mackey functor"))
     classes = group.subgroup_classes()
     labels = [cls.label for cls in classes]
     if "class_order" in doc and list(doc["class_order"]) != labels:
         raise ValueError(f"class_order must be {labels}")
-    levels, entries = [], _by_label(labels, doc["levels"], "levels")
+    levels, entries = [], _by_label(
+        labels, required(doc, "levels", "Mackey functor"), "levels")
     for label, entry in zip(labels, entries):
+        gens = required(entry, "generators", f"level {label}")
         try:
-            levels.append(FinPresAbGroup(entry["generators"],
-                                         entry.get("relations", [])))
+            levels.append(FinPresAbGroup(gens, entry.get("relations", [])))
         except ValueError as err:
             raise ValueError(f"level {label}: {err}") from None
 
     def read_pairs(kind):
         out = {}
-        for key, mat in doc[kind].items():
+        for key, mat in required(doc, kind, "Mackey functor").items():
             la, lb = key.split("<")
             out[(_label_index(labels, la, f"{kind} {key}"),
                  _label_index(labels, lb, f"{kind} {key}"))] = mat
@@ -167,10 +176,11 @@ def green_to_json(G: GreenFunctor):
 
 def green_from_json(doc) -> GreenFunctor:
     """Green functor from a file; green_from_levelwise checks every entry."""
-    M = mackey_from_json(doc["mackey"])
+    M = mackey_from_json(required(doc, "mackey", "Green functor"))
     labels = [cls.label for cls in M.group.subgroup_classes()]
-    return green_from_levelwise(M, _by_label(labels, doc["rings"], "rings"),
-                                doc["unit"])
+    return green_from_levelwise(
+        M, _by_label(labels, required(doc, "rings", "Green functor"), "rings"),
+        required(doc, "unit", "Green functor"))
 
 
 def load_json_file(path):

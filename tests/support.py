@@ -23,10 +23,11 @@ from mackeykit.burnside import (
     transfer_element,
 )
 from mackeykit.convolution import (
-    BoxData,
     GreenValidationError,
-    _block_starts,
     _canonical_over,
+    _diag_code,
+    _restriction,
+    _unit_action_block,
     box,
     box_assoc_iso,
     box_comm_iso,
@@ -635,10 +636,9 @@ def action_from_tables(data, target, tables):
         push = {code: target.eval_span(basis_element(
                     standard_orbit(group, code[0]), X,
                     (code[0], 0, code[1])))
-                for code in data.codes[c]}
-        cols = [None] * data.functor.levels[c].generator_count
-        for (code, i, j), idx in data.layout[c].items():
-            cols[idx] = push[code] @ tables[code[0]][i][j]
+                for code in data.starts[c]}
+        cols = [push[code] @ tables[code[0]][i][j]
+                for code, i, j in data.generators(c)]
         mats.append(intmat.from_cols(cols, target.levels[c].generator_count))
     return MackeyMorphism(data.functor, target, mats, check=False)
 
@@ -1051,7 +1051,6 @@ def box_oracle(M, N):
         codes.append(c)
         layouts.append(lay)
         levels.append(grp)
-    data = BoxData(M, N, tuple(codes), tuple(layouts))
 
     def entry_matrix(e):
         c_src = e.source.orbit_index.classes[0]
@@ -1059,7 +1058,7 @@ def box_oracle(M, N):
         cols = [None] * levels[c_src].generator_count
         for code in codes[c_src]:
             O = standard_orbit(group, code[0])
-            terms = _pairing_terms(data, levels, O, O,
+            terms = _pairing_terms(M, N, layouts, levels, O, O,
                                    compose(e, _oracle_struct_span(e.source,
                                                                   code)))
             for i in range(M.levels[code[0]].generator_count):
@@ -1119,16 +1118,16 @@ def hom_modules_oracle(P, M):
     actP = action_from_tables(data_P, P.underlying, P.tables).mats
     actM = action_from_tables(data_M, M.underlying, M.tables).mats
     solver = NatSolver(P.underlying, M.underlying)
-    for c, codes in enumerate(data_P.codes):
-        for code in codes:
+    for c, starts in enumerate(data_P.starts):
+        for code in starts:
             cw = code[0]
             nP, nM = (F.levels[cw].generator_count
                       for F in (P.underlying, M.underlying))
             for i in range(R.levels[cw].generator_count):
                 # phi . act_P = act_M . (id box phi) on the generators
                 # (code, i, j) of R box P, for every j at once
-                gammas = [data_P.layout[c][(code, i, j)] for j in range(nP)]
-                deltas = [data_M.layout[c][(code, i, b)] for b in range(nM)]
+                gammas = [data_P.index(c, code, i, j) for j in range(nP)]
+                deltas = [data_M.index(c, code, i, b) for b in range(nM)]
                 solver.add_commuting(cw, c, actP[c][:, gammas],
                                      actM[c][:, deltas])
     return solver.solve()
@@ -1222,27 +1221,72 @@ def hom_modules(P, M):
     return solver.solve()
 
 
+# -- box witnesses generator by generator: the route before block formulas -----
+
+
+def box_comm_oracle(M, N):
+    """Levels of the symmetry M box N -> N box M, one column per generator:
+    (code, i, j) goes to the generator (code, j, i) of box(N, M)."""
+    src, tgt = box(M, N), box(N, M)
+    mats = []
+    for c, lvl in enumerate(tgt.functor.levels):
+        cols = []
+        for code, i, j in src.generators(c):
+            col = intmat.zero_vec(lvl.generator_count)
+            col[tgt.index(c, code, j, i)] = 1
+            cols.append(col)
+        mats.append(intmat.from_cols(cols, lvl.generator_count))
+    return mats
+
+
+def box_unit_eval_oracle(M, data):
+    """Levels of A_pt box M -> M, one column per generator: (code, i, j)
+    goes to column j of `_unit_action_block(M, c, code, i)`."""
+    mats = []
+    for c in range(len(data.starts)):
+        blocks, cols = {}, []
+        for code, i, j in data.generators(c):
+            if (code, i) not in blocks:
+                blocks[(code, i)] = _unit_action_block(M, c, code, i)
+            cols.append(blocks[(code, i)][:, j])
+        mats.append(intmat.from_cols(cols, M.levels[c].generator_count))
+    return mats
+
+
+def box_unit_inverse_oracle(M, data):
+    """Levels of M -> A_pt box M, m -> res(1) (x) m, entry by entry: the
+    generator (diagonal over-code, a, k) gets coordinate a of res(1) in
+    column k, with 1 read off `burnside_unit_vector`."""
+    group = M.group
+    top = len(group.subgroup_classes()) - 1
+    unit = burnside_unit_vector(group)
+    mats = []
+    for c, lvl in enumerate(data.functor.levels):
+        one = _restriction(data.left, top, c, 0) @ unit
+        key = _diag_code(group, c)
+        inv = intmat.zeros(lvl.generator_count, M.levels[c].generator_count)
+        for idx, (code, a, k) in enumerate(data.generators(c)):
+            if code == key:
+                inv[idx, k] = one[a]
+        mats.append(inv)
+    return mats
+
+
 # -- Tor through a presented relative box per term: the old route -------------------
 
 
 def box_map(f, g):
     """The induced morphism f box g on box products (same over-codes).
 
-    The block of each over-code is the Kronecker product of f and g at
-    its class.
+    Both boxes list the same over-codes, so each level is block diagonal
+    over `src.starts`, the block of an over-code the Kronecker product of
+    f and g at its class.
     """
     src = box(f.source, g.source)
     tgt = box(f.target, g.target)
-    mats = []
-    for c, codes in enumerate(src.codes):
-        lo, _ = _block_starts(f.source, g.source, codes)
-        hi, rows = _block_starts(f.target, g.target, codes)
-        out = intmat.zeros(rows, src.functor.levels[c].generator_count)
-        for code in codes:
-            K = intmat.kron(f.mats[code[0]], g.mats[code[0]])
-            out[hi[code]:hi[code] + K.shape[0],
-                lo[code]:lo[code] + K.shape[1]] = K
-        mats.append(out)
+    mats = [intmat.block_diag([intmat.kron(f.mats[cw], g.mats[cw])
+                               for cw, _x in starts])
+            for starts in src.starts]
     return MackeyMorphism(src.functor, tgt.functor, mats, check=False)
 
 
@@ -1321,14 +1365,14 @@ def ss_pages_oracle(filt, r_max):
 # -- the box pairing along a materialized span ----------------------------------------
 
 
-def _pairing_terms(data, levels, U, V, e):
+def _pairing_terms(M, N, layouts, levels, U, V, e):
     """Twisted evaluation matrices for pairing along e: U x V -> X.
 
     Yields (TM, TN, slot) per transitive code of e, where the image of
     m (x) n accumulates (TM @ m) outer (TN @ n) at the generator slots
-    slot(a, b) of the box value at e.target.
+    slot(a, b) of the box value at e.target.  `layouts[c]` maps each
+    generator (code, i, j) of the oracle's level c to its index.
     """
-    M, N = data.left, data.right
     group = M.group
     PD = product(U, V)
     if e.source != PD.gset:
@@ -1353,7 +1397,7 @@ def _pairing_terms(data, levels, U, V, e):
                                    standard_orbit(group, cb))
         TM = (M.weyl[cw][u] @ RU) * a
         TN = N.weyl[cw][u] @ RV
-        lay = data.layout[cb]
+        lay = layouts[cb]
         offset = offs[b]
         key = (cw, zstar)
 
@@ -1386,17 +1430,17 @@ def rel_box_oracle(M, N):
     Mk, Nk = M.underlying, N.underlying
     data = box(Mk, Nk)
     levels = []
-    for c, (lay, lvl) in enumerate(zip(data.layout, data.functor.levels)):
+    for c, lvl in enumerate(data.functor.levels):
         cols = []
-        for code in data.codes[c]:
+        for code in data.starts[c]:
             for rowM, rowN in zip(M.tables[code[0]], N.tables[code[0]]):
                 for i, rm in enumerate(rowM):
                     for k, rn in enumerate(rowN):
                         col = intmat.zero_vec(lvl.generator_count)
                         for a, x in enumerate(rm):
-                            col[lay[(code, a, k)]] += x
+                            col[data.index(c, code, a, k)] += x
                         for b, x in enumerate(rn):
-                            col[lay[(code, i, b)]] -= x
+                            col[data.index(c, code, i, b)] -= x
                         if not intmat.is_zero(col):
                             cols.append(col)
         levels.append(abgroups.quotient_by_columns(

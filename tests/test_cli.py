@@ -267,6 +267,51 @@ def test_green_check_names_a_missing_level_or_unknown_label(
                                "error": error}
 
 
+@pytest.mark.parametrize("command, edit, error", [
+    ("mackey-check", lambda doc: doc.pop("group"),
+     "Mackey functor has no 'group'"),
+    ("mackey-check", lambda doc: doc.pop("levels"),
+     "Mackey functor has no 'levels'"),
+    ("mackey-check", lambda doc: doc.pop("res"), "Mackey functor has no 'res'"),
+    ("mackey-check", lambda doc: doc.pop("tr"), "Mackey functor has no 'tr'"),
+    ("mackey-check", lambda doc: doc["levels"]["e"].pop("generators"),
+     "level e has no 'generators'"),
+    ("green-check", lambda doc: doc.pop("mackey"),
+     "Green functor has no 'mackey'"),
+    ("green-check", lambda doc: doc.pop("rings"),
+     "Green functor has no 'rings'"),
+    ("green-check", lambda doc: doc.pop("unit"), "Green functor has no 'unit'"),
+    ("green-check", lambda doc: doc["mackey"].pop("tr"),
+     "Mackey functor has no 'tr'"),
+], ids=["group", "levels", "res", "tr", "generators", "mackey", "rings",
+        "unit", "green-tr"])
+def test_checks_name_a_missing_key(tmp_path, capsys, command, edit, error):
+    # a missing key once ended the command with the bare KeyError text on
+    # stderr ("error: 'tr'") and, under --format json, no JSON object
+    C2 = builtin_group("C2")
+    doc = jsonio.mackey_to_json(burnside_mackey(C2)) \
+        if command == "mackey-check" else \
+        jsonio.green_to_json(burnside_green(C2))
+    edit(doc)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [command, str(path), "--format", "json"])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"schema_version": 1, "valid": False,
+                               "error": error}
+
+
+@pytest.mark.parametrize("key", ["group", "terms"])
+def test_ss_cli_names_a_missing_key(tmp_path, capsys, key):
+    mdoc = jsonio.mackey_to_json(burnside_mackey(builtin_group("C2")))
+    doc = {"group": "C2", "terms": {"0": mdoc}, "filtration": "skeletal"}
+    doc.pop(key)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["ss", str(path), "--format", "json"])
+    assert (code, out, err) == (1, "", f"error: complex has no {key!r}\n")
+
+
 def test_tor_cli(tmp_path, capsys):
     C2 = builtin_group("C2")
     ring = tmp_path / "ring.json"

@@ -34,6 +34,7 @@ from mackeykit.mackey import (
 from mackeykit.convolution import (
     GreenModule,
     GreenValidationError,
+    _box_unit_inverse,
     _canonical_over,
     box,
     box_assoc_iso,
@@ -55,8 +56,11 @@ from support import (
     PERMUTATION_BATTERY,
     action_from_tables,
     assert_level_arrays,
+    box_comm_oracle,
     box_map,
     box_oracle,
+    box_unit_eval_oracle,
+    box_unit_inverse_oracle,
     box_validate_green,
     burnside_unit_vector,
     internal_hom_rep_by_spans,
@@ -179,6 +183,27 @@ def test_comm_iso_involution():
         identity_morphism(box(A, FP).functor))
 
 
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_box_witnesses_match_their_generator_by_generator_oracles(name):
+    # the block formulas over `BoxData.starts` (a permutation of swaps,
+    # unit-action blocks side by side, kron(res(1), I) on the diagonal
+    # over-code) against one column or entry per generator, read through
+    # `generators()` and `index()`, on A, A_{G/e}, FP(Z), FP(Z[G]) and
+    # FP(Z)/2
+    functors = sample_functors(builtin_group(name))
+    for M, N in itertools.product(functors, repeat=2):
+        got = box_comm_iso(M, N).mats
+        want = box_comm_oracle(M, N)
+        assert all(im.mats_equal(a, b) for a, b in zip(got, want, strict=True))
+    for M in functors:
+        eps, data = box_unit_iso(M)
+        for got, want in ((eps.mats, box_unit_eval_oracle(M, data)),
+                          (_box_unit_inverse(M, data).mats,
+                           box_unit_inverse_oracle(M, data))):
+            assert all(im.mats_equal(a, b)
+                       for a, b in zip(got, want, strict=True))
+
+
 def test_assoc_iso_and_pentagon_on_representables():
     C2 = builtin_group("C2")
     A = burnside_mackey(C2)
@@ -211,7 +236,7 @@ def test_evaluation_at_free_orbit_is_monoidal():
         assert len(codes) == 1
         nN = FP.levels[0].generator_count
         perm = {}
-        for (code, i, j), idx in data.layout[0].items():
+        for idx, (code, i, j) in enumerate(data.generators(0)):
             perm[idx] = i * nN + j
         n = len(perm)
         Pmat = im.zeros(n, n)

@@ -427,6 +427,37 @@ def test_tor_independent_of_resolution(c2_setup):
         assert invariants(a.tor[p]) == invariants(b.tor[p]), p
 
 
+@pytest.mark.parametrize("name", ["C2", "S3", "C2xC2"])
+def test_an_extended_resolution_is_a_fresh_one(name):
+    # a longer request extends the cached resolution from its last free
+    # module and differential: length 1 and then 3 on one module equals a
+    # fresh length-3 resolution of another module on the same functor,
+    # level by level, table by table and differential by differential
+    R, mods = _tor_modules(builtin_group(name))
+    lengths = {}
+    for key, M in mods.items():
+        fresh = GreenModule(R, M.underlying, M.tables)
+        module_resolution(R, M, 1)
+        grown, want = (module_resolution(R, N, 3) for N in (M, fresh))
+        lengths[key] = len(grown.modules)
+        for F, G in zip(grown.modules, want.modules, strict=True):
+            assert F.base.orbit_index.classes == G.base.orbit_index.classes
+            for a, b in zip(F.underlying.levels, G.underlying.levels,
+                            strict=True):
+                assert a.generator_count == b.generator_count
+                assert im.mats_equal(a.relation_lattice, b.relation_lattice)
+            assert all(im.mats_equal(s, t)
+                       for s, t in zip(F.tables, G.tables, strict=True))
+        for f, g in zip(grown.diffs + [grown.augmentation],
+                        want.diffs + [want.augmentation], strict=True):
+            assert all(im.mats_equal(s, t)
+                       for s, t in zip(f.mats, g.mats, strict=True))
+    # FP(Z)/2 was extended twice; R's resolution ended before length 3,
+    # and an ended resolution is not extended
+    assert lengths["R"] < lengths["FP/2"] == 4
+    assert len(module_resolution(R, mods["R"], 5).modules) == lengths["R"]
+
+
 def test_negative_degrees_are_refused_whatever_is_cached(c2_setup):
     # a negative length once sliced a cached resolution from its end, so
     # the answer depended on what earlier calls had cached

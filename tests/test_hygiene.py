@@ -10,7 +10,10 @@ fixed points per subgroup class from `GSet.fixed_orbits`.  The presented box
 product has one implementation, the Mackey formula on over-codes: its
 functions build no G-maps, G-set products or spans, and its level
 relations are sparse columns handed to the column Hermite form, with no
-dense block, row list, row sort or dense Hermite form.  A Green module is
+dense block, row list, row sort or dense Hermite form.  Its generators
+have one layout, the over-code starts `box` computes and `BoxData` keeps:
+no other function lays them out again, and `dress_pairing` takes the
+`BoxData` it pairs into.  A Green module is
 its level action tables: the functions that build, cover, map and check
 modules present no box product and build no map out of one.  Res and tr
 along a G-map have one path on the resolution and Tor route, the orbit
@@ -259,6 +262,80 @@ def test_box_relations_are_sparse_columns():
     calls, _ = calls_inside(source, ("_box_level_presentation",),
                             {"hermite_normal_form_of_columns"})
     assert len(calls) == 1
+
+
+LAYOUT_FUNCTIONS = {"_block_starts", "over_codes"}
+
+
+def box_layout_report(source):
+    """(top-level function or class, line, name) of every call of
+    `_block_starts` or `over_codes` outside `box`; the fields `BoxData`
+    declares; and (name, annotation) of `dress_pairing`'s first
+    parameter."""
+    calls, fields, first = [], [], None
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        if name != "box":
+            calls.extend((name, line, called) for line, called
+                         in named_calls(node, LAYOUT_FUNCTIONS))
+        if isinstance(node, ast.ClassDef) and name == "BoxData":
+            fields = [n.target.id for n in node.body
+                      if isinstance(n, ast.AnnAssign)]
+        if isinstance(node, ast.FunctionDef) and name == "dress_pairing":
+            arg = node.args.args[0]
+            first = (arg.arg, arg.annotation and ast.unparse(arg.annotation))
+    return sorted(calls), fields, first
+
+
+# The box layout, abridged, as it read when `BoxData` stored the over-codes
+# and a dict per generator beside the starts `box` computed, and the
+# pairing and `rel_box` computed the starts again.
+BOX_LAYOUT_TWICE = '''
+@dataclass
+class BoxData:
+    left: MackeyFunctor
+    right: MackeyFunctor
+    codes: tuple
+    layout: tuple
+    functor: MackeyFunctor = None
+
+def box(M, N):
+    codes = tuple(over_codes(X) for X in orbits)
+    blocks = [_block_starts(M, N, cs) for cs in codes]
+
+def _diagonal_pairing(M, N, Z, n_vec):
+    starts, gens = _block_starts(M, N, over_codes(standard_orbit(group, L)))
+
+def dress_pairing(M: MackeyFunctor, N, boxed, X, n_vec):
+    pair = _diagonal_pairing(M, N, P.gset, n_res)
+
+def rel_box(M, N):
+    for code, s in _block_starts(Mk, Nk, data.codes[c])[0].items():
+        pass
+'''
+
+
+def test_scanner_finds_a_box_layout_computed_twice():
+    assert box_layout_report(BOX_LAYOUT_TWICE) == (
+        [("_diagonal_pairing", 15, "_block_starts"),
+         ("_diagonal_pairing", 15, "over_codes"),
+         ("rel_box", 21, "_block_starts")],
+        ["left", "right", "codes", "layout", "functor"],
+        ("M", "MackeyFunctor"))
+
+
+def test_box_generators_have_one_layout():
+    # `box` lays out the generators once, as the over-code starts
+    # `BoxData` keeps; no other function in src computes them again, and
+    # the pairing reads them from the `BoxData` it pairs into
+    for path in MODULES:
+        calls, fields, first = box_layout_report(
+            path.read_text(encoding="utf-8"))
+        assert calls == [], path.name
+        if path.name == "convolution.py":
+            assert "starts" in fields
+            assert not {"codes", "layout"} & set(fields)
+            assert first == ("data", "BoxData")
 
 
 MODULE_FUNCTIONS = {
