@@ -98,8 +98,8 @@ def over_image(S: GSet, T: GSet, ecode, code):
 
 
 def _block(F: MackeyFunctor, S: GSet, T: GSet, code):
-    """F on one transitive span code between standard orbits, as cached."""
-    return F._eval_code(S.orbit_index, T.orbit_index, code)[0]
+    """F on one transitive span code between standard orbits, as stored."""
+    return F.structure.block(S.orbit_index, T.orbit_index, code)[0]
 
 
 def _restriction(F: MackeyFunctor, cw, cwp, o):
@@ -219,13 +219,14 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     of Kronecker products of the factors' twisted restrictions, one per
     term of `over_image` on the G-map's span code.  Module actions
     do not go through a box: a `GreenModule` stores its level tables.
+    Each pair is presented once: M's structure store keeps it, keyed by N.
     Raises ValueError, naming both groups, unless M and N share a group.
     """
     _same_group(M.group, N.group, "the factors")
+    kept = M.structure.boxed(N)
+    if kept is not None:
+        return kept
     group = M.group
-    key = ("box", id(N))
-    if key in M._cache:
-        return M._cache[key]
     orbits = [standard_orbit(group, cls.index)
               for cls in group.subgroup_classes()]
     blocks = [_block_starts(M, N, over_codes(X)) for X in orbits]
@@ -278,9 +279,8 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
 
     functor = mackey_from_gmaps(group, levels, along, check=False,
                                 name=f"({M.name or 'M'} box {N.name or 'N'})")
-    data = BoxData(M, N, tuple(starts for starts, _ in blocks), functor)
-    M._cache[key] = data
-    return data
+    return M.structure.keep_box(
+        N, BoxData(M, N, tuple(starts for starts, _ in blocks), functor))
 
 
 def _struct_span(X: GSet, code) -> BurnsideElement:
@@ -580,7 +580,7 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
 # -- Green functors -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class GreenFunctor:
     """A Mackey functor R with a commutative, unital ring at every level.
 
@@ -811,7 +811,7 @@ def burnside_green(group, check=True) -> GreenFunctor:
 # -- modules over Green functors -------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class GreenModule:
     """A Mackey functor M with an action of a Green functor R, stored as
     one integer array per level: tables[c][i][j] is e_i . m_j in M(G/H_c),
@@ -828,8 +828,7 @@ class GreenModule:
     ring: GreenFunctor
     underlying: MackeyFunctor
     tables: list
-    _resolutions: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _resolutions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.tables = _integer_tables(self.ring.underlying, self.underlying,

@@ -73,7 +73,7 @@ from .mackey import (
 # -- free modules -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FreeModule(GreenModule):
     """The free left R-module R^X = R(X x -) on a basis G-set X: a
     GreenModule that remembers its basis.

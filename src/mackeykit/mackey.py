@@ -32,6 +32,14 @@ Derived functors (kernels, images, cokernels, minimized presentations)
 carry each res, tr and conj matrix from their parent when it is first
 read (`CarriedMatrices`): on the Tor path most of them are never read,
 and the homology of a complex costs its levels and inclusions only.
+
+What evaluation derives from the stored data lives in one store per
+functor, `MackeyFunctor.structure`, built on first read, with one dict
+per kind and `sizes()` counting them: `weyl`, the covering steps, the
+res and tr chains and the span blocks, keyed by group data only, so
+bounded by the group; the level sums of `value_at`, one per sequence of
+orbit classes read; and the boxes `convolution.box` presents with this
+functor on the left, keyed by (and keeping alive) the right factor.
 """
 
 from __future__ import annotations
@@ -172,7 +180,6 @@ class MackeyFunctor:
                                 "conjugation by {} at class {}", s, c))
             for w, cls in zip(conj, classes))
         self.name = name
-        self._cache = {}
         if check:
             self._check_shapes()
 
@@ -210,84 +217,39 @@ class MackeyFunctor:
         ranks = [lvl.describe() for lvl in self.levels]
         return f"{name}({', '.join(ranks)})"
 
-    # -- derived structure matrices ---------------------------------------------
+    # -- derived structure matrices, read from the structure store -------------
 
     @cached_property
+    def structure(self):
+        """The `_StructureStore` of this functor, built on first read."""
+        return _StructureStore(self)
+
+    @property
     def weyl(self):
         """Conjugation by every element of each N(H_c), in class order."""
-        return tuple(
-            _generated_action(self.group, w,
-                              intmat.identity(lvl.generator_count))
-            for w, lvl in zip(self.conj, self.levels))
+        return self.structure.weyl
 
     def conj_mat(self, g, L):
         """Matrix of conjugation by g from M@L to M@(gLg^-1), in class coords."""
-        c, n = self.group.conj_index(g, L)
-        return self.weyl[c][n]
+        return self.structure.conj_mat(g, L)
 
     def cover_mats(self, A, B):
-        """(res, tr) of the covering step A < B, in class coords.
-
-        t = transport(B) carries the step to A2 < K0, K0 the class
-        representative, and the minimal u in N(K0) carries A2 onto the
-        canonical Hp, whose stored matrices give
-        res = c_{t^-1} c_{u^-1} res(Hp, K0) c_u, and dually tr.
-        """
-        key = ("cover", A, B)
-        if key not in self._cache:
-            group = self.group
-            cls = group.subgroup_classes()[group.class_index_of(B)]
-            t, K0 = group.transport(B), cls.representative
-            A2 = group.conjugate_subgroup(t, A)
-            Hp, u = min((group.conjugate_subgroup(n, A2), n)
-                        for n in cls.normalizer)
-            r, tr = self.res[(Hp, K0)], self.tr[(Hp, K0)]
-            if (A, B) != (Hp, K0):
-                w = self.weyl[cls.index]
-                r = self.conj_mat(group.inv(t), A2) @ (
-                    self.conj_mat(group.inv(u), Hp) @ r @ w[u])
-                tr = (w[group.inv(u)] @ tr @ self.conj_mat(u, A2)) \
-                    @ self.conj_mat(t, A)
-            self._cache[key] = (r, tr)
-        return self._cache[key]
+        """(res, tr) of the covering step A < B, in class coords."""
+        return self.structure.cover(A, B)
 
     def res_mat(self, A, B):
         """Matrix of restriction from M@B to M@A (A <= B), in class coords."""
-        A, B = tuple(sorted(A)), tuple(sorted(B))
-        key = ("res", A, B)
-        if key in self._cache:
-            return self._cache[key]
-        if A == B:
-            out = intmat.identity(self._gens(A))
-        else:
-            M = self.group.maximal_under(A, B)
-            out = self.res_mat(A, M) @ self.cover_mats(M, B)[0]
-        self._cache[key] = out
-        return out
+        return self.structure.chain(A, B)
 
     def tr_mat(self, A, B):
         """Matrix of transfer from M@A to M@B (A <= B), in class coords."""
-        A, B = tuple(sorted(A)), tuple(sorted(B))
-        key = ("tr", A, B)
-        if key in self._cache:
-            return self._cache[key]
-        if A == B:
-            out = intmat.identity(self._gens(A))
-        else:
-            M = self.group.maximal_under(A, B)
-            out = self.cover_mats(M, B)[1] @ self.tr_mat(A, M)
-        self._cache[key] = out
-        return out
+        return self.structure.chain(A, B, transfer=True)
 
     # -- values at arbitrary G-sets ----------------------------------------------
 
     def value_at(self, X: GSet):
         """M(X) as a direct sum of class levels; returns (group, offsets)."""
-        key = ("value", X.orbit_index.classes)
-        if key not in self._cache:
-            self._cache[key] = abgroups.direct_sum_groups(
-                [self.levels[c] for c in key[1]])
-        return self._cache[key]
+        return self.structure.value(X.orbit_index.classes)
 
     def eval_span(self, e: BurnsideElement):
         """Matrix of M applied to a Burnside element, M(source) -> M(target)."""
@@ -297,41 +259,11 @@ class MackeyFunctor:
         gy, offy = self.value_at(Y)
         out = intmat.zeros(gy.generator_count, gx.generator_count)
         for code, a in e.coeffs.items():
-            block, (bx, by) = self._eval_code(X.orbit_index, Y.orbit_index,
-                                              code)
+            block, (bx, by) = self.structure.block(X.orbit_index,
+                                                   Y.orbit_index, code)
             rows, cols = block.shape
             out[offy[by]:offy[by] + rows, offx[bx]:offx[bx] + cols] += a * block
         return out
-
-    def _eval_code(self, ix, iy, code):
-        """Block of a transitive span code and its (source, target) orbits.
-
-        The block depends on group data only: the code's class and, for
-        each foot, the stabilizer of the orbit's base point and the least
-        element carrying the base to the code's point.  It is cached under
-        that key, so the cache is bounded by the group and holds no G-set.
-        """
-        cidx, x, y = code
-        bx, a = ix.orbit_of[x], ix.reach[x]
-        by, b = iy.orbit_of[y], iy.reach[y]
-        stabx, staby = ix.stabilizers[bx], iy.stabilizers[by]
-        key = ("block", cidx, stabx, a, staby, b)
-        if key not in self._cache:
-            group = self.group
-            classes = group.subgroup_classes()
-            L = classes[cidx].representative
-            # transport to the standard-orbit picture:  h carries the middle
-            # base point into the class representative's coset space
-            h = group.mul(a, group.inv(group.transport(stabx)))
-            k = group.mul(b, group.inv(group.transport(staby)))
-            Sx0 = classes[ix.classes[bx]].representative
-            Sy0 = classes[iy.classes[by]].representative
-            A2 = group.conjugate_subgroup(group.inv(h), L)
-            B2 = group.conjugate_subgroup(group.inv(k), L)
-            left = self.conj_mat(h, A2) @ self.res_mat(A2, Sx0)
-            right = self.tr_mat(B2, Sy0) @ self.conj_mat(group.inv(k), L)
-            self._cache[key] = right @ left
-        return self._cache[key], (bx, by)
 
     def gmap_blocks(self, f: GMap, transfer=False):
         """(orbit of X, orbit of Y, block) of res_f: M(Y) -> M(X), or of
@@ -339,7 +271,7 @@ class MackeyFunctor:
 
         The orbit of its base x0 is the span G/L -> X x Y, gL ->
         (gt.x0, gt.f(x0)), t the transport of x0's stabilizer onto L: a
-        valid code, which `_eval_code` evaluates as it is.
+        valid code, whose block the structure store derives as it is.
         """
         ix, iy = f.source.orbit_index, f.target.orbit_index
         xa, ya = f.source.action, f.target.action
@@ -348,9 +280,9 @@ class MackeyFunctor:
             t = self.group.transport(stab)
             x, y = xa[t][orbit[0]], ya[t][f.mapping[orbit[0]]]
             if transfer:
-                block, (_, by) = self._eval_code(ix, iy, (c, x, y))
+                block, (_, by) = self.structure.block(ix, iy, (c, x, y))
             else:
-                block, (by, _) = self._eval_code(iy, ix, (c, y, x))
+                block, (by, _) = self.structure.block(iy, ix, (c, y, x))
             yield bx, by, block
 
     def apply_gmap(self, f: GMap, v, transfer=False):
@@ -421,6 +353,7 @@ class MackeyFunctor:
         group = self.group
         plan = group.relation_plan
         cidx = group.class_index_of
+        weyl, chain = self.structure.weyl, self.structure.chain
         counts = {}
 
         def check(lhs, rhs, src, tgt, relation, where):
@@ -430,7 +363,7 @@ class MackeyFunctor:
                 raise ValueError(f"functoriality fails: {relation} at {where}")
 
         for cls in group.subgroup_classes():
-            c, w = cls.index, self.weyl[cls.index]
+            c, w = cls.index, weyl[cls.index]
             ident = intmat.identity(self.levels[c].generator_count)
             for h in (0,) + cls.generators:
                 check(w[h], ident, c, c, "inner conjugation is trivial",
@@ -444,27 +377,143 @@ class MackeyFunctor:
             ch, ck = cidx(Hp), cidx(K0)
             r, t = self.res[(Hp, K0)], self.tr[(Hp, K0)]
             for n, (c, m) in gens:
-                wh, wk = self.weyl[c][m], self.weyl[ck][n]
+                wh, wk = weyl[c][m], weyl[ck][n]
                 where = f"{n} on {Hp} < {K0}"
                 check(wh @ r, r @ wk, ck, ch,
                       "conjugation commutes with restriction", where)
                 check(wk @ t, t @ wh, ch, ck,
                       "conjugation commutes with transfer", where)
         for (A, C, B) in plan.transitivity:
-            r, t = self.cover_mats(C, B)
+            r, t = self.structure.cover(C, B)
             where = f"{A} < {C} < {B}"
-            check(self.res_mat(A, C) @ r, self.res_mat(A, B), cidx(B),
-                  cidx(A), "transitivity of restriction", where)
-            check(t @ self.tr_mat(A, C), self.tr_mat(A, B), cidx(A),
-                  cidx(B), "transitivity of transfer", where)
+            check(chain(A, C) @ r, chain(A, B), cidx(B), cidx(A),
+                  "transitivity of restriction", where)
+            check(t @ chain(A, C, transfer=True), chain(A, B, transfer=True),
+                  cidx(A), cidx(B), "transitivity of transfer", where)
         for (L, H, K, terms) in plan.double_coset:
             rhs = intmat.zeros(self._gens(H), self._gens(K))
             for (E, D, (c, m)) in terms:
-                rhs = rhs + self.tr_mat(E, H) @ self.weyl[c][m] \
-                    @ self.res_mat(D, K)
-            check(self.res_mat(H, L) @ self.tr_mat(K, L), rhs, cidx(K),
+                rhs = rhs + chain(E, H, transfer=True) @ weyl[c][m] \
+                    @ chain(D, K)
+            check(chain(H, L) @ chain(K, L, transfer=True), rhs, cidx(K),
                   cidx(H), "double-coset formula", f"res^{L}_{H} tr^{L}_{K}")
         return counts
+
+
+class _StructureStore:
+    """What span evaluation derives from a functor's levels and stored
+    res, tr and conj, one dict per kind (see the module docstring)."""
+
+    def __init__(self, M: MackeyFunctor):
+        self.group, self.levels = M.group, M.levels
+        self.res, self.tr, self.conj = M.res, M.tr, M.conj
+        self._covers, self._chains, self._blocks = {}, {}, {}
+        self._values, self._boxes = {}, {}
+
+    def sizes(self):
+        """{kind: entries held}."""
+        return {"weyl": sum(map(len, vars(self).get("weyl", ()))),
+                "cover": len(self._covers), "chain": len(self._chains),
+                "block": len(self._blocks), "value": len(self._values),
+                "box": len(self._boxes)}
+
+    @cached_property
+    def weyl(self):
+        return tuple(
+            _generated_action(self.group, w,
+                              intmat.identity(lvl.generator_count))
+            for w, lvl in zip(self.conj, self.levels))
+
+    def conj_mat(self, g, L):
+        c, n = self.group.conj_index(g, L)
+        return self.weyl[c][n]
+
+    def cover(self, A, B):
+        """(res, tr) of the covering step A < B.
+
+        t = transport(B) carries the step to A2 < K0, K0 the class
+        representative, and the minimal u in N(K0) carries A2 onto the
+        canonical Hp, whose stored matrices give
+        res = c_{t^-1} c_{u^-1} res(Hp, K0) c_u, and dually tr.
+        """
+        if (A, B) not in self._covers:
+            group = self.group
+            cls = group.subgroup_classes()[group.class_index_of(B)]
+            t, K0 = group.transport(B), cls.representative
+            A2 = group.conjugate_subgroup(t, A)
+            Hp, u = min((group.conjugate_subgroup(n, A2), n)
+                        for n in cls.normalizer)
+            r, tr = self.res[(Hp, K0)], self.tr[(Hp, K0)]
+            if (A, B) != (Hp, K0):
+                w = self.weyl[cls.index]
+                r = self.conj_mat(group.inv(t), A2) @ (
+                    self.conj_mat(group.inv(u), Hp) @ r @ w[u])
+                tr = (w[group.inv(u)] @ tr @ self.conj_mat(u, A2)) \
+                    @ self.conj_mat(t, A)
+            self._covers[A, B] = (r, tr)
+        return self._covers[A, B]
+
+    def chain(self, A, B, transfer=False):
+        """Restriction from B to A, or transfer from A to B (A <= B): the
+        product of the covering steps down `maximal_under`."""
+        A, B = tuple(sorted(A)), tuple(sorted(B))
+        key = (A, B, transfer)
+        if key not in self._chains:
+            if A == B:
+                out = intmat.identity(
+                    self.levels[self.group.class_index_of(A)].generator_count)
+            else:
+                C = self.group.maximal_under(A, B)
+                step = self.cover(C, B)[transfer]
+                rest = self.chain(A, C, transfer)
+                out = step @ rest if transfer else rest @ step
+            self._chains[key] = out
+        return self._chains[key]
+
+    def value(self, classes):
+        if classes not in self._values:
+            self._values[classes] = abgroups.direct_sum_groups(
+                [self.levels[c] for c in classes])
+        return self._values[classes]
+
+    def block(self, ix, iy, code):
+        """Block of a transitive span code and its (source, target) orbits.
+
+        The block depends on group data only: the code's class and, for
+        each foot, the stabilizer of the orbit's base point and the least
+        element carrying the base to the code's point.  It is kept under
+        that key, so it holds no G-set.
+        """
+        cidx, x, y = code
+        bx, a = ix.orbit_of[x], ix.reach[x]
+        by, b = iy.orbit_of[y], iy.reach[y]
+        stabx, staby = ix.stabilizers[bx], iy.stabilizers[by]
+        key = (cidx, stabx, a, staby, b)
+        if key not in self._blocks:
+            group = self.group
+            classes = group.subgroup_classes()
+            L = classes[cidx].representative
+            # transport to the standard-orbit picture:  h carries the middle
+            # base point into the class representative's coset space
+            h = group.mul(a, group.inv(group.transport(stabx)))
+            k = group.mul(b, group.inv(group.transport(staby)))
+            Sx0 = classes[ix.classes[bx]].representative
+            Sy0 = classes[iy.classes[by]].representative
+            A2 = group.conjugate_subgroup(group.inv(h), L)
+            B2 = group.conjugate_subgroup(group.inv(k), L)
+            left = self.conj_mat(h, A2) @ self.chain(A2, Sx0)
+            right = self.chain(B2, Sy0, transfer=True) \
+                @ self.conj_mat(group.inv(k), L)
+            self._blocks[key] = right @ left
+        return self._blocks[key], (bx, by)
+
+    def boxed(self, N):
+        """The presented box product with N on the right, or None."""
+        return self._boxes.get(N)
+
+    def keep_box(self, N, data):
+        self._boxes[N] = data
+        return data
 
 
 # -- morphisms ---------------------------------------------------------------------
@@ -541,8 +590,7 @@ class MackeyMorphism:
 
     def _check_parallel(self, other):
         if self.source is not other.source or self.target is not other.target:
-            if self.source != other.source or self.target != other.target:
-                raise ValueError("morphisms are not parallel")
+            raise ValueError("morphisms are not parallel")
 
     def is_zero(self):
         return all(abgroups.maps_equal(m, intmat.zeros(*m.shape),
@@ -566,7 +614,7 @@ class MackeyMorphism:
 
 
 def compose_morphisms(g: MackeyMorphism, f: MackeyMorphism) -> MackeyMorphism:
-    if f.target != g.source and f.target is not g.source:
+    if f.target is not g.source:
         raise ValueError("morphisms are not composable")
     return MackeyMorphism(f.source, g.target,
                           [g.mats[c] @ f.mats[c] for c in range(len(f.mats))],

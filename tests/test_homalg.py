@@ -317,6 +317,19 @@ def test_two_modules_on_one_functor_have_their_own_resolutions(name, tor0):
         module_resolution(burnside_green(builtin_group(name)), M1, 0)
 
 
+def test_rings_and_modules_compare_by_identity():
+    # a generated `__eq__` would compare level tables, which are arrays:
+    # `in` raised on the truth value of an array, and hash() refused
+    group = builtin_group("S3")
+    R = burnside_green(group)
+    A = R.underlying
+    M, N = canonical_module(R, A), canonical_module(R, A)
+    F = free_module(R, standard_orbit(group, 1))
+    assert M not in [N] and M in [N, M] and M != N
+    assert F != free_module(R, F.base)
+    assert len({R, M, N, F, F}) == 4
+
+
 def test_resolution_exact_in_middle_degrees(c2_setup):
     C2, R, FP = c2_setup
     two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * 2)
@@ -621,9 +634,10 @@ def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):
     monkeypatch.setattr(homalg, "box", counting)
     result = tor(R, M, N, 2)
     assert calls == [(M.underlying, N.underlying)]
-    pinned = [key for key in M.underlying._cache if key[0] == "box"]
-    assert pinned == [("box", id(N.underlying))]
-    assert all(("box", id(F.underlying)) not in M.underlying._cache
+    store = M.underlying.structure
+    assert store.sizes()["box"] == 1
+    assert store.boxed(N.underlying) is not None
+    assert all(store.boxed(F.underlying) is None
                for F in result.resolution.modules)
 
 

@@ -35,6 +35,10 @@ levelwise constructions call `MackeyFunctor` directly, and no
 span-action builder is left in src.  Every public top-level function
 of the package is called in it, exported from it, or read by the
 benchmark or the demos; helpers only tests read live in tests/support.py.
+What a functor derives from its stored maps lives in one owned store,
+`MackeyFunctor.structure`: `_cache` is left on the group alone, no module
+but `mackey` names `_eval_code` or the store's dicts, and `convolution`
+assigns nothing onto a functor.
 """
 
 import ast
@@ -776,3 +780,98 @@ def test_naturality_is_listed_once_and_kronecker_products_live_in_intmat():
                                                    "broadcast"]
         else:
             assert found == [], path.name
+
+
+STORE_NAMES = {"_eval_code", "_covers", "_chains", "_blocks", "_values",
+               "_boxes"}
+
+
+def structure_store_report(source):
+    """(scope, line, base) of every `_cache` attribute, scope the enclosing
+    top-level function or class; (line, name) of every name or attribute
+    in STORE_NAMES; and (function, line, target) of every assignment to an
+    attribute or item of a parameter annotated as a functor."""
+    caches, names, writes = [], [], []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                caches.append((scope, node.lineno, ast.unparse(node.value)))
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name in STORE_NAMES:
+                names.append((node.lineno, name))
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        functors = {a.arg for a in top.args.args
+                    if a.annotation is not None
+                    and "Functor" in ast.unparse(a.annotation)}
+        for node in ast.walk(top):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AugAssign) else []
+            for t in targets:
+                base = t
+                while isinstance(base, (ast.Attribute, ast.Subscript)):
+                    base = base.value
+                if base is not t and isinstance(base, ast.Name) \
+                        and base.id in functors:
+                    writes.append((scope, t.lineno, ast.unparse(t)))
+    return sorted(caches), sorted(names), sorted(writes)
+
+
+# The functor's memo and the box memo, abridged, as they read when every
+# derived structure map sat in `MackeyFunctor._cache` under a tag tuple
+# and `box` kept its result there, keyed by the partner's `id`.
+TAGGED_CACHE = '''
+class MackeyFunctor:
+    def __init__(self, group, levels):
+        self._cache = {}
+
+    def value_at(self, X):
+        key = ("value", X.orbit_index.classes)
+        if key not in self._cache:
+            self._cache[key] = direct_sum_groups(levels)
+        return self._cache[key]
+
+def _block(F: MackeyFunctor, S, T, code):
+    return F._eval_code(S.orbit_index, T.orbit_index, code)[0]
+
+def box(M: MackeyFunctor, N: MackeyFunctor):
+    key = ("box", id(N))
+    if key in M._cache:
+        return M._cache[key]
+    M._cache[key] = data
+
+def burnside_green(group, check=True):
+    if key not in group._cache:
+        group._cache[key] = GreenFunctor(group)
+'''
+
+
+def test_scanner_finds_a_tagged_functor_cache():
+    caches, names, writes = structure_store_report(TAGGED_CACHE)
+    assert caches == [
+        ("MackeyFunctor", 4, "self"), ("MackeyFunctor", 8, "self"),
+        ("MackeyFunctor", 9, "self"), ("MackeyFunctor", 10, "self"),
+        ("box", 17, "M"), ("box", 18, "M"), ("box", 19, "M"),
+        ("burnside_green", 22, "group"), ("burnside_green", 23, "group")]
+    assert names == [(13, "_eval_code")]
+    assert writes == [("box", 19, "M._cache[key]")]
+
+
+def test_functors_keep_derived_maps_in_one_owned_store():
+    # a functor's derived structure maps live in its structure store, one
+    # dict per kind that only `mackey` names; `_cache` is left on the group
+    # alone, and `convolution` writes nothing onto a functor
+    for path in MODULES:
+        caches, names, writes = structure_store_report(
+            path.read_text(encoding="utf-8"))
+        for scope, _, base in caches:
+            assert (scope, base) == ("FiniteGroup", "self") or \
+                base == "group", (path.name, scope)
+        if path.name == "mackey.py":
+            assert "_eval_code" not in {name for _, name in names}
+        else:
+            assert names == [], path.name
+        if path.name == "convolution.py":
+            assert writes == []

@@ -852,8 +852,9 @@ def test_functors_store_one_conjugation_per_normalizer_generator(name):
     two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
     Q = cokernel(two)[0]
     boxed = box(A, FP).functor
-    # nothing holds the other elements' matrices until they are read
-    assert "weyl" not in vars(boxed)
+    # nothing holds the other elements' matrices until they are read: the
+    # box functor has built no structure store, so no `weyl` either
+    assert "structure" not in vars(boxed)
     functors = [A, FP, Q, boxed, zero_mackey(group), k0_mackey(group),
                 kernel(two)[0], direct_sum(A, Q)[0], minimize_presentation(Q)[0],
                 internal_hom_rep(standard_orbit(group, 0), FP),
@@ -1160,7 +1161,27 @@ def test_span_evaluation_does_not_pin_gsets():
     del X, fold, e
     gc.collect()
     assert ref() is None
-    assert not any(_holds_gset(key) for key in M._cache)
+    kept = [d for d in vars(M.structure).values() if isinstance(d, dict)]
+    assert any(kept)
+    assert not any(_holds_gset(key) for d in kept for key in d)
+
+
+def test_structure_store_is_bounded_by_the_group():
+    # restriction from the point to k copies of G/C2: the block, the
+    # covering step C2 < S3 and the chains (res C2 < S3, res and tr at C2
+    # itself) are read once whatever k; only the level sum of each new
+    # orbit-class sequence is added
+    group = builtin_group("S3")
+    M = fixed_point_mackey(group, *regular_module(group))
+    O, pt = standard_orbit(group, 1), point_gset(group)
+    sizes = []
+    for k in (2, 3, 5):
+        X = GSet(group, [sum((tuple(O.size * i + y for y in row)
+                              for i in range(k)), ()) for row in O.action])
+        M.eval_span(restriction_element(GMap(X, pt, (0,) * X.size)))
+        sizes.append(M.structure.sizes())
+    assert sizes == [{"weyl": 20, "cover": 1, "chain": 3, "block": 1,
+                      "value": v, "box": 0} for v in (2, 3, 4)]
 
 
 # -- derived functors carry their structure maps on first read ------------------------------
