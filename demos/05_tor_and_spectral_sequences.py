@@ -1,9 +1,9 @@
 """Homological algebra over the Burnside Green functor.
 
-Free modules R^X, deterministic free covers, Tor as the homology of
-M box_R F for a free resolution F, whose terms are M(X_p x -) because
-M box_R R(X x -) = M(X x -), and the spectral sequence of the skeletal
-filtration with E_2 = Tor.
+Free modules R^X, deterministic irredundant free covers, Tor as the
+homology of M box_R F for a free resolution F, whose terms are M(X_p x -)
+because M box_R R(X x -) = M(X x -), and the spectral sequence of the
+skeletal filtration with E_2 = Tor.
 """
 
 from mackeykit import builtin_group

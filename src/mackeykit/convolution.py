@@ -821,14 +821,14 @@ class GreenModule:
     An action R box M -> M is the same data (see `validate_module`): it
     sends (code, i, j) to the transfer along code of
     tables[class of code][i][j], so no box product is built to hold it.
-    `_resolutions` holds the module's free resolutions
-    (`homalg.module_resolution`), keyed by `reverse`: two modules on one
-    Mackey functor have their own.
+    `_resolution` holds the module's one free resolution, with whether it
+    has terminated (`homalg.module_resolution`), or None before the first
+    request: two modules on one Mackey functor have their own.
     """
     ring: GreenFunctor
     underlying: MackeyFunctor
     tables: list
-    _resolutions: dict = field(default_factory=dict, init=False, repr=False)
+    _resolution: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.tables = _integer_tables(self.ring.underlying, self.underlying,

@@ -7,9 +7,10 @@ to hold it.  The free module on a G-set X is R(X x -), the Dress
 construction of R at X, which is R box A_X: its levels are values of R,
 the action is the level product after restriction, and a module map out
 of it is the Yoneda formula at X.  Covers pick one free generator per
-level generator, resolutions iterate kernels (whose tables are lifted
-through the inclusion), and Tor_p(M, N) is the homology of M box_R F for
-a free resolution F of N.  Since M box_R R(X x -) is M(X x -), no term
+level generator the partial cover misses, then drop each one the others
+generate; resolutions iterate kernels (whose tables are lifted through
+the inclusion), and Tor_p(M, N) is the homology of M box_R F for the
+free resolution F of N.  Since M box_R R(X x -) is M(X x -), no term
 of that complex is a presented box: term p is M(X_p x -), and d_p is the
 Yoneda formula read off the element of R(X_{p-1} x X_p) that defines the
 map of free modules.  The one box a Tor call presents is M box_R N, the
@@ -166,34 +167,53 @@ def classifying_morphism(F: FreeModule, M: GreenModule, m_vec) -> MackeyMorphism
 # -- covers and resolutions ------------------------------------------------------------
 
 
-def module_cover(M: GreenModule, reverse=False):
-    """A deterministic free cover F -> M.
+def module_cover(M: GreenModule):
+    """A deterministic, irredundant free cover F -> M.
 
-    Walks level generators in canonical level order (reversed when
-    `reverse` is set, giving an independent second cover for resolution
-    comparisons), one free summand R^{G/H} per generator; a generator
+    Walks level generators in canonical level order, from the trivial
+    subgroup up, one free summand R^{G/H} per generator; a generator
     already in the image of the partial cover is skipped, which keeps
-    iterated kernels from growing multiplicatively.
+    iterated kernels from growing multiplicatively.  The walk cannot see
+    that a summand it kept is generated by summands picked after it, so
+    a pass then visits the summands in the order they were picked and
+    drops summand (c, k) when e_k lies in the relation lattice of level c
+    plus the level-c images of the summands still kept.  What is left is
+    surjective, and no summand of it is generated by the others: A_pt,
+    free of rank one, is covered by R^{G/G} alone and resolves at F_0.
     Returns (F: FreeModule, surj).
     """
     group = M.group
     classes = group.subgroup_classes()
-    images = [M.underlying.levels[c].relation_lattice.copy()
-              for c in range(len(classes))]
-    slots = []       # (class index, generator index) per chosen summand
-    class_order = range(len(classes) - 1, -1, -1) if reverse \
-        else range(len(classes))
-    for c in class_order:
+    rels = [lvl.relation_lattice for lvl in M.underlying.levels]
+    images = [r.copy() for r in rels]
+    slots = []       # (class, generator, level images) per chosen summand
+    for c in range(len(classes)):
         n = M.underlying.levels[c].generator_count
         for k in range(n):
             ek = intmat.zero_vec(n)
             ek[k] = 1
             if intmat.in_lattice(ek, images[c]):
                 continue
-            slots.append((c, k))
             phi = _classifying_mats(M, standard_orbit(group, c), ek)
+            slots.append((c, k, phi))
             for cp in range(len(classes)):
                 images[cp] = intmat.lattice_sum(images[cp], phi[cp])
+    kept = slots
+    for slot in slots:
+        c, k, _phi = slot
+        others = [s for s in kept if s is not slot]
+        ek = intmat.zero_vec(len(rels[c]))
+        ek[k] = 1
+        if intmat.in_lattice(ek, intmat.hstack(
+                [rels[c]] + [phi[c] for _c, _k, phi in others])):
+            kept = others
+    return _cover_on_slots(M, [(c, k) for c, k, _phi in kept])
+
+
+def _cover_on_slots(M: GreenModule, slots):
+    """(F, surj) with one summand R^{G/H_c} per slot (c, k), in order,
+    sent to generator k of M(G/H_c)."""
+    group = M.group
     if slots:
         X = disjoint_union_of_orbits(group, tuple(c for (c, _k) in slots))
     else:
@@ -204,8 +224,7 @@ def module_cover(M: GreenModule, reverse=False):
     m_vec = intmat.zero_vec(grp.generator_count)
     for b, (c, k) in enumerate(slots):
         m_vec[offsets[b] + k] = 1
-    surj = classifying_morphism(F, M, m_vec)
-    return F, surj
+    return F, classifying_morphism(F, M, m_vec)
 
 
 def module_kernel(M: GreenModule, f: MackeyMorphism):
@@ -238,13 +257,12 @@ class Resolution:
         return ChainComplex(self.ring.group, terms, diffs)
 
 
-def module_resolution(R: GreenFunctor, M, length: int,
-                      reverse=False) -> Resolution:
-    """Iterated free covers out to the given length.
+def module_resolution(R: GreenFunctor, M, length: int) -> Resolution:
+    """Iterated irredundant free covers out to the given length.
 
-    A FreeModule is its own resolution of length zero.  Results are
-    cached on the module, keyed by `reverse`, so several Tor computations
-    against the same argument share one resolution, and a longer request
+    A FreeModule is its own resolution of length zero.  The result is
+    cached on the module, one resolution per module, so several Tor
+    computations against the same argument share it, and a longer request
     extends the cached one from its last free module and its last
     differential (or the augmentation).  The kernel of incl . cover is
     the kernel of the cover, and kernels come in Hermite form, so each
@@ -259,19 +277,19 @@ def module_resolution(R: GreenFunctor, M, length: int,
         raise ValueError("module over a different ring")
     if isinstance(M, FreeModule):
         return Resolution(R, M, [M], [], identity_morphism(M.underlying))
-    if reverse not in M._resolutions:
-        F0, eps = module_cover(M, reverse=reverse)
-        M._resolutions[reverse] = (False, Resolution(R, M, [F0], [], eps))
-    terminated, res = M._resolutions[reverse]
+    if M._resolution is None:
+        F0, eps = module_cover(M)
+        M._resolution = (False, Resolution(R, M, [F0], [], eps))
+    terminated, res = M._resolution
     while not terminated and len(res.modules) <= length:
         last = res.diffs[-1] if res.diffs else res.augmentation
         Kmod, incl = module_kernel(res.modules[-1], last)
         terminated = _is_zero(Kmod.underlying)
         if not terminated:
-            Fnext, cover_map = module_cover(Kmod, reverse=reverse)
+            Fnext, cover_map = module_cover(Kmod)
             res.diffs.append(compose_morphisms(incl, cover_map))
             res.modules.append(Fnext)
-    M._resolutions[reverse] = (terminated, res)
+    M._resolution = (terminated, res)
     return Resolution(R, res.target, res.modules[:length + 1],
                       res.diffs[:length], res.augmentation)
 
@@ -481,21 +499,31 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     return MackeyMorphism(source, target, mats, check=False)
 
 
-def tor(R: GreenFunctor, M, N, p_max: int, reverse=False) -> TorResult:
-    """Tor_p^R(M, N) for p = 0..p_max via a free resolution F of N.
+def tor(R: GreenFunctor, M, N, p_max: int) -> TorResult:
+    """Tor_p^R(M, N) for p = 0..p_max via the free resolution F of N.
 
-    M box_R R(X x -) is M(X x -) (the Dress construction; Bouc, LNM 1671),
-    so term p of M box_R F is `internal_hom_rep(X_p, M)` and d_p is the
-    Yoneda formula (`_dress_map`).  The only box presented is M box N, the
-    target of the Tor_0 witness (`rel_box`).  The augmentation eps is the
-    Yoneda extension of n = eps(1_X0) in N(X_0), so M box_R eps sends m in
+    F is the module's one cached resolution (`module_resolution`), built
+    from irredundant covers.  M box_R R(X x -) is M(X x -) (the Dress
+    construction; Bouc, LNM 1671), so term p of M box_R F is
+    `internal_hom_rep(X_p, M)` and d_p is the Yoneda formula
+    (`_dress_map`).  The only box presented is M box N, the target of the
+    Tor_0 witness (`rel_box`).  The augmentation eps is the Yoneda
+    extension of n = eps(1_X0) in N(X_0), so M box_R eps sends m in
     M(X_0 x Y) to the class of tr(m (x) res n) along X_0 x Y -> Y
     (`dress_pairing`, then rel_box's projection).  Raises ValueError for
     a negative p_max.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    res = module_resolution(R, N, p_max + 1, reverse=reverse)
+    return _tor_of_resolution(M, module_resolution(R, N, p_max + 1), p_max)
+
+
+def _tor_of_resolution(M: GreenModule, res: Resolution,
+                       p_max: int) -> TorResult:
+    """Tor_p(M, N) for p = 0..p_max, with the Tor_0 witness, read off a
+    resolution of N out to length p_max + 1 or to its last term; see
+    `tor`."""
+    R, N = res.ring, res.target
     free = res.modules
     terms = {p: internal_hom_rep(F.base, M.underlying)
              for p, F in enumerate(free)}

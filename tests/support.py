@@ -49,9 +49,14 @@ from mackeykit.gsets import (
 )
 from mackeykit.homalg import (
     ChainComplex,
+    Resolution,
     SpectralSequencePage,
+    _classifying_mats,
     _connecting,
+    _cover_on_slots,
+    _tor_of_resolution,
     complex_map_homology,
+    module_kernel,
     module_resolution,
     quotient_complex,
     rel_box,
@@ -1327,6 +1332,54 @@ def tor_by_rel_boxes(R, M, N, p_max):
                          [aug.mats[c] @ incl0.mats[c] @ sect0.mats[c]
                           for c in range(len(H0.levels))], check=False)
     return C, wit
+
+
+# -- the second cover: the walk from G down, with no irredundancy pass -------------
+
+
+def top_down_cover(M):
+    """(F, surj), a free cover of M from the walk over level generators
+    from G down to the trivial subgroup, one summand per generator not
+    yet in the image of the partial cover, with nothing dropped after the
+    walk: a second cover, independent of `module_cover`, that Tor is
+    checked against."""
+    group = M.group
+    ncls = len(group.subgroup_classes())
+    images = [lvl.relation_lattice.copy() for lvl in M.underlying.levels]
+    slots = []
+    for c in range(ncls - 1, -1, -1):
+        n = M.underlying.levels[c].generator_count
+        for k in range(n):
+            ek = intmat.zero_vec(n)
+            ek[k] = 1
+            if intmat.in_lattice(ek, images[c]):
+                continue
+            slots.append((c, k))
+            phi = _classifying_mats(M, standard_orbit(group, c), ek)
+            images = [intmat.lattice_sum(a, b) for a, b in zip(images, phi)]
+    return _cover_on_slots(M, slots)
+
+
+def top_down_resolution(R, M, length):
+    """The resolution of M by iterated `top_down_cover` out to `length`,
+    or to its first zero kernel; nothing is cached on M."""
+    F, last = top_down_cover(M)
+    res = Resolution(R, M, [F], [], last)
+    while len(res.modules) <= length:
+        K, incl = module_kernel(res.modules[-1], last)
+        if all(lvl.is_trivial() for lvl in K.underlying.levels):
+            break
+        F, cover = top_down_cover(K)
+        last = compose_morphisms(incl, cover)
+        res.diffs.append(last)
+        res.modules.append(F)
+    return res
+
+
+def top_down_tor(R, M, N, p_max):
+    """Tor_p(M, N) for p <= p_max, assembled as `tor` assembles it, off
+    the top-down resolution of N in place of N's cached one."""
+    return _tor_of_resolution(M, top_down_resolution(R, N, p_max + 1), p_max)
 
 
 # -- spectral sequence pages at every entry: the route before zero entries ----------

@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line; run with `pytest -s` to see them.
 The group battery is {trivial, C2, C3, C4, C2xC2, S3, C6} throughout;
-criterion 7 also covers D4, and criterion 10 the order-8 groups D4 and Q8.
+criterion 7 and criterion 10 also cover the order-8 groups D4 and Q8.
 """
 
 import json
@@ -282,7 +282,7 @@ def test_criterion_06_free_module_evaluation():
 
 def test_criterion_07_tor0_and_free_vanishing():
     triples = 0
-    for name in BATTERY + ("D4",):
+    for name in BATTERY + ("D4", "Q8"):
         group = builtin_group(name)
         R = burnside_green(group, check=False)
         Z = FinPresAbGroup.free(1)
@@ -304,9 +304,7 @@ def test_criterion_07_tor0_and_free_vanishing():
         for p in range(1, 4):
             assert all(l.is_trivial() for l in result.tor[p].levels), (name, p)
         # Tor_p(R^X, N) = 0 for p = 1, 2 is read off a resolution of N, so
-        # it can fail; D4 joins once its length-3 resolutions are cheap
-        if name == "D4":
-            continue
+        # it can fail
         for N in (FPm, Qm):
             result = tor(R, F, N, 2)
             for p in (1, 2):

@@ -64,6 +64,7 @@ from support import (
     rel_box_oracle,
     ss_pages_oracle,
     structure_matrices,
+    top_down_tor,
     tor_by_rel_boxes,
 )
 
@@ -435,7 +436,7 @@ def test_tor_independent_of_resolution(c2_setup):
     two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * 2)
     Qmod = canonical_module(R, cokernel(two)[0])
     a = tor(R, FPmod, Qmod, 2)
-    b = tor(R, FPmod, Qmod, 2, reverse=True)
+    b = top_down_tor(R, FPmod, Qmod, 2)
     for p in range(3):
         assert invariants(a.tor[p]) == invariants(b.tor[p]), p
 
@@ -574,6 +575,45 @@ def test_rel_box_matches_the_loop_built_relations(name):
                 [m.tolist() for m in projection], (a, b)
 
 
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_the_burnside_ring_resolves_at_f0(name):
+    # A_pt is free of rank one, so its cover is one summand R^{G/G} and
+    # the kernel is zero; a redundant cover made the resolution go on
+    R, mods = _tor_modules(builtin_group(name))
+    res = module_resolution(R, mods["R"], 2)
+    assert [F.base.size for F in res.modules] == [1]
+    assert res.diffs == []
+    assert mods["R"]._resolution[0]
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_no_cover_summand_is_generated_by_the_others(name):
+    # summand b of module_cover(M) is R^{G/H} sent to m_b in M(G/H); m_b
+    # must not lie in the relations plus the images of the other summands
+    # at that level, which are their classifying maps from R^{G/H'}
+    R, mods = _tor_modules(builtin_group(name))
+    F, surj = module_cover(mods["FP/2"])
+    cases = [mods["FP"], mods["FP/2"], mods["R"], module_kernel(F, surj)[0]]
+    for M in cases:
+        F, surj = module_cover(M)
+        X = F.base
+        _, offsets = M.underlying.value_at(X)
+        m = surj.at_gset(X) @ free_unit_vector(F)
+        gens = []
+        for b, (emb, c) in enumerate(zip(X.orbit_embeddings,
+                                         X.orbit_index.classes)):
+            m_b = m[offsets[b]:
+                    offsets[b] + M.underlying.levels[c].generator_count]
+            gens.append((c, m_b, classifying_morphism(
+                free_module(R, emb.source), M, m_b)))
+        for b, (c, m_b, _phi) in enumerate(gens):
+            others = [phi.mats[c] for j, (*_, phi) in enumerate(gens)
+                      if j != b]
+            lattice = im.hstack([M.underlying.levels[c].relation_lattice]
+                                + others)
+            assert not im.in_lattice(m_b, lattice), (b, c)
+
+
 @pytest.mark.parametrize("name", ("C2", "S3", "C2xC2"))
 def test_resolution_tables_are_one_integer_array_per_level(name):
     # covers and kernels of a length-2 resolution of FP/2 keep the
@@ -603,19 +643,22 @@ def test_tor_with_a_free_module_on_the_left(name):
     _two_sided(result.tor0_witness)
 
 
-@pytest.mark.parametrize("name", BATTERY)
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
 def test_tor_agrees_across_covers_and_argument_order(name):
-    # Tor_p(M, N) read off the reverse cover's resolution of N, and, the
+    # Tor_p(M, N) read off the top-down cover's resolution of N, and, the
     # Burnside ring being commutative, off a resolution of M as
-    # Tor_p(N, M): neither shares a resolution with tor(R, M, N, 2)
+    # Tor_p(N, M): neither shares a resolution with tor(R, M, N, p); the
+    # order-8 groups stop at p = 1, where the top-down resolution of
+    # length 2 is still cheap
     R, mods = _tor_modules(builtin_group(name))
+    p = 1 if name in ("D4", "Q8") else 2
     nonzero = 0
     for a, b in itertools.product(("FP", "FP/2"), repeat=2):
         M, N = mods[a], mods[b]
-        want = [invariants(t) for t in tor(R, M, N, 2).tor]
+        want = [invariants(t) for t in tor(R, M, N, p).tor]
         assert [invariants(t) for t in
-                tor(R, M, N, 2, reverse=True).tor] == want, (a, b)
-        assert [invariants(t) for t in tor(R, N, M, 2).tor] == want, (a, b)
+                top_down_tor(R, M, N, p).tor] == want, (a, b)
+        assert [invariants(t) for t in tor(R, N, M, p).tor] == want, (a, b)
         nonzero += sum(any(levels) for levels in want[1:])
     assert nonzero > 0    # some Tor_1 or Tor_2 is nonzero, so this can fail
 

@@ -38,7 +38,9 @@ benchmark or the demos; helpers only tests read live in tests/support.py.
 What a functor derives from its stored maps lives in one owned store,
 `MackeyFunctor.structure`: `_cache` is left on the group alone, no module
 but `mackey` names `_eval_code` or the store's dicts, and `convolution`
-assigns nothing onto a functor.
+assigns nothing onto a functor.  Free resolutions have one cover:
+`module_cover`, `module_resolution` and `tor` take no `reverse` direction,
+and the top-down second cover lives in tests/support.py.
 """
 
 import ast
@@ -875,3 +877,12 @@ def test_functors_keep_derived_maps_in_one_owned_store():
             assert names == [], path.name
         if path.name == "convolution.py":
             assert writes == []
+
+
+def test_cover_resolution_and_tor_take_no_direction():
+    # the second cover is a test oracle, not a flag on the library's cover
+    tree = ast.parse((PACKAGE / "homalg.py").read_text(encoding="utf-8"))
+    params = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+              for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("module_cover", "module_resolution", "tor"):
+        assert params[name] and "reverse" not in params[name], name

@@ -101,16 +101,18 @@ print([F.base.size for F in res.modules])
 """
 
 # Traced memory of RESOLUTION in a fresh interpreter, measured on x86-64
-# CPython 3.  Peak 3.4 MiB; held at the end 2.3 MiB.  When each cover built
-# the dense matrices of res along X x G/H -> X and tr along X x G/H -> G/H
-# for every class G/H, only to apply them to one vector and a few columns,
-# the peak was 22.7 MiB (held 2.3 MiB).
-RESOLUTION_PEAK_MIB = 3.4
-RESOLUTION_HELD_MIB = 2.3
+# CPython 3.  Peak 0.72 MiB; held at the end 0.57 MiB, with ranks
+# [1, 4, 17].  Before covers dropped the summands the others generate, the
+# ranks were [11, 42, 87], the peak 3.33 MiB and the held 2.34 MiB.  When
+# each cover built the dense matrices of res along X x G/H -> X and tr
+# along X x G/H -> G/H for every class G/H, only to apply them to one
+# vector and a few columns, the peak was 22.7 MiB (held 2.3 MiB).
+RESOLUTION_PEAK_MIB = 0.72
+RESOLUTION_HELD_MIB = 0.57
 
 
 def test_fresh_c2xc2_resolution_stays_under_its_traced_memory_bounds():
     held, peak, ranks = _traced(RESOLUTION)
-    assert ranks == "[11, 42, 87]"
+    assert ranks == "[1, 4, 17]"
     assert peak < 1.5 * RESOLUTION_PEAK_MIB * 2 ** 20
     assert held < 1.5 * RESOLUTION_HELD_MIB * 2 ** 20
