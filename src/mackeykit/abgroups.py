@@ -283,15 +283,15 @@ def cokernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
 def direct_sum_groups(groups):
     """Direct sum with block generator layout; returns (grp, offsets).
 
-    A sum of relator-free groups is relator-free; otherwise the transforms
-    are block-diagonal, with ones for the implicit identities.
+    A single summand is returned as it is.  A sum of relator-free groups
+    is relator-free; otherwise the transforms are block-diagonal, with
+    ones for the implicit identities.
     """
     groups = list(groups)
-    offsets = []
-    total = 0
-    for g in groups:
-        offsets.append(total)
-        total += g.generator_count
+    if len(groups) == 1:
+        return groups[0], [0]
+    *offsets, total = itertools.accumulate(
+        (g.generator_count for g in groups), initial=0)
     if not groups:
         return FinPresAbGroup(0), offsets
     rel_cols = intmat.block_diag([g.relation_lattice for g in groups])

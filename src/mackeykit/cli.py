@@ -189,17 +189,20 @@ def cmd_hom_basis(args):
     return 0
 
 
+def _element_doc(group, doc, where):
+    """The Burnside element of a compose file, over `group`."""
+    X, Y = (jsonio.gset_from_json(jsonio.required(doc, key, where), group)
+            for key in ("source", "target"))
+    return jsonio.element_from_json(group, X, Y, doc, where)
+
+
 def cmd_compose(args):
-    first = jsonio.load_json_file(args.first)
-    second = jsonio.load_json_file(args.second)
-    group, other = load_group(first["group"]), load_group(second["group"])
+    docs = [(jsonio.load_json_file(path), f"{which} element") for path, which
+            in ((args.first, "first"), (args.second, "second"))]
+    group, other = (load_group(jsonio.required(doc, "group", where))
+                    for doc, where in docs)
     _same_group(group, other, "the elements")
-    X = jsonio.gset_from_json(first["source"], group)
-    Y = jsonio.gset_from_json(first["target"], group)
-    Yp = jsonio.gset_from_json(second["source"], group)
-    Z = jsonio.gset_from_json(second["target"], group)
-    f = jsonio.element_from_json(group, X, Y, first)
-    g = jsonio.element_from_json(group, Yp, Z, second)
+    f, g = (_element_doc(group, doc, where) for doc, where in docs)
     out = compose(g, f)
     payload = {"group": group.name, "composite": jsonio.element_to_json(out)}
     lines = ["composite (second . first):"]

@@ -293,50 +293,50 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     return span_element(P.gset, X, O, diag, orbit_map(O, X, x))
 
 
-def _diagonal_pairing(data: BoxData, Z: GSet, n_vec):
-    """The matrix of m -> m (x) n, from M(Z) to (M box N)(Z), for n in N(Z).
+def yoneda_levels(C: MackeyFunctor, B: MackeyFunctor, X: GSet, b, pair):
+    """Levels of the map a -> tr(pair(a, res b)) into C, for b in B(X).
 
-    On an orbit of Z of class L, m (x) n is the generator block of the
-    diagonal over-code of G/L (the identity over-object, untwisted), with
-    m_i (x) n_j at `data.index(L, code, i, j)`; the orbit's block of
-    (M box N)(Z) starts at the box's own `value_at` offset.
+    The Yoneda formula of the Dress construction (Bouc, LNM 1671): at G/H
+    the restriction of b along X x G/H -> X is read orbit by orbit, and
+    an orbit of class L adds C's transfer block along X x G/H -> G/H
+    times pair(L, b_o), the matrix of a -> pair(a, b_o) into C(G/L), b_o
+    the orbit's part of res b.
     """
-    M, N = data.left, data.right
-    group = M.group
-    mgrp, moff = M.value_at(Z)
-    _, noff = N.value_at(Z)
-    bgrp, boff = data.functor.value_at(Z)
-    classes = Z.orbit_index.classes
-    diag = {L: data.starts[L][_diag_code(group, L)] for L in set(classes)}
-    out = intmat.zeros(bgrp.generator_count, mgrp.generator_count)
-    for b, L in enumerate(classes):
-        nM, nN = M.levels[L].generator_count, N.levels[L].generator_count
-        lo = boff[b] + diag[L]
-        for j, x in enumerate(n_vec[noff[b]:noff[b] + nN]):
-            if x:
-                for i in range(nM):
-                    out[lo + i * nN + j, moff[b] + i] += x
-    return out
+    group, b = X.group, np.asarray(b, dtype=object)
+    mats = []
+    for c in range(len(group.subgroup_classes())):
+        P = product(X, standard_orbit(group, c))
+        b_res, offsets = B.apply_gmap(P.left, b), B.offsets(P.gset)
+        classes = P.gset.orbit_index.classes
+        mats.append(intmat.hstack(
+            [intmat.zeros(C.levels[c].generator_count, 0)]
+            + [block @ pair(classes[o], b_res[offsets[o]:offsets[o + 1]])
+               for o, _, block in C.gmap_blocks(P.right, transfer=True)]))
+    return mats
 
 
 def dress_pairing(data: BoxData, X: GSet, n_vec):
     """Levels of the map M(X x -) -> M box N that pairs with n in N(X).
 
     `data` is box(M, N), which the pairing lands in.  At G/H it sends m
-    in M(X x G/H) to tr(m (x) res n) along the projection X x G/H -> G/H:
-    the diagonal pairing with the restriction of n, then the transfer of
-    data.functor.  `free_evaluation_iso` pairs with the identity class of
-    A_X, and the Tor_0 witness of `homalg.tor` with the image of the free
-    generators in N(X_0).
+    in M(X x G/H) to tr(m (x) res n) along the projection X x G/H -> G/H
+    (`yoneda_levels`).  On an orbit of class L, m (x) n_o is the generator
+    block of the diagonal over-code of G/L, m_i (x) n_j at
+    `data.index(L, code, i, j)`: the rows kron(I, n_o) at its start.
+    `free_evaluation_iso` pairs with the identity class of A_X, and the
+    Tor_0 witness of `homalg.tor` with the image of the free generators
+    in N(X_0).
     """
-    group = data.left.group
-    mats = []
-    for c in range(len(group.subgroup_classes())):
-        P = product(X, standard_orbit(group, c))
-        pair = _diagonal_pairing(data, P.gset,
-                                 data.right.apply_gmap(P.left, n_vec))
-        mats.append(data.functor.apply_gmap(P.right, pair, transfer=True))
-    return mats
+    diag = [s[_diag_code(X.group, L)] for L, s in enumerate(data.starts)]
+
+    def pair(L, n_o):
+        nM, s = data.left.levels[L].generator_count, diag[L]
+        out = intmat.zeros(data.functor.levels[L].generator_count, nM)
+        out[s:s + nM * len(n_o)] = intmat.kron(intmat.identity(nM),
+                                               n_o.reshape(-1, 1))
+        return out
+
+    return yoneda_levels(data.functor, data.right, X, n_vec, pair)
 
 
 # -- unit, commutativity, associativity ---------------------------------------------
@@ -570,8 +570,8 @@ def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
         P, Q = product(X, f.source), product(X, f.target)
         g = GMap(P.gset, Q.gset, [Q.of_pair(x, f.mapping[o]) for x, o in
                                   zip(P.left.mapping, P.right.mapping)])
-        grp, _ = M.value_at(g.source if transfer else g.target)
-        return M.apply_gmap(g, intmat.identity(grp.generator_count), transfer)
+        n = M.offsets(g.source if transfer else g.target)[-1]
+        return M.apply_gmap(g, intmat.identity(n), transfer)
 
     return mackey_from_gmaps(group, levels, along, name=f"F(A_X, {M.name})",
                              check=False)

@@ -42,6 +42,7 @@ from .convolution import (
     box,
     dress_pairing,
     internal_hom_rep,
+    yoneda_levels,
 )
 from .groups import _same_group
 from .gsets import (
@@ -103,8 +104,8 @@ def free_module(R: GreenFunctor, X: GSet) -> FreeModule:
     tables = []
     for cw in range(len(group.subgroup_classes())):
         P = product(X, standard_orbit(group, cw))
-        grp, offsets = Rk.value_at(P.gset)
-        n, classes = grp.generator_count, P.gset.orbit_index.classes
+        offsets = Rk.offsets(P.gset)
+        n, classes = offsets[-1], P.gset.orbit_index.classes
         table = np.zeros((Rk.levels[cw].generator_count, n, n), dtype=object)
         for b, _, block in Rk.gmap_blocks(P.right):
             lo, hi = offsets[b], offsets[b] + len(block)
@@ -122,8 +123,8 @@ def free_unit_vector(F: FreeModule):
     """
     Rk = F.ring.underlying
     X = F.base
-    grp, offsets = F.underlying.value_at(X)
-    out = intmat.zero_vec(grp.generator_count)
+    offsets = F.underlying.offsets(X)
+    out = intmat.zero_vec(offsets[-1])
     for b, (emb, c) in enumerate(zip(X.orbit_embeddings,
                                      X.orbit_index.classes)):
         O = emb.source
@@ -137,25 +138,12 @@ def free_unit_vector(F: FreeModule):
 def _classifying_mats(M: GreenModule, X: GSet, m_vec):
     """Levels of the R-linear map R(X x -) -> M classified by m in M(X).
 
-    The Yoneda formula: f in R(X x Y) goes to tr_{pr_Y}(f . res_{pr_X} m).
-    On an orbit of X x Y of class L, with m_b its part of res m and B its
-    transfer block, column i is B (e_i . m_b): B (m_b @ tables[L]).T.
+    The Yoneda formula f -> tr_{pr_Y}(f . res_{pr_X} m) (`yoneda_levels`):
+    on an orbit of X x Y of class L, with m_b its part of res m, e_i
+    pairs to e_i . m_b, so the pairing is (m_b @ tables[L]).T.
     """
-    Mk = M.underlying
-    group = X.group
-    m_vec = np.asarray(m_vec, dtype=object)
-    mats = []
-    for c in range(len(group.subgroup_classes())):
-        P = product(X, standard_orbit(group, c))
-        m_res = Mk.apply_gmap(P.left, m_vec)
-        _, offsets = Mk.value_at(P.gset)
-        classes = P.gset.orbit_index.classes
-        mats.append(intmat.hstack(
-            [intmat.zeros(Mk.levels[c].generator_count, 0)]
-            + [block @ (m_res[offsets[b]:offsets[b] + block.shape[1]]
-                        @ M.tables[classes[b]]).T
-               for b, _, block in Mk.gmap_blocks(P.right, transfer=True)]))
-    return mats
+    return yoneda_levels(M.underlying, M.underlying, X, m_vec,
+                         lambda L, m_b: (m_b @ M.tables[L]).T)
 
 
 def classifying_morphism(F: FreeModule, M: GreenModule, m_vec) -> MackeyMorphism:
@@ -220,8 +208,8 @@ def _cover_on_slots(M: GreenModule, slots):
         X = empty_gset(group)
     F = free_module(M.ring, X)
     # element of M(X): block b holds generator k of level c per slot
-    grp, offsets = M.underlying.value_at(X)
-    m_vec = intmat.zero_vec(grp.generator_count)
+    offsets = M.underlying.offsets(X)
+    m_vec = intmat.zero_vec(offsets[-1])
     for b, (c, k) in enumerate(slots):
         m_vec[offsets[b] + k] = 1
     return F, classifying_morphism(F, M, m_vec)
@@ -450,14 +438,14 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     group = M.group
     Z, X = src.base, tgt.base
     eta = free_unit_vector(src)
-    _, offsets = d.source.value_at(Z)
+    offsets = d.source.offsets(Z)
     blocks = []
     for b, (emb, cb) in enumerate(zip(Z.orbit_embeddings,
                                       Z.orbit_index.classes)):
         n = d.source.levels[cb].generator_count
         f = d.mats[cb] @ eta[offsets[b]:offsets[b] + n]
         P = product(X, emb.source)
-        _, poff = Rk.value_at(P.gset)
+        poff = Rk.offsets(P.gset)
         pix = P.gset.orbit_index
         support = [k for k, L in enumerate(pix.classes) if not intmat.is_zero(
             f[poff[k]:poff[k] + Rk.levels[L].generator_count])]
@@ -475,11 +463,11 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     for c in range(len(group.subgroup_classes())):
         Y = standard_orbit(group, c)
         XY, ZY = product(X, Y), product(Z, Y)
-        (_, xoff), (_, zoff) = Mk.value_at(XY.gset), Mk.value_at(ZY.gset)
+        xoff, zoff = Mk.offsets(XY.gset), Mk.offsets(ZY.gset)
         out = intmat.zeros(target.levels[c].generator_count,
                            source.levels[c].generator_count)
         for S, xs, zs, f in blocks:
-            _, soff = Rk.value_at(S)
+            soff = Rk.offsets(S)
             T = product(S, Y)
             pts = [(T.left(t), T.right(t)) for t in range(T.gset.size)]
             to_z = GMap(T.gset, ZY.gset, tuple(ZY.of_pair(zs[w], y)

@@ -35,16 +35,17 @@ def group_to_json(group: FiniteGroup):
 def gset_from_json(doc, group=None) -> GSet:
     """{"group":..., "size": n, "action": [...]} or {"group":..., "orbits": [[label, mult], ...]}."""
     if group is None:
-        group = load_group(doc["group"])
+        group = load_group(required(doc, "group", "G-set"))
     if "orbits" in doc:
         classes = []
-        for label, mult in doc["orbits"]:
+        for item in doc["orbits"]:
+            label, mult = _entry(item, ("label", "multiplicity"), "orbit entry")
             cls = group.class_by_label(label)
             classes.extend([cls.index] * _multiplicity(label, mult))
         if not classes:
             return empty_gset(group)
         return disjoint_union_of_orbits(group, tuple(sorted(classes)))
-    action = doc["action"]
+    action = required(doc, "action", "G-set")
     if doc.get("size") is not None and action and len(action[0]) != doc["size"]:
         raise ValueError("size does not match the action table")
     return GSet(group, action)
@@ -117,6 +118,13 @@ def required(doc, key, where):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where} has no {key!r}")
     return doc[key]
+
+
+def _entry(entry, fields, where):
+    """entry, if a JSON array of one item per field; else a ValueError."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != len(fields):
+        raise ValueError(f"{where} {entry!r} is not [{', '.join(fields)}]")
+    return entry
 
 
 def mackey_from_json(doc) -> MackeyFunctor:
@@ -199,7 +207,7 @@ def code_from_json(group, source, target, doc):
     x and y must be integer points of source and target fixed by the
     class representative; a fixed but non-minimal pair is canonicalized.
     """
-    label, x, y = doc
+    label, x, y = _entry(doc, ("label", "x", "y"), "span code")
     x, y = _labels((x, y), f"span code {list(doc)} point")
     code = (group.class_by_label(label).index, x, y)
     L = code_subgroup(source, target, code)
@@ -212,9 +220,10 @@ def element_to_json(e):
                              for c, v in sorted(e.coeffs.items())]}
 
 
-def element_from_json(group, source, target, doc):
+def element_from_json(group, source, target, doc, where="Burnside element"):
     coeffs = {}
-    for code_doc, v in doc["coefficients"]:
+    for entry in required(doc, "coefficients", where):
+        code_doc, v = _entry(entry, ("code", "value"), "coefficient entry")
         code = code_from_json(group, source, target, code_doc)
         (v,) = _labels([v], f"coefficient of {list(code_doc)}")
         coeffs[code] = coeffs.get(code, 0) + v

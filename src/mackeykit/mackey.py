@@ -37,9 +37,9 @@ What evaluation derives from the stored data lives in one store per
 functor, `MackeyFunctor.structure`, built on first read, with one dict
 per kind and `sizes()` counting them: `weyl`, the covering steps, the
 res and tr chains and the span blocks, keyed by group data only, so
-bounded by the group; the level sums of `value_at`, one per sequence of
-orbit classes read; and the boxes `convolution.box` presents with this
+bounded by the group, and the boxes `convolution.box` presents with this
 functor on the left, keyed by (and keeping alive) the right factor.
+No G-set adds an entry: the orbit layout of M(X) is computed (`offsets`).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,17 +248,22 @@ class MackeyFunctor:
 
     # -- values at arbitrary G-sets ----------------------------------------------
 
+    def offsets(self, X: GSet):
+        """Each orbit's block start in M(X), then M(X)'s generator count."""
+        return [0, *accumulate(self.levels[c].generator_count
+                               for c in X.orbit_index.classes)]
+
     def value_at(self, X: GSet):
-        """M(X) as a direct sum of class levels; returns (group, offsets)."""
-        return self.structure.value(X.orbit_index.classes)
+        """M(X) presented as a sum of class levels: (group, offsets)."""
+        return abgroups.direct_sum_groups(
+            [self.levels[c] for c in X.orbit_index.classes])
 
     def eval_span(self, e: BurnsideElement):
         """Matrix of M applied to a Burnside element, M(source) -> M(target)."""
         _same_group(e.group, self.group, "the element and the functor")
         X, Y = e.source, e.target
-        gx, offx = self.value_at(X)
-        gy, offy = self.value_at(Y)
-        out = intmat.zeros(gy.generator_count, gx.generator_count)
+        offx, offy = self.offsets(X), self.offsets(Y)
+        out = intmat.zeros(offy[-1], offx[-1])
         for code, a in e.coeffs.items():
             block, (bx, by) = self.structure.block(X.orbit_index,
                                                    Y.orbit_index, code)
@@ -289,8 +295,8 @@ class MackeyFunctor:
         """res_f v, or tr_f v, for a vector or a column block v, applied
         block by block: no dense |M(Y)| x |M(X)| matrix is built."""
         ends = (f.source, f.target) if transfer else (f.target, f.source)
-        (_, soff), (grp, toff) = map(self.value_at, ends)
-        out = np.zeros((grp.generator_count,) + v.shape[1:], dtype=object)
+        soff, toff = map(self.offsets, ends)
+        out = np.zeros((toff[-1],) + v.shape[1:], dtype=object)
         for bx, by, block in self.gmap_blocks(f, transfer):
             s, t = (soff[bx], toff[by]) if transfer else (soff[by], toff[bx])
             out[t:t + len(block)] += block @ v[s:s + block.shape[1]]
@@ -407,15 +413,13 @@ class _StructureStore:
     def __init__(self, M: MackeyFunctor):
         self.group, self.levels = M.group, M.levels
         self.res, self.tr, self.conj = M.res, M.tr, M.conj
-        self._covers, self._chains, self._blocks = {}, {}, {}
-        self._values, self._boxes = {}, {}
+        self._covers, self._chains, self._blocks, self._boxes = {}, {}, {}, {}
 
     def sizes(self):
         """{kind: entries held}."""
         return {"weyl": sum(map(len, vars(self).get("weyl", ()))),
                 "cover": len(self._covers), "chain": len(self._chains),
-                "block": len(self._blocks), "value": len(self._values),
-                "box": len(self._boxes)}
+                "block": len(self._blocks), "box": len(self._boxes)}
 
     @cached_property
     def weyl(self):
@@ -469,12 +473,6 @@ class _StructureStore:
                 out = step @ rest if transfer else rest @ step
             self._chains[key] = out
         return self._chains[key]
-
-    def value(self, classes):
-        if classes not in self._values:
-            self._values[classes] = abgroups.direct_sum_groups(
-                [self.levels[c] for c in classes])
-        return self._values[classes]
 
     def block(self, ix, iy, code):
         """Block of a transitive span code and its (source, target) orbits.

@@ -143,6 +143,12 @@ def test_direct_sum():
         FinPresAbGroup.from_invariants([4, 2, 0]).invariant_factors
 
 
+def test_direct_sum_of_one_group_is_the_group():
+    G = FinPresAbGroup(2, im.intmat([[2, 4]]))
+    S, offs = direct_sum_groups([G])
+    assert S is G and offs == [0]
+
+
 def test_maps_equal_modulo_relations():
     G = FinPresAbGroup.from_invariants([5])
     assert maps_equal(im.intmat([[2]]), im.intmat([[7]]), G, G)

@@ -446,6 +446,31 @@ def test_compose_cli_refuses_elements_over_different_groups(tmp_path,
     assert json.loads(out)["composite"]["coefficients"] == [[["C2", 0, 0], 1]]
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.pop("coefficients"),
+     "first element has no 'coefficients'"),
+    (lambda doc: doc.pop("group"), "first element has no 'group'"),
+    (lambda doc: doc.pop("target"), "first element has no 'target'"),
+    (lambda doc: doc["source"].pop("orbits"), "G-set has no 'action'"),
+    (lambda doc: doc["source"].update(orbits=[["G"]]),
+     "orbit entry ['G'] is not [label, multiplicity]"),
+    (lambda doc: doc.update(coefficients=[[["G", 0, 0]]]),
+     "coefficient entry [['G', 0, 0]] is not [code, value]"),
+], ids=["coefficients", "group", "target", "action", "orbit-entry",
+        "coefficient-entry"])
+def test_compose_cli_names_a_missing_key_or_malformed_entry(
+        tmp_path, capsys, edit, error):
+    # a missing key once ended the command with "error: 'coefficients'",
+    # and a short entry with "not enough values to unpack"
+    doc = _point_identity_doc("C2")
+    edit(doc)
+    f1, f2 = tmp_path / "bad.json", tmp_path / "ident.json"
+    f1.write_text(json.dumps(doc))
+    f2.write_text(json.dumps(_point_identity_doc("C2")))
+    code, out, err = run(capsys, ["compose", str(f1), str(f2)])
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("code_doc, match", [
     (["C2", 1.9, 0], "point[0] is not an integer: 1.9"),
     (["e", 2, 0], "span code (0, 2, 0) is out of range"),

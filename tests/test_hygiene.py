@@ -18,9 +18,13 @@ its level action tables: the functions that build, cover, map and check
 modules present no box product and build no map out of one.  Res and tr
 along a G-map have one path on the resolution and Tor route, the orbit
 blocks of `MackeyFunctor.gmap_blocks`: no function in `homalg`, and
-neither `convolution.dress_pairing`, `convolution.internal_hom_rep` nor
-`mackey.identity_element_vector`, builds a span element, a canonical
-code or a dense span matrix.  Span composition has one walk over
+none of `convolution.yoneda_levels`, `convolution.dress_pairing`,
+`convolution.internal_hom_rep` and `mackey.identity_element_vector`
+builds a span element, a canonical code or a dense span matrix.  The
+Yoneda formula of the Dress construction is written once, in
+`convolution.yoneda_levels`: `homalg._classifying_mats` and
+`dress_pairing` call it with their own pairings, and no dense diagonal
+pairing over all of X x G/H is left.  Span composition has one walk over
 the double cosets: `compose` checks each factor's codes and hands every
 basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
@@ -442,7 +446,8 @@ def identity_element_vector(X):
         for code, v in restriction_element(emb).coeffs.items():
             vec[lo + bases[c].index(code)] += v
 '''
-TOR_TERMS = {"convolution.py": ("dress_pairing", "internal_hom_rep"),
+TOR_TERMS = {"convolution.py": ("yoneda_levels", "dress_pairing",
+                               "internal_hom_rep"),
              "mackey.py": ("identity_element_vector",)}
 SPAN_ROUTE_NAMES = SPAN_EVALUATION | {"tensor", "identity_element"}
 
@@ -469,6 +474,71 @@ def test_tor_path_reads_structure_maps_orbit_by_orbit():
         calls, found = calls_inside(source, functions, SPAN_ROUTE_NAMES)
         assert found == set(functions)
         assert calls == []
+
+
+YONEDA_PAIRINGS = ("_classifying_mats", "dress_pairing")
+
+
+def yoneda_report(source):
+    """(function, line) of every `yoneda_levels` call inside the Yoneda
+    pairings, the pairings the source defines, and the line of every
+    `_diagonal_pairing` it defines."""
+    calls, found = calls_inside(source, YONEDA_PAIRINGS, {"yoneda_levels"})
+    dense = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "_diagonal_pairing"]
+    return [(f, line) for f, line, _ in calls], found, dense
+
+
+# The two Yoneda pairings, abridged, as they read when each wrote the
+# formula itself and the box pairing built a dense matrix over all of
+# X x G/H before its transfer.
+YONEDA_TWICE = '''
+def _classifying_mats(M, X, m_vec):
+    for c in range(len(group.subgroup_classes())):
+        m_res = Mk.apply_gmap(P.left, m_vec)
+        mats.append(intmat.hstack(
+            [block @ (m_res[offsets[b]:offsets[b] + block.shape[1]]
+                      @ M.tables[classes[b]]).T
+             for b, _, block in Mk.gmap_blocks(P.right, transfer=True)]))
+
+def _diagonal_pairing(data, Z, n_vec):
+    out = intmat.zeros(bgrp.generator_count, mgrp.generator_count)
+    for b, L in enumerate(classes):
+        out[lo + i * nN + j, moff[b] + i] += x
+
+def dress_pairing(data, X, n_vec):
+    for c in range(len(group.subgroup_classes())):
+        pair = _diagonal_pairing(data, P.gset,
+                                 data.right.apply_gmap(P.left, n_vec))
+        mats.append(data.functor.apply_gmap(P.right, pair, transfer=True))
+'''
+
+
+def test_scanner_finds_the_yoneda_formula_written_twice():
+    assert yoneda_report(YONEDA_TWICE) == (
+        [], {"_classifying_mats", "dress_pairing"}, [10])
+    shared = ("def dress_pairing(data, X, n_vec):\n"
+              "    return yoneda_levels(data.functor, data.right, X, n_vec,"
+              " pair)\n")
+    assert yoneda_report(shared) == ([("dress_pairing", 2)],
+                                     {"dress_pairing"}, [])
+
+
+def test_yoneda_pairings_share_one_formula():
+    # the classifying maps of free modules and the box pairing of the Tor_0
+    # witness both call `convolution.yoneda_levels`, which is a Tor term,
+    # so it builds no span element, canonical code or dense span matrix;
+    # no dense diagonal pairing is left
+    callers, found, dense = set(), set(), []
+    for path in MODULES:
+        calls, defined, lines = yoneda_report(path.read_text(encoding="utf-8"))
+        callers |= {f for f, _ in calls}
+        found |= defined
+        dense += [(path.name, line) for line in lines]
+    assert callers == found == set(YONEDA_PAIRINGS)
+    assert dense == []
+    assert "yoneda_levels" in TOR_TERMS["convolution.py"]
 
 
 def functor_constructions(source):

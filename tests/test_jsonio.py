@@ -180,6 +180,31 @@ def test_code_from_json_checks_points_and_canonicalizes():
         element_from_json(C2, O, pt, {"coefficients": [[["e", 0, 0], 1.9]]})
 
 
+@pytest.mark.parametrize("read, error", [
+    (lambda C2, O, pt: gset_from_json({"group": "C2"}),
+     "G-set has no 'action'"),
+    (lambda C2, O, pt: gset_from_json({"orbits": [["e", 1]]}),
+     "G-set has no 'group'"),
+    (lambda C2, O, pt: gset_from_json({"group": "C2", "orbits": [["e"]]}),
+     "orbit entry ['e'] is not [label, multiplicity]"),
+    (lambda C2, O, pt: element_from_json(C2, O, pt, {}),
+     "Burnside element has no 'coefficients'"),
+    (lambda C2, O, pt: element_from_json(
+        C2, O, pt, {"coefficients": [[["e", 0, 0]]]}),
+     "coefficient entry [['e', 0, 0]] is not [code, value]"),
+    (lambda C2, O, pt: element_from_json(
+        C2, O, pt, {"coefficients": [[["e", 0], 1]]}),
+     "span code ['e', 0] is not [label, x, y]"),
+], ids=["action", "group", "orbit-entry", "coefficients", "coefficient-entry",
+        "span-code"])
+def test_readers_name_a_missing_key_or_malformed_entry(read, error):
+    # these once raised KeyError: 'action' or "not enough values to unpack"
+    C2 = builtin_group("C2")
+    with pytest.raises(ValueError) as info:
+        read(C2, standard_orbit(C2, 0), point_gset(C2))
+    assert str(info.value) == error
+
+
 def test_bad_class_labels_rejected():
     C2 = builtin_group("C2")
     with pytest.raises(ValueError, match="unknown subgroup-class label"):

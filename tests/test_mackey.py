@@ -1169,8 +1169,8 @@ def test_span_evaluation_does_not_pin_gsets():
 def test_structure_store_is_bounded_by_the_group():
     # restriction from the point to k copies of G/C2: the block, the
     # covering step C2 < S3 and the chains (res C2 < S3, res and tr at C2
-    # itself) are read once whatever k; only the level sum of each new
-    # orbit-class sequence is added
+    # itself) are read once whatever k, and the orbit layout of M(X) is
+    # computed, not stored, so no kind grows with the G-set
     group = builtin_group("S3")
     M = fixed_point_mackey(group, *regular_module(group))
     O, pt = standard_orbit(group, 1), point_gset(group)
@@ -1181,7 +1181,26 @@ def test_structure_store_is_bounded_by_the_group():
         M.eval_span(restriction_element(GMap(X, pt, (0,) * X.size)))
         sizes.append(M.structure.sizes())
     assert sizes == [{"weyl": 20, "cover": 1, "chain": 3, "block": 1,
-                      "value": v, "box": 0} for v in (2, 3, 4)]
+                      "box": 0}] * 3
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_offsets_are_the_value_layout_and_its_generator_count(name):
+    # `offsets` computes the orbit layout that `value_at` presents, with
+    # the total after it; on a standard orbit the value is the level itself
+    group = builtin_group(name)
+    FP = _fp_z(group)
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    orbits = [standard_orbit(group, cls.index)
+              for cls in group.subgroup_classes()]
+    for M in (burnside_mackey(group), FP, cokernel(two)[0]):
+        for c, O in enumerate(orbits):
+            grp, offsets = M.value_at(O)
+            assert grp is M.levels[c] and offsets == [0]
+            for Q in orbits:
+                X = product(O, Q).gset
+                grp, offsets = M.value_at(X)
+                assert M.offsets(X) == offsets + [grp.generator_count]
 
 
 # -- derived functors carry their structure maps on first read ------------------------------

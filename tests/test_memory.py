@@ -51,13 +51,16 @@ print([list(level.invariant_factors) for level in result.tor[0].levels])
 """
 
 # Traced memory of TOR0 in a fresh interpreter (caches cold), measured on
-# x86-64 CPython 3.  Peak 3.1 MiB; held at the end, with the result and the
-# caches, 2.2 MiB.  With free modules presented as sums of R box A_{G/H}
-# they were 43.5 and 23.5 MiB (the peak set by the dense outputs of one
-# Smith form), and 62.5 and 40.6 MiB before that, with zero structure
-# matrices in layout-only boxes and dense identities in relator-free groups.
-TOR0_PEAK_MIB = 3.1
-TOR0_HELD_MIB = 2.2
+# x86-64 CPython 3.11.  Peak 0.200 MiB; held at the end, with the result
+# and the caches, 0.193 MiB.  With a stored level sum per orbit-class
+# sequence read and a dense diagonal pairing over all of X x G/H they were
+# 0.211 and 0.204 MiB.  With free modules presented as sums of R box
+# A_{G/H} they were 43.5 and 23.5 MiB (the peak set by the dense outputs
+# of one Smith form), and 62.5 and 40.6 MiB before that, with zero
+# structure matrices in layout-only boxes and dense identities in
+# relator-free groups.
+TOR0_PEAK_MIB = 0.20
+TOR0_HELD_MIB = 0.19
 
 
 def _traced(script):
@@ -101,14 +104,15 @@ print([F.base.size for F in res.modules])
 """
 
 # Traced memory of RESOLUTION in a fresh interpreter, measured on x86-64
-# CPython 3.  Peak 0.72 MiB; held at the end 0.57 MiB, with ranks
-# [1, 4, 17].  Before covers dropped the summands the others generate, the
-# ranks were [11, 42, 87], the peak 3.33 MiB and the held 2.34 MiB.  When
+# CPython 3.11.  Peak 0.701 MiB; held at the end 0.558 MiB, with ranks
+# [1, 4, 17] (0.726 and 0.568 MiB with a stored level sum per orbit-class
+# sequence read).  Before covers dropped the summands the others generate,
+# the ranks were [11, 42, 87], the peak 3.33 MiB and the held 2.34 MiB.  When
 # each cover built the dense matrices of res along X x G/H -> X and tr
 # along X x G/H -> G/H for every class G/H, only to apply them to one
 # vector and a few columns, the peak was 22.7 MiB (held 2.3 MiB).
-RESOLUTION_PEAK_MIB = 0.72
-RESOLUTION_HELD_MIB = 0.57
+RESOLUTION_PEAK_MIB = 0.70
+RESOLUTION_HELD_MIB = 0.56
 
 
 def test_fresh_c2xc2_resolution_stays_under_its_traced_memory_bounds():
