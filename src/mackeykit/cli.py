@@ -279,11 +279,12 @@ def cmd_ss(args):
     if doc.get("filtration", "skeletal") != "skeletal":
         raise ValueError("only the skeletal filtration is supported in JSON")
     terms = {}
-    for deg, mdoc in jsonio.required(doc, "terms", "complex").items():
+    for deg, mdoc in jsonio.required(doc, "terms", "complex", dict).items():
         terms[int(deg)] = jsonio.mackey_from_json(mdoc)
     class_labels = [c.label for c in group.subgroup_classes()]
     diffs = {}
-    for deg, mats in doc.get("diffs", {}).items():
+    for deg, mats in jsonio.of_kind(doc.get("diffs", {}), dict,
+                                    "complex 'diffs'").items():
         n = int(deg)
         for d in (n, n - 1):
             if d not in terms:

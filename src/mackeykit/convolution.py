@@ -324,8 +324,8 @@ def dress_pairing(data: BoxData, X: GSet, n_vec):
     block of the diagonal over-code of G/L, m_i (x) n_j at
     `data.index(L, code, i, j)`: the rows kron(I, n_o) at its start.
     `free_evaluation_iso` pairs with the identity class of A_X, and the
-    Tor_0 witness of `homalg.tor` with the image of the free generators
-    in N(X_0).
+    Tor_0 witness (`homalg.TorResult.tor0_witness`) with the image of the
+    free generators in N(X_0).
     """
     diag = [s[_diag_code(X.group, L)] for L, s in enumerate(data.starts)]
 

@@ -13,10 +13,11 @@ the inclusion), and Tor_p(M, N) is the homology of M box_R F for the
 free resolution F of N.  Since M box_R R(X x -) is M(X x -), no term
 of that complex is a presented box: term p is M(X_p x -), and d_p is the
 Yoneda formula read off the element of R(X_{p-1} x X_p) that defines the
-map of free modules.  The one box a Tor call presents is M box_R N, the
-target of the Tor_0 witness.  Spectral sequence pages follow the
-image formula im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials
-induced by the connecting morphism of the obvious short exact sequence of
+map of free modules.  A Tor call presents no box: M box_R N, the target
+of the Tor_0 witness, is presented when the witness is first read.
+Spectral sequence pages follow the image formula
+im[H(F(p)/F(p-r)) -> H(F(p+r-1)/F(p-1))] with differentials induced
+by the connecting morphism of the obvious short exact sequence of
 quotient complexes; an entry whose quotient has a trivial term in its
 degree is the zero functor, and neither it nor a differential with a
 zero end is computed.  A quotient F(a)/F(b) with F(b) = 0 is F(a)
@@ -30,6 +31,7 @@ Res and tr along G-maps are applied orbit block by orbit block
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -290,8 +292,9 @@ class RelBox:
     """M box_R N as a cokernel of the two action routes, minimized.
 
     `box` is the presented box(M, N) it quotients, and `projection` starts
-    at box.functor.  `tor` presents it for the target of the Tor_0 witness
-    only, never for a free term, and pairs into `box`.
+    at box.functor.  A Tor result presents it for the target of its Tor_0
+    witness only, when the witness is first read, never for a free term,
+    and pairs into `box`.
     """
     left: GreenModule
     right: GreenModule
@@ -409,8 +412,9 @@ class TorResult:
     """Tor_p^R(M, N) for p = 0..p_max and the data it was computed from.
 
     `complex` is M box_R F for the resolution F of N, with term p the
-    Dress construction M(X_p x -), and `tor0_witness` is the isomorphism
-    H_0 -> M box_R N induced by the augmentation, into `rel`.
+    Dress construction M(X_p x -).  `rel` (M box_R N, `rel_box`) and
+    `tor0_witness` are built when first read, once per result: a caller
+    that reads only `tor` presents no box.
     """
     ring: GreenFunctor
     left: GreenModule
@@ -418,8 +422,28 @@ class TorResult:
     resolution: Resolution
     complex: ChainComplex
     tor: list                     # MackeyFunctor per degree 0..p_max
-    tor0_witness: MackeyMorphism  # H_0 -> rel.functor, invertible
-    rel: RelBox
+
+    @cached_property
+    def rel(self) -> RelBox:
+        return rel_box(self.left, self.right)
+
+    @cached_property
+    def tor0_witness(self) -> MackeyMorphism:
+        """The isomorphism H_0 -> rel.functor induced by the augmentation.
+
+        The augmentation eps is the Yoneda extension of n = eps(1_X0) in
+        N(X_0), so M box_R eps sends m in M(X_0 x Y) to the class of
+        tr(m (x) res n) along X_0 x Y -> Y (`dress_pairing`, then the
+        projection of `rel`).
+        """
+        free0, target = self.resolution.modules[0], self.rel
+        X0 = free0.base
+        n0 = self.resolution.augmentation.at_gset(X0) @ free_unit_vector(free0)
+        aug = dress_pairing(target.box, X0, n0)
+        H0, incl0, _proj0, sect0 = self.complex.homology_data(0)
+        mats = [target.projection.mats[c] @ aug[c] @ incl0.mats[c]
+                @ sect0.mats[c] for c in range(len(H0.levels))]
+        return MackeyMorphism(H0, target.functor, mats, check=False)
 
 
 def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
@@ -494,12 +518,9 @@ def tor(R: GreenFunctor, M, N, p_max: int) -> TorResult:
     from irredundant covers.  M box_R R(X x -) is M(X x -) (the Dress
     construction; Bouc, LNM 1671), so term p of M box_R F is
     `internal_hom_rep(X_p, M)` and d_p is the Yoneda formula
-    (`_dress_map`).  The only box presented is M box N, the target of the
-    Tor_0 witness (`rel_box`).  The augmentation eps is the Yoneda
-    extension of n = eps(1_X0) in N(X_0), so M box_R eps sends m in
-    M(X_0 x Y) to the class of tr(m (x) res n) along X_0 x Y -> Y
-    (`dress_pairing`, then rel_box's projection).  Raises ValueError for
-    a negative p_max.
+    (`_dress_map`).  No box is presented here: M box N, the target of
+    the Tor_0 witness, is presented when `TorResult.tor0_witness` is
+    first read.  Raises ValueError for a negative p_max.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
@@ -508,30 +529,17 @@ def tor(R: GreenFunctor, M, N, p_max: int) -> TorResult:
 
 def _tor_of_resolution(M: GreenModule, res: Resolution,
                        p_max: int) -> TorResult:
-    """Tor_p(M, N) for p = 0..p_max, with the Tor_0 witness, read off a
-    resolution of N out to length p_max + 1 or to its last term; see
-    `tor`."""
-    R, N = res.ring, res.target
+    """Tor_p(M, N) for p = 0..p_max read off a resolution of N out to
+    length p_max + 1 or to its last term, presenting no box; see `tor`."""
     free = res.modules
     terms = {p: internal_hom_rep(F.base, M.underlying)
              for p, F in enumerate(free)}
     diffs = {p: _dress_map(M, res.diffs[p - 1], free[p], free[p - 1],
                            terms[p], terms[p - 1])
              for p in range(1, len(free))}
-    C = ChainComplex(R.group, terms, diffs)
-    tor_list = [C.homology(p) for p in range(p_max + 1)]
-
-    # Tor_0 = M box_R N, witnessed by the augmentation
-    target = rel_box(M, N)
-    X0 = free[0].base
-    n0 = res.augmentation.at_gset(X0) @ free_unit_vector(free[0])
-    aug = dress_pairing(target.box, X0, n0)
-    H0, incl0, _proj0, sect0 = C.homology_data(0)
-    wit = MackeyMorphism(H0, target.functor,
-                         [target.projection.mats[c] @ aug[c] @ incl0.mats[c]
-                          @ sect0.mats[c] for c in range(len(H0.levels))],
-                         check=False)
-    return TorResult(R, M, N, res, C, tor_list, wit, target)
+    C = ChainComplex(res.ring.group, terms, diffs)
+    return TorResult(res.ring, M, res.target, res, C,
+                     [C.homology(p) for p in range(p_max + 1)])
 
 
 # -- filtered complexes and the spectral sequence ---------------------------------------------

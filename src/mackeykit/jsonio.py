@@ -38,7 +38,7 @@ def gset_from_json(doc, group=None) -> GSet:
         group = load_group(required(doc, "group", "G-set"))
     if "orbits" in doc:
         classes = []
-        for item in doc["orbits"]:
+        for item in required(doc, "orbits", "G-set", list):
             label, mult = _entry(item, ("label", "multiplicity"), "orbit entry")
             cls = group.class_by_label(label)
             classes.extend([cls.index] * _multiplicity(label, mult))
@@ -112,12 +112,23 @@ def mackey_to_json(M: MackeyFunctor):
     }
 
 
-def required(doc, key, where):
+def required(doc, key, where, kind=None):
     """doc[key], for a JSON object doc; raises ValueError naming `where`
-    and the key unless doc is an object holding it."""
+    and the key unless doc is an object holding it, of `kind` if given
+    (`of_kind`)."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where} has no {key!r}")
-    return doc[key]
+    return doc[key] if kind is None else \
+        of_kind(doc[key], kind, f"{where} {key!r}")
+
+
+def of_kind(value, kind, what):
+    """value, if a JSON array (kind list) or object (kind dict); else a
+    ValueError naming `what`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is not a JSON "
+                         f"{'array' if kind is list else 'object'}")
+    return value
 
 
 def _entry(entry, fields, where):
@@ -144,15 +155,17 @@ def mackey_from_json(doc) -> MackeyFunctor:
 
     def read_pairs(kind):
         out = {}
-        for key, mat in required(doc, kind, "Mackey functor").items():
+        for key, mat in required(doc, kind, "Mackey functor", dict).items():
             la, lb = key.split("<")
             out[(_label_index(labels, la, f"{kind} {key}"),
                  _label_index(labels, lb, f"{kind} {key}"))] = mat
         return out
 
+    given = of_kind(doc.get("conj", {}), dict, "Mackey functor 'conj'")
     conj = {_label_index(labels, label, "conj"):
-            {int(g): m for g, m in given.items()}
-            for label, given in doc.get("conj", {}).items()}
+            {int(g): m
+             for g, m in of_kind(mats, dict, f"conj {label}").items()}
+            for label, mats in given.items()}
     return mackey_from_levels(group, levels, read_pairs("res"),
                               read_pairs("tr"), conj,
                               name=doc.get("name"))
@@ -165,8 +178,9 @@ def _label_index(labels, label, where):
 
 
 def _by_label(labels, table, where):
-    """A table keyed by class labels, as a list in class order."""
-    for label in table:
+    """A table keyed by class labels, as a list in class order; raises
+    ValueError naming `where` unless it is a JSON object."""
+    for label in of_kind(table, dict, where):
         _label_index(labels, label, where)
     for label in labels:
         if label not in table:
@@ -222,7 +236,7 @@ def element_to_json(e):
 
 def element_from_json(group, source, target, doc, where="Burnside element"):
     coeffs = {}
-    for entry in required(doc, "coefficients", where):
+    for entry in required(doc, "coefficients", where, list):
         code_doc, v = _entry(entry, ("code", "value"), "coefficient entry")
         code = code_from_json(group, source, target, code_doc)
         (v,) = _labels([v], f"coefficient of {list(code_doc)}")

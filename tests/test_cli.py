@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from mackeykit import cli, jsonio
+from mackeykit import cli, homalg, jsonio
 from mackeykit.groups import builtin_group
 from mackeykit.mackey import burnside_mackey
 from mackeykit.convolution import burnside_green
+import output_manifest
 from support import gset_to_json
 
 
@@ -283,11 +284,26 @@ def test_green_check_names_a_missing_level_or_unknown_label(
     ("green-check", lambda doc: doc.pop("unit"), "Green functor has no 'unit'"),
     ("green-check", lambda doc: doc["mackey"].pop("tr"),
      "Mackey functor has no 'tr'"),
+    ("mackey-check", lambda doc: doc.update(levels=5),
+     "levels is not a JSON object"),
+    ("mackey-check", lambda doc: doc.update(res=[1]),
+     "Mackey functor 'res' is not a JSON object"),
+    ("mackey-check", lambda doc: doc.update(tr=[1]),
+     "Mackey functor 'tr' is not a JSON object"),
+    ("mackey-check", lambda doc: doc.update(conj=[1]),
+     "Mackey functor 'conj' is not a JSON object"),
+    ("mackey-check", lambda doc: doc["conj"].update(e=5),
+     "conj e is not a JSON object"),
+    ("green-check", lambda doc: doc.update(rings=5),
+     "rings is not a JSON object"),
 ], ids=["group", "levels", "res", "tr", "generators", "mackey", "rings",
-        "unit", "green-tr"])
+        "unit", "green-tr", "levels-kind", "res-kind", "tr-kind", "conj-kind",
+        "conj-entry-kind", "rings-kind"])
 def test_checks_name_a_missing_key(tmp_path, capsys, command, edit, error):
     # a missing key once ended the command with the bare KeyError text on
-    # stderr ("error: 'tr'") and, under --format json, no JSON object
+    # stderr ("error: 'tr'") and, under --format json, no JSON object; a
+    # number or an array in place of an object raised TypeError or
+    # AttributeError, which the command did not catch
     C2 = builtin_group("C2")
     doc = jsonio.mackey_to_json(burnside_mackey(C2)) \
         if command == "mackey-check" else \
@@ -325,6 +341,35 @@ def test_tor_cli(tmp_path, capsys):
     assert len(doc["tor"]) == 2
     # Tor_p(R, R) vanishes above degree zero
     assert all(v == [] for v in doc["tor"][1].values())
+
+
+def test_tor_cli_presents_no_box_and_answers_as_recorded(tmp_path, capsys,
+                                                        monkeypatch):
+    # `mackeykit tor` reads only the Tor groups, so it never builds the
+    # Tor_0 witness or the box M box_R N it lands in; its payload is the
+    # one the output manifest records for `cli/tor`
+    calls = []
+    real = homalg.rel_box
+
+    def counting(M, N):
+        calls.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(homalg, "rel_box", counting)
+    FP = output_manifest._fp_z(builtin_group("S3"))
+    Q = output_manifest._mod_two(FP)
+    paths = []
+    for name, doc in (("ring", {"burnside": "S3"}),
+                      ("fp", jsonio.mackey_to_json(FP)),
+                      ("q", jsonio.mackey_to_json(Q))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["tor", *map(str, paths), "--pmax", "2",
+                                  "--format", "json"])
+    assert (code, err, calls) == (0, "", [])
+    recorded = output_manifest._json_bytes({"exit": code,
+                                            "payload": json.loads(out)})
+    assert output_manifest._sha(recorded) == output_manifest.load()["cli/tor"]
 
 
 def test_ss_cli(tmp_path, capsys):
@@ -375,7 +420,13 @@ def test_ss_cli_pages_agree_once_the_filtration_has_degenerated(
      "diffs 1 names unknown class label 'typo'"),
     (lambda doc: doc.update(filtration="other", terms={}),
      "only the skeletal filtration is supported in JSON"),
-], ids=["missing-level", "missing-term", "unknown-label", "filtration-first"])
+    (lambda doc: doc.update(terms=5), "complex 'terms' is not a JSON object"),
+    (lambda doc: doc.update(diffs=[1]),
+     "complex 'diffs' is not a JSON object"),
+    (lambda doc: doc["diffs"].update({"1": 5}),
+     "diffs 1 is not a JSON object"),
+], ids=["missing-level", "missing-term", "unknown-label", "filtration-first",
+        "terms-kind", "diffs-kind", "diff-kind"])
 def test_ss_cli_names_what_is_wrong_with_a_malformed_complex(
         tmp_path, capsys, edit, error):
     # these once exited with "error: 'C2'" and "error: 1", or, for the
@@ -456,12 +507,17 @@ def test_compose_cli_refuses_elements_over_different_groups(tmp_path,
      "orbit entry ['G'] is not [label, multiplicity]"),
     (lambda doc: doc.update(coefficients=[[["G", 0, 0]]]),
      "coefficient entry [['G', 0, 0]] is not [code, value]"),
+    (lambda doc: doc["source"].update(orbits=5),
+     "G-set 'orbits' is not a JSON array"),
+    (lambda doc: doc.update(coefficients=7),
+     "first element 'coefficients' is not a JSON array"),
 ], ids=["coefficients", "group", "target", "action", "orbit-entry",
-        "coefficient-entry"])
+        "coefficient-entry", "orbits-kind", "coefficients-kind"])
 def test_compose_cli_names_a_missing_key_or_malformed_entry(
         tmp_path, capsys, edit, error):
     # a missing key once ended the command with "error: 'coefficients'",
-    # and a short entry with "not enough values to unpack"
+    # a short entry with "not enough values to unpack", and a number in
+    # place of an array with an uncaught TypeError
     doc = _point_identity_doc("C2")
     edit(doc)
     f1, f2 = tmp_path / "bad.json", tmp_path / "ident.json"

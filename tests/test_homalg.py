@@ -663,7 +663,9 @@ def test_tor_agrees_across_covers_and_argument_order(name):
     assert nonzero > 0    # some Tor_1 or Tor_2 is nonzero, so this can fail
 
 
-def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):
+def test_tor_presents_its_box_on_the_first_witness_read(monkeypatch):
+    # a Tor call presents no box; the first read of the Tor_0 witness
+    # presents M box N once, and no free term is ever boxed
     R, mods = _tor_modules(builtin_group("S3"))
     M, N = mods["FP"], mods["FP/2"]
     calls = []
@@ -676,8 +678,13 @@ def test_tor_presents_one_box_and_pins_no_free_term(monkeypatch):
     monkeypatch.setattr(convolution, "box", counting)
     monkeypatch.setattr(homalg, "box", counting)
     result = tor(R, M, N, 2)
-    assert calls == [(M.underlying, N.underlying)]
     store = M.underlying.structure
+    assert calls == []
+    assert store.sizes()["box"] == 0
+    wit = result.tor0_witness
+    assert calls == [(M.underlying, N.underlying)]
+    assert result.tor0_witness is wit
+    assert calls == [(M.underlying, N.underlying)]
     assert store.sizes()["box"] == 1
     assert store.boxed(N.underlying) is not None
     assert all(store.boxed(F.underlying) is None

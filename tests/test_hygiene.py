@@ -44,7 +44,9 @@ What a functor derives from its stored maps lives in one owned store,
 but `mackey` names `_eval_code` or the store's dicts, and `convolution`
 assigns nothing onto a functor.  Free resolutions have one cover:
 `module_cover`, `module_resolution` and `tor` take no `reverse` direction,
-and the top-down second cover lives in tests/support.py.
+and the top-down second cover lives in tests/support.py.  A Tor call
+presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
+`dress_pairing`, which the result's Tor_0 witness calls when first read.
 """
 
 import ast
@@ -956,3 +958,33 @@ def test_cover_resolution_and_tor_take_no_direction():
               for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("module_cover", "module_resolution", "tor"):
         assert params[name] and "reverse" not in params[name], name
+
+
+TOR_WITNESS_CALLS = {"rel_box", "box", "dress_pairing"}
+
+# `_tor_of_resolution`, abridged, as it read when every Tor call presented
+# M box_R N for the Tor_0 witness, read or not.
+EAGER_WITNESS = '''
+def _tor_of_resolution(M, res, p_max):
+    C = ChainComplex(R.group, terms, diffs)
+    target = rel_box(M, N)
+    n0 = res.augmentation.at_gset(X0) @ free_unit_vector(free[0])
+    aug = dress_pairing(target.box, X0, n0)
+    return TorResult(R, M, N, res, C, tor_list, wit, target)
+'''
+
+
+def test_scanner_finds_the_witness_built_inside_a_tor_call():
+    calls, found = calls_inside(EAGER_WITNESS, ("_tor_of_resolution",),
+                                TOR_WITNESS_CALLS)
+    assert found == {"_tor_of_resolution"}
+    assert calls == [("_tor_of_resolution", 4, "rel_box"),
+                     ("_tor_of_resolution", 6, "dress_pairing")]
+
+
+def test_tor_call_leaves_the_witness_to_its_first_read():
+    source = (PACKAGE / "homalg.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(source, ("_tor_of_resolution",),
+                                TOR_WITNESS_CALLS)
+    assert found == {"_tor_of_resolution"}
+    assert calls == []

@@ -195,10 +195,15 @@ def test_code_from_json_checks_points_and_canonicalizes():
     (lambda C2, O, pt: element_from_json(
         C2, O, pt, {"coefficients": [[["e", 0], 1]]}),
      "span code ['e', 0] is not [label, x, y]"),
+    (lambda C2, O, pt: gset_from_json({"group": "C2", "orbits": 5}),
+     "G-set 'orbits' is not a JSON array"),
+    (lambda C2, O, pt: element_from_json(C2, O, pt, {"coefficients": 7}),
+     "Burnside element 'coefficients' is not a JSON array"),
 ], ids=["action", "group", "orbit-entry", "coefficients", "coefficient-entry",
-        "span-code"])
+        "span-code", "orbits-kind", "coefficients-kind"])
 def test_readers_name_a_missing_key_or_malformed_entry(read, error):
-    # these once raised KeyError: 'action' or "not enough values to unpack"
+    # these once raised KeyError: 'action' or "not enough values to unpack",
+    # and a number in place of an array a TypeError
     C2 = builtin_group("C2")
     with pytest.raises(ValueError) as info:
         read(C2, standard_orbit(C2, 0), point_gset(C2))
