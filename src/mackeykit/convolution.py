@@ -35,7 +35,7 @@ from .burnside import (
     span_element,
     tensor,
 )
-from .groups import _same_group
+from .groups import _same_group, owned
 from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
 from .intmat import _column_entries, _labels, hermite_normal_form_of_columns
 from .mackey import (
@@ -114,7 +114,10 @@ class BoxData:
     orbit, starts[c] maps each over-code (`over_codes`), in order, to the
     index of its first generator.  Generator (code, i, j), i and j
     generators of M and N at the code's class L, is
-    starts[c][code] + i * n_N + j, n_N the generator count of N(G/L)."""
+    starts[c][code] + i * n_N + j, n_N the generator count of N(G/L).
+    The diagonal over-code of the class-c orbit, the identity of G/H_c, is
+    (c, 0): its canonical base image is the least n.0 over n in N(H_c)
+    (`_canonical_over`), and the identity gives 0."""
     left: MackeyFunctor
     right: MackeyFunctor
     starts: tuple         # per class: over-code -> index of its first generator
@@ -321,16 +324,14 @@ def dress_pairing(data: BoxData, X: GSet, n_vec):
     `data` is box(M, N), which the pairing lands in.  At G/H it sends m
     in M(X x G/H) to tr(m (x) res n) along the projection X x G/H -> G/H
     (`yoneda_levels`).  On an orbit of class L, m (x) n_o is the generator
-    block of the diagonal over-code of G/L, m_i (x) n_j at
+    block of the diagonal over-code (L, 0) of G/L, m_i (x) n_j at
     `data.index(L, code, i, j)`: the rows kron(I, n_o) at its start.
     `free_evaluation_iso` pairs with the identity class of A_X, and the
     Tor_0 witness (`homalg.TorResult.tor0_witness`) with the image of the
     free generators in N(X_0).
     """
-    diag = [s[_diag_code(X.group, L)] for L, s in enumerate(data.starts)]
-
     def pair(L, n_o):
-        nM, s = data.left.levels[L].generator_count, diag[L]
+        nM, s = data.left.levels[L].generator_count, data.starts[L][(L, 0)]
         out = intmat.zeros(data.functor.levels[L].generator_count, nM)
         out[s:s + nM * len(n_o)] = intmat.kron(intmat.identity(nM),
                                                n_o.reshape(-1, 1))
@@ -398,7 +399,7 @@ def _box_unit_inverse(M: MackeyFunctor, data: BoxData) -> MackeyMorphism:
         one = _restriction(data.left, top, c, 0) @ unit
         block = intmat.kron(one.reshape(-1, 1),
                             intmat.identity(M.levels[c].generator_count))
-        s = data.starts[c][_diag_code(group, c)]
+        s = data.starts[c][(c, 0)]
         mats.append(intmat.zeros(lvl.generator_count, block.shape[1]))
         mats[-1][s:s + len(block)] = block
     return MackeyMorphism(M, data.functor, mats, check=False)
@@ -429,19 +430,16 @@ def box_comm_iso(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
 
 def box_assoc_iso(M: MackeyFunctor, N: MackeyFunctor, P: MackeyFunctor):
     """Associator (M box N) box P -> M box (N box P), with verified inverse."""
-    group = M.group
     MN = box(M, N)
     NP = box(N, P)
     left = box(MN.functor, P)
     right = box(M, NP.functor)
 
-    diag = [_diag_code(group, c) for c in range(len(group.subgroup_classes()))]
-
     def to_right(c, outer_code, cwp, a, b, d):
-        return right.index(c, outer_code, a, NP.index(cwp, diag[cwp], b, d))
+        return right.index(c, outer_code, a, NP.index(cwp, (cwp, 0), b, d))
 
     def to_left(c, outer_code, cwp, a, b, d):
-        return left.index(c, outer_code, MN.index(cwp, diag[cwp], a, b), d)
+        return left.index(c, outer_code, MN.index(cwp, (cwp, 0), a, b), d)
 
     fwd = _regroup_matrices(left, MN, (M, N, P), True, right.functor.levels,
                             to_right)
@@ -451,13 +449,6 @@ def box_assoc_iso(M: MackeyFunctor, N: MackeyFunctor, P: MackeyFunctor):
     g = MackeyMorphism(right.functor, left.functor, bwd, check=False)
     _verify_two_sided(f, g)
     return f, g
-
-
-def _diag_code(group, cw):
-    """Canonical over-code of the identity over-object of ORB(cw)."""
-    O = standard_orbit(group, cw)
-    zstar, _u = _canonical_over(group, cw, 0, O)
-    return (cw, zstar)
 
 
 def _regroup_matrices(outer: BoxData, inner: BoxData, factors, inner_left,
@@ -767,18 +758,17 @@ def _integer_tables(R: MackeyFunctor, M: MackeyFunctor, tables, what):
     return out
 
 
-def green_from_levelwise(R: MackeyFunctor, ring_tables, unit_vec,
-                         check=True) -> GreenFunctor:
+def green_from_levelwise(R: MackeyFunctor, ring_tables,
+                         unit_vec) -> GreenFunctor:
     """The Green functor on R with the given level rings and unit.
 
     `ring_tables[c][i][j]` is the vector of e_i * e_j in R(G/H_c); `unit_vec`
     is the multiplicative unit of R at the one-point level.  `GreenFunctor`
-    checks their shapes and entries, naming the level and the cell; with
-    check, validate_green verifies the axioms.
+    checks their shapes and entries, naming the level and the cell, and
+    validate_green verifies the axioms.
     """
     G = GreenFunctor(R, ring_tables, unit_vec)
-    if check:
-        validate_green(G)
+    validate_green(G)
     return G
 
 
@@ -787,25 +777,27 @@ def _burnside_action_tables(M: MackeyFunctor):
     on M(G/H_c): the columns of the unit-action block at the diagonal
     over-code."""
     group = M.group
-    return [np.stack([_unit_action_block(M, c, _diag_code(group, c), i).T
+    return [np.stack([_unit_action_block(M, c, (c, 0), i).T
                       for i in range(lvl.generator_count)])
             for c, lvl in enumerate(burnside_mackey(group).levels)]
 
 
 def burnside_green(group, check=True) -> GreenFunctor:
     """The Burnside Green functor: A_pt with the Burnside ring at each level,
-    which acts on A_pt as on every Mackey functor.  One object per group;
-    with check, validate_green verifies it on every call."""
-    key = "burnside_green"
-    if key not in group._cache:
-        R = burnside_mackey(group)
-        group._cache[key] = GreenFunctor(
-            R, _burnside_action_tables(R),
-            identity_element_vector(point_gset(group)))
-    G = group._cache[key]
+    which acts on A_pt as on every Mackey functor.  One object per group,
+    kept by the group; with check, validate_green verifies it on every
+    call."""
+    G = _burnside_green(group)
     if check:
         validate_green(G)
     return G
+
+
+@owned
+def _burnside_green(group):
+    R = burnside_mackey(group)
+    return GreenFunctor(R, _burnside_action_tables(R),
+                        identity_element_vector(point_gset(group)))
 
 
 # -- modules over Green functors -------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .intmat import _labels
 
@@ -50,6 +50,26 @@ class RelationPlan:
     conjugation: tuple
     transitivity: tuple
     double_coset: tuple
+
+
+def owned(fn):
+    """fn(owner, *args), computed once per args and kept on the owner.
+
+    The owner is a `FiniteGroup` or a `GSet`, and the result is stored as
+    `owner._memo[fn][args]`, so it lives exactly as long as its owner.
+    The owner is never hashed: two groups with equal tables each keep
+    their own results.  `args` must be hashable.
+    """
+    @wraps(fn)
+    def memo(owner, *args):
+        try:
+            return owner._memo[fn][args]
+        except KeyError:
+            pass
+        value = fn(owner, *args)
+        owner._memo.setdefault(fn, {})[args] = value
+        return value
+    return memo
 
 
 def _same_group(G, H, what):
@@ -102,7 +122,7 @@ class FiniteGroup:
         self.table = table
         self.inverse = tuple(inverse)
         self.name = name or f"group{n}"
-        self._cache = {}
+        self._memo = {}
         self._hash = hash(table)
         self.generators = self.greedy_generators(range(n))
 
@@ -613,8 +633,10 @@ def load_group(spec):
     Accepted forms: a built-in name, {"kind": "table", "table": [[...]]},
     or {"kind": "perm", "degree": n, "generators": [[one-line perm], ...]}.
     A description gives one object per (name, table) or (name, degree,
-    generators), as a name does, so the data cached on a group (subgroup
-    classes, relation plan, Burnside functor) is derived once per spec.
+    generators), as a name does, so what a group keeps (its subgroup
+    classes and relation plan, and in its memo, see `owned`, its standard
+    orbits and Burnside functor) is derived once per spec, for the last
+    64 specs described.
     """
     if isinstance(spec, str):
         return builtin_group(spec)

@@ -5,16 +5,18 @@ fixed points are direct set operations.  Every construction relabels its
 result into canonical form: a disjoint union of standard orbits (cosets
 of subgroup-class representatives) sorted by class.  This makes GSet
 equality plain table equality and keeps all downstream span
-canonicalization deterministic.
+canonicalization deterministic.  The standard orbits and their unions
+are memoized on the group, and X x Y on X (`groups.owned`), so each
+dies with its owner.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .groups import FiniteGroup, _same_group
+from .groups import FiniteGroup, _same_group, owned
 from .intmat import _labels
 
 
@@ -86,6 +88,7 @@ class GSet:
         self.action = action
         self.name = name
         self._hash = hash((group, action))
+        self._memo = {}
 
     def act(self, g, x):
         return self.action[g][x]
@@ -260,7 +263,7 @@ def compose_maps(g: GMap, f: GMap) -> GMap:
 # -- standard orbits and canonical form ---------------------------------------
 
 
-@lru_cache(maxsize=None)
+@owned
 def standard_orbit(group: FiniteGroup, class_index: int) -> GSet:
     """The orbit G/H for the class representative H, on sorted cosets."""
     cls = group.subgroup_classes()[class_index]
@@ -359,10 +362,12 @@ def canonicalize(X: GSet):
     return target, GMap(X, target, mapping)
 
 
-@lru_cache(maxsize=None)
+@owned
 def disjoint_union_of_orbits(group: FiniteGroup, classes: tuple) -> GSet:
-    """Explicit disjoint union of standard orbits for the given classes."""
-    classes = tuple(classes)
+    """Explicit disjoint union of standard orbits for the given classes;
+    one class gives its standard orbit itself."""
+    if len(classes) == 1:
+        return standard_orbit(group, classes[0])
     blocks = [standard_orbit(group, c) for c in classes]
     action = []
     for g in group.elements():
@@ -389,7 +394,7 @@ class ProductData:
         return self.pair_index[x][y]
 
 
-@lru_cache(maxsize=None)
+@owned
 def product(X: GSet, Y: GSet) -> ProductData:
     """Cartesian product with the diagonal action, canonically relabelled."""
     _same_group(X.group, Y.group, "the factors")

@@ -785,11 +785,7 @@ def homology_filtration_graded(filt: FilteredComplex, n):
         u = {m: MackeyMorphism(Fp.term(m), total.term(m),
                                filt.inclusion(p, filt.max_index, m).mats,
                                check=False) for m in Fp.degrees()}
-        if Fp.degrees():
-            Im, incl = image(complex_map_homology(Fp, total, u, n))
-        else:
-            Htot = total.homology(n)
-            Im, incl = kernel(identity_morphism(Htot))
+        Im, incl = image(complex_map_homology(Fp, total, u, n))
         if prev is not None:
             j = lift_through_inclusion(incl, prev_incl)
             piece, _ = cokernel(j)

@@ -34,9 +34,12 @@ def _labels(values, name):
 
     Python and numpy integers pass.  A float, string or bool raises a
     ValueError naming the entry as `name[i]`, where `int()` would truncate
-    or parse it.
+    or parse it, and a `values` that is not a sequence one naming `name`.
     """
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} is not a sequence: {values!r}") from None
     if bool not in map(type, values):
         try:
             return tuple(map(operator.index, values))

@@ -45,10 +45,10 @@ def gset_from_json(doc, group=None) -> GSet:
         if not classes:
             return empty_gset(group)
         return disjoint_union_of_orbits(group, tuple(sorted(classes)))
-    action = required(doc, "action", "G-set")
-    if doc.get("size") is not None and action and len(action[0]) != doc["size"]:
+    X = GSet(group, required(doc, "action", "G-set", list))
+    if doc.get("size") is not None and X.size != doc["size"]:
         raise ValueError("size does not match the action table")
-    return GSet(group, action)
+    return X
 
 
 def _multiplicity(label, mult):
@@ -142,21 +142,28 @@ def mackey_from_json(doc) -> MackeyFunctor:
     group = load_group(required(doc, "group", "Mackey functor"))
     classes = group.subgroup_classes()
     labels = [cls.label for cls in classes]
-    if "class_order" in doc and list(doc["class_order"]) != labels:
+    if of_kind(doc.get("class_order", labels), list,
+               "Mackey functor 'class_order'") != labels:
         raise ValueError(f"class_order must be {labels}")
     levels, entries = [], _by_label(
         labels, required(doc, "levels", "Mackey functor"), "levels")
     for label, entry in zip(labels, entries):
         gens = required(entry, "generators", f"level {label}")
+        rels = of_kind(entry.get("relations", []), list,
+                       f"level {label} 'relations'")
         try:
-            levels.append(FinPresAbGroup(gens, entry.get("relations", [])))
+            levels.append(FinPresAbGroup(gens, rels))
         except ValueError as err:
             raise ValueError(f"level {label}: {err}") from None
 
     def read_pairs(kind):
         out = {}
         for key, mat in required(doc, kind, "Mackey functor", dict).items():
-            la, lb = key.split("<")
+            pair = key.split("<")
+            if len(pair) != 2:
+                raise ValueError(f"{kind} key {key!r} is not of the form "
+                                 f"'A<B'")
+            la, lb = pair
             out[(_label_index(labels, la, f"{kind} {key}"),
                  _label_index(labels, lb, f"{kind} {key}"))] = mat
         return out

@@ -40,6 +40,7 @@ res and tr chains and the span blocks, keyed by group data only, so
 bounded by the group, and the boxes `convolution.box` presents with this
 functor on the left, keyed by (and keeping alive) the right factor.
 No G-set adds an entry: the orbit layout of M(X) is computed (`offsets`).
+The Burnside and zero functors are one object per group, in its memo.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .burnside import (
     restriction_element,
     transfer_element,
 )
-from .groups import FiniteGroup, _same_group
+from .groups import FiniteGroup, _same_group, owned
 from .gsets import (
     GMap,
     GSet,
@@ -687,23 +688,19 @@ def representable(X: GSet, name=None) -> MackeyFunctor:
                              name=name or f"A[{X.name or X.size}]")
 
 
+@owned
 def burnside_mackey(group: FiniteGroup) -> MackeyFunctor:
-    """The Burnside Mackey functor A_pt, represented by the one-point G-set;
-    one object per group."""
-    if "burnside_mackey" not in group._cache:
-        group._cache["burnside_mackey"] = representable(point_gset(group),
-                                                        name="Burnside")
-    return group._cache["burnside_mackey"]
+    """The Burnside Mackey functor A_pt, represented by the one-point G-set."""
+    return representable(point_gset(group), name="Burnside")
 
 
+@owned
 def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
     """The zero functor: every level 0, every structure matrix 0 x 0."""
-    if "zero_mackey" not in group._cache:
-        empty = intmat.zeros(0, 0)
-        group._cache["zero_mackey"] = mackey_from_gmaps(
-            group, [FinPresAbGroup.zero()] * len(group.subgroup_classes()),
-            lambda f, transfer: empty, name="0", check=False)
-    return group._cache["zero_mackey"]
+    empty = intmat.zeros(0, 0)
+    return mackey_from_gmaps(
+        group, [FinPresAbGroup.zero()] * len(group.subgroup_classes()),
+        lambda f, transfer: empty, name="0", check=False)
 
 
 # -- levelwise abelian-category structure ---------------------------------------------

@@ -1,5 +1,6 @@
 """Shared brute-force and dense oracles used by the tests."""
 
+import gc
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,6 @@ from mackeykit.burnside import (
 from mackeykit.convolution import (
     GreenValidationError,
     _canonical_over,
-    _diag_code,
     _restriction,
     _unit_action_block,
     box,
@@ -170,6 +170,24 @@ def permutation_group(name):
     """The group `PERMUTATION_GROUPS[name]`, built once per test session."""
     degree, gens = PERMUTATION_GROUPS[name]
     return group_from_permutations(degree, gens, name=name)
+
+
+def reaches(root, target):
+    """Whether `target` is reachable from `root` through containers and
+    mackeykit objects, following the references the garbage collector
+    follows; modules, classes and functions are not entered."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (dict, list, tuple, set, frozenset)) or \
+                type(obj).__module__.startswith("mackeykit."):
+            stack.extend(gc.get_referents(obj))
+    return False
 
 
 def full_action_oracle(group, action):
@@ -1268,7 +1286,7 @@ def box_unit_inverse_oracle(M, data):
     mats = []
     for c, lvl in enumerate(data.functor.levels):
         one = _restriction(data.left, top, c, 0) @ unit
-        key = _diag_code(group, c)
+        key = (c, 0)
         inv = intmat.zeros(lvl.generator_count, M.levels[c].generator_count)
         for idx, (code, a, k) in enumerate(data.generators(c)):
             if code == key:

@@ -51,6 +51,7 @@ from support import (
     permutation_group,
     pullback_compose_oracle,
     pullback_tensor_oracle,
+    reaches,
     structure_span_oracles,
     weyl_element,
 )
@@ -319,9 +320,10 @@ def test_code_subgroup_checks_the_class_generators_like_every_element(name):
 
 
 def test_orbit_tables_do_not_pin_gsets():
-    # a fresh group object, and X built from its action table outside the
-    # lru_caches of gsets, so only the derived orbit tables could keep X
-    # alive; the group's own table is a cached property, not a `_cache` key
+    # a fresh group object, and X built from its action table, not by one
+    # of the group's memoized constructors, so only the derived orbit
+    # tables could keep X alive; the group's own table is a cached
+    # property, and its memo holds nothing that reaches X
     group = FiniteGroup(builtin_group("S3").table, name="S3")
     O, pt = standard_orbit(group, 1), point_gset(group)
     X = GSet(group, [row + tuple(O.size + y for y in row) for row in O.action])
@@ -331,11 +333,11 @@ def test_orbit_tables_do_not_pin_gsets():
     assert len(X.subgroup_orbits) == len(X.fixed_orbits) == 4
     # the embeddings map into X, so X sits in a reference cycle
     assert [emb.target is X for emb in X.orbit_embeddings] == [True, True]
+    assert reaches(group._memo, O) and not reaches(group._memo, X)
     ref = weakref.ref(X)
     del X, e
     gc.collect()
     assert ref() is None
-    assert group._cache == {}
 
 
 def test_coefficients_must_be_integers():

@@ -296,14 +296,26 @@ def test_green_check_names_a_missing_level_or_unknown_label(
      "conj e is not a JSON object"),
     ("green-check", lambda doc: doc.update(rings=5),
      "rings is not a JSON object"),
+    ("mackey-check", lambda doc: doc.update(class_order=5),
+     "Mackey functor 'class_order' is not a JSON array"),
+    ("mackey-check", lambda doc: doc["levels"]["e"].update(relations=5),
+     "level e 'relations' is not a JSON array"),
+    ("mackey-check", lambda doc: doc["res"].__setitem__(
+        "eC2", doc["res"].pop("e<C2")),
+     "res key 'eC2' is not of the form 'A<B'"),
+    ("mackey-check", lambda doc: doc["tr"].__setitem__(
+        "e<C2<C2", doc["tr"].pop("e<C2")),
+     "tr key 'e<C2<C2' is not of the form 'A<B'"),
 ], ids=["group", "levels", "res", "tr", "generators", "mackey", "rings",
         "unit", "green-tr", "levels-kind", "res-kind", "tr-kind", "conj-kind",
-        "conj-entry-kind", "rings-kind"])
+        "conj-entry-kind", "rings-kind", "class-order-kind", "relations-kind",
+        "res-key", "tr-key"])
 def test_checks_name_a_missing_key(tmp_path, capsys, command, edit, error):
     # a missing key once ended the command with the bare KeyError text on
     # stderr ("error: 'tr'") and, under --format json, no JSON object; a
-    # number or an array in place of an object raised TypeError or
-    # AttributeError, which the command did not catch
+    # number or an array in place of an object or an array raised
+    # TypeError or AttributeError, which the command did not catch, and a
+    # res/tr key without one "<" failed to unpack, naming no key
     C2 = builtin_group("C2")
     doc = jsonio.mackey_to_json(burnside_mackey(C2)) \
         if command == "mackey-check" else \
@@ -622,8 +634,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
     ("e*-2", "multiplicity of orbit 'e' is not a nonnegative integer: '-2'"),
     ('{"group": "C2", "orbits": [["e", 1.5]]}',
      "multiplicity of orbit 'e' is not a nonnegative integer: 1.5"),
+    ('{"group": "C2", "action": 5}', "G-set 'action' is not a JSON array"),
+    ('{"group": "C2", "action": [5, 5]}', "action[0] is not a sequence: 5"),
 ], ids=["float-entry", "bool-entry", "negative-multiplicity",
-        "float-multiplicity"])
+        "float-multiplicity", "action-kind", "action-row-kind"])
 def test_hom_basis_rejects_bad_gset_input(capsys, source, match):
     code, out, err = run(capsys, ["hom-basis", "--group", "C2",
                                   "--source", source, "--target", "e"])

@@ -32,6 +32,7 @@ from mackeykit.mackey import (
     zero_mackey,
 )
 from mackeykit.convolution import (
+    GreenFunctor,
     GreenModule,
     GreenValidationError,
     _box_unit_inverse,
@@ -438,8 +439,7 @@ def test_green_from_levelwise_names_a_unit_of_the_wrong_length(length):
     G = burnside_green(builtin_group("C2"))
     with pytest.raises(ValueError, match=rf"^unit at level C2: vector of "
                        rf"length {length}, expected 2$"):
-        green_from_levelwise(G.underlying, G.tables, [1] * length,
-                             check=False)
+        green_from_levelwise(G.underlying, G.tables, [1] * length)
 
 
 def test_fixed_point_green_trivial_ring():
@@ -486,8 +486,7 @@ def test_validate_green_agrees_with_box_oracle(name, cases):
                     bad = [[[v.copy() for v in row] for row in tb]
                            for tb in tables]
                     bad[c][i][j][t] += delta
-                    H = green_from_levelwise(G.underlying, bad, unit_vec,
-                                             check=False)
+                    H = GreenFunctor(G.underlying, bad, unit_vec)
                     assert _verdict(validate_green, H) == \
                         _verdict(box_validate_green, H), (c, i, j, t, delta)
                     seen += 1

@@ -34,6 +34,7 @@ from support import (
     full_equivariance_oracle,
     orbits_oracle,
     permutation_group,
+    reaches,
 )
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
@@ -158,9 +159,10 @@ def test_product_size_and_fixed_points_multiplicative():
 
 
 def test_coproduct_does_not_pin_its_summands():
-    # X and Y are built from action tables, outside the lru_caches of
-    # gsets, so only a cache of coproduct could keep them alive; the
-    # canonical coproduct itself is a cached disjoint union of orbits
+    # X and Y are built from action tables, not by the group's memoized
+    # constructors, so only a cache of coproduct could keep them alive;
+    # the canonical coproduct itself is a disjoint union of orbits the
+    # group keeps
     S3 = builtin_group("S3")
     O = standard_orbit(S3, 1)
     X = GSet(S3, [row + tuple(O.size + y for y in row) for row in O.action])
@@ -172,6 +174,51 @@ def test_coproduct_does_not_pin_its_summands():
     del X, Y, cp
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_products_die_with_their_left_factor():
+    # product(X, Y) is kept by X: a second call returns the same object,
+    # and X, its products and their projections are collected together;
+    # the group keeps only the canonical product, a union of its orbits
+    S3 = builtin_group("S3")
+    O = standard_orbit(S3, 1)
+    X = GSet(S3, [row + tuple(O.size + y for y in row) for row in O.action])
+    P = product(X, O)
+    assert product(X, O) is P and P.left.target is X
+    assert P.gset is disjoint_union_of_orbits(S3, P.gset.orbit_type())
+    assert not reaches(S3._memo, X)
+    refs = [weakref.ref(X), weakref.ref(P)]
+    del X, P
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_equal_groups_keep_their_own_standard_orbits(name):
+    # the memo lives on the group object, so a group with an equal table
+    # gets orbits over itself, named after it, and never the other's
+    table = builtin_group(name).table
+    first, second = FiniteGroup(table, name="first"), \
+        FiniteGroup(table, name="second")
+    for cls in first.subgroup_classes():
+        c = cls.index
+        O1, O2 = standard_orbit(first, c), standard_orbit(second, c)
+        assert O1 == O2 and O1 is not O2
+        assert O1.group is first and O2.group is second
+        assert O2.name == f"second/{cls.label}"
+        U1, U2 = (disjoint_union_of_orbits(G, (0, c)) for G in (first, second))
+        assert U1 == U2 and (U1.group, U2.group) == (first, second)
+    assert point_gset(second).group is second
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_a_one_orbit_union_is_the_standard_orbit(name):
+    group = builtin_group(name) if name in BUILTIN_GROUP_NAMES \
+        else permutation_group(name)
+    for cls in group.subgroup_classes():
+        O = standard_orbit(group, cls.index)
+        assert disjoint_union_of_orbits(group, (cls.index,)) is O
+        assert canonicalize(O)[0] is O
 
 
 def test_coproduct_examples():

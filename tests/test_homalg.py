@@ -1,12 +1,19 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from mackeykit import convolution, homalg, mackey
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup
-from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
+from mackeykit.groups import (
+    BUILTIN_GROUP_NAMES,
+    FiniteGroup,
+    builtin_group,
+    cyclic_group_table,
+)
 from mackeykit.gsets import (
     disjoint_union_of_orbits,
     point_gset,
@@ -689,6 +696,21 @@ def test_tor_presents_its_box_on_the_first_witness_read(monkeypatch):
     assert store.boxed(N.underlying) is not None
     assert all(store.boxed(F.underlying) is None
                for F in result.resolution.modules)
+
+
+def test_a_fresh_group_is_collected_after_green_tor_and_witness():
+    # the Burnside Green functor, its orbits and functors live in the
+    # group's memo and the result, so nothing outlives the group: no
+    # module-level cache keeps it, its functors or its boxes alive
+    group = FiniteGroup(cyclic_group_table(4), name="C4")
+    R, mods = _tor_modules(group)
+    assert burnside_green(group) is R
+    result = tor(R, mods["R"], mods["FP/2"], 1)
+    _two_sided(result.tor0_witness)
+    refs = [weakref.ref(x) for x in (group, R, result.rel.box.functor)]
+    del group, R, mods, result
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 # -- module kernels carry the action ----------------------------------------------------------

@@ -40,9 +40,12 @@ span-action builder is left in src.  Every public top-level function
 of the package is called in it, exported from it, or read by the
 benchmark or the demos; helpers only tests read live in tests/support.py.
 What a functor derives from its stored maps lives in one owned store,
-`MackeyFunctor.structure`: `_cache` is left on the group alone, no module
-but `mackey` names `_eval_code` or the store's dicts, and `convolution`
-assigns nothing onto a functor.  Free resolutions have one cover:
+`MackeyFunctor.structure`: no module but `mackey` names `_eval_code` or
+the store's dicts, and `convolution` assigns nothing onto a functor.
+What is built from a group or a G-set is memoized on that owner, through
+`groups.owned`: no `_cache` attribute is left, and the only process-wide
+caches are the bounded ones of `builtin_group`, `_spec_group` and
+`cli.build_parser`.  Free resolutions have one cover:
 `module_cover`, `module_resolution` and `tor` take no `reverse` direction,
 and the top-down second cover lives in tests/support.py.  A Tor call
 presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
@@ -935,14 +938,12 @@ def test_scanner_finds_a_tagged_functor_cache():
 
 def test_functors_keep_derived_maps_in_one_owned_store():
     # a functor's derived structure maps live in its structure store, one
-    # dict per kind that only `mackey` names; `_cache` is left on the group
-    # alone, and `convolution` writes nothing onto a functor
+    # dict per kind that only `mackey` names; no `_cache` is left, and
+    # `convolution` writes nothing onto a functor
     for path in MODULES:
         caches, names, writes = structure_store_report(
             path.read_text(encoding="utf-8"))
-        for scope, _, base in caches:
-            assert (scope, base) == ("FiniteGroup", "self") or \
-                base == "group", (path.name, scope)
+        assert caches == [], path.name
         if path.name == "mackey.py":
             assert "_eval_code" not in {name for _, name in names}
         else:
@@ -988,3 +989,108 @@ def test_tor_call_leaves_the_witness_to_its_first_read():
                                 TOR_WITNESS_CALLS)
     assert found == {"_tor_of_resolution"}
     assert calls == []
+
+
+def _scoped(tree):
+    """(scope, node) for every node of the tree, scope the dotted names of
+    the functions and classes that enclose it ("" at module level)."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def memo_report(source):
+    """Where a module memoizes: (scope, line) of every `_cache` and every
+    `_memo` attribute, and (function, decorator) of every function under
+    `lru_cache`, `cache` or `owned`, bare, called or read off a module."""
+    caches, memos, decorated = [], [], []
+    for scope, node in _scoped(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            caches.append((scope, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr == "_memo":
+            memos.append((scope, node.lineno))
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else \
+                    getattr(dec, "id", None)
+                if name in ("lru_cache", "cache", "owned"):
+                    qual = f"{scope}.{node.name}" if scope else node.name
+                    decorated.append((qual, name))
+    return sorted(caches), sorted(memos), sorted(decorated)
+
+
+# The memos, abridged, as they read when `gsets` kept module-level
+# `lru_cache`s keyed by table equality and the group a dict of string
+# keys written from other modules.
+PROCESS_MEMOS = '''
+import functools
+from functools import lru_cache
+
+class FiniteGroup:
+    def __init__(self, table):
+        self._cache = {}
+
+@lru_cache(maxsize=None)
+def standard_orbit(group, class_index):
+    return GSet(group, action)
+
+@functools.cache
+def product(X, Y):
+    return ProductData(canon, left, right, pair)
+
+def burnside_mackey(group):
+    if "burnside_mackey" not in group._cache:
+        group._cache["burnside_mackey"] = representable(point_gset(group))
+    return group._cache["burnside_mackey"]
+
+class Reader:
+    @owned
+    def zero(self):
+        return self._memo
+'''
+
+
+def test_scanner_finds_process_wide_memos():
+    caches, memos, decorated = memo_report(PROCESS_MEMOS)
+    assert caches == [("FiniteGroup.__init__", 7), ("burnside_mackey", 18),
+                      ("burnside_mackey", 19), ("burnside_mackey", 20)]
+    assert memos == [("Reader.zero", 25)]
+    assert decorated == [("Reader.zero", "owned"), ("product", "cache"),
+                         ("standard_orbit", "lru_cache")]
+
+
+# The process-wide caches `src` keeps, each bounded: the nine built-in
+# names, 64 described groups, and one argument parser.
+PROCESS_CACHES = {("groups.py", "builtin_group"),
+                  ("groups.py", "_spec_group"), ("cli.py", "build_parser")}
+OWNED = {("gsets.py", "standard_orbit"),
+         ("gsets.py", "disjoint_union_of_orbits"), ("gsets.py", "product"),
+         ("mackey.py", "burnside_mackey"), ("mackey.py", "zero_mackey"),
+         ("convolution.py", "_burnside_green")}
+# `owned` reads the memo, and the owners' constructors make it
+MEMO_SCOPES = {("groups.py", "owned.memo"),
+               ("groups.py", "FiniteGroup.__init__"),
+               ("gsets.py", "GSet.__init__")}
+
+
+def test_memos_live_on_their_owner():
+    # what is built from a group or a G-set is memoized through
+    # `groups.owned`, on that owner; no `_cache` attribute is left, and
+    # the only process-wide caches are the three bounded ones above
+    cached, owned, memo_scopes = set(), set(), set()
+    for path in MODULES:
+        caches, memos, decorated = memo_report(
+            path.read_text(encoding="utf-8"))
+        assert caches == [], path.name
+        memo_scopes |= {(path.name, scope) for scope, _ in memos}
+        for function, decorator in decorated:
+            (owned if decorator == "owned" else cached).add(
+                (path.name, function))
+    assert cached == PROCESS_CACHES
+    assert owned == OWNED
+    assert memo_scopes == MEMO_SCOPES

@@ -180,6 +180,16 @@ def test_code_from_json_checks_points_and_canonicalizes():
         element_from_json(C2, O, pt, {"coefficients": [[["e", 0, 0], 1.9]]})
 
 
+def _burnside_doc_with(group, level_e=None, **fields):
+    """mackey_from_json on the Burnside file of the group with the given
+    top-level fields, and level e, replaced."""
+    doc = mackey_to_json(burnside_mackey(group))
+    doc.update(fields)
+    if level_e is not None:
+        doc["levels"]["e"] = level_e
+    return mackey_from_json(doc)
+
+
 @pytest.mark.parametrize("read, error", [
     (lambda C2, O, pt: gset_from_json({"group": "C2"}),
      "G-set has no 'action'"),
@@ -199,8 +209,20 @@ def test_code_from_json_checks_points_and_canonicalizes():
      "G-set 'orbits' is not a JSON array"),
     (lambda C2, O, pt: element_from_json(C2, O, pt, {"coefficients": 7}),
      "Burnside element 'coefficients' is not a JSON array"),
+    (lambda C2, O, pt: gset_from_json({"group": "C2", "action": 5}),
+     "G-set 'action' is not a JSON array"),
+    (lambda C2, O, pt: gset_from_json({"group": "C2", "action": [[0, 1], 5]}),
+     "action[1] is not a sequence: 5"),
+    (lambda C2, O, pt: _burnside_doc_with(C2, class_order=5),
+     "Mackey functor 'class_order' is not a JSON array"),
+    (lambda C2, O, pt: _burnside_doc_with(C2, level_e={"generators": 2,
+                                                       "relations": 5}),
+     "level e 'relations' is not a JSON array"),
+    (lambda C2, O, pt: _burnside_doc_with(C2, res={"eC2": [[1]]}),
+     "res key 'eC2' is not of the form 'A<B'"),
 ], ids=["action", "group", "orbit-entry", "coefficients", "coefficient-entry",
-        "span-code", "orbits-kind", "coefficients-kind"])
+        "span-code", "orbits-kind", "coefficients-kind", "action-kind",
+        "action-row-kind", "class-order-kind", "relations-kind", "res-key"])
 def test_readers_name_a_missing_key_or_malformed_entry(read, error):
     # these once raised KeyError: 'action' or "not enough values to unpack",
     # and a number in place of an array a TypeError

@@ -1147,7 +1147,7 @@ def _holds_gset(key):
 
 
 def test_span_evaluation_does_not_pin_gsets():
-    # X is built from its action table, not by an lru_cached constructor,
+    # X is built from its action table, not by a memoized constructor,
     # so only span evaluation could keep it alive
     group = builtin_group("S3")
     M = fixed_point_mackey(group, *regular_module(group))
