@@ -19,19 +19,26 @@ subgroup and pair.  Since codes are canonical, the result is the code
 multiset of the pullback itself, exactly.  The tensor of two basis
 spans is the same walk over G/L x G/M without the fibre condition.
 Each basis pair is one loop over those L-orbits, shared with
-`convolution.over_image`, that tests the fibre condition and minimizes
-codes inline.  Each factor's codes pass `code_subgroup` once per call,
-before any pair is walked, so a bad code is refused even against zero.
+`convolution.over_image`, that tests the fibre condition and reads each
+code from orbit tables.  Each factor's codes pass `code_subgroup` once
+per call, before any pair is walked, so a bad code is refused even
+against zero.
 
 Everything these walks read that depends only on the group or on one
-G-set is derived once, as cached properties of its owner:
-`FiniteGroup.transporters(L)` lists the g carrying L onto its class
-representative, which `transitive_code` minimizes over;
-`GSet.subgroup_orbits` holds, per class with representative L, the
-L-orbits on X with the stabilizer in L of each least point, which is the
-walk over G/M above; and `GSet.fixed_orbits` holds X^L and its
-N(L)-orbits with the stabilizer in N(L) of each least point, from which
-`hom_basis` and `table_of_marks` read.
+G-set is derived once, as cached properties of its owner.
+`GSet.subgroup_orbits` holds, per class with representative L, one row
+(b, k, t) per L-orbit on X: b reaches its least point p, and k and t
+are the class and `transport` of the stabilizer K of p in L.  On G/M
+that is the walk above.  `GSet.fixed_orbits` holds, per class with
+representative R, the least point x0 of the N(R)-orbit of each x1 in
+X^R with the least n in N(R) carrying x1 to x0, and the stabilizer S of
+each x0 in N(R).  Every canonical code is read from them by
+`_least_pair`.  The g with gKg^-1 = R are the coset N(R) t, and the
+least (g.x, g.y) over it is (x0, the least point of the S-orbit of
+n t.y), for x0 and n those of x1 = t.x: g.x = x0 exactly for g in S n t.
+`transitive_code`, `_add_composite`, `tensor` and the box product's
+over-codes (`convolution._canonical_over`) all call it, and `hom_basis`
+and `table_of_marks` read the same tables.
 """
 
 from __future__ import annotations
@@ -55,16 +62,39 @@ from .gsets import (
 # code := (subgroup class index, x, y) with (x, y) minimal in its orbit
 
 
+def _least_pair(X: GSet, Y: GSet, c, t, x, y):
+    """(x0, y0, n): the least (g.x, g.y) over g in N(R) t, with R the
+    representative of class c, and the least n in N(R) with n t.x = x0.
+
+    (x, y) must be fixed by t^-1 R t.  Read from `X.fixed_orbits[c]`
+    (see `FixedOrbits`): y0 is the least point of the S-orbit of n t.y.
+    """
+    fixed, xa, ya = X.fixed_orbits[c], X.action, Y.action
+    x1 = xa[t][x]
+    n = fixed.lead[x1]
+    x0 = xa[n][x1]
+    y1 = ya[n][ya[t][y]]
+    return x0, min([ya[s][y1] for s in fixed.orbits[x0]]), n
+
+
 def transitive_code(X: GSet, Y: GSet, L, x, y):
     """Canonical code of the transitive span with middle G/L marked at (x, y).
 
     The least (g.x, g.y) over the g carrying L onto its class
-    representative, which the group lists once per subgroup.
+    representative R, read by `_least_pair`.  Raises ValueError, naming
+    L, x and y, unless L fixes both points: t = transport(L) carries the
+    L-fixed points onto the R-fixed ones, which R's class generators fix.
     """
-    cidx, movers = X.group.transporters(L)
+    group = X.group
+    c, t = group.class_index_of(L), group.transport(L)
     xa, ya = X.action, Y.action
-    best = min([(xa[g][x], ya[g][y]) for g in movers])
-    return (cidx, best[0], best[1])
+    x1, y1 = xa[t][x], ya[t][y]
+    for h in group.subgroup_classes()[c].generators:
+        if xa[h][x1] != x1 or ya[h][y1] != y1:
+            raise ValueError(f"the points ({x}, {y}) of a span are not "
+                             f"fixed by its subgroup {tuple(sorted(L))}")
+    x0, y0, _ = _least_pair(X, Y, c, t, x, y)
+    return (c, x0, y0)
 
 
 def code_subgroup(X: GSet, Y: GSet, code):
@@ -228,12 +258,21 @@ def hom_basis(X: GSet, Y: GSet):
     x0 in N(L), so its y is the least point of an S-orbit on Y^L.
     Conversely each S-orbit on Y^L gives one N(L)-orbit.  So walking the
     S-orbits on Y^L in order of least point, x0 by x0 from
-    `X.fixed_orbits`, yields every code once and in sorted order.
+    `X.fixed_orbits`, yields every code once and in sorted order.  When
+    S is all of N(L), its orbits' least points are those `Y.fixed_orbits`
+    lists.
     """
     _same_group(X.group, Y.group, "the G-sets")
     ya, out = Y.action, []
+    classes = X.group.subgroup_classes()
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
-        for x0, S in fx.orbits:
+        if not fy.orbits:
+            continue
+        whole = len(classes[c].normalizer)
+        for x0, S in fx.orbits.items():
+            if len(S) == whole:
+                out.extend([(c, x0, y) for y in fy.orbits])
+                continue
             rows = [ya[s] for s in S]
             seen = set()
             for y in fy.points:
@@ -257,17 +296,12 @@ def _add_composite(out, a, X, Y, Z, c1, c2):
     """
     c, x, y = c1
     m, yp, z = c2
-    O = standard_orbit(X.group, m)
-    reach = O.orbit_index.reach
-    transporters = X.group.transporters
-    xa, ya, za = X.action, Y.action, Z.action
+    ya, za = Y.action, Z.action
     codes = []
-    for p, K in O.subgroup_orbits[c]:
-        b = reach[p]
+    for b, k, t in standard_orbit(X.group, m).subgroup_orbits[c]:
         if ya[b][yp] == y:
-            zb = za[b][z]
-            cidx, movers = transporters(K)
-            codes.append((cidx, *min([(xa[g][x], za[g][zb]) for g in movers])))
+            x0, z0, _ = _least_pair(X, Z, k, t, x, za[b][z])
+            codes.append((k, x0, z0))
     codes.sort(key=lambda code: code[0])
     for code in codes:
         out[code] = out.get(code, 0) + a
@@ -298,21 +332,16 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
     for c2 in t.coeffs:
         code_subgroup(Xp, Yp, c2)
     ps, pt = product(X, Xp), product(Y, Yp)
-    sa, ta = ps.gset.action, pt.gset.action
     xpa, ypa = Xp.action, Yp.action
-    transporters = s.group.transporters
     out = {}
     for (c, x, y), a1 in s.coeffs.items():
         px, py = ps.pair_index[x], pt.pair_index[y]
         for (m, xp, yp), a2 in t.coeffs.items():
             a = a1 * a2
-            O = standard_orbit(s.group, m)
-            reach = O.orbit_index.reach
-            for p, K in O.subgroup_orbits[c]:
-                b = reach[p]
-                u, v = px[xpa[b][xp]], py[ypa[b][yp]]
-                cidx, movers = transporters(K)
-                code = (cidx, *min([(sa[g][u], ta[g][v]) for g in movers]))
+            for b, k, tk in standard_orbit(s.group, m).subgroup_orbits[c]:
+                u0, v0, _ = _least_pair(ps.gset, pt.gset, k, tk,
+                                        px[xpa[b][xp]], py[ypa[b][yp]])
+                code = (k, u0, v0)
                 out[code] = out.get(code, 0) + a
     return BurnsideElement._of_checked(ps.gset, pt.gset, out)
 

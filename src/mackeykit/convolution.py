@@ -28,6 +28,7 @@ from .abgroups import FinPresAbGroup
 from .burnside import (
     BurnsideElement,
     _add_composite,
+    _least_pair,
     basis_element,
     code_subgroup,
     compose,
@@ -57,9 +58,14 @@ def over_codes(X: GSet):
 
 
 def _canonical_over(group, cidx, z, Ob: GSet):
-    """Canonical representative z* = min n.z over the normalizer, with witness."""
-    normalizer = group.subgroup_classes()[cidx].normalizer
-    return min((Ob.action[n][z], n) for n in normalizer)
+    """(z*, u): z* = min n.z over the normalizer N(R) of the class-c
+    representative R, for z in Ob^R, and u the least n with n.z = z*.
+
+    The over-code (c, z*) is the span code (c, z*, 0) of Ob <- G/R -> pt
+    read the other way round, so `_least_pair` gives z* and u.
+    """
+    zstar, _, u = _least_pair(Ob, point_gset(group), cidx, 0, z, 0)
+    return zstar, u
 
 
 def over_image(S: GSet, T: GSet, ecode, code):

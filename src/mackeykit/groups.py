@@ -257,20 +257,17 @@ class FiniteGroup:
 
     @cached_property
     def _class_and_transport(self):
-        """{H: (class index, transport(H), transporters)} for every subgroup H.
+        """{H: (class index, transport(H))} for every subgroup H.
 
         Walking g upward from the identity, H = g^-1 rep g is met first at
-        the least g conjugating H onto its class representative rep.  The
-        elements g with gHg^-1 = rep are the coset N(rep) t of that least
-        t; they are listed as n t for n in N(rep), in the order of N(rep).
+        the least g conjugating H onto its class representative rep.
         """
         out = {}
         for cls in self.subgroup_classes():
             for g in range(self.order):
                 H = self.conjugate_subgroup(self.inverse[g], cls.representative)
                 if H not in out:
-                    out[H] = (cls.index, g, tuple(self.table[n][g]
-                                                  for n in cls.normalizer))
+                    out[H] = (cls.index, g)
         return out
 
     def _class_entry(self, H):
@@ -286,15 +283,6 @@ class FiniteGroup:
     def class_index_of(self, H):
         """Index of the conjugacy class containing the subgroup H."""
         return self._class_entry(H)[0]
-
-    def transporters(self, H):
-        """(c, elements g with gHg^-1 the representative of H's class c).
-
-        Transitive span codes minimize over these elements, so each
-        subgroup's are listed once per group, not per code.
-        """
-        c, _t, movers = self._class_entry(H)
-        return c, movers
 
     def class_by_label(self, label):
         for cls in self.subgroup_classes():

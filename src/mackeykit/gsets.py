@@ -37,16 +37,29 @@ class OrbitIndex:
     reach: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedOrbits:
-    """The points of a G-set fixed by a class representative L, in orbits.
+    """The points of a G-set fixed by a class representative R, in orbits.
 
-    `points` is X^L, sorted.  `orbits` has one (x0, S) per N(L)-orbit on
-    X^L, ordered by x0, its least point; S is the stabilizer of x0 in
-    N(L), sorted.
+    `points` is X^R, sorted.  `lead[x1]`, for x1 in X^R, is the least n
+    in N(R) carrying x1 to x0 = n.x1, the least point of its N(R)-orbit;
+    it is None at the other points of X.  `orbits` maps each such x0, in
+    increasing order, to its stabilizer S in N(R), sorted.
+
+    These give each span code by lookup.  The g with gLg^-1 = R are the
+    m t for m in N(R), t = transport(L), so the least (g.x, g.y) has first
+    entry x0, the least point of the orbit of x1 = t.x, and m.x1 = x0
+    exactly for m in the coset S n, n = lead[x1].  So its second entry is
+    the least point of the S-orbit of n t.y.
     """
     points: tuple
-    orbits: tuple
+    lead: tuple
+    orbits: dict
+
+
+# Shared by every class that fixes no point of its G-set, with an empty
+# `lead`.
+_NO_FIXED_POINTS = FixedOrbits((), (), {})
 
 
 class GSet:
@@ -134,28 +147,48 @@ class GSet:
     def fixed_orbits(self):
         """One `FixedOrbits` per subgroup class, by class index, derived once.
 
-        A point is fixed by L when each of `generators` of L fixes it.
+        A point is fixed by R when each of `generators` of R fixes it.  In
+        increasing order, the first point of X^R not yet reached is the
+        least of its N(R)-orbit, and walking N(R) upward, the first n with
+        n^-1.x0 = x1 is the least n carrying x1 to x0.
         """
-        action, out = self.action, []
+        action, inverse, out = self.action, self.group.inverse, []
         for cls in self.group.subgroup_classes():
             points = range(self.size)
             for h in cls.generators:
                 row = action[h]
                 points = [x for x in points if row[x] == x]
-            out.append(FixedOrbits(tuple(points), _orbits_on(
-                action, cls.normalizer, points)))
+            if not points:
+                out.append(_NO_FIXED_POINTS)
+                continue
+            lead, orbits = [None] * self.size, {}
+            for x0 in points:
+                if lead[x0] is None:
+                    orbits[x0] = tuple(n for n in cls.normalizer
+                                       if action[n][x0] == x0)
+                    for n in cls.normalizer:
+                        x1 = action[inverse[n]][x0]
+                        if lead[x1] is None:
+                            lead[x1] = n
+            out.append(FixedOrbits(tuple(points), tuple(lead), orbits))
         return tuple(out)
 
     @cached_property
     def subgroup_orbits(self):
         """The orbits of each class representative L on X, derived once.
 
-        Entry c has one (p, K) per orbit of the representative of class c,
-        ordered by p, its least point; K is the stabilizer of p in L.
+        Entry c has one (b, k, t) per orbit of the representative of class
+        c, in order of p, its least point: b = reach[p] carries the base
+        point to p, and k and t are the class and `transport` of K, the
+        stabilizer of p in L.  The walk over G/M in `burnside` reads them.
         """
-        return tuple(_orbits_on(self.action, cls.representative,
-                                range(self.size))
-                     for cls in self.group.subgroup_classes())
+        group, reach = self.group, self.orbit_index.reach
+        return tuple(tuple((reach[p], group.class_index_of(K),
+                            group.transport(K))
+                           for p, K in _orbits_on(self.action,
+                                                  cls.representative,
+                                                  range(self.size)))
+                     for cls in group.subgroup_classes())
 
     @cached_property
     def orbit_embeddings(self):

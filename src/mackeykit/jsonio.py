@@ -170,7 +170,7 @@ def mackey_from_json(doc) -> MackeyFunctor:
 
     given = of_kind(doc.get("conj", {}), dict, "Mackey functor 'conj'")
     conj = {_label_index(labels, label, "conj"):
-            {int(g): m
+            {_element_key(g, f"conj {label}"): m
              for g, m in of_kind(mats, dict, f"conj {label}").items()}
             for label, mats in given.items()}
     return mackey_from_levels(group, levels, read_pairs("res"),
@@ -182,6 +182,14 @@ def _label_index(labels, label, where):
     if label not in labels:
         raise ValueError(f"{where} names unknown class label {label!r}")
     return labels.index(label)
+
+
+def _element_key(key, where):
+    """The group element a JSON object key names, as an int; raises
+    ValueError naming `where` and the key unless it is a decimal label."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise ValueError(f"{where} key {key!r} is not a group element label")
+    return int(key)
 
 
 def _by_label(labels, table, where):

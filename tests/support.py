@@ -17,7 +17,6 @@ from mackeykit.burnside import (
     multi_product,
     res_element,
     restriction_element,
-    span_codes,
     span_element,
     tensor,
     tr_element,
@@ -25,7 +24,6 @@ from mackeykit.burnside import (
 )
 from mackeykit.convolution import (
     GreenValidationError,
-    _canonical_over,
     _restriction,
     _unit_action_block,
     box,
@@ -218,6 +216,42 @@ def full_equivariance_oracle(X, Y, mapping):
                for g in X.group.elements() for x in range(X.size))
 
 
+def transitive_code_oracle(X, Y, L, x, y):
+    """`burnside.transitive_code` by brute force: the class c of L and the
+    least (g.x, g.y) over every g in G with gLg^-1 the representative of
+    c, found by conjugating L by each element."""
+    group = X.group
+    L = tuple(sorted(L))
+    cls = next(cls for cls in group.subgroup_classes()
+               if L in cls.conjugates)
+    return (cls.index, *min(
+        (X.act(g, x), Y.act(g, y)) for g in group.elements()
+        if group.conjugate_subgroup(g, L) == cls.representative))
+
+
+def canonical_over_oracle(group, cidx, z, Ob):
+    """`convolution._canonical_over` by brute force: the least (n.z, n)
+    over the normalizer of the class representative, recomputed."""
+    rep = group.subgroup_classes()[cidx].representative
+    return min((Ob.act(n, z), n) for n in group.normalizer(rep))
+
+
+def span_codes_oracle(X, Y, U, left, right):
+    """`burnside.span_codes` by `transitive_code_oracle`: one code per
+    orbit of U, in order of least point, each orbit and stabilizer found
+    by applying every element."""
+    out = {}
+    seen = set()
+    for u in range(U.size):
+        if u in seen:
+            continue
+        seen.update(U.act(g, u) for g in U.group.elements())
+        stab = [g for g in U.group.elements() if U.act(g, u) == u]
+        code = transitive_code_oracle(X, Y, stab, left(u), right(u))
+        out[code] = out.get(code, 0) + 1
+    return out
+
+
 def pullback_compose_oracle(X, Y, Z, c1, c2):
     """Reference composite of basis spans c2 . c1: materialize both spans,
     take the pullback of the middles and read the codes of its orbits."""
@@ -226,7 +260,7 @@ def pullback_compose_oracle(X, Y, Z, c1, c2):
     W = pullback(uy, vy)
     left = compose_maps(ux, W.left)
     right = compose_maps(vz, W.right)
-    return span_codes(X, Z, W.gset, left, right)
+    return span_codes_oracle(X, Z, W.gset, left, right)
 
 
 def pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2):
@@ -243,7 +277,7 @@ def pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2):
                                     for w in range(n)))
     right = GMap(raw, pt.gset, tuple(pt.of_pair(uy(w // V.size), vy(w % V.size))
                                      for w in range(n)))
-    return span_codes(ps.gset, pt.gset, raw, left, right)
+    return span_codes_oracle(ps.gset, pt.gset, raw, left, right)
 
 
 def structure_span_oracles(group):
@@ -1464,8 +1498,8 @@ def _pairing_terms(M, N, layouts, levels, U, V, e):
         RV = N.eval_span(restriction_element(compose_maps(PD.right, legP)))
         b = ix.orbit_of[y]
         cb = ix.classes[b]
-        zstar, u = _canonical_over(group, cw, inv_embeds[b][y],
-                                   standard_orbit(group, cb))
+        zstar, u = canonical_over_oracle(group, cw, inv_embeds[b][y],
+                                         standard_orbit(group, cb))
         TM = (M.weyl[cw][u] @ RU) * a
         TN = N.weyl[cw][u] @ RV
         lay = layouts[cb]

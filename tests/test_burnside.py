@@ -53,6 +53,7 @@ from support import (
     pullback_tensor_oracle,
     reaches,
     structure_span_oracles,
+    transitive_code_oracle,
     weyl_element,
 )
 
@@ -165,6 +166,61 @@ def test_hom_basis_against_orbit_enumeration():
                     assert min(cands) == (rep, x, y)
 
 
+def orbits_and_products(group):
+    """The standard orbits, then the distinct products of two of them."""
+    orbs = orbits_of(group)
+    prods = dict.fromkeys(product(X, Y).gset
+                          for i, X in enumerate(orbs) for Y in orbs[i:])
+    return orbs, [P for P in prods if P not in orbs]
+
+
+@pytest.mark.parametrize("name",
+                         BUILTIN_GROUP_NAMES + ORACLE_PERMUTATION_GROUPS)
+def test_transitive_code_matches_the_brute_force_oracle(name):
+    # every subgroup L, not only the class representatives, and every pair
+    # of L-fixed points, between a standard orbit and a standard orbit or
+    # a product of two, in both orders
+    group = group_named(name)
+    orbs, prods = orbits_and_products(group)
+    feet = [(X, O) for X in orbs + prods for O in orbs] + \
+        [(O, P) for P in prods for O in orbs]
+    checked = 0
+    for L in group.subgroups():
+        fixed = {X: fixed_points(X, L) for X in orbs + prods}
+        for X, Y in feet:
+            for x in fixed[X]:
+                for y in fixed[Y]:
+                    assert transitive_code(X, Y, L, x, y) == \
+                        transitive_code_oracle(X, Y, L, x, y), (X, Y, L, x, y)
+                    checked += 1
+    assert checked == {"trivial": 1, "C2": 34, "C3": 89, "C4": 475,
+                       "C6": 2162, "C2xC2": 1013, "S3": 2098, "D4": 12906,
+                       "Q8": 6998, "A4": 22545, "D6": 56205}[name]
+
+
+def test_transitive_code_rejects_points_its_subgroup_moves():
+    # a pair L does not fix is no span with middle G/L; every pair of
+    # points is tried, and exactly those with a moved point are refused
+    for name in ("C2", "S3", "D4"):
+        group = builtin_group(name)
+        orbs = orbits_of(group)
+        for L in group.subgroups():
+            for X, Y in itertools.product(orbs, repeat=2):
+                fx, fy = fixed_points(X, L), fixed_points(Y, L)
+                for x, y in itertools.product(range(X.size), range(Y.size)):
+                    if x in fx and y in fy:
+                        assert transitive_code(X, Y, L, x, y) == \
+                            transitive_code_oracle(X, Y, L, x, y)
+                        continue
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"the points ({x}, {y}) of a span are not fixed "
+                            f"by its subgroup {L}")):
+                        transitive_code(X, Y, L, x, y)
+    C2 = builtin_group("C2")
+    with pytest.raises(ValueError, match=re.escape("(1,) is not a subgroup")):
+        transitive_code(point_gset(C2), point_gset(C2), (1,), 0, 0)
+
+
 def test_hom_basis_examples():
     triv = builtin_group("trivial")
     pt0 = point_gset(triv)
@@ -202,7 +258,7 @@ def basis_spans(group):
 def test_compose_matches_pullback_oracle(name):
     # every composable pair of basis spans, 9,575 over the built-in groups
     # and 14,128 over A4 and D6; the code multiset and its order must equal
-    # the pullback's
+    # the pullback's, whose codes the brute-force oracle reads
     pairs = 0
     spans = basis_spans(group_named(name))
     for X, Y, c1 in spans:
@@ -227,12 +283,16 @@ def test_tensor_matches_product_oracle(name):
     spans = basis_spans(group)
     seconds = spans if name in BATTERY else [
         s for s in spans if pt in s[:2]]
+    pairs = 0
     for X, Y, c1 in spans:
         for Xp, Yp, c2 in seconds:
             got = tensor(basis_element(X, Y, c1), basis_element(Xp, Yp, c2))
             want = pullback_tensor_oracle(X, Xp, Y, Yp, c1, c2)
             assert list(got.coeffs.items()) == list(want.items()), \
                 (X, Y, Xp, Yp, c1, c2)
+            pairs += 1
+    assert pairs == {"trivial": 1, "C2": 36, "C3": 49, "C4": 441,
+                     "C2xC2": 2809, "S3": 1521, "C6": 1764, "D4": 9984}[name]
 
 
 def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
@@ -330,12 +390,20 @@ def test_orbit_tables_do_not_pin_gsets():
     for c1, c2 in itertools.product(hom_basis(X, O), hom_basis(O, pt)):
         e = compose(basis_element(O, pt, c2), basis_element(X, O, c1))
         assert e.source is X and not e.is_zero()
+        # X as the left factor: X x O is kept in X's memo
+        t = tensor(basis_element(X, O, c1), basis_element(O, pt, c2))
+        assert t.source is product(X, O).gset and not t.is_zero()
     assert len(X.subgroup_orbits) == len(X.fixed_orbits) == 4
+    # the code walks read the lead tables of X and of X x O, whose G-set
+    # is a union of standard orbits the group keeps
+    P = product(X, O).gset
+    assert {"fixed_orbits"} <= vars(X).keys() & vars(P).keys()
+    assert reaches(group._memo, P) and not reaches(P, X)
     # the embeddings map into X, so X sits in a reference cycle
     assert [emb.target is X for emb in X.orbit_embeddings] == [True, True]
     assert reaches(group._memo, O) and not reaches(group._memo, X)
     ref = weakref.ref(X)
-    del X, e
+    del X, e, t
     gc.collect()
     assert ref() is None
 

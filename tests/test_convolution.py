@@ -64,6 +64,8 @@ from support import (
     box_unit_inverse_oracle,
     box_validate_green,
     burnside_unit_vector,
+    canonical_over_oracle,
+    fixed_points,
     internal_hom_rep_by_spans,
     permutation_group,
     structure_matrices,
@@ -93,11 +95,33 @@ def test_over_image_is_compose_with_the_structure_span(name):
                     want = []
                     for (cwp, o, y), mult in \
                             compose(span, struct).coeffs.items():
-                        zstar, u = _canonical_over(group, cwp, y, T)
+                        zstar, u = canonical_over_oracle(group, cwp, y, T)
                         want.append(((cwp, zstar), o, u, mult))
                     got = over_image(S, T, ecode, (cw, x))
                     assert got == want, (S, T, ecode, (cw, x))
     assert shortcuts
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + ("A4", "D6"))
+def test_canonical_over_is_the_least_normalizer_image(name):
+    # every class c and every point z fixed by its representative, on the
+    # standard orbits and the products of two: (z*, u) is the least
+    # (n.z, n) over the normalizer, so u is the least n giving z*
+    group = (permutation_group(name) if name in PERMUTATION_BATTERY
+             else builtin_group(name))
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    feet = dict.fromkeys(orbs + [product(X, Y).gset for X in orbs
+                                 for Y in orbs])
+    checked = 0
+    for cls in group.subgroup_classes():
+        for Ob in feet:
+            for z in fixed_points(Ob, cls.representative):
+                assert _canonical_over(group, cls.index, z, Ob) == \
+                    canonical_over_oracle(group, cls.index, z, Ob)
+                checked += 1
+    assert checked == {"trivial": 1, "C2": 8, "C3": 14, "C4": 43, "C6": 112,
+                       "C2xC2": 69, "S3": 102, "D4": 326, "Q8": 236,
+                       "A4": 471, "D6": 816}[name]
 
 
 def sample_functors(group):

@@ -28,7 +28,10 @@ pairing over all of X x G/H is left.  Span composition has one walk over
 the double cosets: `compose` checks each factor's codes and hands every
 basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
-no second walk and no `Counter`.  `ktheory` composes no spans and
+no second walk and no `Counter`.  Every canonical span code and over-code
+is read from the G-sets' orbit tables by `burnside._least_pair`: the
+functions that read one minimize over no group elements themselves, and
+nothing in src names a `transporters`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
 Burnside functor it is compared with.  The naturality conditions are
 listed once: `MackeyMorphism._check` and `NatSolver` read res, tr and
@@ -670,6 +673,77 @@ def test_compose_and_over_image_share_one_walk():
     # compose checks each factor, the walk checks nothing, and over_image
     # keeps its own check of both codes
     assert checks == (2, 0, 2)
+
+
+# The functions that read a canonical span code or over-code, by module,
+# and the one helper that reads it from the orbit tables.
+CODE_READERS = {"burnside.py": {"transitive_code", "_add_composite", "tensor"},
+                "convolution.py": {"_canonical_over"}}
+CODE_HELPER = "_least_pair"
+
+
+def canonicalizer_report(sources):
+    """For {module file name: source}: (the code readers that do not call
+    CODE_HELPER, the code readers that call `min` or `transporters`
+    themselves, and (module, line) of every line that defines, reads or
+    calls a `transporters`)."""
+    missing, brute, movers = set(), set(), set()
+    for module, source in sources.items():
+        readers = CODE_READERS.get(module, set())
+        calls, _ = calls_inside(source, readers,
+                                {CODE_HELPER, "min", "transporters"})
+        helped = {f for f, _, name in calls if name == CODE_HELPER}
+        missing |= {(module, f) for f in readers - helped}
+        brute |= {(module, f) for f, _, name in calls if name != CODE_HELPER}
+        movers |= {(module, node.lineno)
+                   for node in ast.walk(ast.parse(source))
+                   if "transporters" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None),
+                                         getattr(node, "name", None))}
+    return missing, brute, sorted(movers)
+
+
+# The four code readers, abridged, as they read when each minimized over
+# the transporters or the normalizer itself.
+BRUTE_FORCE_CODES = {"burnside.py": '''
+def transitive_code(X, Y, L, x, y):
+    cidx, movers = X.group.transporters(L)
+    best = min([(xa[g][x], ya[g][y]) for g in movers])
+    return (cidx, best[0], best[1])
+
+def _add_composite(out, a, X, Y, Z, c1, c2):
+    transporters = X.group.transporters
+    for p, K in O.subgroup_orbits[c]:
+        cidx, movers = transporters(K)
+        codes.append((cidx, *min([(xa[g][x], za[g][zb]) for g in movers])))
+
+def tensor(s, t):
+    transporters = s.group.transporters
+    for p, K in O.subgroup_orbits[c]:
+        cidx, movers = transporters(K)
+        code = (cidx, *min([(sa[g][u], ta[g][v]) for g in movers]))
+''', "convolution.py": '''
+def _canonical_over(group, cidx, z, Ob):
+    normalizer = group.subgroup_classes()[cidx].normalizer
+    return min((Ob.action[n][z], n) for n in normalizer)
+'''}
+
+
+def test_scanner_finds_code_readers_that_minimize_themselves():
+    missing, brute, movers = canonicalizer_report(BRUTE_FORCE_CODES)
+    every = {(m, f) for m, readers in CODE_READERS.items() for f in readers}
+    assert missing == brute == every
+    assert movers == [("burnside.py", line) for line in (3, 8, 10, 14, 16)]
+
+
+def test_span_codes_have_one_canonicalizer():
+    # transitive_code, the composition and tensor walks and the over-codes
+    # of the box product read each canonical code through `_least_pair`,
+    # from the G-sets' orbit tables; none minimizes over group elements
+    # itself, and no transporter list is left to minimize over
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert canonicalizer_report(sources) == (set(), set(), [])
 
 
 SPAN_COMPOSITION = {"compose", "tensor", "eval_span", "restriction_element",

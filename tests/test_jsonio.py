@@ -220,12 +220,18 @@ def _burnside_doc_with(group, level_e=None, **fields):
      "level e 'relations' is not a JSON array"),
     (lambda C2, O, pt: _burnside_doc_with(C2, res={"eC2": [[1]]}),
      "res key 'eC2' is not of the form 'A<B'"),
+    (lambda C2, O, pt: _burnside_doc_with(C2, conj={"e": {"x": [[1]]}}),
+     "conj e key 'x' is not a group element label"),
+    (lambda C2, O, pt: _burnside_doc_with(C2, conj={"C2": {"-1": [[1]]}}),
+     "conj C2 key '-1' is not a group element label"),
 ], ids=["action", "group", "orbit-entry", "coefficients", "coefficient-entry",
         "span-code", "orbits-kind", "coefficients-kind", "action-kind",
-        "action-row-kind", "class-order-kind", "relations-kind", "res-key"])
+        "action-row-kind", "class-order-kind", "relations-kind", "res-key",
+        "conj-key", "conj-key-sign"])
 def test_readers_name_a_missing_key_or_malformed_entry(read, error):
     # these once raised KeyError: 'action' or "not enough values to unpack",
-    # and a number in place of an array a TypeError
+    # a number in place of an array a TypeError, and a `conj` key that is
+    # no element label "invalid literal for int()"
     C2 = builtin_group("C2")
     with pytest.raises(ValueError) as info:
         read(C2, standard_orbit(C2, 0), point_gset(C2))
