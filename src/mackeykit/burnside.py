@@ -32,13 +32,14 @@ are the class and `transport` of the stabilizer K of p in L.  On G/M
 that is the walk above.  `GSet.fixed_orbits` holds, per class with
 representative R, the least point x0 of the N(R)-orbit of each x1 in
 X^R with the least n in N(R) carrying x1 to x0, and the stabilizer S of
-each x0 in N(R).  Every canonical code is read from them by
+each x0 in N(R).  Every canonical span code is read from them by
 `_least_pair`.  The g with gKg^-1 = R are the coset N(R) t, and the
 least (g.x, g.y) over it is (x0, the least point of the S-orbit of
 n t.y), for x0 and n those of x1 = t.x: g.x = x0 exactly for g in S n t.
-`transitive_code`, `_add_composite`, `tensor` and the box product's
-over-codes (`convolution._canonical_over`) all call it, and `hom_basis`
-and `table_of_marks` read the same tables.
+`transitive_code`, `_add_composite` and `tensor` call it.  It reads x0
+and n by `_least_point`, which the box product's over-codes
+(`convolution._canonical_over`), with one foot, call directly.
+`hom_basis` and `table_of_marks` read the same tables.
 """
 
 from __future__ import annotations
@@ -62,19 +63,26 @@ from .gsets import (
 # code := (subgroup class index, x, y) with (x, y) minimal in its orbit
 
 
+def _least_point(X: GSet, c, x1):
+    """(x0, n): the least point x0 of the N(R)-orbit of x1 in X^R, with R
+    the representative of class c, and the least n in N(R) with n.x1 = x0,
+    read from `X.fixed_orbits[c]`."""
+    n = X.fixed_orbits[c].lead[x1]
+    return X.action[n][x1], n
+
+
 def _least_pair(X: GSet, Y: GSet, c, t, x, y):
     """(x0, y0, n): the least (g.x, g.y) over g in N(R) t, with R the
     representative of class c, and the least n in N(R) with n t.x = x0.
 
     (x, y) must be fixed by t^-1 R t.  Read from `X.fixed_orbits[c]`
-    (see `FixedOrbits`): y0 is the least point of the S-orbit of n t.y.
+    (see `FixedOrbits`): x0 and n are `_least_point` of t.x, and y0 is
+    the least point of the S-orbit of n t.y.
     """
-    fixed, xa, ya = X.fixed_orbits[c], X.action, Y.action
-    x1 = xa[t][x]
-    n = fixed.lead[x1]
-    x0 = xa[n][x1]
+    ya = Y.action
+    x0, n = _least_point(X, c, X.action[t][x])
     y1 = ya[n][ya[t][y]]
-    return x0, min([ya[s][y1] for s in fixed.orbits[x0]]), n
+    return x0, min([ya[s][y1] for s in X.fixed_orbits[c].orbits[x0]]), n
 
 
 def transitive_code(X: GSet, Y: GSet, L, x, y):
@@ -258,21 +266,12 @@ def hom_basis(X: GSet, Y: GSet):
     x0 in N(L), so its y is the least point of an S-orbit on Y^L.
     Conversely each S-orbit on Y^L gives one N(L)-orbit.  So walking the
     S-orbits on Y^L in order of least point, x0 by x0 from
-    `X.fixed_orbits`, yields every code once and in sorted order.  When
-    S is all of N(L), its orbits' least points are those `Y.fixed_orbits`
-    lists.
+    `X.fixed_orbits`, yields every code once and in sorted order.
     """
     _same_group(X.group, Y.group, "the G-sets")
     ya, out = Y.action, []
-    classes = X.group.subgroup_classes()
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
-        if not fy.orbits:
-            continue
-        whole = len(classes[c].normalizer)
         for x0, S in fx.orbits.items():
-            if len(S) == whole:
-                out.extend([(c, x0, y) for y in fy.orbits])
-                continue
             rows = [ya[s] for s in S]
             seen = set()
             for y in fy.points:

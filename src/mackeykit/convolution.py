@@ -28,7 +28,7 @@ from .abgroups import FinPresAbGroup
 from .burnside import (
     BurnsideElement,
     _add_composite,
-    _least_pair,
+    _least_point,
     basis_element,
     code_subgroup,
     compose,
@@ -57,15 +57,11 @@ def over_codes(X: GSet):
     return tuple((c, x) for (c, _z, x) in hom_basis(pt, X))
 
 
-def _canonical_over(group, cidx, z, Ob: GSet):
+def _canonical_over(Ob: GSet, cidx, z):
     """(z*, u): z* = min n.z over the normalizer N(R) of the class-c
-    representative R, for z in Ob^R, and u the least n with n.z = z*.
-
-    The over-code (c, z*) is the span code (c, z*, 0) of Ob <- G/R -> pt
-    read the other way round, so `_least_pair` gives z* and u.
-    """
-    zstar, _, u = _least_pair(Ob, point_gset(group), cidx, 0, z, 0)
-    return zstar, u
+    representative R, for z in Ob^R, and u the least n with n.z = z*,
+    read from Ob's orbit tables by `_least_point`."""
+    return _least_point(Ob, cidx, z)
 
 
 def over_image(S: GSet, T: GSet, ecode, code):
@@ -98,7 +94,7 @@ def over_image(S: GSet, T: GSet, ecode, code):
         _add_composite(terms, 1, Ow, S, T, struct, ecode)
     out = []
     for (cwp, o, y), mult in terms.items():
-        zstar, u = _canonical_over(group, cwp, y, T)
+        zstar, u = _canonical_over(T, cwp, y)
         out.append(((cwp, zstar), o, u, mult))
     return out
 

@@ -57,11 +57,6 @@ class FixedOrbits:
     orbits: dict
 
 
-# Shared by every class that fixes no point of its G-set, with an empty
-# `lead`.
-_NO_FIXED_POINTS = FixedOrbits((), (), {})
-
-
 class GSet:
     """A finite set with a validated G-action.
 
@@ -158,9 +153,6 @@ class GSet:
             for h in cls.generators:
                 row = action[h]
                 points = [x for x in points if row[x] == x]
-            if not points:
-                out.append(_NO_FIXED_POINTS)
-                continue
             lead, orbits = [None] * self.size, {}
             for x0 in points:
                 if lead[x0] is None:

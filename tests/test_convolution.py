@@ -116,7 +116,7 @@ def test_canonical_over_is_the_least_normalizer_image(name):
     for cls in group.subgroup_classes():
         for Ob in feet:
             for z in fixed_points(Ob, cls.representative):
-                assert _canonical_over(group, cls.index, z, Ob) == \
+                assert _canonical_over(Ob, cls.index, z) == \
                     canonical_over_oracle(group, cls.index, z, Ob)
                 checked += 1
     assert checked == {"trivial": 1, "C2": 8, "C3": 14, "C4": 43, "C6": 112,

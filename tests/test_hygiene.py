@@ -29,9 +29,10 @@ the double cosets: `compose` checks each factor's codes and hands every
 basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
 no second walk and no `Counter`.  Every canonical span code and over-code
-is read from the G-sets' orbit tables by `burnside._least_pair`: the
-functions that read one minimize over no group elements themselves, and
-nothing in src names a `transporters`.  `ktheory` composes no spans and
+is read from the G-sets' orbit tables by `burnside._least_pair` or, for
+an over-code, by the lookup `_least_point` it shares: the functions
+that read one minimize over no group elements themselves, and nothing in
+src names a `transporters`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
 Burnside functor it is compared with.  The naturality conditions are
 listed once: `MackeyMorphism._check` and `NatSolver` read res, tr and
@@ -676,25 +677,30 @@ def test_compose_and_over_image_share_one_walk():
 
 
 # The functions that read a canonical span code or over-code, by module,
-# and the one helper that reads it from the orbit tables.
-CODE_READERS = {"burnside.py": {"transitive_code", "_add_composite", "tensor"},
-                "convolution.py": {"_canonical_over"}}
-CODE_HELPER = "_least_pair"
+# each with the helper that reads it from the orbit tables: `_least_pair`
+# for a span code, and for an over-code, which has one foot, the lookup
+# `_least_point` that `_least_pair` reads its first entry through.
+CODE_READERS = {"burnside.py": {"transitive_code": "_least_pair",
+                                "_add_composite": "_least_pair",
+                                "tensor": "_least_pair"},
+                "convolution.py": {"_canonical_over": "_least_point"}}
+CODE_HELPERS = {"_least_pair", "_least_point"}
 
 
 def canonicalizer_report(sources):
     """For {module file name: source}: (the code readers that do not call
-    CODE_HELPER, the code readers that call `min` or `transporters`
-    themselves, and (module, line) of every line that defines, reads or
-    calls a `transporters`)."""
+    their helper in CODE_READERS, the code readers that call `min` or
+    `transporters` themselves, and (module, line) of every line that
+    defines, reads or calls a `transporters`)."""
     missing, brute, movers = set(), set(), set()
     for module, source in sources.items():
-        readers = CODE_READERS.get(module, set())
+        readers = CODE_READERS.get(module, {})
         calls, _ = calls_inside(source, readers,
-                                {CODE_HELPER, "min", "transporters"})
-        helped = {f for f, _, name in calls if name == CODE_HELPER}
-        missing |= {(module, f) for f in readers - helped}
-        brute |= {(module, f) for f, _, name in calls if name != CODE_HELPER}
+                                CODE_HELPERS | {"min", "transporters"})
+        helped = {f for f, _, name in calls if name == readers[f]}
+        missing |= {(module, f) for f in readers.keys() - helped}
+        brute |= {(module, f) for f, _, name in calls
+                  if name not in CODE_HELPERS}
         movers |= {(module, node.lineno)
                    for node in ast.walk(ast.parse(source))
                    if "transporters" in (getattr(node, "id", None),
@@ -738,12 +744,16 @@ def test_scanner_finds_code_readers_that_minimize_themselves():
 
 def test_span_codes_have_one_canonicalizer():
     # transitive_code, the composition and tensor walks and the over-codes
-    # of the box product read each canonical code through `_least_pair`,
-    # from the G-sets' orbit tables; none minimizes over group elements
-    # itself, and no transporter list is left to minimize over
+    # of the box product read each canonical code from the G-sets' orbit
+    # tables, through `_least_pair` or its lookup `_least_point`; none
+    # minimizes over group elements itself, and no transporter list is
+    # left to minimize over
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in MODULES}
     assert canonicalizer_report(sources) == (set(), set(), [])
+    calls, found = calls_inside(sources["burnside.py"], ("_least_pair",),
+                                {"_least_point"})
+    assert found == {"_least_pair"} and len(calls) == 1
 
 
 SPAN_COMPOSITION = {"compose", "tensor", "eval_span", "restriction_element",
