@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from itertools import product
 
 from .intmat import _labels
 
@@ -44,8 +45,9 @@ class RelationPlan:
     - `transitivity`: the triples (A, C, B) with B a class representative,
       C < B a covering pair and A < C off the chain `maximal_under` picks;
     - `double_coset`: (L, H, K, terms) for each class representative L and
-      all H, K <= L, with one term (xDx^-1, D, conj_index(x, D)) per double
-      coset HxK in L, x its least label and D = x^-1Hx cap K.
+      each N(L)-orbit of pairs of maximal subgroups of L, (H, K) the least
+      (nHn^-1, nKn^-1) in it, with one term (xDx^-1, D, conj_index(x, D))
+      per double coset HxK in L, x its least label and D = x^-1Hx cap K.
     """
     conjugation: tuple
     transitivity: tuple
@@ -377,20 +379,26 @@ class FiniteGroup:
             (A, C, B) for (C, B) in self.covering_pairs if B in reps
             for A in self.subgroups()
             if set(A) < set(C) and self.maximal_under(A, B) != C)
-        gens = {H: self.greedy_generators(H) for H in self.subgroups()}
         double_coset = []
-        for L in reps:
-            inside = [H for H in self.subgroups() if set(H) <= set(L)]
-            cosets = {K: self._left_cosets_in(L, K) for K in inside}
-            for H in inside:
-                for K in inside:
-                    terms = []
-                    for x in self._double_coset_reps(gens[H], cosets[K]):
-                        D = tuple(sorted(set(self.conjugate_subgroup(
-                            self.inverse[x], H)) & set(K)))
-                        terms.append((self.conjugate_subgroup(x, D), D,
-                                      self.conj_index(x, D)))
-                    double_coset.append((L, H, K, tuple(terms)))
+        for cls in self.subgroup_classes():
+            L = cls.representative
+            maximal = [A for (A, B) in self.covering_pairs if B == L]
+            seen = set()
+            for pair in product(maximal, repeat=2):
+                if pair in seen:
+                    continue
+                orbit = {tuple(self.conjugate_subgroup(n, X) for X in pair)
+                         for n in cls.normalizer}
+                seen |= orbit
+                H, K = min(orbit)
+                terms = []
+                for x in self._double_coset_reps(
+                        self.greedy_generators(H), self._left_cosets_in(L, K)):
+                    D = tuple(sorted(set(self.conjugate_subgroup(
+                        self.inverse[x], H)) & set(K)))
+                    terms.append((self.conjugate_subgroup(x, D), D,
+                                  self.conj_index(x, D)))
+                double_coset.append((L, H, K, tuple(terms)))
         return RelationPlan(tuple(conjugation), transitivity,
                             tuple(double_coset))
 

@@ -18,9 +18,10 @@ transfer . conjugation . restriction.
 Functoriality of that evaluation is equivalent to the relations of the
 Mackey algebra (Thevenaz-Webb, Trans. AMS 347, 1995, section 3).
 `validate_functoriality` checks a generating set of them rather than
-trusting: the homomorphism relation on generators of each normalizer,
-and the res/tr relations at class representatives and canonical pairs
-only, for generators of their stabilizers.  Every other instance is a
+trusting: the homomorphism relation off the walk that defines it, the
+res/tr relations at class representatives and canonical pairs only, for
+generators of their stabilizers, and the double-coset formula at pairs
+of maximal subgroups, one per N(L)-orbit.  Every other instance is a
 product or a conjugate of a checked one; its docstring has the proof.
 
 Ownership: functors and morphisms keep the 2-D object arrays they are
@@ -91,21 +92,30 @@ def class_pair_covers(group: FiniteGroup):
     return out
 
 
+def _walk(group: FiniteGroup, gens):
+    """(a, s, as) for each element as != e of the subgroup generated by
+    `gens`, first reached from a by a breadth-first walk from e that tries
+    the generators in the given order; the walk's tree, in walk order."""
+    reached, walk, edges = {0}, [0], []
+    for a in walk:
+        for s in gens:
+            b = group.mul(a, s)
+            if b not in reached:
+                reached.add(b)
+                walk.append(b)
+                edges.append((a, s, b))
+    return edges
+
+
 def _generated_action(group: FiniteGroup, gens, identity):
     """{g: w(g)} for every g in the subgroup generated by `gens`.
 
-    `gens` maps generators s to matrices w(s), and w(e) is `identity`.  A
-    breadth-first walk from e, in the order of `gens`, gives the element
-    as, first reached from a, the product w(a) w(s).
+    `gens` maps generators s to matrices w(s), and w(e) is `identity`.
+    Along `_walk`, w(as) is defined as the product w(a) w(s).
     """
     out = {0: identity}
-    walk = [0]
-    for a in walk:
-        for s, m in gens.items():
-            b = group.mul(a, s)
-            if b not in out:
-                out[b] = out[a] @ m
-                walk.append(b)
+    for a, s, b in _walk(group, tuple(gens)):
+        out[b] = out[a] @ gens[s]
     return out
 
 
@@ -315,7 +325,8 @@ class MackeyFunctor:
 
         (I) w(e) == 1 and w(h) == 1 for h in `SubgroupClass.generators`;
         (H) w(a) w(s) == w(as) for every a in N(H) and s in
-            `SubgroupClass.normalizer_generators`;
+            `SubgroupClass.normalizer_generators` off the tree of `_walk`,
+            on whose edges `weyl` defines w(as) as w(a) w(s);
         (C) conjugation commutes with the stored res and tr at each
             canonical pair (Hp, K0), for the generators of N(K0) cap N(Hp);
         (T) transitivity: res_mat/tr_mat through a covering step C < B equal
@@ -323,7 +334,8 @@ class MackeyFunctor:
             class representative and every A < C;
         (D) the double-coset formula res^L_H tr^L_K =
             sum_{x in H\\L/K} tr^H_{xDx^-1} c_x res^K_D, D = x^-1Hx cap K,
-            for L a class representative and every H, K <= L.
+            for L a class representative and (H, K) the least pair in
+            each N(L)-orbit of pairs of maximal subgroups of L.
 
         `FiniteGroup.relation_plan` holds the group data of (C), (T), (D).
         Here w is `weyl`, the products of the stored generator matrices
@@ -331,7 +343,8 @@ class MackeyFunctor:
         survives composition on both sides.
         These relations imply the full set:
 
-        1. Writing b = s1...sk in generators, (H) gives w(ab) ==
+        1. (H) holds on the tree by definition, so for every a and s.
+           Writing b = s1...sk in generators, it gives w(ab) ==
            w(a) w(s1)...w(sk) for every a; with a = e and (I), w(b) ==
            w(s1)...w(sk), so w(a) w(b) == w(ab), and w is trivial on H
            because it is on H's generators.  Hence `conj_mat` is a functor:
@@ -351,6 +364,16 @@ class MackeyFunctor:
            (gL, gH, gK), whose double cosets are the g-conjugates of those
            in L.  A term does not depend on its representative: x' = hxk
            changes it by c_h at H and c_k at K, both == 1 by 1.
+        5. (D) holds at every L and H, K <= L, by induction on |L|, then
+           on [L:H] + [L:K].  By 4, let L be a representative.  If H = L
+           or K = L, the one term is the left side, as w(e) == 1 by (I).
+           If H < H' < L, H' maximal, expand res^L_H tr^L_K = res^H'_H
+           res^L_H' tr^L_K by (D) at (L, H', K), then each term by (D) at
+           (H', H, H' cap xKx^-1) in the smaller H'; by 1 and 3 the terms
+           recombine, as the H y x K, y in H\\H'/(H' cap xKx^-1) and x in
+           H'\\L/K, are the double cosets H\\L/K.  A non-maximal K is
+           dual.  Maximal H and K are carried by some n in N(L) to a
+           checked pair, and 4 carries (D) back.
 
         Every checked cell is also a cell of the exhaustive check (the
         oracle in the tests), so both accept the same data.  Returns
@@ -361,10 +384,14 @@ class MackeyFunctor:
         plan = group.relation_plan
         cidx = group.class_index_of
         weyl, chain = self.structure.weyl, self.structure.chain
-        counts = {}
+        counts = dict.fromkeys((
+            "inner conjugation is trivial", "conjugation is a homomorphism",
+            "conjugation commutes with restriction",
+            "conjugation commutes with transfer", "transitivity of restriction",
+            "transitivity of transfer", "double-coset formula"), 0)
 
         def check(lhs, rhs, src, tgt, relation, where):
-            counts[relation] = counts.get(relation, 0) + 1
+            counts[relation] += 1
             if not abgroups.maps_equal(lhs, rhs, self.levels[src],
                                        self.levels[tgt]):
                 raise ValueError(f"functoriality fails: {relation} at {where}")
@@ -375,11 +402,13 @@ class MackeyFunctor:
             for h in (0,) + cls.generators:
                 check(w[h], ident, c, c, "inner conjugation is trivial",
                       f"{h} in {cls.representative}")
+            tree = {(a, s) for a, s, _ in _walk(group, tuple(self.conj[c]))}
             for a in cls.normalizer:
                 for s, ws in self.conj[c].items():
-                    check(w[a] @ ws, w[group.mul(a, s)], c, c,
-                          "conjugation is a homomorphism",
-                          f"{a}*{s} on {cls.representative}")
+                    if (a, s) not in tree:
+                        check(w[a] @ ws, w[group.mul(a, s)], c, c,
+                              "conjugation is a homomorphism",
+                              f"{a}*{s} on {cls.representative}")
         for (Hp, K0), gens in plan.conjugation:
             ch, ck = cidx(Hp), cidx(K0)
             r, t = self.res[(Hp, K0)], self.tr[(Hp, K0)]

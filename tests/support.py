@@ -474,14 +474,19 @@ def exhaustive_functoriality_oracle(M):
     N(H), every element of H acts trivially, transitivity at every covering
     step, conjugation commutes with res and tr at every covering pair and
     every g, and the double-coset formula for every L and H, K <= L.
-    Returns {relation: cells checked}; raises ValueError like the validator.
+    Returns {relation: cells checked}, every relation listed, and raises
+    ValueError like the validator.
     """
     group = M.group
     subs = group.subgroups()
-    counts = {}
+    counts = dict.fromkeys((
+        "inner conjugation is trivial", "conjugation is a homomorphism",
+        "conjugation commutes with restriction",
+        "conjugation commutes with transfer", "transitivity of restriction",
+        "transitivity of transfer", "double-coset formula"), 0)
 
     def check(lhs, rhs, src, tgt, relation, where):
-        counts[relation] = counts.get(relation, 0) + 1
+        counts[relation] += 1
         if not abgroups.maps_equal(lhs, rhs, M.levels[src],
                                    M.levels[tgt]):
             raise ValueError(f"functoriality fails: {relation} at {where}")

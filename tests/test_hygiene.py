@@ -54,6 +54,9 @@ caches are the bounded ones of `builtin_group`, `_spec_group` and
 and the top-down second cover lives in tests/support.py.  A Tor call
 presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
 `dress_pairing`, which the result's Tor_0 witness calls when first read.
+`mackey` walks a normalizer's generators in one place, `mackey._walk`:
+conjugation is defined along it, and `validate_functoriality` reads the
+walk's tree from it to skip the homomorphism cells that hold by definition.
 """
 
 import ast
@@ -1178,3 +1181,78 @@ def test_memos_live_on_their_owner():
     assert cached == PROCESS_CACHES
     assert owned == OWNED
     assert memo_scopes == MEMO_SCOPES
+
+
+def walk_report(source):
+    """(scope, line) of every graph walk, a `for` loop over a list the loop
+    appends to or a `while` loop that pops a list it appends to, and the
+    scopes that call `_walk`."""
+    walks, callers = [], set()
+    for scope, node in _scoped(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                == "_walk":
+            callers.add(scope)
+        if not isinstance(node, (ast.For, ast.While)):
+            continue
+        grown, popped = set(), set()
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and \
+                    isinstance(call.func, ast.Attribute):
+                owner = ast.unparse(call.func.value)
+                if call.func.attr in ("append", "extend"):
+                    grown.add(owner)
+                elif call.func.attr == "pop":
+                    popped.add(owner)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) in grown \
+                or isinstance(node, ast.While) and grown & popped:
+            walks.append((scope, node.lineno))
+    return sorted(walks), callers
+
+
+# The walk that defines conjugation and the validator, abridged, as they
+# would read with the walk's tree rebuilt by a second walk of its own.
+COPIED_WALK = '''
+def _walk(group, gens):
+    reached, walk, edges = {0}, [0], []
+    for a in walk:
+        for s in gens:
+            b = group.mul(a, s)
+            if b not in reached:
+                reached.add(b)
+                walk.append(b)
+                edges.append((a, s, b))
+    return edges
+
+def _generated_action(group, gens, identity):
+    for a, s, b in _walk(group, tuple(gens)):
+        out[b] = out[a] @ gens[s]
+
+class MackeyFunctor:
+    def validate_functoriality(self):
+        for cls in group.subgroup_classes():
+            tree, seen, stack = set(), {0}, [0]
+            while stack:
+                a = stack.pop()
+                for s in self.conj[cls.index]:
+                    if group.mul(a, s) not in seen:
+                        seen.add(group.mul(a, s))
+                        stack.append(group.mul(a, s))
+                        tree.add((a, s))
+'''
+
+
+def test_scanner_finds_a_copied_walk():
+    assert walk_report(COPIED_WALK) == (
+        [("MackeyFunctor.validate_functoriality", 21), ("_walk", 4)],
+        {"_generated_action"})
+
+
+def test_homomorphism_cells_come_from_the_one_walk():
+    # `mackey` walks a normalizer's generators once, in `_walk`: conjugation
+    # by every element is defined along it, and the validator reads the
+    # walk's tree from it to skip the cells that hold by definition
+    walks, callers = walk_report(
+        (PACKAGE / "mackey.py").read_text(encoding="utf-8"))
+    assert [scope for scope, _ in walks] == ["_walk"]
+    assert callers == {"_generated_action",
+                       "MackeyFunctor.validate_functoriality"}

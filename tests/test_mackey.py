@@ -108,7 +108,9 @@ def s3():
 def test_zero_functor_valid(c2):
     Z = zero_mackey(c2)
     report = Z.validate_functoriality()
-    assert report and all(n > 0 for n in report.values())
+    # C2 has no chain of two covering steps, so no transitivity cell
+    assert report == _expected_cells(c2)
+    assert sum(report.values()) == 8 and report["transitivity of transfer"] == 0
     assert span_functoriality_oracle(Z) > 0
 
 
@@ -176,16 +178,99 @@ def test_eval_res_tr_composite(c2):
     assert im.mats_equal(lhs, rhs)
 
 
+def _conjugate(group, g, H):
+    return tuple(sorted(group.mul(group.mul(g, h), group.inv(g)) for h in H))
+
+
+def _maximal(group, L):
+    """The maximal subgroups of L, by set containment."""
+    inside = [set(H) for H in group.subgroups() if set(H) < set(L)]
+    return [H for H in group.subgroups() if set(H) < set(L)
+            and not any(set(H) < C for C in inside)]
+
+
+def _maximal_pair_orbits(group, cls):
+    """The N(L)-orbits of pairs of maximal subgroups of L, L = cls's
+    representative, by brute-force conjugation."""
+    maximal = _maximal(group, cls.representative)
+    orbits = {frozenset((_conjugate(group, n, H), _conjugate(group, n, K))
+                        for n in cls.normalizer)
+              for H in maximal for K in maximal}
+    return sorted(map(sorted, orbits))
+
+
+def _expected_cells(group):
+    """{relation: cells} the validator checks, from group data alone:
+    subgroups, set containment and conjugation, no relation plan."""
+    classes = group.subgroup_classes()
+    transitivity = 0
+    for cls in classes:
+        B = cls.representative
+        maximal = _maximal(group, B)
+        for A in group.subgroups():
+            above = sum(set(A) < set(C) for C in maximal)
+            transitivity += max(above - 1, 0)
+    stabilizer_gens = sum(
+        len(group.greedy_generators(
+            [n for n in classes[group.class_index_of(K0)].normalizer
+             if _conjugate(group, n, Hp) == Hp]))
+        for Hp, K0 in group.canonical_covers)
+    return {
+        "inner conjugation is trivial": sum(1 + len(cls.generators)
+                                            for cls in classes),
+        "conjugation is a homomorphism": sum(
+            len(cls.normalizer) * len(cls.normalizer_generators)
+            - (len(cls.normalizer) - 1) for cls in classes),
+        "conjugation commutes with restriction": stabilizer_gens,
+        "conjugation commutes with transfer": stabilizer_gens,
+        "transitivity of restriction": transitivity,
+        "transitivity of transfer": transitivity,
+        "double-coset formula": sum(len(_maximal_pair_orbits(group, cls))
+                                    for cls in classes)}
+
+
 def test_functoriality_battery():
+    # the double-coset formula is checked at class representatives L only,
+    # once per N(L)-orbit of pairs of maximal subgroups of L
     for name in BATTERY + ("D4", "Q8"):
         group = builtin_group(name)
-        A = burnside_mackey(group)
-        report = A.validate_functoriality()
-        # the formula is checked at class representatives L only
-        assert report["double-coset formula"] == sum(
-            sum(1 for H in group.subgroups()
-                if set(H) <= set(cls.representative)) ** 2
-            for cls in group.subgroup_classes())
+        report = burnside_mackey(group).validate_functoriality()
+        assert report == _expected_cells(group), name
+        if name == "D4":
+            assert sum(report.values()) == 165
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_double_coset_cells_are_one_per_orbit_of_maximal_pairs(name):
+    # the plan's (L, H, K) cells are the least pair of each N(L)-orbit of
+    # Max(L)^2, for every class representative L, and nothing else
+    group = _group(name)
+    cells = {}
+    for L, H, K, _ in group.relation_plan.double_coset:
+        cells.setdefault(L, []).append((H, K))
+    for cls in group.subgroup_classes():
+        assert sorted(cells.pop(cls.representative, [])) == \
+            [orbit[0] for orbit in _maximal_pair_orbits(group, cls)], \
+            cls.label
+    assert cells == {}
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_homomorphism_cells_are_the_pairs_off_the_walk(name):
+    # the walk that defines w reaches each element of N(H) but e once, from
+    # a and a generator s, so |N|*|gens| - (|N| - 1) pairs (a, s) are left
+    # to check per class
+    group = _group(name)
+    M = _functor(group, "FP(Z)")
+    for cls in group.subgroup_classes():
+        gens = tuple(M.conj[cls.index])
+        tree = mackey._walk(group, gens)
+        assert sorted(b for _, _, b in tree) == sorted(set(cls.normalizer) - {0})
+        assert all(a in cls.normalizer and s in gens and group.mul(a, s) == b
+                   for a, s, b in tree)
+        assert len({(a, s) for a, s, _ in tree}) == len(cls.normalizer) - 1
+    assert M.validate_functoriality()["conjugation is a homomorphism"] == \
+        _expected_cells(group)["conjugation is a homomorphism"]
 
 
 def test_double_coset_formula_all_class_pairs():
@@ -750,14 +835,17 @@ def _group(name):
 # (group, functor, corrupted kinds): the whole corruption family of every
 # functor on the groups below order 8, and of FP(Z) on D4, Q8 and A4; the
 # res and tr corruptions, which probe the reduced conjugation,
-# transitivity and double-coset relations, of A on Q8 and of FP(Z) on
-# C2wrC3, where the exhaustive oracle takes 10-70 ms per corruption
+# transitivity and double-coset relations, of A and FP(Z[G]) on D4 and
+# Q8 and of FP(Z) on C2wrC3, where the exhaustive oracle takes 4-70 ms
+# per corruption
 _ORACLE_CASES = [
     (name, functor, ("res", "tr", "conj"))
     for name in ("trivial", "C2", "C3", "C4", "C6", "C2xC2", "S3")
     for functor in ("A", "FP(Z)", "FP(Z[G])")
 ] + [(name, "FP(Z)", ("res", "tr", "conj")) for name in ("D4", "Q8", "A4")
-     ] + [("Q8", "A", ("res", "tr")), ("C2wrC3", "FP(Z)", ("res", "tr"))]
+     ] + [("Q8", "A", ("res", "tr")), ("C2wrC3", "FP(Z)", ("res", "tr")),
+          ("D4", "A", ("res", "tr")), ("D4", "FP(Z[G])", ("res", "tr")),
+          ("Q8", "FP(Z[G])", ("res", "tr"))]
 
 
 @pytest.mark.parametrize("name,functor,kinds", _ORACLE_CASES, ids=[
@@ -788,7 +876,8 @@ def test_permutation_battery_passes_both_validators(name):
 def test_a5_passes_validate_functoriality():
     group = permutation_group("A5")
     report = burnside_mackey(group).validate_functoriality()
-    assert sum(report.values()) == 4496
+    assert report == _expected_cells(group)
+    assert sum(report.values()) == 645
 
 
 @pytest.mark.parametrize("name", ["D4", "Q8"])
