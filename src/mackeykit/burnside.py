@@ -37,8 +37,8 @@ each x0 in N(R).  Every canonical span code is read from them by
 least (g.x, g.y) over it is (x0, the least point of the S-orbit of
 n t.y), for x0 and n those of x1 = t.x: g.x = x0 exactly for g in S n t.
 `transitive_code`, `_add_composite` and `tensor` call it.  It reads x0
-and n by `_least_point`, which the box product's over-codes
-(`convolution._canonical_over`), with one foot, call directly.
+and n by `_least_point`, which `convolution.over_image` calls directly
+for the box product's over-codes: an over-code has one foot.
 `hom_basis` and `table_of_marks` read the same tables.
 """
 

@@ -57,13 +57,6 @@ def over_codes(X: GSet):
     return tuple((c, x) for (c, _z, x) in hom_basis(pt, X))
 
 
-def _canonical_over(Ob: GSet, cidx, z):
-    """(z*, u): z* = min n.z over the normalizer N(R) of the class-c
-    representative R, for z in Ob^R, and u the least n with n.z = z*,
-    read from Ob's orbit tables by `_least_point`."""
-    return _least_point(Ob, cidx, z)
-
-
 def over_image(S: GSet, T: GSet, ecode, code):
     """The Mackey formula on an over-code: where a span sends it.
 
@@ -72,29 +65,21 @@ def over_image(S: GSet, T: GSet, ecode, code):
     gL -> g.x.  Their composite is a sum of spans G/L <- G/L' -> T, one
     (target over-code, o, u, multiplicity) per class: the base of G/L'
     goes to o and to y, (o, y) least under N(L'), and u is the least
-    element of N(L') carrying y to its canonical representative.  So
-    m (x) n goes to c_u res_o(m) (x) c_u res_o(n) (Thevenaz-Webb 1995;
-    Bouc, LNM 1671, ch. 1).  A middle of the class of S makes the span a
-    transfer along g.yp -> g.z, which moves x and keeps o at the base;
-    otherwise the composite is the span's code composed with the
-    over-code's structure span G/L -> S, as `compose` computes it.
+    element of N(L') carrying y to its canonical representative
+    (`_least_point`).  So m (x) n goes to c_u res_o(m) (x) c_u res_o(n)
+    (Thevenaz-Webb 1995; Bouc, LNM 1671, ch. 1).  The composite is the
+    span's code composed with the over-code's structure span G/L -> S,
+    as `compose` computes it.
     """
-    group = S.group
     cw, x = code
-    m, yp, z = ecode
-    if m == S.orbit_index.classes[0]:
-        reach = S.orbit_index.reach
-        g = group.table[reach[x]][group.inverse[reach[yp]]]
-        terms = {(cw, 0, T.action[g][z]): 1}
-    else:
-        Ow, struct = standard_orbit(group, cw), (cw, 0, x)
-        code_subgroup(Ow, S, struct)
-        code_subgroup(S, T, ecode)
-        terms = {}
-        _add_composite(terms, 1, Ow, S, T, struct, ecode)
+    Ow, struct = standard_orbit(S.group, cw), (cw, 0, x)
+    code_subgroup(Ow, S, struct)
+    code_subgroup(S, T, ecode)
+    terms = {}
+    _add_composite(terms, 1, Ow, S, T, struct, ecode)
     out = []
     for (cwp, o, y), mult in terms.items():
-        zstar, u = _canonical_over(T, cwp, y)
+        zstar, u = _least_point(T, cwp, y)
         out.append(((cwp, zstar), o, u, mult))
     return out
 
@@ -119,7 +104,7 @@ class BoxData:
     starts[c][code] + i * n_N + j, n_N the generator count of N(G/L).
     The diagonal over-code of the class-c orbit, the identity of G/H_c, is
     (c, 0): its canonical base image is the least n.0 over n in N(H_c)
-    (`_canonical_over`), and the identity gives 0."""
+    (`burnside._least_point`), and the identity gives 0."""
     left: MackeyFunctor
     right: MackeyFunctor
     starts: tuple         # per class: over-code -> index of its first generator

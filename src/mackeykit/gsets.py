@@ -304,10 +304,6 @@ def point_gset(group: FiniteGroup) -> GSet:
     return standard_orbit(group, len(group.subgroup_classes()) - 1)
 
 
-def empty_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, [[] for _ in group.elements()], name="empty")
-
-
 def coset_index_of(group: FiniteGroup, class_index: int, g: int) -> int:
     """Index of the coset g*H inside the standard orbit of the class.
 
@@ -390,7 +386,7 @@ def canonicalize(X: GSet):
 @owned
 def disjoint_union_of_orbits(group: FiniteGroup, classes: tuple) -> GSet:
     """Explicit disjoint union of standard orbits for the given classes;
-    one class gives its standard orbit itself."""
+    one class gives its standard orbit itself, and none the empty G-set."""
     if len(classes) == 1:
         return standard_orbit(group, classes[0])
     blocks = [standard_orbit(group, c) for c in classes]
@@ -499,13 +495,12 @@ def find_isomorphism(X: GSet, Y: GSet):
     """An equivariant bijection X -> Y, or None.
 
     Orbit decomposition is a complete isomorphism invariant, so this
-    succeeds exactly when the orbit types agree.
+    succeeds exactly when the orbit types agree; then both canonicalize
+    onto the same memoized union of standard orbits.
     """
     _same_group(X.group, Y.group, "the G-sets")
     if X.orbit_type() != Y.orbit_type():
         return None
     _, ix = canonicalize(X)
-    cy, iy = canonicalize(Y)
-    if ix.target != cy:
-        return None
+    _, iy = canonicalize(Y)
     return compose_maps(iy.inverse(), ix)

@@ -51,7 +51,6 @@ from .gsets import (
     GMap,
     GSet,
     disjoint_union_of_orbits,
-    empty_gset,
     product,
     standard_orbit,
 )
@@ -203,11 +202,7 @@ def module_cover(M: GreenModule):
 def _cover_on_slots(M: GreenModule, slots):
     """(F, surj) with one summand R^{G/H_c} per slot (c, k), in order,
     sent to generator k of M(G/H_c)."""
-    group = M.group
-    if slots:
-        X = disjoint_union_of_orbits(group, tuple(c for (c, _k) in slots))
-    else:
-        X = empty_gset(group)
+    X = disjoint_union_of_orbits(M.group, tuple(c for (c, _k) in slots))
     F = free_module(M.ring, X)
     # element of M(X): block b holds generator k of level c per slot
     offsets = M.underlying.offsets(X)
@@ -453,10 +448,16 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     d is the Yoneda extension of its values f_b = d(1_b) in R(X x O_b) on
     the free generators of the orbits O_b of Z (`free_unit_vector`), so
     M box_R d sends m in M(Z x Y) to the sum over b of tr(res f_b . res m)
-    along S_b x Y -> X x Y, with m restricted along S_b x Y -> Z x Y.
-    S_b holds the orbits of X x O_b that f_b is supported on, one
-    standard orbit each, since f_b restricted to the others is zero.
-    Each orbit of S_b x Y adds the product of its blocks of those maps.
+    along P_b x Y -> X x Y, P_b = X x O_b, with m restricted along
+    P_b x Y -> Z x Y.  That is read orbit by orbit of P_b, skipping the
+    orbits where f_b is zero: orbit k is a standard orbit O_k with maps
+    to X and Z, and each orbit of O_k x Y adds the product of its blocks
+    of those maps.  This is exact: P_b is canonical, so orbit k's
+    embedding sends base to base with the class representative as
+    stabilizer, and f_b restricted along it is f_b's slice at k (the
+    block w(e) chain(L, L) is the identity); the orbits of P_b x Y over
+    orbit k are those of O_k x Y, matched base to base by
+    canonicalization; and the integer sum does not depend on its order.
     """
     Mk, Rk = M.underlying, M.ring.underlying
     group = M.group
@@ -470,19 +471,12 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
         f = d.mats[cb] @ eta[offsets[b]:offsets[b] + n]
         P = product(X, emb.source)
         poff = Rk.offsets(P.gset)
-        pix = P.gset.orbit_index
-        support = [k for k, L in enumerate(pix.classes) if not intmat.is_zero(
-            f[poff[k]:poff[k] + Rk.levels[L].generator_count])]
-        if not support:
-            continue
-        S = disjoint_union_of_orbits(group, tuple(pix.classes[k]
-                                                  for k in support))
-        pembs = P.gset.orbit_embeddings
-        inc = GMap(S, P.gset, tuple(pembs[k](o) for k in support
-                                    for o in range(pembs[k].source.size)))
-        blocks.append((S, [P.left(w) for w in inc.mapping],
-                       [emb(P.right(w)) for w in inc.mapping],
-                       Rk.apply_gmap(inc, f)))
+        for k, pemb in enumerate(P.gset.orbit_embeddings):
+            fk = f[poff[k]:poff[k + 1]]
+            if not intmat.is_zero(fk):
+                blocks.append((pemb.source,
+                               [P.left(w) for w in pemb.mapping],
+                               [emb(P.right(w)) for w in pemb.mapping], fk))
     mats = []
     for c in range(len(group.subgroup_classes())):
         Y = standard_orbit(group, c)
@@ -490,19 +484,18 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
         xoff, zoff = Mk.offsets(XY.gset), Mk.offsets(ZY.gset)
         out = intmat.zeros(target.levels[c].generator_count,
                            source.levels[c].generator_count)
-        for S, xs, zs, f in blocks:
-            soff = Rk.offsets(S)
-            T = product(S, Y)
+        for O, xs, zs, f in blocks:
+            T = product(O, Y)
             pts = [(T.left(t), T.right(t)) for t in range(T.gset.size)]
             to_z = GMap(T.gset, ZY.gset, tuple(ZY.of_pair(zs[w], y)
                                                for w, y in pts))
             to_x = GMap(T.gset, XY.gset, tuple(XY.of_pair(xs[w], y)
                                                for w, y in pts))
-            # orbit t of S x Y: r_t = res f acts between its two blocks
-            for (t, s, rb), (_, q, zb), (_, p, xb) in zip(
+            # orbit t of O x Y: r_t = res f acts between its two blocks
+            for (t, _, rb), (_, q, zb), (_, p, xb) in zip(
                     Rk.gmap_blocks(T.left), Mk.gmap_blocks(to_z),
                     Mk.gmap_blocks(to_x, transfer=True)):
-                r = rb @ f[soff[s]:soff[s] + rb.shape[1]]
+                r = rb @ f
                 act = np.tensordot(r, M.tables[T.gset.orbit_index.classes[t]],
                                    1).T
                 out[xoff[p]:xoff[p] + len(xb),

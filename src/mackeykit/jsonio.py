@@ -23,7 +23,7 @@ from .burnside import BurnsideElement, code_subgroup, transitive_code
 from .convolution import GreenFunctor, green_from_levelwise
 from .groups import FiniteGroup, load_group
 from .intmat import _labels
-from .gsets import GSet, disjoint_union_of_orbits, empty_gset
+from .gsets import GSet, disjoint_union_of_orbits
 from .mackey import MackeyFunctor, class_pair_covers, mackey_from_levels
 
 
@@ -42,8 +42,6 @@ def gset_from_json(doc, group=None) -> GSet:
             label, mult = _entry(item, ("label", "multiplicity"), "orbit entry")
             cls = group.class_by_label(label)
             classes.extend([cls.index] * _multiplicity(label, mult))
-        if not classes:
-            return empty_gset(group)
         return disjoint_union_of_orbits(group, tuple(sorted(classes)))
     X = GSet(group, required(doc, "action", "G-set", list))
     if doc.get("size") is not None and X.size != doc["size"]:
@@ -76,8 +74,6 @@ def parse_gset_expr(group: FiniteGroup, expr: str) -> GSet:
             label, mult = part, 1
         cls = group.class_by_label(label.strip())
         classes.extend([cls.index] * mult)
-    if not classes:
-        return empty_gset(group)
     return disjoint_union_of_orbits(group, tuple(sorted(classes)))
 
 

@@ -230,7 +230,7 @@ def transitive_code_oracle(X, Y, L, x, y):
 
 
 def canonical_over_oracle(group, cidx, z, Ob):
-    """`convolution._canonical_over` by brute force: the least (n.z, n)
+    """`burnside._least_point` by brute force: the least (n.z, n)
     over the normalizer of the class representative, recomputed."""
     rep = group.subgroup_classes()[cidx].representative
     return min((Ob.act(n, z), n) for n in group.normalizer(rep))

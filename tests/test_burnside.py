@@ -13,6 +13,7 @@ from mackeykit.gsets import (
     GSet,
     compose_maps,
     coproduct,
+    disjoint_union_of_orbits,
     identity_map,
     point_gset,
     product,
@@ -90,8 +91,7 @@ def test_identity_and_zero_spans():
     O = standard_orbit(C2, 0)
     ident = identity_element(O)
     assert len(ident.coeffs) == 1
-    from mackeykit.gsets import empty_gset
-    zero_mid = empty_gset(C2)
+    zero_mid = disjoint_union_of_orbits(C2, ())
     z = span_element(O, O, zero_mid, GMap(zero_mid, O, []), GMap(zero_mid, O, []))
     assert z.is_zero()
 

@@ -13,7 +13,13 @@ from mackeykit.gsets import (
     projection_map,
     standard_orbit,
 )
-from mackeykit.burnside import basis_element, compose, hom_basis, tensor
+from mackeykit.burnside import (
+    _least_point,
+    basis_element,
+    compose,
+    hom_basis,
+    tensor,
+)
 from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -36,7 +42,6 @@ from mackeykit.convolution import (
     GreenModule,
     GreenValidationError,
     _box_unit_inverse,
-    _canonical_over,
     box,
     box_assoc_iso,
     box_comm_iso,
@@ -68,6 +73,7 @@ from support import (
     fixed_points,
     internal_hom_rep_by_spans,
     permutation_group,
+    pullback_compose_oracle,
     structure_matrices,
     tensor_group,
     times_oracle,
@@ -78,35 +84,49 @@ BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
 
 @pytest.mark.parametrize("name", BATTERY + ("D4",))
 def test_over_image_is_compose_with_the_structure_span(name):
-    # every span code between standard orbits against every over-code of
-    # its source: the terms, their order and multiplicities are those of
-    # compose(span, G/L -> S), the over-code's structure span; the transfer
-    # shortcut for a middle of the class of S included
+    # every valid span code between standard orbits, canonical or not,
+    # against every over-code of its source: the terms, their order and
+    # multiplicities are those of compose(span, G/L -> S), the over-code's
+    # structure span; middles of the class of S, transfers along
+    # g.yp -> g.z, included.  compose matches the pullback oracle on
+    # canonical codes (test_burnside), and here on the others
     group = builtin_group(name)
     orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
-    shortcuts = 0
+    transfers = noncanonical = 0
     for S in orbs:
         for T in orbs:
-            for ecode in hom_basis(S, T):
-                shortcuts += ecode[0] == S.orbit_index.classes[0]
+            basis = set(hom_basis(S, T))
+            ecodes = [(cls.index, yp, z)
+                      for cls in group.subgroup_classes()
+                      for yp in fixed_points(S, cls.representative)
+                      for z in fixed_points(T, cls.representative)]
+            transfers += sum(m == S.orbit_index.classes[0]
+                             for m, _, _ in ecodes)
+            for ecode in ecodes:
                 span = basis_element(S, T, ecode)
                 for cw, x in over_codes(S):
                     struct = basis_element(orbs[cw], S, (cw, 0, x))
+                    composite = compose(span, struct).coeffs
+                    if ecode not in basis:
+                        noncanonical += 1
+                        assert list(composite.items()) == list(
+                            pullback_compose_oracle(orbs[cw], S, T,
+                                                    (cw, 0, x), ecode)
+                            .items()), (S, T, ecode, (cw, x))
                     want = []
-                    for (cwp, o, y), mult in \
-                            compose(span, struct).coeffs.items():
+                    for (cwp, o, y), mult in composite.items():
                         zstar, u = canonical_over_oracle(group, cwp, y, T)
                         want.append(((cwp, zstar), o, u, mult))
                     got = over_image(S, T, ecode, (cw, x))
                     assert got == want, (S, T, ecode, (cw, x))
-    assert shortcuts
+    assert transfers and (noncanonical or name == "trivial")
 
 
 @pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + ("A4", "D6"))
 def test_canonical_over_is_the_least_normalizer_image(name):
     # every class c and every point z fixed by its representative, on the
-    # standard orbits and the products of two: (z*, u) is the least
-    # (n.z, n) over the normalizer, so u is the least n giving z*
+    # standard orbits and the products of two: `_least_point` gives the
+    # least (n.z, n) over the normalizer, so u is the least n giving z*
     group = (permutation_group(name) if name in PERMUTATION_BATTERY
              else builtin_group(name))
     orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
@@ -116,7 +136,7 @@ def test_canonical_over_is_the_least_normalizer_image(name):
     for cls in group.subgroup_classes():
         for Ob in feet:
             for z in fixed_points(Ob, cls.representative):
-                assert _canonical_over(Ob, cls.index, z) == \
+                assert _least_point(Ob, cls.index, z) == \
                     canonical_over_oracle(group, cls.index, z, Ob)
                 checked += 1
     assert checked == {"trivial": 1, "C2": 8, "C3": 14, "C4": 43, "C6": 112,

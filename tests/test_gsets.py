@@ -16,7 +16,6 @@ from mackeykit.gsets import (
     compose_maps,
     coset_index_of,
     disjoint_union_of_orbits,
-    empty_gset,
     find_isomorphism,
     orbit_decompose,
     orbit_map,
@@ -95,7 +94,7 @@ def backtracking_isomorphism(X, Y):
 def test_orbit_decompose_examples():
     S3 = builtin_group("S3")
     # empty G-set
-    assert orbit_decompose(empty_gset(S3))[0] == []
+    assert orbit_decompose(disjoint_union_of_orbits(S3, ()))[0] == []
     # G acting on itself by left translation: one free orbit
     Ge = standard_orbit(S3, 0)
     counts, iso = orbit_decompose(Ge)
@@ -224,7 +223,7 @@ def test_a_one_orbit_union_is_the_standard_orbit(name):
 def test_coproduct_examples():
     C2 = builtin_group("C2")
     O = standard_orbit(C2, 0)
-    cp = coproduct(O, empty_gset(C2))
+    cp = coproduct(O, disjoint_union_of_orbits(C2, ()))
     assert find_isomorphism(cp.gset, O) is not None
     cp2 = coproduct(O, O)
     assert cp2.gset.orbit_type() == (0, 0)
@@ -584,7 +583,7 @@ def _orbit_index_gsets(group):
     mid = orbs[len(orbs) // 2]
     out.append(pullback(product(mid, orbs[0]).left,
                         product(mid, orbs[1 % len(orbs)]).left).gset)
-    out.append(empty_gset(group))
+    out.append(disjoint_union_of_orbits(group, ()))
     raw = product(orbs[0], mid).gset
     perm = [(7 * p + 3) % raw.size for p in range(raw.size)]
     inv = [perm.index(p) for p in range(raw.size)]

@@ -54,6 +54,9 @@ caches are the bounded ones of `builtin_group`, `_spec_group` and
 and the top-down second cover lives in tests/support.py.  A Tor call
 presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
 `dress_pairing`, which the result's Tor_0 witness calls when first read.
+Its differentials read the Yoneda formula orbit by orbit:
+`homalg._dress_map` builds no union of orbits and restricts nothing
+along a G-map into one.
 `mackey` walks a normalizer's generators in one place, `mackey._walk`:
 conjugation is defined along it, and `validate_functoriality` reads the
 walk's tree from it to skip the homomorphism cells that hold by definition.
@@ -686,7 +689,7 @@ def test_compose_and_over_image_share_one_walk():
 CODE_READERS = {"burnside.py": {"transitive_code": "_least_pair",
                                 "_add_composite": "_least_pair",
                                 "tensor": "_least_pair"},
-                "convolution.py": {"_canonical_over": "_least_point"}}
+                "convolution.py": {"over_image": "_least_point"}}
 CODE_HELPERS = {"_least_pair", "_least_point"}
 
 
@@ -732,9 +735,10 @@ def tensor(s, t):
         cidx, movers = transporters(K)
         code = (cidx, *min([(sa[g][u], ta[g][v]) for g in movers]))
 ''', "convolution.py": '''
-def _canonical_over(group, cidx, z, Ob):
-    normalizer = group.subgroup_classes()[cidx].normalizer
-    return min((Ob.action[n][z], n) for n in normalizer)
+def over_image(S, T, ecode, code):
+    for (cwp, o, y), mult in terms.items():
+        normalizer = S.group.subgroup_classes()[cwp].normalizer
+        zstar, u = min((T.action[n][y], n) for n in normalizer)
 '''}
 
 
@@ -1075,6 +1079,38 @@ def test_tor_call_leaves_the_witness_to_its_first_read():
     calls, found = calls_inside(source, ("_tor_of_resolution",),
                                 TOR_WITNESS_CALLS)
     assert found == {"_tor_of_resolution"}
+    assert calls == []
+
+
+SUPPORT_UNIONS = {"disjoint_union_of_orbits", "apply_gmap"}
+
+# `_dress_map`, abridged, as it read when each differential block built a
+# support G-set S_b, the union of the orbits f_b is nonzero on, and
+# restricted f_b to it.
+SUPPORT_ROUTE = '''
+def _dress_map(M, d, src, tgt, source, target):
+    for b, (emb, cb) in enumerate(zip(Z.orbit_embeddings, Z.orbit_index.classes)):
+        S = disjoint_union_of_orbits(group, tuple(pix.classes[k]
+                                                  for k in support))
+        inc = GMap(S, P.gset, tuple(pembs[k](o) for k in support))
+        blocks.append((S, xs, zs, Rk.apply_gmap(inc, f)))
+'''
+
+
+def test_scanner_finds_the_support_unions_of_a_differential():
+    calls, found = calls_inside(SUPPORT_ROUTE, ("_dress_map",),
+                                SUPPORT_UNIONS)
+    assert found == {"_dress_map"}
+    assert calls == [("_dress_map", 4, "disjoint_union_of_orbits"),
+                     ("_dress_map", 7, "apply_gmap")]
+
+
+def test_tor_differentials_read_orbit_by_orbit():
+    # each block of d_p is read on a standard orbit of X x O_b, so the
+    # group's memo gains no union of the orbits f_b is supported on
+    source = (PACKAGE / "homalg.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(source, ("_dress_map",), SUPPORT_UNIONS)
+    assert found == {"_dress_map"}
     assert calls == []
 
 

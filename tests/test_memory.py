@@ -10,7 +10,18 @@ import subprocess
 import sys
 import tracemalloc
 
+from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup
+from mackeykit.convolution import burnside_green
+from mackeykit.groups import FiniteGroup, builtin_group
+from mackeykit.gsets import disjoint_union_of_orbits
+from mackeykit.homalg import canonical_module, tor
+from mackeykit.mackey import (
+    MackeyMorphism,
+    cokernel,
+    fixed_point_mackey,
+    trivial_module,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -120,3 +131,26 @@ def test_fresh_c2xc2_resolution_stays_under_its_traced_memory_bounds():
     assert ranks == "[1, 4, 17]"
     assert peak < 1.5 * RESOLUTION_PEAK_MIB * 2 ** 20
     assert held < 1.5 * RESOLUTION_HELD_MIB * 2 ** 20
+
+
+# Unions of standard orbits a fresh D4 keeps memoized, for as long as the
+# group lives, after Tor_0..1 of (FP(Z), FP(Z)/2) and its Tor_0 witness:
+# the covers' bases and the canonical forms of the products the complex
+# and the witness read.  With a support G-set built per block of each
+# differential, for the Yoneda formula to be read on, there were 66.
+TOR_UNIONS = 35
+
+
+def test_d4_tor_leaves_no_support_unions_in_the_group_memo():
+    group = FiniteGroup(builtin_group("D4").table, name="D4")
+    R = burnside_green(group, check=False)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    result = tor(R, canonical_module(R, FP),
+                 canonical_module(R, cokernel(two)[0]), 1)
+    result.tor0_witness.inverse()   # raises unless an isomorphism
+    assert [list(level.invariant_factors) for level in result.tor[1].levels] \
+        == [[], [2], [2], [2], [2, 2, 2], [2, 2, 2], [2, 2], [2, 2, 2, 2, 2]]
+    unions = group._memo[disjoint_union_of_orbits.__wrapped__]
+    assert len(unions) == TOR_UNIONS
