@@ -25,7 +25,8 @@ per call, before any pair is walked, so a bad code is refused even
 against zero.
 
 Everything these walks read that depends only on the group or on one
-G-set is derived once, as cached properties of its owner.
+G-set is derived once, as cached properties or `groups.owned` memos of
+its owner.
 `GSet.subgroup_orbits` holds, per class with representative L, one row
 (b, k, t) per L-orbit on X: b reaches its least point p, and k and t
 are the class and `transport` of the stabilizer K of p in L.  On G/M
@@ -38,8 +39,15 @@ least (g.x, g.y) over it is (x0, the least point of the S-orbit of
 n t.y), for x0 and n those of x1 = t.x: g.x = x0 exactly for g in S n t.
 `transitive_code`, `_add_composite` and `tensor` call it.  It reads x0
 and n by `_least_point`, which `convolution.over_image` calls directly
-for the box product's over-codes: an over-code has one foot.
-`hom_basis` and `table_of_marks` read the same tables.
+for the box product's over-codes: an over-code has one foot.  It reads
+the least point of the S-orbit from `_least_under(Y, S)`, the table
+whose entry at y is the least s.y over s in S, kept on Y and keyed by S
+alone.  S <= N(R) maps Y^R to itself, so each S-orbit on Y^R lies in
+Y^R, and y is the least point of its S-orbit exactly when the table
+reads y there.  `hom_basis` filters the sorted Y^R by that test, which
+yields each code once and in sorted order, and `table_of_marks` reads
+`fixed_orbits` too.  The codes of an identity span are derived once per
+G-set, by `_identity_codes`, and copied into each `identity_element`.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from operator import index
 
 from . import intmat
-from .groups import FiniteGroup, _same_group
+from .groups import FiniteGroup, _same_group, owned
 from .gsets import (
     GMap,
     GSet,
@@ -71,18 +79,37 @@ def _least_point(X: GSet, c, x1):
     return X.action[n][x1], n
 
 
+@owned
+def _least_under(Y: GSet, S):
+    """table[y]: the least s.y over s in S, for every point y of Y.
+
+    S is a subgroup, as a sorted tuple of elements (the stabilizers
+    `FixedOrbits.orbits` lists), so its orbits partition Y: walking Y
+    upward, the first point not yet reached is the least of its S-orbit,
+    and it is written at every point of that orbit.  Kept on Y
+    (`groups.owned`) and keyed by group data only, so it pins nothing.
+    """
+    rows = [Y.action[s] for s in S]
+    table = [None] * Y.size
+    for y in range(Y.size):
+        if table[y] is None:
+            for row in rows:
+                table[row[y]] = y
+    return tuple(table)
+
+
 def _least_pair(X: GSet, Y: GSet, c, t, x, y):
     """(x0, y0, n): the least (g.x, g.y) over g in N(R) t, with R the
     representative of class c, and the least n in N(R) with n t.x = x0.
 
     (x, y) must be fixed by t^-1 R t.  Read from `X.fixed_orbits[c]`
     (see `FixedOrbits`): x0 and n are `_least_point` of t.x, and y0 is
-    the least point of the S-orbit of n t.y.
+    the least point of the S-orbit of n t.y, read from `_least_under`.
     """
     ya = Y.action
     x0, n = _least_point(X, c, X.action[t][x])
-    y1 = ya[n][ya[t][y]]
-    return x0, min([ya[s][y1] for s in X.fixed_orbits[c].orbits[x0]]), n
+    S = X.fixed_orbits[c].orbits[x0]
+    return x0, _least_under(Y, S)[ya[n][ya[t][y]]], n
 
 
 def transitive_code(X: GSet, Y: GSet, L, x, y):
@@ -238,9 +265,17 @@ def span_element(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
     return BurnsideElement._of_checked(X, Y, span_codes(X, Y, U, left, right))
 
 
-def identity_element(X: GSet) -> BurnsideElement:
+@owned
+def _identity_codes(X: GSet):
+    """The codes of the identity span of X, one per orbit, kept on X."""
     ids = range(X.size)
-    return BurnsideElement._of_checked(X, X, _orbit_codes(X, X, X, ids, ids))
+    return _orbit_codes(X, X, X, ids, ids)
+
+
+def identity_element(X: GSet) -> BurnsideElement:
+    """The identity span X <- X -> X, a fresh element on every call (its
+    codes are copied out of `_identity_codes`)."""
+    return BurnsideElement._of_checked(X, X, _identity_codes(X))
 
 
 def transfer_element(f: GMap) -> BurnsideElement:
@@ -264,20 +299,18 @@ def hom_basis(X: GSet, Y: GSet):
     Its x is the least point x0 of an N(L)-orbit on X^L, and the pairs of
     that orbit starting at x0 are (x0, s.y) for s in the stabilizer S of
     x0 in N(L), so its y is the least point of an S-orbit on Y^L.
-    Conversely each S-orbit on Y^L gives one N(L)-orbit.  So walking the
-    S-orbits on Y^L in order of least point, x0 by x0 from
+    Conversely each S-orbit on Y^L gives one N(L)-orbit.  S <= N(L) maps
+    Y^L to itself, so each S-orbit on Y^L lies in Y^L, and y is the least
+    point of its S-orbit exactly when `_least_under(Y, S)[y] == y`.  So
+    filtering the sorted Y^L by that test, x0 by x0 from
     `X.fixed_orbits`, yields every code once and in sorted order.
     """
     _same_group(X.group, Y.group, "the G-sets")
-    ya, out = Y.action, []
+    out = []
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
         for x0, S in fx.orbits.items():
-            rows = [ya[s] for s in S]
-            seen = set()
-            for y in fy.points:
-                if y not in seen:
-                    out.append((c, x0, y))
-                    seen.update(row[y] for row in rows)
+            least = _least_under(Y, S)
+            out.extend((c, x0, y) for y in fy.points if least[y] == y)
     return out
 
 
@@ -498,13 +531,13 @@ def promonoidal_coend_check(feet, z: GSet):
     """
     group = z.group
     P = multi_product(feet).gset
-    classes = group.subgroup_classes()
-    blocks = []   # (y class index, h code, m code)
-    for cls in classes:
-        Oy = standard_orbit(group, cls.index)
-        for h in hom_basis(Oy, z):
-            for m in hom_basis(P, Oy):
-                blocks.append((cls.index, h, m))
+    orbs = [standard_orbit(group, cls.index)
+            for cls in group.subgroup_classes()]
+    into_z = [hom_basis(Oy, z) for Oy in orbs]
+    from_p = [hom_basis(P, Oy) for Oy in orbs]
+    blocks = [(cy, h, m)     # (y class index, h code, m code)
+              for cy in range(len(orbs))
+              for h in into_z[cy] for m in from_p[cy]]
     pos = {b: i for i, b in enumerate(blocks)}
     rhs = hom_basis(P, z)
     rpos = {c: i for i, c in enumerate(rhs)}
@@ -513,22 +546,20 @@ def promonoidal_coend_check(feet, z: GSet):
     pairing = intmat.zeros(len(rhs), len(blocks))
     for b, i in pos.items():
         cy, h, m = b
-        Oy = standard_orbit(group, cy)
+        Oy = orbs[cy]
         comp = compose(basis_element(Oy, z, h), basis_element(P, Oy, m))
         for code, v in comp.coeffs.items():
             pairing[rpos[code], i] += v
 
     # coend relations from spans a: O_{y'} -> O_y
     rel_cols = []
-    for cy in range(len(classes)):
-        for cyp in range(len(classes)):
-            Oy = standard_orbit(group, cy)
-            Oyp = standard_orbit(group, cyp)
+    for cy, Oy in enumerate(orbs):
+        for cyp, Oyp in enumerate(orbs):
             for a in hom_basis(Oyp, Oy):
                 amap = basis_element(Oyp, Oy, a)
-                for h in hom_basis(Oy, z):
+                for h in into_z[cy]:
                     ha = compose(basis_element(Oy, z, h), amap)
-                    for m in hom_basis(P, Oyp):
+                    for m in from_p[cyp]:
                         am = compose(amap, basis_element(P, Oyp, m))
                         col = intmat.zero_vec(len(blocks))
                         for code, v in ha.coeffs.items():

@@ -50,7 +50,11 @@ class FixedOrbits:
     m t for m in N(R), t = transport(L), so the least (g.x, g.y) has first
     entry x0, the least point of the orbit of x1 = t.x, and m.x1 = x0
     exactly for m in the coset S n, n = lead[x1].  So its second entry is
-    the least point of the S-orbit of n t.y.
+    the least point of the S-orbit of n t.y, which `burnside._least_under`
+    tabulates per (G-set, S).  S <= N(R) maps Y^R to itself, so the
+    S-orbits on Y^R partition it, and y in Y^R is the least point of its
+    S-orbit exactly when that table reads y at y: filtering the sorted
+    Y^R by this test yields each least point once, in sorted order.
     """
     points: tuple
     lead: tuple

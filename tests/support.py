@@ -236,6 +236,29 @@ def canonical_over_oracle(group, cidx, z, Ob):
     return min((Ob.act(n, z), n) for n in group.normalizer(rep))
 
 
+def least_under_oracle(Y, S):
+    """`burnside._least_under` by brute force: the least s.y over s in S,
+    recomputed at every point of Y."""
+    return tuple(min(Y.act(s, y) for s in S) for y in range(Y.size))
+
+
+def hom_basis_walk_oracle(X, Y):
+    """`burnside.hom_basis` as it read before its table lookup: for each
+    class and each least point x0 of X^L with stabilizer S in N(L), the
+    S-orbits on the sorted Y^L, walked with a seen set, give one code
+    (c, x0, least point) each."""
+    ya, out = Y.action, []
+    for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
+        for x0, S in fx.orbits.items():
+            rows = [ya[s] for s in S]
+            seen = set()
+            for y in fy.points:
+                if y not in seen:
+                    out.append((c, x0, y))
+                    seen.update(row[y] for row in rows)
+    return out
+
+
 def span_codes_oracle(X, Y, U, left, right):
     """`burnside.span_codes` by `transitive_code_oracle`: one code per
     orbit of U, in order of least point, each orbit and stabilizer found

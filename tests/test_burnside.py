@@ -21,6 +21,7 @@ from mackeykit.gsets import (
 )
 from mackeykit.burnside import (
     BurnsideElement,
+    _least_under,
     basis_element,
     burnside_ring_from_spans,
     burnside_ring_table,
@@ -47,6 +48,8 @@ from support import (
     direct_sum_decompose,
     direct_sum_reassemble,
     fixed_points,
+    hom_basis_walk_oracle,
+    least_under_oracle,
     materialize_code,
     multimap_basis,
     permutation_group,
@@ -172,6 +175,40 @@ def orbits_and_products(group):
     prods = dict.fromkeys(product(X, Y).gset
                           for i, X in enumerate(orbs) for Y in orbs[i:])
     return orbs, [P for P in prods if P not in orbs]
+
+
+@pytest.mark.parametrize("name",
+                         BUILTIN_GROUP_NAMES + ORACLE_PERMUTATION_GROUPS)
+def test_least_under_tables_match_the_brute_force_minimum(name):
+    # on the standard orbits and the products of two, for every class c
+    # and every stabilizer S that some G-set's fixed_orbits[c] lists (the
+    # S a code reader pairs with Y^R), the table is the least s.y over S
+    # at every point of Y; and hom_basis, which filters Y^R by the table,
+    # is the seen-set walk it replaced, as lists
+    group = group_named(name)
+    orbs, prods = orbits_and_products(group)
+    gsets = orbs + prods
+    checked = 0
+    for c in range(len(orbs)):
+        stabs = {S for X in gsets for S in X.fixed_orbits[c].orbits.values()}
+        for Y in gsets:
+            for S in stabs:
+                assert _least_under(Y, S) == least_under_oracle(Y, S), \
+                    (Y, c, S)
+                checked += 1
+    for X, Y in [(X, O) for X in gsets for O in orbs] + \
+            [(O, P) for P in prods for O in orbs]:
+        assert hom_basis(X, Y) == hom_basis_walk_oracle(X, Y), (X, Y)
+    assert checked == {"trivial": 1, "C2": 9, "C3": 9, "C4": 36, "C6": 81,
+                       "C2xC2": 120, "S3": 72, "D4": 480, "Q8": 252,
+                       "A4": 154, "D6": 930}[name]
+
+
+@pytest.mark.parametrize("name", ("S4", "C2xC2xC2"))
+def test_hom_basis_is_the_seen_set_walk_on_larger_groups(name):
+    orbs = orbits_of(group_named(name))
+    for X, Y in itertools.product(orbs, repeat=2):
+        assert hom_basis(X, Y) == hom_basis_walk_oracle(X, Y), (X, Y)
 
 
 @pytest.mark.parametrize("name",

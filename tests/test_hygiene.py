@@ -30,9 +30,10 @@ basis pair to one helper, which checks nothing itself and is the helper
 `convolution.over_image` calls after its own two checks; `burnside` keeps
 no second walk and no `Counter`.  Every canonical span code and over-code
 is read from the G-sets' orbit tables by `burnside._least_pair` or, for
-an over-code, by the lookup `_least_point` it shares: the functions
-that read one minimize over no group elements themselves, and nothing in
-src names a `transporters`.  `ktheory` composes no spans and
+an over-code, by the lookup `_least_point` it shares; `_least_pair`
+and `hom_basis` read the least points of S-orbits from the table
+`burnside._least_under`: the functions that read one minimize over no
+group elements themselves, and nothing in src names a `transporters`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
 Burnside functor it is compared with.  The naturality conditions are
 listed once: `MackeyMorphism._check` and `NatSolver` read res, tr and
@@ -686,11 +687,15 @@ def test_compose_and_over_image_share_one_walk():
 # each with the helper that reads it from the orbit tables: `_least_pair`
 # for a span code, and for an over-code, which has one foot, the lookup
 # `_least_point` that `_least_pair` reads its first entry through.
+# `_least_pair` reads its second entry, and `hom_basis` filters Y^R,
+# through the table of S-orbit least points `_least_under`.
 CODE_READERS = {"burnside.py": {"transitive_code": "_least_pair",
                                 "_add_composite": "_least_pair",
-                                "tensor": "_least_pair"},
+                                "tensor": "_least_pair",
+                                "hom_basis": "_least_under",
+                                "_least_pair": "_least_under"},
                 "convolution.py": {"over_image": "_least_point"}}
-CODE_HELPERS = {"_least_pair", "_least_point"}
+CODE_HELPERS = {"_least_pair", "_least_point", "_least_under"}
 
 
 def canonicalizer_report(sources):
@@ -715,8 +720,9 @@ def canonicalizer_report(sources):
     return missing, brute, sorted(movers)
 
 
-# The four code readers, abridged, as they read when each minimized over
-# the transporters or the normalizer itself.
+# The code readers, abridged, as they read when each minimized over the
+# transporters, the normalizer or the stabilizer S itself, or walked the
+# S-orbits with a seen set.
 BRUTE_FORCE_CODES = {"burnside.py": '''
 def transitive_code(X, Y, L, x, y):
     cidx, movers = X.group.transporters(L)
@@ -734,6 +740,21 @@ def tensor(s, t):
     for p, K in O.subgroup_orbits[c]:
         cidx, movers = transporters(K)
         code = (cidx, *min([(sa[g][u], ta[g][v]) for g in movers]))
+
+def _least_pair(X, Y, c, t, x, y):
+    x0, n = _least_point(X, c, X.action[t][x])
+    y1 = ya[n][ya[t][y]]
+    return x0, min([ya[s][y1] for s in X.fixed_orbits[c].orbits[x0]]), n
+
+def hom_basis(X, Y):
+    for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
+        for x0, S in fx.orbits.items():
+            rows = [ya[s] for s in S]
+            seen = set()
+            for y in fy.points:
+                if y not in seen:
+                    out.append((c, x0, y))
+                    seen.update(row[y] for row in rows)
 ''', "convolution.py": '''
 def over_image(S, T, ecode, code):
     for (cwp, o, y), mult in terms.items():
@@ -745,16 +766,19 @@ def over_image(S, T, ecode, code):
 def test_scanner_finds_code_readers_that_minimize_themselves():
     missing, brute, movers = canonicalizer_report(BRUTE_FORCE_CODES)
     every = {(m, f) for m, readers in CODE_READERS.items() for f in readers}
-    assert missing == brute == every
+    # the seen-set walk calls no `min`, but not its helper either
+    assert missing == every
+    assert brute == every - {("burnside.py", "hom_basis")}
     assert movers == [("burnside.py", line) for line in (3, 8, 10, 14, 16)]
 
 
 def test_span_codes_have_one_canonicalizer():
     # transitive_code, the composition and tensor walks and the over-codes
     # of the box product read each canonical code from the G-sets' orbit
-    # tables, through `_least_pair` or its lookup `_least_point`; none
-    # minimizes over group elements itself, and no transporter list is
-    # left to minimize over
+    # tables, through `_least_pair` or its lookup `_least_point`, and
+    # `_least_pair` and `hom_basis` read S-orbit least points from
+    # `_least_under`; none minimizes over group elements itself, and no
+    # transporter list is left to minimize over
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in MODULES}
     assert canonicalizer_report(sources) == (set(), set(), [])
@@ -1193,6 +1217,7 @@ PROCESS_CACHES = {("groups.py", "builtin_group"),
                   ("groups.py", "_spec_group"), ("cli.py", "build_parser")}
 OWNED = {("gsets.py", "standard_orbit"),
          ("gsets.py", "disjoint_union_of_orbits"), ("gsets.py", "product"),
+         ("burnside.py", "_least_under"), ("burnside.py", "_identity_codes"),
          ("mackey.py", "burnside_mackey"), ("mackey.py", "zero_mackey"),
          ("convolution.py", "_burnside_green")}
 # `owned` reads the memo, and the owners' constructors make it

@@ -4,17 +4,25 @@ Dense object arrays cost 8 bytes per entry, so an n x n matrix that no
 code reads shows up here long before it shows up as a wrong answer.
 """
 
+import gc
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup
+from mackeykit.burnside import (
+    basis_element,
+    compose,
+    hom_basis,
+    identity_element,
+)
 from mackeykit.convolution import burnside_green
 from mackeykit.groups import FiniteGroup, builtin_group
-from mackeykit.gsets import disjoint_union_of_orbits
+from mackeykit.gsets import GSet, disjoint_union_of_orbits, standard_orbit
 from mackeykit.homalg import canonical_module, tor
 from mackeykit.mackey import (
     MackeyMorphism,
@@ -22,6 +30,7 @@ from mackeykit.mackey import (
     fixed_point_mackey,
     trivial_module,
 )
+from support import reaches
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -154,3 +163,37 @@ def test_d4_tor_leaves_no_support_unions_in_the_group_memo():
         == [[], [2], [2], [2], [2, 2, 2], [2, 2, 2], [2, 2], [2, 2, 2, 2, 2]]
     unions = group._memo[disjoint_union_of_orbits.__wrapped__]
     assert len(unions) == TOR_UNIONS
+
+
+def test_identity_element_is_fresh_on_every_call():
+    # the codes are derived once per G-set and copied into each element,
+    # so a caller that edits one element's coefficients edits only that
+    X = standard_orbit(builtin_group("S3"), 1)
+    first = identity_element(X)
+    want = dict(first.coeffs)
+    first.coeffs.clear()
+    first.coeffs[next(iter(want))] = 7
+    assert identity_element(X).coeffs == want
+
+
+def test_least_point_tables_and_identity_codes_do_not_pin_gsets():
+    # a fresh group object, and X built from its action table, not by one
+    # of the group's memoized constructors: the S-orbit tables of X and
+    # its identity codes live on X, and the tables of the group-owned
+    # orbit are keyed by subgroups only, so nothing the group keeps
+    # reaches X
+    group = FiniteGroup(builtin_group("S3").table, name="S3")
+    O = standard_orbit(group, 1)
+    X = GSet(group, [row + tuple(O.size + y for y in row) for row in O.action])
+    into, out = hom_basis(O, X), hom_basis(X, O)
+    assert into and out
+    for c1 in into:
+        for c2 in out:
+            compose(basis_element(X, O, c2), basis_element(O, X, c1))
+    assert len(identity_element(X).coeffs) == 2
+    assert X._memo and O._memo
+    assert not reaches(group._memo, X)
+    ref = weakref.ref(X)
+    del X
+    gc.collect()
+    assert ref() is None
