@@ -60,6 +60,7 @@ from .groups import FiniteGroup, _same_group, owned
 from .gsets import (
     GMap,
     GSet,
+    _orbit_walk,
     compose_maps,
     identity_map,
     point_gset,
@@ -84,18 +85,13 @@ def _least_under(Y: GSet, S):
     """table[y]: the least s.y over s in S, for every point y of Y.
 
     S is a subgroup, as a sorted tuple of elements (the stabilizers
-    `FixedOrbits.orbits` lists), so its orbits partition Y: walking Y
-    upward, the first point not yet reached is the least of its S-orbit,
-    and it is written at every point of that orbit.  Kept on Y
-    (`groups.owned`) and keyed by group data only, so it pins nothing.
+    `FixedOrbits.orbits` lists), so the table is the least points of
+    `gsets._orbit_walk` over the rows of S.  Kept on Y (`groups.owned`)
+    and keyed by group data only, so it pins nothing.
     """
-    rows = [Y.action[s] for s in S]
-    table = [None] * Y.size
-    for y in range(Y.size):
-        if table[y] is None:
-            for row in rows:
-                table[row[y]] = y
-    return tuple(table)
+    least, _, _ = _orbit_walk(Y.size, ((s, Y.action[s]) for s in S),
+                              range(Y.size))
+    return tuple(least)
 
 
 def _least_pair(X: GSet, Y: GSet, c, t, x, y):
@@ -557,10 +553,11 @@ def promonoidal_coend_check(feet, z: GSet):
         for cyp, Oyp in enumerate(orbs):
             for a in hom_basis(Oyp, Oy):
                 amap = basis_element(Oyp, Oy, a)
+                ams = [compose(amap, basis_element(P, Oyp, m))
+                       for m in from_p[cyp]]
                 for h in into_z[cy]:
                     ha = compose(basis_element(Oy, z, h), amap)
-                    for m in from_p[cyp]:
-                        am = compose(amap, basis_element(P, Oyp, m))
+                    for m, am in zip(from_p[cyp], ams):
                         col = intmat.zero_vec(len(blocks))
                         for code, v in ha.coeffs.items():
                             col[pos[(cyp, code, m)]] += v

@@ -8,6 +8,13 @@ equality plain table equality and keeps all downstream span
 canonicalization deterministic.  The standard orbits and their unions
 are memoized on the group, and X x Y on X (`groups.owned`), so each
 dies with its owner.
+
+Every orbit table is read off one walk, `_orbit_walk`, over the rows of
+a subgroup: `GSet.orbit_index` (through `_orbit_index`, which products,
+coproducts and pullbacks also run on their raw rows) walks every row of
+G, `GSet.fixed_orbits` the rows n -> action[n^-1] over N(R) on X^R,
+`GSet.subgroup_orbits` the rows of each class representative L, and
+`burnside._least_under` the rows of S.
 """
 
 from __future__ import annotations
@@ -122,34 +129,16 @@ class GSet:
     @cached_property
     def orbit_index(self):
         """The orbit data of X, derived once: an `OrbitIndex`."""
-        group, action = self.group, self.action
-        orbit_of = [None] * self.size
-        reach = [None] * self.size
-        orbits, stabs, classes = [], [], []
-        for base in range(self.size):
-            if orbit_of[base] is not None:
-                continue
-            b, points = len(orbits), []
-            for g, row in enumerate(action):
-                x = row[base]
-                if reach[x] is None:
-                    orbit_of[x], reach[x] = b, g
-                    points.append(x)
-            stab = self.stabilizer(base)
-            orbits.append(tuple(sorted(points)))
-            stabs.append(stab)
-            classes.append(group.class_index_of(stab))
-        return OrbitIndex(tuple(orbits), tuple(stabs), tuple(classes),
-                          tuple(orbit_of), tuple(reach))
+        return _orbit_index(self.group, self.action, self.size)
 
     @cached_property
     def fixed_orbits(self):
         """One `FixedOrbits` per subgroup class, by class index, derived once.
 
-        A point is fixed by R when each of `generators` of R fixes it.  In
-        increasing order, the first point of X^R not yet reached is the
-        least of its N(R)-orbit, and walking N(R) upward, the first n with
-        n^-1.x0 = x1 is the least n carrying x1 to x0.
+        A point is fixed by R when each of `generators` of R fixes it.  The
+        walk over N(R) labels the row of n^-1 by n, so the first label
+        reaching x1 from x0 is the least n carrying x1 to x0, and the labels
+        fixing x0 are its stabilizer in N(R).
         """
         action, inverse, out = self.action, self.group.inverse, []
         for cls in self.group.subgroup_classes():
@@ -157,15 +146,9 @@ class GSet:
             for h in cls.generators:
                 row = action[h]
                 points = [x for x in points if row[x] == x]
-            lead, orbits = [None] * self.size, {}
-            for x0 in points:
-                if lead[x0] is None:
-                    orbits[x0] = tuple(n for n in cls.normalizer
-                                       if action[n][x0] == x0)
-                    for n in cls.normalizer:
-                        x1 = action[inverse[n]][x0]
-                        if lead[x1] is None:
-                            lead[x1] = n
+            _, lead, orbits = _orbit_walk(
+                self.size, ((n, action[inverse[n]]) for n in cls.normalizer),
+                points)
             out.append(FixedOrbits(tuple(points), tuple(lead), orbits))
         return tuple(out)
 
@@ -178,13 +161,15 @@ class GSet:
         point to p, and k and t are the class and `transport` of K, the
         stabilizer of p in L.  The walk over G/M in `burnside` reads them.
         """
-        group, reach = self.group, self.orbit_index.reach
-        return tuple(tuple((reach[p], group.class_index_of(K),
-                            group.transport(K))
-                           for p, K in _orbits_on(self.action,
-                                                  cls.representative,
-                                                  range(self.size)))
-                     for cls in group.subgroup_classes())
+        group, action, reach = self.group, self.action, self.orbit_index.reach
+        out = []
+        for cls in group.subgroup_classes():
+            _, _, stabs = _orbit_walk(
+                self.size, ((h, action[h]) for h in cls.representative),
+                range(self.size))
+            out.append(tuple((reach[p], group.class_index_of(K),
+                              group.transport(K)) for p, K in stabs.items()))
+        return tuple(out)
 
     @cached_property
     def orbit_embeddings(self):
@@ -201,6 +186,8 @@ class GSet:
         return self.orbit_index.orbits
 
     def stabilizer(self, x):
+        if not 0 <= x < self.size:
+            raise ValueError(f"point {x} out of range for {self!r}")
         return tuple(g for g, row in enumerate(self.action) if row[x] == x)
 
     def orbit_type(self):
@@ -208,19 +195,39 @@ class GSet:
         return tuple(sorted(self.orbit_index.classes))
 
 
-def _orbits_on(action, H, points):
-    """(least point, stabilizer in H) of each H-orbit on `points`.
+def _orbit_walk(size, rows, points):
+    """(least, first, fixers) for the (label, row) pairs `rows` of a
+    subgroup, in label order, on the sorted `points` they preserve: walking
+    up, the first point not yet reached is the least of its orbit.  least[x]
+    is that point and first[x] the first label carrying it to x (None off
+    `points`); fixers maps each least point to the labels fixing it."""
+    rows = tuple(rows)
+    least, first, fixers = [None] * size, [None] * size, {}
+    for x0 in points:
+        if least[x0] is None:
+            fix = []
+            for label, row in rows:
+                x = row[x0]
+                if least[x] is None:
+                    least[x], first[x] = x0, label
+                if x == x0:
+                    fix.append(label)
+            fixers[x0] = tuple(fix)
+    return least, first, fixers
 
-    `points` must be sorted and closed under H, whose elements are sorted;
-    the orbits come in order of least point.
-    """
-    rows = [action[h] for h in H]
-    seen, out = set(), []
-    for x in points:
-        if x not in seen:
-            seen.update(row[x] for row in rows)
-            out.append((x, tuple(h for h, row in zip(H, rows) if row[x] == x)))
-    return tuple(out)
+
+def _orbit_index(group, action, size):
+    """The `OrbitIndex` of the G-action `action` on range(size): a base is
+    a least point, reach the first labels and a stabilizer the fixers."""
+    least, reach, stabs = _orbit_walk(size, enumerate(action), range(size))
+    number = {base: b for b, base in enumerate(stabs)}
+    orbit_of = tuple(number[x] for x in least)
+    orbits = [[] for _ in number]
+    for x, b in enumerate(orbit_of):
+        orbits[b].append(x)
+    return OrbitIndex(tuple(map(tuple, orbits)), tuple(stabs.values()),
+                      tuple(map(group.class_index_of, stabs.values())),
+                      orbit_of, tuple(reach))
 
 
 class GMap:
@@ -371,11 +378,15 @@ def canonicalize(X: GSet):
     subgroup class; blocks of equal class keep the order of their original
     minimal points.
     """
-    group = X.group
-    ix = X.orbit_index
+    target, mapping = _relabel(X.group, X.orbit_index)
+    return target, GMap(X, target, mapping)
+
+
+def _relabel(group, ix):
+    """(canonical union, labels[x] = x's point there) for `OrbitIndex` ix."""
     keyed = sorted(zip(ix.classes, ix.orbits, ix.stabilizers))
     target = disjoint_union_of_orbits(group, tuple(c for c, _, _ in keyed))
-    mapping = [0] * X.size
+    mapping = [0] * len(ix.reach)
     offset = 0
     for cidx, orbit, stab in keyed:
         t_inv = group.inverse[group.transport(stab)]
@@ -384,7 +395,7 @@ def canonicalize(X: GSet):
         for x in orbit:
             mapping[x] = offset + std[group.table[ix.reach[x]][t_inv]][0]
         offset += len(orbit)
-    return target, GMap(X, target, mapping)
+    return target, mapping
 
 
 @owned
@@ -421,18 +432,24 @@ class ProductData:
 
 @owned
 def product(X: GSet, Y: GSet) -> ProductData:
-    """Cartesian product with the diagonal action, canonically relabelled."""
+    """Cartesian product with the diagonal action, canonically relabelled.
+
+    The raw rows send the pair code x|Y| + y to g.x |Y| + g.y.  They are an
+    action as they stand, the diagonal one: e acts as the identity on each
+    factor, and g.(h.(x, y)) = (gh.x, gh.y) since X and Y are actions.  So
+    they are relabelled without a G-set of their own, and the pair index
+    and the projections are read off the labels.
+    """
     _same_group(X.group, Y.group, "the factors")
     group = X.group
-    n = X.size * Y.size
-    raw = GSet(group, [[gx * Y.size + gy for gx in row_x for gy in row_y]
-                       for row_x, row_y in zip(X.action, Y.action)])
-    canon, iso = canonicalize(raw)
-    pair = tuple(tuple(iso(x * Y.size + y) for y in range(Y.size))
-                 for x in range(X.size))
-    inv = iso.inverse()
-    left = GMap(canon, X, tuple(inv(p) // Y.size for p in range(n)))
-    right = GMap(canon, Y, tuple(inv(p) % Y.size for p in range(n)))
+    m, n = Y.size, X.size * Y.size
+    raw = [[gx * m + gy for gx in row_x for gy in row_y]
+           for row_x, row_y in zip(X.action, Y.action)]
+    canon, label = _relabel(group, _orbit_index(group, raw, n))
+    pair = tuple(tuple(label[x * m:(x + 1) * m]) for x in range(X.size))
+    inv = sorted(range(n), key=label.__getitem__)
+    left = GMap(canon, X, tuple(p // m for p in inv))
+    right = GMap(canon, Y, tuple(p % m for p in inv))
     return ProductData(canon, left, right, pair)
 
 
@@ -444,14 +461,20 @@ class CoproductData:
 
 
 def coproduct(X: GSet, Y: GSet) -> CoproductData:
-    """Disjoint union, canonically relabelled, with its injections."""
+    """Disjoint union, canonically relabelled, with its injections.
+
+    The raw rows are X's rows followed by Y's shifted by |X|.  They are an
+    action as they stand, the disjoint union of two: each half is closed
+    under every row and acted on as in X or in Y.  So they are relabelled
+    without a G-set of their own, and the injections read the labels.
+    """
     _same_group(X.group, Y.group, "the summands")
     group = X.group
-    raw = GSet(group, [list(row_x) + [X.size + gy for gy in row_y]
-                       for row_x, row_y in zip(X.action, Y.action)])
-    canon, iso = canonicalize(raw)
-    left = GMap(X, canon, tuple(iso(x) for x in range(X.size)))
-    right = GMap(Y, canon, tuple(iso(X.size + y) for y in range(Y.size)))
+    raw = [list(row_x) + [X.size + gy for gy in row_y]
+           for row_x, row_y in zip(X.action, Y.action)]
+    canon, label = _relabel(group, _orbit_index(group, raw, X.size + Y.size))
+    left = GMap(X, canon, tuple(label[:X.size]))
+    right = GMap(Y, canon, tuple(label[X.size:]))
     return CoproductData(canon, left, right)
 
 
@@ -463,7 +486,15 @@ class PullbackData:
 
 
 def pullback(f: GMap, g: GMap) -> PullbackData:
-    """Fiber product of f and g over their common target."""
+    """Fiber product of f and g over their common target.
+
+    The raw rows act on the pairs (x, y) with f(x) = g(y), numbered in
+    order, by h.(x, y) = (h.x, h.y).  They are an action as they stand,
+    the restriction of the diagonal action on X x Y: f and g are
+    equivariant, so f(h.x) = h.f(x) = h.g(y) = g(h.y) and the pairs are
+    closed under it.  So they are relabelled without a G-set of their own,
+    and the projections read the pair behind each label.
+    """
     if f.target != g.target:
         raise ValueError("pullback needs a common target")
     group = f.source.group
@@ -472,15 +503,12 @@ def pullback(f: GMap, g: GMap) -> PullbackData:
         fiber[t].append(y)
     pairs = [(x, y) for x, t in enumerate(f.mapping) for y in fiber[t]]
     index = {p: i for i, p in enumerate(pairs)}
-    raw = GSet(group, [[index[(row_x[x], row_y[y])] for (x, y) in pairs]
-                       for row_x, row_y in zip(f.source.action,
-                                               g.source.action)])
-    canon, iso = canonicalize(raw)
-    inv = iso.inverse()
-    left = GMap(canon, f.source, tuple(pairs[inv(p)][0]
-                                       for p in range(canon.size)))
-    right = GMap(canon, g.source, tuple(pairs[inv(p)][1]
-                                        for p in range(canon.size)))
+    raw = [[index[(row_x[x], row_y[y])] for (x, y) in pairs]
+           for row_x, row_y in zip(f.source.action, g.source.action)]
+    canon, label = _relabel(group, _orbit_index(group, raw, len(pairs)))
+    inv = sorted(range(len(pairs)), key=label.__getitem__)
+    left = GMap(canon, f.source, tuple(pairs[i][0] for i in inv))
+    right = GMap(canon, g.source, tuple(pairs[i][1] for i in inv))
     return PullbackData(canon, left, right)
 
 

@@ -66,7 +66,7 @@ def parse_gset_expr(group: FiniteGroup, expr: str) -> GSet:
         if not part:
             continue
         if "*" in part:
-            label, mult = part.split("*")
+            label, _, mult = part.partition("*")
             mult = mult.strip()
             mult = _multiplicity(label.strip(),
                                  int(mult) if mult.isdecimal() else mult)

@@ -34,8 +34,12 @@ from mackeykit.convolution import (
 )
 from mackeykit.groups import group_from_permutations
 from mackeykit.gsets import (
+    CoproductData,
     GMap,
     GSet,
+    ProductData,
+    PullbackData,
+    canonicalize,
     compose_maps,
     coproduct,
     orbit_map,
@@ -214,6 +218,55 @@ def full_equivariance_oracle(X, Y, mapping):
         return False
     return all(mapping[X.act(g, x)] == Y.act(g, mapping[x])
                for g in X.group.elements() for x in range(X.size))
+
+
+def _checked_route(group, raw):
+    """The canonical relabelling of raw action rows by the checked route:
+    the rows proven as a `GSet`, `canonicalize`, and the inverse `GMap`."""
+    iso = canonicalize(GSet(group, raw))[1]
+    return iso, iso.inverse()
+
+
+def product_reference(X, Y):
+    """(raw rows, `ProductData`) of X x Y by the checked route: the oracle
+    for the labelling `product` reads off its raw rows."""
+    m = Y.size
+    raw = [[gx * m + gy for gx in row_x for gy in row_y]
+           for row_x, row_y in zip(X.action, Y.action)]
+    iso, inv = _checked_route(X.group, raw)
+    n = iso.target.size
+    pair = tuple(tuple(iso(x * m + y) for y in range(m))
+                 for x in range(X.size))
+    return raw, ProductData(
+        iso.target, GMap(iso.target, X, [inv(p) // m for p in range(n)]),
+        GMap(iso.target, Y, [inv(p) % m for p in range(n)]), pair)
+
+
+def coproduct_reference(X, Y):
+    """(raw rows, `CoproductData`) of X + Y by the checked route."""
+    raw = [list(row_x) + [X.size + gy for gy in row_y]
+           for row_x, row_y in zip(X.action, Y.action)]
+    iso, _ = _checked_route(X.group, raw)
+    return raw, CoproductData(
+        iso.target, GMap(X, iso.target, [iso(x) for x in range(X.size)]),
+        GMap(Y, iso.target, [iso(X.size + y) for y in range(Y.size)]))
+
+
+def pullback_reference(f, g):
+    """(raw rows, `PullbackData`) of the fibre product of f and g by the
+    checked route, on the pairs (x, y) with f(x) = g(y) in lexicographic
+    order."""
+    pairs = [(x, y) for x in range(f.source.size)
+             for y in range(g.source.size) if f(x) == g(y)]
+    index = {p: i for i, p in enumerate(pairs)}
+    raw = [[index[(row_x[x], row_y[y])] for (x, y) in pairs]
+           for row_x, row_y in zip(f.source.action, g.source.action)]
+    iso, inv = _checked_route(f.source.group, raw)
+    n = iso.target.size
+    return raw, PullbackData(
+        iso.target,
+        GMap(iso.target, f.source, [pairs[inv(p)][0] for p in range(n)]),
+        GMap(iso.target, g.source, [pairs[inv(p)][1] for p in range(n)]))
 
 
 def transitive_code_oracle(X, Y, L, x, y):

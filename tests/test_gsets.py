@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mackeykit.burnside import _least_under
 from mackeykit.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
 from mackeykit.gsets import (
     GMap,
@@ -28,11 +29,15 @@ from mackeykit.gsets import (
 )
 from support import (
     PERMUTATION_BATTERY,
+    coproduct_reference,
     fixed_points,
     full_action_oracle,
     full_equivariance_oracle,
+    least_under_oracle,
     orbits_oracle,
     permutation_group,
+    product_reference,
+    pullback_reference,
     reaches,
 )
 
@@ -481,6 +486,8 @@ def test_orbit_map_refuses_points_it_cannot_address():
     for y in (-1, Y.size):
         with pytest.raises(ValueError, match="out of range"):
             orbit_map(O, Y, y)
+        with pytest.raises(ValueError, match=f"point {y} out of range"):
+            Y.stabilizer(y)
     with pytest.raises(ValueError, match="single orbit"):
         orbit_map(disjoint_union_of_orbits(group, (0, 0)), Y, 0)
     with pytest.raises(ValueError, match="different groups"):
@@ -592,18 +599,29 @@ def _orbit_index_gsets(group):
     return out
 
 
-@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def _group(name):
+    return builtin_group(name) if name in BUILTIN_GROUP_NAMES \
+        else permutation_group(name)
+
+
+def _class_oracle(group, H):
+    """The class index of the subgroup H, found among the conjugates."""
+    return next(cls.index for cls in group.subgroup_classes()
+                if H in cls.conjugates)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
 def test_orbit_index_matches_brute_force(name):
-    group = builtin_group(name)
+    group = _group(name)
     for X in _orbit_index_gsets(group):
         ix = X.orbit_index
         orbits = orbits_oracle(X)
         assert list(ix.orbits) == orbits and list(X.orbits()) == orbits
         for b, orbit in enumerate(orbits):
             base = orbit[0]
-            stab = X.stabilizer(base)
+            stab = tuple(g for g in group.elements() if X.act(g, base) == base)
             assert ix.stabilizers[b] == stab
-            assert ix.classes[b] == group.class_index_of(stab)
+            assert ix.classes[b] == _class_oracle(group, stab)
             for x in orbit:
                 assert ix.orbit_of[x] == b
                 assert ix.reach[x] == next(g for g in range(group.order)
@@ -622,3 +640,100 @@ def test_standard_orbit_reach_is_the_least_element_of_each_coset(name):
         O = standard_orbit(group, cls.index)
         assert list(O.orbit_index.reach) == \
             [coset[0] for coset in group.left_cosets(cls.representative)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_fixed_and_subgroup_orbits_match_brute_force(name):
+    # on the inputs of the orbit index test, one of them not canonical: per
+    # class with representative R, the points of X^R, the least n in N(R)
+    # carrying each to the least point of its N(R)-orbit and each least
+    # point's stabilizer in N(R); the orbits of R with their stabilizers'
+    # classes and transports; and `_least_under` at every stabilizer
+    # `fixed_orbits` lists, each recomputed from the action rows
+    group = _group(name)
+    for X in _orbit_index_gsets(group):
+        reach = X.orbit_index.reach
+        for cls, fo, rows in zip(group.subgroup_classes(), X.fixed_orbits,
+                                 X.subgroup_orbits):
+            R, N = cls.representative, sorted(cls.normalizer)
+            assert fo.points == fixed_points(X, R)
+            least = {x1: min(X.act(n, x1) for n in N) for x1 in fo.points}
+            assert fo.lead == tuple(
+                min(n for n in N if X.act(n, x1) == least[x1])
+                if x1 in least else None for x1 in range(X.size))
+            assert fo.orbits == {
+                x0: tuple(n for n in N if X.act(n, x0) == x0)
+                for x0 in sorted(set(least.values()))}
+            expected = []
+            for p in range(X.size):
+                if p == min(X.act(h, p) for h in R):
+                    K = tuple(h for h in R if X.act(h, p) == p)
+                    k = _class_oracle(group, K)
+                    rep = group.subgroup_classes()[k].representative
+                    expected.append((reach[p], k, min(
+                        g for g in group.elements()
+                        if group.conjugate_subgroup(g, K) == rep)))
+            assert rows == tuple(expected), (X, cls.index)
+            for S in set(fo.orbits.values()):
+                assert _least_under(X, S) == least_under_oracle(X, S)
+
+
+def _limit_inputs(group):
+    """Standard orbits, a union of two and one of three orbits, and both
+    unions with their points numbered in reverse, so not canonical."""
+    orbs = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    last = len(orbs) - 1
+    two = disjoint_union_of_orbits(group, (last // 2, last))
+    three = disjoint_union_of_orbits(group, (min(1, last), last, last))
+    return orbs, [two, three, _permuted(two), _permuted(three)]
+
+
+def _permuted(X):
+    """X with its points numbered in reverse."""
+    n = X.size
+    return GSet(X.group, [[n - 1 - row[n - 1 - p] for p in range(n)]
+                          for row in X.action])
+
+
+def _limit_maps(group, orbs, extra):
+    """Pairs of G-maps with a common target: the maps to the point out of
+    the unions, relabelled ones included, and into T = G/H for the class
+    before the last, each standard orbit's map onto a point of T its
+    subgroup fixes, with the projections X x T -> T of the unions."""
+    pt, T = orbs[-1], orbs[max(len(orbs) - 2, 0)]
+    to_pt = [GMap(X, pt, [0] * X.size) for X in extra]
+    to_t = [orbit_map(O, T, fixed[0]) for O in orbs
+            if (fixed := fixed_points(T, O.orbit_index.stabilizers[0]))]
+    to_t += [product(X, T).right for X in extra]
+    return [(f, g) for f in to_pt for g in to_pt[::2]] + \
+        [(f, g) for f in to_t for g in to_t]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY)
+def test_limits_match_the_checked_canonical_route(name):
+    # product, coproduct and pullback relabel raw rows that are an action
+    # by construction; the route through a checked GSet, canonicalize and
+    # iso.inverse() must give the same union object, pair index and legs,
+    # and the raw rows must pass the full |G|^2 |X| action check
+    group = _group(name)
+    orbs, extra = _limit_inputs(group)
+    for X in orbs + extra:
+        for Y in (extra[0], extra[2], orbs[-1]):
+            for A, B in ((X, Y), (Y, X)):
+                raw, ref = product_reference(A, B)
+                got = product(A, B)
+                assert full_action_oracle(group, raw)
+                assert got.gset is ref.gset and got.pair_index == \
+                    ref.pair_index
+                assert got.left == ref.left and got.right == ref.right
+                raw, ref = coproduct_reference(A, B)
+                got = coproduct(A, B)
+                assert full_action_oracle(group, raw)
+                assert got.gset is ref.gset
+                assert got.left == ref.left and got.right == ref.right
+    for f, g in _limit_maps(group, orbs, extra):
+        raw, ref = pullback_reference(f, g)
+        got = pullback(f, g)
+        assert full_action_oracle(group, raw)
+        assert got.gset is ref.gset
+        assert got.left == ref.left and got.right == ref.right

@@ -61,6 +61,12 @@ along a G-map into one.
 `mackey` walks a normalizer's generators in one place, `mackey._walk`:
 conjugation is defined along it, and `validate_functoriality` reads the
 walk's tree from it to skip the homomorphism cells that hold by definition.
+The orbit tables of a G-set come from one walk, `gsets._orbit_walk`: the
+orbit index, the fixed orbits, the subgroup orbits and
+`burnside._least_under` each call it once and iterate its labels nowhere
+else, and `_orbits_on` is gone.  `product`, `coproduct` and `pullback`
+relabel raw rows that are an action by construction: they build no
+`GSet`, call no `canonicalize` and invert no isomorphism.
 """
 
 import ast
@@ -1317,3 +1323,131 @@ def test_homomorphism_cells_come_from_the_one_walk():
     assert [scope for scope, _ in walks] == ["_walk"]
     assert callers == {"_generated_action",
                        "MackeyFunctor.validate_functoriality"}
+
+
+# The readers of `gsets._orbit_walk`, by module and qualified name, each
+# with the iterable of the labels its walk reads the rows of: all of G
+# for the orbit index, N(R) for the fixed orbits, the representative L
+# for the subgroup orbits and S for the S-orbit least points.
+WALK_READERS = {"gsets.py": {"_orbit_index": "enumerate(action)",
+                             "GSet.fixed_orbits": "cls.normalizer",
+                             "GSet.subgroup_orbits": "cls.representative"},
+                "burnside.py": {"_least_under": "S"}}
+
+
+def walk_reader_report(source, readers):
+    """{reader: (lines where it calls `_orbit_walk`, (line, what) of every
+    loop over its walk's labels outside that call and every `.stabilizer(`
+    call)} for the readers the source defines; `readers` maps qualified
+    names to the unparsed iterable of the walk's labels."""
+    out = {}
+    for scope, node in _scoped(ast.parse(source)):
+        qual = f"{scope}.{getattr(node, 'name', '')}".lstrip(".")
+        if not isinstance(node, ast.FunctionDef) or qual not in readers:
+            continue
+        walks, inside, stray = [], set(), []
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and \
+                    getattr(call.func, "id", None) == "_orbit_walk":
+                walks.append(call.lineno)
+                inside |= {id(n) for n in ast.walk(call)}
+        for n in ast.walk(node):
+            if id(n) in inside:
+                continue
+            if isinstance(n, (ast.For, ast.comprehension)) and \
+                    ast.unparse(n.iter) == readers[qual]:
+                stray.append((n.iter.lineno, readers[qual]))
+            if isinstance(n, ast.Call) and \
+                    getattr(n.func, "attr", None) == "stabilizer":
+                stray.append((n.lineno, "stabilizer"))
+        out[qual] = (walks, sorted(stray))
+    return out
+
+
+# The readers, abridged, as they read with a walk each: the orbit index
+# inline in `GSet.orbit_index` with its stabilizers rescanned, the fixed
+# orbits walking N(R) twice per point, the subgroup orbits through
+# `_orbits_on`, and the S-orbit least points in a loop of their own.
+OWN_WALKS = '''
+def _orbit_index(group, action, size):
+    for base in range(size):
+        for g, row in enumerate(action):
+            x = row[base]
+        stab = self.stabilizer(base)
+
+class GSet:
+    def fixed_orbits(self):
+        for x0 in points:
+            if lead[x0] is None:
+                orbits[x0] = tuple(n for n in cls.normalizer
+                                   if action[n][x0] == x0)
+                for n in cls.normalizer:
+                    x1 = action[inverse[n]][x0]
+
+    def subgroup_orbits(self):
+        return tuple(tuple(reach[p] for p, K in _orbits_on(
+            self.action, cls.representative, range(self.size)))
+            for cls in group.subgroup_classes())
+
+def _least_under(Y, S):
+    least, _, _ = _orbit_walk(Y.size, ((s, Y.action[s]) for s in S),
+                              range(Y.size))
+    rows = [Y.action[s] for s in S]
+'''
+
+
+def test_scanner_finds_orbit_walks_outside_the_one_walk():
+    readers = {**WALK_READERS["gsets.py"], **WALK_READERS["burnside.py"]}
+    assert walk_reader_report(OWN_WALKS, readers) == {
+        "_orbit_index": ([], [(4, "enumerate(action)"), (6, "stabilizer")]),
+        "GSet.fixed_orbits": ([], [(12, "cls.normalizer"),
+                                   (14, "cls.normalizer")]),
+        "GSet.subgroup_orbits": ([], []),
+        "_least_under": ([23], [(25, "S")])}
+
+
+def test_orbit_tables_come_from_one_walk():
+    # the orbit index, the fixed orbits, the subgroup orbits and the
+    # S-orbit least points each call `_orbit_walk` once and iterate the
+    # labels it walks nowhere else, and `_orbits_on` is gone
+    for module, readers in WALK_READERS.items():
+        source = (PACKAGE / module).read_text(encoding="utf-8")
+        report = walk_reader_report(source, readers)
+        assert report == {qual: (report[qual][0], []) for qual in readers}
+        assert all(len(walks) == 1 for walks, _ in report.values())
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "_orbits_on" not in {getattr(n, "id", getattr(n, "name", None))
+                                    for n in ast.walk(tree)}, path.name
+
+
+RAW_LIMITS = ("product", "coproduct", "pullback")
+CHECKED_ROUTE = {"GSet", "canonicalize", "inverse"}
+
+# `product`, abridged, as it read when its raw rows were proven as a G-set
+# and relabelled through a checked isomorphism and its inverse.
+CHECKED_PRODUCT = '''
+def product(X, Y):
+    raw = GSet(group, [[gx * Y.size + gy for gx in row_x for gy in row_y]
+                       for row_x, row_y in zip(X.action, Y.action)])
+    canon, iso = canonicalize(raw)
+    inv = iso.inverse()
+    left = GMap(canon, X, tuple(inv(p) // Y.size for p in range(n)))
+'''
+
+
+def test_scanner_finds_the_checked_route_of_a_limit():
+    calls, found = calls_inside(CHECKED_PRODUCT, RAW_LIMITS, CHECKED_ROUTE)
+    assert found == {"product"}
+    assert calls == [("product", 3, "GSet"), ("product", 5, "canonicalize"),
+                     ("product", 6, "inverse")]
+
+
+def test_limits_relabel_their_raw_rows_in_place():
+    # the raw rows of a product, coproduct or pullback are an action by
+    # construction: they become no G-set and no isomorphism, and only the
+    # returned legs are checked G-maps
+    source = (PACKAGE / "gsets.py").read_text(encoding="utf-8")
+    calls, found = calls_inside(source, RAW_LIMITS, CHECKED_ROUTE)
+    assert found == set(RAW_LIMITS)
+    assert calls == []

@@ -327,8 +327,10 @@ def test_gset_orbit_multiplicity_must_be_a_nonnegative_integer(mult):
         gset_from_json({"group": "C2", "orbits": [["e", mult]]})
 
 
-@pytest.mark.parametrize("expr", ["e*-2", "e*1.5", "e*x", "e*", "C2+e*-1"])
+@pytest.mark.parametrize("expr", ["e*-2", "e*1.5", "e*x", "e*", "C2+e*-1",
+                                  "e*2*3"])
 def test_gset_expr_multiplicity_must_be_a_nonnegative_integer(expr):
+    # a second `*` stays in the multiplicity, which the message then names
     with pytest.raises(ValueError, match="multiplicity of orbit 'e'"):
         parse_gset_expr(builtin_group("C2"), expr)
 
