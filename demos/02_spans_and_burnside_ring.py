@@ -28,7 +28,7 @@ print("   (identity span and the translation span)")
 # the Mackey relation res . tr = id + translation, found by the pullback
 f = GMap(O, pt, [0, 0])
 composite = compose(restriction_element(f), transfer_element(f))
-print("\nres . tr on C2/e decomposes as:", composite.coeffs)
+print("\nres . tr on C2/e decomposes as:", dict(composite.coeffs))
 
 # duality: every orbit is self-dual and the triangle identity is exact
 for cls in C2.subgroup_classes():

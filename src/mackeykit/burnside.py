@@ -20,9 +20,10 @@ multiset of the pullback itself, exactly.  The tensor of two basis
 spans is the same walk over G/L x G/M without the fibre condition.
 Each basis pair is one loop over those L-orbits, shared with
 `convolution.over_image`, that tests the fibre condition and reads each
-code from orbit tables.  Each factor's codes pass `code_subgroup` once
-per call, before any pair is walked, so a bad code is refused even
-against zero.
+code from orbit tables.  A code is checked once, where it enters: the
+`BurnsideElement` constructor passes each through `canonical_code`, so
+an element holds canonical codes only, and `compose`, `tensor` and
+`dual` check none.
 
 Everything these walks read that depends only on the group or on one
 G-set is derived once, as cached properties or `groups.owned` memos of
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
+from types import MappingProxyType
 
 from . import intmat
 from .groups import FiniteGroup, _same_group, owned
@@ -131,12 +133,16 @@ def transitive_code(X: GSet, Y: GSet, L, x, y):
 def code_subgroup(X: GSet, Y: GSet, code):
     """Representative L of the code's class, after checking the code.
 
-    Raises ValueError naming the code unless x and y are points of X and Y
-    fixed by L, which is what makes gL -> (g.x, g.y) a well-defined span.
+    Raises ValueError naming the code unless it is a tuple of three ints
+    (a bool is not one) and x and y are points of X and Y fixed by L,
+    which is what makes gL -> (g.x, g.y) a well-defined span.
     The class's `generators` suffice: the stabilizer of a point is a
     subgroup, so it contains L exactly when it contains a generating set
     of L.
     """
+    if not (isinstance(code, tuple) and len(code) == 3
+            and type(code[0]) is type(code[1]) is type(code[2]) is int):
+        raise ValueError(f"span code {code!r} is not a triple of integers")
     cidx, x, y = code
     classes = X.group.subgroup_classes()
     if not (0 <= cidx < len(classes) and 0 <= x < X.size and 0 <= y < Y.size):
@@ -148,6 +154,16 @@ def code_subgroup(X: GSet, Y: GSet, code):
             raise ValueError(f"span code {code}: its points are not fixed "
                              f"by {cls.representative}")
     return cls.representative
+
+
+def canonical_code(X: GSet, Y: GSet, code):
+    """The canonical code of the span `code` names, after `code_subgroup`
+    checks it: its class c and the least pair of its N(R)-orbit, read by
+    `_least_pair` with t the identity 0, the transport of R itself."""
+    code_subgroup(X, Y, code)
+    c, x, y = code
+    x0, y0, _ = _least_pair(X, Y, c, 0, x, y)
+    return (c, x0, y0)
 
 
 def span_codes(X: GSet, Y: GSet, U: GSet, left: GMap, right: GMap):
@@ -170,45 +186,60 @@ def _orbit_codes(X: GSet, Y: GSet, U: GSet, left, right):
     return out
 
 
+def _nonzero(coeffs):
+    """The nonzero coefficients of a mapping, each through `operator.index`."""
+    out = {}
+    for c, v in coeffs.items():
+        try:
+            v = index(v)
+        except TypeError:
+            raise TypeError(f"coefficient {v!r} of span code {c} is "
+                            f"not an integer") from None
+        if v:
+            out[c] = v
+    return out
+
+
 class BurnsideElement:
     """An integer combination of transitive span classes X -> Y.
 
-    Every code is checked by `code_subgroup`, and every coefficient must
-    pass `operator.index`, which numpy ints do and floats do not.  A bad
-    code or a fractional coefficient is rejected here, not at evaluation.
+    Each code passes `canonical_code` once, here, so a bad code is
+    rejected where it enters, and a fixed but non-minimal pair is stored
+    as its canonical code, summed with any code it meets.  So one span
+    has one representation, and equal elements compare and hash equal.
+    Every coefficient must pass `operator.index`, which numpy ints do and
+    floats do not.  `coeffs` is a read-only mapping.
     """
 
     __slots__ = ("source", "target", "coeffs")
 
     def __init__(self, source: GSet, target: GSet, coeffs=None):
-        self._fill(source, target, coeffs)
-        for code in self.coeffs:
-            code_subgroup(source, target, code)
+        _same_group(source.group, target.group, "the feet")
+        out = {}
+        for c, v in _nonzero(coeffs or {}).items():
+            c = canonical_code(source, target, c)
+            out[c] = out.get(c, 0) + v
+        self._fill(source, target, out)
 
     @classmethod
     def _of_checked(cls, source, target, coeffs):
-        """Skip the code check for codes `code_subgroup` already passed.
+        """An element of codes that are canonical by construction, unchecked.
 
-        Used where every code comes from checked codes: compose, tensor,
-        dual, the arithmetic operators and canonicalized spans.
+        Only `burnside`'s own constructions call it.  The arithmetic
+        operators keep the codes of their operands.  `compose`, `tensor`,
+        `span_element`, `identity_element`, `transfer_element` and
+        `restriction_element` read every code by `_least_pair`, from a
+        subgroup that fixes the pair it is read at.  `dual` flips a
+        canonical code, whose pair is fixed by its class representative.
         """
         obj = object.__new__(cls)
         obj._fill(source, target, coeffs)
         return obj
 
     def _fill(self, source, target, coeffs):
-        _same_group(source.group, target.group, "the feet")
         self.source = source
         self.target = target
-        self.coeffs = {}
-        for c, v in (coeffs or {}).items():
-            try:
-                v = index(v)
-            except TypeError:
-                raise TypeError(f"coefficient {v!r} of span code {c} is "
-                                f"not an integer") from None
-            if v:
-                self.coeffs[c] = v
+        self.coeffs = MappingProxyType(_nonzero(coeffs))
 
     @property
     def group(self):
@@ -242,7 +273,7 @@ class BurnsideElement:
                      tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
-        return f"BurnsideElement({self.coeffs})"
+        return f"BurnsideElement({dict(self.coeffs)})"
 
     def is_zero(self):
         return not self.coeffs
@@ -316,7 +347,8 @@ def hom_basis(X: GSet, Y: GSet):
 def _add_composite(out, a, X, Y, Z, c1, c2):
     """Add a times each code of the composite c2 . c1 of basis spans to out.
 
-    The codes must have passed `code_subgroup`.  The fibre condition
+    The codes must have passed `code_subgroup`: an element's codes have,
+    and `convolution.over_image` checks its own two.  The fibre condition
     b.y' = y is constant on L-orbits of cosets bM: L fixes y and M fixes
     y', so (hbm).y' = h.(b.y') for h in L, m in M.  The codes come in the
     order of the canonical pullback's orbits: by the class of their
@@ -340,10 +372,6 @@ def compose(s2: BurnsideElement, s1: BurnsideElement) -> BurnsideElement:
     if s1.target != s2.source:
         raise ValueError("feet do not match for composition")
     X, Y, Z = s1.source, s1.target, s2.target
-    for c1 in s1.coeffs:
-        code_subgroup(X, Y, c1)
-    for c2 in s2.coeffs:
-        code_subgroup(Y, Z, c2)
     out = {}
     for c1, a1 in s1.coeffs.items():
         for c2, a2 in s2.coeffs.items():
@@ -355,10 +383,6 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
     """External product A(X,Y) x A(X',Y') -> A(X x X', Y x Y')."""
     _same_group(s.group, t.group, "the factors")
     X, Y, Xp, Yp = s.source, s.target, t.source, t.target
-    for c1 in s.coeffs:
-        code_subgroup(X, Y, c1)
-    for c2 in t.coeffs:
-        code_subgroup(Xp, Yp, c2)
     ps, pt = product(X, Xp), product(Y, Yp)
     xpa, ypa = Xp.action, Yp.action
     out = {}
@@ -375,13 +399,16 @@ def tensor(s: BurnsideElement, t: BurnsideElement) -> BurnsideElement:
 
 
 def dual(s: BurnsideElement) -> BurnsideElement:
-    """Flip every span; a contravariant involution A(X,Y) -> A(Y,X)."""
+    """Flip every span; a contravariant involution A(X,Y) -> A(Y,X).
+
+    Flipping maps N(R)-orbits of pairs one to one, so each code's flip is
+    read by `_least_pair` with t = 0, and no two of them meet."""
+    X, Y = s.source, s.target
     out = {}
-    for (cidx, x, y), a in s.coeffs.items():
-        L = code_subgroup(s.source, s.target, (cidx, x, y))
-        code = transitive_code(s.target, s.source, L, y, x)
-        out[code] = out.get(code, 0) + a
-    return BurnsideElement._of_checked(s.target, s.source, out)
+    for (c, x, y), a in s.coeffs.items():
+        y0, x0, _ = _least_pair(Y, X, c, 0, y, x)
+        out[(c, y0, x0)] = a
+    return BurnsideElement._of_checked(Y, X, out)
 
 
 def evaluation_span(X: GSet) -> BurnsideElement:

@@ -19,7 +19,7 @@ import json
 import numbers
 
 from .abgroups import FinPresAbGroup
-from .burnside import BurnsideElement, code_subgroup, transitive_code
+from .burnside import BurnsideElement, canonical_code
 from .convolution import GreenFunctor, green_from_levelwise
 from .groups import FiniteGroup, load_group
 from .intmat import _labels
@@ -234,9 +234,8 @@ def code_from_json(group, source, target, doc):
     """
     label, x, y = _entry(doc, ("label", "x", "y"), "span code")
     x, y = _labels((x, y), f"span code {list(doc)} point")
-    code = (group.class_by_label(label).index, x, y)
-    L = code_subgroup(source, target, code)
-    return transitive_code(source, target, L, x, y)
+    return canonical_code(source, target,
+                          (group.class_by_label(label).index, x, y))
 
 
 def element_to_json(e):

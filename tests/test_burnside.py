@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mackeykit import burnside
 from mackeykit.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
 from mackeykit.gsets import (
     GMap,
@@ -25,6 +26,7 @@ from mackeykit.burnside import (
     basis_element,
     burnside_ring_from_spans,
     burnside_ring_table,
+    canonical_code,
     code_subgroup,
     coevaluation_span,
     compose,
@@ -43,6 +45,7 @@ from mackeykit.burnside import (
     transitive_code,
     triangle_composite,
 )
+from mackeykit.jsonio import code_to_json, element_from_json, element_to_json
 from support import (
     PERMUTATION_BATTERY,
     direct_sum_decompose,
@@ -332,59 +335,81 @@ def test_tensor_matches_product_oracle(name):
                      "C2xC2": 2809, "S3": 1521, "C6": 1764, "D4": 9984}[name]
 
 
+# Bad codes, each with its file form and what `element_from_json` says:
+# codes whose points are not fixed by their subgroup, out of range, or no
+# triple of integers at all.  Class 5 has no label over C2.
+BAD_CODES = [
+    ((1, 0, 0), "O", "pt", ["C2", 0, 0], "span code (1, 0, 0): its points"),
+    ((1, 0, 1), "O", "O", ["C2", 0, 1], "span code (1, 0, 1): its points"),
+    ((0, 2, 0), "O", "pt", ["e", 2, 0], "span code (0, 2, 0) is out of range"),
+    ((0, -1, 0), "O", "pt", ["e", -1, 0],
+     "span code (0, -1, 0) is out of range"),
+    ((5, 0, 0), "pt", "pt", ["C5", 0, 0], "unknown subgroup-class label 'C5'"),
+    (5, "O", "pt", 5, "span code 5 is not [label, x, y]"),
+    ((0, 0), "O", "pt", ["e", 0], "span code ['e', 0] is not [label, x, y]"),
+    (("0", 0, 0), "O", "pt", ["0", 0, 0], "unknown subgroup-class label '0'"),
+    ((0, True, 0), "O", "pt", ["e", True, 0],
+     "span code ['e', True, 0] point[0] is not an integer: True"),
+    ((0, 0, 1.0), "O", "O", ["e", 0, 1.0],
+     "span code ['e', 0, 1.0] point[1] is not an integer: 1.0"),
+]
+
+
 def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
+    # no element holds a bad code, so compose, tensor and dual never see
+    # one: the constructor, `basis_element` and `element_from_json` refuse
+    # it where it enters, naming it; a code that is no triple of integers
+    # once raised TypeError or an unpacking error, or with a bool point
+    # was stored and written to a file no reader accepts
     C2 = builtin_group("C2")
-    O, pt = standard_orbit(C2, 0), point_gset(C2)
-    ident = identity_element(O)
-    for bad, X, Y in [((1, 0, 0), O, pt), ((1, 0, 1), O, O),
-                      ((0, 2, 0), O, pt), ((5, 0, 0), pt, pt)]:
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+    feet = {"O": standard_orbit(C2, 0), "pt": point_gset(C2)}
+    for bad, x, y, doc, error in BAD_CODES:
+        X, Y = feet[x], feet[y]
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad!r}")):
             BurnsideElement(X, Y, {bad: 1})
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
+        with pytest.raises(ValueError, match=re.escape(f"span code {bad!r}")):
             basis_element(X, Y, bad)
-        # an element built past the constructor's check is still refused
-        e = BurnsideElement._of_checked(X, Y, {bad: 1})
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
-            compose(e, identity_element(X))
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
-            compose(identity_element(Y), e)
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
-            tensor(e, ident)
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
-            tensor(ident, e)
-        with pytest.raises(ValueError, match=re.escape(f"span code {bad}")):
-            dual(e)
-    # a fixed but non-minimal code is a valid span and composes to its
-    # canonical form
+        with pytest.raises(ValueError, match=re.escape(error)):
+            element_from_json(C2, X, Y, {"coefficients": [[doc, 1]]})
+    # a fixed but non-minimal code is a valid span: it enters as its
+    # canonical code, and so composes, tensors and dualizes as that code
+    O, pt = feet["O"], feet["pt"]
     (code,) = hom_basis(O, pt)
     moved = BurnsideElement(O, pt, {(0, 1, 0): 1})
-    assert compose(identity_element(pt), moved) == basis_element(O, pt, code)
+    canonical = basis_element(O, pt, code)
+    assert moved == canonical and moved.coeffs == {code: 1}
+    assert compose(identity_element(pt), moved) == canonical
+    assert tensor(moved, canonical) == tensor(canonical, canonical)
+    assert dual(moved) == dual(canonical)
 
 
-def test_compose_and_tensor_check_each_factor_once_even_against_zero():
-    # every code of each factor is checked before any pair is walked, so a
-    # bad code is refused even when the other factor has no codes at all
+def test_compose_and_tensor_check_each_factor_once_even_against_zero(
+        monkeypatch):
+    # each code is checked once, where it enters an element: a bad code is
+    # refused before any product is formed, even one against zero, and
+    # compose, tensor and dual check no code again
     C2 = builtin_group("C2")
     O, pt = standard_orbit(C2, 0), point_gset(C2)
-    zero = BurnsideElement(O, O)
-    for bad, X, Y in [((1, 0, 0), O, pt), ((1, 0, 1), O, O),
-                      ((0, 2, 0), O, pt), ((5, 0, 0), pt, pt)]:
-        e = BurnsideElement._of_checked(X, Y, {bad: 1})
-        for call in (lambda: compose(e, BurnsideElement(X, X)),
-                     lambda: compose(BurnsideElement(Y, Y), e),
-                     lambda: tensor(e, zero), lambda: tensor(zero, e)):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"span code {bad}")):
-                call()
-    # a bad code next to good ones is refused too, and with bad codes on
-    # both sides the first factor's is named
     (good,) = hom_basis(O, pt)
-    left = BurnsideElement._of_checked(O, pt, {good: 2, (1, 0, 0): 1})
-    right = BurnsideElement._of_checked(pt, pt, {(5, 0, 0): 1})
+    # a bad code next to good ones is refused too, and of two bad codes
+    # the first is named
     with pytest.raises(ValueError, match=re.escape("span code (1, 0, 0)")):
-        compose(right, left)
+        BurnsideElement(O, pt, {good: 2, (1, 0, 0): 1})
     with pytest.raises(ValueError, match=re.escape("span code (1, 0, 0)")):
-        tensor(left, right)
+        BurnsideElement(O, pt, {(1, 0, 0): 1, (0, 2, 0): 1})
+    checks = []
+    real = burnside.code_subgroup
+    monkeypatch.setattr(burnside, "code_subgroup",
+                        lambda *args: checks.append(args[2]) or real(*args))
+    e = BurnsideElement(O, pt, {good: 2, (0, 1, 0): 1})
+    point = basis_element(pt, pt, (1, 0, 0))
+    assert checks == [good, (0, 1, 0), (1, 0, 0)] and e.coeffs == {good: 3}
+    zero = BurnsideElement(O, O)
+    assert compose(e, zero).is_zero() and tensor(e, zero).is_zero()
+    assert tensor(zero, e).is_zero() and dual(dual(e)) == e
+    assert not compose(point, e).is_zero()
+    assert not tensor(e, point).is_zero()
+    assert checks == [good, (0, 1, 0), (1, 0, 0)]
 
 
 def code_subgroup_oracle(X, Y, code):
@@ -443,6 +468,81 @@ def test_orbit_tables_do_not_pin_gsets():
     del X, e, t
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["C2", "D4", "S3"])
+def test_a_fixed_non_minimal_code_is_its_canonical_span(name):
+    # every code between standard orbits whose points its subgroup fixes,
+    # given to the constructor or `basis_element` or read from a file, is
+    # the element of its canonical code, the brute-force minimum: equal,
+    # with the same hash, and their difference is zero
+    group = builtin_group(name)
+    orbs = orbits_of(group)
+    moved = 0
+    for X, Y in itertools.product(orbs, repeat=2):
+        for cls in group.subgroup_classes():
+            R = cls.representative
+            for x, y in itertools.product(fixed_points(X, R),
+                                          fixed_points(Y, R)):
+                code = (cls.index, x, y)
+                want = basis_element(
+                    X, Y, transitive_code_oracle(X, Y, R, x, y))
+                doc = {"coefficients": [[code_to_json(group, code), 1]]}
+                for got in (BurnsideElement(X, Y, {code: 1}),
+                            basis_element(X, Y, code),
+                            element_from_json(group, X, Y, doc)):
+                    assert got == want and hash(got) == hash(want), code
+                    assert (got - want).is_zero()
+                    assert element_to_json(got) == element_to_json(want)
+                (canon,) = want.coeffs
+                if canon != code:
+                    # codes that meet on entry are summed
+                    moved += 1
+                    assert BurnsideElement(X, Y, {code: 1, canon: 1}) \
+                        == 2 * want
+                    assert BurnsideElement(X, Y, {code: 1,
+                                                  canon: -1}).is_zero()
+    assert moved
+
+
+def assert_canonical(e):
+    """Every code of e is its own `canonical_code`."""
+    for code in e.coeffs:
+        assert canonical_code(e.source, e.target, code) == code, (e, code)
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_every_element_holds_canonical_codes(name):
+    # the basis codes, and the codes of the duals, composites and tensors
+    # of basis elements, are fixed by the canonicalizer
+    group = builtin_group(name)
+    orbs, pt = orbits_of(group), point_gset(group)
+    for X, Y in itertools.product(orbs, repeat=2):
+        basis = hom_basis(X, Y)
+        assert [canonical_code(X, Y, code) for code in basis] == basis
+        for code in basis:
+            e = basis_element(X, Y, code)
+            assert e.coeffs == {code: 1}
+            assert_canonical(dual(e))
+            for c2 in hom_basis(Y, pt):
+                assert_canonical(compose(basis_element(Y, pt, c2), e))
+            for c2 in hom_basis(pt, X):
+                assert_canonical(tensor(e, basis_element(pt, X, c2)))
+
+
+def test_coefficients_cannot_be_edited():
+    C2 = builtin_group("C2")
+    O, pt = standard_orbit(C2, 0), point_gset(C2)
+    (code,) = hom_basis(O, pt)
+    e = basis_element(O, pt, code)
+    with pytest.raises(TypeError):
+        e.coeffs[code] = 2
+    with pytest.raises(TypeError):
+        del e.coeffs[code]
+    for method in ("clear", "update", "pop", "setdefault"):
+        assert not hasattr(e.coeffs, method)
+    assert e.coeffs == {code: 1} and dict(e.coeffs) == {code: 1}
+    assert e.coeffs.get(code) == 1 and list(e.coeffs.items()) == [(code, 1)]
 
 
 def test_coefficients_must_be_integers():

@@ -25,10 +25,13 @@ Yoneda formula of the Dress construction is written once, in
 `convolution.yoneda_levels`: `homalg._classifying_mats` and
 `dress_pairing` call it with their own pairings, and no dense diagonal
 pairing over all of X x G/H is left.  Span composition has one walk over
-the double cosets: `compose` checks each factor's codes and hands every
-basis pair to one helper, which checks nothing itself and is the helper
-`convolution.over_image` calls after its own two checks; `burnside` keeps
-no second walk and no `Counter`.  Every canonical span code and over-code
+the double cosets: `compose` hands every basis pair to one helper, which
+checks nothing itself and is the helper `convolution.over_image` calls
+after its own two checks; `burnside` keeps no second walk and no
+`Counter`.  A span code is checked once, where it enters an element:
+`compose`, `tensor` and `dual` call no `code_subgroup`, and no file in
+src or tests but `burnside.py` names the unchecked constructor
+`BurnsideElement._of_checked`.  Every canonical span code and over-code
 is read from the G-sets' orbit tables by `burnside._least_pair` or, for
 an over-code, by the lookup `_least_point` it shares; `_least_pair`
 and `hom_basis` read the least points of S-orbits from the table
@@ -684,9 +687,42 @@ def test_compose_and_over_image_share_one_walk():
     retired, called, shared, checks = one_walk_report(burnside, convolution)
     assert retired == set()
     assert len(called) == 1 and shared == called
-    # compose checks each factor, the walk checks nothing, and over_image
-    # keeps its own check of both codes
-    assert checks == (2, 0, 2)
+    # compose and the walk check nothing, and over_image, which takes raw
+    # codes, keeps its own check of both
+    assert checks == (0, 0, 2)
+
+
+def test_elements_are_not_checked_again():
+    # an element's codes were checked where they entered, so the
+    # operations on elements check none
+    calls, found = calls_inside((PACKAGE / "burnside.py").read_text(
+        encoding="utf-8"), ("compose", "tensor", "dual"), {"code_subgroup"})
+    assert calls == [] and found == {"compose", "tensor", "dual"}
+
+
+def trusted_constructions(source):
+    """Lines of every name or attribute `_of_checked` in a source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if "_of_checked" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None)))
+
+
+def test_scanner_finds_trusted_constructions():
+    source = ("from mackeykit.burnside import BurnsideElement as B\n"
+              "e = B._of_checked(X, Y, {bad: 1})\n"
+              "make = getattr(B, '_of_checked')\n"
+              "f = _of_checked\n")
+    assert trusted_constructions(source) == [2, 4]
+
+
+def test_only_burnside_builds_unchecked_elements():
+    # no element reaches compose, tensor or dual past the constructor's
+    # check: only burnside's own constructions skip it
+    tests = pathlib.Path(__file__).resolve().parent
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")):
+        if path.name != "burnside.py":
+            assert trusted_constructions(
+                path.read_text(encoding="utf-8")) == [], path.name
 
 
 # The functions that read a canonical span code or over-code, by module,
@@ -699,7 +735,9 @@ CODE_READERS = {"burnside.py": {"transitive_code": "_least_pair",
                                 "_add_composite": "_least_pair",
                                 "tensor": "_least_pair",
                                 "hom_basis": "_least_under",
-                                "_least_pair": "_least_under"},
+                                "_least_pair": "_least_under",
+                                "canonical_code": "_least_pair",
+                                "dual": "_least_pair"},
                 "convolution.py": {"over_image": "_least_point"}}
 CODE_HELPERS = {"_least_pair", "_least_point", "_least_under"}
 
@@ -761,6 +799,16 @@ def hom_basis(X, Y):
                 if y not in seen:
                     out.append((c, x0, y))
                     seen.update(row[y] for row in rows)
+
+def canonical_code(X, Y, code):
+    c, x, y = code
+    normalizer = X.group.subgroup_classes()[c].normalizer
+    return (c, *min((X.action[n][x], Y.action[n][y]) for n in normalizer))
+
+def dual(s):
+    for (c, x, y), a in s.coeffs.items():
+        normalizer = s.group.subgroup_classes()[c].normalizer
+        out[(c, *min((ya[n][y], xa[n][x]) for n in normalizer))] = a
 ''', "convolution.py": '''
 def over_image(S, T, ecode, code):
     for (cwp, o, y), mult in terms.items():
@@ -779,8 +827,8 @@ def test_scanner_finds_code_readers_that_minimize_themselves():
 
 
 def test_span_codes_have_one_canonicalizer():
-    # transitive_code, the composition and tensor walks and the over-codes
-    # of the box product read each canonical code from the G-sets' orbit
+    # transitive_code, canonical_code, dual, the composition and tensor
+    # walks and the over-codes of the box product read each canonical code from the G-sets' orbit
     # tables, through `_least_pair` or its lookup `_least_point`, and
     # `_least_pair` and `hom_basis` read S-orbit least points from
     # `_least_under`; none minimizes over group elements itself, and no

@@ -12,9 +12,12 @@ import sys
 import tracemalloc
 import weakref
 
+import pytest
+
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup
 from mackeykit.burnside import (
+    _identity_codes,
     basis_element,
     compose,
     hom_basis,
@@ -166,14 +169,26 @@ def test_d4_tor_leaves_no_support_unions_in_the_group_memo():
 
 
 def test_identity_element_is_fresh_on_every_call():
-    # the codes are derived once per G-set and copied into each element,
-    # so a caller that edits one element's coefficients edits only that
+    # the codes are derived once per G-set and copied into each element
+    # behind a read-only mapping: no edit through one element reaches
+    # `_identity_codes` or the next `identity_element`, not even an edit
+    # of the dict that element's mapping wraps
     X = standard_orbit(builtin_group("S3"), 1)
     first = identity_element(X)
     want = dict(first.coeffs)
-    first.coeffs.clear()
-    first.coeffs[next(iter(want))] = 7
-    assert identity_element(X).coeffs == want
+    code = next(iter(want))
+    with pytest.raises(TypeError):
+        first.coeffs[code] = 7
+    with pytest.raises(TypeError):
+        del first.coeffs[code]
+    assert not hasattr(first.coeffs, "clear")
+    assert not hasattr(first.coeffs, "update")
+    (inner,) = gc.get_referents(first.coeffs)
+    assert inner == want and inner is not _identity_codes(X)
+    inner.clear()
+    inner[code] = 7
+    assert first.coeffs == {code: 7}
+    assert identity_element(X).coeffs == want == _identity_codes(X)
 
 
 def test_least_point_tables_and_identity_codes_do_not_pin_gsets():
