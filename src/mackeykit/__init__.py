@@ -57,6 +57,7 @@ from .homalg import (
     ss_pages,
     tor,
 )
+from .jsonio import code_from_json
 from .ktheory import bpq_verify, k0_green, k0_mackey, k0_of_slice
 from .mackey import (
     MackeyFunctor,

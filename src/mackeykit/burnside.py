@@ -19,15 +19,19 @@ subgroup and pair.  Since codes are canonical, the result is the code
 multiset of the pullback itself, exactly.  The tensor of two basis
 spans is the same walk over G/L x G/M without the fibre condition.
 Each basis pair is one loop over those L-orbits, shared with
-`convolution.over_image`, that tests the fibre condition and reads each
-code from orbit tables.  A code is checked once, where it enters: the
-`BurnsideElement` constructor passes each through `canonical_code`, so
-an element holds canonical codes only, and `compose`, `tensor` and
-`dual` check none.
+`convolution.over_image`, that reads each code from orbit tables.  The
+L-orbits that pass the fibre condition are read from `_fibre_rows`, a
+table kept on the middle G-set and keyed by the ints (c, y, m, y').  A
+code is checked once, where it enters: the `BurnsideElement`
+constructor passes each through `canonical_code`, whatever its
+coefficient, so an element holds canonical codes only, and `compose`,
+`tensor` and `dual` check none.
 
 Everything these walks read that depends only on the group or on one
 G-set is derived once, as cached properties or `groups.owned` memos of
-its owner.
+its owner.  The codes of `hom_basis(X, Y)` are derived once per pair,
+by `_hom_codes`, kept on X and keyed weakly by Y (`groups.paired`).
+Every such table holds ints only, so none pins a G-set.
 `GSet.subgroup_orbits` holds, per class with representative L, one row
 (b, k, t) per L-orbit on X: b reaches its least point p, and k and t
 are the class and `transport` of the stabilizer K of p in L.  On G/M
@@ -45,7 +49,7 @@ the least point of the S-orbit from `_least_under(Y, S)`, the table
 whose entry at y is the least s.y over s in S, kept on Y and keyed by S
 alone.  S <= N(R) maps Y^R to itself, so each S-orbit on Y^R lies in
 Y^R, and y is the least point of its S-orbit exactly when the table
-reads y there.  `hom_basis` filters the sorted Y^R by that test, which
+reads y there.  `_hom_codes` filters the sorted Y^R by that test, which
 yields each code once and in sorted order, and `table_of_marks` reads
 `fixed_orbits` too.  The codes of an identity span are derived once per
 G-set, by `_identity_codes`, and copied into each `identity_element`.
@@ -58,7 +62,7 @@ from operator import index
 from types import MappingProxyType
 
 from . import intmat
-from .groups import FiniteGroup, _same_group, owned
+from .groups import FiniteGroup, _same_group, owned, paired
 from .gsets import (
     GMap,
     GSet,
@@ -186,15 +190,20 @@ def _orbit_codes(X: GSet, Y: GSet, U: GSet, left, right):
     return out
 
 
+def _coefficient(code, v):
+    """The coefficient v of a code, through `operator.index`."""
+    try:
+        return index(v)
+    except TypeError:
+        raise TypeError(f"coefficient {v!r} of span code {code} is "
+                        f"not an integer") from None
+
+
 def _nonzero(coeffs):
-    """The nonzero coefficients of a mapping, each through `operator.index`."""
+    """The nonzero coefficients of a mapping, each through `_coefficient`."""
     out = {}
     for c, v in coeffs.items():
-        try:
-            v = index(v)
-        except TypeError:
-            raise TypeError(f"coefficient {v!r} of span code {c} is "
-                            f"not an integer") from None
+        v = _coefficient(c, v)
         if v:
             out[c] = v
     return out
@@ -203,12 +212,13 @@ def _nonzero(coeffs):
 class BurnsideElement:
     """An integer combination of transitive span classes X -> Y.
 
-    Each code passes `canonical_code` once, here, so a bad code is
-    rejected where it enters, and a fixed but non-minimal pair is stored
-    as its canonical code, summed with any code it meets.  So one span
-    has one representation, and equal elements compare and hash equal.
-    Every coefficient must pass `operator.index`, which numpy ints do and
-    floats do not.  `coeffs` is a read-only mapping.
+    Each code passes `canonical_code` once, here, whatever its
+    coefficient, so a bad code is rejected where it enters, and a fixed
+    but non-minimal pair is stored as its canonical code, summed with any
+    code it meets.  So one span has one representation, and equal
+    elements compare and hash equal.  Every coefficient must pass
+    `operator.index`, which numpy ints do and floats do not.  `coeffs` is
+    a read-only mapping.
     """
 
     __slots__ = ("source", "target", "coeffs")
@@ -216,7 +226,8 @@ class BurnsideElement:
     def __init__(self, source: GSet, target: GSet, coeffs=None):
         _same_group(source.group, target.group, "the feet")
         out = {}
-        for c, v in _nonzero(coeffs or {}).items():
+        for c, v in (coeffs or {}).items():
+            v = _coefficient(c, v)
             c = canonical_code(source, target, c)
             out[c] = out.get(c, 0) + v
         self._fill(source, target, out)
@@ -320,7 +331,17 @@ def restriction_element(f: GMap) -> BurnsideElement:
 
 
 def hom_basis(X: GSet, Y: GSet):
-    """All transitive span codes X -> Y, sorted by (class, x, y).
+    """All transitive span codes X -> Y, sorted by (class, x, y), as a
+    fresh list on every call: the codes are derived once per pair, by
+    `_hom_codes`."""
+    _same_group(X.group, Y.group, "the G-sets")
+    return list(_hom_codes(X, Y))
+
+
+@paired
+def _hom_codes(X: GSet, Y: GSet):
+    """The codes of `hom_basis`, kept on X and keyed weakly by Y
+    (`groups.paired`): they are ints, so they pin neither G-set.
 
     The code of class L is the least pair of an N(L)-orbit on X^L x Y^L.
     Its x is the least point x0 of an N(L)-orbit on X^L, and the pairs of
@@ -332,38 +353,50 @@ def hom_basis(X: GSet, Y: GSet):
     filtering the sorted Y^L by that test, x0 by x0 from
     `X.fixed_orbits`, yields every code once and in sorted order.
     """
-    _same_group(X.group, Y.group, "the G-sets")
     out = []
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
         for x0, S in fx.orbits.items():
             least = _least_under(Y, S)
             out.extend((c, x0, y) for y in fy.points if least[y] == y)
-    return out
+    return tuple(out)
 
 
 # -- composition, tensor, duality ----------------------------------------------
 
 
+@owned
+def _fibre_rows(Y: GSet, c, y, m, yp):
+    """The rows (b, k, t) of `standard_orbit(m).subgroup_orbits[c]` with
+    b.yp = y, sorted stably by k.
+
+    They are the L-orbits of cosets bM over (y, yp) that a composite of
+    codes (c, x, y) and (m, yp, z) walks, in the order of the canonical
+    pullback's orbits: by the class of their stabilizer, ties by first
+    coset.  Kept on the middle G-set Y (`groups.owned`) and keyed by ints
+    only, so it pins nothing.
+    """
+    ya = Y.action
+    rows = [row for row in standard_orbit(Y.group, m).subgroup_orbits[c]
+            if ya[row[0]][yp] == y]
+    rows.sort(key=lambda row: row[1])
+    return tuple(rows)
+
+
 def _add_composite(out, a, X, Y, Z, c1, c2):
     """Add a times each code of the composite c2 . c1 of basis spans to out.
 
-    The codes must have passed `code_subgroup`: an element's codes have,
-    and `convolution.over_image` checks its own two.  The fibre condition
-    b.y' = y is constant on L-orbits of cosets bM: L fixes y and M fixes
-    y', so (hbm).y' = h.(b.y') for h in L, m in M.  The codes come in the
-    order of the canonical pullback's orbits: by the class of their
-    stabilizer, ties by first coset.
+    The codes must be valid, as `code_subgroup` checks: an element's codes
+    are, and so are those `convolution.over_image` is given.  The fibre
+    condition b.y' = y is constant on L-orbits of cosets bM: L fixes y and
+    M fixes y', so (hbm).y' = h.(b.y') for h in L, m in M.  Those orbits
+    are the rows of `_fibre_rows`, and each code is read from its row.
     """
     c, x, y = c1
     m, yp, z = c2
-    ya, za = Y.action, Z.action
-    codes = []
-    for b, k, t in standard_orbit(X.group, m).subgroup_orbits[c]:
-        if ya[b][yp] == y:
-            x0, z0, _ = _least_pair(X, Z, k, t, x, za[b][z])
-            codes.append((k, x0, z0))
-    codes.sort(key=lambda code: code[0])
-    for code in codes:
+    za = Z.action
+    for b, k, t in _fibre_rows(Y, c, y, m, yp):
+        x0, z0, _ = _least_pair(X, Z, k, t, x, za[b][z])
+        code = (k, x0, z0)
         out[code] = out.get(code, 0) + a
 
 

@@ -30,7 +30,6 @@ from .burnside import (
     _add_composite,
     _least_point,
     basis_element,
-    code_subgroup,
     compose,
     hom_basis,
     span_element,
@@ -70,11 +69,16 @@ def over_image(S: GSet, T: GSet, ecode, code):
     (Thevenaz-Webb 1995; Bouc, LNM 1671, ch. 1).  The composite is the
     span's code composed with the over-code's structure span G/L -> S,
     as `compose` computes it.
+
+    Both codes must be valid, as `code_subgroup` checks, and are not
+    checked here.  Every over-code given comes from `over_codes`, which
+    reads it off `hom_basis`.  `box` gives the span code (A, 0, f(0)) or
+    (A, f(0), 0) of a structure G-map f out of G/A, and
+    `_regroup_matrices` the code (L, 0, x) of an over-code (L, x): in
+    each, A or L fixes the base of its orbit and the point it maps to.
     """
     cw, x = code
     Ow, struct = standard_orbit(S.group, cw), (cw, 0, x)
-    code_subgroup(Ow, S, struct)
-    code_subgroup(S, T, ecode)
     terms = {}
     _add_composite(terms, 1, Ow, S, T, struct, ecode)
     out = []

@@ -12,6 +12,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import product
+from weakref import WeakKeyDictionary
 
 from .intmat import _labels
 
@@ -70,6 +71,33 @@ def owned(fn):
             pass
         value = fn(owner, *args)
         owner._memo.setdefault(fn, {})[args] = value
+        return value
+    return memo
+
+
+def paired(fn):
+    """fn(owner, partner, *args), computed once and kept on the owner,
+    keyed weakly by the partner.
+
+    The owner is a `FiniteGroup` or a `GSet`, and the result is stored as
+    `owner._memo[fn][partner][args]`, with `owner._memo[fn]` a
+    `weakref.WeakKeyDictionary`, so an entry dies with its partner and
+    the owner keeps no partner alive.  A value may not reference its
+    partner: the entry would then keep its own key alive and never die.
+    That is why the `product` memo and the box memo do not use it.  The
+    partner is hashed, so partners that compare equal share an entry, and
+    fn may read only what the partner's equality compares.  `args` must
+    be hashable.
+    """
+    @wraps(fn)
+    def memo(owner, partner, *args):
+        try:
+            return owner._memo[fn][partner][args]
+        except KeyError:
+            pass
+        value = fn(owner, partner, *args)
+        owner._memo.setdefault(fn, WeakKeyDictionary()).setdefault(
+            partner, {})[args] = value
         return value
     return memo
 

@@ -232,10 +232,15 @@ def code_from_json(group, source, target, doc):
     x and y must be integer points of source and target fixed by the
     class representative; a fixed but non-minimal pair is canonicalized.
     """
+    return canonical_code(source, target, _code_as_written(group, doc))
+
+
+def _code_as_written(group, doc):
+    """The code (class index, x, y) of a span [label, x, y], with integer
+    points and a known label but not yet checked against the feet."""
     label, x, y = _entry(doc, ("label", "x", "y"), "span code")
     x, y = _labels((x, y), f"span code {list(doc)} point")
-    return canonical_code(source, target,
-                          (group.class_by_label(label).index, x, y))
+    return (group.class_by_label(label).index, x, y)
 
 
 def element_to_json(e):
@@ -245,10 +250,12 @@ def element_to_json(e):
 
 
 def element_from_json(group, source, target, doc, where="Burnside element"):
+    """A Burnside element from its file; the constructor checks and
+    canonicalizes each code once, as `code_from_json` would."""
     coeffs = {}
     for entry in required(doc, "coefficients", where, list):
         code_doc, v = _entry(entry, ("code", "value"), "coefficient entry")
-        code = code_from_json(group, source, target, code_doc)
+        code = _code_as_written(group, code_doc)
         (v,) = _labels([v], f"coefficient of {list(code_doc)}")
         coeffs[code] = coeffs.get(code, 0) + v
     return BurnsideElement(source, target, coeffs)

@@ -358,19 +358,20 @@ BAD_CODES = [
 def test_compose_tensor_and_dual_reject_codes_not_fixed_by_their_subgroup():
     # no element holds a bad code, so compose, tensor and dual never see
     # one: the constructor, `basis_element` and `element_from_json` refuse
-    # it where it enters, naming it; a code that is no triple of integers
-    # once raised TypeError or an unpacking error, or with a bool point
-    # was stored and written to a file no reader accepts
+    # it where it enters, naming it, whatever its coefficient; a code that
+    # is no triple of integers once raised TypeError or an unpacking
+    # error, or with a bool point was stored and written to a file no
+    # reader accepts, and one with coefficient 0 was dropped unchecked
     C2 = builtin_group("C2")
     feet = {"O": standard_orbit(C2, 0), "pt": point_gset(C2)}
-    for bad, x, y, doc, error in BAD_CODES:
+    for (bad, x, y, doc, error), v in itertools.product(BAD_CODES, (1, 0)):
         X, Y = feet[x], feet[y]
         with pytest.raises(ValueError, match=re.escape(f"span code {bad!r}")):
-            BurnsideElement(X, Y, {bad: 1})
+            BurnsideElement(X, Y, {bad: v})
         with pytest.raises(ValueError, match=re.escape(f"span code {bad!r}")):
             basis_element(X, Y, bad)
         with pytest.raises(ValueError, match=re.escape(error)):
-            element_from_json(C2, X, Y, {"coefficients": [[doc, 1]]})
+            element_from_json(C2, X, Y, {"coefficients": [[doc, v]]})
     # a fixed but non-minimal code is a valid span: it enters as its
     # canonical code, and so composes, tensors and dualizes as that code
     O, pt = feet["O"], feet["pt"]
@@ -410,6 +411,12 @@ def test_compose_and_tensor_check_each_factor_once_even_against_zero(
     assert not compose(point, e).is_zero()
     assert not tensor(e, point).is_zero()
     assert checks == [good, (0, 1, 0), (1, 0, 0)]
+    # a file's codes are summed as written, and each distinct one is
+    # checked once, by the constructor
+    doc = {"coefficients": [[["e", 1, 0], 1], [["e", 0, 0], 2],
+                            [["e", 1, 0], 1]]}
+    assert element_from_json(C2, O, pt, doc).coeffs == {good: 4}
+    assert checks[3:] == [(0, 1, 0), good]
 
 
 def code_subgroup_oracle(X, Y, code):
@@ -468,6 +475,65 @@ def test_orbit_tables_do_not_pin_gsets():
     del X, e, t
     gc.collect()
     assert ref() is None
+
+
+def test_hom_basis_memo_pins_neither_foot():
+    # the codes of a pair are kept on the left foot, keyed weakly by the
+    # right one: an orbit the group keeps does not keep its partner
+    # alive, and an entry is gone once its partner is collected
+    group = FiniteGroup(builtin_group("S3").table, name="S3")
+    O, pt = standard_orbit(group, 1), point_gset(group)
+    X = GSet(group, [row + tuple(O.size + y for y in row) for row in O.action])
+    Y = GSet(group, [(0,) + tuple(1 + y for y in row) for row in O.action])
+    assert all(hom_basis(A, B) == hom_basis_walk_oracle(A, B)
+               for A, B in ((X, Y), (Y, X), (O, X), (X, O), (pt, Y)))
+    memo = burnside._hom_codes.__wrapped__
+    on_x, on_o = X._memo[memo], O._memo[memo]
+    assert list(on_x) == [Y, O] and list(on_o) == [X]
+    assert all(type(v) is int for codes in on_x.values()
+               for code in codes[()] for v in code)
+    refs = [weakref.ref(X), weakref.ref(Y)]
+    del Y
+    gc.collect()
+    assert refs[1]() is None and list(on_x) == [O]
+    assert list(pt._memo[memo]) == []
+    del X, on_x
+    gc.collect()
+    assert refs[0]() is None and list(on_o) == []
+
+
+def test_hom_basis_is_a_fresh_list_on_every_call():
+    # the codes are kept, but each call copies them into a new list, so
+    # what a caller does to one list reaches no other
+    O = standard_orbit(builtin_group("S3"), 1)
+    basis = hom_basis(O, O)
+    want = list(basis)
+    basis.append((0, 0, 0))
+    basis.reverse()
+    assert hom_basis(O, O) == want and hom_basis(O, O) is not hom_basis(O, O)
+
+
+@pytest.mark.parametrize("name", ["C2xC2", "S3", "D4"])
+def test_fibre_rows_on_a_product_middle_hold_ints_and_match_the_walk(name):
+    # every composite through a product middle Y, against the pullback
+    # oracle in order; the fibre table kept on Y holds ints only, and each
+    # entry is the walk's rows over G/M whose coset carries y' to y,
+    # sorted stably by class
+    group = FiniteGroup(builtin_group(name).table, name=name)
+    orbs = orbits_of(group)
+    Y = product(orbs[1], orbs[-2]).gset
+    for X, Z in ((orbs[0], orbs[-1]), (orbs[-2], orbs[1])):
+        for c1, c2 in itertools.product(hom_basis(X, Y), hom_basis(Y, Z)):
+            got = compose(basis_element(Y, Z, c2), basis_element(X, Y, c1))
+            want = pullback_compose_oracle(X, Y, Z, c1, c2)
+            assert list(got.coeffs.items()) == list(want.items())
+    table = Y._memo[burnside._fibre_rows.__wrapped__]
+    assert table and all(type(v) is int for key, rows in table.items()
+                         for v in itertools.chain(key, *rows))
+    for (c, y, m, yp), rows in table.items():
+        walk = [(b, k, t) for b, k, t in orbs[m].subgroup_orbits[c]
+                if Y.action[b][yp] == y]
+        assert rows == tuple(sorted(walk, key=lambda row: row[1]))
 
 
 @pytest.mark.parametrize("name", ["C2", "D4", "S3"])

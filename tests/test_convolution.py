@@ -1,11 +1,13 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from mackeykit import convolution
 from mackeykit import intmat as im
 from mackeykit.abgroups import FinPresAbGroup, maps_equal
-from mackeykit.groups import BUILTIN_GROUP_NAMES, builtin_group
+from mackeykit.groups import BUILTIN_GROUP_NAMES, FiniteGroup, builtin_group
 from mackeykit.gsets import (
     disjoint_union_of_orbits,
     point_gset,
@@ -16,6 +18,7 @@ from mackeykit.gsets import (
 from mackeykit.burnside import (
     _least_point,
     basis_element,
+    code_subgroup,
     compose,
     hom_basis,
     tensor,
@@ -122,6 +125,31 @@ def test_over_image_is_compose_with_the_structure_span(name):
                     got = over_image(S, T, ecode, (cw, x))
                     assert got == want, (S, T, ecode, (cw, x))
     assert transfers and (noncanonical or name == "trivial")
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_over_image_is_given_valid_codes(name, monkeypatch):
+    # over_image checks no code: `box` passes the span codes of structure
+    # G-maps out of G/A, the associator the structure spans of over-codes,
+    # and both over-codes from `over_codes`; every one passes
+    # `code_subgroup`.  A fresh group, so no box is kept from before.
+    group = FiniteGroup(builtin_group(name).table, name=name)
+    calls = []
+
+    def recording(S, T, ecode, code):
+        calls.append((sys._getframe(1).f_code.co_name, S, T, ecode, code))
+        return over_image(S, T, ecode, code)
+
+    monkeypatch.setattr(convolution, "over_image", recording)
+    A = burnside_mackey(group)
+    box_assoc_iso(A, A, A)
+    # the trivial group has no structure map but the identity
+    assert {caller for caller, *_ in calls} == (
+        {"_regroup_matrices"} if name == "trivial"
+        else {"along", "_regroup_matrices"})
+    for _, S, T, ecode, (cw, x) in calls:
+        code_subgroup(S, T, ecode)
+        code_subgroup(standard_orbit(group, cw), S, (cw, 0, x))
 
 
 @pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES + ("A4", "D6"))

@@ -26,16 +26,16 @@ Yoneda formula of the Dress construction is written once, in
 `dress_pairing` call it with their own pairings, and no dense diagonal
 pairing over all of X x G/H is left.  Span composition has one walk over
 the double cosets: `compose` hands every basis pair to one helper, which
-checks nothing itself and is the helper `convolution.over_image` calls
-after its own two checks; `burnside` keeps no second walk and no
-`Counter`.  A span code is checked once, where it enters an element:
-`compose`, `tensor` and `dual` call no `code_subgroup`, and no file in
+checks nothing, reads its rows from the fibre table `_fibre_rows` alone
+and is the helper `convolution.over_image` calls, which checks nothing
+either; `burnside` keeps no second walk and no `Counter`.  A span code
+is checked once, where it enters an element: `compose`, `tensor` and `dual` call no `code_subgroup`, and no file in
 src or tests but `burnside.py` names the unchecked constructor
 `BurnsideElement._of_checked`.  Every canonical span code and over-code
 is read from the G-sets' orbit tables by `burnside._least_pair` or, for
 an over-code, by the lookup `_least_point` it shares; `_least_pair`
-and `hom_basis` read the least points of S-orbits from the table
-`burnside._least_under`: the functions that read one minimize over no
+and `_hom_codes`, the basis `hom_basis` copies, read the least points
+of S-orbits from the table `burnside._least_under`: the functions that read one minimize over no
 group elements themselves, and nothing in src names a `transporters`.  `ktheory` composes no spans and
 evaluates none: K0 shares only the structure G-maps with the span-built
 Burnside functor it is compared with.  The naturality conditions are
@@ -51,7 +51,9 @@ What a functor derives from its stored maps lives in one owned store,
 `MackeyFunctor.structure`: no module but `mackey` names `_eval_code` or
 the store's dicts, and `convolution` assigns nothing onto a functor.
 What is built from a group or a G-set is memoized on that owner, through
-`groups.owned`: no `_cache` attribute is left, and the only process-wide
+`groups.owned`, and what is built from a pair of G-sets on one of them,
+keyed weakly by the other, through `groups.paired`: no `_cache`
+attribute is left, and the only process-wide
 caches are the bounded ones of `builtin_group`, `_spec_group` and
 `cli.build_parser`.  Free resolutions have one cover:
 `module_cover`, `module_resolution` and `tor` take no `reverse` direction,
@@ -687,9 +689,46 @@ def test_compose_and_over_image_share_one_walk():
     retired, called, shared, checks = one_walk_report(burnside, convolution)
     assert retired == set()
     assert len(called) == 1 and shared == called
-    # compose and the walk check nothing, and over_image, which takes raw
-    # codes, keeps its own check of both
-    assert checks == (0, 0, 2)
+    # compose, the walk and over_image check nothing: an element's codes
+    # were checked where they entered, and over_image's callers build
+    # theirs valid
+    assert checks == (0, 0, 0)
+
+
+def fibre_row_report(source):
+    """(the number of `_fibre_rows` calls in `_add_composite`, and
+    (line, name) of every `standard_orbit` call and `subgroup_orbits`
+    read in it)."""
+    walk = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef)
+                and n.name == "_add_composite")
+    read = [(node.lineno, node.attr) for node in ast.walk(walk)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "subgroup_orbits"]
+    return (len(named_calls(walk, {"_fibre_rows"})),
+            sorted(read + named_calls(walk, {"standard_orbit"})))
+
+
+# The composition walk, abridged, as it read when it filtered the rows of
+# G/M by the fibre condition on every call.
+ROWS_FILTERED_PER_CALL = '''
+def _add_composite(out, a, X, Y, Z, c1, c2):
+    for b, k, t in standard_orbit(X.group, m).subgroup_orbits[c]:
+        if ya[b][yp] == y:
+            codes.append((k, *_least_pair(X, Z, k, t, x, za[b][z])[:2]))
+'''
+
+
+def test_scanner_finds_fibre_rows_filtered_per_call():
+    assert fibre_row_report(ROWS_FILTERED_PER_CALL) == (
+        0, [(3, "standard_orbit"), (3, "subgroup_orbits")])
+
+
+def test_composition_reads_its_rows_from_the_fibre_table():
+    # the rows over a fibre are filtered and sorted once per middle G-set
+    # and key, by `_fibre_rows`; the walk reads them from there alone
+    source = (PACKAGE / "burnside.py").read_text(encoding="utf-8")
+    assert fibre_row_report(source) == (1, [])
 
 
 def test_elements_are_not_checked_again():
@@ -729,12 +768,13 @@ def test_only_burnside_builds_unchecked_elements():
 # each with the helper that reads it from the orbit tables: `_least_pair`
 # for a span code, and for an over-code, which has one foot, the lookup
 # `_least_point` that `_least_pair` reads its first entry through.
-# `_least_pair` reads its second entry, and `hom_basis` filters Y^R,
+# `_least_pair` reads its second entry, and `_hom_codes` (the basis
+# `hom_basis` copies) filters Y^R,
 # through the table of S-orbit least points `_least_under`.
 CODE_READERS = {"burnside.py": {"transitive_code": "_least_pair",
                                 "_add_composite": "_least_pair",
                                 "tensor": "_least_pair",
-                                "hom_basis": "_least_under",
+                                "_hom_codes": "_least_under",
                                 "_least_pair": "_least_under",
                                 "canonical_code": "_least_pair",
                                 "dual": "_least_pair"},
@@ -790,7 +830,7 @@ def _least_pair(X, Y, c, t, x, y):
     y1 = ya[n][ya[t][y]]
     return x0, min([ya[s][y1] for s in X.fixed_orbits[c].orbits[x0]]), n
 
-def hom_basis(X, Y):
+def _hom_codes(X, Y):
     for c, (fx, fy) in enumerate(zip(X.fixed_orbits, Y.fixed_orbits)):
         for x0, S in fx.orbits.items():
             rows = [ya[s] for s in S]
@@ -822,7 +862,7 @@ def test_scanner_finds_code_readers_that_minimize_themselves():
     every = {(m, f) for m, readers in CODE_READERS.items() for f in readers}
     # the seen-set walk calls no `min`, but not its helper either
     assert missing == every
-    assert brute == every - {("burnside.py", "hom_basis")}
+    assert brute == every - {("burnside.py", "_hom_codes")}
     assert movers == [("burnside.py", line) for line in (3, 8, 10, 14, 16)]
 
 
@@ -830,7 +870,7 @@ def test_span_codes_have_one_canonicalizer():
     # transitive_code, canonical_code, dual, the composition and tensor
     # walks and the over-codes of the box product read each canonical code from the G-sets' orbit
     # tables, through `_least_pair` or its lookup `_least_point`, and
-    # `_least_pair` and `hom_basis` read S-orbit least points from
+    # `_least_pair` and `_hom_codes` read S-orbit least points from
     # `_least_under`; none minimizes over group elements itself, and no
     # transporter list is left to minimize over
     sources = {path.name: path.read_text(encoding="utf-8")
@@ -1207,7 +1247,8 @@ def _scoped(tree):
 def memo_report(source):
     """Where a module memoizes: (scope, line) of every `_cache` and every
     `_memo` attribute, and (function, decorator) of every function under
-    `lru_cache`, `cache` or `owned`, bare, called or read off a module."""
+    `lru_cache`, `cache`, `owned` or `paired`, bare, called or read off a
+    module."""
     caches, memos, decorated = [], [], []
     for scope, node in _scoped(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "_cache":
@@ -1219,7 +1260,7 @@ def memo_report(source):
                 dec = dec.func if isinstance(dec, ast.Call) else dec
                 name = dec.attr if isinstance(dec, ast.Attribute) else \
                     getattr(dec, "id", None)
-                if name in ("lru_cache", "cache", "owned"):
+                if name in ("lru_cache", "cache", "owned", "paired"):
                     qual = f"{scope}.{node.name}" if scope else node.name
                     decorated.append((qual, name))
     return sorted(caches), sorted(memos), sorted(decorated)
@@ -1253,6 +1294,10 @@ class Reader:
     @owned
     def zero(self):
         return self._memo
+
+@groups.paired
+def codes(X, Y):
+    return ()
 '''
 
 
@@ -1261,8 +1306,8 @@ def test_scanner_finds_process_wide_memos():
     assert caches == [("FiniteGroup.__init__", 7), ("burnside_mackey", 18),
                       ("burnside_mackey", 19), ("burnside_mackey", 20)]
     assert memos == [("Reader.zero", 25)]
-    assert decorated == [("Reader.zero", "owned"), ("product", "cache"),
-                         ("standard_orbit", "lru_cache")]
+    assert decorated == [("Reader.zero", "owned"), ("codes", "paired"),
+                         ("product", "cache"), ("standard_orbit", "lru_cache")]
 
 
 # The process-wide caches `src` keeps, each bounded: the nine built-in
@@ -1272,18 +1317,21 @@ PROCESS_CACHES = {("groups.py", "builtin_group"),
 OWNED = {("gsets.py", "standard_orbit"),
          ("gsets.py", "disjoint_union_of_orbits"), ("gsets.py", "product"),
          ("burnside.py", "_least_under"), ("burnside.py", "_identity_codes"),
+         ("burnside.py", "_fibre_rows"), ("burnside.py", "_hom_codes"),
          ("mackey.py", "burnside_mackey"), ("mackey.py", "zero_mackey"),
          ("convolution.py", "_burnside_green")}
-# `owned` reads the memo, and the owners' constructors make it
-MEMO_SCOPES = {("groups.py", "owned.memo"),
+# `owned` and `paired` read the memo, and the owners' constructors make it
+MEMO_SCOPES = {("groups.py", "owned.memo"), ("groups.py", "paired.memo"),
                ("groups.py", "FiniteGroup.__init__"),
                ("gsets.py", "GSet.__init__")}
 
 
 def test_memos_live_on_their_owner():
     # what is built from a group or a G-set is memoized through
-    # `groups.owned`, on that owner; no `_cache` attribute is left, and
-    # the only process-wide caches are the three bounded ones above
+    # `groups.owned`, on that owner, or, for a pair of G-sets, through
+    # `groups.paired` on one of them, keyed weakly by the other; no
+    # `_cache` attribute is left, and the only process-wide caches are the
+    # three bounded ones above
     cached, owned, memo_scopes = set(), set(), set()
     for path in MODULES:
         caches, memos, decorated = memo_report(
@@ -1291,7 +1339,7 @@ def test_memos_live_on_their_owner():
         assert caches == [], path.name
         memo_scopes |= {(path.name, scope) for scope, _ in memos}
         for function, decorator in decorated:
-            (owned if decorator == "owned" else cached).add(
+            (owned if decorator in ("owned", "paired") else cached).add(
                 (path.name, function))
     assert cached == PROCESS_CACHES
     assert owned == OWNED
