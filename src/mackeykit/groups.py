@@ -102,6 +102,23 @@ def paired(fn):
     return memo
 
 
+def _walk(group, gens):
+    """(a, s, as) for each element as != e of the subgroup generated by
+    `gens`, first reached from a by a breadth-first walk from e that tries
+    the generators in the given order; the walk's tree, in walk order.
+    `FiniteGroup.closure` and `mackey`'s conjugation both read it."""
+    rows, reached, walk, edges = group.table, {0}, [0], []
+    for a in walk:
+        row = rows[a]
+        for s in gens:
+            b = row[s]
+            if b not in reached:
+                reached.add(b)
+                walk.append(b)
+                edges.append((a, s, b))
+    return edges
+
+
 def _same_group(G, H, what):
     """Raise ValueError, naming both groups, unless G == H; `what` names
     the two things that must share a group."""
@@ -195,24 +212,20 @@ class FiniteGroup:
         return tuple(gens)
 
     def closure(self, seed):
-        """Smallest subgroup containing the seed labels, as a sorted tuple."""
-        got = {0}
-        frontier = set(seed) | {0}
-        got |= frontier
-        while frontier:
-            new = set()
-            for a in got:
-                for b in frontier:
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in got:
-                            new.add(c)
-            for b in frontier:
-                c = self.inverse[b]
-                if c not in got:
-                    new.add(c)
-            got |= new
-            frontier = new
-        return tuple(sorted(got))
+        """Smallest subgroup containing the seed labels, as a sorted tuple:
+        the identity and every label `_walk` reaches from it.
+
+        The walk multiplies on the right by the seed only.  That suffices:
+        in a finite group the monoid a set generates is the subgroup it
+        generates, since s^-1 = s^(k-1) for s of order k.  A seed label
+        outside 0..order-1 raises ValueError naming it.
+        """
+        seed = _labels(seed, "seed")
+        bad = [s for s in seed if not 0 <= s < self.order]
+        if bad:
+            raise ValueError(f"seed label {bad[0]} is not an element of "
+                             f"{self.name} (labels 0..{self.order - 1})")
+        return tuple(sorted({0, *(b for _, _, b in _walk(self, seed))}))
 
     def is_subgroup(self, S) -> bool:
         S = set(S)
@@ -223,29 +236,22 @@ class FiniteGroup:
     def subgroups(self):
         """All subgroups, sorted by (order, labels).
 
-        Breadth-first closure over subsets seeded by the cyclic subgroups:
-        each subgroup found is extended by every element outside it.  That
-        is quick to order 24 (0.09 s on S4) but grows fast beyond: 2.6 s
-        on A5 and 56.6 s on S5 (156 subgroups), single runs on a shared
-        2-core x86-64 host.
+        Breadth-first from the trivial subgroup: each subgroup H found is
+        extended by one label per left coset gH != H, as the closure of H
+        and g depends on gH only.  With `subgroup_classes` that takes
+        0.003 s on S4, 0.02 s on A5 and 0.15-0.17 s on S5 (156
+        subgroups), on a shared 2-core x86-64 host.
         """
         return self._subgroups
 
     @cached_property
     def _subgroups(self):
-        found = {self.closure([g]) for g in range(self.order)}
-        frontier = set(found)
+        found, frontier = {(0,)}, {(0,)}
         while frontier:
-            new = set()
-            for H in frontier:
-                inside = set(H)
-                for g in range(self.order):
-                    if g not in inside:
-                        S = self.closure(H + (g,))
-                        if S not in found:
-                            found.add(S)
-                            new.add(S)
-            frontier = new
+            frontier = {self.closure(H + (g,)) for H in frontier for g in
+                        self._left_cosets_in(self.elements(), H)[1][1:]}
+            frontier -= found
+            found |= frontier
         return tuple(sorted(found, key=lambda H: (len(H), H)))
 
     def conjugate_subgroup(self, g, H):

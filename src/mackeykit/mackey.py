@@ -63,7 +63,7 @@ from .burnside import (
     restriction_element,
     transfer_element,
 )
-from .groups import FiniteGroup, _same_group, owned
+from .groups import FiniteGroup, _same_group, _walk, owned
 from .gsets import (
     GMap,
     GSet,
@@ -92,26 +92,12 @@ def class_pair_covers(group: FiniteGroup):
     return out
 
 
-def _walk(group: FiniteGroup, gens):
-    """(a, s, as) for each element as != e of the subgroup generated by
-    `gens`, first reached from a by a breadth-first walk from e that tries
-    the generators in the given order; the walk's tree, in walk order."""
-    reached, walk, edges = {0}, [0], []
-    for a in walk:
-        for s in gens:
-            b = group.mul(a, s)
-            if b not in reached:
-                reached.add(b)
-                walk.append(b)
-                edges.append((a, s, b))
-    return edges
-
-
 def _generated_action(group: FiniteGroup, gens, identity):
     """{g: w(g)} for every g in the subgroup generated by `gens`.
 
     `gens` maps generators s to matrices w(s), and w(e) is `identity`.
-    Along `_walk`, w(as) is defined as the product w(a) w(s).
+    Along `groups._walk`, which `FiniteGroup.closure` also reads, w(as)
+    is defined as the product w(a) w(s).
     """
     out = {0: identity}
     for a, s, b in _walk(group, tuple(gens)):

@@ -1,7 +1,7 @@
 """Shared brute-force and dense oracles used by the tests."""
 
 import gc
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from mackeykit.convolution import (
     box_unit_iso,
     over_codes,
 )
-from mackeykit.groups import group_from_permutations
+from mackeykit.groups import FiniteGroup, group_from_permutations
 from mackeykit.gsets import (
     CoproductData,
     GMap,
@@ -161,6 +161,7 @@ PERMUTATION_GROUPS = {
     # classes of covering pairs, and a canonical cover starts at a
     # subgroup that is not its class representative
     "C2wrC3": (6, [(1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1)]),
+    "S5": (5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
 }
 
 # The permutation battery: orders 8 to 24, up to 16 subgroup classes.
@@ -172,6 +173,62 @@ def permutation_group(name):
     """The group `PERMUTATION_GROUPS[name]`, built once per test session."""
     degree, gens = PERMUTATION_GROUPS[name]
     return group_from_permutations(degree, gens, name=name)
+
+
+def frontier_closure(group, seed):
+    """Oracle for `FiniteGroup.closure`: multiply everything reached by the
+    whole frontier, on both sides, and add the frontier's inverses, round
+    after round until nothing new appears."""
+    got = {0}
+    frontier = set(seed) | {0}
+    got |= frontier
+    while frontier:
+        new = set()
+        for a in got:
+            for b in frontier:
+                for c in (group.mul(a, b), group.mul(b, a)):
+                    if c not in got:
+                        new.add(c)
+        for b in frontier:
+            c = group.inverse[b]
+            if c not in got:
+                new.add(c)
+        got |= new
+        frontier = new
+    return tuple(sorted(got))
+
+
+def every_label_subgroups(group):
+    """Oracle for `FiniteGroup.subgroups`: from the cyclic subgroups, extend
+    each subgroup found by every label outside it, closing each extension
+    with `frontier_closure`; sorted by (order, labels)."""
+    found = {frontier_closure(group, [g]) for g in range(group.order)}
+    frontier = set(found)
+    while frontier:
+        new = set()
+        for H in frontier:
+            inside = set(H)
+            for g in range(group.order):
+                if g not in inside:
+                    S = frontier_closure(group, H + (g,))
+                    if S not in found:
+                        found.add(S)
+                        new.add(S)
+        frontier = new
+    return tuple(sorted(found, key=lambda H: (len(H), H)))
+
+
+class FrontierGroup(FiniteGroup):
+    """A group whose closures and subgroups come from the oracles above,
+    so its generators, subgroup classes, canonical covers and relation
+    plan are the reference for those of a `FiniteGroup` on its table."""
+
+    def closure(self, seed):
+        return frontier_closure(self, seed)
+
+    @cached_property
+    def _subgroups(self):
+        return every_label_subgroups(self)
 
 
 def reaches(root, target):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeykit.groups import (
     BUILTIN_GROUP_NAMES,
@@ -11,8 +13,22 @@ from mackeykit.groups import (
     group_from_permutations,
     load_group,
 )
+from support import (
+    PERMUTATION_BATTERY,
+    FrontierGroup,
+    frontier_closure,
+    permutation_group,
+)
 
 BATTERY = ("trivial", "C2", "C3", "C4", "C2xC2", "S3", "C6")
+# The groups the walk-based enumeration is checked on against the frontier
+# oracle: orders 1 to 60, up to 16 subgroup classes.
+ORACLE_GROUPS = BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY + ("A5", "C2wrC3")
+
+
+def named_group(name):
+    return (builtin_group(name) if name in BUILTIN_GROUP_NAMES
+            else permutation_group(name))
 
 
 def brute_force_subgroups(group):
@@ -186,9 +202,10 @@ def test_transport_conjugates_to_representative():
             assert group.conjugate_subgroup(t, H) == rep
 
 
-@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+@pytest.mark.parametrize("name",
+                         BUILTIN_GROUP_NAMES + PERMUTATION_BATTERY + ("A5",))
 def test_generators_generate_irredundantly(name):
-    group = builtin_group(name)
+    group = named_group(name)
     gens = group.generators
     assert isinstance(gens, tuple)
     assert group.closure(gens) == tuple(range(group.order))
@@ -231,3 +248,49 @@ def test_permutation_degree_must_be_a_nonnegative_integer(degree):
                     "generators": [[1, 0, 2]]})
     assert load_group({"kind": "perm", "degree": np.int64(3),
                        "generators": [[1, 0, 2]]}).order == 2
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_subgroup_data_matches_the_frontier_enumeration(name):
+    # the oracle group closes two-sided frontiers and extends each subgroup
+    # by every label outside it; SubgroupClass equality compares every
+    # field: representative, conjugates, normalizer, Weyl order, index,
+    # label, generators and normalizer generators
+    group = named_group(name)
+    oracle = FrontierGroup(group.table, name=group.name)
+    assert group.subgroups() == oracle.subgroups()
+    assert group.subgroup_classes() == oracle.subgroup_classes()
+    assert group.generators == oracle.generators
+    assert group.canonical_covers == oracle.canonical_covers
+    assert group.relation_plan == oracle.relation_plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+def test_closure_matches_the_frontier_closure(name, data):
+    group = named_group(name)
+    seed = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    assert group.closure(seed) == frontier_closure(group, seed)
+
+
+@pytest.mark.parametrize("name, subgroups, classes",
+                         [("S4", 30, 11), ("A5", 59, 9), ("S5", 156, 19)])
+def test_subgroup_counts_match_the_literature(name, subgroups, classes):
+    group = permutation_group(name)
+    assert len(group.subgroups()) == subgroups
+    assert len(group.subgroup_classes()) == classes
+
+
+def test_closure_refuses_a_label_outside_the_group():
+    C3 = builtin_group("C3")
+    for bad in (-1, 3, 5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed label {bad} is not an element of C3 (labels 0..2)")):
+            C3.closure([1, bad])
+        with pytest.raises(ValueError, match=re.escape(f"seed label {bad}")):
+            C3.greedy_generators([bad])
+    with pytest.raises(ValueError, match=re.escape(
+            "seed[0] is not an integer: 1.0")):
+        C3.closure([1.0])
+    assert C3.closure([np.int64(1)]) == (0, 1, 2)
+    assert C3.closure([]) == (0,)

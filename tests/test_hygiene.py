@@ -63,9 +63,11 @@ presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
 Its differentials read the Yoneda formula orbit by orbit:
 `homalg._dress_map` builds no union of orbits and restricts nothing
 along a G-map into one.
-`mackey` walks a normalizer's generators in one place, `mackey._walk`:
-conjugation is defined along it, and `validate_functoriality` reads the
-walk's tree from it to skip the homomorphism cells that hold by definition.
+Every generated subgroup is read off one walk, `groups._walk`:
+`FiniteGroup.closure` takes its labels and keeps no loop of its own,
+`mackey` defines conjugation along it and no walk of its own, and
+`validate_functoriality` reads the walk's tree from it to skip the
+homomorphism cells that hold by definition.
 The orbit tables of a G-set come from one walk, `gsets._orbit_walk`: the
 orbit index, the fixed orbits, the subgroup orbits and
 `burnside._least_under` each call it once and iterate its labels nowhere
@@ -1410,13 +1412,63 @@ def test_scanner_finds_a_copied_walk():
         {"_generated_action"})
 
 
+def loop_report(source, function):
+    """Line of every `for` or `while` statement in `function`, given by its
+    dotted name, or in a scope it encloses."""
+    return sorted(node.lineno for scope, node in _scoped(ast.parse(source))
+                  if isinstance(node, (ast.For, ast.While))
+                  and (scope == function or scope.startswith(function + ".")))
+
+
+# `FiniteGroup.closure` as it read before it took its labels off `_walk`:
+# a two-sided frontier loop of its own.
+FRONTIER_CLOSURE = '''
+class FiniteGroup:
+    def closure(self, seed):
+        got = {0}
+        frontier = set(seed) | {0}
+        got |= frontier
+        while frontier:
+            new = set()
+            for a in got:
+                for b in frontier:
+                    for c in (self.mul(a, b), self.mul(b, a)):
+                        if c not in got:
+                            new.add(c)
+            for b in frontier:
+                c = self.inverse[b]
+                if c not in got:
+                    new.add(c)
+            got |= new
+            frontier = new
+        return tuple(sorted(got))
+'''
+
+
+def test_scanner_finds_a_frontier_loop_in_closure():
+    assert loop_report(FRONTIER_CLOSURE, "FiniteGroup.closure") == [
+        7, 9, 10, 11, 14]
+    assert walk_report(FRONTIER_CLOSURE) == ([], set())
+
+
 def test_homomorphism_cells_come_from_the_one_walk():
-    # `mackey` walks a normalizer's generators once, in `_walk`: conjugation
-    # by every element is defined along it, and the validator reads the
-    # walk's tree from it to skip the cells that hold by definition
-    walks, callers = walk_report(
-        (PACKAGE / "mackey.py").read_text(encoding="utf-8"))
-    assert [scope for scope, _ in walks] == ["_walk"]
+    # every generated subgroup is read off one walk, `groups._walk`:
+    # `closure` takes its labels, conjugation by every element is defined
+    # along it, and the validator reads the walk's tree from it to skip the
+    # cells that hold by definition
+    groups = (PACKAGE / "groups.py").read_text(encoding="utf-8")
+    mackey = (PACKAGE / "mackey.py").read_text(encoding="utf-8")
+    walks, callers = walk_report(groups)
+    # `_double_coset_reps` walks the orbits of H on the cosets of K, not a
+    # generated subgroup
+    assert [scope for scope, _ in walks] == [
+        "FiniteGroup._double_coset_reps", "_walk"]
+    assert callers == {"FiniteGroup.closure"}
+    assert loop_report(groups, "FiniteGroup.closure") == []
+    walks, callers = walk_report(mackey)
+    assert walks == []
+    assert "_walk" not in {node.name for node in ast.walk(ast.parse(mackey))
+                           if isinstance(node, ast.FunctionDef)}
     assert callers == {"_generated_action",
                        "MackeyFunctor.validate_functoriality"}
 
