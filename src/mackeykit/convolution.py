@@ -35,7 +35,7 @@ from .burnside import (
     span_element,
     tensor,
 )
-from .groups import _same_group, owned
+from .groups import _same_group, owned, paired
 from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
 from .intmat import _column_entries, _labels, hermite_normal_form_of_columns
 from .mackey import (
@@ -105,25 +105,26 @@ class BoxData:
     orbit, starts[c] maps each over-code (`over_codes`), in order, to the
     index of its first generator.  Generator (code, i, j), i and j
     generators of M and N at the code's class L, is
-    starts[c][code] + i * n_N + j, n_N the generator count of N(G/L).
+    starts[c][code] + i * n_N + j, n_N = right_counts[L] the generator
+    count of N(G/L).  It holds M but not N (`box`).
     The diagonal over-code of the class-c orbit, the identity of G/H_c, is
     (c, 0): its canonical base image is the least n.0 over n in N(H_c)
     (`burnside._least_point`), and the identity gives 0."""
     left: MackeyFunctor
-    right: MackeyFunctor
+    right_counts: tuple   # per class: generator count of N(G/H_c)
     starts: tuple         # per class: over-code -> index of its first generator
     functor: MackeyFunctor
 
     def index(self, level_class, code, i, j):
         """The index of generator (code, i, j) at the given class."""
-        n = self.right.levels[code[0]].generator_count
+        n = self.right_counts[code[0]]
         return self.starts[level_class][code] + i * n + j
 
     def generators(self, level_class):
         """Generator keys (code, i, j) in index order."""
         return [(code, i, j) for code in self.starts[level_class]
                 for i in range(self.left.levels[code[0]].generator_count)
-                for j in range(self.right.levels[code[0]].generator_count)]
+                for j in range(self.right_counts[code[0]])]
 
 
 def _block_starts(M: MackeyFunctor, N: MackeyFunctor, codes):
@@ -204,6 +205,7 @@ def _box_level_presentation(M: MackeyFunctor, N: MackeyFunctor, X: GSet,
     return FinPresAbGroup(gens, H.T)
 
 
+@paired
 def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     """The box product M box N, presented, with pairing data attached.
 
@@ -213,13 +215,11 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
     of Kronecker products of the factors' twisted restrictions, one per
     term of `over_image` on the G-map's span code.  Module actions
     do not go through a box: a `GreenModule` stores its level tables.
-    Each pair is presented once: M's structure store keeps it, keyed by N.
+    Each pair is presented once, kept on M and keyed weakly by N
+    (`groups.paired`): neither the `BoxData` nor its functor holds N.
     Raises ValueError, naming both groups, unless M and N share a group.
     """
     _same_group(M.group, N.group, "the factors")
-    kept = M.structure.boxed(N)
-    if kept is not None:
-        return kept
     group = M.group
     orbits = [standard_orbit(group, cls.index)
               for cls in group.subgroup_classes()]
@@ -273,8 +273,8 @@ def box(M: MackeyFunctor, N: MackeyFunctor) -> BoxData:
 
     functor = mackey_from_gmaps(group, levels, along, check=False,
                                 name=f"({M.name or 'M'} box {N.name or 'N'})")
-    return M.structure.keep_box(
-        N, BoxData(M, N, tuple(starts for starts, _ in blocks), functor))
+    return BoxData(M, tuple(lvl.generator_count for lvl in N.levels),
+                   tuple(starts for starts, _ in blocks), functor)
 
 
 def _struct_span(X: GSet, code) -> BurnsideElement:
@@ -309,7 +309,7 @@ def yoneda_levels(C: MackeyFunctor, B: MackeyFunctor, X: GSet, b, pair):
     return mats
 
 
-def dress_pairing(data: BoxData, X: GSet, n_vec):
+def dress_pairing(data: BoxData, N: MackeyFunctor, X: GSet, n_vec):
     """Levels of the map M(X x -) -> M box N that pairs with n in N(X).
 
     `data` is box(M, N), which the pairing lands in.  At G/H it sends m
@@ -328,7 +328,7 @@ def dress_pairing(data: BoxData, X: GSet, n_vec):
                                                n_o.reshape(-1, 1))
         return out
 
-    return yoneda_levels(data.functor, data.right, X, n_vec, pair)
+    return yoneda_levels(data.functor, N, X, n_vec, pair)
 
 
 # -- unit, commutativity, associativity ---------------------------------------------
@@ -530,7 +530,8 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
     AX = representable(X)
     data = box(M, AX)
     fwd = MackeyMorphism(FX, data.functor,
-                         dress_pairing(data, X, identity_element_vector(X)),
+                         dress_pairing(data, AX, X,
+                                       identity_element_vector(X)),
                          check=True)
     bwd = fwd.inverse()
     _verify_two_sided(fwd, bwd)

@@ -58,10 +58,10 @@ class RelationPlan:
 def owned(fn):
     """fn(owner, *args), computed once per args and kept on the owner.
 
-    The owner is a `FiniteGroup` or a `GSet`, and the result is stored as
-    `owner._memo[fn][args]`, so it lives exactly as long as its owner.
-    The owner is never hashed: two groups with equal tables each keep
-    their own results.  `args` must be hashable.
+    The owner is a `FiniteGroup`, a `GSet` or a `MackeyFunctor`, and the
+    result is stored as `owner._memo[fn][args]`, so it lives exactly as
+    long as its owner.  The owner is never hashed: two groups with equal
+    tables each keep their own results.  `args` must be hashable.
     """
     @wraps(fn)
     def memo(owner, *args):
@@ -77,17 +77,19 @@ def owned(fn):
 
 def paired(fn):
     """fn(owner, partner, *args), computed once and kept on the owner,
-    keyed weakly by the partner.
+    keyed weakly by the partner: the one memo for what is built from a
+    pair.
 
-    The owner is a `FiniteGroup` or a `GSet`, and the result is stored as
-    `owner._memo[fn][partner][args]`, with `owner._memo[fn]` a
-    `weakref.WeakKeyDictionary`, so an entry dies with its partner and
-    the owner keeps no partner alive.  A value may not reference its
-    partner: the entry would then keep its own key alive and never die.
-    That is why the `product` memo and the box memo do not use it.  The
-    partner is hashed, so partners that compare equal share an entry, and
-    fn may read only what the partner's equality compares.  `args` must
-    be hashable.
+    The owner is a `FiniteGroup`, a `GSet` or a `MackeyFunctor`, and the
+    result is stored as `owner._memo[fn][partner][args]`, with
+    `owner._memo[fn]` a `weakref.WeakKeyDictionary`, so an entry dies with
+    its partner and the owner keeps no partner alive.  A value may not
+    reference its partner: the entry would then keep its own key alive and
+    never die.  So a value holds only what the partner does not own, and
+    a caller that needs the partner wraps the value around it on each
+    call, as `gsets.product` does.  The partner is hashed, so partners
+    that compare equal share an entry, and fn may read only what the
+    partner's equality compares.  `args` must be hashable.
     """
     @wraps(fn)
     def memo(owner, partner, *args):
@@ -220,15 +222,31 @@ class FiniteGroup:
         generates, since s^-1 = s^(k-1) for s of order k.  A seed label
         outside 0..order-1 raises ValueError naming it.
         """
-        seed = _labels(seed, "seed")
-        bad = [s for s in seed if not 0 <= s < self.order]
-        if bad:
-            raise ValueError(f"seed label {bad[0]} is not an element of "
-                             f"{self.name} (labels 0..{self.order - 1})")
+        seed = self._elements(seed, "seed")
         return tuple(sorted({0, *(b for _, _, b in _walk(self, seed))}))
 
+    def _elements(self, labels, what):
+        """`labels` as a tuple of ints; raises ValueError naming the first
+        that is not a label of this group, as `what` label."""
+        labels = _labels(labels, what)
+        bad = [s for s in labels if not 0 <= s < self.order]
+        if bad:
+            raise ValueError(f"{what} label {bad[0]} is not an element of "
+                             f"{self.name} (labels 0..{self.order - 1})")
+        return labels
+
+    def _subgroup(self, H, what):
+        """The subgroup H as a sorted tuple; raises ValueError unless its
+        labels are elements (`_elements`) that form a subgroup."""
+        H = tuple(sorted(set(self._elements(H, what))))
+        if not self.is_subgroup(H):
+            raise ValueError(f"{what} {H} is not a subgroup of {self.name}")
+        return H
+
     def is_subgroup(self, S) -> bool:
-        S = set(S)
+        """Whether the labels S form a subgroup; a label outside the group
+        raises ValueError naming it."""
+        S = set(self._elements(S, "subgroup"))
         if 0 not in S:
             return False
         return all(self.mul(a, b) in S for a in S for b in S)
@@ -259,7 +277,7 @@ class FiniteGroup:
         return tuple(sorted([self.table[row[h]][gi] for h in H]))
 
     def normalizer(self, H):
-        H = tuple(sorted(H))
+        H = self._subgroup(H, "H")
         return tuple(g for g in range(self.order)
                      if self.conjugate_subgroup(g, H) == H)
 
@@ -475,19 +493,18 @@ class FiniteGroup:
 
     def double_cosets(self, H, K):
         """Representatives of H\\G/K, each the minimal label in its coset."""
-        if not self.is_subgroup(H):
-            raise ValueError("H is not a subgroup")
-        if not self.is_subgroup(K):
-            raise ValueError("K is not a subgroup")
-        return self._double_coset_reps(self.greedy_generators(sorted(H)),
+        H, K = self._subgroup(H, "H"), self._subgroup(K, "K")
+        return self._double_coset_reps(self.greedy_generators(H),
                                        self._left_cosets_in(self.elements(), K))
 
     def double_coset_of(self, g, H, K):
+        (g,), H, K = self._elements((g,), "g"), self._elements(H, "H"), \
+            self._elements(K, "K")
         return tuple(sorted({self.mul(self.mul(h, g), k) for h in H for k in K}))
 
     def left_cosets(self, H):
         """Cosets gH as sorted tuples, ordered by minimal element."""
-        H = tuple(sorted(H))
+        H = self._subgroup(H, "H")
         seen = [False] * self.order
         cosets = []
         for g in range(self.order):

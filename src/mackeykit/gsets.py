@@ -6,8 +6,8 @@ result into canonical form: a disjoint union of standard orbits (cosets
 of subgroup-class representatives) sorted by class.  This makes GSet
 equality plain table equality and keeps all downstream span
 canonicalization deterministic.  The standard orbits and their unions
-are memoized on the group, and X x Y on X (`groups.owned`), so each
-dies with its owner.
+are memoized on the group (`groups.owned`), so each dies with it, and
+X x Y on X, keyed weakly by Y (`groups.paired`), so it pins neither.
 
 Every orbit table is read off one walk, `_orbit_walk`, over the rows of
 a subgroup: `GSet.orbit_index` (through `_orbit_index`, which products,
@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import FiniteGroup, _same_group, owned
+from .groups import FiniteGroup, _same_group, owned, paired
 from .intmat import _labels
 
 
@@ -237,7 +237,8 @@ class GMap:
     `group.generators`.  That is enough because both actions are already
     proven: if f commutes with g and with s, it commutes with g·s, and in a
     finite group every element is a product of generators.  `orbit_map`
-    builds its maps past this check, on a proof of its own.
+    and `product` build their maps past this check (`_trusted`), on a
+    proof of their own.
     """
 
     def __init__(self, source: GSet, target: GSet, mapping):
@@ -257,6 +258,14 @@ class GMap:
         self.source = source
         self.target = target
         self.mapping = mapping
+
+    @classmethod
+    def _trusted(cls, source, target, mapping):
+        """The map `mapping`, a tuple, from source to target, unchecked:
+        for a caller that holds the proof of equivariance."""
+        f = object.__new__(cls)
+        f.source, f.target, f.mapping = source, target, mapping
+        return f
 
     def __call__(self, x):
         return self.mapping[x]
@@ -342,10 +351,7 @@ def orbit_map(O: GSet, Y: GSet, y) -> GMap:
     if moved:
         raise ValueError(f"map is not equivariant: {moved[0]} fixes the "
                          f"base point but moves {y}")
-    f = object.__new__(GMap)
-    f.source, f.target = O, Y
-    f.mapping = tuple(Y.action[g][y] for g in ix.reach)
-    return f
+    return GMap._trusted(O, Y, tuple(Y.action[g][y] for g in ix.reach))
 
 
 def projection_map(group: FiniteGroup, A, B) -> GMap:
@@ -419,8 +425,10 @@ def disjoint_union_of_orbits(group: FiniteGroup, classes: tuple) -> GSet:
 # -- limits and colimits -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProductData:
+    """X x Y as `product` gives it, fresh on every call: only its right
+    leg is built per call, onto the Y passed in."""
     gset: GSet
     left: GMap      # projection onto the first factor
     right: GMap     # projection onto the second factor
@@ -430,15 +438,28 @@ class ProductData:
         return self.pair_index[x][y]
 
 
-@owned
 def product(X: GSet, Y: GSet) -> ProductData:
     """Cartesian product with the diagonal action, canonically relabelled.
+
+    Read from `_product`, with the right leg's checked mapping put onto
+    this Y.
+    """
+    canon, left, right, pair = _product(X, Y)
+    return ProductData(canon, left, GMap._trusted(canon, Y, right), pair)
+
+
+@paired
+def _product(X: GSet, Y: GSet):
+    """(canonical union, left leg, right leg's mapping, pair index) of
+    X x Y, kept on X and keyed weakly by Y (`groups.paired`): the group
+    owns the union and X the left leg, so nothing here pins Y.
 
     The raw rows send the pair code x|Y| + y to g.x |Y| + g.y.  They are an
     action as they stand, the diagonal one: e acts as the identity on each
     factor, and g.(h.(x, y)) = (gh.x, gh.y) since X and Y are actions.  So
     they are relabelled without a G-set of their own, and the pair index
-    and the projections are read off the labels.
+    and the projections are read off the labels.  The right leg is checked
+    as a `GMap` onto Y, so it is equivariant onto any G-set equal to Y.
     """
     _same_group(X.group, Y.group, "the factors")
     group = X.group
@@ -448,9 +469,8 @@ def product(X: GSet, Y: GSet) -> ProductData:
     canon, label = _relabel(group, _orbit_index(group, raw, n))
     pair = tuple(tuple(label[x * m:(x + 1) * m]) for x in range(X.size))
     inv = sorted(range(n), key=label.__getitem__)
-    left = GMap(canon, X, tuple(p // m for p in inv))
-    right = GMap(canon, Y, tuple(p % m for p in inv))
-    return ProductData(canon, left, right, pair)
+    return (canon, GMap(canon, X, tuple(p // m for p in inv)),
+            GMap(canon, Y, tuple(p % m for p in inv)).mapping, pair)
 
 
 @dataclass(frozen=True)

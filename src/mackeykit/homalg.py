@@ -434,7 +434,7 @@ class TorResult:
         free0, target = self.resolution.modules[0], self.rel
         X0 = free0.base
         n0 = self.resolution.augmentation.at_gset(X0) @ free_unit_vector(free0)
-        aug = dress_pairing(target.box, X0, n0)
+        aug = dress_pairing(target.box, self.right.underlying, X0, n0)
         H0, incl0, _proj0, sect0 = self.complex.homology_data(0)
         mats = [target.projection.mats[c] @ aug[c] @ incl0.mats[c]
                 @ sect0.mats[c] for c in range(len(H0.levels))]

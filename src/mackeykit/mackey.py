@@ -38,10 +38,11 @@ What evaluation derives from the stored data lives in one store per
 functor, `MackeyFunctor.structure`, built on first read, with one dict
 per kind and `sizes()` counting them: `weyl`, the covering steps, the
 res and tr chains and the span blocks, keyed by group data only, so
-bounded by the group, and the boxes `convolution.box` presents with this
-functor on the left, keyed by (and keeping alive) the right factor.
-No G-set adds an entry: the orbit layout of M(X) is computed (`offsets`).
-The Burnside and zero functors are one object per group, in its memo.
+bounded by the group.  No G-set adds an entry: the orbit layout of M(X)
+is computed (`offsets`).  What is built from a pair of functors lives
+in the left one's memo, keyed weakly by the right one (`groups.paired`):
+the boxes `convolution.box` presents.  The Burnside and zero functors
+are one object per group, in its memo.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ class MackeyFunctor:
                                 "conjugation by {} at class {}", s, c))
             for w, cls in zip(conj, classes))
         self.name = name
+        self._memo = {}
         if check:
             self._check_shapes()
 
@@ -429,13 +431,13 @@ class _StructureStore:
     def __init__(self, M: MackeyFunctor):
         self.group, self.levels = M.group, M.levels
         self.res, self.tr, self.conj = M.res, M.tr, M.conj
-        self._covers, self._chains, self._blocks, self._boxes = {}, {}, {}, {}
+        self._covers, self._chains, self._blocks = {}, {}, {}
 
     def sizes(self):
         """{kind: entries held}."""
         return {"weyl": sum(map(len, vars(self).get("weyl", ()))),
                 "cover": len(self._covers), "chain": len(self._chains),
-                "block": len(self._blocks), "box": len(self._boxes)}
+                "block": len(self._blocks)}
 
     @cached_property
     def weyl(self):
@@ -520,14 +522,6 @@ class _StructureStore:
                 @ self.conj_mat(group.inv(k), L)
             self._blocks[key] = right @ left
         return self._blocks[key], (bx, by)
-
-    def boxed(self, N):
-        """The presented box product with N on the right, or None."""
-        return self._boxes.get(N)
-
-    def keep_box(self, N, data):
-        self._boxes[N] = data
-        return data
 
 
 # -- morphisms ---------------------------------------------------------------------

@@ -820,7 +820,7 @@ def action_from_tables(data, target, tables):
     level products.
 
     `tables[c][i][j]` is the level product e_i . e_j in target(G/H_c) of
-    generator i of data.left and generator j of data.right.  A generator
+    generator i of M and generator j of N, `data` = box(M, N).  A generator
     (code, i, j) of the box goes to the transfer along code of
     tables[class of code][i][j].
     """

@@ -281,6 +281,36 @@ def test_subgroup_counts_match_the_literature(name, subgroups, classes):
     assert len(group.subgroup_classes()) == classes
 
 
+def test_coset_methods_refuse_bad_labels_and_non_subgroups():
+    # they share `closure`'s label check, and the coset and normalizer
+    # methods refuse a label set that is not a subgroup
+    C3 = builtin_group("C3")
+    for bad in ([0, -1, -2], [0, 5]):
+        label = re.escape(f"H label {bad[1]} is not an element of C3 "
+                          f"(labels 0..2)")
+        for call in (C3.left_cosets, C3.normalizer,
+                     lambda H: C3.double_cosets(H, [0]),
+                     lambda H: C3.double_coset_of(0, H, [0])):
+            with pytest.raises(ValueError, match=label):
+                call(bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"subgroup label {bad[1]} is not an element of C3")):
+            C3.is_subgroup(bad)
+    with pytest.raises(ValueError, match=re.escape(
+            "g label 3 is not an element of C3")):
+        C3.double_coset_of(3, [0], [0])
+    for call in (C3.left_cosets, C3.normalizer):
+        with pytest.raises(ValueError, match=re.escape(
+                "H (0, 1) is not a subgroup of C3")):
+            call([0, 1])
+    with pytest.raises(ValueError, match=re.escape(
+            "K (1,) is not a subgroup of C3")):
+        C3.double_cosets([0], [1])
+    assert not C3.is_subgroup([0, 1]) and C3.is_subgroup([0])
+    assert C3.left_cosets([0]) == [(0,), (1,), (2,)]
+    assert C3.normalizer([0]) == (0, 1, 2)
+
+
 def test_closure_refuses_a_label_outside_the_group():
     C3 = builtin_group("C3")
     for bad in (-1, 3, 5):

@@ -181,18 +181,29 @@ def test_coproduct_does_not_pin_its_summands():
 
 
 def test_products_die_with_their_left_factor():
-    # product(X, Y) is kept by X: a second call returns the same object,
-    # and X, its products and their projections are collected together;
-    # the group keeps only the canonical product, a union of its orbits
+    # product(X, Y) is kept by X and keyed weakly by Y: a second call reads
+    # the same union and left leg, and X, its products and their
+    # projections are collected together; the group keeps only the
+    # canonical product, a union of its orbits, and a product on the left
+    # of a group-owned orbit lets its right factor go
     S3 = builtin_group("S3")
     O = standard_orbit(S3, 1)
     X = GSet(S3, [row + tuple(O.size + y for y in row) for row in O.action])
     P = product(X, O)
-    assert product(X, O) is P and P.left.target is X
+    again = product(X, O)
+    assert again.gset is P.gset and again.left is P.left
+    assert P.left.target is X and P.right.target is O
     assert P.gset is disjoint_union_of_orbits(S3, P.gset.orbit_type())
     assert not reaches(S3._memo, X)
     refs = [weakref.ref(X), weakref.ref(P)]
-    del X, P
+    del X, P, again
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    Y = GSet(S3, [row + tuple(O.size + y for y in row) for row in O.action])
+    Q = product(O, Y)
+    assert Q.right.target is Y and not reaches(S3._memo, Y)
+    refs = [weakref.ref(Y), weakref.ref(Q.right)]
+    del Y, Q
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 

@@ -685,17 +685,14 @@ def test_tor_presents_its_box_on_the_first_witness_read(monkeypatch):
     monkeypatch.setattr(convolution, "box", counting)
     monkeypatch.setattr(homalg, "box", counting)
     result = tor(R, M, N, 2)
-    store = M.underlying.structure
+    memo = M.underlying._memo
     assert calls == []
-    assert store.sizes()["box"] == 0
+    assert real.__wrapped__ not in memo
     wit = result.tor0_witness
     assert calls == [(M.underlying, N.underlying)]
     assert result.tor0_witness is wit
     assert calls == [(M.underlying, N.underlying)]
-    assert store.sizes()["box"] == 1
-    assert store.boxed(N.underlying) is not None
-    assert all(store.boxed(F.underlying) is None
-               for F in result.resolution.modules)
+    assert list(memo[real.__wrapped__]) == [N.underlying]
 
 
 def test_a_fresh_group_is_collected_after_green_tor_and_witness():

@@ -50,9 +50,10 @@ benchmark or the demos; helpers only tests read live in tests/support.py.
 What a functor derives from its stored maps lives in one owned store,
 `MackeyFunctor.structure`: no module but `mackey` names `_eval_code` or
 the store's dicts, and `convolution` assigns nothing onto a functor.
-What is built from a group or a G-set is memoized on that owner, through
-`groups.owned`, and what is built from a pair of G-sets on one of them,
-keyed weakly by the other, through `groups.paired`: no `_cache`
+What is built from a group, a G-set or a functor is memoized on that
+owner, through `groups.owned`, and what is built from a pair of them on
+one of them, keyed weakly by the other, through `groups.paired`, with a
+case in tests/test_memory.py showing the partner is let go: no `_cache`
 attribute is left, and the only process-wide
 caches are the bounded ones of `builtin_group`, `_spec_group` and
 `cli.build_parser`.  Free resolutions have one cover:
@@ -1317,24 +1318,59 @@ def test_scanner_finds_process_wide_memos():
 PROCESS_CACHES = {("groups.py", "builtin_group"),
                   ("groups.py", "_spec_group"), ("cli.py", "build_parser")}
 OWNED = {("gsets.py", "standard_orbit"),
-         ("gsets.py", "disjoint_union_of_orbits"), ("gsets.py", "product"),
+         ("gsets.py", "disjoint_union_of_orbits"), ("gsets.py", "_product"),
          ("burnside.py", "_least_under"), ("burnside.py", "_identity_codes"),
          ("burnside.py", "_fibre_rows"), ("burnside.py", "_hom_codes"),
          ("mackey.py", "burnside_mackey"), ("mackey.py", "zero_mackey"),
-         ("convolution.py", "_burnside_green")}
+         ("convolution.py", "_burnside_green"), ("convolution.py", "box")}
 # `owned` and `paired` read the memo, and the owners' constructors make it
 MEMO_SCOPES = {("groups.py", "owned.memo"), ("groups.py", "paired.memo"),
                ("groups.py", "FiniteGroup.__init__"),
-               ("gsets.py", "GSet.__init__")}
+               ("gsets.py", "GSet.__init__"),
+               ("mackey.py", "MackeyFunctor.__init__")}
+
+
+def partner_release_report(source):
+    """The `PARTNER_RELEASES` registry a test module declares, and the
+    names of the test functions it defines."""
+    registry, tests = {}, set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == \
+                ["PARTNER_RELEASES"]:
+            registry = ast.literal_eval(node.value)
+        if isinstance(node, ast.FunctionDef) and \
+                node.name.startswith("test_"):
+            tests.add(node.name)
+    return registry, tests
+
+
+# A registry, abridged, and the tests beside it.
+RELEASES = '''
+PARTNER_RELEASES = {("gsets.py", "_product"): "test_right_factor_goes"}
+
+def test_right_factor_goes():
+    pass
+
+def helper():
+    pass
+'''
+
+
+def test_scanner_finds_the_partner_release_registry():
+    assert partner_release_report(RELEASES) == (
+        {("gsets.py", "_product"): "test_right_factor_goes"},
+        {"test_right_factor_goes"})
 
 
 def test_memos_live_on_their_owner():
-    # what is built from a group or a G-set is memoized through
-    # `groups.owned`, on that owner, or, for a pair of G-sets, through
+    # what is built from a group, a G-set or a functor is memoized through
+    # `groups.owned`, on that owner, or, for a pair, through
     # `groups.paired` on one of them, keyed weakly by the other; no
     # `_cache` attribute is left, and the only process-wide caches are the
-    # three bounded ones above
-    cached, owned, memo_scopes = set(), set(), set()
+    # three bounded ones above.  Every paired memo names a test in
+    # test_memory.py that shows its partner is collected.
+    cached, owned, paired, memo_scopes = set(), set(), set(), set()
     for path in MODULES:
         caches, memos, decorated = memo_report(
             path.read_text(encoding="utf-8"))
@@ -1343,9 +1379,16 @@ def test_memos_live_on_their_owner():
         for function, decorator in decorated:
             (owned if decorator in ("owned", "paired") else cached).add(
                 (path.name, function))
+            if decorator == "paired":
+                paired.add((path.name, function))
     assert cached == PROCESS_CACHES
     assert owned == OWNED
     assert memo_scopes == MEMO_SCOPES
+    registry, tests = partner_release_report(
+        (pathlib.Path(__file__).parent / "test_memory.py").read_text(
+            encoding="utf-8"))
+    assert set(registry) == paired
+    assert set(registry.values()) <= tests
 
 
 def walk_report(source):
@@ -1569,7 +1612,8 @@ def test_orbit_tables_come_from_one_walk():
                                     for n in ast.walk(tree)}, path.name
 
 
-RAW_LIMITS = ("product", "coproduct", "pullback")
+# `product` reads its legs from `_product`, which relabels the raw rows
+RAW_LIMITS = ("product", "_product", "coproduct", "pullback")
 CHECKED_ROUTE = {"GSet", "canonicalize", "inverse"}
 
 # `product`, abridged, as it read when its raw rows were proven as a G-set

@@ -1269,8 +1269,7 @@ def test_structure_store_is_bounded_by_the_group():
                               for i in range(k)), ()) for row in O.action])
         M.eval_span(restriction_element(GMap(X, pt, (0,) * X.size)))
         sizes.append(M.structure.sizes())
-    assert sizes == [{"weyl": 20, "cover": 1, "chain": 3, "block": 1,
-                      "box": 0}] * 3
+    assert sizes == [{"weyl": 20, "cover": 1, "chain": 3, "block": 1}] * 3
 
 
 @pytest.mark.parametrize("name", BATTERY)

@@ -22,13 +22,21 @@ from mackeykit.burnside import (
     compose,
     hom_basis,
     identity_element,
+    triangle_composite,
 )
-from mackeykit.convolution import burnside_green
+from mackeykit.convolution import box_unit_iso, burnside_green
 from mackeykit.groups import FiniteGroup, builtin_group
-from mackeykit.gsets import GSet, disjoint_union_of_orbits, standard_orbit
+from mackeykit.gsets import (
+    GSet,
+    disjoint_union_of_orbits,
+    point_gset,
+    product,
+    standard_orbit,
+)
 from mackeykit.homalg import canonical_module, tor
 from mackeykit.mackey import (
     MackeyMorphism,
+    burnside_mackey,
     cokernel,
     fixed_point_mackey,
     trivial_module,
@@ -212,3 +220,88 @@ def test_least_point_tables_and_identity_codes_do_not_pin_gsets():
     del X
     gc.collect()
     assert ref() is None
+
+
+# The partner-release case of each `groups.paired` memo in src, by module
+# and function: `test_hygiene.py` checks that every paired memo has one.
+PARTNER_RELEASES = {
+    ("burnside.py", "_hom_codes"):
+        "test_least_point_tables_and_identity_codes_do_not_pin_gsets",
+    ("gsets.py", "_product"): "test_products_let_their_right_factor_go",
+    ("convolution.py", "box"): "test_box_unit_iso_lets_its_functor_go",
+}
+
+
+def _two_orbits(group, c):
+    """A fresh G-set of two copies of the class-c orbit, built from rows,
+    so no memo of the group made it."""
+    O = standard_orbit(group, c)
+    return GSet(group, [row + tuple(O.size + y for y in row)
+                        for row in O.action])
+
+
+def _collected(ref):
+    gc.collect()
+    return ref() is None
+
+
+def test_products_let_their_right_factor_go():
+    # the point is owned by the group, so pt x X is kept as long as the
+    # group, keyed weakly by X
+    S3 = builtin_group("S3")
+    X = _two_orbits(S3, 1)
+    P = product(point_gset(S3), X)
+    assert P.right.target is X and P.gset == X
+    ref = weakref.ref(X)
+    del X, P
+    assert _collected(ref)
+
+
+def test_triangle_composite_lets_its_gset_go():
+    # the triangle multiplies Y on the right of the point and of the
+    # canonical Y x Y, both owned by the group
+    S3 = builtin_group("S3")
+    Y = _two_orbits(S3, 2)
+    assert triangle_composite(Y) == identity_element(Y)
+    ref = weakref.ref(Y)
+    del Y
+    assert _collected(ref)
+
+
+def test_products_with_equal_right_factors_share_their_memo():
+    # Y2 equals Y but is another object: the union and the left leg are
+    # read from Y's entry, and the right leg lands on Y2
+    S3 = builtin_group("S3")
+    X, Y, Y2 = _two_orbits(S3, 1), _two_orbits(S3, 0), _two_orbits(S3, 0)
+    P, P2 = product(X, Y), product(X, Y2)
+    assert Y == Y2 and Y is not Y2
+    assert P2.gset is P.gset and P2.left is P.left
+    assert P.right.target is Y and P2.right.target is Y2
+    assert P2.right.mapping == P.right.mapping
+
+
+def test_box_unit_iso_lets_its_functor_go():
+    # A_pt box M is kept on A_pt, which the group owns, keyed weakly by M
+    group = builtin_group("S3")
+    Z = FinPresAbGroup.free(1)
+    M = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    eps, data = box_unit_iso(M)
+    assert eps.target is M and data.left is burnside_mackey(group)
+    ref = weakref.ref(M)
+    del M, eps, data
+    assert _collected(ref)
+
+
+def test_c4_tor0_witness_lets_the_right_module_go():
+    # with R = A on the left, the witness presents A box N, kept on A
+    group = builtin_group("C4")
+    R = burnside_green(group, check=False)
+    Z = FinPresAbGroup.free(1)
+    FP = fixed_point_mackey(group, Z, trivial_module(group, Z))
+    Q = cokernel(MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels)))[0]
+    N = canonical_module(R, Q)
+    result = tor(R, canonical_module(R, R.underlying), N, 0)
+    result.tor0_witness.inverse()   # raises unless an isomorphism
+    refs = [weakref.ref(N), weakref.ref(Q)]
+    del FP, Q, N, result
+    assert all(map(_collected, refs))
