@@ -90,7 +90,7 @@ def over_image(S: GSet, T: GSet, ecode, code):
 
 def _block(F: MackeyFunctor, S: GSet, T: GSet, code):
     """F on one transitive span code between standard orbits, as stored."""
-    return F.structure.block(S.orbit_index, T.orbit_index, code)[0]
+    return F.span_block(S.orbit_index, T.orbit_index, code)[0]
 
 
 def _restriction(F: MackeyFunctor, cw, cwp, o):
@@ -807,7 +807,10 @@ class GreenModule:
     tables[class of code][i][j], so no box product is built to hold it.
     `_resolution` holds the module's one free resolution, with whether it
     has terminated (`homalg.module_resolution`), or None before the first
-    request: two modules on one Mackey functor have their own.
+    request: two modules on one Mackey functor have their own.  It is
+    a field, not a `groups.owned` memo: a longer request extends it in
+    place, so its value depends on the requests made, not on the module
+    alone.
     """
     ring: GreenFunctor
     underlying: MackeyFunctor

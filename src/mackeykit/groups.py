@@ -58,10 +58,12 @@ class RelationPlan:
 def owned(fn):
     """fn(owner, *args), computed once per args and kept on the owner.
 
-    The owner is a `FiniteGroup`, a `GSet` or a `MackeyFunctor`, and the
-    result is stored as `owner._memo[fn][args]`, so it lives exactly as
-    long as its owner.  The owner is never hashed: two groups with equal
-    tables each keep their own results.  `args` must be hashable.
+    The owner is a `FiniteGroup`, a `GSet`, a `MackeyFunctor`, a
+    `homalg.ChainComplex` or a `homalg.FilteredComplex`, and the result is
+    stored as `owner._memo[fn][args]`, so it lives exactly as long as its
+    owner: the one memo for what one object derives.  The owner is never
+    hashed: two groups with equal tables each keep their own results.
+    `args` must be hashable.
     """
     @wraps(fn)
     def memo(owner, *args):
@@ -76,30 +78,28 @@ def owned(fn):
 
 
 def paired(fn):
-    """fn(owner, partner, *args), computed once and kept on the owner,
-    keyed weakly by the partner: the one memo for what is built from a
-    pair.
+    """fn(owner, partner), computed once and kept on the owner, keyed
+    weakly by the partner: the one memo for what is built from a pair.
 
     The owner is a `FiniteGroup`, a `GSet` or a `MackeyFunctor`, and the
-    result is stored as `owner._memo[fn][partner][args]`, with
-    `owner._memo[fn]` a `weakref.WeakKeyDictionary`, so an entry dies with
-    its partner and the owner keeps no partner alive.  A value may not
-    reference its partner: the entry would then keep its own key alive and
-    never die.  So a value holds only what the partner does not own, and
-    a caller that needs the partner wraps the value around it on each
-    call, as `gsets.product` does.  The partner is hashed, so partners
-    that compare equal share an entry, and fn may read only what the
-    partner's equality compares.  `args` must be hashable.
+    result is stored as `owner._memo[fn][partner]`, with `owner._memo[fn]`
+    a `weakref.WeakKeyDictionary`, so an entry dies with its partner and
+    the owner keeps no partner alive.  A value may not reference its
+    partner: the entry would then keep its own key alive and never die.
+    So a value holds only what the partner does not own, and a caller
+    that needs the partner wraps the value around it on each call, as
+    `gsets.product` does.  The partner is hashed, so partners that compare
+    equal share an entry, and fn may read only what the partner's
+    equality compares.
     """
     @wraps(fn)
-    def memo(owner, partner, *args):
+    def memo(owner, partner):
         try:
-            return owner._memo[fn][partner][args]
+            return owner._memo[fn][partner]
         except KeyError:
             pass
-        value = fn(owner, partner, *args)
-        owner._memo.setdefault(fn, WeakKeyDictionary()).setdefault(
-            partner, {})[args] = value
+        value = fn(owner, partner)
+        owner._memo.setdefault(fn, WeakKeyDictionary())[partner] = value
         return value
     return memo
 
@@ -359,9 +359,10 @@ class FiniteGroup:
 
         c is the class of L and n = transport(gLg^-1) g transport(L)^-1 the
         element of the normalizer of its representative that the Mackey
-        functors' conjugation `weyl[c][n]` reads.
+        functors' conjugation `weyl[c][n]` reads.  A g that is not a label
+        of the group raises ValueError naming it (`_elements`).
         """
-        L = tuple(sorted(L))
+        (g,), L = self._elements((g,), "g"), tuple(sorted(L))
         n = self.mul(self.mul(self.transport(self.conjugate_subgroup(g, L)), g),
                      self.inverse[self.transport(L)])
         return self.class_index_of(L), n

@@ -22,7 +22,12 @@ quotient complexes; an entry whose quotient has a trivial term in its
 degree is the zero functor, and neither it nor a differential with a
 zero end is computed.  A quotient F(a)/F(b) with F(b) = 0 is F(a)
 itself, and the skeletal filtration's top step is the complex itself,
-so pages reuse the homology a Tor call cached on its complex.
+so pages reuse the homology a Tor call kept on its complex.
+A complex keeps its homology, and a filtration its quotients F(a)/F(b),
+keyed by the clamped pair, and its empty complex, through
+`groups.owned`, as groups, G-sets and functors keep what they derive.
+A module's free resolution is the one exception: it is extended in
+place (`module_resolution`), so it is a field of the `GreenModule`.
 Everything is levelwise exact integer arithmetic.
 Res and tr along G-maps are applied orbit block by orbit block
 (`MackeyFunctor.gmap_blocks`), with no span element or dense span matrix.
@@ -46,7 +51,7 @@ from .convolution import (
     internal_hom_rep,
     yoneda_levels,
 )
-from .groups import _same_group
+from .groups import _same_group, owned
 from .gsets import (
     GMap,
     GSet,
@@ -354,11 +359,12 @@ def canonical_module(G: GreenFunctor, M: MackeyFunctor) -> GreenModule:
 
 @dataclass
 class ChainComplex:
-    """A bounded complex of Mackey functors, d_n: C_n -> C_{n-1}."""
+    """A bounded complex of Mackey functors, d_n: C_n -> C_{n-1}; its
+    homology is kept on it (`groups.owned`)."""
     group: object
     terms: dict
     diffs: dict
-    _hcache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def term(self, n) -> MackeyFunctor:
         if n in self.terms:
@@ -382,10 +388,9 @@ class ChainComplex:
     def homology(self, n) -> MackeyFunctor:
         return self.homology_data(n)[0]
 
+    @owned
     def homology_data(self, n):
-        if n not in self._hcache:
-            self._hcache[n] = homology_at(self.diff(n + 1), self.diff(n))
-        return self._hcache[n]
+        return homology_at(self.diff(n + 1), self.diff(n))
 
 
 def complex_map_homology(C: ChainComplex, D: ChainComplex, maps: dict, n):
@@ -544,13 +549,14 @@ class FilteredComplex:
 
     steps[i] is F(min_index + i); F(p) vanishes below min_index and equals
     the total complex from the last step on.  step_incls[i] holds the
-    per-degree inclusions of steps[i] into steps[i+1].
+    per-degree inclusions of steps[i] into steps[i+1].  The empty complex
+    below min_index and the quotients F(a)/F(b) are kept on the
+    filtration (`groups.owned`).
     """
     steps: list
     step_incls: list
     min_index: int
-    _empty: ChainComplex = field(default=None, repr=False)
-    _qcache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def max_index(self):
@@ -558,11 +564,13 @@ class FilteredComplex:
 
     def complex_at(self, p) -> ChainComplex:
         if p < self.min_index:
-            if self._empty is None:
-                self._empty = ChainComplex(self.steps[-1].group, {}, {})
-            return self._empty
+            return self._empty_complex()
         i = min(p - self.min_index, len(self.steps) - 1)
         return self.steps[i]
+
+    @owned
+    def _empty_complex(self):
+        return ChainComplex(self.steps[-1].group, {}, {})
 
     def inclusion(self, p, q, n) -> MackeyMorphism:
         """The inclusion F(p)_n -> F(q)_n for p <= q."""
@@ -632,17 +640,18 @@ def quotient_complex(filt: FilteredComplex, a, b):
     b = min(max(b, filt.min_index - 1), a)
     if b < filt.min_index:
         return filt.complex_at(a)
-    key = (a, b)
-    if key in filt._qcache:
-        return filt._qcache[key]
+    return _quotient(filt, a, b)
+
+
+@owned
+def _quotient(filt: FilteredComplex, a, b):
+    """F(a)/F(b) at a clamped pair min_index <= b <= a <= max_index."""
     Fa = filt.complex_at(a)
     terms = {n: cokernel(filt.inclusion(b, a, n))[0] for n in Fa.degrees()}
     diffs = {n: MackeyMorphism(terms[n], terms[n - 1], Fa.diff(n).mats,
                                check=False)
              for n in terms if (n - 1) in terms}
-    out = ChainComplex(Fa.group, terms, diffs)
-    filt._qcache[key] = out
-    return out
+    return ChainComplex(Fa.group, terms, diffs)
 
 
 @dataclass

@@ -34,15 +34,14 @@ carry each res, tr and conj matrix from their parent when it is first
 read (`CarriedMatrices`): on the Tor path most of them are never read,
 and the homology of a complex costs its levels and inclusions only.
 
-What evaluation derives from the stored data lives in one store per
-functor, `MackeyFunctor.structure`, built on first read, with one dict
-per kind and `sizes()` counting them: `weyl`, the covering steps, the
-res and tr chains and the span blocks, keyed by group data only, so
-bounded by the group.  No G-set adds an entry: the orbit layout of M(X)
-is computed (`offsets`).  What is built from a pair of functors lives
-in the left one's memo, keyed weakly by the right one (`groups.paired`):
-the boxes `convolution.box` presents.  The Burnside and zero functors
-are one object per group, in its memo.
+What evaluation derives from the stored data is kept on the functor:
+`weyl` as a cached property, and the covering steps, the res and tr
+chains and the span blocks through `groups.owned`, keyed by group data
+only, so bounded by the group.  No G-set adds an entry: the orbit layout
+of M(X) is computed (`offsets`).  What is built from a pair of functors
+lives in the left one's memo, keyed weakly by the right one
+(`groups.paired`): the boxes `convolution.box` presents.  The Burnside
+and zero functors are one object per group, in its memo.
 """
 
 from __future__ import annotations
@@ -217,33 +216,103 @@ class MackeyFunctor:
         ranks = [lvl.describe() for lvl in self.levels]
         return f"{name}({', '.join(ranks)})"
 
-    # -- derived structure matrices, read from the structure store -------------
+    # -- derived structure matrices, kept on the functor (`groups.owned`) -----
 
     @cached_property
-    def structure(self):
-        """The `_StructureStore` of this functor, built on first read."""
-        return _StructureStore(self)
-
-    @property
     def weyl(self):
         """Conjugation by every element of each N(H_c), in class order."""
-        return self.structure.weyl
+        return tuple(
+            _generated_action(self.group, w,
+                              intmat.identity(lvl.generator_count))
+            for w, lvl in zip(self.conj, self.levels))
 
     def conj_mat(self, g, L):
         """Matrix of conjugation by g from M@L to M@(gLg^-1), in class coords."""
-        return self.structure.conj_mat(g, L)
+        c, n = self.group.conj_index(g, L)
+        return self.weyl[c][n]
 
     def cover_mats(self, A, B):
-        """(res, tr) of the covering step A < B, in class coords."""
-        return self.structure.cover(A, B)
+        """(res, tr) of the covering step A < B, in class coords.  Raises
+        ValueError naming A and B unless A is maximal in B."""
+        return self._step(tuple(sorted(A)), tuple(sorted(B)))
 
     def res_mat(self, A, B):
         """Matrix of restriction from M@B to M@A (A <= B), in class coords."""
-        return self.structure.chain(A, B)
+        return self._chain(tuple(sorted(A)), tuple(sorted(B)), False)
 
     def tr_mat(self, A, B):
         """Matrix of transfer from M@A to M@B (A <= B), in class coords."""
-        return self.structure.chain(A, B, transfer=True)
+        return self._chain(tuple(sorted(A)), tuple(sorted(B)), True)
+
+    @owned
+    def _step(self, A, B):
+        """(res, tr) of the covering step A < B, sorted tuples.
+
+        t = transport(B) carries the step to A2 < K0, K0 the class
+        representative, and the minimal u in N(K0) carries A2 onto the
+        canonical Hp, whose stored matrices give
+        res = c_{t^-1} c_{u^-1} res(Hp, K0) c_u, and dually tr.
+        """
+        group = self.group
+        if (A, B) not in group.covering_pairs:
+            raise ValueError(f"{A} < {B} is not a covering step of "
+                             f"{group.name}")
+        cls = group.subgroup_classes()[group.class_index_of(B)]
+        t, K0 = group.transport(B), cls.representative
+        A2 = group.conjugate_subgroup(t, A)
+        Hp, u = min((group.conjugate_subgroup(n, A2), n)
+                    for n in cls.normalizer)
+        r, tr = self.res[(Hp, K0)], self.tr[(Hp, K0)]
+        if (A, B) != (Hp, K0):
+            w = self.weyl[cls.index]
+            r = self.conj_mat(group.inv(t), A2) @ (
+                self.conj_mat(group.inv(u), Hp) @ r @ w[u])
+            tr = (w[group.inv(u)] @ tr @ self.conj_mat(u, A2)) \
+                @ self.conj_mat(t, A)
+        return r, tr
+
+    @owned
+    def _chain(self, A, B, transfer):
+        """Restriction from B to A, or transfer from A to B (A <= B, sorted
+        tuples): the product of the covering steps down `maximal_under`."""
+        if A == B:
+            return intmat.identity(self._gens(A))
+        C = self.group.maximal_under(A, B)
+        step = self._step(C, B)[transfer]
+        rest = self._chain(A, C, transfer)
+        return step @ rest if transfer else rest @ step
+
+    def span_block(self, ix, iy, code):
+        """Block of a transitive span code between G-sets with orbit indices
+        ix and iy, and its (source, target) orbits.
+
+        The block depends on group data only: the code's class and, for
+        each foot, the stabilizer of the orbit's base point and the least
+        element carrying the base to the code's point.  It is kept under
+        that key (`_block`), so it holds no G-set.
+        """
+        cidx, x, y = code
+        bx, by = ix.orbit_of[x], iy.orbit_of[y]
+        return self._block(cidx, ix.stabilizers[bx], ix.reach[x],
+                           iy.stabilizers[by], iy.reach[y]), (bx, by)
+
+    @owned
+    def _block(self, cidx, stabx, a, staby, b):
+        """The block of `span_block` at its group-data key."""
+        group = self.group
+        classes = group.subgroup_classes()
+        L = classes[cidx].representative
+        # transport to the standard-orbit picture:  h carries the middle
+        # base point into the class representative's coset space
+        h = group.mul(a, group.inv(group.transport(stabx)))
+        k = group.mul(b, group.inv(group.transport(staby)))
+        Sx0, Sy0 = (classes[group.class_index_of(S)].representative
+                    for S in (stabx, staby))
+        A2 = group.conjugate_subgroup(group.inv(h), L)
+        B2 = group.conjugate_subgroup(group.inv(k), L)
+        left = self.conj_mat(h, A2) @ self._chain(A2, Sx0, False)
+        right = self._chain(B2, Sy0, True) @ self.conj_mat(group.inv(k), L)
+        return right @ left
 
     # -- values at arbitrary G-sets ----------------------------------------------
 
@@ -264,8 +333,8 @@ class MackeyFunctor:
         offx, offy = self.offsets(X), self.offsets(Y)
         out = intmat.zeros(offy[-1], offx[-1])
         for code, a in e.coeffs.items():
-            block, (bx, by) = self.structure.block(X.orbit_index,
-                                                   Y.orbit_index, code)
+            block, (bx, by) = self.span_block(X.orbit_index, Y.orbit_index,
+                                              code)
             rows, cols = block.shape
             out[offy[by]:offy[by] + rows, offx[bx]:offx[bx] + cols] += a * block
         return out
@@ -276,7 +345,7 @@ class MackeyFunctor:
 
         The orbit of its base x0 is the span G/L -> X x Y, gL ->
         (gt.x0, gt.f(x0)), t the transport of x0's stabilizer onto L: a
-        valid code, whose block the structure store derives as it is.
+        valid code, whose block `span_block` derives as it is.
         """
         ix, iy = f.source.orbit_index, f.target.orbit_index
         xa, ya = f.source.action, f.target.action
@@ -285,9 +354,9 @@ class MackeyFunctor:
             t = self.group.transport(stab)
             x, y = xa[t][orbit[0]], ya[t][f.mapping[orbit[0]]]
             if transfer:
-                block, (_, by) = self.structure.block(ix, iy, (c, x, y))
+                block, (_, by) = self.span_block(ix, iy, (c, x, y))
             else:
-                block, (by, _) = self.structure.block(iy, ix, (c, y, x))
+                block, (by, _) = self.span_block(iy, ix, (c, y, x))
             yield bx, by, block
 
     def apply_gmap(self, f: GMap, v, transfer=False):
@@ -371,7 +440,7 @@ class MackeyFunctor:
         group = self.group
         plan = group.relation_plan
         cidx = group.class_index_of
-        weyl, chain = self.structure.weyl, self.structure.chain
+        weyl, res_mat, tr_mat = self.weyl, self.res_mat, self.tr_mat
         counts = dict.fromkeys((
             "inner conjugation is trivial", "conjugation is a homomorphism",
             "conjugation commutes with restriction",
@@ -408,120 +477,19 @@ class MackeyFunctor:
                 check(wk @ t, t @ wh, ch, ck,
                       "conjugation commutes with transfer", where)
         for (A, C, B) in plan.transitivity:
-            r, t = self.structure.cover(C, B)
+            r, t = self.cover_mats(C, B)
             where = f"{A} < {C} < {B}"
-            check(chain(A, C) @ r, chain(A, B), cidx(B), cidx(A),
+            check(res_mat(A, C) @ r, res_mat(A, B), cidx(B), cidx(A),
                   "transitivity of restriction", where)
-            check(t @ chain(A, C, transfer=True), chain(A, B, transfer=True),
-                  cidx(A), cidx(B), "transitivity of transfer", where)
+            check(t @ tr_mat(A, C), tr_mat(A, B), cidx(A), cidx(B),
+                  "transitivity of transfer", where)
         for (L, H, K, terms) in plan.double_coset:
             rhs = intmat.zeros(self._gens(H), self._gens(K))
             for (E, D, (c, m)) in terms:
-                rhs = rhs + chain(E, H, transfer=True) @ weyl[c][m] \
-                    @ chain(D, K)
-            check(chain(H, L) @ chain(K, L, transfer=True), rhs, cidx(K),
-                  cidx(H), "double-coset formula", f"res^{L}_{H} tr^{L}_{K}")
+                rhs = rhs + tr_mat(E, H) @ weyl[c][m] @ res_mat(D, K)
+            check(res_mat(H, L) @ tr_mat(K, L), rhs, cidx(K), cidx(H),
+                  "double-coset formula", f"res^{L}_{H} tr^{L}_{K}")
         return counts
-
-
-class _StructureStore:
-    """What span evaluation derives from a functor's levels and stored
-    res, tr and conj, one dict per kind (see the module docstring)."""
-
-    def __init__(self, M: MackeyFunctor):
-        self.group, self.levels = M.group, M.levels
-        self.res, self.tr, self.conj = M.res, M.tr, M.conj
-        self._covers, self._chains, self._blocks = {}, {}, {}
-
-    def sizes(self):
-        """{kind: entries held}."""
-        return {"weyl": sum(map(len, vars(self).get("weyl", ()))),
-                "cover": len(self._covers), "chain": len(self._chains),
-                "block": len(self._blocks)}
-
-    @cached_property
-    def weyl(self):
-        return tuple(
-            _generated_action(self.group, w,
-                              intmat.identity(lvl.generator_count))
-            for w, lvl in zip(self.conj, self.levels))
-
-    def conj_mat(self, g, L):
-        c, n = self.group.conj_index(g, L)
-        return self.weyl[c][n]
-
-    def cover(self, A, B):
-        """(res, tr) of the covering step A < B.
-
-        t = transport(B) carries the step to A2 < K0, K0 the class
-        representative, and the minimal u in N(K0) carries A2 onto the
-        canonical Hp, whose stored matrices give
-        res = c_{t^-1} c_{u^-1} res(Hp, K0) c_u, and dually tr.
-        """
-        if (A, B) not in self._covers:
-            group = self.group
-            cls = group.subgroup_classes()[group.class_index_of(B)]
-            t, K0 = group.transport(B), cls.representative
-            A2 = group.conjugate_subgroup(t, A)
-            Hp, u = min((group.conjugate_subgroup(n, A2), n)
-                        for n in cls.normalizer)
-            r, tr = self.res[(Hp, K0)], self.tr[(Hp, K0)]
-            if (A, B) != (Hp, K0):
-                w = self.weyl[cls.index]
-                r = self.conj_mat(group.inv(t), A2) @ (
-                    self.conj_mat(group.inv(u), Hp) @ r @ w[u])
-                tr = (w[group.inv(u)] @ tr @ self.conj_mat(u, A2)) \
-                    @ self.conj_mat(t, A)
-            self._covers[A, B] = (r, tr)
-        return self._covers[A, B]
-
-    def chain(self, A, B, transfer=False):
-        """Restriction from B to A, or transfer from A to B (A <= B): the
-        product of the covering steps down `maximal_under`."""
-        A, B = tuple(sorted(A)), tuple(sorted(B))
-        key = (A, B, transfer)
-        if key not in self._chains:
-            if A == B:
-                out = intmat.identity(
-                    self.levels[self.group.class_index_of(A)].generator_count)
-            else:
-                C = self.group.maximal_under(A, B)
-                step = self.cover(C, B)[transfer]
-                rest = self.chain(A, C, transfer)
-                out = step @ rest if transfer else rest @ step
-            self._chains[key] = out
-        return self._chains[key]
-
-    def block(self, ix, iy, code):
-        """Block of a transitive span code and its (source, target) orbits.
-
-        The block depends on group data only: the code's class and, for
-        each foot, the stabilizer of the orbit's base point and the least
-        element carrying the base to the code's point.  It is kept under
-        that key, so it holds no G-set.
-        """
-        cidx, x, y = code
-        bx, a = ix.orbit_of[x], ix.reach[x]
-        by, b = iy.orbit_of[y], iy.reach[y]
-        stabx, staby = ix.stabilizers[bx], iy.stabilizers[by]
-        key = (cidx, stabx, a, staby, b)
-        if key not in self._blocks:
-            group = self.group
-            classes = group.subgroup_classes()
-            L = classes[cidx].representative
-            # transport to the standard-orbit picture:  h carries the middle
-            # base point into the class representative's coset space
-            h = group.mul(a, group.inv(group.transport(stabx)))
-            k = group.mul(b, group.inv(group.transport(staby)))
-            Sx0 = classes[ix.classes[bx]].representative
-            Sy0 = classes[iy.classes[by]].representative
-            A2 = group.conjugate_subgroup(group.inv(h), L)
-            B2 = group.conjugate_subgroup(group.inv(k), L)
-            left = self.conj_mat(h, A2) @ self.chain(A2, Sx0)
-            right = self.chain(B2, Sy0, transfer=True) \
-                @ self.conj_mat(group.inv(k), L)
-            self._blocks[key] = right @ left
-        return self._blocks[key], (bx, by)
 
 
 # -- morphisms ---------------------------------------------------------------------

@@ -249,6 +249,13 @@ def reaches(root, target):
     return False
 
 
+def memo_entries(owner):
+    """{function name: entries} of what `groups.owned` and `groups.paired`
+    keep on the owner: {args: value} for an owned memo, and the live
+    {partner: value} weak mapping for a paired one."""
+    return {fn.__name__: entries for fn, entries in owner._memo.items()}
+
+
 def full_action_oracle(group, action):
     """Reference action check over all |G|^2 * |X| triples.
 

@@ -54,6 +54,7 @@ from support import (
     hom_basis_walk_oracle,
     least_under_oracle,
     materialize_code,
+    memo_entries,
     multimap_basis,
     permutation_group,
     pullback_compose_oracle,
@@ -487,16 +488,15 @@ def test_hom_basis_memo_pins_neither_foot():
     Y = GSet(group, [(0,) + tuple(1 + y for y in row) for row in O.action])
     assert all(hom_basis(A, B) == hom_basis_walk_oracle(A, B)
                for A, B in ((X, Y), (Y, X), (O, X), (X, O), (pt, Y)))
-    memo = burnside._hom_codes.__wrapped__
-    on_x, on_o = X._memo[memo], O._memo[memo]
+    on_x, on_o = (memo_entries(F)["_hom_codes"] for F in (X, O))
     assert list(on_x) == [Y, O] and list(on_o) == [X]
     assert all(type(v) is int for codes in on_x.values()
-               for code in codes[()] for v in code)
+               for code in codes for v in code)
     refs = [weakref.ref(X), weakref.ref(Y)]
     del Y
     gc.collect()
     assert refs[1]() is None and list(on_x) == [O]
-    assert list(pt._memo[memo]) == []
+    assert list(memo_entries(pt)["_hom_codes"]) == []
     del X, on_x
     gc.collect()
     assert refs[0]() is None and list(on_o) == []

@@ -47,18 +47,20 @@ levelwise constructions call `MackeyFunctor` directly, and no
 span-action builder is left in src.  Every public top-level function
 of the package is called in it, exported from it, or read by the
 benchmark or the demos; helpers only tests read live in tests/support.py.
-What a functor derives from its stored maps lives in one owned store,
-`MackeyFunctor.structure`: no module but `mackey` names `_eval_code` or
-the store's dicts, and `convolution` assigns nothing onto a functor.
-What is built from a group, a G-set or a functor is memoized on that
-owner, through `groups.owned`, and what is built from a pair of them on
-one of them, keyed weakly by the other, through `groups.paired`, with a
-case in tests/test_memory.py showing the partner is let go: no `_cache`
-attribute is left, and the only process-wide
-caches are the bounded ones of `builtin_group`, `_spec_group` and
-`cli.build_parser`.  Free resolutions have one cover:
-`module_cover`, `module_resolution` and `tor` take no `reverse` direction,
-and the top-down second cover lives in tests/support.py.  A Tor call
+Memos follow two rules.  What one object derives (a group, a G-set, a
+functor, a chain complex or a filtration) is memoized on that owner,
+through `groups.owned`, or is a cached property: a functor keeps `weyl`,
+its covering steps, res and tr chains and span blocks that way, with no
+`_StructureStore`, `structure` or store dict left, and `convolution`
+assigns nothing onto a functor.  What is built from a pair is memoized
+on one of them, keyed weakly by the other and by nothing else, through
+`groups.paired`, with a case in tests/test_memory.py showing the partner
+is let go.  No attribute or field whose name ends in `cache` is left,
+and the only process-wide caches are the bounded ones of
+`builtin_group`, `_spec_group` and `cli.build_parser`.  Free resolutions
+have one cover: `module_cover`, `module_resolution` and `tor` take no
+`reverse` direction, and the top-down second cover lives in
+tests/support.py.  A Tor call
 presents no box: `_tor_of_resolution` calls none of `rel_box`, `box` and
 `dress_pairing`, which the result's Tor_0 witness calls when first read.
 Its differentials read the Yoneda formula orbit by orbit:
@@ -1072,14 +1074,15 @@ def test_naturality_is_listed_once_and_kronecker_products_live_in_intmat():
 
 
 STORE_NAMES = {"_eval_code", "_covers", "_chains", "_blocks", "_values",
-               "_boxes"}
+               "_boxes", "_StructureStore", "structure"}
 
 
 def structure_store_report(source):
     """(scope, line, base) of every `_cache` attribute, scope the enclosing
-    top-level function or class; (line, name) of every name or attribute
-    in STORE_NAMES; and (function, line, target) of every assignment to an
-    attribute or item of a parameter annotated as a functor."""
+    top-level function or class; (line, name) of every name, attribute,
+    function or class in STORE_NAMES; and (function, line, target) of
+    every assignment to an attribute or item of a parameter annotated as a
+    functor."""
     caches, names, writes = [], [], []
     for top in ast.parse(source).body:
         scope = getattr(top, "name", "<module>")
@@ -1087,7 +1090,9 @@ def structure_store_report(source):
             if isinstance(node, ast.Attribute) and node.attr == "_cache":
                 caches.append((scope, node.lineno, ast.unparse(node.value)))
             name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, (ast.FunctionDef,
+                                               ast.ClassDef)) else None
             if name in STORE_NAMES:
                 names.append((node.lineno, name))
         if not isinstance(top, ast.FunctionDef):
@@ -1148,18 +1153,45 @@ def test_scanner_finds_a_tagged_functor_cache():
     assert writes == [("box", 19, "M._cache[key]")]
 
 
+# The structure store, abridged, as it read when a functor kept what it
+# derives in a second object with one dict per kind.
+STRUCTURE_STORE = '''
+class MackeyFunctor:
+    @cached_property
+    def structure(self):
+        return _StructureStore(self)
+
+    def cover_mats(self, A, B):
+        return self.structure.cover(A, B)
+
+class _StructureStore:
+    def __init__(self, M):
+        self._covers, self._chains, self._blocks = {}, {}, {}
+
+def _block(F: MackeyFunctor, S, T, code):
+    return F.structure.block(S.orbit_index, T.orbit_index, code)[0]
+'''
+
+
+def test_scanner_finds_the_structure_store():
+    caches, names, writes = structure_store_report(STRUCTURE_STORE)
+    assert caches == writes == []
+    assert names == [(4, "structure"), (5, "_StructureStore"),
+                     (8, "structure"), (10, "_StructureStore"),
+                     (12, "_blocks"), (12, "_chains"), (12, "_covers"),
+                     (15, "structure")]
+
+
 def test_functors_keep_derived_maps_in_one_owned_store():
-    # a functor's derived structure maps live in its structure store, one
-    # dict per kind that only `mackey` names; no `_cache` is left, and
-    # `convolution` writes nothing onto a functor
+    # a functor's derived structure maps are kept on the functor itself,
+    # `weyl` as a cached property and the rest through `groups.owned`:
+    # no `_StructureStore`, `structure` or store dict is left, no `_cache`
+    # either, and `convolution` writes nothing onto a functor
     for path in MODULES:
         caches, names, writes = structure_store_report(
             path.read_text(encoding="utf-8"))
         assert caches == [], path.name
-        if path.name == "mackey.py":
-            assert "_eval_code" not in {name for _, name in names}
-        else:
-            assert names == [], path.name
+        assert names == [], path.name
         if path.name == "convolution.py":
             assert writes == []
 
@@ -1248,24 +1280,37 @@ def _scoped(tree):
 
 
 def memo_report(source):
-    """Where a module memoizes: (scope, line) of every `_cache` and every
-    `_memo` attribute, and (function, decorator) of every function under
-    `lru_cache`, `cache`, `owned` or `paired`, bare, called or read off a
-    module."""
+    """Where a module memoizes: (scope, line) of every attribute and every
+    annotated field whose name ends in `cache`, decorators aside, and of
+    every `_memo` attribute; and (function, decorator, arity) of every
+    function under `lru_cache`, `cache`, `owned` or `paired`, bare, called
+    or read off a module, arity its count of positional parameters, or
+    None when it takes variadic, keyword-only or default ones."""
     caches, memos, decorated = [], [], []
-    for scope, node in _scoped(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+    tree = ast.parse(source)
+    decorators = {id(dec.func if isinstance(dec, ast.Call) else dec)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  for dec in node.decorator_list}
+    for scope, node in _scoped(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node.target, "id", None) \
+            if isinstance(node, ast.AnnAssign) else None
+        if name and name.endswith("cache") and id(node) not in decorators:
             caches.append((scope, node.lineno))
-        if isinstance(node, ast.Attribute) and node.attr == "_memo":
+        if name == "_memo" and isinstance(node, ast.Attribute):
             memos.append((scope, node.lineno))
         if isinstance(node, ast.FunctionDef):
+            a = node.args
+            arity = None if a.vararg or a.kwarg or a.kwonlyargs or \
+                a.defaults else len(a.posonlyargs + a.args)
             for dec in node.decorator_list:
                 dec = dec.func if isinstance(dec, ast.Call) else dec
                 name = dec.attr if isinstance(dec, ast.Attribute) else \
                     getattr(dec, "id", None)
                 if name in ("lru_cache", "cache", "owned", "paired"):
                     qual = f"{scope}.{node.name}" if scope else node.name
-                    decorated.append((qual, name))
+                    decorated.append((qual, name, arity))
     return sorted(caches), sorted(memos), sorted(decorated)
 
 
@@ -1309,8 +1354,48 @@ def test_scanner_finds_process_wide_memos():
     assert caches == [("FiniteGroup.__init__", 7), ("burnside_mackey", 18),
                       ("burnside_mackey", 19), ("burnside_mackey", 20)]
     assert memos == [("Reader.zero", 25)]
-    assert decorated == [("Reader.zero", "owned"), ("codes", "paired"),
-                         ("product", "cache"), ("standard_orbit", "lru_cache")]
+    assert decorated == [("Reader.zero", "owned", 1), ("codes", "paired", 2),
+                         ("product", "cache", 2),
+                         ("standard_orbit", "lru_cache", 2)]
+
+
+# The homology and quotient caches and the pair memo, abridged, as they
+# read when a complex kept its homology in a dict field of its own, a
+# filtration its quotients, and `paired` an args layer under each partner.
+FIELD_CACHES = '''
+@dataclass
+class ChainComplex:
+    terms: dict
+    _hcache: dict = field(default_factory=dict, repr=False)
+
+    def homology_data(self, n):
+        if n not in self._hcache:
+            self._hcache[n] = homology_at(self.diff(n + 1), self.diff(n))
+        return self._hcache[n]
+
+def quotient_complex(filt, a, b):
+    if (a, b) in filt._qcache:
+        return filt._qcache[a, b]
+
+@paired
+def box(M, N, *args):
+    return BoxData(M)
+
+@paired
+def hom_codes(X, Y, check=True):
+    return ()
+'''
+
+
+def test_scanner_finds_field_caches_and_pair_memos_with_args():
+    caches, memos, decorated = memo_report(FIELD_CACHES)
+    assert caches == [("ChainComplex", 5), ("ChainComplex.homology_data", 8),
+                      ("ChainComplex.homology_data", 9),
+                      ("ChainComplex.homology_data", 10),
+                      ("quotient_complex", 13), ("quotient_complex", 14)]
+    assert memos == []
+    assert decorated == [("box", "paired", None),
+                         ("hom_codes", "paired", None)]
 
 
 # The process-wide caches `src` keeps, each bounded: the nine built-in
@@ -1322,7 +1407,13 @@ OWNED = {("gsets.py", "standard_orbit"),
          ("burnside.py", "_least_under"), ("burnside.py", "_identity_codes"),
          ("burnside.py", "_fibre_rows"), ("burnside.py", "_hom_codes"),
          ("mackey.py", "burnside_mackey"), ("mackey.py", "zero_mackey"),
-         ("convolution.py", "_burnside_green"), ("convolution.py", "box")}
+         ("mackey.py", "MackeyFunctor._step"),
+         ("mackey.py", "MackeyFunctor._chain"),
+         ("mackey.py", "MackeyFunctor._block"),
+         ("convolution.py", "_burnside_green"), ("convolution.py", "box"),
+         ("homalg.py", "ChainComplex.homology_data"),
+         ("homalg.py", "FilteredComplex._empty_complex"),
+         ("homalg.py", "_quotient")}
 # `owned` and `paired` read the memo, and the owners' constructors make it
 MEMO_SCOPES = {("groups.py", "owned.memo"), ("groups.py", "paired.memo"),
                ("groups.py", "FiniteGroup.__init__"),
@@ -1364,10 +1455,11 @@ def test_scanner_finds_the_partner_release_registry():
 
 
 def test_memos_live_on_their_owner():
-    # what is built from a group, a G-set or a functor is memoized through
-    # `groups.owned`, on that owner, or, for a pair, through
-    # `groups.paired` on one of them, keyed weakly by the other; no
-    # `_cache` attribute is left, and the only process-wide caches are the
+    # what is built from a group, a G-set, a functor, a complex or a
+    # filtration is memoized through `groups.owned`, on that owner, or,
+    # for a pair, through `groups.paired` on one of them, keyed weakly by
+    # the other, with no argument but the pair; no attribute or field
+    # named like a cache is left, and the only process-wide caches are the
     # three bounded ones above.  Every paired memo names a test in
     # test_memory.py that shows its partner is collected.
     cached, owned, paired, memo_scopes = set(), set(), set(), set()
@@ -1376,10 +1468,11 @@ def test_memos_live_on_their_owner():
             path.read_text(encoding="utf-8"))
         assert caches == [], path.name
         memo_scopes |= {(path.name, scope) for scope, _ in memos}
-        for function, decorator in decorated:
+        for function, decorator, arity in decorated:
             (owned if decorator in ("owned", "paired") else cached).add(
                 (path.name, function))
             if decorator == "paired":
+                assert arity == 2, (path.name, function)
                 paired.add((path.name, function))
     assert cached == PROCESS_CACHES
     assert owned == OWNED

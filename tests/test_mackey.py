@@ -80,6 +80,7 @@ from support import (
     fixed_point_by_cosets,
     gmodule_hom_group,
     identity_element_vector_oracle,
+    memo_entries,
     natural_by_spans,
     permutation_group,
     representable_span_action,
@@ -942,8 +943,8 @@ def test_functors_store_one_conjugation_per_normalizer_generator(name):
     Q = cokernel(two)[0]
     boxed = box(A, FP).functor
     # nothing holds the other elements' matrices until they are read: the
-    # box functor has built no structure store, so no `weyl` either
-    assert "structure" not in vars(boxed)
+    # box functor has derived no `weyl` and keeps no memo of its own
+    assert "weyl" not in vars(boxed) and memo_entries(boxed) == {}
     functors = [A, FP, Q, boxed, zero_mackey(group), k0_mackey(group),
                 kernel(two)[0], direct_sum(A, Q)[0], minimize_presentation(Q)[0],
                 internal_hom_rep(standard_orbit(group, 0), FP),
@@ -1250,16 +1251,23 @@ def test_span_evaluation_does_not_pin_gsets():
     del X, fold, e
     gc.collect()
     assert ref() is None
-    kept = [d for d in vars(M.structure).values() if isinstance(d, dict)]
+    kept = list(memo_entries(M).values())
     assert any(kept)
     assert not any(_holds_gset(key) for d in kept for key in d)
+
+
+def _derived_sizes(M):
+    """{kind: entries} of the structure maps M derives: `weyl` and each
+    owned memo."""
+    return {"weyl": sum(map(len, vars(M).get("weyl", ()))),
+            **{name: len(d) for name, d in memo_entries(M).items()}}
 
 
 def test_structure_store_is_bounded_by_the_group():
     # restriction from the point to k copies of G/C2: the block, the
     # covering step C2 < S3 and the chains (res C2 < S3, res and tr at C2
     # itself) are read once whatever k, and the orbit layout of M(X) is
-    # computed, not stored, so no kind grows with the G-set
+    # computed, not stored, so no memo grows with the G-set
     group = builtin_group("S3")
     M = fixed_point_mackey(group, *regular_module(group))
     O, pt = standard_orbit(group, 1), point_gset(group)
@@ -1268,8 +1276,39 @@ def test_structure_store_is_bounded_by_the_group():
         X = GSet(group, [sum((tuple(O.size * i + y for y in row)
                               for i in range(k)), ()) for row in O.action])
         M.eval_span(restriction_element(GMap(X, pt, (0,) * X.size)))
-        sizes.append(M.structure.sizes())
-    assert sizes == [{"weyl": 20, "cover": 1, "chain": 3, "block": 1}] * 3
+        sizes.append(_derived_sizes(M))
+    assert sizes == [{"weyl": 20, "_step": 1, "_chain": 3, "_block": 1}] * 3
+
+
+def test_cover_mats_keeps_one_entry_per_step_and_refuses_other_pairs():
+    # A and B are read as sets of labels, so any order or sequence type
+    # reads the one entry of the step; a pair that is not a covering
+    # step is refused naming both subgroups
+    group = builtin_group("D4")
+    M = fixed_point_mackey(group, *regular_module(group))
+    want = M.cover_mats((0, 1), (0, 1, 4, 5))
+    for A, B in (((1, 0), (0, 1, 4, 5)), ((0, 1), (5, 4, 1, 0)),
+                 ([1, 0], [0, 1, 4, 5])):
+        got = M.cover_mats(A, B)
+        assert all(im.mats_equal(g, w) for g, w in zip(got, want))
+    assert len(memo_entries(M)["_step"]) == 1
+    for A, B in (((0, 1), (0, 2)), ((0, 1), (0, 1)), ((0,), (0, 1, 4, 5)),
+                 ((0, 1), (0, 1, 2, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"{A} < {B} is not "
+                                                       f"a covering step")):
+            M.cover_mats(A, B)
+
+
+@pytest.mark.parametrize("g", [-1, 8, 1.0])
+def test_conjugation_by_a_non_element_is_refused(g):
+    # g is checked as a label of the group before any table is read, so a
+    # negative label does not wrap round and a large one names itself
+    group = builtin_group("D4")
+    M = fixed_point_mackey(group, *regular_module(group))
+    with pytest.raises(ValueError, match=r"g\b"):
+        M.conj_mat(g, (0,))
+    with pytest.raises(ValueError, match=r"g\b"):
+        builtin_group("S3").conj_index(g, (0,))
 
 
 @pytest.mark.parametrize("name", BATTERY)
