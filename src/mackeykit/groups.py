@@ -362,7 +362,9 @@ class FiniteGroup:
         functors' conjugation `weyl[c][n]` reads.  A g that is not a label
         of the group raises ValueError naming it (`_elements`).
         """
-        (g,), L = self._elements((g,), "g"), tuple(sorted(L))
+        if not (type(g) is int and 0 <= g < self.order):
+            (g,) = self._elements((g,), "g")
+        L = tuple(sorted(L))
         n = self.mul(self.mul(self.transport(self.conjugate_subgroup(g, L)), g),
                      self.inverse[self.transport(L)])
         return self.class_index_of(L), n

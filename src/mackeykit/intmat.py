@@ -6,19 +6,20 @@ Lattices are column spans: the lattice "spanned by A" means the set
 {A @ x : x integer vector}.
 
 The hot kernels work on sparse rows, {column: value} dicts, and touch
-numpy only to read their input and write their output.
-`smith_normal_form` eliminates on sparse rows of D and Sinv, with S and
-Tinv kept transposed so that every operation they receive is a row
-operation; it performs the dense elimination's operations in the same
-order, which is why its output is identical entry for entry.  `Solver`
-keeps Sinv by rows and Tinv by columns and never forms a dense product.
+numpy only to read their input, through `_column_entries`, and write
+their output.  `_smith` eliminates on sparse rows of D and Sinv, with S
+and Tinv kept transposed so that every operation they receive is a row
+operation, in the dense elimination's order, which is why its output is
+identical entry for entry.  `snf_diagonal`, `kernel` and `Solver` read
+those rows; only `smith_normal_form`, their dense view, builds arrays.
 `hermite_normal_form_of_columns` is the one Hermite elimination, on
 sparse columns; `hermite_normal_form` hands it a dense matrix's nonzeros,
 and returns an input already in Hermite form after one pass over them.
 
 Object arrays, the library's own representation, are taken as given.
-Any other input must hold integers: `intmat` and `intvec` refuse a float,
-bool or string entry by name where `int()` would truncate or parse it.
+Any other input must hold integers: `intmat` and `intvec`, which read the
+solvers' right-hand sides too, refuse a float, bool or string entry by
+name where `int()` would truncate or parse it.
 """
 
 from __future__ import annotations
@@ -155,15 +156,24 @@ def from_cols(cols, nrows):
     return out
 
 
+_SMALL_MATRIX = 150     # entries; see `_column_entries`
+
+
 def _column_entries(A):
     """For each column j of A, the pairs (i, A[i, j]) with A[i, j] != 0.
 
-    Rows ascend within each column.  One comparison and one gather over
-    the whole matrix; the Python loop runs over the nonzeros only.
+    Rows ascend within each column.  A matrix of at most `_SMALL_MATRIX`
+    entries is read with one `tolist()`, a larger one with one comparison
+    and one gather whose Python loop runs over the nonzeros only.  1 x 1
+    took 1.7 us against 7.7 us for the gather, 12 x 12 was even, and the
+    66 x 65 box relation matrix of D4 (130 nonzeros) 196 us against 79 us.
     """
-    js, is_ = np.nonzero(A.T != 0)
+    if A.size <= _SMALL_MATRIX:
+        return [[(i, v) for i, v in enumerate(col) if v]
+                for col in A.T.tolist()]
+    iz, jz = np.nonzero(A != 0)
     cols = [[] for _ in range(A.shape[1])]
-    for j, i, v in zip(js.tolist(), is_.tolist(), A[is_, js].tolist()):
+    for i, j, v in zip(iz.tolist(), jz.tolist(), A[iz, jz].tolist()):
         cols[j].append((i, v))
     return cols
 
@@ -206,13 +216,23 @@ def _from_rows(rows, n, transposed=False):
     """Object matrix with the given sparse rows and n columns.
 
     With `transposed`, the sparse rows are the columns of an n-row matrix.
-    The nonzeros are scattered into zeros in one indexed assignment.
+    Up to `_SMALL_MATRIX` entries it is written as nested lists in one
+    slice assignment, a larger one by scattering the nonzeros into zeros.
     """
-    out = zeros(n, len(rows)) if transposed else zeros(len(rows), n)
+    shape = (n, len(rows)) if transposed else (len(rows), n)
+    if len(rows) * n <= _SMALL_MATRIX:
+        out = [[0] * shape[1] for _ in range(shape[0])]
+        for a, row in enumerate(rows):
+            for b, v in row.items():
+                if transposed:
+                    out[b][a] = v
+                else:
+                    out[a][b] = v
+        return _from_lists(out, *shape)
+    out = zeros(*shape)
     ii = [i for i, row in enumerate(rows) for _ in row]
     jj = [j for row in rows for j in row]
-    vals = np.empty(len(ii), dtype=object)
-    vals[:] = [v for row in rows for v in row.values()]
+    vals = np.array([v for row in rows for v in row.values()], dtype=object)
     if transposed:
         ii, jj = jj, ii
     out[ii, jj] = vals
@@ -236,14 +256,24 @@ def smith_normal_form(A):
     inverse Sinv) and Tinv are unimodular and D is diagonal with
     nonnegative entries d_1 | d_2 | ...
 
-    The elimination runs on sparse rows, one {column: value} dict per row
-    of D and Sinv.  S and Tinv are kept transposed, one dict per column,
-    so the column operations that S and Tinv receive are row operations
-    too: a swap exchanges two list slots and an add costs the nonzeros of
-    the row added.  Only the column operations on D visit rows, and only
-    rows t and below, since every row above the current pivot t is
-    already zero outside its diagonal.  The four dense arrays are built
-    once, at the end.
+    The dense view of the sparse elimination `_smith`, and the only code
+    that builds arrays of its factors.
+    """
+    D, Sinv, St, Tinvt = _smith(A)
+    m, n = len(D), len(Tinvt)
+    return (_from_rows(St, m, transposed=True), _from_rows(D, n),
+            _from_rows(Sinv, m), _from_rows(Tinvt, n, transposed=True))
+
+
+def _smith(A):
+    """`smith_normal_form` on sparse rows: (D, Sinv, St, Tinvt).
+
+    D and Sinv are {column: value} dicts, one per row; St and Tinvt hold
+    the columns of S and Tinv, so their column operations are row
+    operations too: a swap exchanges two list slots and an add costs the
+    nonzeros of the row added.  Only the column operations on D visit
+    rows, and only rows t and below, since every row above the current
+    pivot t is already zero outside its diagonal.
 
     The operations are the dense elimination's, in its order, so the
     output is the same matrices entry for entry.  For pivot t: the pivot
@@ -256,8 +286,8 @@ def smith_normal_form(A):
     row is negated.
 
     An input already in Smith form (nonzeros only at (t, t), nonnegative,
-    each dividing the next, so zeros come last) returns
-    (I_m, A, I_m, I_n) without elimination.  That is exactly what the
+    each dividing the next, so zeros come last) returns its rows with
+    identity factors without elimination.  That is exactly what the
     elimination would return: at every step the pivot search picks (t, t),
     since d_t is the first nonzero of least size in what remains, and the
     row, column and divisibility passes find nothing to clear, so nothing
@@ -265,20 +295,17 @@ def smith_normal_form(A):
     """
     A = intmat(A)
     m, n = A.shape
-    D = [{} for _ in range(m)]
-    iz, jz = np.nonzero(A != 0)
-    for i, j, v in zip(iz.tolist(), jz.tolist(), A[iz, jz].tolist()):
-        D[i][j] = int(v)
+    D = list(map(dict, _column_entries(A.T)))    # the rows of A
+    Sinv = [{i: 1} for i in range(m)]
+    St = [{i: 1} for i in range(m)]         # St[i] is column i of S
+    Tinvt = [{i: 1} for i in range(n)]      # Tinvt[i] is column i of Tinv
     diag = [D[t].get(t, 0) for t in range(min(m, n))]
     # every nonzero on the diagonal, nonnegative and chained
     if (all(len(row) == (t in row) for t, row in enumerate(D))
             and all(d >= 0 for d in diag)
             and all(b % a == 0 if a else b == 0
                     for a, b in zip(diag, diag[1:]))):
-        return identity(m), _from_rows(D, n), identity(m), identity(n)
-    Sinv = [{i: 1} for i in range(m)]
-    St = [{i: 1} for i in range(m)]         # St[i] is column i of S
-    Tinvt = [{i: 1} for i in range(n)]      # Tinvt[i] is column i of Tinv
+        return D, Sinv, St, Tinvt
     t = 0
 
     # Elementary operations on D, mirrored so S @ D == A @ Tinv stays true.
@@ -379,51 +406,44 @@ def smith_normal_form(A):
             row_negate(t)
         t += 1
 
-    return (_from_rows(St, m, transposed=True), _from_rows(D, n),
-            _from_rows(Sinv, m), _from_rows(Tinvt, n, transposed=True))
+    return D, Sinv, St, Tinvt
 
 
 def snf_diagonal(A):
     """Diagonal of the Smith form as a list of nonnegative ints."""
-    _, D, _, _ = smith_normal_form(A)
-    return [int(D[i, i]) for i in range(min(D.shape))]
+    D, _, _, Tinvt = _smith(A)
+    return [D[t].get(t, 0) for t in range(min(len(D), len(Tinvt)))]
 
 
 def kernel(A):
     """Basis (as columns) of the integer kernel {x : A @ x = 0}."""
-    A = intmat(A)
-    m, n = A.shape
-    _, D, _, Tinv = smith_normal_form(A)
-    free = [j for j in range(n) if j >= min(m, n) or D[j, j] == 0]
-    return Tinv[:, free]
+    D, _, _, Tinvt = _smith(A)
+    free = [c for j, c in enumerate(Tinvt) if j >= len(D) or j not in D[j]]
+    return _from_rows(free, len(Tinvt), transposed=True)
 
 
 class Solver:
     """Factor a matrix once, then solve A @ x = b for many right sides.
 
-    With S @ D == A @ Tinv, x = Tinv @ y where D @ y = Sinv @ b.  The factors
-    are kept sparse, Sinv by rows and Tinv by columns, so a solve costs the
-    nonzeros of Sinv plus those of the Tinv columns that y uses.
+    With S @ D == A @ Tinv, x = Tinv @ y where D @ y = Sinv @ b.  Sinv by
+    rows and Tinv by columns are read from `_smith` as they are, so a solve
+    costs the nonzeros of Sinv plus those of the Tinv columns y uses.
     """
 
     def __init__(self, A):
-        A = intmat(A)
-        self.m, self.n = A.shape
-        _, D, Sinv, Tinv = smith_normal_form(A)
-        self._diag = [D[i, i] for i in range(min(self.m, self.n))]
-        self._sinv_rows = _column_entries(Sinv.T)
-        self._tinv_cols = _column_entries(Tinv)
+        D, self._sinv_rows, _, self._tinv_cols = _smith(A)
+        self.m, self.n = len(D), len(self._tinv_cols)
+        self._diag = [row.get(i, 0) for i, row in enumerate(D)]
 
     def solve(self, b):
-        b = np.asarray(b, dtype=object)
+        b = intvec(b)
         if b.shape != (self.m,):
             raise ValueError(f"right-hand side has shape {b.shape}, "
                              f"expected ({self.m},)")
         b = b.tolist()
         x = [0] * self.n
-        for i, row in enumerate(self._sinv_rows):
-            c = sum(v * b[j] for j, v in row)
-            d = self._diag[i] if i < len(self._diag) else 0
+        for i, (row, d) in enumerate(zip(self._sinv_rows, self._diag)):
+            c = sum(v * b[j] for j, v in row.items())
             if d == 0:
                 if c != 0:
                     return None
@@ -431,7 +451,7 @@ class Solver:
                 return None
             elif c:
                 y = c // d
-                for r, v in self._tinv_cols[i]:
+                for r, v in self._tinv_cols[i].items():
                     x[r] += v * y
         out = np.empty(self.n, dtype=object)
         out[:] = x
@@ -549,7 +569,7 @@ def hnf_solve(H, v):
 
     Forward substitution down the pivot rows; no factorization needed.
     """
-    v = np.asarray(v, dtype=object).copy()
+    v = intvec(v)
     m, k = H.shape
     pivot_rows = []
     for j in range(k):

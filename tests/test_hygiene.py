@@ -77,6 +77,11 @@ orbit index, the fixed orbits, the subgroup orbits and
 else, and `_orbits_on` is gone.  `product`, `coproduct` and `pullback`
 relabel raw rows that are an action by construction: they build no
 `GSet`, call no `canonicalize` and invert no isomorphism.
+The readers of the Smith form that want sparse factors, `Solver`,
+`kernel` and `snf_diagonal`, read the elimination `intmat._smith`
+itself: they call no `smith_normal_form`, whose dense view is the only
+one that builds arrays, and read no factor back through
+`_column_entries`.
 """
 
 import ast
@@ -1736,3 +1741,56 @@ def test_limits_relabel_their_raw_rows_in_place():
     calls, found = calls_inside(source, RAW_LIMITS, CHECKED_ROUTE)
     assert found == set(RAW_LIMITS)
     assert calls == []
+
+
+# The readers of the Smith form that want sparse factors, and the calls
+# that would build its dense view or read a dense factor back into columns.
+SPARSE_SMITH_READERS = ("Solver.__init__", "kernel", "snf_diagonal")
+DENSE_SMITH = {"smith_normal_form", "_column_entries"}
+
+
+def dense_smith_reads(source, readers):
+    """{reader: (line, name) of every call of `smith_normal_form` or
+    `_column_entries` in it} for the readers the source defines, by
+    qualified name."""
+    out = {}
+    for scope, node in _scoped(ast.parse(source)):
+        qual = f"{scope}.{getattr(node, 'name', '')}".lstrip(".")
+        if isinstance(node, ast.FunctionDef) and qual in readers:
+            out[qual] = named_calls(node, DENSE_SMITH)
+    return out
+
+
+# The readers, abridged, as they read when each took the dense Smith form
+# and `Solver` turned Sinv and Tinv back into sparse lists.
+DENSE_ROUND_TRIP = '''
+def snf_diagonal(A):
+    _, D, _, _ = smith_normal_form(A)
+    return [int(D[i, i]) for i in range(min(D.shape))]
+
+def kernel(A):
+    _, D, _, Tinv = smith_normal_form(A)
+    return Tinv[:, free]
+
+class Solver:
+    def __init__(self, A):
+        _, D, Sinv, Tinv = smith_normal_form(A)
+        self._sinv_rows = _column_entries(Sinv.T)
+        self._tinv_cols = _column_entries(Tinv)
+'''
+
+
+def test_scanner_finds_the_dense_smith_round_trip():
+    assert dense_smith_reads(DENSE_ROUND_TRIP, SPARSE_SMITH_READERS) == {
+        "snf_diagonal": [(3, "smith_normal_form")],
+        "kernel": [(7, "smith_normal_form")],
+        "Solver.__init__": [(12, "smith_normal_form"),
+                            (13, "_column_entries"), (14, "_column_entries")]}
+
+
+def test_sparse_smith_readers_build_no_dense_factor():
+    # Solver, kernel and snf_diagonal read the elimination's own rows and
+    # columns; only `smith_normal_form` scatters them into arrays
+    source = (PACKAGE / "intmat.py").read_text(encoding="utf-8")
+    assert dense_smith_reads(source, SPARSE_SMITH_READERS) == {
+        reader: [] for reader in SPARSE_SMITH_READERS}

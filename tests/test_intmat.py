@@ -186,6 +186,81 @@ def test_solver_returns_none_off_the_lattice():
         solver.solve(im.intvec([1, 2]))
 
 
+def column_entries_by_definition(A):
+    m, n = A.shape
+    return [[(i, A[i, j]) for i in range(m) if A[i, j] != 0]
+            for j in range(n)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 20 x 20, so on both sides of `_SMALL_MATRIX`, with a few
+    nonzeros: small, negative or beyond 2**64."""
+    m, n = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    A = im.zeros(m, n)
+    if m and n:
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                          st.one_of(st.integers(-9, 9),
+                                    st.integers(-2 ** 80, 2 ** 80)))
+        for i, j, v in draw(st.lists(cells, max_size=40)):
+            A[i, j] = v
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example(im.zeros(0, 400))
+@example(im.zeros(400, 0))
+@example(diagonal_matrix([-2 ** 64 - 1, 3, 2 ** 70], 10, 15))    # 150 entries
+@example(diagonal_matrix([-2 ** 64 - 1, 3, 2 ** 70], 11, 14))    # 154 entries
+@example(im.intmat([[-(2 ** 65)] * 13] * 12))
+def test_column_entries_read_the_nonzeros_column_by_column(A):
+    got = im._column_entries(A)
+    assert got == column_entries_by_definition(A)
+    assert all(type(v) is int for col in got for _, v in col)
+
+
+def seeded_matrices():
+    """Random dense and sparse matrices, square and not, and inputs already
+    in Smith form, whose factors are identities."""
+    rng = random.Random(47)
+    out = [rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+           for _ in range(30)]
+    out += [im.intmat([[rng.choice([0] * 9 + [1, -2, 3]) for _ in range(n)]
+                       for _ in range(m)]) for m, n in ((13, 12), (9, 17))]
+    out += [diagonal_matrix([1, 2, 6, 0], 4, 6), diagonal_matrix([3], 3, 1),
+            diagonal_matrix([2 ** 64, 2 ** 65], 2, 2), im.zeros(2, 3),
+            im.zeros(0, 2), im.zeros(3, 0)]
+    return [pytest.param(A, id=f"{i}-{A.shape[0]}x{A.shape[1]}")
+            for i, A in enumerate(out)]
+
+
+@pytest.mark.parametrize("A", seeded_matrices())
+def test_sparse_readers_agree_with_the_dense_factors(A):
+    m, n = A.shape
+    assert_same_smith(A)    # the dense view is the dense oracle's factors
+    _, D, _, Tinv = im.smith_normal_form(A)
+    diag = [D[t, t] for t in range(min(m, n))]
+    sympy_D = sympy_snf(to_sympy(A)).to_Matrix()
+    got = im.snf_diagonal(A)
+    assert got == diag == [int(sympy_D[t, t]) for t in range(min(m, n))]
+    assert all(type(d) is int for d in got)
+    free = [j for j in range(n) if j >= m or D[j, j] == 0]
+    assert im.mats_equal(im.kernel(A), Tinv[:, free])
+    rng = random.Random(m * 100 + n)
+    solver = im.Solver(A)
+    b = A @ im.intvec([rng.randint(-4, 4) for _ in range(n)]) if n \
+        else im.zero_vec(m)
+    for k in range(-1, m):
+        rhs = b.copy()
+        if k >= 0:
+            rhs[k] += 1
+        got, want = solver.solve(rhs), dense_solve_oracle(A, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert im.mats_equal(got, want) and im.mats_equal(A @ got, rhs)
+
+
 HERMITE = im.intmat([[2, 0], [0, 3], [5, 1]])
 
 
@@ -348,6 +423,26 @@ def test_solve_no_solution():
     A = im.intmat([[2]])
     assert im.solve(A, im.intvec([1])) is None
     assert im.solve(A, im.intvec([4]))[0] == 2
+
+
+@pytest.mark.parametrize("b,entry", [
+    ([4.0], "[0] is not an integer: 4.0"),
+    (np.array([4.0]), "[0] is not an integer: 4.0"),
+    ([True], "[0] is not an integer: True"),
+    (np.array([True]), "[0] is not an integer: True"),
+    (["4"], "[0] is not an integer: '4'"),
+], ids=["float", "float-array", "bool", "bool-array", "str"])
+def test_exact_solvers_refuse_right_hand_sides_that_are_not_integers(b, entry):
+    # a float came back as a float solution, a bool was read as 0 or 1 and
+    # a string raised a bare TypeError
+    A = im.intmat([[2]])
+    for solve in (lambda: im.solve(A, b), lambda: im.Solver(A).solve(b),
+                  lambda: im.hnf_solve(A, b), lambda: im.in_lattice(b, A)):
+        with pytest.raises(ValueError, match=re.escape("vector" + entry)):
+            solve()
+    four = im.intvec([4])
+    assert list(im.solve(A, four)) == [2] and list(im.hnf_solve(A, four)) == [2]
+    assert list(im.solve(A, np.array([4]))) == [2]
 
 
 @settings(max_examples=120, deadline=None)
