@@ -1,10 +1,13 @@
 """Finitely presented abelian groups with exact normal forms.
 
-A group is Z^n modulo the lattice spanned by its relator rows.  Elements
-are integer vectors of length n (generator coordinates); the Smith form
-of the relation lattice gives unique normal forms, so equality is
-decidable and deterministic.  A relator-free group Z^n carries its
-identity transforms implicitly and costs O(n), not two n x n arrays.
+A group is Z^n modulo the lattice spanned by its relator rows; elements
+are integer vectors of length n.  A group stores its minimal
+presentation, read off the Smith elimination `intmat._smith`: one
+generator per non-unit Smith entry d, with the rows of the row transform
+U there (k x n) and the columns of U^-1 (n x k).  Normal forms are the k
+coordinates, each reduced modulo its d, so equality is decidable and
+deterministic.  A relator-free group holds None for both identities and
+costs O(n).
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import numpy as np
 
 from . import intmat
 from .intmat import (
+    _from_rows,
     _labels,
+    _smith,
     hermite_normal_form,
     intmat as mat,
     lattice_sum,
     preimage_lattice,
-    smith_normal_form,
     zeros,
 )
 
@@ -42,7 +46,12 @@ def _int_matrix(rows, ncols, name, *where):
 
 
 class FinPresAbGroup:
-    """Z^generator_count modulo the row span of `relations`."""
+    """Z^generator_count modulo the row span of `relations`.
+
+    `_diag` holds the k non-unit Smith entries in order, `_proj` (k x n)
+    and `_sect` (n x k) the maps with `_proj @ _sect` = I_k; other modules
+    read them through `minimal_presentation`.
+    """
 
     def __init__(self, generator_count, relations=None):
         """Raises ValueError on a generator count that is not a nonnegative
@@ -59,34 +68,39 @@ class FinPresAbGroup:
         # canonical basis, which keeps later matrix work small
         self._rel_cols = hermite_normal_form(raw.T) if raw.shape[0] \
             else zeros(n, 0)
-        # (U, Uinv) with y = U @ v putting the relation lattice diagonal;
-        # None stands for the identity of a relator-free group
-        m = self._rel_cols.shape[1]
-        if m == 0:
-            self._transforms, self._diag = None, [0] * n
+        if self._rel_cols.shape[1] == 0:
+            self._proj = self._sect = None
+            self._diag = [0] * n
             return
-        S, D, Sinv, _ = smith_normal_form(self._rel_cols)
-        self._transforms = (Sinv, S)
-        self._diag = [int(D[i, i]) if i < min(n, m) else 0 for i in range(n)]
+        # with S @ D == A @ Tinv, U is Sinv and U^-1 is S
+        D, Sinv, St, _ = _smith(self._rel_cols)
+        keep = [i for i, row in enumerate(D) if row.get(i, 0) != 1]
+        self._diag = [D[i].get(i, 0) for i in keep]
+        self._proj = _from_rows([Sinv[i] for i in keep], n)
+        self._sect = _from_rows([St[i] for i in keep], n, transposed=True)
 
     @classmethod
-    def _assembled(cls, rel_cols, U, Uinv, diag):
-        """Skip diagonalization when the canonical data is already known.
-
-        Used by direct sums: block-diagonal transforms of the summands put
-        the combined relation lattice in diagonal coordinates directly.
-        U = Uinv = None stands for the identity of a relator-free group.
-        """
+    def _assembled(cls, rel_cols, proj, sect, diag):
+        """A group whose minimal presentation is known (direct sums)."""
         obj = object.__new__(cls)
         obj.generator_count = rel_cols.shape[0]
         obj._rel_cols = rel_cols
-        obj._transforms = None if U is None else (U, Uinv)
-        obj._diag = list(diag)
+        obj._proj, obj._sect, obj._diag = proj, sect, list(diag)
         return obj
 
-    def _from_diagonal(self, y):
-        """Generator coordinates Uinv @ y of diagonal coordinates y."""
-        return y if self._transforms is None else self._transforms[1] @ y
+    def minimal_presentation(self):
+        """(group, projection, section): the group on one generator per
+        non-unit Smith entry, the k x n projection onto it and the n x k
+        section back, the group's own arrays.  A relator-free group is
+        already minimal: (self, None, None), None for the identity."""
+        if self._proj is None:
+            return self, None, None
+        return (FinPresAbGroup.from_invariants(self._diag), self._proj,
+                self._sect)
+
+    def _lift(self, y):
+        """Generator coordinates `_sect @ y` of k coordinates y."""
+        return y if self._sect is None else self._sect @ y
 
     @classmethod
     def free(cls, rank):
@@ -126,21 +140,20 @@ class FinPresAbGroup:
         blockwise), so the chain is rebuilt with C_a + C_b = C_gcd + C_lcm:
         after pass i, entry i divides every later entry.  No factoring.
         """
-        chain = [d for d in self._diag if d > 1]
+        chain = [d for d in self._diag if d]
         for i in range(len(chain)):
             for j in range(i + 1, len(chain)):
                 a, b = chain[i], chain[j]
                 g = math.gcd(a, b)
                 chain[i], chain[j] = g, a // g * b
-        frees = sum(1 for d in self._diag if d == 0)
-        return tuple(d for d in chain if d > 1) + (0,) * frees
+        return tuple(d for d in chain if d > 1) + (0,) * self.free_rank
 
     @property
     def free_rank(self):
-        return sum(1 for d in self._diag if d == 0)
+        return self._diag.count(0)
 
     def is_trivial(self):
-        return all(d == 1 for d in self._diag)
+        return not self._diag
 
     def is_finite(self):
         return self.free_rank == 0
@@ -148,13 +161,11 @@ class FinPresAbGroup:
     def order(self):
         if not self.is_finite():
             raise ValueError("group is infinite")
-        out = 1
-        for d in self._diag:
-            out *= d
-        return out
+        return math.prod(self._diag)
 
     def normal_form(self, v):
-        """Unique canonical tuple for the class of v.
+        """Unique canonical tuple for the class of v: its k coordinates,
+        each reduced modulo its Smith entry.
 
         An object array, the library's own representation, is read as it
         is.  Any other v must hold integers: a float, bool or string entry
@@ -166,22 +177,15 @@ class FinPresAbGroup:
         if len(v) != self.generator_count:
             raise ValueError(f"element of length {len(v)} in a group "
                              f"on {self.generator_count} generators")
-        if self._transforms is None:
+        if self._proj is None:
             return tuple(map(int, v))
-        y = self._transforms[0] @ np.asarray(v, dtype=object)
-        out = []
-        for yi, d in zip(y, self._diag):
-            if d == 1:
-                out.append(0)
-            elif d == 0:
-                out.append(int(yi))
-            else:
-                out.append(int(yi % d))
-        return tuple(out)
+        y = (self._proj @ np.asarray(v, dtype=object)).tolist()
+        return tuple([int(yi % d) if d else int(yi)
+                      for yi, d in zip(y, self._diag)])
 
     def reduce(self, v):
         """Canonical representative vector of the class of v."""
-        return self._from_diagonal(intmat.intvec(self.normal_form(v)))
+        return self._lift(intmat.intvec(self.normal_form(v)))
 
     def elements_equal(self, v, w):
         return self.normal_form(v) == self.normal_form(w)
@@ -192,7 +196,7 @@ class FinPresAbGroup:
             raise ValueError("group is infinite")
         ranges = [range(d) for d in self._diag]
         for combo in itertools.product(*ranges):
-            yield self._from_diagonal(intmat.intvec(combo))
+            yield self._lift(intmat.intvec(combo))
 
     def __eq__(self, other):
         if not isinstance(other, FinPresAbGroup):
@@ -223,19 +227,17 @@ class FinPresAbGroup:
 def _columns_vanish(D, tgt: FinPresAbGroup) -> bool:
     """Is every column of D zero in tgt?
 
-    One product U @ D puts all columns in diagonal coordinates, where row i
-    must vanish modulo the i-th diagonal entry.  A relator-free tgt checks
-    D itself.  The entries are Python ints, which plain iteration tests
-    faster than numpy's object-array reductions at every size.
+    One product with tgt's projection puts all columns in its k
+    coordinates, where row i must vanish modulo the i-th Smith entry.  A
+    relator-free tgt checks D itself.  The entries are Python ints, which
+    plain iteration tests faster than numpy's object-array reductions at
+    every size.
     """
-    if D.shape[0] != tgt.generator_count:
-        raise ValueError(f"elements of length {D.shape[0]} in a group "
-                         f"on {tgt.generator_count} generators")
-    if tgt._transforms is None:
+    if tgt._proj is None:
         return not any(D.flat)
-    Y = (tgt._transforms[0] @ D).tolist()
+    Y = (tgt._proj @ D).tolist()
     return not any(any(x % d for x in row) if d else any(row)
-                   for row, d in zip(Y, tgt._diag) if d != 1)
+                   for row, d in zip(Y, tgt._diag))
 
 
 def map_is_welldefined(M, src: FinPresAbGroup, tgt: FinPresAbGroup) -> bool:
@@ -247,9 +249,16 @@ def map_is_welldefined(M, src: FinPresAbGroup, tgt: FinPresAbGroup) -> bool:
 
 
 def maps_equal(M1, M2, src: FinPresAbGroup, tgt: FinPresAbGroup) -> bool:
-    n = src.generator_count
-    return _columns_vanish(_int_matrix(M1, n, "map") - _int_matrix(M2, n, "map"),
-                           tgt)
+    """Do the generator matrices M1 and M2 induce the same map src -> tgt?
+
+    Raises ValueError on a matrix whose shape is not tgt x src."""
+    shape = (tgt.generator_count, src.generator_count)
+    M1 = _int_matrix(M1, shape[1], "map")
+    M2 = _int_matrix(M2, shape[1], "map")
+    if M1.shape != shape or M2.shape != shape:
+        raise ValueError(f"maps of shape {M1.shape} and {M2.shape}, "
+                         f"expected {shape}")
+    return _columns_vanish(M1 - M2, tgt)
 
 
 def subgroup_from_lattice(B, amb: FinPresAbGroup):
@@ -284,26 +293,21 @@ def direct_sum_groups(groups):
     """Direct sum with block generator layout; returns (grp, offsets).
 
     A single summand is returned as it is.  A sum of relator-free groups
-    is relator-free; otherwise the transforms are block-diagonal, with
-    ones for the implicit identities.
+    is relator-free; otherwise the projection and section are
+    block-diagonal, with ones for the implicit identities.
     """
     groups = list(groups)
     if len(groups) == 1:
         return groups[0], [0]
-    *offsets, total = itertools.accumulate(
+    *offsets, _ = itertools.accumulate(
         (g.generator_count for g in groups), initial=0)
     if not groups:
         return FinPresAbGroup(0), offsets
     rel_cols = intmat.block_diag([g.relation_lattice for g in groups])
     diag = [d for g in groups for d in g._diag]
-    if all(g._transforms is None for g in groups):
+    if all(g._proj is None for g in groups):
         return FinPresAbGroup._assembled(rel_cols, None, None, diag), offsets
-    U, Uinv = zeros(total, total), zeros(total, total)
-    for g, o in zip(groups, offsets):
-        k = g.generator_count
-        if g._transforms is None:
-            ones = np.arange(o, o + k)
-            U[ones, ones] = Uinv[ones, ones] = 1
-        else:
-            U[o:o + k, o:o + k], Uinv[o:o + k, o:o + k] = g._transforms
-    return FinPresAbGroup._assembled(rel_cols, U, Uinv, diag), offsets
+    blocks = [(intmat.identity(g.generator_count),) * 2 if g._proj is None
+              else (g._proj, g._sect) for g in groups]
+    proj, sect = (intmat.block_diag(b) for b in zip(*blocks))
+    return FinPresAbGroup._assembled(rel_cols, proj, sect, diag), offsets

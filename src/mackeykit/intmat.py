@@ -257,7 +257,7 @@ def smith_normal_form(A):
     nonnegative entries d_1 | d_2 | ...
 
     The dense view of the sparse elimination `_smith`, and the only code
-    that builds arrays of its factors.
+    that builds arrays of its factors.  Exported, with no library caller.
     """
     D, Sinv, St, Tinvt = _smith(A)
     m, n = len(D), len(Tinvt)
@@ -568,13 +568,17 @@ def hnf_solve(H, v):
     """Coefficients for v in a column-Hermite basis H, or None.
 
     Forward substitution down the pivot rows; no factorization needed.
+    Raises ValueError on a v of the wrong length or a zero column of H.
     """
     v = intvec(v)
     m, k = H.shape
-    pivot_rows = []
-    for j in range(k):
-        r = next(i for i in range(m) if H[i, j] != 0)
-        pivot_rows.append(r)
+    if v.shape != (m,):
+        raise ValueError(f"right-hand side has shape {v.shape}, "
+                         f"expected ({m},)")
+    cols = _column_entries(H)
+    if not all(cols):
+        raise ValueError(f"column {cols.index([])} of H is zero")
+    pivot_rows = [col[0][0] for col in cols]
     coeffs = zero_vec(k)
     for j, r in enumerate(pivot_rows):
         if v[r] % H[r, j] != 0:

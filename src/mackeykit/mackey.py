@@ -789,23 +789,9 @@ def minimize_presentation(M: MackeyFunctor):
     relations.  Quotient constructions leave many redundant generators
     behind; shrinking them keeps later solves small.
     """
-    projs, sects, levels = [], [], []
-    for lvl in M.levels:
-        if lvl._transforms is None:
-            # relator-free: already minimal, projection and section are
-            # the identity, marked None
-            levels.append(lvl)
-            projs.append(None)
-            sects.append(None)
-            continue
-        U, Uinv = lvl._transforms
-        keep = [i for i, d in enumerate(lvl._diag) if d != 1]
-        levels.append(FinPresAbGroup.from_invariants(
-            [lvl._diag[i] for i in keep]))
-        projs.append(U[keep, :] if keep else
-                     intmat.zeros(0, lvl.generator_count))
-        sects.append(Uinv[:, keep] if keep else
-                     intmat.zeros(lvl.generator_count, 0))
+    # None: a relator-free level, already minimal, with identity maps
+    levels, projs, sects = zip(*(lvl.minimal_presentation()
+                                 for lvl in M.levels))
 
     def squeeze(W, c_src, c_tgt):
         P, S = projs[c_tgt], sects[c_src]

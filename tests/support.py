@@ -1110,7 +1110,7 @@ def dense_solve_oracle(A, b):
 
 
 def dense_free(n):
-    """Z^n holding its identity transforms as dense arrays.
+    """Z^n holding its identity projection and section as dense arrays.
 
     The oracle for the implicit identity of relator-free groups: the same
     canonical data, read through the general (presented) code paths.
@@ -1120,15 +1120,30 @@ def dense_free(n):
 
 
 def assert_same_group(G, H):
-    """Equal generators, relations, transforms and diagonal, entry for entry."""
+    """Equal generators, relations, minimal presentation (projection,
+    section and non-unit Smith entries), entry for entry."""
     assert G.generator_count == H.generator_count
-    eye = (im.identity(G.generator_count),) * 2    # what None stands for
+    eye = im.identity(G.generator_count)    # what None stands for
     for a, b in ((G.relation_lattice, H.relation_lattice),
                  (G.relations, H.relations),
-                 *zip(G._transforms or eye, H._transforms or eye)):
+                 (G._proj if G._proj is not None else eye,
+                  H._proj if H._proj is not None else eye),
+                 (G._sect if G._sect is not None else eye,
+                  H._sect if H._sect is not None else eye)):
         assert a.dtype == b.dtype == object
         assert im.mats_equal(a, b)
     assert G._diag == H._diag
+
+
+def smith_slice(G):
+    """(diag, U, Uinv) of G from `smith_normal_form`: the Smith diagonal,
+    padded with 0 to the generator count, and the row transform with its
+    inverse (the identity for a relator-free group)."""
+    n = G.generator_count
+    if G.relation_lattice.shape[1] == 0:
+        return [0] * n, im.identity(n), im.identity(n)
+    S, D, Sinv, _ = im.smith_normal_form(G.relation_lattice)
+    return [D[i, i] if i < min(D.shape) else 0 for i in range(n)], Sinv, S
 
 
 # -- the box product through spans and G-sets ----------------------------------------

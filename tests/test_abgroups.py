@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from mackeykit.abgroups import (
     quotient_by_columns,
     subgroup_from_lattice,
 )
-from support import assert_same_group, dense_free, kernel_of_map, tensor_group
+from support import (
+    assert_same_group,
+    dense_free,
+    kernel_of_map,
+    smith_slice,
+    tensor_group,
+)
 
 
 def test_invariant_factors_examples():
@@ -55,8 +62,8 @@ def test_invariant_factors_match_sympy_without_factoring(factors):
 @pytest.mark.parametrize("n", [0, 1, 5, 717])
 def test_relator_free_group_has_identity_transforms(n):
     G = FinPresAbGroup(n)
-    # None stands for the identity transforms
-    assert G._transforms is None
+    # None stands for the identity projection and section
+    assert G._proj is None and G._sect is None
     assert G._diag == [0] * n
 
 
@@ -225,7 +232,7 @@ def free_vectors(draw):
 def test_implicit_identity_normal_form_and_reduce_match_dense(nv):
     n, v = nv
     G, D = FinPresAbGroup(n), dense_free(n)
-    assert G._transforms is None and D._transforms is not None
+    assert G._proj is None and D._proj is not None
     assert_same_group(G, D)
     for w in (v, im.intvec(v)):
         assert G.normal_form(w) == D.normal_form(w)
@@ -257,10 +264,10 @@ def test_direct_sums_with_implicit_identities_match_dense(sizes, where, entries)
     # all summands relator-free: the sum is relator-free too
     free, _ = direct_sum_groups(FinPresAbGroup(n) for n in sizes)
     dense, _ = direct_sum_groups(dense_free(n) for n in sizes)
-    assert free._transforms is None
+    assert free._proj is None
     assert_same_group(free, dense)
-    # mixed: a presented summand makes the transforms block-diagonal, with
-    # ones for the implicit identities
+    # mixed: a presented summand makes the projection and section
+    # block-diagonal, with ones for the implicit identities
     torsion = FinPresAbGroup(3, [[2, 4, 0], [0, 6, 0]])
     at = min(where, len(sizes))
     mixed, moffs = direct_sum_groups(
@@ -270,7 +277,7 @@ def test_direct_sums_with_implicit_identities_match_dense(sizes, where, entries)
         [dense_free(n) for n in sizes[:at]] + [torsion]
         + [dense_free(n) for n in sizes[at:]])
     assert moffs == ooffs
-    assert mixed._transforms is not None
+    assert mixed._proj is not None
     assert_same_group(mixed, oracle)
     v = [entries[i % len(entries)] if entries else 0
          for i in range(mixed.generator_count)]
@@ -331,3 +338,97 @@ def test_numpy_integers_are_accepted():
     assert type(G.generator_count) is int
     assert_same_group(G, H)
     assert G.invariant_factors == (2, 0)
+
+
+# -- the minimal presentation against the dense Smith form ---------------------------
+
+
+def seeded_group(rng):
+    """A presented, relator-free or trivial group on 0 to 5 generators."""
+    n = rng.randint(0, 5)
+    kind = rng.choice(["presented", "presented", "free", "trivial"])
+    if kind == "free" or n == 0:
+        return FinPresAbGroup(n)
+    if kind == "trivial":
+        return FinPresAbGroup(n, [[rng.randint(-3, 3) if j > i else int(i == j)
+                                   for j in range(n)] for i in range(n)])
+    rels = [[rng.choice([0, 0, rng.randint(-12, 12)]) for _ in range(n)]
+            for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        rels.append([int(j == 0) for j in range(n)])    # a unit entry
+    return FinPresAbGroup(n, rels)
+
+
+def assert_minimal_presentation(G, diag, U, Uinv, rng):
+    """G stores U's rows and Uinv's columns at the non-unit entries of the
+    full diagonal `diag`, and its normal forms and representatives are the
+    full-diagonal ones with the always-zero unit coordinates dropped."""
+    n = G.generator_count
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    k = len(keep)
+    assert G._diag == [diag[i] for i in keep]
+    H, proj, sect = G.minimal_presentation()
+    if G.relation_lattice.shape[1] == 0:
+        assert G._proj is None and G._sect is None and k == n
+        assert H is G and proj is None and sect is None
+    else:
+        assert proj is G._proj and sect is G._sect
+        assert proj.dtype == sect.dtype == object
+        assert proj.shape == (k, n) and sect.shape == (n, k)
+        assert im.mats_equal(proj, U[keep, :])
+        assert im.mats_equal(sect, Uinv[:, keep])
+        assert im.mats_equal(proj @ sect, im.identity(k))
+        assert_same_group(H, FinPresAbGroup.from_invariants(G._diag))
+    assert G.is_trivial() == (k == 0)
+    for _ in range(4):
+        v = [rng.randint(-40, 40) for _ in range(n)]
+        y = U @ im.intvec(v)
+        full = [0 if d == 1 else y[i] % d if d else y[i]
+                for i, d in enumerate(diag)]
+        assert G.normal_form(v) == tuple(full[i] for i in keep)
+        r = G.reduce(v)
+        assert r.dtype == object and list(r) == list(Uinv @ im.intvec(full))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimal_presentation_is_the_smith_slice(seed):
+    rng = random.Random(seed)
+    G = seeded_group(rng)
+    assert_minimal_presentation(G, *smith_slice(G), rng)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_direct_sum_presentation_is_the_block_smith_slice(seed):
+    # the oracle is the summands' full transforms placed block-diagonally
+    rng = random.Random(1000 + seed)
+    groups = [seeded_group(rng) for _ in range(rng.randint(2, 4))]
+    S, offsets = direct_sum_groups(groups)
+    slices = [smith_slice(g) for g in groups]
+    diag = [d for sl in slices for d in sl[0]]
+    U = im.block_diag([sl[1] for sl in slices])
+    Uinv = im.block_diag([sl[2] for sl in slices])
+    assert (S._proj is None) == all(g._proj is None for g in groups)
+    assert_minimal_presentation(S, diag, U, Uinv, rng)
+
+
+def test_trivial_group_has_an_empty_presentation():
+    G = FinPresAbGroup(2, [[1, 0], [3, 1]])
+    assert G._diag == [] and G._proj.shape == (0, 2) and G._sect.shape == (2, 0)
+    assert G.normal_form([5, -7]) == () and G.order() == 1
+    assert [list(x) for x in G.elements()] == [[0, 0]]
+    H, _, _ = G.minimal_presentation()
+    assert H.generator_count == 0 and H.is_trivial()
+
+
+@pytest.mark.parametrize("M1,M2,src,tgt,shapes", [
+    ([[2, 2]], [[0]], 2, [2], "(1, 2) and (1, 1), expected (1, 2)"),
+    ([[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6]], 2, [0, 0],
+     "(2, 3) and (2, 3), expected (2, 2)"),
+    ([[1]], [[1]], 2, [2], "(1, 1) and (1, 1), expected (1, 2)"),
+], ids=["broadcast-row", "equal-but-too-wide", "both-too-narrow"])
+def test_maps_equal_refuses_matrices_of_the_wrong_shape(M1, M2, src, tgt, shapes):
+    # numpy once broadcast the difference, and every case compared equal
+    message = re.escape("maps of shape " + shapes)
+    with pytest.raises(ValueError, match="^" + message):
+        maps_equal(M1, M2, FinPresAbGroup(src),
+                   FinPresAbGroup.from_invariants(tgt))

@@ -81,7 +81,11 @@ The readers of the Smith form that want sparse factors, `Solver`,
 `kernel` and `snf_diagonal`, read the elimination `intmat._smith`
 itself: they call no `smith_normal_form`, whose dense view is the only
 one that builds arrays, and read no factor back through
-`_column_entries`.
+`_column_entries`.  A presented group stores only its minimal
+presentation, read off `_smith` too: `abgroups` calls no
+`smith_normal_form`, no other module reads a group's presentation
+fields (they ask `FinPresAbGroup.minimal_presentation`), and no dense
+`_transforms` pair is left.
 """
 
 import ast
@@ -1794,3 +1798,50 @@ def test_sparse_smith_readers_build_no_dense_factor():
     source = (PACKAGE / "intmat.py").read_text(encoding="utf-8")
     assert dense_smith_reads(source, SPARSE_SMITH_READERS) == {
         reader: [] for reader in SPARSE_SMITH_READERS}
+
+
+# A presented group's minimal presentation, and the dense pair of
+# transforms it replaced.  `intmat.Solver` keeps a `self._diag` of its own.
+PRESENTATION_FIELDS = {"_diag", "_proj", "_sect", "_transforms"}
+
+
+def presentation_reads(source):
+    """(line, field) of every PRESENTATION_FIELDS attribute read on
+    anything but `self`."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute)
+                  and n.attr in PRESENTATION_FIELDS
+                  and not (isinstance(n.value, ast.Name)
+                           and n.value.id == "self"))
+
+
+# `mackey.minimize_presentation`, abridged, as it read when it sliced each
+# level's dense transforms itself.
+SLICED_TRANSFORMS = '''
+def minimize_presentation(M):
+    for lvl in M.levels:
+        if lvl._transforms is None:
+            continue
+        U, Uinv = lvl._transforms
+        keep = [i for i, d in enumerate(lvl._diag) if d != 1]
+        levels.append(FinPresAbGroup.from_invariants(
+            [lvl._diag[i] for i in keep]))
+        projs.append(U[keep, :])
+'''
+
+
+def test_scanner_finds_presentation_fields_read_outside_their_group():
+    assert presentation_reads(SLICED_TRANSFORMS) == [
+        (4, "_transforms"), (6, "_transforms"), (7, "_diag"), (9, "_diag")]
+
+
+def test_only_abgroups_reads_a_group_presentation():
+    # every other module asks `minimal_presentation`; the group reads the
+    # sparse elimination, not its dense view, and keeps no dense transforms
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        assert "_transforms" not in _read_names(ast.parse(source)), path.name
+        if path.name != "abgroups.py":
+            assert presentation_reads(source) == [], path.name
+    source = (PACKAGE / "abgroups.py").read_text(encoding="utf-8")
+    assert named_calls(ast.parse(source), {"smith_normal_form"}) == []

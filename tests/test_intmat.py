@@ -445,6 +445,24 @@ def test_exact_solvers_refuse_right_hand_sides_that_are_not_integers(b, entry):
     assert list(im.solve(A, np.array([4]))) == [2]
 
 
+@pytest.mark.parametrize("solve,message", [
+    (lambda: im.hnf_solve(im.intmat([[2]]), [2, 3]),
+     "right-hand side has shape (2,), expected (1,)"),
+    (lambda: im.hnf_solve(im.intmat([[2], [0]]), [2]),
+     "right-hand side has shape (1,), expected (2,)"),
+    (lambda: im.in_lattice([1, 2, 3], im.intmat([[1], [0]])),
+     "right-hand side has shape (3,), expected (2,)"),
+    (lambda: im.hnf_solve(im.intmat([[1, 0], [0, 0]]), [1, 0]),
+     "column 1 of H is zero"),
+], ids=["too-long", "too-short", "in-lattice", "zero-column"])
+def test_hermite_solver_refuses_mismatched_right_hand_sides(solve, message):
+    # a longer right-hand side once broadcast to None, a shorter one or
+    # in_lattice's raised numpy's broadcast error, and a zero column a
+    # bare StopIteration; the shape message is `Solver.solve`'s
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve()
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_matrices)
 def test_hermite_canonical(A):

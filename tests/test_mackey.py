@@ -84,6 +84,7 @@ from support import (
     natural_by_spans,
     permutation_group,
     representable_span_action,
+    smith_slice,
     span_functoriality_oracle,
     structure_matrices,
     weyl_element,
@@ -1068,7 +1069,7 @@ def _sign_over_c2():
 ], ids=["mixed-levels", "burnside-S3", "FP-Z[C4]", "sum-with-presented"])
 def test_minimize_presentation_of_relator_free_levels_matches_dense(make):
     M = make()
-    free = [lvl._transforms is None for lvl in M.levels]
+    free = [lvl._proj is None for lvl in M.levels]
     assert any(free)
     # the same functor with every relator-free level holding a dense identity
     D = MackeyFunctor(M.group, [dense_free(lvl.generator_count) if f else lvl
@@ -1086,6 +1087,58 @@ def test_minimize_presentation_of_relator_free_levels_matches_dense(make):
         assert a.dtype == b.dtype == object
         assert im.mats_equal(a, b)
     Mmin.validate_functoriality()
+
+
+def _dense_minimal_presentation(summands):
+    """(group, projection, section) of the direct sum of the levels
+    `summands` by the dense formula: the rows of U and the columns of U^-1
+    at the non-unit entries of the Smith diagonal, where U and the
+    diagonal are each summand's from `smith_normal_form`, placed
+    block-diagonally.  None for a relator-free sum."""
+    if all(g.relation_lattice.shape[1] == 0 for g in summands):
+        return None, None, None
+    slices = [smith_slice(g) for g in summands]
+    diag = [d for sl in slices for d in sl[0]]
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return (FinPresAbGroup.from_invariants([diag[i] for i in keep]),
+            im.block_diag([sl[1] for sl in slices])[keep, :],
+            im.block_diag([sl[2] for sl in slices])[:, keep])
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "D4"])
+def test_minimize_presentation_matches_the_dense_smith_formula(name):
+    group = builtin_group(name)
+    A, FP = burnside_mackey(group), _functor(group, "FP(Z)")
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    Q = cokernel(two)[0]
+    functors = [Q, box(A, _functor(group, "FP(Z[G])")).functor]
+    if name == "C2":
+        functors.append(_sign_over_c2())
+    cases = [(M, [[lvl] for lvl in M.levels]) for M in functors]
+    cases.append((direct_sum(A, Q)[0], [list(c) for c in zip(A.levels, Q.levels)]))
+    for M, summands in cases:
+        assert any(lvl.relation_lattice.shape[1] for lvl in M.levels)
+        Mmin, sect, proj = minimize_presentation(M)
+        for c, (lvl, parts) in enumerate(zip(M.levels, summands)):
+            G, P, S = _dense_minimal_presentation(parts)
+            if P is None:
+                assert Mmin.levels[c] is lvl
+                P = S = im.identity(lvl.generator_count)
+            else:
+                assert_same_group(Mmin.levels[c], G)
+            for a, b in ((proj.mats[c], P), (sect.mats[c], S)):
+                assert a.dtype == b.dtype == object
+                assert a.shape == b.shape and im.mats_equal(a, b)
+        cidx = group.class_index_of
+        squeezed = [(Mmin.res[k], M.res[k], cidx(k[1]), cidx(k[0]))
+                    for k in M.res]
+        squeezed += [(Mmin.tr[k], M.tr[k], cidx(k[0]), cidx(k[1]))
+                     for k in M.tr]
+        squeezed += [(w[n], v[n], c, c) for c, (w, v) in
+                     enumerate(zip(Mmin.conj, M.conj)) for n in w]
+        for W, V, c_src, c_tgt in squeezed:
+            assert W.dtype == object
+            assert im.mats_equal(W, proj.mats[c_tgt] @ V @ sect.mats[c_src])
 
 
 # -- span evaluation against the uncached orbit-scan oracle ----------------------------
