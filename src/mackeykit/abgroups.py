@@ -279,16 +279,6 @@ def quotient_by_columns(amb: FinPresAbGroup, cols):
     return FinPresAbGroup(amb.generator_count, rels.T)
 
 
-def image_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
-    """Image subgroup of tgt, as (grp, incl)."""
-    return subgroup_from_lattice(mat(M, src.generator_count), tgt)
-
-
-def cokernel_of_map(M, src: FinPresAbGroup, tgt: FinPresAbGroup):
-    """Cokernel of the induced map, on the generators of tgt."""
-    return quotient_by_columns(tgt, mat(M, src.generator_count))
-
-
 def direct_sum_groups(groups):
     """Direct sum with block generator layout; returns (grp, offsets).
 

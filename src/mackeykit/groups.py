@@ -59,11 +59,12 @@ def owned(fn):
     """fn(owner, *args), computed once per args and kept on the owner.
 
     The owner is a `FiniteGroup`, a `GSet`, a `MackeyFunctor`, a
-    `homalg.ChainComplex` or a `homalg.FilteredComplex`, and the result is
-    stored as `owner._memo[fn][args]`, so it lives exactly as long as its
-    owner: the one memo for what one object derives.  The owner is never
-    hashed: two groups with equal tables each keep their own results.
-    `args` must be hashable.
+    `mackey._Coordinates`, a `homalg.ChainComplex` or a
+    `homalg.FilteredComplex`, and the result is stored as
+    `owner._memo[fn][args]`, so it lives exactly as long as its owner: the
+    one memo for what one object derives.  The owner is never hashed: two
+    groups with equal tables each keep their own results.  `args` must be
+    hashable.
     """
     @wraps(fn)
     def memo(owner, *args):

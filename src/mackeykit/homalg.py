@@ -62,7 +62,6 @@ from .gsets import (
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
-    _coordinates,
     burnside_mackey,
     compose_morphisms,
     cokernel,
@@ -394,7 +393,8 @@ class ChainComplex:
 
 
 def complex_map_homology(C: ChainComplex, D: ChainComplex, maps: dict, n):
-    """Induced morphism H_n(C) -> H_n(D) from a chain map (dict of mats)."""
+    """Induced morphism H_n(C) -> H_n(D) from a chain map, a dict of
+    morphisms by degree, of which only `maps[n]` is read (zero if absent)."""
     HC, inclC, _projC, sectC = C.homology_data(n)
     HD, inclD, projD, _sectD = D.homology_data(n)
     u = maps[n] if n in maps else zero_morphism(C.term(n), D.term(n))
@@ -671,10 +671,9 @@ def _entry_data(filt: FilteredComplex, Q1, Q2, r, p, n):
     H_n(Q2); (0, None) when a trivial term forces it to zero."""
     if _is_zero(Q1.term(n)) or _is_zero(Q2.term(n)):
         return zero_mackey(filt.steps[-1].group), None
-    u = {m: MackeyMorphism(Q1.term(m), Q2.term(m),
-                           filt.inclusion(p, p + r - 1, m).mats, check=False)
-         for m in Q1.degrees()}
-    return image(complex_map_homology(Q1, Q2, u, n))
+    u = MackeyMorphism(Q1.term(n), Q2.term(n),
+                       filt.inclusion(p, p + r - 1, n).mats, check=False)
+    return image(complex_map_homology(Q1, Q2, {n: u}, n))
 
 
 def _is_zero(M: MackeyFunctor):
@@ -755,20 +754,19 @@ def _connecting(filt: FilteredComplex, r, p, n):
     C = quotient_complex(filt, p + r - 1, p - 1)
     HC, inclC, _projC, sectC = C.homology_data(n)
     HA, inclA, projA, _sectA = A.homology_data(n - 1)
-    iota = filt.inclusion(p - 1, p + r - 1, n - 1)
+    # the boundary lifts along A_{n-1} -> B_{n-1}, then through the
+    # cycles of A, whose inclusion the homology memo keeps with its solvers
+    lift = MackeyMorphism(A.term(n - 1), B.term(n - 1),
+                          filt.inclusion(p - 1, p + r - 1, n - 1).mats,
+                          check=False).coordinates
     dB = B.diff(n)
     mats = []
     for c in range(len(HC.levels)):
-        lift = _coordinates(iota.mats[c], B.term(n - 1).levels[c],
-                            "connecting morphism failed to solve")
-        cycle = _coordinates(inclA.mats[c], A.term(n - 1).levels[c],
-                             "connecting image is not a cycle")
-        reps = inclC.mats[c] @ sectC.mats[c]
-        bounds = [dB.mats[c] @ reps[:, k]
-                  for k in range(HC.levels[c].generator_count)]
-        mats.append(intmat.from_cols(
-            [projA.mats[c] @ z for z in cycle(lift(bounds))],
-            HA.levels[c].generator_count))
+        bounds = dB.mats[c] @ inclC.mats[c] @ sectC.mats[c]
+        cycles = inclA.coordinates.lift_matrix(c, lift.lift_matrix(
+            c, bounds, "connecting morphism failed to solve"),
+            "connecting image is not a cycle")
+        mats.append(projA.mats[c] @ cycles)
     return MackeyMorphism(HC, HA, mats, check=False)
 
 
@@ -784,9 +782,9 @@ def homology_filtration_graded(filt: FilteredComplex, n):
     prev_incl = None
     for p in range(filt.min_index - 1, filt.max_index + 1):
         Fp = filt.complex_at(p)
-        u = {m: MackeyMorphism(Fp.term(m), total.term(m),
-                               filt.inclusion(p, filt.max_index, m).mats,
-                               check=False) for m in Fp.degrees()}
+        u = {n: MackeyMorphism(Fp.term(n), total.term(n),
+                               filt.inclusion(p, filt.max_index, n).mats,
+                               check=False)} if n in Fp.terms else {}
         Im, incl = image(complex_map_homology(Fp, total, u, n))
         if prev is not None:
             j = lift_through_inclusion(incl, prev_incl)

@@ -33,6 +33,10 @@ Derived functors (kernels, images, cokernels, minimized presentations)
 carry each res, tr and conj matrix from their parent when it is first
 read (`CarriedMatrices`): on the Tor path most of them are never read,
 and the homology of a complex costs its levels and inclusions only.
+Every lift reads one `_Coordinates`, which factors each class once, on
+first use: a morphism keeps one over its matrices and its target's
+levels (`MackeyMorphism.coordinates`) for the lifts through it, and a
+kernel or image shares its inclusion's with the maps it carries.
 
 What evaluation derives from the stored data is kept on the functor:
 `weyl` as a cached property, and the covering steps, the res and tr
@@ -517,9 +521,50 @@ def _naturality(M: MackeyFunctor, N: MackeyFunctor):
                    f"conjugation at class {c}")
 
 
+class _Coordinates:
+    """Coordinates over the columns of bases[c] of vectors of levels[c]
+    in their span modulo levels[c]'s relations, class by class.
+
+    Each class is factored once, on first use: one `intmat.Solver` on
+    [bases[c] | relations], kept through `groups.owned`.  It holds
+    matrices and groups only, no functor or morphism, so the functors and
+    morphisms that share it make no reference cycle.
+    """
+
+    def __init__(self, bases, levels):
+        self.bases = tuple(bases)
+        self.levels = tuple(levels)
+        self._memo = {}
+
+    @owned
+    def _solver(self, c):
+        basis, rel = self.bases[c], self.levels[c].relation_lattice
+        return intmat.Solver(intmat.hstack([basis, rel]) if rel.shape[1]
+                             else basis)
+
+    def lift(self, c, vectors, error):
+        """The coordinates of each of `vectors`; a vector outside the span
+        raises ValueError(error)."""
+        solver, k = self._solver(c), self.bases[c].shape[1]
+        sols = [solver.solve(v) for v in vectors]
+        if any(sol is None for sol in sols):
+            raise ValueError(error)
+        return [sol[:k] for sol in sols]
+
+    def lift_matrix(self, c, mat, error):
+        """The matrix of coordinates of the columns of `mat`."""
+        return intmat.from_cols(self.lift(c, mat.T, error),
+                                self.bases[c].shape[1])
+
+    def restrict(self, mat, c_src, c_tgt, error):
+        """mat, a map of ambient levels, restricted to the spans at c_src
+        and c_tgt, in their coordinates."""
+        return self.lift_matrix(c_tgt, mat @ self.bases[c_src], error)
+
+
 class MackeyMorphism:
     """Levelwise matrices, well defined and commuting with the structure
-    matrices `_naturality` lists."""
+    matrices `_naturality` lists.  Lifts through it read `coordinates`."""
 
     def __init__(self, source: MackeyFunctor, target: MackeyFunctor,
                  mats, check=True):
@@ -546,6 +591,12 @@ class MackeyMorphism:
                     self.mats[c_tgt] @ m_src, m_tgt @ self.mats[c_src],
                     M.levels[c_src], N.levels[c_tgt]):
                 raise ValueError(f"morphism does not commute with {label}")
+
+    @cached_property
+    def coordinates(self):
+        """Coordinates over `mats` modulo the target's level relations:
+        one solver per class, built when a lift first reads it."""
+        return _Coordinates(self.mats, self.target.levels)
 
     def at_gset(self, X: GSet):
         """Induced matrix M(X) -> N(X) in block coordinates."""
@@ -581,11 +632,16 @@ class MackeyMorphism:
     def inverse(self):
         """Two-sided inverse morphism; raises if any level is not invertible."""
         invs = []
-        for c, mat in enumerate(self.mats):
-            inv = _invert_mod(mat, self.source.levels[c], self.target.levels[c])
-            if inv is None:
-                raise ValueError(f"morphism is not invertible at class {c}")
-            invs.append(inv)
+        for c, (mat, src, tgt) in enumerate(zip(
+                self.mats, self.source.levels, self.target.levels)):
+            error = f"morphism is not invertible at class {c}"
+            g = self.coordinates.lift_matrix(c, intmat.identity(len(mat)),
+                                             error)
+            if not (abgroups.map_is_welldefined(g, tgt, src) and
+                    abgroups.maps_equal(g @ mat, intmat.identity(len(g)),
+                                        src, src)):
+                raise ValueError(error)
+            invs.append(g)
         return MackeyMorphism(self.target, self.source, invs, check=False)
 
 
@@ -606,21 +662,6 @@ def zero_morphism(M: MackeyFunctor, N: MackeyFunctor) -> MackeyMorphism:
     return MackeyMorphism(M, N, [intmat.zeros(N.levels[c].generator_count,
                                               M.levels[c].generator_count)
                                  for c in range(len(M.levels))], check=False)
-
-
-def _invert_mod(mat, src: FinPresAbGroup, tgt: FinPresAbGroup):
-    """Matrix g with mat@g = id (mod tgt rels) and g@mat = id (mod src rels)."""
-    n_t, n_s = mat.shape
-    try:
-        cols = _coordinates(mat, tgt, "not onto")(intmat.identity(n_t))
-    except ValueError:
-        return None
-    g = intmat.from_cols(cols, n_s)
-    if not abgroups.map_is_welldefined(g, tgt, src):
-        return None
-    if not abgroups.maps_equal(g @ mat, intmat.identity(n_s), src, src):
-        return None
-    return g
 
 
 # -- constructions along the structure G-maps: representables -----------------------
@@ -683,42 +724,41 @@ def zero_mackey(group: FiniteGroup) -> MackeyFunctor:
 # -- levelwise abelian-category structure ---------------------------------------------
 
 
-def _literally_zero(f: MackeyMorphism) -> bool:
-    return all(intmat.is_zero(m) for m in f.mats)
-
-
 def kernel(f: MackeyMorphism):
     """Kernel subfunctor with its inclusion morphism.
 
-    Structure maps are carried on first read (`_carried`): for an f that
-    is not natural (check=False), the first read of one leaving the
+    Structure maps are carried on first read (`_subfunctor`): for an f
+    that is not natural (check=False), the first read of one leaving the
     kernel lattices raises "level lattices are not structure-stable".
     """
-    if _literally_zero(f):
+    if all(intmat.is_zero(m) for m in f.mats):
         return f.source, identity_morphism(f.source)
-    incls = []
-    levels = []
-    for c, mat in enumerate(f.mats):
-        K = intmat.preimage_lattice(mat, f.target.levels[c].relation_lattice)
-        grp, basis = abgroups.subgroup_from_lattice(K, f.source.levels[c])
-        incls.append(basis)
-        levels.append(grp)
-    sub = _subfunctor(f.source, levels, incls, name="ker")
-    incl = MackeyMorphism(sub, f.source, incls, check=False)
-    return sub, incl
+    levels, bases = zip(*(
+        abgroups.subgroup_from_lattice(
+            intmat.preimage_lattice(mat, f.target.levels[c].relation_lattice),
+            f.source.levels[c])
+        for c, mat in enumerate(f.mats)))
+    return _subfunctor(f.source, levels, bases, "ker")
 
 
 def image(f: MackeyMorphism):
     """Image subfunctor of the target with its inclusion morphism;
     structure maps are carried on first read, as in `kernel`."""
-    levels, incls = [], []
-    for c, mat in enumerate(f.mats):
-        grp, basis = abgroups.image_of_map(mat, f.source.levels[c],
-                                           f.target.levels[c])
-        levels.append(grp)
-        incls.append(basis)
-    sub = _subfunctor(f.target, levels, incls, name="im")
-    incl = MackeyMorphism(sub, f.target, incls, check=False)
+    levels, bases = zip(*(abgroups.subgroup_from_lattice(mat, f.target.levels[c])
+                          for c, mat in enumerate(f.mats)))
+    return _subfunctor(f.target, levels, bases, "im")
+
+
+def _subfunctor(M: MackeyFunctor, levels, bases, name):
+    """The subfunctor of M on the level sublattices spanned by the columns
+    of `bases`, with its inclusion.  The carried structure maps read the
+    `_Coordinates` set as the inclusion's `coordinates`, so each level is
+    factored once, whether a lift or a carried map reads it first."""
+    coords = _Coordinates(bases, M.levels)
+    sub = _carried(M, levels, lambda m, c_src, c_tgt: coords.restrict(
+        m, c_src, c_tgt, "level lattices are not structure-stable"), name)
+    incl = MackeyMorphism(sub, M, bases, check=False)
+    incl.coordinates = coords
     return sub, incl
 
 
@@ -739,46 +779,6 @@ def _carried(M: MackeyFunctor, levels, carry, name):
             for c, w in enumerate(M.conj)]
     return MackeyFunctor(M.group, levels, res, tr, conj, name=name,
                          check=False)
-
-
-def _coordinates(basis, amb: FinPresAbGroup, error):
-    """coords(vectors): the coordinates over the columns of `basis` of
-    vectors of amb in their span modulo amb's relations, one solver for
-    all.  A vector outside raises ValueError(error)."""
-    rel = amb.relation_lattice
-    solver = intmat.Solver(intmat.hstack([basis, rel]) if rel.shape[1]
-                           else basis)
-
-    def coords(vectors):
-        out = []
-        for v in vectors:
-            sol = solver.solve(v)
-            if sol is None:
-                raise ValueError(error)
-            out.append(sol[:basis.shape[1]])
-        return out
-    return coords
-
-
-def _restricter(bases, ambients, error):
-    """carry(mat, c_src, c_tgt): mat, a map of ambient levels, restricted
-    to the sublattices spanned by bases[c_src] and bases[c_tgt], in their
-    coordinates; one solver per target class, built on first use."""
-    solvers = {}
-
-    def carry(mat, c_src, c_tgt):
-        if c_tgt not in solvers:
-            solvers[c_tgt] = _coordinates(bases[c_tgt], ambients[c_tgt], error)
-        return intmat.from_cols(solvers[c_tgt]([mat @ v for v in bases[c_src].T]),
-                                bases[c_tgt].shape[1])
-    return carry
-
-
-def _subfunctor(M: MackeyFunctor, levels, incls, name=None):
-    """Subfunctor on given level sublattices (columns of incls)."""
-    restrict = _restricter(incls, M.levels,
-                           "level lattices are not structure-stable")
-    return _carried(M, levels, restrict, name or f"sub({M.name})")
 
 
 def minimize_presentation(M: MackeyFunctor):
@@ -812,8 +812,7 @@ def cokernel(f: MackeyMorphism):
     """Cokernel functor with its projection morphism; it shares f.target's
     structure mappings, so carried ones stay unread."""
     group = f.source.group
-    levels = [abgroups.cokernel_of_map(mat, f.source.levels[c],
-                                       f.target.levels[c])
+    levels = [abgroups.quotient_by_columns(f.target.levels[c], mat)
               for c, mat in enumerate(f.mats)]
     M = f.target
     quo = MackeyFunctor(group, levels, M.res, M.tr, M.conj,
@@ -862,20 +861,24 @@ def _is_identity(incl: MackeyMorphism):
 
 def lift_columns(incl: MackeyMorphism, c, cols):
     """Coordinates over incl.source(G/H_c) of the vectors `cols` of
-    incl.target(G/H_c), one solver for all; an identity returns them."""
+    incl.target(G/H_c), read off `incl.coordinates`, which factors the
+    level once for every lift through incl and, for a kernel or image,
+    for its carried structure maps too; an identity returns them."""
     if _is_identity(incl):
         return list(cols)
-    return _coordinates(incl.mats[c], incl.target.levels[c],
-                        "morphism does not factor through the subfunctor")(cols)
+    return incl.coordinates.lift(
+        c, cols, "morphism does not factor through the subfunctor")
 
 
 def lift_through_inclusion(incl: MackeyMorphism, f: MackeyMorphism):
-    """Factor f: X -> M through a subfunctor inclusion S -> M."""
-    if _is_identity(incl):
-        return MackeyMorphism(f.source, incl.source, f.mats, check=False)
-    mats = [intmat.from_cols(lift_columns(incl, c, list(mat.T)),
-                             incl.mats[c].shape[1])
-            for c, mat in enumerate(f.mats)]
+    """Factor f: X -> M through a subfunctor inclusion S -> M.  Raises
+    ValueError unless f maps into incl's target."""
+    if f.target is not incl.target:
+        raise ValueError("the morphism does not map into the inclusion's "
+                         "target")
+    mats = f.mats if _is_identity(incl) else [
+        intmat.from_cols(lift_columns(incl, c, mat.T), incl.mats[c].shape[1])
+        for c, mat in enumerate(f.mats)]
     return MackeyMorphism(f.source, incl.source, mats, check=False)
 
 
@@ -1061,8 +1064,11 @@ def fixed_point_mackey(group: FiniteGroup, V: FinPresAbGroup, action,
         fixed_basis.append(basis)
         levels.append(grp)
 
-    on_fixed = _restricter(fixed_basis, [V] * len(classes),
-                           "fixed-point bookkeeping is broken")
+    fixed = _Coordinates(fixed_basis, [V] * len(classes))
+
+    def on_fixed(mat, c_src, c_tgt):
+        return fixed.restrict(mat, c_src, c_tgt,
+                              "fixed-point bookkeeping is broken")
 
     def along(f: GMap, transfer):
         # res_f v = rho(g) v for g.base = f(base); tr_f v sums rho(g_x) v

@@ -67,7 +67,7 @@ from mackeykit.mackey import (
     MackeyFunctor,
     MackeyMorphism,
     NatSolver,
-    _restricter,
+    _Coordinates,
     compose_morphisms,
     identity_morphism,
     image,
@@ -803,7 +803,11 @@ def fixed_point_by_cosets(group, V, act):
         grp, basis = abgroups.subgroup_from_lattice(lat, V)
         bases.append(basis)
         levels.append(grp)
-    on_fixed = _restricter(bases, [V] * len(levels), "not fixed")
+    fixed = _Coordinates(bases, [V] * len(levels))
+
+    def on_fixed(mat, c_src, c_tgt):
+        return fixed.restrict(mat, c_src, c_tgt, "not fixed")
+
     res, tr = {}, {}
     for (A, B) in group.canonical_covers:
         ca, cb = group.class_index_of(A), group.class_index_of(B)
@@ -1754,3 +1758,26 @@ def structure_matrices(M):
     out.update({("tr", k): M.tr[k] for k in M.tr})
     out.update({("conj", c, n): w[n] for c, w in enumerate(M.conj) for n in w})
     return out
+
+
+# -- a fresh solver per call: the route before one solver per sublattice -----------
+
+
+def fresh_coordinates(basis, amb, error):
+    """`mackey._coordinates` as it was before `_Coordinates`: coords(vectors),
+    the coordinates over the columns of `basis` of vectors of amb in their
+    span modulo amb's relations, through a solver built for this call.  A
+    vector outside raises ValueError(error)."""
+    rel = amb.relation_lattice
+    solver = intmat.Solver(intmat.hstack([basis, rel]) if rel.shape[1]
+                           else basis)
+
+    def coords(vectors):
+        out = []
+        for v in vectors:
+            sol = solver.solve(v)
+            if sol is None:
+                raise ValueError(error)
+            out.append(sol[:basis.shape[1]])
+        return out
+    return coords

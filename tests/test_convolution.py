@@ -347,16 +347,10 @@ def test_box_distributes_over_direct_sums():
     f1 = box_map(i1, identity_morphism(N))
     f2 = box_map(i2, identity_morphism(N))
     mats = [im.hstack([f1.mats[c], f2.mats[c]]) for c in range(len(D.levels))]
-    levels = []
-    for c in range(len(D.levels)):
-        from mackeykit.abgroups import direct_sum_groups
-        grp, _ = direct_sum_groups([small1.functor.levels[c],
-                                    small2.functor.levels[c]])
-        levels.append(grp)
-    for c, mat in enumerate(mats):
-        # two-sided invertibility of the assembled matrix
-        from mackeykit.mackey import _invert_mod
-        assert _invert_mod(mat, levels[c], big.functor.levels[c]) is not None
+    # natural (checked on construction) and two-sided invertible at every
+    # level (`inverse` raises otherwise)
+    S = direct_sum(small1.functor, small2.functor)[0]
+    MackeyMorphism(S, big.functor, mats).inverse()
 
 
 # -- internal hom --------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from mackeykit.mackey import (
     identity_morphism,
     image,
     kernel,
+    lift_through_inclusion,
     representable,
     trivial_module,
     zero_mackey,
@@ -65,6 +66,7 @@ from mackeykit.homalg import (
 from support import (
     assert_level_arrays,
     eager_carried,
+    fresh_coordinates,
     hom_modules,
     hom_modules_oracle,
     memo_entries,
@@ -1017,3 +1019,127 @@ def test_carried_structure_maps_match_the_eager_route(name, monkeypatch):
             for key, m in want_maps.items():
                 assert got_maps[key].dtype == object, (n, key)
                 assert im.mats_equal(got_maps[key], m), (n, key)
+
+
+# -- one coordinate solver per sublattice ------------------------------------------------------
+
+
+def _counting_solvers(monkeypatch):
+    """The shapes of the matrices every `intmat.Solver` built from now on
+    factors, in order."""
+    built = []
+
+    class Counting(im.Solver):
+        def __init__(self, A):
+            built.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(im, "Solver", Counting)
+    return built
+
+
+def test_homology_at_factors_each_class_of_its_inclusion_once(monkeypatch):
+    # the lift of d_in through the kernel's inclusion and the kernel's
+    # carried structure maps read one solver per class, whichever is first
+    group = builtin_group("C2xC2")
+    R, mods = _tor_modules(group)
+    C = tor(R, mods["FP"], mods["FP/2"], 1).complex
+    built = _counting_solvers(monkeypatch)
+    _H, incl, _proj, _sect = homology_at(C.diff(2), C.diff(1))
+    classes = len(group.subgroup_classes())
+    assert len(built) == classes
+    structure_matrices(incl.source)
+    assert len(built) == classes
+
+
+def test_module_kernel_factors_each_class_of_its_inclusion_once(monkeypatch):
+    # the lifted action tables and the kernel's carried structure maps
+    # read one solver per class
+    group = builtin_group("C2xC2")
+    R, mods = _tor_modules(group)
+    F, surj = module_cover(mods["FP/2"])
+    built = _counting_solvers(monkeypatch)
+    K, incl = module_kernel(F, surj)
+    structure_matrices(K.underlying)
+    assert len(built) == len(group.subgroup_classes())
+
+
+def _fresh_lift(f, c, vectors):
+    return fresh_coordinates(f.mats[c], f.target.levels[c], "outside")(vectors)
+
+
+def _assert_lifts_match_a_fresh_solve(f, rng):
+    """f's shared coordinates lift seeded vectors of each level's span as
+    a solver built per call does."""
+    for c, (mat, lvl) in enumerate(zip(f.mats, f.target.levels)):
+        rel = lvl.relation_lattice
+        vectors = [mat @ im.intvec([rng.randint(-3, 3) for _ in mat.T])
+                   + rel @ im.intvec([rng.randint(-3, 3) for _ in rel.T])
+                   for _ in range(3)] if mat.shape[1] else []
+        got = f.coordinates.lift(c, vectors, "outside")
+        assert [v.tolist() for v in got] == \
+            [v.tolist() for v in _fresh_lift(f, c, vectors)]
+
+
+def _assert_carried_match_a_fresh_solve(incl):
+    """Each structure map the subfunctor carries equals its parent's
+    restricted through a solver built per call."""
+    S, M = incl.source, incl.target
+    cidx = M.group.class_index_of
+    carried = structure_matrices(S)
+    for key, m in structure_matrices(M).items():
+        if key[0] == "conj":
+            src = tgt = key[1]
+        else:
+            ends = [cidx(H) for H in key[1]]
+            src, tgt = ends[::-1] if key[0] == "res" else ends
+        fresh = fresh_coordinates(incl.mats[tgt], M.levels[tgt], "unstable")
+        want = im.from_cols(fresh([m @ v for v in incl.mats[src].T]),
+                            incl.mats[tgt].shape[1])
+        assert im.mats_equal(carried[key], want), key
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_shared_coordinates_equal_a_fresh_solve(name):
+    # kernels, images and homology read one solver per class for their
+    # lifts and their carried maps, in either order, and the Tor_0
+    # witness one for its inverse: each gives what a solver built for the
+    # call gives
+    group = builtin_group(name)
+    rng = random.Random(f"coordinates/{name}")
+    R, mods = _tor_modules(group)
+    result = tor(R, mods["FP"], mods["FP/2"], 1)
+    C = result.complex
+    for n in C.degrees():
+        d_in, d_out = C.diff(n + 1), C.diff(n)
+        for lifts_first in (True, False):
+            for incl in (kernel(d_out)[1], image(d_in)[1],
+                         homology_at(d_in, d_out)[1]):
+                if lifts_first:
+                    _assert_lifts_match_a_fresh_solve(incl, rng)
+                _assert_carried_match_a_fresh_solve(incl)
+                _assert_lifts_match_a_fresh_solve(incl, rng)
+    witness = result.tor0_witness
+    _assert_lifts_match_a_fresh_solve(witness, rng)
+    eye = [im.identity(len(m)) for m in witness.mats]
+    assert [g.tolist() for g in witness.inverse().mats] == [
+        im.from_cols(_fresh_lift(witness, c, list(e.T)),
+                     witness.mats[c].shape[1]).tolist()
+        for c, e in enumerate(eye)]
+
+
+def test_a_kernel_and_its_inclusion_are_freed_by_refcount(c2_setup):
+    # the carried maps and the inclusion share coordinates that hold
+    # neither, so no reference cycle keeps the pair alive
+    C2, _R, FP = c2_setup
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    K, incl = kernel(cokernel(two)[1])
+    lift_through_inclusion(incl, incl)
+    K.tr[C2.canonical_covers[0]]
+    refs = [weakref.ref(x) for x in (K, incl, incl.coordinates)]
+    gc.disable()
+    try:
+        del K, incl
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

@@ -86,6 +86,9 @@ presentation, read off `_smith` too: `abgroups` calls no
 `smith_normal_form`, no other module reads a group's presentation
 fields (they ask `FinPresAbGroup.minimal_presentation`), and no dense
 `_transforms` pair is left.
+Coordinates in a sublattice are solved through one type: outside
+`intmat`, only `mackey._Coordinates` builds an `intmat.Solver`, one per
+class on first use, and `homalg` imports no private name of `mackey`.
 """
 
 import ast
@@ -1419,6 +1422,7 @@ OWNED = {("gsets.py", "standard_orbit"),
          ("mackey.py", "MackeyFunctor._step"),
          ("mackey.py", "MackeyFunctor._chain"),
          ("mackey.py", "MackeyFunctor._block"),
+         ("mackey.py", "_Coordinates._solver"),
          ("convolution.py", "_burnside_green"), ("convolution.py", "box"),
          ("homalg.py", "ChainComplex.homology_data"),
          ("homalg.py", "FilteredComplex._empty_complex"),
@@ -1427,7 +1431,8 @@ OWNED = {("gsets.py", "standard_orbit"),
 MEMO_SCOPES = {("groups.py", "owned.memo"), ("groups.py", "paired.memo"),
                ("groups.py", "FiniteGroup.__init__"),
                ("gsets.py", "GSet.__init__"),
-               ("mackey.py", "MackeyFunctor.__init__")}
+               ("mackey.py", "MackeyFunctor.__init__"),
+               ("mackey.py", "_Coordinates.__init__")}
 
 
 def partner_release_report(source):
@@ -1464,8 +1469,9 @@ def test_scanner_finds_the_partner_release_registry():
 
 
 def test_memos_live_on_their_owner():
-    # what is built from a group, a G-set, a functor, a complex or a
-    # filtration is memoized through `groups.owned`, on that owner, or,
+    # what is built from a group, a G-set, a functor, a complex, a
+    # filtration or a morphism's coordinates (its solvers) is memoized
+    # through `groups.owned`, on that owner, or,
     # for a pair, through `groups.paired` on one of them, keyed weakly by
     # the other, with no argument but the pair; no attribute or field
     # named like a cache is left, and the only process-wide caches are the
@@ -1845,3 +1851,63 @@ def test_only_abgroups_reads_a_group_presentation():
             assert presentation_reads(source) == [], path.name
     source = (PACKAGE / "abgroups.py").read_text(encoding="utf-8")
     assert named_calls(ast.parse(source), {"smith_normal_form"}) == []
+
+
+def coordinate_report(source):
+    """The underscore names the source imports from `.mackey`, as (line,
+    name), and the scopes, by qualified name, that call `Solver`."""
+    private, builders = [], set()
+    for scope, node in _scoped(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "mackey" \
+                and node.level == 1:
+            private += [(a.lineno, a.name) for a in node.names
+                        if a.name.startswith("_")]
+        if isinstance(node, ast.Call) and "Solver" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            builders.add(scope)
+    return sorted(private), builders
+
+
+# `homalg._connecting` and `mackey._coordinates`, abridged, as they read
+# when each lift built a fresh solver for the pair it solved in and
+# `homalg` imported that private builder.
+SOLVER_PER_CALL = '''
+from .mackey import (
+    MackeyMorphism,
+    _coordinates,
+    lift_through_inclusion,
+)
+
+def _connecting(filt, r, p, n):
+    for c in range(len(HC.levels)):
+        lift = _coordinates(iota.mats[c], B.term(n - 1).levels[c],
+                            "connecting morphism failed to solve")
+        cycle = _coordinates(inclA.mats[c], A.term(n - 1).levels[c],
+                             "connecting image is not a cycle")
+
+def _coordinates(basis, amb, error):
+    solver = intmat.Solver(intmat.hstack([basis, rel]) if rel.shape[1]
+                           else basis)
+'''
+
+
+def test_scanner_finds_private_lift_imports_and_solver_builders():
+    assert coordinate_report(SOLVER_PER_CALL) == (
+        [(4, "_coordinates")], {"_coordinates"})
+
+
+def test_one_coordinate_type_builds_every_solver():
+    # outside `intmat`, every solver is built, one per class on first use,
+    # by `mackey._Coordinates`, which the lifts in `mackey` and `homalg`
+    # read through a morphism's `coordinates`; `homalg` imports no
+    # private name of `mackey`
+    for path in MODULES:
+        private, builders = coordinate_report(
+            path.read_text(encoding="utf-8"))
+        if path.name == "homalg.py":
+            assert private == []
+        if path.name != "intmat.py":
+            assert builders == ({"_Coordinates._solver"}
+                                if path.name == "mackey.py" else set()), \
+                path.name

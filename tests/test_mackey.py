@@ -59,6 +59,7 @@ from mackeykit.mackey import (
     identity_morphism,
     image,
     kernel,
+    lift_through_inclusion,
     mackey_from_levels,
     minimize_presentation,
     regular_module,
@@ -1409,7 +1410,8 @@ def test_subfunctor_of_a_non_natural_map_fails_on_first_read(c2):
 
 def test_homology_levels_build_no_solver_for_structure_maps(monkeypatch):
     # homology_at and its levels solve for the inclusions only; carrying a
-    # structure map through a subfunctor's solver waits for its first read
+    # structure map through the coordinates a subfunctor shares with its
+    # inclusion waits for its first read
     group = builtin_group("C2xC2")
     R = burnside_green(group, check=False)
     FP = _fp_z(group)
@@ -1417,14 +1419,13 @@ def test_homology_levels_build_no_solver_for_structure_maps(monkeypatch):
     C = tor(R, canonical_module(R, FP), canonical_module(R, cokernel(two)[0]),
             0).complex
     carried = []
-    real = mackey._coordinates
+    real = mackey._Coordinates.restrict
 
-    def coordinates(basis, amb, error):
-        if error == "level lattices are not structure-stable":
-            carried.append(basis.shape)
-        return real(basis, amb, error)
+    def restrict(self, mat, c_src, c_tgt, error):
+        carried.append((c_src, c_tgt))
+        return real(self, mat, c_src, c_tgt, error)
 
-    monkeypatch.setattr(mackey, "_coordinates", coordinates)
+    monkeypatch.setattr(mackey._Coordinates, "restrict", restrict)
     H, incl, _proj, _sect = homology_at(C.diff(2), C.diff(1))
     K = incl.source
     assert [lvl.invariant_factors for lvl in H.levels]
@@ -1432,6 +1433,21 @@ def test_homology_levels_build_no_solver_for_structure_maps(monkeypatch):
     assert carried == []
     structure_matrices(H)
     assert carried, "reading the maps carries them through the kernel"
+
+
+def test_lift_through_inclusion_takes_maps_into_its_target_only(c2):
+    # kernel(0) on FP(Z) is FP(Z) with its identity inclusion; a map into
+    # FP(Z)/2 does not factor through it, even where the levels coincide
+    FP = _fp_z(c2)
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    Q, proj = cokernel(two)
+    for f in (zero_morphism(FP, FP), proj):
+        K, incl = kernel(f)
+        with pytest.raises(ValueError, match="the inclusion's target"):
+            lift_through_inclusion(incl, identity_morphism(Q))
+        lifted = lift_through_inclusion(incl, incl)
+        assert lifted.source is K and lifted.target is K
+        assert lifted.equals(identity_morphism(K))
 
 
 def test_carried_functor_drops_its_parent_once_every_map_is_read(c2):
