@@ -114,9 +114,24 @@ class FinPresAbGroup:
     def from_invariants(cls, factors):
         """Group with one generator per listed factor (0 meaning Z).
 
-        Raises ValueError naming a factor that is not an integer."""
+        Factors that are each 0 or above 1 and divide the next (so zeros
+        come last) are in Smith form with no unit entry: the elimination
+        would keep their diagonal columns, find them already chained
+        (`intmat._smith`) and keep every entry with identity factors, so
+        that group is assembled directly.  Other lists, such as a direct
+        sum's blockwise entries, are eliminated.  Raises ValueError naming
+        a factor that is not an integer."""
         factors = _labels(factors, "factors")
         n = len(factors)
+        if all(d == 0 or d > 1 for d in factors) and all(
+                b % a == 0 if a else b == 0
+                for a, b in zip(factors, factors[1:])):
+            k = n - factors.count(0)
+            rel_cols = zeros(n, k)
+            for i in range(k):
+                rel_cols[i, i] = factors[i]
+            eye = intmat.identity(n) if k else None
+            return cls._assembled(rel_cols, eye, eye, factors)
         rels = [[factors[i] if j == i else 0 for j in range(n)]
                 for i in range(n) if factors[i] != 0]
         return cls(n, mat(rels, n))

@@ -36,7 +36,17 @@ from .burnside import (
     tensor,
 )
 from .groups import _same_group, owned, paired
-from .gsets import GMap, GSet, orbit_map, point_gset, product, standard_orbit
+from .gsets import (
+    GMap,
+    GSet,
+    compose_maps,
+    identity_map,
+    orbit_map,
+    pairing,
+    point_gset,
+    product,
+    standard_orbit,
+)
 from .intmat import _column_entries, _labels, hermite_normal_form_of_columns
 from .mackey import (
     MackeyFunctor,
@@ -282,9 +292,9 @@ def _struct_span(X: GSet, code) -> BurnsideElement:
     cidx, x = code
     group = X.group
     O = standard_orbit(group, cidx)
-    P = product(O, O)
-    diag = GMap(O, P.gset, tuple(P.of_pair(w, w) for w in range(O.size)))
-    return span_element(P.gset, X, O, diag, orbit_map(O, X, x))
+    P, idO = product(O, O), identity_map(O)
+    return span_element(P.gset, X, O, pairing(P, idO, idO),
+                        orbit_map(O, X, x))
 
 
 def yoneda_levels(C: MackeyFunctor, B: MackeyFunctor, X: GSet, b, pair):
@@ -543,18 +553,19 @@ def free_evaluation_iso(M: MackeyFunctor, X: GSet):
 
 def internal_hom_rep(X: GSet, M: MackeyFunctor) -> MackeyFunctor:
     """F(A_X, M) = M(X x -): level G/H is M(X x G/H), and res/tr along
-    f: G/A -> G/B are M's along id_X x f: X x G/A -> X x G/B, applied
-    orbit block by orbit block (`MackeyFunctor.apply_gmap`)."""
+    f: G/A -> G/B are M's along id_X x f: X x G/A -> X x G/B, the
+    pairing of the left leg with f after the right one, with M's orbit
+    blocks placed at their offsets (`MackeyFunctor.gmap_matrix`)."""
     group = X.group
-    levels = [M.value_at(product(X, standard_orbit(group, cls.index)).gset)[0]
-              for cls in group.subgroup_classes()]
+    products = [product(X, standard_orbit(group, cls.index))
+                for cls in group.subgroup_classes()]
+    levels = [M.value_at(P.gset)[0] for P in products]
 
     def along(f: GMap, transfer):
-        P, Q = product(X, f.source), product(X, f.target)
-        g = GMap(P.gset, Q.gset, [Q.of_pair(x, f.mapping[o]) for x, o in
-                                  zip(P.left.mapping, P.right.mapping)])
-        n = M.offsets(g.source if transfer else g.target)[-1]
-        return M.apply_gmap(g, intmat.identity(n), transfer)
+        P, Q = (products[Y.orbit_index.classes[0]]
+                for Y in (f.source, f.target))
+        return M.gmap_matrix(
+            pairing(Q, P.left, compose_maps(f, P.right)), transfer)
 
     return mackey_from_gmaps(group, levels, along, name=f"F(A_X, {M.name})",
                              check=False)

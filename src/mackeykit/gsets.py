@@ -236,9 +236,9 @@ class GMap:
     Equivariance, f(s·x) = s·f(x), is checked for every generator s in
     `group.generators`.  That is enough because both actions are already
     proven: if f commutes with g and with s, it commutes with g·s, and in a
-    finite group every element is a product of generators.  `orbit_map`
-    and `product` build their maps past this check (`_trusted`), on a
-    proof of their own.
+    finite group every element is a product of generators.  `orbit_map`,
+    `product`, `identity_map`, `compose_maps` and `pairing` build their
+    maps past this check (`_trusted`), each on a proof of its own.
     """
 
     def __init__(self, source: GSet, target: GSet, mapping):
@@ -295,14 +295,18 @@ class GMap:
 
 
 def identity_map(X: GSet) -> GMap:
-    return GMap(X, X, range(X.size))
+    """id_X, equivariant since it commutes with every row of X."""
+    return GMap._trusted(X, X, tuple(range(X.size)))
 
 
 def compose_maps(g: GMap, f: GMap) -> GMap:
+    """g o f, unchecked: f and g are proven, so for every h in G,
+    g(f(h.x)) = g(h.f(x)) = h.g(f(x)).  Raises ValueError unless f's
+    target equals g's source."""
     if f.target != g.source:
         raise ValueError("maps are not composable")
-    return GMap(f.source, g.target, tuple(g.mapping[f.mapping[x]]
-                                          for x in range(f.source.size)))
+    return GMap._trusted(f.source, g.target,
+                         tuple(map(g.mapping.__getitem__, f.mapping)))
 
 
 # -- standard orbits and canonical form ---------------------------------------
@@ -446,6 +450,28 @@ def product(X: GSet, Y: GSet) -> ProductData:
     """
     canon, left, right, pair = _product(X, Y)
     return ProductData(canon, left, GMap._trusted(canon, Y, right), pair)
+
+
+def pairing(P: ProductData, f: GMap, g: GMap) -> GMap:
+    """(f, g): S -> X x Y, s -> P.of_pair(f(s), g(s)), for f: S -> X and
+    g: S -> Y and the product P of X and Y, unchecked.
+
+    P's legs, checked in `_product`, send the point p to (x, y) with
+    pair_index[x][y] = p, so pair_index is the inverse of the bijection
+    (left, right) onto X x Y with the diagonal action, which is
+    equivariant because its legs are; so pair_index is equivariant too.
+    With f and g proven, h.s goes to pair_index[h.f(s)][h.g(s)] =
+    h.pair_index[f(s)][g(s)].  Raises ValueError unless f and g share
+    their source and their targets are P's factors.
+    """
+    if f.source != g.source:
+        raise ValueError("the maps of a pairing need a common source")
+    if f.target != P.left.target or g.target != P.right.target:
+        raise ValueError("the maps of a pairing must land in the factors")
+    index = P.pair_index
+    return GMap._trusted(f.source, P.gset,
+                         tuple([index[x][y]
+                                for x, y in zip(f.mapping, g.mapping)]))
 
 
 @paired

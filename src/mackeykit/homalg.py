@@ -53,9 +53,11 @@ from .convolution import (
 )
 from .groups import _same_group, owned
 from .gsets import (
-    GMap,
     GSet,
+    compose_maps,
     disjoint_union_of_orbits,
+    identity_map,
+    pairing,
     product,
     standard_orbit,
 )
@@ -124,7 +126,8 @@ def free_unit_vector(F: FreeModule):
     """The element tr_diag(1_X) of R^X(X) = R(X x X) classifying the identity.
 
     Orbit b of X, the image of its standard orbit O under emb, holds
-    tr(1_O) along O -> X x O, o -> (emb(o), o).
+    tr(1_O) along O -> X x O, o -> (emb(o), o), the pairing of emb with
+    the identity, proven by construction (`gsets.pairing`).
     """
     Rk = F.ring.underlying
     X = F.base
@@ -133,8 +136,7 @@ def free_unit_vector(F: FreeModule):
     for b, (emb, c) in enumerate(zip(X.orbit_embeddings,
                                      X.orbit_index.classes)):
         O = emb.source
-        P = product(X, O)
-        diag = GMap(O, P.gset, tuple(P.of_pair(emb(o), o) for o in range(O.size)))
+        diag = pairing(product(X, O), emb, identity_map(O))
         vec = Rk.apply_gmap(diag, F.ring.level_unit(c), transfer=True)
         out[offsets[b]:offsets[b] + len(vec)] = vec
     return out
@@ -463,6 +465,10 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
     block w(e) chain(L, L) is the identity); the orbits of P_b x Y over
     orbit k are those of O_k x Y, matched base to base by
     canonicalization; and the integer sum does not depend on its order.
+    The maps O_k x Y -> X x Y and O_k x Y -> Z x Y pair O_k's maps to X
+    and Z, composed with the left leg, with the right leg
+    (`gsets.pairing`, `gsets.compose_maps`), so they are proven by
+    construction and nothing checks them point by point.
     """
     Mk, Rk = M.underlying, M.ring.underlying
     group = M.group
@@ -479,9 +485,9 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
         for k, pemb in enumerate(P.gset.orbit_embeddings):
             fk = f[poff[k]:poff[k + 1]]
             if not intmat.is_zero(fk):
-                blocks.append((pemb.source,
-                               [P.left(w) for w in pemb.mapping],
-                               [emb(P.right(w)) for w in pemb.mapping], fk))
+                blocks.append((compose_maps(P.left, pemb),
+                               compose_maps(emb, compose_maps(P.right, pemb)),
+                               fk))
     mats = []
     for c in range(len(group.subgroup_classes())):
         Y = standard_orbit(group, c)
@@ -489,13 +495,10 @@ def _dress_map(M: GreenModule, d: MackeyMorphism, src: FreeModule,
         xoff, zoff = Mk.offsets(XY.gset), Mk.offsets(ZY.gset)
         out = intmat.zeros(target.levels[c].generator_count,
                            source.levels[c].generator_count)
-        for O, xs, zs, f in blocks:
-            T = product(O, Y)
-            pts = [(T.left(t), T.right(t)) for t in range(T.gset.size)]
-            to_z = GMap(T.gset, ZY.gset, tuple(ZY.of_pair(zs[w], y)
-                                               for w, y in pts))
-            to_x = GMap(T.gset, XY.gset, tuple(XY.of_pair(xs[w], y)
-                                               for w, y in pts))
+        for x_map, z_map, f in blocks:
+            T = product(x_map.source, Y)
+            to_z = pairing(ZY, compose_maps(z_map, T.left), T.right)
+            to_x = pairing(XY, compose_maps(x_map, T.left), T.right)
             # orbit t of O x Y: r_t = res f acts between its two blocks
             for (t, _, rb), (_, q, zb), (_, p, xb) in zip(
                     Rk.gmap_blocks(T.left), Mk.gmap_blocks(to_z),

@@ -363,6 +363,20 @@ class MackeyFunctor:
                 block, (by, _) = self.span_block(iy, ix, (c, y, x))
             yield bx, by, block
 
+    def gmap_matrix(self, f: GMap, transfer=False):
+        """The matrix of res_f: M(Y) -> M(X), or of tr_f: M(X) -> M(Y),
+        for f: X -> Y, each block of `gmap_blocks` placed at its orbits'
+        offsets.  The blocks come one per orbit of X, so no two share a
+        place."""
+        ends = (f.source, f.target) if transfer else (f.target, f.source)
+        soff, toff = map(self.offsets, ends)
+        out = intmat.zeros(toff[-1], soff[-1])
+        for bx, by, block in self.gmap_blocks(f, transfer):
+            s, t = (soff[bx], toff[by]) if transfer else (soff[by], toff[bx])
+            rows, cols = block.shape
+            out[t:t + rows, s:s + cols] = block
+        return out
+
     def apply_gmap(self, f: GMap, v, transfer=False):
         """res_f v, or tr_f v, for a vector or a column block v, applied
         block by block: no dense |M(Y)| x |M(X)| matrix is built."""
@@ -544,7 +558,9 @@ class _Coordinates:
 
     def lift(self, c, vectors, error):
         """The coordinates of each of `vectors`; a vector outside the span
-        raises ValueError(error)."""
+        raises ValueError(error).  No vectors build no solver."""
+        if not len(vectors):
+            return []
         solver, k = self._solver(c), self.bases[c].shape[1]
         sols = [solver.solve(v) for v in vectors]
         if any(sol is None for sol in sols):

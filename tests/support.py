@@ -1410,6 +1410,25 @@ def internal_hom_rep_by_spans(X, M):
         name=f"F(A_X, {M.name})", check=False)
 
 
+def internal_hom_rep_by_identity(X, M):
+    """F(A_X, M) by the earlier route: each res/tr along f: G/A -> G/B is
+    M's along id_X x f, built as a checked `GMap` point by point and
+    applied to an identity matrix orbit block by orbit block."""
+    group = X.group
+    levels = [M.value_at(product(X, standard_orbit(group, cls.index)).gset)[0]
+              for cls in group.subgroup_classes()]
+
+    def along(f, transfer):
+        P, Q = product(X, f.source), product(X, f.target)
+        g = GMap(P.gset, Q.gset, [Q.of_pair(x, f.mapping[o]) for x, o in
+                                  zip(P.left.mapping, P.right.mapping)])
+        n = M.offsets(g.source if transfer else g.target)[-1]
+        return M.apply_gmap(g, intmat.identity(n), transfer)
+
+    return mackey_from_gmaps(group, levels, along, name=f"F(A_X, {M.name})",
+                             check=False)
+
+
 def burnside_unit_vector(group):
     """The unit [pt <- pt -> pt] of the Burnside ring A_pt(pt) on its span
     basis, read off identity_element(pt)."""

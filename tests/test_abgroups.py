@@ -9,6 +9,7 @@ from sympy import ZZ, isprime
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+from mackeykit import abgroups
 from mackeykit import intmat as im
 from mackeykit.abgroups import (
     FinPresAbGroup,
@@ -55,6 +56,53 @@ def test_invariant_factors_match_sympy_without_factoring(factors):
                                   for f in factors)
     assert summed._diag == factors
     assert summed.invariant_factors == expected
+
+
+def _presentation(G):
+    """Every field a group stores, as lists."""
+    return (G.generator_count, G._rel_cols.shape, G._rel_cols.tolist(),
+            G._diag, *(None if m is None else (m.shape, m.tolist())
+                       for m in (G._proj, G._sect)))
+
+
+def test_chained_invariants_are_assembled_as_the_elimination_gives(monkeypatch):
+    # seeded factor lists with 0 and 1 among them, chained or not: the
+    # group `from_invariants` gives stores what eliminating the diagonal
+    # relators gives, field for field, and a chain with no unit entry is
+    # assembled without the elimination
+    rng = random.Random("from_invariants")
+    lists = [[], [0], [1], [0, 0], [2, 4, 0], [1, 2], [2, 3], [4, 2], [-2]]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            chain = [rng.choice((1, 2, 3))]
+            for _ in range(n - 1):
+                chain.append(chain[-1] * rng.choice((1, 2, 3, 5)))
+            cut = rng.randint(0, n)
+            lists.append(chain[:cut] + [0] * (n - cut))
+        else:
+            lists.append([rng.choice((0, 1, 2, 3, 4, 6, 12)) for _ in range(n)])
+    chained = [fs for fs in lists
+               if all(d == 0 or d > 1 for d in fs) and all(
+                   b % a == 0 if a else b == 0 for a, b in zip(fs, fs[1:]))]
+    assert len(chained) > 50 and len(lists) - len(chained) > 50
+    for fs in lists:
+        n = len(fs)
+        eliminated = FinPresAbGroup(n, im.intmat(
+            [[d if j == i else 0 for j in range(n)]
+             for i, d in enumerate(fs) if d], n))
+        assert _presentation(FinPresAbGroup.from_invariants(fs)) == \
+            _presentation(eliminated), fs
+
+    def no_elimination(A):
+        raise AssertionError("eliminated a chained diagonal")
+
+    monkeypatch.setattr(abgroups, "_smith", no_elimination)
+    monkeypatch.setattr(abgroups, "hermite_normal_form", no_elimination)
+    for fs in chained:
+        FinPresAbGroup.from_invariants(fs)
+    G = FinPresAbGroup.from_invariants([2, 4, 0])
+    assert G.minimal_presentation()[0].invariant_factors == (2, 4, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 717])

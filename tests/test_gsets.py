@@ -18,8 +18,10 @@ from mackeykit.gsets import (
     coset_index_of,
     disjoint_union_of_orbits,
     find_isomorphism,
+    identity_map,
     orbit_decompose,
     orbit_map,
+    pairing,
     point_gset,
     product,
     projection_map,
@@ -265,7 +267,6 @@ def test_pullback_examples():
     O = standard_orbit(C2, 0)
     # pullback of id, id over Z is Z
     for Z in (pt, O):
-        from mackeykit.gsets import identity_map
         pb = pullback(identity_map(Z), identity_map(Z))
         assert find_isomorphism(pb.gset, Z) is not None
     # C2/e x_pt C2/e = two free orbits (2 of 4 pairs per fiber survive)
@@ -545,6 +546,47 @@ def test_structure_maps_compose_and_check_their_input(name):
                 assert compose_maps(translation_map(group, c, n),
                                     translation_map(group, c, m)) == \
                     translation_map(group, c, group.mul(n, m))
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_pairings_and_composites_pass_the_checked_constructor(name):
+    # the pairing (f, g) into X x Y of orbit maps f and g, and composites
+    # of such maps, are built unchecked; the checked constructor accepts
+    # each, and the pairing sends s to the pair (f(s), g(s))
+    group = builtin_group(name)
+    last = len(group.subgroup_classes()) - 1
+    orbits = [standard_orbit(group, c.index) for c in group.subgroup_classes()]
+    X = disjoint_union_of_orbits(group, (0, last))
+    Y = orbits[len(orbits) // 2]
+    P = product(X, Y)
+    for O in orbits:
+        H = O.orbit_index.stabilizers[0]
+        fixed = [[x for x in range(Z.size)
+                  if all(Z.action[h][x] == x for h in H)] for Z in (X, Y)]
+        for x, y in itertools.product(*fixed):
+            f, g = orbit_map(O, X, x), orbit_map(O, Y, y)
+            fg = pairing(P, f, g)
+            assert GMap(O, P.gset, fg.mapping) == fg
+            assert [(P.left(p), P.right(p)) for p in fg.mapping] == \
+                list(zip(f.mapping, g.mapping))
+            for h in (P.left, P.right):
+                gf = compose_maps(h, fg)
+                assert GMap(O, h.target, gf.mapping) == gf
+            assert compose_maps(P.left, fg) == f
+    assert identity_map(X) == GMap(X, X, range(X.size))
+
+
+def test_pairings_and_composites_refuse_maps_that_do_not_fit():
+    group = builtin_group("C2")
+    O, pt = standard_orbit(group, 0), point_gset(group)
+    P = product(O, pt)
+    to_pt = orbit_map(O, pt, 0)
+    with pytest.raises(ValueError, match="common source"):
+        pairing(P, identity_map(O), identity_map(pt))
+    with pytest.raises(ValueError, match="land in the factors"):
+        pairing(P, to_pt, identity_map(O))
+    with pytest.raises(ValueError, match="not composable"):
+        compose_maps(to_pt, to_pt)
 
 
 def test_non_integer_action_entries_rejected():

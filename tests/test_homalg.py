@@ -14,7 +14,9 @@ from mackeykit.groups import (
     builtin_group,
     cyclic_group_table,
 )
+from mackeykit import gsets
 from mackeykit.gsets import (
+    GMap,
     disjoint_union_of_orbits,
     point_gset,
     product,
@@ -69,6 +71,7 @@ from support import (
     fresh_coordinates,
     hom_modules,
     hom_modules_oracle,
+    internal_hom_rep_by_identity,
     memo_entries,
     rel_box_map,
     rel_box_oracle,
@@ -1128,6 +1131,22 @@ def test_shared_coordinates_equal_a_fresh_solve(name):
         for c, e in enumerate(eye)]
 
 
+def test_an_empty_lift_builds_no_solver(c2_setup, monkeypatch):
+    # a class handed no vector reads no solver; its first lift of a vector
+    # builds the class's one solver
+    _C2, _R, FP = c2_setup
+    two = MackeyMorphism(FP, FP, [im.intmat([[2]])] * len(FP.levels))
+    built = _counting_solvers(monkeypatch)
+    assert two.coordinates.lift(0, [], "outside") == []
+    assert two.coordinates.lift_matrix(0, im.zeros(1, 0), "outside").shape \
+        == (1, 0)
+    assert built == []
+    assert [v.tolist() for v in two.coordinates.lift(
+        0, [im.intvec([4])], "outside")] == [[2]]
+    two.coordinates.lift(0, [], "outside")
+    assert built == [(1, 1)]
+
+
 def test_a_kernel_and_its_inclusion_are_freed_by_refcount(c2_setup):
     # the carried maps and the inclusion share coordinates that hold
     # neither, so no reference cycle keeps the pair alive
@@ -1143,3 +1162,55 @@ def test_a_kernel_and_its_inclusion_are_freed_by_refcount(c2_setup):
         assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+# -- Dress terms placed block by block, along maps proven by construction ----------------------
+
+
+def _recording_proven_maps(monkeypatch):
+    """Every map `pairing` and `compose_maps` build from now on, in order,
+    through the names `convolution` and `homalg` call."""
+    built = []
+
+    def recording(make):
+        def wrapped(*args):
+            f = make(*args)
+            built.append(f)
+            return f
+        return wrapped
+
+    for module in (convolution, homalg):
+        for name in ("pairing", "compose_maps"):
+            monkeypatch.setattr(module, name, recording(getattr(gsets, name)))
+    return built
+
+
+@pytest.mark.parametrize("name", BATTERY + ("D4", "Q8"))
+def test_dress_terms_match_the_identity_route(name, monkeypatch):
+    # every res, tr and conj matrix of M(X x -) equals the earlier route's,
+    # M's orbit blocks multiplied into an identity along id_X x f checked
+    # point by point, entry for entry: X a standard orbit, a sum of two and
+    # each term X_p of FP/2's resolution; and every map that pairings and
+    # composites built on the way, in the terms, the differentials and the
+    # free generators, passes the checked constructor
+    built = _recording_proven_maps(monkeypatch)
+    group = builtin_group(name)
+    R, mods = _tor_modules(group)
+    result = tor(R, mods["FP"], mods["FP/2"], 1)
+    classes = range(len(group.subgroup_classes()))
+    feet = [standard_orbit(group, c) for c in classes] + \
+        [disjoint_union_of_orbits(group, (0, classes[-1]))] + \
+        [F.base for F in result.resolution.modules]
+    for M in (mods["FP"].underlying, mods["FP/2"].underlying, R.underlying):
+        for X in feet:
+            got, want = internal_hom_rep(X, M), internal_hom_rep_by_identity(X, M)
+            assert [g.relation_lattice.tolist() for g in got.levels] == \
+                [w.relation_lattice.tolist() for w in want.levels]
+            got_maps, want_maps = structure_matrices(got), structure_matrices(want)
+            assert list(got_maps) == list(want_maps)
+            for key, m in want_maps.items():
+                assert got_maps[key].dtype == object, (M.name, X, key)
+                assert im.mats_equal(got_maps[key], m), (M.name, X, key)
+    assert built
+    for f in built:
+        assert GMap(f.source, f.target, f.mapping) == f

@@ -89,6 +89,11 @@ fields (they ask `FinPresAbGroup.minimal_presentation`), and no dense
 Coordinates in a sublattice are solved through one type: outside
 `intmat`, only `mackey._Coordinates` builds an `intmat.Solver`, one per
 class on first use, and `homalg` imports no private name of `mackey`.
+A G-map skips the equivariance check only where its proof is: no file
+in src or tests but `gsets.py` names `GMap._trusted`, so the maps of the
+Dress terms are pairings and composites of proven maps.  A res or tr
+matrix along a G-map is its orbit blocks placed: nothing in src passes an
+`identity(...)` to `apply_gmap`.
 """
 
 import ast
@@ -756,11 +761,11 @@ def test_elements_are_not_checked_again():
     assert calls == [] and found == {"compose", "tensor", "dual"}
 
 
-def trusted_constructions(source):
-    """Lines of every name or attribute `_of_checked` in a source."""
+def trusted_constructions(source, name="_of_checked"):
+    """Lines of every name or attribute `name` in a source."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if "_of_checked" in (getattr(node, "id", None),
-                                       getattr(node, "attr", None)))
+                  if name in (getattr(node, "id", None),
+                              getattr(node, "attr", None)))
 
 
 def test_scanner_finds_trusted_constructions():
@@ -779,6 +784,66 @@ def test_only_burnside_builds_unchecked_elements():
         if path.name != "burnside.py":
             assert trusted_constructions(
                 path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_scanner_finds_unchecked_gmaps():
+    source = ("from mackeykit.gsets import GMap\n"
+              "f = GMap._trusted(X, Y, (0, 1))\n"
+              "make = getattr(GMap, '_trusted')\n"
+              "g = _trusted(X, X, ())\n")
+    assert trusted_constructions(source, "_trusted") == [2, 4]
+
+
+def test_only_gsets_builds_unchecked_gmaps():
+    # a G-map skips the equivariance check only inside `gsets`, where each
+    # constructor that skips it carries its proof: every other module
+    # builds its maps from those constructors or through the check
+    tests = pathlib.Path(__file__).resolve().parent
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")):
+        if path.name != "gsets.py":
+            assert trusted_constructions(path.read_text(encoding="utf-8"),
+                                         "_trusted") == [], path.name
+
+
+def identity_into_apply_gmap(source):
+    """Lines of every call of `apply_gmap` with an `identity(...)` call in
+    one of its arguments."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "apply_gmap" in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))
+        and any(isinstance(sub, ast.Call) and "identity" in (
+                    getattr(sub.func, "id", None),
+                    getattr(sub.func, "attr", None))
+                for arg in node.args + [k.value for k in node.keywords]
+                for sub in ast.walk(arg)))
+
+
+# `internal_hom_rep`'s structure maps, abridged, as they read when each
+# was an object product of M's orbit blocks with an identity.
+IDENTITY_ROUTE = '''
+def internal_hom_rep(X, M):
+    def along(f, transfer):
+        P, Q = product(X, f.source), product(X, f.target)
+        g = GMap(P.gset, Q.gset, [Q.of_pair(x, f.mapping[o]) for x, o in
+                                  zip(P.left.mapping, P.right.mapping)])
+        n = M.offsets(g.source if transfer else g.target)[-1]
+        return M.apply_gmap(g, intmat.identity(n), transfer)
+    keep = M.apply_gmap(g, v=identity(3)), apply_gmap(g, eye, transfer=True)
+'''
+
+
+def test_scanner_finds_identities_applied_along_gmaps():
+    assert identity_into_apply_gmap(IDENTITY_ROUTE) == [8, 9]
+
+
+def test_no_identity_is_applied_along_a_gmap():
+    # a res or tr matrix along a G-map is its orbit blocks placed
+    # (`MackeyFunctor.gmap_matrix`), not a product with an identity
+    for path in MODULES:
+        assert identity_into_apply_gmap(
+            path.read_text(encoding="utf-8")) == [], path.name
 
 
 # The functions that read a canonical span code or over-code, by module,
